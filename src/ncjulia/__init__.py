@@ -70,10 +70,12 @@ from .domain import (
 from .realization import (
     NcFunctionHandle,
     NeumannEvaluation,
+    PointEvaluation,
     Realization,
     eval_phi,
     eval_phi_neumann,
     eval_u,
+    evaluate,
     model_residual,
     perturb_realization,
     random_realization,

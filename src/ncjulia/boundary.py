@@ -22,7 +22,6 @@ from .domain import (
     eval_delta,
     find_transverse_direction,
     generate_sequence,
-    in_G_delta,
     InwardWitnessResult,
     on_distinguished_boundary,
     radial_sequence,
@@ -39,9 +38,16 @@ from .numerics import (
     nearest_unitary,
     operator_norm,
 )
-from .realization import NcFunctionHandle, _model_operators, eval_phi, eval_u
+from .realization import NcFunctionHandle, PointEvaluation, _identity_defect, _model_operators
+from .realization import evaluate
+# unused here; perfbench's test_tracer_restores_every_binding reads boundary.eval_phi
+from .realization import eval_phi  # noqa: F401
 
 CONVERGENCE_RTOL = 1e-3
+UNITARY_DISTANCE_TOL = 1e-4
+APERTURE_CAP = 1e6
+COMPARABILITY_RTOL = 1e-8
+DEGENERATE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -58,17 +64,21 @@ class JuliaQuotient:
 
 def julia_quotient(h: NcFunctionHandle, z: MatrixTuple) -> JuliaQuotient:
     """Quotient || I - phi(Z)* phi(Z) || / (1 - ||Delta(Z)||^2) at interior Z."""
-    member = in_G_delta(h.delta, z)
-    if not member:
-        raise PreconditionError(
-            f"point is not inside the domain: ||delta(Z)|| = {member.norm:.6g}"
-        )
-    phi = eval_phi(h, z)
-    numerator = operator_norm(np.eye(z.n) - phi.conj().T @ phi)
-    denominator = 1.0 - member.norm**2
+    return _quotient_at(evaluate(h, z))
+
+
+def _quotient_at(ev: PointEvaluation) -> JuliaQuotient:
+    numerator = operator_norm(np.eye(ev.x.n) - ev.phi.conj().T @ ev.phi)
+    denominator = 1.0 - ev.delta_norm**2
     return JuliaQuotient(
         value=numerator / denominator, numerator=numerator, denominator=denominator
     )
+
+
+def _evaluate_sequence(h: NcFunctionHandle, seq: ApproachSequence):
+    """The interior points of the sequence and their evaluations, one per point."""
+    pts = generate_sequence(seq, h.delta)
+    return pts, [evaluate(h, z) for z in pts.points]
 
 
 @dataclass(frozen=True)
@@ -93,10 +103,15 @@ def estimate_alpha(
     h: NcFunctionHandle, seq: ApproachSequence, conv_rtol: float = CONVERGENCE_RTOL
 ) -> AlphaEstimate:
     """Estimate the quotient limit along the sequence by Richardson extrapolation."""
-    pts = generate_sequence(seq, h.delta)
+    return _alpha_along(h, seq, *_evaluate_sequence(h, seq), conv_rtol)
+
+
+def _alpha_along(
+    h: NcFunctionHandle, seq: ApproachSequence, pts, evals, conv_rtol: float
+) -> AlphaEstimate:
     if len(pts.points) < 2:
         raise PreconditionError("need at least two interior sequence points")
-    quotients = [julia_quotient(h, z).value for z in pts.points]
+    quotients = [_quotient_at(ev).value for ev in evals]
     is_liminf = seq.kind == "radial" and h.delta.is_homogeneous_degree_one()
 
     # bounded quotients may approach their limit from below, so growth alone
@@ -142,17 +157,20 @@ class BoundaryValue:
 
 
 def extract_W(
-    h: NcFunctionHandle, seq: ApproachSequence, max_unitary_distance: float = 1e-4
+    h: NcFunctionHandle, seq: ApproachSequence, max_unitary_distance: float = UNITARY_DISTANCE_TOL
 ) -> BoundaryValue:
     """Extrapolate phi along the sequence and project onto the unitary group.
 
     A raw limit farther than ``max_unitary_distance`` from unitary is treated
     as evidence that the base point is not a B-point.
     """
-    pts = generate_sequence(seq, h.delta)
+    return _boundary_value_along(*_evaluate_sequence(h, seq), max_unitary_distance)
+
+
+def _boundary_value_along(pts, evals, max_unitary_distance: float) -> BoundaryValue:
     if len(pts.points) < 2:
         raise PreconditionError("need at least two interior sequence points")
-    values = [eval_phi(h, z) for z in pts.points]
+    values = [ev.phi for ev in evals]
     raw = extrapolate_limit(list(zip(pts.steps, values))).value
     try:
         w = nearest_unitary(raw)
@@ -205,7 +223,7 @@ def solve_uT(
             "model vector at the boundary requires T on the distinguished boundary"
         )
     big_delta = eval_delta(h.delta, t)
-    resolvent, rhs, _ = _model_operators(h, big_delta, t.n)
+    resolvent, rhs, _, _ = _model_operators(h, big_delta, t.n)
     outcome = min_norm_solve(resolvent, rhs)
     kernel = _kernel_basis(resolvent)
     cokernel = _kernel_basis(resolvent, adjoint=True)
@@ -286,30 +304,23 @@ def julia_inequality_check(
     alpha: float,
     z: MatrixTuple,
     rel_tol: float = 1e-8,
-    degenerate_tol: float = 1e-12,
+    degenerate_tol: float = DEGENERATE_TOL,
 ) -> JuliaCheck:
     """Check ||phi(Z)-W||^2 / ||I-phi*phi|| <= alpha ||I-Delta(T)*Delta(Z)||^2 / (1-||Delta(Z)||^2)."""
-    member = in_G_delta(h.delta, z)
-    if not member:
-        raise PreconditionError(
-            f"point is not inside the domain: ||delta(Z)|| = {member.norm:.6g}"
-        )
+    ev = evaluate(h, z)
     w = np.asarray(w, dtype=np.complex128)
     if w.shape != (z.n, z.n):
         raise DimensionError(f"W has shape {w.shape}, expected ({z.n}, {z.n})")
-    phi = eval_phi(h, z)
-    lhs_den = operator_norm(np.eye(z.n) - phi.conj().T @ phi)
-    dt = eval_delta(h.delta, t)
-    dz = eval_delta(h.delta, z)
-    jn = dt.shape[0]
-    rhs = (
-        alpha
-        * operator_norm(np.eye(jn) - dt.conj().T @ dz) ** 2
-        / (1.0 - member.norm**2)
-    )
-    if lhs_den <= degenerate_tol:
+    return _julia_check_at(ev, eval_delta(h.delta, t), w, alpha, rel_tol, degenerate_tol)
+
+
+def _julia_check_at(ev: PointEvaluation, dt, w, alpha, rel_tol, degenerate_tol) -> JuliaCheck:
+    quotient = _quotient_at(ev)
+    gram = operator_norm(np.eye(dt.shape[0]) - dt.conj().T @ ev.delta)
+    rhs = alpha * gram**2 / quotient.denominator
+    if quotient.numerator <= degenerate_tol:
         return JuliaCheck(lhs=None, rhs=rhs, holds=None, skipped=True)
-    lhs = operator_norm(phi - w) ** 2 / lhs_den
+    lhs = operator_norm(ev.phi - w) ** 2 / quotient.numerator
     return JuliaCheck(
         lhs=lhs, rhs=rhs, holds=bool(lhs <= rhs * (1.0 + rel_tol) + 1e-15), skipped=False
     )
@@ -333,13 +344,7 @@ def boundary_identity_residual(
     u_t = np.asarray(u_t, dtype=np.complex128)
     if u_t.shape != (m * jn, t.n):
         raise DimensionError(f"u_T has shape {u_t.shape}, expected ({m * jn}, {t.n})")
-    dt = eval_delta(h.delta, t)
-    dz = eval_delta(h.delta, z)
-    middle = np.kron(np.eye(m, dtype=np.complex128), np.eye(jn) - dt.conj().T @ dz)
-    u_z = eval_u(h, z)
-    phi = eval_phi(h, z)
-    lhs = np.eye(t.n, dtype=np.complex128) - w.conj().T @ phi
-    return operator_norm(lhs - u_t.conj().T @ middle @ u_z)
+    return _identity_defect(h, w, u_t, eval_delta(h.delta, t), evaluate(h, z))
 
 
 @dataclass(frozen=True)
@@ -369,27 +374,25 @@ class TfaeReport:
 def tfae_report(
     h: NcFunctionHandle,
     seq: ApproachSequence,
-    aperture_cap: float = 1e6,
-    rel_tol: float = 1e-8,
+    aperture_cap: float = APERTURE_CAP,
+    rel_tol: float = COMPARABILITY_RTOL,
 ) -> TfaeReport:
     """Evaluate the four boundedness quantities along a non-tangential sequence."""
-    pts = generate_sequence(seq, h.delta)
-    dt = eval_delta(h.delta, seq.base)
+    _, evals = _evaluate_sequence(h, seq)
+    return _tfae_along(evals, eval_delta(h.delta, seq.base), aperture_cap, rel_tol)
+
+
+def _tfae_along(evals, dt: np.ndarray, aperture_cap: float, rel_tol: float) -> TfaeReport:
     jn = dt.shape[0]
     sup_gram = sup_scalar = sup_model = 0.0
     aperture = 0.0
-    for z in pts.points:
-        dz = eval_delta(h.delta, z)
-        dz_norm = operator_norm(dz)
-        scalar_defect = 1.0 - dz_norm**2
-        gram_defect = operator_norm(np.eye(jn) - dz.conj().T @ dz)
-        aperture = max(aperture, operator_norm(dz - dt) / scalar_defect)
-        phi = eval_phi(h, z)
-        u = eval_u(h, z)
-        numerator = operator_norm(np.eye(z.n) - phi.conj().T @ phi)
-        sup_gram = max(sup_gram, numerator / gram_defect)
-        sup_scalar = max(sup_scalar, numerator / scalar_defect)
-        sup_model = max(sup_model, operator_norm(u) ** 2)
+    for ev in evals:
+        quotient = _quotient_at(ev)
+        gram_defect = operator_norm(np.eye(jn) - ev.delta.conj().T @ ev.delta)
+        aperture = max(aperture, operator_norm(ev.delta - dt) / quotient.denominator)
+        sup_gram = max(sup_gram, quotient.numerator / gram_defect)
+        sup_scalar = max(sup_scalar, quotient.value)
+        sup_model = max(sup_model, operator_norm(ev.u) ** 2)
     if not np.isfinite(aperture) or aperture > aperture_cap:
         raise PreconditionError(
             f"sequence is tangential: aperture {aperture:.3e} exceeds cap {aperture_cap:.0e}"
@@ -409,7 +412,7 @@ def tfae_report(
         sup_model_norm_sq=sup_model,
         sup_model_norm_sq_all=sup_model,
         aperture=aperture,
-        n_points=len(pts.points),
+        n_points=len(evals),
         comparability=comparability,
     )
 
@@ -464,7 +467,8 @@ def analyze_bpoint(
     machinery (boundary model vector, range test, boundedness report) runs as
     well, otherwise only the quotient, boundary value and inequality checks.
     """
-    delta_norm = operator_norm(eval_delta(h.delta, t))
+    dt = eval_delta(h.delta, t)
+    delta_norm = operator_norm(dt)
     if delta_norm < 1.0 - boundary_tol:
         raise PreconditionError(
             f"T is interior (||delta(T)|| = {delta_norm:.6g}); boundary analysis undefined"
@@ -483,12 +487,12 @@ def analyze_bpoint(
     else:
         raise PreconditionError(f"unknown sequence rule {rule!r}")
 
-    points = generate_sequence(seq, h.delta)
-    alpha = estimate_alpha(h, seq)
+    points, evals = _evaluate_sequence(h, seq)
+    alpha = _alpha_along(h, seq, points, evals, CONVERGENCE_RTOL)
 
     w = w_distance = w_error = None
     try:
-        extraction = extract_W(h, seq)
+        extraction = _boundary_value_along(points, evals, UNITARY_DISTANCE_TOL)
         w, w_distance = extraction.W, extraction.unitary_distance
     except (ConvergenceError, PreconditionError) as exc:
         w_error = str(exc)
@@ -521,8 +525,8 @@ def analyze_bpoint(
     if w is not None and np.isfinite(alpha.alpha):
         rng = np.random.default_rng(seed)
         for _ in range(julia_samples):
-            z = random_interior_point(h.delta, t.n, rng, margin=margin)
-            check = julia_inequality_check(h, t, w, alpha.alpha, z, rel_tol=rel_tol)
+            ev = evaluate(h, random_interior_point(h.delta, t.n, rng, margin=margin))
+            check = _julia_check_at(ev, dt, w, alpha.alpha, rel_tol, DEGENERATE_TOL)
             if check.skipped:
                 julia_skipped += 1
                 continue
@@ -533,10 +537,10 @@ def analyze_bpoint(
                 ratio = check.lhs / check.rhs
                 julia_max_ratio = ratio if julia_max_ratio is None else max(julia_max_ratio, ratio)
             if u_t is not None:
-                res = boundary_identity_residual(h, t, w, u_t, z)
+                res = _identity_defect(h, w, u_t, dt, ev)
                 identity_max = res if identity_max is None else max(identity_max, res)
 
-    tfae = tfae_report(h, seq) if distinguished else None
+    tfae = _tfae_along(evals, dt, APERTURE_CAP, COMPARABILITY_RTOL) if distinguished else None
 
     return BPointReport(
         T=t,

@@ -84,14 +84,6 @@ def emit(obj, output: str):
         print(render_json(obj))
 
 
-def _jsonable_matrix(m) -> dict:
-    return numerics.matrix_to_json(m)
-
-
-def _jsonable_tuple(x) -> dict:
-    return freepoly.tuple_to_json(x)
-
-
 # --- configuration -----------------------------------------------------------
 
 
@@ -219,9 +211,9 @@ def cmd_eval(args, config: RunConfig) -> int:
     residual = realization.model_residual(handle, point, point)
     emit(
         {
-            "phi": _jsonable_matrix(phi),
+            "phi": numerics.matrix_to_json(phi),
             "phi_norm": numerics.operator_norm(phi),
-            "u": _jsonable_matrix(u),
+            "u": numerics.matrix_to_json(u),
             "u_norm": numerics.operator_norm(u),
             "delta_norm": member.norm,
             "margin": member.margin,
@@ -247,7 +239,7 @@ def _jsonable_alpha(a: boundary.AlphaEstimate) -> dict:
 
 def _jsonable_report(r: boundary.BPointReport) -> dict:
     out = {
-        "T": _jsonable_tuple(r.T),
+        "T": freepoly.tuple_to_json(r.T),
         "delta_norm_at_T": r.delta_norm_at_T,
         "on_distinguished_boundary": r.on_distinguished_boundary,
         "sequence": {
@@ -265,10 +257,10 @@ def _jsonable_report(r: boundary.BPointReport) -> dict:
             "max_ratio": r.julia_max_ratio,
         },
     }
-    out["W"] = None if r.W is None else _jsonable_matrix(r.W)
+    out["W"] = None if r.W is None else numerics.matrix_to_json(r.W)
     out["W_unitary_distance"] = r.W_unitary_distance
     out["W_error"] = r.W_error
-    out["u_T"] = None if r.u_T is None else _jsonable_matrix(r.u_T)
+    out["u_T"] = None if r.u_T is None else numerics.matrix_to_json(r.u_T)
     if r.u_T is not None:
         out["u_T_norm_sq"] = numerics.operator_norm(r.u_T) ** 2
     out["range_residual"] = r.range_residual
@@ -323,7 +315,8 @@ def cmd_fuzz(args, config: RunConfig) -> int:
     model_checked = model_violations = 0
     max_model_residual = 0.0
     julia_checked = julia_violations = julia_skipped = 0
-    run_julia = delta.is_homogeneous_degree_one() and args.delta.startswith("polydisk")
+    # Haar-unitary tuples lie on the distinguished boundary of the polydisk only
+    run_julia = delta == fixtures.polydisk_delta(delta.d)
 
     for k in range(config.samples):
         colligation = realization.random_realization(args.dim_E, delta.J, config.seed + k)
@@ -400,14 +393,14 @@ def cmd_derivative(args, config: RunConfig) -> int:
         handle, t, w, h, steps=config.steps, first_step=config.ladder_first_step
     )
     out = {
-        "eta": _jsonable_matrix(result.eta),
+        "eta": numerics.matrix_to_json(result.eta),
         "increments": list(result.convergence_increments),
         "beta": result.beta,
         "first_step": result.first_step,
         "steps_used": result.steps_used,
         "partial": result.partial,
         "converged": result.converged,
-        "W": _jsonable_matrix(w),
+        "W": numerics.matrix_to_json(w),
     }
     if args.closed_form is not None:
         oracle = fixtures.get_closed_form(args.closed_form)(h)

@@ -95,14 +95,13 @@ class DeltaMatrix:
         return all(p.is_homogeneous_degree_one() for row in self.entries for p in row)
 
 
-def _eval_grid(entries, x: MatrixTuple) -> np.ndarray:
-    n = x.n
-    rows = len(entries)
-    cols = len(entries[0])
+def _block_grid(grid, n: int, entry) -> np.ndarray:
+    """Block matrix whose n x n block (a, b) is entry(grid[a][b])."""
+    rows, cols = len(grid), len(grid[0])
     out = np.zeros((rows * n, cols * n), dtype=np.complex128)
     for a in range(rows):
         for b in range(cols):
-            out[a * n : (a + 1) * n, b * n : (b + 1) * n] = eval_poly(entries[a][b], x)
+            out[a * n : (a + 1) * n, b * n : (b + 1) * n] = entry(grid[a][b])
     return out
 
 
@@ -119,29 +118,21 @@ def eval_delta(delta: DeltaMatrix, x: MatrixTuple) -> np.ndarray:
     """
     if delta.d != x.d:
         raise DimensionError(f"delta has d={delta.d} but point has d={x.d}")
-    return _eval_grid(delta.entries, x)
+    return _block_grid(delta.entries, x.n, lambda p: eval_poly(p, x))
 
 
 def eval_delta_original(delta: DeltaMatrix, x: MatrixTuple) -> np.ndarray:
     """Unpadded evaluation on the original grid shape."""
     if delta.d != x.d:
         raise DimensionError(f"delta has d={delta.d} but point has d={x.d}")
-    return _eval_grid(_original_grid(delta), x)
+    return _block_grid(_original_grid(delta), x.n, lambda p: eval_poly(p, x))
 
 
 def delta_derivative(delta: DeltaMatrix, t: MatrixTuple, h: MatrixTuple) -> np.ndarray:
     """Entrywise directional derivative of the padded grid at t in direction h."""
     if delta.d != t.d or delta.d != h.d:
         raise DimensionError("delta and tuples must share d")
-    n = t.n
-    j = delta.J
-    out = np.zeros((j * n, j * n), dtype=np.complex128)
-    for a in range(j):
-        for b in range(j):
-            out[a * n : (a + 1) * n, b * n : (b + 1) * n] = directional_derivative_poly(
-                delta.entries[a][b], t, h
-            )
-    return out
+    return _block_grid(delta.entries, t.n, lambda p: directional_derivative_poly(p, t, h))
 
 
 def _gram_derivative(delta: DeltaMatrix, t: MatrixTuple, h: MatrixTuple) -> np.ndarray:
@@ -150,18 +141,8 @@ def _gram_derivative(delta: DeltaMatrix, t: MatrixTuple, h: MatrixTuple) -> np.n
     This is the matrix whose sign and self-adjointness define the inward
     cones; it is complex-linear in h.
     """
-    grid = _original_grid(delta)
-    n = t.n
-    rows = len(grid)
-    cols = len(grid[0])
-    v = _eval_grid(grid, t)
-    dv = np.zeros((rows * n, cols * n), dtype=np.complex128)
-    for a in range(rows):
-        for b in range(cols):
-            dv[a * n : (a + 1) * n, b * n : (b + 1) * n] = directional_derivative_poly(
-                grid[a][b], t, h
-            )
-    return v.conj().T @ dv
+    dv = _block_grid(_original_grid(delta), t.n, lambda p: directional_derivative_poly(p, t, h))
+    return eval_delta_original(delta, t).conj().T @ dv
 
 
 @dataclass(frozen=True)
@@ -550,7 +531,7 @@ def delta_to_json(delta: DeltaMatrix) -> dict:
     return {
         "d": delta.d,
         "J": delta.J,
-        "entries": [[poly_to_json(p) for p in row] for row in delta.entries],
+        "entries": [[poly_to_json(p) for p in row] for row in _original_grid(delta)],
     }
 
 

@@ -26,7 +26,7 @@ from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
-from .domain import DeltaMatrix, eval_delta, in_G_delta
+from .domain import DeltaMatrix, eval_delta
 from .errors import DimensionError, ParseError, PreconditionError
 from .freepoly import MatrixTuple
 from .numerics import (
@@ -110,24 +110,50 @@ class NcFunctionHandle:
 
 
 def _model_operators(h: NcFunctionHandle, big_delta: np.ndarray, n: int):
-    """Resolvent matrix I - (D kron I_n)(I_m kron Delta) and the rhs C kron I_n."""
+    """Resolvent I - step, rhs C kron I_n, I_m kron Delta and step (D kron I_n)(I_m kron Delta)."""
     m = h.realization.dim_E
     eye_n = np.eye(n, dtype=np.complex128)
     d_op = np.kron(h.realization.D, eye_n)
     delta_op = np.kron(np.eye(m, dtype=np.complex128), big_delta)
-    size = m * h.realization.J * n
-    resolvent = np.eye(size, dtype=np.complex128) - d_op @ delta_op
+    step = d_op @ delta_op
+    resolvent = np.eye(step.shape[0], dtype=np.complex128) - step
     rhs = np.kron(h.realization.C, eye_n)
-    return resolvent, rhs, delta_op
+    return resolvent, rhs, delta_op, step
 
 
-def _require_interior(h: NcFunctionHandle, x: MatrixTuple) -> np.ndarray:
-    member = in_G_delta(h.delta, x)
-    if not member:
-        raise PreconditionError(
-            f"point is not inside the domain: ||delta(x)|| = {member.norm:.6g}"
-        )
-    return eval_delta(h.delta, x)
+def _interior_delta(h: NcFunctionHandle, x: MatrixTuple):
+    """Delta(x) and ||Delta(x)||, or PreconditionError when x is not interior."""
+    big_delta = eval_delta(h.delta, x)
+    norm = operator_norm(big_delta)
+    if not norm < 1.0:
+        raise PreconditionError(f"point is not inside the domain: ||delta(x)|| = {norm:.6g}")
+    return big_delta, norm
+
+
+def _phi_from(h: NcFunctionHandle, delta_op: np.ndarray, u: np.ndarray, n: int) -> np.ndarray:
+    """A I_n + (B kron I_n)(I_m kron Delta) u for a model vector u."""
+    b_op = np.kron(h.realization.B, np.eye(n, dtype=np.complex128))
+    return h.realization.A[0, 0] * np.eye(n, dtype=np.complex128) + b_op @ delta_op @ u
+
+
+@dataclass(frozen=True, eq=False)
+class PointEvaluation:
+    """Padded Delta(x), its norm, the model system matrix, u(x) and phi(x) at interior x."""
+
+    x: MatrixTuple
+    delta: np.ndarray
+    delta_norm: float
+    resolvent: np.ndarray
+    u: np.ndarray
+    phi: np.ndarray
+
+
+def evaluate(h: NcFunctionHandle, x: MatrixTuple) -> PointEvaluation:
+    """Evaluate Delta, ||Delta||, u and phi at interior x with one model solve."""
+    big_delta, norm = _interior_delta(h, x)
+    resolvent, rhs, delta_op, _ = _model_operators(h, big_delta, x.n)
+    u = np.linalg.solve(resolvent, rhs)
+    return PointEvaluation(x, big_delta, norm, resolvent, u, _phi_from(h, delta_op, u, x.n))
 
 
 def eval_u(h: NcFunctionHandle, x: MatrixTuple, return_cond: bool = False):
@@ -136,9 +162,8 @@ def eval_u(h: NcFunctionHandle, x: MatrixTuple, return_cond: bool = False):
     Warns when the resolvent condition number exceeds ``COND_WARN_THRESHOLD``;
     with ``return_cond=True`` returns ``(u, cond)``.
     """
-    big_delta = _require_interior(h, x)
-    resolvent, rhs, _ = _model_operators(h, big_delta, x.n)
-    sv = np.linalg.svd(resolvent, compute_uv=False)
+    ev = evaluate(h, x)
+    sv = np.linalg.svd(ev.resolvent, compute_uv=False)
     cond = float("inf") if sv[-1] == 0.0 else float(sv[0] / sv[-1])
     if cond > COND_WARN_THRESHOLD:
         warnings.warn(
@@ -146,18 +171,12 @@ def eval_u(h: NcFunctionHandle, x: MatrixTuple, return_cond: bool = False):
             NearSingularResolventWarning,
             stacklevel=2,
         )
-    u = np.linalg.solve(resolvent, rhs)
-    return (u, cond) if return_cond else u
+    return (ev.u, cond) if return_cond else ev.u
 
 
 def eval_phi(h: NcFunctionHandle, x: MatrixTuple) -> np.ndarray:
     """Function value phi(x) = A I_n + (B kron I_n)(I_m kron Delta(x)) u(x)."""
-    big_delta = _require_interior(h, x)
-    n = x.n
-    resolvent, rhs, delta_op = _model_operators(h, big_delta, n)
-    u = np.linalg.solve(resolvent, rhs)
-    b_op = np.kron(h.realization.B, np.eye(n, dtype=np.complex128))
-    return h.realization.A[0, 0] * np.eye(n, dtype=np.complex128) + b_op @ delta_op @ u
+    return evaluate(h, x).phi
 
 
 @dataclass(frozen=True)
@@ -178,11 +197,9 @@ def eval_phi_neumann(h: NcFunctionHandle, x: MatrixTuple, terms: int) -> Neumann
     """
     if terms < 0:
         raise PreconditionError("terms must be non-negative")
-    big_delta = _require_interior(h, x)
+    big_delta, _ = _interior_delta(h, x)
     n = x.n
-    _, rhs, delta_op = _model_operators(h, big_delta, n)
-    d_op = np.kron(h.realization.D, np.eye(n, dtype=np.complex128))
-    step = d_op @ delta_op
+    _, rhs, delta_op, step = _model_operators(h, big_delta, n)
     q = operator_norm(step)
     if q >= 1.0:
         raise PreconditionError(
@@ -193,8 +210,7 @@ def eval_phi_neumann(h: NcFunctionHandle, x: MatrixTuple, terms: int) -> Neumann
     for _ in range(terms):
         power = step @ power
         acc += power
-    b_op = np.kron(h.realization.B, np.eye(n, dtype=np.complex128))
-    value = h.realization.A[0, 0] * np.eye(n, dtype=np.complex128) + b_op @ delta_op @ acc
+    value = _phi_from(h, delta_op, acc, n)
     bound = q ** (terms + 1) / (1.0 - q)
     return NeumannEvaluation(
         value=value, truncation_bound=float(bound), contraction_factor=float(q), terms=terms
@@ -209,24 +225,25 @@ def model_residual(h: NcFunctionHandle, x: MatrixTuple, y: MatrixTuple) -> float
     """
     if x.n != y.n or x.d != y.d:
         raise DimensionError("x and y must share matrix size and variable count")
-    dx = _require_interior(h, x)
-    dy = _require_interior(h, y)
-    n = x.n
-    resolvent_x, rhs, delta_op_x = _model_operators(h, dx, n)
-    u_x = np.linalg.solve(resolvent_x, rhs)
-    resolvent_y, _, delta_op_y = _model_operators(h, dy, n)
-    u_y = np.linalg.solve(resolvent_y, rhs)
-    b_op = np.kron(h.realization.B, np.eye(n, dtype=np.complex128))
-    a = h.realization.A[0, 0]
-    phi_x = a * np.eye(n) + b_op @ delta_op_x @ u_x
-    phi_y = a * np.eye(n) + b_op @ delta_op_y @ u_y
+    ev_x = evaluate(h, x)
+    ev_y = evaluate(h, y)
+    return _identity_defect(h, ev_y.phi, ev_y.u, ev_y.delta, ev_x)
+
+
+def _identity_defect(h: NcFunctionHandle, phi_y, u_y, delta_y, ev: PointEvaluation) -> float:
+    """|| I - phi_y* phi(x) - u_y* (I_m kron (I - delta_y* Delta(x))) u(x) ||, ev at x.
+
+    The model identity when (phi_y, u_y, delta_y) are taken at an interior
+    y, the boundary identity when they are (W, u_T, Delta(T)).
+    """
+    n = ev.x.n
     jn = h.realization.J * n
     middle = np.kron(
         np.eye(h.realization.dim_E, dtype=np.complex128),
-        np.eye(jn, dtype=np.complex128) - dy.conj().T @ dx,
+        np.eye(jn, dtype=np.complex128) - delta_y.conj().T @ ev.delta,
     )
-    lhs = np.eye(n, dtype=np.complex128) - phi_y.conj().T @ phi_x
-    return operator_norm(lhs - u_y.conj().T @ middle @ u_x)
+    lhs = np.eye(n, dtype=np.complex128) - phi_y.conj().T @ ev.phi
+    return operator_norm(lhs - u_y.conj().T @ middle @ ev.u)
 
 
 def random_realization(dim_E: int, J: int, seed: int) -> Realization:

@@ -417,3 +417,37 @@ class TestAnalyzeBpoint:
         assert rep.range_residual <= 1e-10
         assert rep.alpha.diverging
         assert not rep.is_bpoint
+
+    def test_each_point_evaluated_once(self, h1, monkeypatch):
+        from ncjulia import boundary
+
+        calls = {"evaluate": 0, "generate_sequence": 0}
+        for name in calls:
+            def counted(*args, _name=name, _original=getattr(boundary, name), **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(boundary, name, counted)
+        analyze_bpoint(h1, scalars(1.0, 1.0), julia_samples=200, seed=1)
+        # 12 approach points and 200 Julia samples, one sequence
+        assert calls == {"evaluate": 212, "generate_sequence": 1}
+
+    def test_shared_evaluations_match_public_functions(self, h1, rng):
+        t = random_unitary_tuple(rng, 2, 2)
+        rep = analyze_bpoint(h1, t, julia_samples=20, seed=4)
+        seq = radial_sequence(t, num_steps=12)
+        assert estimate_alpha(h1, seq) == rep.alpha
+        assert np.array_equal(extract_W(h1, seq).W, rep.W)
+        assert tfae_report(h1, seq) == rep.tfae
+        sample_rng = np.random.default_rng(4)
+        ratios, residuals = [], []
+        for _ in range(20):
+            z = random_interior_point(h1.delta, t.n, sample_rng, margin=0.05)
+            check = julia_inequality_check(h1, t, rep.W, rep.alpha.alpha, z)
+            if check.skipped:
+                continue
+            if check.rhs > 0:
+                ratios.append(check.lhs / check.rhs)
+            residuals.append(boundary_identity_residual(h1, t, rep.W, rep.u_T, z))
+        assert max(ratios) == rep.julia_max_ratio
+        assert max(residuals) == rep.boundary_identity_max_residual

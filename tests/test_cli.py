@@ -186,6 +186,17 @@ class TestFuzz:
     def test_mismatched_J(self):
         assert main(["fuzz", "--J", "3", "--delta", "polydisk:2"]) == 2
 
+    def test_delta_file_runs_like_its_name(self, files, capsys):
+        from ncjulia import delta_to_json, polydisk_delta
+
+        path = write_json(files["tmp"] / "polydisk.json", delta_to_json(polydisk_delta(2)))
+        main(["fuzz", "--samples", "30", "--seed", "3", "--delta", "polydisk:2"])
+        by_name = capsys.readouterr().out
+        main(["fuzz", "--samples", "30", "--seed", "3", "--delta", path])
+        by_file = capsys.readouterr().out
+        assert json.loads(by_name)["julia_inequality"]["checked"] > 0
+        assert by_file == by_name
+
 
 class TestDerivative:
     def test_diagonal_direction(self, files, capsys):

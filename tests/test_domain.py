@@ -320,12 +320,13 @@ class TestSequences:
 
 class TestDeltaJson:
     def test_round_trip(self, rng):
-        delta = DeltaMatrix.from_grid(
-            2, [[random_poly(rng, 2, 2, 3) for _ in range(2)] for _ in range(2)]
-        )
-        again = delta_from_json(delta_to_json(delta))
-        assert again.entries == delta.entries
-        assert again.original_shape == delta.original_shape
+        for rows, cols in ((2, 2), (2, 1), (1, 3)):
+            delta = DeltaMatrix.from_grid(
+                2, [[random_poly(rng, 2, 2, 3) for _ in range(cols)] for _ in range(rows)]
+            )
+            again = delta_from_json(delta_to_json(delta))
+            assert again.entries == delta.entries
+            assert again.original_shape == delta.original_shape
 
     def test_text_entries(self):
         delta = delta_from_json({"d": 2, "entries": [["x0", "0"], ["0", "x1"]]})
