@@ -107,7 +107,7 @@ def estimate_alpha(
 
 
 def _alpha_along(
-    h: NcFunctionHandle, seq: ApproachSequence, pts, evals, conv_rtol: float
+    h: NcFunctionHandle, seq: ApproachSequence, pts, evals, conv_rtol: float = CONVERGENCE_RTOL
 ) -> AlphaEstimate:
     if len(pts.points) < 2:
         raise PreconditionError("need at least two interior sequence points")
@@ -164,14 +164,14 @@ def extract_W(
     A raw limit farther than ``max_unitary_distance`` from unitary is treated
     as evidence that the base point is not a B-point.
     """
-    return _boundary_value_along(*_evaluate_sequence(h, seq), max_unitary_distance)
+    pts, evals = _evaluate_sequence(h, seq)
+    return _boundary_value_along(pts.steps, evals, max_unitary_distance)
 
 
-def _boundary_value_along(pts, evals, max_unitary_distance: float) -> BoundaryValue:
-    if len(pts.points) < 2:
+def _boundary_value_along(steps, evals, max_unitary_distance=UNITARY_DISTANCE_TOL) -> BoundaryValue:
+    if len(evals) < 2:
         raise PreconditionError("need at least two interior sequence points")
-    values = [ev.phi for ev in evals]
-    raw = extrapolate_limit(list(zip(pts.steps, values))).value
+    raw = extrapolate_limit(list(zip(steps, [ev.phi for ev in evals]))).value
     try:
         w = nearest_unitary(raw)
     except SingularMatrixError as exc:
@@ -307,6 +307,8 @@ def julia_inequality_check(
     degenerate_tol: float = DEGENERATE_TOL,
 ) -> JuliaCheck:
     """Check ||phi(Z)-W||^2 / ||I-phi*phi|| <= alpha ||I-Delta(T)*Delta(Z)||^2 / (1-||Delta(Z)||^2)."""
+    if z.n != t.n:
+        raise DimensionError("Z must have the same matrix size as T")
     ev = evaluate(h, z)
     w = np.asarray(w, dtype=np.complex128)
     if w.shape != (z.n, z.n):
@@ -324,6 +326,39 @@ def _julia_check_at(ev: PointEvaluation, dt, w, alpha, rel_tol, degenerate_tol) 
     return JuliaCheck(
         lhs=lhs, rhs=rhs, holds=bool(lhs <= rhs * (1.0 + rel_tol) + 1e-15), skipped=False
     )
+
+
+@dataclass(frozen=True)
+class JuliaSweep:
+    """Julia-inequality tallies; ``identity_max`` is tracked only when u_T is given."""
+
+    checked: int = 0
+    violations: int = 0
+    skipped: int = 0
+    max_ratio: float | None = None
+    identity_max: float | None = None
+
+
+def _julia_sweep(h, rng, dt, w, alpha, samples, margin, rel_tol, u_t=None) -> JuliaSweep:
+    """Check the inequality at ``samples`` random interior points, each evaluated once."""
+    checked = violations = skipped = 0
+    max_ratio = identity_max = None
+    for _ in range(samples):
+        ev = evaluate(h, random_interior_point(h.delta, w.shape[0], rng, margin=margin))
+        check = _julia_check_at(ev, dt, w, alpha, rel_tol, DEGENERATE_TOL)
+        if check.skipped:
+            skipped += 1
+            continue
+        checked += 1
+        if not check.holds:
+            violations += 1
+        if check.rhs > 0:
+            ratio = check.lhs / check.rhs
+            max_ratio = ratio if max_ratio is None else max(max_ratio, ratio)
+        if u_t is not None:
+            res = _identity_defect(h, w, u_t, dt, ev)
+            identity_max = res if identity_max is None else max(identity_max, res)
+    return JuliaSweep(checked, violations, skipped, max_ratio, identity_max)
 
 
 def boundary_identity_residual(
@@ -488,11 +523,11 @@ def analyze_bpoint(
         raise PreconditionError(f"unknown sequence rule {rule!r}")
 
     points, evals = _evaluate_sequence(h, seq)
-    alpha = _alpha_along(h, seq, points, evals, CONVERGENCE_RTOL)
+    alpha = _alpha_along(h, seq, points, evals)
 
     w = w_distance = w_error = None
     try:
-        extraction = _boundary_value_along(points, evals, UNITARY_DISTANCE_TOL)
+        extraction = _boundary_value_along(points.steps, evals)
         w, w_distance = extraction.W, extraction.unitary_distance
     except (ConvergenceError, PreconditionError) as exc:
         w_error = str(exc)
@@ -519,26 +554,10 @@ def analyze_bpoint(
     else:
         is_bpoint = alpha.converged and not alpha.diverging
 
-    julia_checked = julia_violations = julia_skipped = 0
-    julia_max_ratio = None
-    identity_max = None
+    sweep = JuliaSweep()
     if w is not None and np.isfinite(alpha.alpha):
         rng = np.random.default_rng(seed)
-        for _ in range(julia_samples):
-            ev = evaluate(h, random_interior_point(h.delta, t.n, rng, margin=margin))
-            check = _julia_check_at(ev, dt, w, alpha.alpha, rel_tol, DEGENERATE_TOL)
-            if check.skipped:
-                julia_skipped += 1
-                continue
-            julia_checked += 1
-            if not check.holds:
-                julia_violations += 1
-            if check.rhs > 0:
-                ratio = check.lhs / check.rhs
-                julia_max_ratio = ratio if julia_max_ratio is None else max(julia_max_ratio, ratio)
-            if u_t is not None:
-                res = _identity_defect(h, w, u_t, dt, ev)
-                identity_max = res if identity_max is None else max(identity_max, res)
+        sweep = _julia_sweep(h, rng, dt, w, alpha.alpha, julia_samples, margin, rel_tol, u_t)
 
     tfae = _tfae_along(evals, dt, APERTURE_CAP, COMPARABILITY_RTOL) if distinguished else None
 
@@ -560,10 +579,10 @@ def analyze_bpoint(
         inward_witness=witness,
         conditional=conditional,
         is_bpoint=is_bpoint,
-        julia_checked=julia_checked,
-        julia_violations=julia_violations,
-        julia_skipped=julia_skipped,
-        julia_max_ratio=julia_max_ratio,
-        boundary_identity_max_residual=identity_max,
+        julia_checked=sweep.checked,
+        julia_violations=sweep.violations,
+        julia_skipped=sweep.skipped,
+        julia_max_ratio=sweep.max_ratio,
+        boundary_identity_max_residual=sweep.identity_max,
         tfae=tfae,
     )

@@ -309,12 +309,10 @@ def cmd_bpoint(args, config: RunConfig) -> int:
 
 def cmd_fuzz(args, config: RunConfig) -> int:
     delta = _resolve_delta(args.delta)
-    if args.J is not None and args.J != delta.J:
-        raise ParseError(f"--J {args.J} does not match delta J={delta.J}")
     rng = np.random.default_rng(config.seed)
-    model_checked = model_violations = 0
+    model_violations = 0
     max_model_residual = 0.0
-    julia_checked = julia_violations = julia_skipped = 0
+    sweeps = []
     # Haar-unitary tuples lie on the distinguished boundary of the polydisk only
     run_julia = delta == fixtures.polydisk_delta(delta.d)
 
@@ -328,7 +326,6 @@ def cmd_fuzz(args, config: RunConfig) -> int:
         n = int(rng.integers(1, 3))
         x = domain.random_interior_point(delta, n, rng, margin=config.margin)
         res = realization.model_residual(handle, x, x)
-        model_checked += 1
         max_model_residual = max(max_model_residual, res)
         if res > config.model_residual_tol:
             model_violations += 1
@@ -338,25 +335,19 @@ def cmd_fuzz(args, config: RunConfig) -> int:
             )
             seq = domain.radial_sequence(t, num_steps=18)
             try:
-                alpha = boundary.estimate_alpha(handle, seq)
-                extraction = boundary.extract_W(handle, seq)
+                points, evals = boundary._evaluate_sequence(handle, seq)
+                alpha = boundary._alpha_along(handle, seq, points, evals)
+                w = boundary._boundary_value_along(points.steps, evals).W
             except (PreconditionError, ValueError):
                 continue
             if not alpha.converged:
                 continue
-            for _ in range(5):
-                z = domain.random_interior_point(delta, n, rng, margin=config.margin)
-                check = boundary.julia_inequality_check(
-                    handle, t, extraction.W, alpha.alpha, z, rel_tol=config.rel_tol
-                )
-                if check.skipped:
-                    julia_skipped += 1
-                elif check.holds:
-                    julia_checked += 1
-                else:
-                    julia_checked += 1
-                    julia_violations += 1
+            dt = domain.eval_delta(delta, t)
+            sweeps.append(boundary._julia_sweep(
+                handle, rng, dt, w, alpha.alpha, 5, config.margin, config.rel_tol
+            ))
 
+    julia = {k: sum(getattr(s, k) for s in sweeps) for k in ("checked", "violations", "skipped")}
     emit(
         {
             "samples": config.samples,
@@ -364,20 +355,16 @@ def cmd_fuzz(args, config: RunConfig) -> int:
             "dim_E": args.dim_E,
             "J": delta.J,
             "model_identity": {
-                "checked": model_checked,
+                "checked": config.samples,
                 "violations": model_violations,
                 "max_residual": max_model_residual,
                 "tolerance": config.model_residual_tol,
             },
-            "julia_inequality": {
-                "checked": julia_checked,
-                "violations": julia_violations,
-                "skipped": julia_skipped,
-            },
+            "julia_inequality": julia,
         },
         config.output,
     )
-    return 1 if (model_violations or julia_violations) else 0
+    return 1 if (model_violations or julia["violations"]) else 0
 
 
 def cmd_derivative(args, config: RunConfig) -> int:
@@ -499,7 +486,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_fuzz = sub.add_parser("fuzz", help="random colligation sweeps of the identities")
     p_fuzz.add_argument("--dim-E", type=int, default=1, dest="dim_E")
-    p_fuzz.add_argument("--J", type=int, default=None)
     p_fuzz.add_argument("--delta", default="polydisk:2")
     p_fuzz.add_argument(
         "--no-isometry", action="store_true", dest="no_isometry",

@@ -13,11 +13,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import in_Delta, in_G_delta, _gram_derivative
+from .boundary import _boundary_value_along
+from .domain import in_Delta, _check_direction_norm, _gram_derivative
 from .errors import ConvergenceError, DimensionError, PreconditionError
 from .freepoly import MatrixTuple
 from .numerics import extrapolate_limit, hermitian_part_max_eig, operator_norm
-from .realization import NcFunctionHandle, eval_phi
+from .realization import NcFunctionHandle, evaluate
 
 STEP_FLOOR = 1e-8  # below this, difference quotients drown in cancellation
 
@@ -44,26 +45,22 @@ class DirectionalDerivativeResult:
 
 
 def _inward_margin(h: NcFunctionHandle, t: MatrixTuple, direction: MatrixTuple) -> float:
-    if direction.max_component_norm() > 1.0 + 1e-12:
-        raise PreconditionError(
-            f"direction exceeds the unit ball: max component norm "
-            f"{direction.max_component_norm():.6g}"
-        )
+    _check_direction_norm(direction)
     return -hermitian_part_max_eig(_gram_derivative(h.delta, t, direction))
 
 
 def _admissible_ladder(
     h: NcFunctionHandle, t: MatrixTuple, direction: MatrixTuple, first_step: float, steps: int
 ):
-    """Shrink the first step until every ladder point is interior."""
+    """Halve the first step until all ladder points are interior; return t0, ladder, evaluations."""
     t0 = first_step
     for _ in range(80):
-        ladder = [t0 * 2.0**-k for k in range(steps)]
-        ladder = [s for s in ladder if s >= STEP_FLOOR]
-        if len(ladder) >= 2 and all(
-            in_G_delta(h.delta, t + s * direction) for s in ladder
-        ):
-            return t0, ladder
+        ladder = [s for s in (t0 * 2.0**-k for k in range(steps)) if s >= STEP_FLOOR]
+        if len(ladder) >= 2:
+            try:
+                return t0, ladder, [evaluate(h, t + s * direction) for s in ladder]
+            except PreconditionError:
+                pass  # a ladder point lies outside the domain
         t0 /= 2.0
         if t0 < STEP_FLOOR * 4:
             break
@@ -97,8 +94,8 @@ def eta_numeric(
         raise PreconditionError(
             f"direction is not inward: transversality margin {beta:.3e} < {beta_min:.0e}"
         )
-    t0, ladder = _admissible_ladder(h, t, direction, first_step, steps)
-    quotients = [(eval_phi(h, t + s * direction) - w) / s for s in ladder]
+    t0, ladder, evals = _admissible_ladder(h, t, direction, first_step, steps)
+    quotients = [(ev.phi - w) / s for s, ev in zip(ladder, evals)]
     res = extrapolate_limit(list(zip(ladder, quotients)))
     eta = res.value
     scale = max(1.0, operator_norm(eta))
@@ -166,18 +163,11 @@ def scalar_angular_derivative(
     if nrm == 0:
         raise PreconditionError("v must be a non-zero vector")
     v = v / nrm
-    t0, ladder = _admissible_ladder(h, t, k, first_step, steps)
+    _, ladder, evals = _admissible_ladder(h, t, k, first_step, steps)
     if w is None:
-        from .boundary import extract_W
-        from .domain import ApproachSequence
-
-        seq = ApproachSequence(base=t, kind="ray", direction=k, steps=tuple(ladder))
-        w = extract_W(h, seq).W
+        w = _boundary_value_along(ladder, evals).W
     wv = np.asarray(w, dtype=np.complex128) @ v
-    quotients = []
-    for s in ladder:
-        f = complex(wv.conj() @ (eval_phi(h, t + s * k) @ v))
-        quotients.append((f - 1.0) / s)
+    quotients = [(complex(wv.conj() @ (ev.phi @ v)) - 1.0) / s for s, ev in zip(ladder, evals)]
     res = extrapolate_limit(list(zip(ladder, [np.array(q) for q in quotients])))
     inc = res.increments
     if len(inc) >= 2 and inc[-1] > max(inc[-2] * 1.5, 1e-6):

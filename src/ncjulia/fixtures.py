@@ -98,13 +98,18 @@ def example_f(z: complex, w: complex) -> complex:
     return (z + w - 2.0 * w * z) / den
 
 
-def _solve_right(numerator: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """numerator @ inv(m), guarding against a numerically singular m."""
+def _require_invertible(m: np.ndarray, name: str):
+    """SingularMatrixError unless m has condition number at most 1e14."""
     sv = np.linalg.svd(m, compute_uv=False)
     if sv[-1] == 0.0 or sv[0] / sv[-1] > 1e14:
         raise SingularMatrixError(
-            "resolvent is numerically singular", smallest_singular_value=float(sv[-1])
+            f"{name} is numerically singular", smallest_singular_value=float(sv[-1])
         )
+
+
+def _solve_right(numerator: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """numerator @ inv(m), guarding against a numerically singular m."""
+    _require_invertible(m, "resolvent")
     return np.linalg.solve(m.T, numerator.T).T
 
 
@@ -120,11 +125,7 @@ def example_phi_closed(z: MatrixTuple) -> np.ndarray:
     eye = np.eye(z.n, dtype=np.complex128)
     diff = z1 - z2
     resolvent = 2.0 * eye - z1 - z2
-    sv = np.linalg.svd(resolvent, compute_uv=False)
-    if sv[-1] == 0.0 or sv[0] / sv[-1] > 1e14:
-        raise SingularMatrixError(
-            "2 - Z1 - Z2 is numerically singular", smallest_singular_value=float(sv[-1])
-        )
+    _require_invertible(resolvent, "2 - Z1 - Z2")
     return 0.5 * (z1 + z2) + 0.5 * diff @ np.linalg.solve(resolvent, diff)
 
 
@@ -152,11 +153,7 @@ def example_eta(h: MatrixTuple) -> np.ndarray:
         raise DimensionError("closed form needs a pair of matrices")
     h1, h2 = h.components
     s = h1 + h2
-    sv = np.linalg.svd(s, compute_uv=False)
-    if sv[-1] == 0.0 or sv[0] / sv[-1] > 1e14:
-        raise SingularMatrixError(
-            "H1 + H2 is numerically singular", smallest_singular_value=float(sv[-1])
-        )
+    _require_invertible(s, "H1 + H2")
     diff = h1 - h2
     return 0.5 * s - 0.5 * diff @ np.linalg.solve(s, diff)
 

@@ -13,7 +13,9 @@ Text grammar accepted by :func:`parse_poly`::
     VAR     := 'x' INT                    # index < d
 
 Multiplication is always explicit ('*'); juxtaposition is a syntax error.
-'^' applies to variables and parenthesized groups only.
+'^' applies to variables and parenthesized groups only.  Exponents and degrees
+above ``MAX_DEGREE``, and sums, products or powers that could form more than
+``MAX_TERMS`` terms, are rejected before they are expanded.
 """
 
 from __future__ import annotations
@@ -34,6 +36,9 @@ from .numerics import as_complex_matrix, matrix_from_json, matrix_to_json
 
 # A word is a tuple of variable indices; () is the identity word.
 FreeWord = tuple
+
+MAX_DEGREE = 64  # largest exponent and total degree the parser expands
+MAX_TERMS = 4096  # largest term count one parsed sum, product or power may form
 
 
 @dataclass(frozen=True)
@@ -340,16 +345,19 @@ class _Parser:
             sign = -1.0 if self.advance()[0] == "-" else 1.0
         poly = sign * self.term()
         while self.peek()[0] in ("+", "-"):
-            op = self.advance()[0]
+            op, _, pos = self.advance()
             rhs = self.term()
+            _check_size(poly.degree(), len(poly.terms) + len(rhs.terms), pos)
             poly = poly + rhs if op == "+" else poly - rhs
         return poly
 
     def term(self):
         poly = self.factor()
         while self.peek()[0] == "*":
-            self.advance()
-            poly = poly * self.factor()
+            pos = self.advance()[2]
+            rhs = self.factor()
+            _check_size(poly.degree() + rhs.degree(), len(poly.terms) * len(rhs.terms), pos)
+            poly = poly * rhs
         return poly
 
     def factor(self):
@@ -365,9 +373,13 @@ class _Parser:
                 raise PolyParseError("negative exponent", tok[2])
             tok = self.expect("num")
             value = tok[1]
+            if value.real > MAX_DEGREE:
+                raise PolyParseError(f"exponent exceeds the maximum {MAX_DEGREE}", tok[2])
             if value.imag != 0 or value.real != int(value.real):
                 raise PolyParseError("exponent must be a non-negative integer", tok[2])
-            poly = poly ** int(value.real)
+            k = int(value.real)
+            _check_size(poly.degree() * k, _power_term_bound(poly, k), tok[2])
+            poly = poly**k
         return poly
 
     def primary(self):
@@ -386,6 +398,21 @@ class _Parser:
             self.expect(")")
             return poly, True
         raise PolyParseError(f"expected a number, variable or '(', found {kind!r}", pos)
+
+
+def _check_size(degree: int, terms: int, pos: int):
+    if degree > MAX_DEGREE:
+        raise PolyParseError(f"degree {degree} exceeds the maximum {MAX_DEGREE}", pos)
+    if terms > MAX_TERMS:
+        raise PolyParseError(f"expansion may form {terms} terms, more than {MAX_TERMS}", pos)
+
+
+def _power_term_bound(p: FreePolynomial, k: int) -> int:
+    """Upper bound on the terms of p^k: its k-fold term products, or the words it can contain."""
+    letters = len({i for word, _ in p.terms for i in word})
+    degree = p.degree() * k
+    words = degree + 1 if letters <= 1 else (letters ** (degree + 1) - 1) // (letters - 1)
+    return min(len(p.terms) ** k, words)
 
 
 def parse_poly(text: str, d: int) -> FreePolynomial:

@@ -226,7 +226,7 @@ def model_residual(h: NcFunctionHandle, x: MatrixTuple, y: MatrixTuple) -> float
     if x.n != y.n or x.d != y.d:
         raise DimensionError("x and y must share matrix size and variable count")
     ev_x = evaluate(h, x)
-    ev_y = evaluate(h, y)
+    ev_y = ev_x if y is x else evaluate(h, y)
     return _identity_defect(h, ev_y.phi, ev_y.u, ev_y.delta, ev_x)
 
 

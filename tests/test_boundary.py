@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from ncjulia import (
+    DimensionError,
     MatrixTuple,
     NcFunctionHandle,
     PreconditionError,
@@ -213,6 +214,11 @@ class TestJuliaInequality:
             )
             assert check.lhs == pytest.approx(check.rhs, abs=1e-12)
             assert check.holds
+
+    def test_point_size_mismatch(self, h1):
+        z = MatrixTuple((0.5 * np.eye(2),) * 2)
+        with pytest.raises(DimensionError, match="same matrix size"):
+            julia_inequality_check(h1, scalars(1.0, 1.0), np.eye(1), 1.0, z)
 
     def test_sweep_no_violations(self, h1, rng):
         t = MatrixTuple((np.eye(2),) * 2)

@@ -50,7 +50,8 @@ class TestEval:
         assert code == 0
 
     def test_delta_file_with_parse_errors(self, files):
-        for bad_entry in ("x5", "x0 + * x1", "x0^-1"):
+        # the last two exceed the parser's degree and term caps
+        for bad_entry in ("x5", "x0 + * x1", "x0^-1", "x0^2000", "(x0+x1)^16"):
             path = write_json(
                 files["tmp"] / "delta.json",
                 {"d": 2, "entries": [[bad_entry, "0"], ["0", "x1"]]},
@@ -183,8 +184,23 @@ class TestFuzz:
         monkeypatch.setenv("NCJULIA_SEED", "pi")
         assert main(["fuzz", "--samples", "5"]) == 2
 
-    def test_mismatched_J(self):
-        assert main(["fuzz", "--J", "3", "--delta", "polydisk:2"]) == 2
+    def test_J_comes_from_delta(self, capsys):
+        assert main(["fuzz", "--samples", "2", "--delta", "polydisk:3"]) == 0
+        assert json.loads(capsys.readouterr().out)["J"] == 3
+        # there is no --J option to contradict the delta
+        assert main(["fuzz", "--J", "3", "--delta", "polydisk:3"]) == 2
+
+    def test_one_sequence_per_julia_sub_sweep(self, monkeypatch, capsys):
+        from ncjulia import boundary
+
+        calls = []
+        original = boundary.generate_sequence
+        monkeypatch.setattr(
+            boundary, "generate_sequence", lambda *a, **kw: calls.append(a) or original(*a, **kw)
+        )
+        # one sample: the Julia sub-sweep runs at sample 0 only
+        assert main(["fuzz", "--samples", "1", "--seed", "7"]) == 0
+        assert len(calls) == 1
 
     def test_delta_file_runs_like_its_name(self, files, capsys):
         from ncjulia import delta_to_json, polydisk_delta

@@ -2,12 +2,17 @@ import numpy as np
 import pytest
 
 from ncjulia import (
+    ApproachSequence,
     MatrixTuple,
     PreconditionError,
     eta_numeric,
+    eval_phi,
     example_eta,
+    extract_W,
+    extrapolate_limit,
     get_fixture,
     homogeneity_check,
+    in_G_delta,
     operator_norm,
     scalar_angular_derivative,
 )
@@ -77,6 +82,32 @@ class TestEtaNumeric:
         for a, b in zip(head, head[1:]):
             assert b <= 0.75 * a
 
+    def test_each_ladder_point_evaluated_once(self, h1, monkeypatch):
+        from ncjulia import derivative, domain, realization
+
+        calls = {"evaluate": 0, "in_G_delta": 0}
+        for name, home in (("evaluate", realization), ("in_G_delta", domain)):
+            def counted(*args, _name=name, _original=getattr(home, name), **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            for module in (home, derivative):
+                monkeypatch.setattr(module, name, counted, raising=False)
+        eta_numeric(h1, scalars(1.0, 1.0), np.eye(1), scalars(-1.0, -1.0), steps=10)
+        # the evaluation of a ladder point is also its membership test
+        assert calls == {"evaluate": 10, "in_G_delta": 0}
+
+    def test_quotients_match_eval_phi(self, h1, rng):
+        t, w = identity_pair(2), np.eye(2)
+        direction = random_admissible_direction(rng, 2)
+        for first_step in (1e-2, 0.9):
+            res = eta_numeric(h1, t, w, direction, first_step=first_step)
+            ladder = [res.first_step * 2.0**-k for k in range(res.steps_used)]
+            quotients = [(eval_phi(h1, t + s * direction) - w) / s for s in ladder]
+            expected = extrapolate_limit(list(zip(ladder, quotients)))
+            assert np.array_equal(res.eta, expected.value)
+            assert res.convergence_increments == expected.increments
+
 
 class TestHomogeneity:
     def test_s_equal_one_is_exact(self, h1, rng):
@@ -128,6 +159,27 @@ class TestScalarAngularDerivative:
         expected = complex((w @ v).conj() @ (res.eta @ v))
         value = scalar_angular_derivative(h1, t, k, w=w)
         assert value == pytest.approx(expected, abs=1e-6)
+
+    def test_default_w_matches_extract_w(self, h1, rng):
+        n = 2
+        t = identity_pair(n)
+        comps = tuple(
+            -(c @ c.conj().T) - 0.1 * np.eye(n)
+            for c in random_admissible_direction(rng, n).components
+        )
+        k = MatrixTuple(tuple(c / max(1.0, np.linalg.norm(c, 2)) for c in comps))
+        ladder = [1e-2 * 2.0**-j for j in range(12)]
+        # every point of the default ladder is interior, so the first step is kept
+        assert all(in_G_delta(h1.delta, t + s * k) for s in ladder)
+        seq = ApproachSequence(base=t, kind="ray", direction=k, steps=tuple(ladder))
+        v = np.eye(n, dtype=complex)[0]
+        wv = extract_W(h1, seq).W @ v
+        quotients = [
+            np.array((complex(wv.conj() @ (eval_phi(h1, t + s * k) @ v)) - 1.0) / s)
+            for s in ladder
+        ]
+        expected = extrapolate_limit(list(zip(ladder, quotients))).value
+        assert scalar_angular_derivative(h1, t, k) == complex(expected.reshape(()))
 
     def test_non_transverse_rejected(self, h1):
         with pytest.raises(PreconditionError, match="transverse"):

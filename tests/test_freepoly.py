@@ -18,6 +18,7 @@ from ncjulia import (
     tuple_from_json,
     tuple_to_json,
 )
+from ncjulia.freepoly import MAX_DEGREE, MAX_TERMS
 
 from conftest import near_identity, random_poly, random_tuple
 
@@ -63,6 +64,39 @@ class TestParse:
 
     def test_zero_exponent(self):
         assert parse_poly("x0^0", 1) == FreePolynomial.constant(1, 1.0)
+
+    def test_exponent_above_cap_rejected(self):
+        assert parse_poly(f"x0^{MAX_DEGREE}", 1).degree() == MAX_DEGREE
+        for text in (f"x0^{MAX_DEGREE + 1}", "x0^2000", "x0^1e400", f"(2)^{MAX_DEGREE + 1}"):
+            with pytest.raises(PolyParseError, match="exponent exceeds"):
+                parse_poly(text, 1)
+
+    def test_degree_cap_on_products(self):
+        with pytest.raises(PolyParseError, match="degree") as err:
+            parse_poly(f"x0^{MAX_DEGREE} * x0", 1)
+        assert err.value.position == len(f"x0^{MAX_DEGREE} ")
+
+    def test_term_blowup_rejected_before_expansion(self, monkeypatch):
+        def expand(self, k):
+            raise AssertionError("power expanded")
+
+        monkeypatch.setattr(FreePolynomial, "__pow__", expand)
+        for text in ("(x0+x1)^24", "(x0+x1+x2)^9"):
+            with pytest.raises(PolyParseError, match="terms"):
+                parse_poly(text, 3)
+
+    def test_term_cap_on_products_and_sums(self):
+        half = "(x0+x1)^8"  # 256 terms
+        with pytest.raises(PolyParseError, match="terms"):
+            parse_poly(f"{half}*{half}", 2)
+        full = "(x0+x1)^12"
+        assert len(parse_poly(full, 2).terms) == MAX_TERMS
+        with pytest.raises(PolyParseError, match="terms"):
+            parse_poly(f"{full} + x0^13", 2)
+
+    def test_power_of_one_letter_within_cap(self):
+        # (1 + x0)^64 has 2^64 term products but only 65 distinct words
+        assert len(parse_poly(f"(1+x0)^{MAX_DEGREE}", 2).terms) == MAX_DEGREE + 1
 
 
 class TestFormat:

@@ -182,6 +182,20 @@ class TestModelResidual:
             y = random_interior_point(delta, n, rng)
             assert model_residual(handle, x, y) <= 1e-10
 
+    def test_same_point_evaluated_once(self, h1, monkeypatch):
+        from ncjulia import realization
+
+        calls = []
+        original = realization.evaluate
+        monkeypatch.setattr(
+            realization, "evaluate", lambda h, x: calls.append(x) or original(h, x)
+        )
+        x = scalars(0.5, 0.3)
+        residual = model_residual(h1, x, x)
+        assert len(calls) == 1
+        assert residual == model_residual(h1, x, scalars(0.5, 0.3))
+        assert len(calls) == 3
+
     def test_perturbed_colligation_fails(self, h1):
         broken = perturb_realization(h1.realization, eps=0.05, seed=4)
         handle = NcFunctionHandle(realization=broken, delta=h1.delta)
