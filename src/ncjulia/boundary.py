@@ -223,7 +223,7 @@ def solve_uT(
             "model vector at the boundary requires T on the distinguished boundary"
         )
     big_delta = eval_delta(h.delta, t)
-    resolvent, rhs, _, _ = _model_operators(h, big_delta, t.n)
+    resolvent, rhs, _ = _model_operators(h, big_delta, t.n)
     outcome = min_norm_solve(resolvent, rhs)
     kernel = _kernel_basis(resolvent)
     cokernel = _kernel_basis(resolvent, adjoint=True)

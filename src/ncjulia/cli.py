@@ -201,22 +201,17 @@ def _load_point(path: str) -> freepoly.MatrixTuple:
 def cmd_eval(args, config: RunConfig) -> int:
     handle = _resolve_handle(args, config)
     point = _load_point(args.point)
-    member = domain.in_G_delta(handle.delta, point)
-    if not member:
-        raise PreconditionError(
-            f"point not in G_delta: ||delta(x)|| = {member.norm:.17g}"
-        )
-    u, cond = realization.eval_u(handle, point, return_cond=True)
-    phi = realization.eval_phi(handle, point)
-    residual = realization.model_residual(handle, point, point)
+    ev = realization.evaluate(handle, point)
+    cond = realization._resolvent_condition(ev)
+    residual = realization._identity_defect(handle, ev.phi, ev.u, ev.delta, ev)
     emit(
         {
-            "phi": numerics.matrix_to_json(phi),
-            "phi_norm": numerics.operator_norm(phi),
-            "u": numerics.matrix_to_json(u),
-            "u_norm": numerics.operator_norm(u),
-            "delta_norm": member.norm,
-            "margin": member.margin,
+            "phi": numerics.matrix_to_json(ev.phi),
+            "phi_norm": numerics.operator_norm(ev.phi),
+            "u": numerics.matrix_to_json(ev.u),
+            "u_norm": numerics.operator_norm(ev.u),
+            "delta_norm": ev.delta_norm,
+            "margin": 1.0 - ev.delta_norm,
             "model_residual": residual,
             "resolvent_condition": cond,
         },

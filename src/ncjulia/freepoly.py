@@ -15,7 +15,8 @@ Text grammar accepted by :func:`parse_poly`::
 Multiplication is always explicit ('*'); juxtaposition is a syntax error.
 '^' applies to variables and parenthesized groups only.  Exponents and degrees
 above ``MAX_DEGREE``, and sums, products or powers that could form more than
-``MAX_TERMS`` terms, are rejected before they are expanded.
+``MAX_TERMS`` terms, are rejected before they are expanded, and so are
+parentheses nested deeper than ``MAX_DEPTH``.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ FreeWord = tuple
 
 MAX_DEGREE = 64  # largest exponent and total degree the parser expands
 MAX_TERMS = 4096  # largest term count one parsed sum, product or power may form
+MAX_DEPTH = 64  # deepest parenthesis nesting the recursive-descent parser enters
 
 
 @dataclass(frozen=True)
@@ -317,6 +319,7 @@ class _Parser:
         self.tokens = tokens
         self.d = d
         self.k = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.k]
@@ -394,8 +397,12 @@ class _Parser:
                 )
             return FreePolynomial.variable(self.d, value), True
         if kind == "(":
+            if self.depth == MAX_DEPTH:
+                raise PolyParseError(f"parentheses nested deeper than {MAX_DEPTH}", pos)
+            self.depth += 1
             poly = self.expr()
             self.expect(")")
+            self.depth -= 1
             return poly, True
         raise PolyParseError(f"expected a number, variable or '(', found {kind!r}", pos)
 

@@ -43,7 +43,7 @@ def operator_norm(m) -> float:
     a = as_complex_matrix(m)
     if a.size == 0:
         return 0.0
-    return float(np.linalg.norm(a, 2))
+    return float(np.linalg.svd(a, compute_uv=False)[0])
 
 
 def hermitian_part_min_eig(m) -> float:

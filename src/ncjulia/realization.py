@@ -15,8 +15,13 @@ and the function value is phi(x) = A I_n + (B kron I_n)(I_m kron Delta(x)) u(x),
 where Delta(x) is the (Jn) x (Jn) block evaluation of the delta matrix.
 
 Tensor layout (pinned by a unit test): E is the slowest index, then C^J,
-then C^n fastest, so (e, j, i) flattens to e*J*n + j*n + i.  All Kronecker
-products below follow this single convention.
+then C^n fastest, so (e, j, i) flattens to e*J*n + j*n + i.  None of the
+Kronecker factors is formed.  In this layout block column f of
+(M kron I_n)(I_m kron Delta) is M[:, fJ:(f+1)J] @ Delta, with Delta viewed
+as a J x (n*Jn) matrix (row index j, column index (i, k, l)) and the product
+read back as an (rows(M)*n) x (Jn) matrix; C kron I_n is the broadcast
+product C[:, :, None] * I_n; and u_y* (I_m kron G) has the blocks
+u_y[f]* G, where u_y[f] is rows fJn:(f+1)Jn of u_y.
 """
 
 from __future__ import annotations
@@ -109,16 +114,22 @@ class NcFunctionHandle:
             )
 
 
+def _times_delta(h: NcFunctionHandle, mat: np.ndarray, big_delta: np.ndarray, n: int):
+    """(mat kron I_n)(I_m kron Delta) for mat with mJ columns, without forming either factor."""
+    m, j = h.realization.dim_E, h.realization.J
+    jn = j * n
+    rows = mat.shape[0] * n
+    block_columns = mat.reshape(-1, m, j).transpose(1, 0, 2)
+    blocks = (block_columns @ big_delta.reshape(j, n * jn)).reshape(m, rows, jn)
+    return blocks.transpose(1, 0, 2).reshape(rows, m * jn)
+
+
 def _model_operators(h: NcFunctionHandle, big_delta: np.ndarray, n: int):
-    """Resolvent I - step, rhs C kron I_n, I_m kron Delta and step (D kron I_n)(I_m kron Delta)."""
-    m = h.realization.dim_E
-    eye_n = np.eye(n, dtype=np.complex128)
-    d_op = np.kron(h.realization.D, eye_n)
-    delta_op = np.kron(np.eye(m, dtype=np.complex128), big_delta)
-    step = d_op @ delta_op
+    """Resolvent I - step, rhs C kron I_n and step (D kron I_n)(I_m kron Delta)."""
+    step = _times_delta(h, h.realization.D, big_delta, n)
     resolvent = np.eye(step.shape[0], dtype=np.complex128) - step
-    rhs = np.kron(h.realization.C, eye_n)
-    return resolvent, rhs, delta_op, step
+    rhs = (h.realization.C[:, :, None] * np.eye(n, dtype=np.complex128)).reshape(-1, n)
+    return resolvent, rhs, step
 
 
 def _interior_delta(h: NcFunctionHandle, x: MatrixTuple):
@@ -130,10 +141,10 @@ def _interior_delta(h: NcFunctionHandle, x: MatrixTuple):
     return big_delta, norm
 
 
-def _phi_from(h: NcFunctionHandle, delta_op: np.ndarray, u: np.ndarray, n: int) -> np.ndarray:
+def _phi_from(h: NcFunctionHandle, big_delta: np.ndarray, u: np.ndarray, n: int) -> np.ndarray:
     """A I_n + (B kron I_n)(I_m kron Delta) u for a model vector u."""
-    b_op = np.kron(h.realization.B, np.eye(n, dtype=np.complex128))
-    return h.realization.A[0, 0] * np.eye(n, dtype=np.complex128) + b_op @ delta_op @ u
+    b_delta = _times_delta(h, h.realization.B, big_delta, n)
+    return h.realization.A[0, 0] * np.eye(n, dtype=np.complex128) + b_delta @ u
 
 
 @dataclass(frozen=True, eq=False)
@@ -151,9 +162,9 @@ class PointEvaluation:
 def evaluate(h: NcFunctionHandle, x: MatrixTuple) -> PointEvaluation:
     """Evaluate Delta, ||Delta||, u and phi at interior x with one model solve."""
     big_delta, norm = _interior_delta(h, x)
-    resolvent, rhs, delta_op, _ = _model_operators(h, big_delta, x.n)
+    resolvent, rhs, _ = _model_operators(h, big_delta, x.n)
     u = np.linalg.solve(resolvent, rhs)
-    return PointEvaluation(x, big_delta, norm, resolvent, u, _phi_from(h, delta_op, u, x.n))
+    return PointEvaluation(x, big_delta, norm, resolvent, u, _phi_from(h, big_delta, u, x.n))
 
 
 def eval_u(h: NcFunctionHandle, x: MatrixTuple, return_cond: bool = False):
@@ -163,15 +174,21 @@ def eval_u(h: NcFunctionHandle, x: MatrixTuple, return_cond: bool = False):
     with ``return_cond=True`` returns ``(u, cond)``.
     """
     ev = evaluate(h, x)
+    cond = _resolvent_condition(ev)
+    return (ev.u, cond) if return_cond else ev.u
+
+
+def _resolvent_condition(ev: PointEvaluation) -> float:
+    """Condition number of the model system matrix; warns above ``COND_WARN_THRESHOLD``."""
     sv = np.linalg.svd(ev.resolvent, compute_uv=False)
     cond = float("inf") if sv[-1] == 0.0 else float(sv[0] / sv[-1])
     if cond > COND_WARN_THRESHOLD:
         warnings.warn(
             f"model system is near singular: condition number {cond:.3e}",
             NearSingularResolventWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
-    return (ev.u, cond) if return_cond else ev.u
+    return cond
 
 
 def eval_phi(h: NcFunctionHandle, x: MatrixTuple) -> np.ndarray:
@@ -199,7 +216,7 @@ def eval_phi_neumann(h: NcFunctionHandle, x: MatrixTuple, terms: int) -> Neumann
         raise PreconditionError("terms must be non-negative")
     big_delta, _ = _interior_delta(h, x)
     n = x.n
-    _, rhs, delta_op, step = _model_operators(h, big_delta, n)
+    _, rhs, step = _model_operators(h, big_delta, n)
     q = operator_norm(step)
     if q >= 1.0:
         raise PreconditionError(
@@ -210,7 +227,7 @@ def eval_phi_neumann(h: NcFunctionHandle, x: MatrixTuple, terms: int) -> Neumann
     for _ in range(terms):
         power = step @ power
         acc += power
-    value = _phi_from(h, delta_op, acc, n)
+    value = _phi_from(h, big_delta, acc, n)
     bound = q ** (terms + 1) / (1.0 - q)
     return NeumannEvaluation(
         value=value, truncation_bound=float(bound), contraction_factor=float(q), terms=terms
@@ -237,13 +254,13 @@ def _identity_defect(h: NcFunctionHandle, phi_y, u_y, delta_y, ev: PointEvaluati
     y, the boundary identity when they are (W, u_T, Delta(T)).
     """
     n = ev.x.n
+    m = h.realization.dim_E
     jn = h.realization.J * n
-    middle = np.kron(
-        np.eye(h.realization.dim_E, dtype=np.complex128),
-        np.eye(jn, dtype=np.complex128) - delta_y.conj().T @ ev.delta,
-    )
+    gram = np.eye(jn, dtype=np.complex128) - delta_y.conj().T @ ev.delta
+    left = u_y.reshape(m, jn, n).conj().transpose(0, 2, 1) @ gram
+    left = left.transpose(1, 0, 2).reshape(n, m * jn)
     lhs = np.eye(n, dtype=np.complex128) - phi_y.conj().T @ ev.phi
-    return operator_norm(lhs - u_y.conj().T @ middle @ ev.u)
+    return operator_norm(lhs - left @ ev.u)
 
 
 def random_realization(dim_E: int, J: int, seed: int) -> Realization:

@@ -62,6 +62,16 @@ class TestEval:
             ])
             assert code == 2
 
+    def test_deeply_nested_delta_entry(self, files):
+        path = write_json(
+            files["tmp"] / "deep.json", {"d": 1, "entries": [["(" * 5000 + "x0" + ")" * 5000]]}
+        )
+        code = main([
+            "eval", "--delta", path, "--realization", "trivial-disk",
+            "--point", write_json(files["tmp"] / "x.json", {"scalars": [[0.5, 0]]}),
+        ])
+        assert code == 2
+
     def test_text_output(self, files, capsys):
         assert main([
             "eval", "--fixture", "example-h1", "--point", files["interior"],

@@ -18,7 +18,7 @@ from ncjulia import (
     tuple_from_json,
     tuple_to_json,
 )
-from ncjulia.freepoly import MAX_DEGREE, MAX_TERMS
+from ncjulia.freepoly import MAX_DEGREE, MAX_DEPTH, MAX_TERMS
 
 from conftest import near_identity, random_poly, random_tuple
 
@@ -97,6 +97,14 @@ class TestParse:
     def test_power_of_one_letter_within_cap(self):
         # (1 + x0)^64 has 2^64 term products but only 65 distinct words
         assert len(parse_poly(f"(1+x0)^{MAX_DEGREE}", 2).terms) == MAX_DEGREE + 1
+
+    def test_nesting_depth_cap(self):
+        at_cap = "(" * MAX_DEPTH + "x0" + ")" * MAX_DEPTH
+        assert parse_poly(at_cap, 1) == FreePolynomial.variable(1, 0)
+        for depth in (MAX_DEPTH + 1, 5000):
+            with pytest.raises(PolyParseError, match="nested") as err:
+                parse_poly("(" * depth + "x0" + ")" * depth, 1)
+            assert err.value.position == MAX_DEPTH
 
 
 class TestFormat:

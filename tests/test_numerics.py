@@ -40,6 +40,13 @@ class TestOperatorNorm:
         with pytest.raises(PreconditionError):
             operator_norm([[np.nan, 0], [0, 1]])
 
+    def test_equals_numpy_spectral_norm(self, rng):
+        for shape in ((1, 1), (3, 3), (6, 6), (2, 5), (7, 3)):
+            m = random_matrix(rng, *shape)
+            assert operator_norm(m) == np.linalg.norm(m, 2)
+        for shape in ((2, 2), (3, 1)):
+            assert operator_norm(np.zeros(shape)) == np.linalg.norm(np.zeros(shape), 2)
+
     def test_unitary_invariance_and_submultiplicativity(self, rng):
         for _ in range(50):
             n = int(rng.integers(1, 6))

@@ -12,6 +12,7 @@ from ncjulia import (
     eval_phi,
     eval_phi_neumann,
     eval_u,
+    get_delta,
     get_fixture,
     in_G_delta,
     model_residual,
@@ -25,9 +26,15 @@ from ncjulia import (
     similarity,
 )
 from ncjulia.errors import ParseError
-from ncjulia.realization import NearSingularResolventWarning
+from ncjulia.realization import (
+    NearSingularResolventWarning,
+    PointEvaluation,
+    _identity_defect,
+    _model_operators,
+    _phi_from,
+)
 
-from conftest import near_identity, random_tuple
+from conftest import near_identity, random_matrix, random_tuple
 
 
 @pytest.fixture
@@ -61,28 +68,52 @@ class TestTensorLayout:
     def test_kronecker_order_pinned(self, rng):
         """E slowest, then C^J, then C^n fastest.
 
-        Applies the two operator factors to a reshaped (m, J, n) tensor with
-        explicit index contractions and compares against the Kronecker
-        matrices used in evaluation.
+        The model operators, phi and the identity defect, which never form a
+        Kronecker factor, match the explicit np.kron formulas; the step also
+        matches index contractions on a reshaped (m, J, n) tensor.
         """
-        m, j, n, d = 2, 2, 2, 2
-        r = random_realization(m, j, seed=3)
-        delta = polydisk_delta(d)
-        x = random_tuple(rng, d, n)
-        big = eval_delta(delta, x)
+        tol = {"rtol": 1e-12, "atol": 1e-13}
+        layouts = [
+            (f"polydisk:{j}", m, n) for m in (1, 2, 3) for j in (1, 2, 3) for n in (1, 2, 5)
+        ] + [("ball:3", m, n) for m in (1, 2, 3) for n in (1, 2, 5)]
+        for seed, (name, m, n) in enumerate(layouts):
+            delta = get_delta(name)
+            j = delta.J
+            r = random_realization(m, j, seed=seed)
+            h = NcFunctionHandle(realization=r, delta=delta)
+            x = random_tuple(rng, delta.d, n)
+            big = eval_delta(delta, x)
+            eye_n = np.eye(n)
+            delta_op = np.kron(np.eye(m), big)
+            step_kron = np.kron(r.D, eye_n) @ delta_op
 
-        v = rng.standard_normal(m * j * n) + 1j * rng.standard_normal(m * j * n)
-        tensor = v.reshape(m, j, n)
+            resolvent, rhs, step = _model_operators(h, big, n)
+            np.testing.assert_allclose(step, step_kron, **tol)
+            np.testing.assert_allclose(resolvent, np.eye(m * j * n) - step_kron, **tol)
+            np.testing.assert_array_equal(rhs, np.kron(r.C, eye_n))
 
-        # (I_m kron Delta): act on (j, n) as a (Jn) x (Jn) matrix, e untouched
-        big_t = big.reshape(j, n, j, n)
-        step1 = np.einsum("JiKl,eKl->eJi", big_t, tensor)
-        # (D kron I_n): act on (e, j) as an (mJ) x (mJ) matrix, i untouched
-        d_t = np.asarray(r.D).reshape(m, j, m, j)
-        step2 = np.einsum("eJfK,fKi->eJi", d_t, step1)
+            v = rng.standard_normal(m * j * n) + 1j * rng.standard_normal(m * j * n)
+            # (I_m kron Delta) acts on (j, n), then (D kron I_n) on (e, j)
+            acted = np.einsum("JiKl,eKl->eJi", big.reshape(j, n, j, n), v.reshape(m, j, n))
+            acted = np.einsum("eJfK,fKi->eJi", np.asarray(r.D).reshape(m, j, m, j), acted)
+            np.testing.assert_allclose(step @ v, acted.reshape(-1), **tol)
 
-        op = np.kron(r.D, np.eye(n)) @ np.kron(np.eye(m), big)
-        np.testing.assert_allclose(op @ v, step2.reshape(-1), atol=1e-12)
+            u = random_matrix(rng, m * j * n, n)
+            phi_kron = r.A[0, 0] * eye_n + np.kron(r.B, eye_n) @ delta_op @ u
+            phi = _phi_from(h, big, u, n)
+            np.testing.assert_allclose(phi, phi_kron, **tol)
+
+            delta_y = eval_delta(delta, random_tuple(rng, delta.d, n))
+            u_y = random_matrix(rng, m * j * n, n)
+            phi_y = random_matrix(rng, n)
+            middle = np.kron(np.eye(m), np.eye(j * n) - delta_y.conj().T @ big)
+            defect_kron = operator_norm(
+                eye_n - phi_y.conj().T @ phi - u_y.conj().T @ middle @ u
+            )
+            ev = PointEvaluation(x, big, operator_norm(big), resolvent, u, phi)
+            np.testing.assert_allclose(
+                _identity_defect(h, phi_y, u_y, delta_y, ev), defect_kron, **tol
+            )
 
 
 class TestExampleEvaluation:
