@@ -187,14 +187,13 @@ def _boundary_value_along(steps, evals, max_unitary_distance=UNITARY_DISTANCE_TO
     return BoundaryValue(W=w, unitary_distance=distance)
 
 
-def _kernel_basis(matrix: np.ndarray, adjoint: bool = False) -> np.ndarray:
+def _kernel_bases(matrix: np.ndarray) -> tuple:
+    """Orthonormal bases of the kernel and the cokernel of a square matrix, from one SVD."""
     u, s, vh = np.linalg.svd(matrix)
     if s.size == 0 or s[0] == 0.0:
-        return np.eye(matrix.shape[0])
+        return np.eye(matrix.shape[0]), np.eye(matrix.shape[0])
     mask = s <= PINV_RTOL * s[0] * max(matrix.shape) ** 0.5
-    if adjoint:
-        return u[:, mask]
-    return vh.conj().T[:, mask]
+    return vh.conj().T[:, mask], u[:, mask]
 
 
 @dataclass(frozen=True)
@@ -225,8 +224,7 @@ def solve_uT(
     big_delta = eval_delta(h.delta, t)
     resolvent, rhs, _ = _model_operators(h, big_delta, t.n)
     outcome = min_norm_solve(resolvent, rhs)
-    kernel = _kernel_basis(resolvent)
-    cokernel = _kernel_basis(resolvent, adjoint=True)
+    kernel, cokernel = _kernel_bases(resolvent)
     orthogonality = (
         operator_norm(kernel.conj().T @ outcome.solution) if kernel.shape[1] else 0.0
     )

@@ -1,18 +1,24 @@
 """Command-line interface: evaluation, boundary reports, fuzzing, fixtures.
 
+Each subcommand takes only the options its handler reads.  Handle sources,
+seed, sweep sizes, tolerances and output format are declared once, in
+``_OPTIONS``, and validated by their argparse types: tolerances and steps are
+finite and > 0, counts have a lower bound, seeds are >= 0.
+
 Exit codes: 0 success (and verdict true for ``bpoint``), 1 verdict false or
-violations found, 2 parse/config error, 3 precondition violation.  All numeric
-output is printed with 17 significant digits so regressions are bit-stable.
-The environment variable NCJULIA_SEED overrides any configured seed.
+violations found, 2 parse error or invalid option value, 3 precondition
+violation.  All numeric output is printed with 17 significant digits so
+regressions are bit-stable.  The environment variable NCJULIA_SEED overrides
+``--seed`` of ``bpoint`` and ``fuzz``, the two commands that draw random numbers.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -84,64 +90,72 @@ def emit(obj, output: str):
         print(render_json(obj))
 
 
-# --- configuration -----------------------------------------------------------
+# --- options -------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Tolerances, seed and sweep sizes shared by the commands."""
-
-    seed: int = 2024
-    samples: int = 100
-    steps: int = 12
-    first_step: float = 0.5
-    ladder_first_step: float = 1e-2
-    margin: float = 0.05
-    residual_tol: float = 1e-8
-    model_residual_tol: float = 1e-9
-    rel_tol: float = 1e-8
-    isometry_tol: float = 1e-8
-    output: str = "json"
-
-    def __post_init__(self):
-        for name in (
-            "first_step",
-            "ladder_first_step",
-            "margin",
-            "residual_tol",
-            "model_residual_tol",
-            "rel_tol",
-            "isometry_tol",
-        ):
-            if getattr(self, name) <= 0:
-                raise ParseError(f"config value {name} must be positive")
-        if self.samples < 1 or self.steps < 2:
-            raise ParseError("need samples >= 1 and steps >= 2")
-        if self.output not in ("json", "text"):
-            raise ParseError(f"unknown output format {self.output!r}")
+def _positive(text: str) -> float:
+    """argparse type: a finite number > 0 (NaN and infinity are refused)."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0.0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"expected a finite number > 0, got {text!r}")
+    return value
 
 
-def _config_from_args(args) -> RunConfig:
-    seed = args.seed
-    env_seed = os.environ.get("NCJULIA_SEED")
-    if env_seed is not None:
+def _at_least(k: int):
+    """argparse type: an integer >= k."""
+
+    def parse(text: str) -> int:
         try:
-            seed = int(env_seed)
+            value = int(text)
         except ValueError:
-            raise ParseError(f"NCJULIA_SEED must be an integer, got {env_seed!r}") from None
-    return RunConfig(
-        seed=seed,
-        samples=args.samples,
-        steps=args.steps,
-        first_step=args.first_step,
-        ladder_first_step=args.ladder_first_step,
-        margin=args.margin,
-        residual_tol=args.residual_tol,
-        model_residual_tol=args.model_residual_tol,
-        rel_tol=args.rel_tol,
-        isometry_tol=args.isometry_tol,
-        output=args.output,
-    )
+            value = None
+        if value is None or value < k:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {k}, got {text!r}")
+        return value
+
+    return parse
+
+
+# Handle sources, seed, sweep sizes, tolerances and output format, each declared
+# once as flag -> argparse keywords.  A subcommand adds, with ``_add_options``,
+# only the flags its handler reads.
+_OPTIONS = {
+    "--fixture": dict(help="named fixture providing delta and realization"),
+    "--delta": dict(help="delta file or name (polydisk:2, ball:3, cartan:2)"),
+    "--realization": dict(help="realization file or fixture name"),
+    "--seed": dict(type=_at_least(0), default=2024, help="random seed (NCJULIA_SEED overrides)"),
+    "--samples": dict(type=_at_least(1), default=100, help="sweep sample count"),
+    "--steps": dict(type=_at_least(2), default=12, help="approach-sequence steps"),
+    "--first-step": dict(type=_positive, default=0.5, help="first step of the approach sequence"),
+    "--ladder-first-step": dict(
+        type=_positive, default=1e-2, help="first step of derivative ladders"
+    ),
+    "--margin": dict(type=_positive, default=0.05, help="interior sampling margin"),
+    "--residual-tol": dict(type=_positive, default=1e-8, help="B-point range-test tolerance"),
+    "--model-residual-tol": dict(type=_positive, default=1e-9, help="model-identity threshold"),
+    "--rel-tol": dict(type=_positive, default=1e-8, help="Julia-inequality relative tolerance"),
+    "--isometry-tol": dict(type=_positive, default=1e-8, help="realization isometry tolerance"),
+    "--output": dict(choices=("json", "text"), default="json"),
+}
+
+
+def _add_options(parser: argparse.ArgumentParser, *flags: str):
+    for flag in (*flags, "--output"):
+        parser.add_argument(flag, **_OPTIONS[flag])
+
+
+def _seed(args) -> int:
+    """The seed of ``bpoint`` and ``fuzz``: NCJULIA_SEED when set, else ``--seed``."""
+    env_seed = os.environ.get("NCJULIA_SEED")
+    if env_seed is None:
+        return args.seed
+    try:
+        return _at_least(0)(env_seed)
+    except argparse.ArgumentTypeError as exc:
+        raise ParseError(f"NCJULIA_SEED: {exc}") from None
 
 
 # --- input resolution ---------------------------------------------------------
@@ -170,23 +184,18 @@ def _resolve_realization(name_or_path: str, isometry_tol: float) -> realization.
         return realization.realization_from_json(
             _load_json_file(name_or_path), isometry_tol=isometry_tol
         )
-    fixture = fixtures.get_fixture(name_or_path)
-    if fixture.realization is None:
-        raise ParseError(f"fixture {name_or_path!r} carries no realization")
-    return fixture.realization
+    return fixtures.get_fixture(name_or_path).realization
 
 
-def _resolve_handle(args, config: RunConfig) -> realization.NcFunctionHandle:
+def _resolve_handle(args) -> realization.NcFunctionHandle:
     if args.fixture is not None:
         fixture = fixtures.get_fixture(args.fixture)
-        if fixture.realization is None:
-            raise ParseError(f"fixture {args.fixture!r} carries no realization")
         delta = fixture.delta if args.delta is None else _resolve_delta(args.delta)
         return realization.NcFunctionHandle(realization=fixture.realization, delta=delta)
     if args.delta is None or args.realization is None:
         raise ParseError("need either --fixture or both --delta and --realization")
     return realization.NcFunctionHandle(
-        realization=_resolve_realization(args.realization, config.isometry_tol),
+        realization=_resolve_realization(args.realization, args.isometry_tol),
         delta=_resolve_delta(args.delta),
     )
 
@@ -198,8 +207,8 @@ def _load_point(path: str) -> freepoly.MatrixTuple:
 # --- commands -----------------------------------------------------------------
 
 
-def cmd_eval(args, config: RunConfig) -> int:
-    handle = _resolve_handle(args, config)
+def cmd_eval(args) -> int:
+    handle = _resolve_handle(args)
     point = _load_point(args.point)
     ev = realization.evaluate(handle, point)
     cond = realization._resolvent_condition(ev)
@@ -215,7 +224,7 @@ def cmd_eval(args, config: RunConfig) -> int:
             "model_residual": residual,
             "resolvent_condition": cond,
         },
-        config.output,
+        args.output,
     )
     return 0
 
@@ -280,8 +289,9 @@ def _jsonable_report(r: boundary.BPointReport) -> dict:
     return out
 
 
-def cmd_bpoint(args, config: RunConfig) -> int:
-    handle = _resolve_handle(args, config)
+def cmd_bpoint(args) -> int:
+    seed = _seed(args)
+    handle = _resolve_handle(args)
     t = _load_point(args.point)
     rule = "ray" if args.ray is not None else "radial"
     direction = _load_point(args.ray) if args.ray is not None else None
@@ -290,39 +300,40 @@ def cmd_bpoint(args, config: RunConfig) -> int:
         t,
         rule=rule,
         direction=direction,
-        num_steps=config.steps,
-        first_step=config.first_step,
-        julia_samples=config.samples,
-        margin=config.margin,
-        seed=config.seed,
-        range_tol=config.residual_tol,
-        rel_tol=config.rel_tol,
+        num_steps=args.steps,
+        first_step=args.first_step,
+        julia_samples=args.samples,
+        margin=args.margin,
+        seed=seed,
+        range_tol=args.residual_tol,
+        rel_tol=args.rel_tol,
     )
-    emit(_jsonable_report(report), config.output)
+    emit(_jsonable_report(report), args.output)
     return 0 if report.is_bpoint else 1
 
 
-def cmd_fuzz(args, config: RunConfig) -> int:
+def cmd_fuzz(args) -> int:
+    seed = _seed(args)
     delta = _resolve_delta(args.delta)
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(seed)
     model_violations = 0
     max_model_residual = 0.0
     sweeps = []
     # Haar-unitary tuples lie on the distinguished boundary of the polydisk only
     run_julia = delta == fixtures.polydisk_delta(delta.d)
 
-    for k in range(config.samples):
-        colligation = realization.random_realization(args.dim_E, delta.J, config.seed + k)
+    for k in range(args.samples):
+        colligation = realization.random_realization(args.dim_E, delta.J, seed + k)
         if args.no_isometry:
             colligation = realization.perturb_realization(
-                colligation, eps=0.05, seed=config.seed + k
+                colligation, eps=0.05, seed=seed + k
             )
         handle = realization.NcFunctionHandle(realization=colligation, delta=delta)
         n = int(rng.integers(1, 3))
-        x = domain.random_interior_point(delta, n, rng, margin=config.margin)
+        x = domain.random_interior_point(delta, n, rng, margin=args.margin)
         res = realization.model_residual(handle, x, x)
         max_model_residual = max(max_model_residual, res)
-        if res > config.model_residual_tol:
+        if res > args.model_residual_tol:
             model_violations += 1
         if run_julia and k % 10 == 0:
             t = freepoly.MatrixTuple(
@@ -339,40 +350,40 @@ def cmd_fuzz(args, config: RunConfig) -> int:
                 continue
             dt = domain.eval_delta(delta, t)
             sweeps.append(boundary._julia_sweep(
-                handle, rng, dt, w, alpha.alpha, 5, config.margin, config.rel_tol
+                handle, rng, dt, w, alpha.alpha, 5, args.margin, args.rel_tol
             ))
 
     julia = {k: sum(getattr(s, k) for s in sweeps) for k in ("checked", "violations", "skipped")}
     emit(
         {
-            "samples": config.samples,
-            "seed": config.seed,
+            "samples": args.samples,
+            "seed": seed,
             "dim_E": args.dim_E,
             "J": delta.J,
             "model_identity": {
-                "checked": config.samples,
+                "checked": args.samples,
                 "violations": model_violations,
                 "max_residual": max_model_residual,
-                "tolerance": config.model_residual_tol,
+                "tolerance": args.model_residual_tol,
             },
             "julia_inequality": julia,
         },
-        config.output,
+        args.output,
     )
     return 1 if (model_violations or julia["violations"]) else 0
 
 
-def cmd_derivative(args, config: RunConfig) -> int:
-    handle = _resolve_handle(args, config)
+def cmd_derivative(args) -> int:
+    handle = _resolve_handle(args)
     t = _load_point(args.point)
     h = _load_point(args.direction)
     if handle.delta.is_homogeneous_degree_one():
-        seq = domain.radial_sequence(t, num_steps=max(config.steps, 14))
+        seq = domain.radial_sequence(t, num_steps=max(args.steps, 14))
     else:
-        seq = domain.ray_sequence(t, h, num_steps=max(config.steps, 14))
+        seq = domain.ray_sequence(t, h, num_steps=max(args.steps, 14))
     w = boundary.extract_W(handle, seq).W
     result = derivative.eta_numeric(
-        handle, t, w, h, steps=config.steps, first_step=config.ladder_first_step
+        handle, t, w, h, steps=args.steps, first_step=args.ladder_first_step
     )
     out = {
         "eta": numerics.matrix_to_json(result.eta),
@@ -389,12 +400,12 @@ def cmd_derivative(args, config: RunConfig) -> int:
         err = numerics.operator_norm(result.eta - oracle)
         out["closed_form"] = args.closed_form
         out["closed_form_relative_error"] = err / max(1.0, numerics.operator_norm(oracle))
-    emit(out, config.output)
+    emit(out, args.output)
     return 0
 
 
-def cmd_fixtures(args, config: RunConfig) -> int:
-    emit({"fixtures": fixtures.list_fixtures()}, config.output)
+def cmd_fixtures(args) -> int:
+    emit({"fixtures": fixtures.list_fixtures()}, args.output)
     return 0
 
 
@@ -425,31 +436,12 @@ _SCHEMAS = {
 }
 
 
-def cmd_schema(args, config: RunConfig) -> int:
-    emit(_SCHEMAS, config.output)
+def cmd_schema(args) -> int:
+    emit(_SCHEMAS, args.output)
     return 0
 
 
 # --- argument parsing ----------------------------------------------------------
-
-
-def _add_common(p: argparse.ArgumentParser):
-    p.add_argument("--seed", type=int, default=2024, help="random seed (NCJULIA_SEED overrides)")
-    p.add_argument("--samples", type=int, default=100, help="sweep sample count")
-    p.add_argument("--steps", type=int, default=12, help="approach-sequence steps")
-    p.add_argument("--first-step", type=float, default=0.5, dest="first_step")
-    p.add_argument(
-        "--ladder-first-step", type=float, default=1e-2, dest="ladder_first_step",
-        help="first step of derivative ladders",
-    )
-    p.add_argument("--margin", type=float, default=0.05, help="interior sampling margin")
-    p.add_argument("--residual-tol", type=float, default=1e-8, dest="residual_tol")
-    p.add_argument(
-        "--model-residual-tol", type=float, default=1e-9, dest="model_residual_tol"
-    )
-    p.add_argument("--rel-tol", type=float, default=1e-8, dest="rel_tol")
-    p.add_argument("--isometry-tol", type=float, default=1e-8, dest="isometry_tol")
-    p.add_argument("--output", choices=("json", "text"), default="json")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -461,53 +453,48 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_eval = sub.add_parser("eval", help="evaluate phi, u and the model identity at a point")
-    p_eval.add_argument("--fixture", help="named fixture providing delta and realization")
-    p_eval.add_argument("--delta", help="delta file or name (polydisk:2, ball:3, cartan:2)")
-    p_eval.add_argument("--realization", help="realization file or fixture name")
     p_eval.add_argument("--point", required=True, help="point file (JSON)")
-    _add_common(p_eval)
+    _add_options(p_eval, "--fixture", "--delta", "--realization", "--isometry-tol")
     p_eval.set_defaults(func=cmd_eval)
 
     p_bp = sub.add_parser("bpoint", help="boundary-point diagnostic report")
-    p_bp.add_argument("--fixture")
-    p_bp.add_argument("--delta")
-    p_bp.add_argument("--realization")
     p_bp.add_argument("--point", required=True, help="boundary point file (JSON)")
-    group = p_bp.add_mutually_exclusive_group()
-    group.add_argument("--radial", action="store_true", help="radial approach (default)")
-    group.add_argument("--ray", help="direction file for a ray approach")
-    _add_common(p_bp)
+    p_bp.add_argument("--ray", help="direction file for a ray approach (default: radial)")
+    _add_options(
+        p_bp, "--fixture", "--delta", "--realization", "--seed", "--samples", "--steps",
+        "--first-step", "--margin", "--residual-tol", "--rel-tol", "--isometry-tol",
+    )
     p_bp.set_defaults(func=cmd_bpoint)
 
     p_fuzz = sub.add_parser("fuzz", help="random colligation sweeps of the identities")
-    p_fuzz.add_argument("--dim-E", type=int, default=1, dest="dim_E")
+    p_fuzz.add_argument("--dim-E", type=_at_least(1), default=1, dest="dim_E")
     p_fuzz.add_argument("--delta", default="polydisk:2")
     p_fuzz.add_argument(
         "--no-isometry", action="store_true", dest="no_isometry",
         help="perturb colligations (negative control; violations expected)",
     )
-    _add_common(p_fuzz)
+    _add_options(p_fuzz, "--seed", "--samples", "--margin", "--model-residual-tol", "--rel-tol")
     p_fuzz.set_defaults(func=cmd_fuzz)
 
     p_der = sub.add_parser("derivative", help="one-sided directional derivative at a boundary point")
-    p_der.add_argument("--fixture")
-    p_der.add_argument("--delta")
-    p_der.add_argument("--realization")
     p_der.add_argument("--point", required=True)
     p_der.add_argument("--direction", required=True, help="direction tuple file (JSON)")
     p_der.add_argument(
         "--closed-form", dest="closed_form",
         help="compare against a named closed form (e.g. example-h3-eta)",
     )
-    _add_common(p_der)
+    _add_options(
+        p_der, "--fixture", "--delta", "--realization", "--steps", "--ladder-first-step",
+        "--isometry-tol",
+    )
     p_der.set_defaults(func=cmd_derivative)
 
     p_fix = sub.add_parser("fixtures", help="list addressable fixture names")
-    _add_common(p_fix)
+    _add_options(p_fix)
     p_fix.set_defaults(func=cmd_fixtures)
 
     p_schema = sub.add_parser("schema", help="print the JSON file formats")
-    _add_common(p_schema)
+    _add_options(p_schema)
     p_schema.set_defaults(func=cmd_schema)
 
     return parser
@@ -520,8 +507,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        config = _config_from_args(args)
-        return args.func(args, config)
+        return args.func(args)
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -160,17 +160,15 @@ def example_eta(h: MatrixTuple) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Fixture:
-    """A named delta, optionally with a realization and closed-form evaluators."""
+    """A named delta and realization, optionally with closed-form evaluators."""
 
     name: str
     delta: DeltaMatrix
-    realization: Realization | None = None
+    realization: Realization
     closed_forms: dict = field(default_factory=dict)
 
     @property
     def handle(self) -> NcFunctionHandle:
-        if self.realization is None:
-            raise PreconditionError(f"fixture {self.name!r} has no realization")
         return NcFunctionHandle(realization=self.realization, delta=self.delta)
 
 

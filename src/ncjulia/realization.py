@@ -37,6 +37,7 @@ from .freepoly import MatrixTuple
 from .numerics import (
     COND_WARN_THRESHOLD,
     as_complex_matrix,
+    haar_unitary,
     matrix_from_json,
     matrix_to_json,
     operator_norm,
@@ -267,12 +268,7 @@ def random_realization(dim_E: int, J: int, seed: int) -> Realization:
     """Haar-style random unitary colligation: QR of a complex Gaussian."""
     if dim_E < 1 or J < 1:
         raise DimensionError("dim_E and J must be at least 1")
-    rng = np.random.default_rng(seed)
-    size = 1 + dim_E * J
-    g = (rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))) / np.sqrt(2.0)
-    q, r = np.linalg.qr(g)
-    diag = np.diag(r)
-    q = q * (diag / np.abs(diag))
+    q = haar_unitary(1 + dim_E * J, np.random.default_rng(seed))
     return Realization(
         dim_E=dim_E,
         J=J,

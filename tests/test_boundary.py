@@ -178,6 +178,20 @@ class TestSolveUT:
         with pytest.raises(PreconditionError):
             solve_uT(h1, scalars(1.0, 0.5))
 
+    def test_one_full_svd_for_kernel_and_cokernel(self, h1, monkeypatch):
+        calls = []
+        original = np.linalg.svd
+
+        def counting_svd(a, *args, **kwargs):
+            # operator norms and pinv pass arguments; the kernel SVD takes the defaults
+            if not args and not kwargs:
+                calls.append(a.shape)
+            return original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        solve_uT(h1, scalars(1.0, 1.0))
+        assert calls == [(2, 2)]
+
 
 class TestRangeTest:
     def test_example_diagonal_point(self, h1):

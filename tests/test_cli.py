@@ -285,10 +285,36 @@ class TestMeta:
     def test_usage_error_exit_code(self):
         assert main(["no-such-command"]) == 2
 
-    def test_config_validation(self, files):
+    def test_config_validation(self, files, monkeypatch):
+        # each invalid value is refused before any work is done
+        fuzz = ["fuzz", "--samples", "2"]
+        bpoint = ["bpoint", "--fixture", "example-h1", "--point", files["boundary"]]
+        evaluate = ["eval", "--fixture", "example-h1", "--point", files["interior"]]
+        for argv in (
+            fuzz + ["--margin", "-1"],
+            fuzz + ["--margin", "nan"],
+            fuzz + ["--rel-tol", "inf"],
+            fuzz + ["--model-residual-tol", "nan"],
+            fuzz + ["--samples", "0"],
+            fuzz + ["--seed", "-1"],
+            fuzz + ["--dim-E", "0"],
+            bpoint + ["--steps", "1"],
+            bpoint + ["--residual-tol", "nan"],
+            bpoint + ["--seed", "-1"],
+            evaluate + ["--isometry-tol", "nan"],
+        ):
+            assert main(argv) == 2, argv
+        monkeypatch.setenv("NCJULIA_SEED", "-1")
+        assert main(fuzz) == 2
+        assert main(bpoint) == 2
+
+    def test_options_a_command_ignores_are_rejected(self, files):
         assert main([
-            "eval", "--fixture", "example-h1", "--point", files["interior"],
-            "--margin", "-1",
+            "eval", "--fixture", "example-h1", "--point", files["interior"], "--seed", "3",
+        ]) == 2
+        assert main(["fixtures", "--samples", "5"]) == 2
+        assert main([
+            "bpoint", "--fixture", "example-h1", "--point", files["boundary"], "--radial",
         ]) == 2
 
 
