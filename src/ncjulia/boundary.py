@@ -253,7 +253,6 @@ class RangeTestResult:
 
     is_bpoint: bool
     conditional: bool
-    range_residual: float
     solution: ModelVectorAtBoundary
     inward_witness: InwardWitnessResult
 
@@ -275,7 +274,6 @@ def is_bpoint_range_test(
     return RangeTestResult(
         is_bpoint=solution.range_residual <= tol,
         conditional=not witness.found,
-        range_residual=solution.range_residual,
         solution=solution,
         inward_witness=witness,
     )
@@ -458,31 +456,19 @@ class BPointReport:
     delta_norm_at_T: float
     on_distinguished_boundary: bool
     sequence_kind: str
-    sequence_steps: tuple
     sequence_dropped: int
     alpha: AlphaEstimate
-    W: np.ndarray | None
-    W_unitary_distance: float | None
+    boundary_value: BoundaryValue | None
     W_error: str | None
-    u_T: np.ndarray | None
-    range_residual: float | None
-    kernel_orthogonality: float | None
-    kernel_defect: float | None
-    inward_witness: InwardWitnessResult | None
-    conditional: bool
+    range_test: RangeTestResult | None
     is_bpoint: bool
-    julia_checked: int
-    julia_violations: int
-    julia_skipped: int
-    julia_max_ratio: float | None
-    boundary_identity_max_residual: float | None
+    julia: JuliaSweep
     tfae: TfaeReport | None
 
 
 def analyze_bpoint(
     h: NcFunctionHandle,
     t: MatrixTuple,
-    rule: str = "radial",
     direction: MatrixTuple | None = None,
     num_steps: int = 12,
     first_step: float = 0.5,
@@ -494,7 +480,7 @@ def analyze_bpoint(
     rel_tol: float = 1e-8,
     witness_starts: int = 8,
 ) -> BPointReport:
-    """Run the full boundary diagnostic suite at T.
+    """Run the full boundary diagnostic suite at T, approached radially or along ``direction``.
 
     T must lie on the boundary; for T on the distinguished boundary the model
     machinery (boundary model vector, range test, boundedness report) runs as
@@ -511,51 +497,41 @@ def analyze_bpoint(
             f"T is outside the closed domain (||delta(T)|| = {delta_norm:.6g})"
         )
     distinguished = on_distinguished_boundary(h.delta, t, boundary_tol)
-    if rule == "radial":
+    if direction is None:
         seq = radial_sequence(t, num_steps=num_steps, first_step=first_step)
-    elif rule == "ray":
-        if direction is None:
-            raise PreconditionError("ray rule needs a direction tuple")
-        seq = ray_sequence(t, direction, num_steps=num_steps, first_step=first_step)
     else:
-        raise PreconditionError(f"unknown sequence rule {rule!r}")
+        seq = ray_sequence(t, direction, num_steps=num_steps, first_step=first_step)
 
     points, evals = _evaluate_sequence(h, seq)
     alpha = _alpha_along(h, seq, points, evals)
 
-    w = w_distance = w_error = None
+    boundary_value = w_error = None
     try:
-        extraction = _boundary_value_along(points.steps, evals)
-        w, w_distance = extraction.W, extraction.unitary_distance
+        boundary_value = _boundary_value_along(points.steps, evals)
     except (ConvergenceError, PreconditionError) as exc:
         w_error = str(exc)
 
-    u_t = range_residual = kernel_orthogonality = kernel_defect = None
-    witness = None
-    conditional = False
+    range_test = u_t = None
     if distinguished:
-        verdict = is_bpoint_range_test(
+        range_test = is_bpoint_range_test(
             h, t, tol=range_tol, boundary_tol=boundary_tol,
             witness_starts=witness_starts, seed=seed,
         )
-        u_t = verdict.solution.u_T
-        range_residual = verdict.range_residual
-        kernel_orthogonality = verdict.solution.kernel_orthogonality
-        kernel_defect = verdict.solution.kernel_defect
-        witness = verdict.inward_witness
-        conditional = verdict.conditional
+        u_t = range_test.solution.u_T
         # the range criterion is decisive only when the boundary value of the
         # defining matrix is square unitary; zero-padded grids can pass the
         # range test while the quotient genuinely diverges, so an observed
         # divergence overrides
-        is_bpoint = verdict.is_bpoint and not alpha.diverging
+        is_bpoint = range_test.is_bpoint and not alpha.diverging
     else:
         is_bpoint = alpha.converged and not alpha.diverging
 
-    sweep = JuliaSweep()
-    if w is not None and np.isfinite(alpha.alpha):
+    julia = JuliaSweep()
+    if boundary_value is not None and np.isfinite(alpha.alpha):
         rng = np.random.default_rng(seed)
-        sweep = _julia_sweep(h, rng, dt, w, alpha.alpha, julia_samples, margin, rel_tol, u_t)
+        julia = _julia_sweep(
+            h, rng, dt, boundary_value.W, alpha.alpha, julia_samples, margin, rel_tol, u_t
+        )
 
     tfae = _tfae_along(evals, dt, APERTURE_CAP, COMPARABILITY_RTOL) if distinguished else None
 
@@ -564,23 +540,12 @@ def analyze_bpoint(
         delta_norm_at_T=delta_norm,
         on_distinguished_boundary=distinguished,
         sequence_kind=seq.kind,
-        sequence_steps=tuple(points.steps),
         sequence_dropped=points.dropped,
         alpha=alpha,
-        W=w,
-        W_unitary_distance=w_distance,
+        boundary_value=boundary_value,
         W_error=w_error,
-        u_T=u_t,
-        range_residual=range_residual,
-        kernel_orthogonality=kernel_orthogonality,
-        kernel_defect=kernel_defect,
-        inward_witness=witness,
-        conditional=conditional,
+        range_test=range_test,
         is_bpoint=is_bpoint,
-        julia_checked=sweep.checked,
-        julia_violations=sweep.violations,
-        julia_skipped=sweep.skipped,
-        julia_max_ratio=sweep.max_ratio,
-        boundary_identity_max_residual=sweep.identity_max,
+        julia=julia,
         tfae=tfae,
     )

@@ -242,39 +242,41 @@ def _jsonable_alpha(a: boundary.AlphaEstimate) -> dict:
 
 
 def _jsonable_report(r: boundary.BPointReport) -> dict:
+    bv, rt = r.boundary_value, r.range_test
+    sol = None if rt is None else rt.solution
     out = {
         "T": freepoly.tuple_to_json(r.T),
         "delta_norm_at_T": r.delta_norm_at_T,
         "on_distinguished_boundary": r.on_distinguished_boundary,
         "sequence": {
             "kind": r.sequence_kind,
-            "steps": list(r.sequence_steps),
+            "steps": list(r.alpha.steps),
             "dropped": r.sequence_dropped,
         },
         "alpha": _jsonable_alpha(r.alpha),
         "is_bpoint": r.is_bpoint,
-        "conditional": r.conditional,
+        "conditional": False if rt is None else rt.conditional,
         "julia": {
-            "checked": r.julia_checked,
-            "violations": r.julia_violations,
-            "skipped": r.julia_skipped,
-            "max_ratio": r.julia_max_ratio,
+            "checked": r.julia.checked,
+            "violations": r.julia.violations,
+            "skipped": r.julia.skipped,
+            "max_ratio": r.julia.max_ratio,
         },
+        "W": None if bv is None else numerics.matrix_to_json(bv.W),
+        "W_unitary_distance": None if bv is None else bv.unitary_distance,
+        "W_error": r.W_error,
+        "u_T": None if sol is None else numerics.matrix_to_json(sol.u_T),
     }
-    out["W"] = None if r.W is None else numerics.matrix_to_json(r.W)
-    out["W_unitary_distance"] = r.W_unitary_distance
-    out["W_error"] = r.W_error
-    out["u_T"] = None if r.u_T is None else numerics.matrix_to_json(r.u_T)
-    if r.u_T is not None:
-        out["u_T_norm_sq"] = numerics.operator_norm(r.u_T) ** 2
-    out["range_residual"] = r.range_residual
-    out["kernel_orthogonality"] = r.kernel_orthogonality
-    out["kernel_defect"] = r.kernel_defect
-    out["boundary_identity_max_residual"] = r.boundary_identity_max_residual
-    if r.inward_witness is not None:
+    if sol is not None:
+        out["u_T_norm_sq"] = numerics.operator_norm(sol.u_T) ** 2
+    out["range_residual"] = None if sol is None else sol.range_residual
+    out["kernel_orthogonality"] = None if sol is None else sol.kernel_orthogonality
+    out["kernel_defect"] = None if sol is None else sol.kernel_defect
+    out["boundary_identity_max_residual"] = r.julia.identity_max
+    if rt is not None:
         out["inward_witness"] = {
-            "found": r.inward_witness.found,
-            "beta": r.inward_witness.beta,
+            "found": rt.inward_witness.found,
+            "beta": rt.inward_witness.beta,
         }
     if r.tfae is not None:
         out["tfae"] = {
@@ -293,12 +295,10 @@ def cmd_bpoint(args) -> int:
     seed = _seed(args)
     handle = _resolve_handle(args)
     t = _load_point(args.point)
-    rule = "ray" if args.ray is not None else "radial"
-    direction = _load_point(args.ray) if args.ray is not None else None
+    direction = None if args.ray is None else _load_point(args.ray)
     report = boundary.analyze_bpoint(
         handle,
         t,
-        rule=rule,
         direction=direction,
         num_steps=args.steps,
         first_step=args.first_step,

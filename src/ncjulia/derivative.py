@@ -36,7 +36,6 @@ class DirectionalDerivativeResult:
     H: MatrixTuple
     eta: np.ndarray
     convergence_increments: tuple
-    in_gamma: bool
     beta: float
     first_step: float
     steps_used: int
@@ -111,7 +110,6 @@ def eta_numeric(
         H=direction,
         eta=eta,
         convergence_increments=inc,
-        in_gamma=True,
         beta=beta,
         first_step=t0,
         steps_used=len(ladder),

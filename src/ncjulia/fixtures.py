@@ -5,15 +5,15 @@ exact entries like 1/sqrt(2) carry no parse error.  Names:
 
 * deltas: ``polydisk:<d>``, ``ball:<d>``, ``cartan:<J>``
 * function fixtures: ``example-h1`` (a rational inner function of two
-  non-commuting variables with closed forms attached) and ``trivial-disk``
-  (the coordinate function of one variable)
+  non-commuting variables; its closed forms are the ``example_*`` functions
+  defined here) and ``trivial-disk`` (the coordinate function of one variable)
 * closed-form evaluators: ``example-h3-eta`` (the derivative of the
   ``example-h1`` function at the identity pair)
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -160,12 +160,11 @@ def example_eta(h: MatrixTuple) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Fixture:
-    """A named delta and realization, optionally with closed-form evaluators."""
+    """A named delta and realization."""
 
     name: str
     delta: DeltaMatrix
     realization: Realization
-    closed_forms: dict = field(default_factory=dict)
 
     @property
     def handle(self) -> NcFunctionHandle:
@@ -177,12 +176,6 @@ def _build_fixtures() -> dict:
         name="example-h1",
         delta=polydisk_delta(2),
         realization=example_h1_realization(),
-        closed_forms={
-            "f": example_f,
-            "phi": example_phi_closed,
-            "psi": example_psi,
-            "eta": example_eta,
-        },
     )
     disk = Fixture(
         name="trivial-disk",

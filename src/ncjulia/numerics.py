@@ -15,7 +15,6 @@ from .errors import DimensionError, ParseError, PreconditionError, SingularMatri
 
 # Default tolerances; every caller may override per call.
 CONSISTENCY_TOL = 1e-8
-ORTHOGONALITY_TOL = 1e-10
 RANK_RTOL = 1e-10
 PINV_RTOL = 1e-12
 COND_WARN_THRESHOLD = 1e12

@@ -101,7 +101,7 @@ class TestEstimateAlpha:
         # cross-check: the range test agrees that T=1 is not a B-point
         verdict = is_bpoint_range_test(h, scalars(1.0))
         assert not verdict.is_bpoint
-        assert verdict.range_residual == pytest.approx(1.0)
+        assert verdict.solution.range_residual == pytest.approx(1.0)
 
     def test_ray_estimate_not_labeled_liminf(self, h1):
         t = scalars(1.0, 1.0)
@@ -376,15 +376,15 @@ class TestNontangentialBound:
 class TestAnalyzeBpoint:
     def test_example_full_report(self, h1):
         rep = analyze_bpoint(h1, scalars(1.0, 1.0), julia_samples=50, seed=3)
-        assert rep.is_bpoint and not rep.conditional
+        assert rep.is_bpoint and not rep.range_test.conditional
         assert rep.on_distinguished_boundary
         assert rep.alpha.alpha == pytest.approx(1.0, abs=1e-8)
-        assert rep.W[0, 0] == pytest.approx(1.0, abs=1e-8)
-        assert operator_norm(rep.u_T) ** 2 == pytest.approx(1.0, abs=1e-10)
-        assert rep.range_residual <= 1e-10
-        assert rep.julia_violations == 0
-        assert rep.julia_checked == 50 - rep.julia_skipped
-        assert rep.boundary_identity_max_residual <= 1e-8
+        assert rep.boundary_value.W[0, 0] == pytest.approx(1.0, abs=1e-8)
+        assert operator_norm(rep.range_test.solution.u_T) ** 2 == pytest.approx(1.0, abs=1e-10)
+        assert rep.range_test.solution.range_residual <= 1e-10
+        assert rep.julia.violations == 0
+        assert rep.julia.checked == 50 - rep.julia.skipped
+        assert rep.julia.identity_max <= 1e-8
         assert rep.tfae is not None
 
     def test_interior_point_rejected(self, h1):
@@ -398,19 +398,18 @@ class TestAnalyzeBpoint:
     def test_non_distinguished_boundary_quotient_only(self, h1):
         rep = analyze_bpoint(h1, scalars(1.0, 0.5), julia_samples=10, seed=1)
         assert not rep.on_distinguished_boundary
-        assert rep.u_T is None and rep.range_residual is None and rep.tfae is None
+        assert rep.range_test is None and rep.tfae is None
         assert rep.alpha.converged
         assert rep.is_bpoint
 
     def test_w_unitary_when_reported(self, h1, rng):
         rep = analyze_bpoint(h1, scalars(1.0, 1.0), julia_samples=5, seed=9)
-        assert operator_norm(rep.W.conj().T @ rep.W - np.eye(1)) <= 1e-8
+        w = rep.boundary_value.W
+        assert operator_norm(w.conj().T @ w - np.eye(1)) <= 1e-8
 
     def test_ray_rule_matches_radial_verdict(self, h1):
         t = scalars(1.0, 1.0)
-        rep = analyze_bpoint(
-            h1, t, rule="ray", direction=-1.0 * t, julia_samples=10, seed=5
-        )
+        rep = analyze_bpoint(h1, t, direction=-1.0 * t, julia_samples=10, seed=5)
         assert rep.is_bpoint and rep.sequence_kind == "ray"
         assert rep.alpha.alpha == pytest.approx(1.0, abs=1e-8)
         assert not rep.alpha.is_liminf  # only radial sequences earn that label
@@ -418,7 +417,7 @@ class TestAnalyzeBpoint:
     def test_inconsistent_specimen_not_bpoint(self):
         rep = analyze_bpoint(inconsistent_handle(), scalars(1.0), julia_samples=5, seed=2)
         assert not rep.is_bpoint
-        assert rep.range_residual == pytest.approx(1.0)
+        assert rep.range_test.solution.range_residual == pytest.approx(1.0)
         assert rep.alpha.diverging
 
     def test_padded_column_grid_divergence_overrides_range_test(self):
@@ -434,7 +433,7 @@ class TestAnalyzeBpoint:
         t = scalars(0.6, 0.8)
         rep = analyze_bpoint(handle, t, julia_samples=5, seed=3)
         assert rep.on_distinguished_boundary
-        assert rep.range_residual <= 1e-10
+        assert rep.range_test.solution.range_residual <= 1e-10
         assert rep.alpha.diverging
         assert not rep.is_bpoint
 
@@ -457,17 +456,19 @@ class TestAnalyzeBpoint:
         rep = analyze_bpoint(h1, t, julia_samples=20, seed=4)
         seq = radial_sequence(t, num_steps=12)
         assert estimate_alpha(h1, seq) == rep.alpha
-        assert np.array_equal(extract_W(h1, seq).W, rep.W)
+        assert np.array_equal(extract_W(h1, seq).W, rep.boundary_value.W)
         assert tfae_report(h1, seq) == rep.tfae
         sample_rng = np.random.default_rng(4)
         ratios, residuals = [], []
         for _ in range(20):
             z = random_interior_point(h1.delta, t.n, sample_rng, margin=0.05)
-            check = julia_inequality_check(h1, t, rep.W, rep.alpha.alpha, z)
+            check = julia_inequality_check(h1, t, rep.boundary_value.W, rep.alpha.alpha, z)
             if check.skipped:
                 continue
             if check.rhs > 0:
                 ratios.append(check.lhs / check.rhs)
-            residuals.append(boundary_identity_residual(h1, t, rep.W, rep.u_T, z))
-        assert max(ratios) == rep.julia_max_ratio
-        assert max(residuals) == rep.boundary_identity_max_residual
+            residuals.append(boundary_identity_residual(
+                h1, t, rep.boundary_value.W, rep.range_test.solution.u_T, z
+            ))
+        assert max(ratios) == rep.julia.max_ratio
+        assert max(residuals) == rep.julia.identity_max

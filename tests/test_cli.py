@@ -121,13 +121,37 @@ class TestBpoint:
         assert out["W"]["data"][0][0] == pytest.approx(1.0, abs=1e-8)
         assert out["u_T_norm_sq"] == pytest.approx(1.0, abs=1e-10)
         assert out["julia"]["violations"] == 0
+        assert list(out) == [
+            "T", "delta_norm_at_T", "on_distinguished_boundary", "sequence", "alpha",
+            "is_bpoint", "conditional", "julia", "W", "W_unitary_distance", "W_error",
+            "u_T", "u_T_norm_sq", "range_residual", "kernel_orthogonality", "kernel_defect",
+            "boundary_identity_max_residual", "inward_witness", "tfae",
+        ]
 
-    def test_mixed_boundary_point(self, files):
+    def test_mixed_boundary_point(self, files, capsys):
         code = main([
             "bpoint", "--fixture", "example-h1", "--point", files["mixed"],
             "--samples", "5",
         ])
         assert code == 0
+        capsys.readouterr()
+        # (1, 0) is on the boundary but off the distinguished boundary: no
+        # model vector, range test or boundedness report
+        code = main([
+            "bpoint", "--fixture", "example-h1", "--point", files["edge"],
+            "--samples", "5",
+        ])
+        assert code == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["on_distinguished_boundary"] is False
+        assert out["conditional"] is False
+        for key in (
+            "u_T", "range_residual", "kernel_orthogonality", "kernel_defect",
+            "boundary_identity_max_residual",
+        ):
+            assert out[key] is None
+        for key in ("u_T_norm_sq", "inward_witness", "tfae"):
+            assert key not in out
 
     def test_interior_point_rejected(self, files):
         assert main([
@@ -161,6 +185,8 @@ class TestBpoint:
         out = json.loads(capsys.readouterr().out)
         assert out["is_bpoint"] is False
         assert out["alpha"]["diverging"] is True
+        assert out["W"] is None and out["W_unitary_distance"] is None
+        assert isinstance(out["W_error"], str)
 
 
 class TestFuzz:

@@ -71,7 +71,7 @@ def test_report_is_self_consistent_on_random_instance():
     t = random_unitary_tuple(rng, 2, 2)
     rep = analyze_bpoint(handle, t, num_steps=18, julia_samples=50, seed=5)
     assert rep.is_bpoint
-    assert rep.julia_violations == 0
-    assert abs(operator_norm(rep.u_T) ** 2 - rep.alpha.alpha) <= 1e-4
+    assert rep.julia.violations == 0
+    assert abs(operator_norm(rep.range_test.solution.u_T) ** 2 - rep.alpha.alpha) <= 1e-4
     assert rep.tfae.sup_model_norm_sq <= rep.tfae.sup_scalar_quotient * (1 + 1e-8)
-    assert rep.boundary_identity_max_residual <= 1e-6
+    assert rep.julia.identity_max <= 1e-6
