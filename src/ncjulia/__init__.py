@@ -76,6 +76,7 @@ from .realization import (
     eval_phi_neumann,
     eval_u,
     evaluate,
+    evaluate_many,
     model_residual,
     perturb_realization,
     random_realization,

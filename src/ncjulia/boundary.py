@@ -26,7 +26,7 @@ from .domain import (
     on_distinguished_boundary,
     radial_sequence,
     ray_sequence,
-    random_interior_point,
+    _random_interior_sample,
     DISTINGUISHED_TOL,
 )
 from .errors import ConvergenceError, DimensionError, PreconditionError, SingularMatrixError
@@ -39,7 +39,7 @@ from .numerics import (
     operator_norm,
 )
 from .realization import NcFunctionHandle, PointEvaluation, _identity_defect, _model_operators
-from .realization import evaluate
+from .realization import _evaluate_at, evaluate, evaluate_many
 # unused here; perfbench's test_tracer_restores_every_binding reads boundary.eval_phi
 from .realization import eval_phi  # noqa: F401
 
@@ -78,7 +78,7 @@ def _quotient_at(ev: PointEvaluation) -> JuliaQuotient:
 def _evaluate_sequence(h: NcFunctionHandle, seq: ApproachSequence):
     """The interior points of the sequence and their evaluations, one per point."""
     pts = generate_sequence(seq, h.delta)
-    return pts, [evaluate(h, z) for z in pts.points]
+    return pts, evaluate_many(h, pts.points)
 
 
 @dataclass(frozen=True)
@@ -221,8 +221,12 @@ def solve_uT(
         raise PreconditionError(
             "model vector at the boundary requires T on the distinguished boundary"
         )
-    big_delta = eval_delta(h.delta, t)
-    resolvent, rhs, _ = _model_operators(h, big_delta, t.n)
+    return _solve_uT_at(h, eval_delta(h.delta, t), t.n)
+
+
+def _solve_uT_at(h: NcFunctionHandle, big_delta: np.ndarray, n: int) -> ModelVectorAtBoundary:
+    """:func:`solve_uT` at a distinguished boundary point T with Delta(T) = big_delta."""
+    resolvent, rhs, _ = _model_operators(h, big_delta, n)
     outcome = min_norm_solve(resolvent, rhs)
     kernel, cokernel = _kernel_bases(resolvent)
     orthogonality = (
@@ -269,7 +273,18 @@ def is_bpoint_range_test(
     seed: int = 0,
 ) -> RangeTestResult:
     """B-point iff the boundary system is consistent: residual <= tol."""
-    solution = solve_uT(h, t, boundary_tol)
+    return _range_test_with(h, t, solve_uT(h, t, boundary_tol), tol, witness_starts, seed)
+
+
+def _range_test_with(
+    h: NcFunctionHandle,
+    t: MatrixTuple,
+    solution: ModelVectorAtBoundary,
+    tol: float,
+    witness_starts: int,
+    seed: int,
+) -> RangeTestResult:
+    """:func:`is_bpoint_range_test` given the boundary model system's solution at T."""
     witness = find_transverse_direction(h.delta, t, n_starts=witness_starts, seed=seed)
     return RangeTestResult(
         is_bpoint=solution.range_residual <= tol,
@@ -340,7 +355,8 @@ def _julia_sweep(h, rng, dt, w, alpha, samples, margin, rel_tol, u_t=None) -> Ju
     checked = violations = skipped = 0
     max_ratio = identity_max = None
     for _ in range(samples):
-        ev = evaluate(h, random_interior_point(h.delta, w.shape[0], rng, margin=margin))
+        # the Delta(x) that accepted the sample is the one its evaluation uses
+        ev = _evaluate_at(h, *_random_interior_sample(h.delta, w.shape[0], rng, margin=margin))
         check = _julia_check_at(ev, dt, w, alpha, rel_tol, DEGENERATE_TOL)
         if check.skipped:
             skipped += 1
@@ -513,10 +529,8 @@ def analyze_bpoint(
 
     range_test = u_t = None
     if distinguished:
-        range_test = is_bpoint_range_test(
-            h, t, tol=range_tol, boundary_tol=boundary_tol,
-            witness_starts=witness_starts, seed=seed,
-        )
+        solution = _solve_uT_at(h, dt, t.n)  # T is distinguished and dt is Delta(T)
+        range_test = _range_test_with(h, t, solution, range_tol, witness_starts, seed)
         u_t = range_test.solution.u_T
         # the range criterion is decisive only when the boundary value of the
         # defining matrix is square unitary; zero-padded grids can pass the

@@ -18,7 +18,7 @@ from .domain import in_Delta, _check_direction_norm, _gram_derivative
 from .errors import ConvergenceError, DimensionError, PreconditionError
 from .freepoly import MatrixTuple
 from .numerics import extrapolate_limit, hermitian_part_max_eig, operator_norm
-from .realization import NcFunctionHandle, evaluate
+from .realization import NcFunctionHandle, evaluate_many
 
 STEP_FLOOR = 1e-8  # below this, difference quotients drown in cancellation
 
@@ -57,7 +57,7 @@ def _admissible_ladder(
         ladder = [s for s in (t0 * 2.0**-k for k in range(steps)) if s >= STEP_FLOOR]
         if len(ladder) >= 2:
             try:
-                return t0, ladder, [evaluate(h, t + s * direction) for s in ladder]
+                return t0, ladder, evaluate_many(h, [t + s * direction for s in ladder])
             except PreconditionError:
                 pass  # a ladder point lies outside the domain
         t0 /= 2.0

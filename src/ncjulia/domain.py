@@ -22,6 +22,7 @@ from .freepoly import (
     MatrixTuple,
     directional_derivative_poly,
     eval_poly,
+    _eval_words,
     poly_from_json,
     poly_to_json,
 )
@@ -95,13 +96,13 @@ class DeltaMatrix:
         return all(p.is_homogeneous_degree_one() for row in self.entries for p in row)
 
 
-def _block_grid(grid, n: int, entry) -> np.ndarray:
-    """Block matrix whose n x n block (a, b) is entry(grid[a][b])."""
+def _block_grid(grid, n: int, entry, lead: tuple = ()) -> np.ndarray:
+    """Block matrix whose n x n block (a, b) is entry(grid[a][b]), stacked over ``lead``."""
     rows, cols = len(grid), len(grid[0])
-    out = np.zeros((rows * n, cols * n), dtype=np.complex128)
+    out = np.zeros(lead + (rows * n, cols * n), dtype=np.complex128)
     for a in range(rows):
         for b in range(cols):
-            out[a * n : (a + 1) * n, b * n : (b + 1) * n] = entry(grid[a][b])
+            out[..., a * n : (a + 1) * n, b * n : (b + 1) * n] = entry(grid[a][b])
     return out
 
 
@@ -119,6 +120,12 @@ def eval_delta(delta: DeltaMatrix, x: MatrixTuple) -> np.ndarray:
     if delta.d != x.d:
         raise DimensionError(f"delta has d={delta.d} but point has d={x.d}")
     return _block_grid(delta.entries, x.n, lambda p: eval_poly(p, x))
+
+
+def _eval_delta_stack(delta: DeltaMatrix, components) -> np.ndarray:
+    """Padded Delta at stacked points: components[r] has shape (B, n, n), the result (B, Jn, Jn)."""
+    lead, n = components[0].shape[:-2], components[0].shape[-1]
+    return _block_grid(delta.entries, n, lambda p: _eval_words(p, components), lead)
 
 
 def eval_delta_original(delta: DeltaMatrix, x: MatrixTuple) -> np.ndarray:
@@ -512,14 +519,21 @@ def random_interior_point(
     max_halvings: int = 60,
 ) -> MatrixTuple:
     """Random point with ||delta(x)|| <= 1 - margin, by scaling a Gaussian tuple."""
+    return _random_interior_sample(delta, n, rng, margin, max_halvings)[0]
+
+
+def _random_interior_sample(delta, n, rng, margin=0.05, max_halvings=60):
+    """The point of :func:`random_interior_point` with the Delta(x) and ||Delta(x)|| that accepted it."""
     comps = []
     for _ in range(delta.d):
         g = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2.0)
-        comps.append(g / max(1.0, float(np.linalg.norm(g, 2))))
+        comps.append(g / max(1.0, operator_norm(g)))
     x = MatrixTuple(tuple(comps))
     for _ in range(max_halvings):
-        if operator_norm(eval_delta(delta, x)) <= 1.0 - margin:
-            return x
+        big_delta = eval_delta(delta, x)
+        norm = operator_norm(big_delta)
+        if norm <= 1.0 - margin:
+            return x, big_delta, norm
         x = 0.5 * x
     raise PreconditionError("could not scale a random point into the domain")
 

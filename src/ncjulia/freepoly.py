@@ -33,7 +33,7 @@ from .errors import (
     PreconditionError,
     SingularMatrixError,
 )
-from .numerics import as_complex_matrix, matrix_from_json, matrix_to_json
+from .numerics import as_complex_matrix, matrix_from_json, matrix_to_json, operator_norm
 
 # A word is a tuple of variable indices; () is the identity word.
 FreeWord = tuple
@@ -204,7 +204,7 @@ class MatrixTuple:
 
     def max_component_norm(self) -> float:
         """max_r ||x^r||, the tuple norm used for the unit-ball constraints."""
-        return max(float(np.linalg.norm(c, 2)) for c in self.components)
+        return max(operator_norm(c) for c in self.components)
 
 
 def direct_sum(x: MatrixTuple, y: MatrixTuple) -> MatrixTuple:
@@ -238,13 +238,17 @@ def eval_poly(p: FreePolynomial, x: MatrixTuple) -> np.ndarray:
     """Evaluate p at the tuple x; the identity word contributes coeff * I_n."""
     if p.d != x.d:
         raise DimensionError(f"polynomial has d={p.d} but point has d={x.d}")
-    n = x.n
-    acc = np.zeros((n, n), dtype=np.complex128)
-    eye = np.eye(n, dtype=np.complex128)
+    return _eval_words(p, x.components)
+
+
+def _eval_words(p: FreePolynomial, components) -> np.ndarray:
+    """Evaluate p at components of shape (..., n, n); leading axes index stacked points."""
+    acc = np.zeros(components[0].shape, dtype=np.complex128)
+    eye = np.eye(acc.shape[-1], dtype=np.complex128)
     for word, coeff in p.terms:
         m = eye
         for letter in word:
-            m = m @ x.components[letter]
+            m = m @ components[letter]
         acc += coeff * m
     return acc
 

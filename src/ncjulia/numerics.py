@@ -45,6 +45,11 @@ def operator_norm(m) -> float:
     return float(np.linalg.svd(a, compute_uv=False)[0])
 
 
+def _operator_norms(stack: np.ndarray) -> np.ndarray:
+    """Largest singular value of each matrix of a (B, r, c) stack, from one batched SVD."""
+    return np.linalg.svd(stack, compute_uv=False)[:, 0]
+
+
 def hermitian_part_min_eig(m) -> float:
     """Smallest eigenvalue of (M + M*)/2.  Requires a square matrix."""
     a = as_complex_matrix(m)
@@ -163,9 +168,8 @@ def extrapolate_limit(samples) -> ExtrapolationResult:
             raise PreconditionError(
                 f"samples must be geometrically spaced with ratio 2, got {a / b:.6g}"
             )
-    increments = tuple(
-        float(np.linalg.norm(np.atleast_2d(v2 - v1), 2)) for v1, v2 in zip(values, values[1:])
-    )
+    differences = np.stack([np.atleast_2d(v2 - v1) for v1, v2 in zip(values, values[1:])])
+    increments = tuple(float(s) for s in _operator_norms(differences))
     value = 2.0 * values[-1] - values[-2]
     return ExtrapolationResult(value=value, increments=increments)
 

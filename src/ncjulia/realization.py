@@ -22,6 +22,17 @@ as a J x (n*Jn) matrix (row index j, column index (i, k, l)) and the product
 read back as an (rows(M)*n) x (Jn) matrix; C kron I_n is the broadcast
 product C[:, :, None] * I_n; and u_y* (I_m kron G) has the blocks
 u_y[f]* G, where u_y[f] is rows fJn:(f+1)Jn of u_y.
+
+Batch axis: the kernels that form Delta(x), the model operators and phi
+(the word evaluation ``freepoly._eval_words`` under ``eval_delta``, and
+``_times_delta``, ``_model_operators`` and ``_phi_from`` here) take arrays
+with leading axes before the trailing matrix axes.
+:func:`evaluate` calls them on one point with no leading axis;
+:func:`evaluate_many` stacks B points of one matrix size along a leading
+axis of length B and calls the same kernels once, with one batched SVD for
+the norms ||Delta(x)|| and one stacked solve.  Every stacked product is a
+loop of the same BLAS and LAPACK calls on the same matrices, so each of its
+results is bit-identical to :func:`evaluate` at that point.
 """
 
 from __future__ import annotations
@@ -31,7 +42,7 @@ from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
-from .domain import DeltaMatrix, eval_delta
+from .domain import DeltaMatrix, _eval_delta_stack, eval_delta
 from .errors import DimensionError, ParseError, PreconditionError
 from .freepoly import MatrixTuple
 from .numerics import (
@@ -40,6 +51,7 @@ from .numerics import (
     haar_unitary,
     matrix_from_json,
     matrix_to_json,
+    _operator_norms,
     operator_norm,
 )
 
@@ -119,27 +131,26 @@ def _times_delta(h: NcFunctionHandle, mat: np.ndarray, big_delta: np.ndarray, n:
     """(mat kron I_n)(I_m kron Delta) for mat with mJ columns, without forming either factor."""
     m, j = h.realization.dim_E, h.realization.J
     jn = j * n
+    lead = big_delta.shape[:-2]
     rows = mat.shape[0] * n
     block_columns = mat.reshape(-1, m, j).transpose(1, 0, 2)
-    blocks = (block_columns @ big_delta.reshape(j, n * jn)).reshape(m, rows, jn)
-    return blocks.transpose(1, 0, 2).reshape(rows, m * jn)
+    blocks = block_columns @ big_delta.reshape(*lead, 1, j, n * jn)
+    return blocks.reshape(*lead, m, rows, jn).swapaxes(-3, -2).reshape(*lead, rows, m * jn)
 
 
 def _model_operators(h: NcFunctionHandle, big_delta: np.ndarray, n: int):
     """Resolvent I - step, rhs C kron I_n and step (D kron I_n)(I_m kron Delta)."""
     step = _times_delta(h, h.realization.D, big_delta, n)
-    resolvent = np.eye(step.shape[0], dtype=np.complex128) - step
+    resolvent = np.eye(step.shape[-1], dtype=np.complex128) - step
     rhs = (h.realization.C[:, :, None] * np.eye(n, dtype=np.complex128)).reshape(-1, n)
     return resolvent, rhs, step
 
 
-def _interior_delta(h: NcFunctionHandle, x: MatrixTuple):
-    """Delta(x) and ||Delta(x)||, or PreconditionError when x is not interior."""
-    big_delta = eval_delta(h.delta, x)
-    norm = operator_norm(big_delta)
+def _require_interior(norm: float) -> float:
+    """The norm ||Delta(x)|| when it is below one; PreconditionError otherwise."""
     if not norm < 1.0:
         raise PreconditionError(f"point is not inside the domain: ||delta(x)|| = {norm:.6g}")
-    return big_delta, norm
+    return norm
 
 
 def _phi_from(h: NcFunctionHandle, big_delta: np.ndarray, u: np.ndarray, n: int) -> np.ndarray:
@@ -162,10 +173,53 @@ class PointEvaluation:
 
 def evaluate(h: NcFunctionHandle, x: MatrixTuple) -> PointEvaluation:
     """Evaluate Delta, ||Delta||, u and phi at interior x with one model solve."""
-    big_delta, norm = _interior_delta(h, x)
+    big_delta = eval_delta(h.delta, x)
+    return _evaluate_at(h, x, big_delta, operator_norm(big_delta))
+
+
+def _evaluate_at(h: NcFunctionHandle, x: MatrixTuple, big_delta, norm: float) -> PointEvaluation:
+    """:func:`evaluate` at x whose Delta(x) and ||Delta(x)|| are already known."""
+    _require_interior(norm)
     resolvent, rhs, _ = _model_operators(h, big_delta, x.n)
     u = np.linalg.solve(resolvent, rhs)
     return PointEvaluation(x, big_delta, norm, resolvent, u, _phi_from(h, big_delta, u, x.n))
+
+
+def evaluate_many(h: NcFunctionHandle, xs) -> list:
+    """:func:`evaluate` at each of the points xs, all of one matrix size, on stacked arrays.
+
+    Each result equals :func:`evaluate` at its point; when a point is not
+    interior, the first such point raises the error :func:`evaluate` raises.
+    """
+    xs = list(xs)
+    if not xs:
+        raise DimensionError("evaluate_many needs at least one point")
+    n = xs[0].n
+    for x in xs:
+        if x.d != h.delta.d:
+            raise DimensionError(f"delta has d={h.delta.d} but point has d={x.d}")
+        if x.n != n:
+            raise DimensionError(f"points must share one matrix size, got n={n} and n={x.n}")
+    components = [np.stack(comps) for comps in zip(*(x.components for x in xs))]
+    big_delta = _eval_delta_stack(h.delta, components)
+    norms = _interior_norms(big_delta)
+    resolvent, rhs, _ = _model_operators(h, big_delta, n)
+    u = np.linalg.solve(resolvent, rhs)
+    phi = _phi_from(h, big_delta, u, n)
+    return [
+        PointEvaluation(x, big_delta[k], float(norms[k]), resolvent[k], u[k], phi[k])
+        for k, x in enumerate(xs)
+    ]
+
+
+def _interior_norms(big_delta: np.ndarray) -> np.ndarray:
+    """||Delta|| of each stacked Delta from one batched SVD, when every point is interior."""
+    if np.isfinite(big_delta).all():
+        norms = _operator_norms(big_delta)
+        if (norms < 1.0).all():
+            return norms
+    # the first point that is not interior raises the error evaluate raises
+    return np.array([_require_interior(operator_norm(one)) for one in big_delta])
 
 
 def eval_u(h: NcFunctionHandle, x: MatrixTuple, return_cond: bool = False):
@@ -215,7 +269,8 @@ def eval_phi_neumann(h: NcFunctionHandle, x: MatrixTuple, terms: int) -> Neumann
     """
     if terms < 0:
         raise PreconditionError("terms must be non-negative")
-    big_delta, _ = _interior_delta(h, x)
+    big_delta = eval_delta(h.delta, x)
+    _require_interior(operator_norm(big_delta))
     n = x.n
     _, rhs, step = _model_operators(h, big_delta, n)
     q = operator_norm(step)
@@ -284,7 +339,7 @@ def perturb_realization(r: Realization, eps: float, seed: int = 0) -> Realizatio
     rng = np.random.default_rng(seed)
     mj = r.dim_E * r.J
     g = (rng.standard_normal((mj, mj)) + 1j * rng.standard_normal((mj, mj))) / np.sqrt(2.0)
-    g *= eps / max(1.0, float(np.linalg.norm(g, 2)))
+    g *= eps / max(1.0, operator_norm(g))
     return Realization(
         dim_E=r.dim_E, J=r.J, A=r.A, B=r.B, C=r.C, D=r.D + g, validate=False
     )

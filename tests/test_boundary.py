@@ -440,16 +440,64 @@ class TestAnalyzeBpoint:
     def test_each_point_evaluated_once(self, h1, monkeypatch):
         from ncjulia import boundary
 
+        # points passed through evaluate and the sweep's _evaluate_at (one each) and
+        # evaluate_many (len(xs) each)
         calls = {"evaluate": 0, "generate_sequence": 0}
-        for name in calls:
-            def counted(*args, _name=name, _original=getattr(boundary, name), **kwargs):
-                calls[_name] += 1
+        counters = (
+            ("evaluate", "evaluate", lambda args: 1),
+            ("_evaluate_at", "evaluate", lambda args: 1),
+            ("evaluate_many", "evaluate", lambda args: len(args[1])),
+            ("generate_sequence", "generate_sequence", lambda args: 1),
+        )
+        for name, key, points in counters:
+            def counted(*args, _key=key, _points=points, _original=getattr(boundary, name), **kwargs):
+                calls[_key] += _points(args)
                 return _original(*args, **kwargs)
 
             monkeypatch.setattr(boundary, name, counted)
         analyze_bpoint(h1, scalars(1.0, 1.0), julia_samples=200, seed=1)
         # 12 approach points and 200 Julia samples, one sequence
         assert calls == {"evaluate": 212, "generate_sequence": 1}
+
+    def test_delta_at_T_evaluated_once(self, h1, monkeypatch):
+        from ncjulia import boundary, domain
+
+        t = scalars(1.0, 1.0)
+        calls = {"eval_delta": 0, "on_distinguished_boundary": 0}
+        for name in calls:
+            def counted(delta, x, *args, _name=name, _original=getattr(domain, name), **kwargs):
+                calls[_name] += x is t
+                return _original(delta, x, *args, **kwargs)
+
+            for module in (domain, boundary):
+                monkeypatch.setattr(module, name, counted)
+        rep = analyze_bpoint(h1, t, julia_samples=10, seed=1)
+        assert rep.range_test is not None
+        assert calls == {"eval_delta": 1, "on_distinguished_boundary": 1}
+
+    def test_one_delta_evaluation_per_julia_sample(self, h1, monkeypatch):
+        from ncjulia import boundary, domain, realization
+
+        evaluated = []  # every point Delta was evaluated at, kept alive so identities stay unique
+        original = domain.eval_delta
+
+        def counted(delta, x):
+            evaluated.append(x)
+            return original(delta, x)
+
+        for module in (domain, realization, boundary):
+            monkeypatch.setattr(module, "eval_delta", counted)
+        samples = []
+        check_at = boundary._julia_check_at
+
+        def recorded(ev, *args):
+            samples.append(ev.x)
+            return check_at(ev, *args)
+
+        monkeypatch.setattr(boundary, "_julia_check_at", recorded)
+        analyze_bpoint(h1, scalars(1.0, 1.0), julia_samples=50, seed=1)
+        assert len(samples) == 50
+        assert [sum(y is x for y in evaluated) for x in samples] == [1] * 50
 
     def test_shared_evaluations_match_public_functions(self, h1, rng):
         t = random_unitary_tuple(rng, 2, 2)

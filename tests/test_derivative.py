@@ -85,10 +85,16 @@ class TestEtaNumeric:
     def test_each_ladder_point_evaluated_once(self, h1, monkeypatch):
         from ncjulia import derivative, domain, realization
 
+        # points passed through evaluate (one each) and evaluate_many (len(xs) each)
         calls = {"evaluate": 0, "in_G_delta": 0}
-        for name, home in (("evaluate", realization), ("in_G_delta", domain)):
-            def counted(*args, _name=name, _original=getattr(home, name), **kwargs):
-                calls[_name] += 1
+        counters = (
+            ("evaluate", realization, "evaluate", lambda args: 1),
+            ("evaluate_many", realization, "evaluate", lambda args: len(args[1])),
+            ("in_G_delta", domain, "in_G_delta", lambda args: 1),
+        )
+        for name, home, key, points in counters:
+            def counted(*args, _key=key, _points=points, _original=getattr(home, name), **kwargs):
+                calls[_key] += _points(args)
                 return _original(*args, **kwargs)
 
             for module in (home, derivative):

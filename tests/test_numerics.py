@@ -195,6 +195,18 @@ class TestExtrapolateLimit:
         res = extrapolate_limit(samples)
         np.testing.assert_allclose(res.value, a, atol=1e-14)
 
+    def test_increments_equal_numpy_spectral_norm(self, rng):
+        for shape in ((1, 1), (3, 3), (2, 5)):
+            samples = [(0.4 * 2.0**-k, random_matrix(rng, *shape)) for k in range(5)]
+            expected = tuple(
+                float(np.linalg.norm(b - a, 2)) for (_, a), (_, b) in zip(samples, samples[1:])
+            )
+            assert extrapolate_limit(samples).increments == expected
+        scalar = extrapolate_limit([(0.2, 1.0 + 2j), (0.1, 0.5 - 1j), (0.05, 0.25)])
+        assert scalar.increments == tuple(
+            float(np.linalg.norm(np.atleast_2d(z), 2)) for z in (-0.5 - 3j, -0.25 + 1j)
+        )
+
     def test_too_few_samples(self):
         with pytest.raises(PreconditionError):
             extrapolate_limit([(0.1, 1.0)])

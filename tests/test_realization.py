@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from ncjulia import (
+    DeltaMatrix,
     DimensionError,
     MatrixTuple,
     NcFunctionHandle,
@@ -12,11 +13,14 @@ from ncjulia import (
     eval_phi,
     eval_phi_neumann,
     eval_u,
+    evaluate,
+    evaluate_many,
     get_delta,
     get_fixture,
     in_G_delta,
     model_residual,
     operator_norm,
+    parse_poly,
     perturb_realization,
     polydisk_delta,
     random_interior_point,
@@ -150,6 +154,59 @@ class TestExampleEvaluation:
         r = 1.0 - 1e-13
         with pytest.warns(NearSingularResolventWarning):
             eval_u(h1, scalars(r, r))
+
+
+class TestEvaluateMany:
+    FIELDS = ("delta", "delta_norm", "resolvent", "u", "phi")
+
+    def test_evaluate_many_matches_evaluate(self, h1):
+        rng = np.random.default_rng(1606)
+        handles = [h1] + [
+            NcFunctionHandle(random_realization(dim_e, get_delta(name).J, seed), get_delta(name))
+            for seed, (name, dim_e) in enumerate((("polydisk:2", 2), ("ball:3", 2), ("cartan:2", 1)))
+        ]
+        assert handles[2].delta.original_shape == (3, 1)  # ball:3 is zero padded
+        # constant words, products, powers and a padded zero row
+        grid = [[parse_poly("0.3 + 0.5*x0*x1", 2), parse_poly("0.2i*x1^2 - 0.4*x0", 2)]]
+        mixed = DeltaMatrix.from_grid(2, grid)
+        handles.append(NcFunctionHandle(random_realization(2, mixed.J, 7), mixed))
+        for h in handles:
+            for n in (1, 2, 5):
+                for b in (1, 3, 10):
+                    xs = [random_interior_point(h.delta, n, rng, margin=0.01) for _ in range(b)]
+                    many = evaluate_many(h, xs)
+                    assert len(many) == b
+                    for x, ev in zip(xs, many):
+                        one = evaluate(h, x)
+                        assert ev.x is x and type(ev.delta_norm) is float
+                        for name in self.FIELDS:
+                            assert np.array_equal(getattr(ev, name), getattr(one, name)), name
+
+    def test_first_point_not_interior_raises_its_evaluate_error(self, h1):
+        inside = scalars(0.3, 0.2)
+        for failing in ([scalars(1.0, 0.0), scalars(2.0, 0.0)], [scalars(2.0, 0.0), scalars(1.0, 0.0)]):
+            with pytest.raises(PreconditionError) as expected:
+                evaluate(h1, failing[0])
+            with pytest.raises(PreconditionError) as got:
+                evaluate_many(h1, [inside, failing[0], inside, failing[1]])
+            assert str(got.value) == str(expected.value)
+        # an infinite coefficient gives a non-finite Delta(x), which no SVD may see
+        overflowing = DeltaMatrix.from_grid(1, [[parse_poly("1e300*x0*1e300", 1)]])
+        h = NcFunctionHandle(random_realization(1, 1, 0), overflowing)
+        points = [MatrixTuple.from_scalars([0.0]), MatrixTuple.from_scalars([0.5])]
+        with pytest.raises(PreconditionError) as expected:
+            evaluate(h, points[0])
+        with pytest.raises(PreconditionError) as got:
+            evaluate_many(h, points)
+        assert str(got.value) == str(expected.value)
+
+    def test_mixed_sizes_and_empty_rejected(self, h1):
+        with pytest.raises(DimensionError):
+            evaluate_many(h1, [scalars(0.1, 0.2), MatrixTuple((0.1 * np.eye(2),) * 2)])
+        with pytest.raises(DimensionError):
+            evaluate_many(h1, [])
+        with pytest.raises(DimensionError):
+            evaluate_many(h1, [scalars(0.1, 0.2, 0.3)])
 
 
 class TestNeumann:
