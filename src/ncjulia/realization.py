@@ -204,7 +204,8 @@ def evaluate_many(h: NcFunctionHandle, xs) -> list:
     big_delta = _eval_delta_stack(h.delta, components)
     norms = _interior_norms(big_delta)
     resolvent, rhs, _ = _model_operators(h, big_delta, n)
-    u = np.linalg.solve(resolvent, rhs)
+    # a right-hand side stacked like the resolvent reads as matrices under numpy 1.x and 2.x
+    u = np.linalg.solve(resolvent, np.broadcast_to(rhs, resolvent.shape[:-1] + rhs.shape[-1:]))
     phi = _phi_from(h, big_delta, u, n)
     return [
         PointEvaluation(x, big_delta[k], float(norms[k]), resolvent[k], u[k], phi[k])

@@ -200,6 +200,21 @@ class TestEvaluateMany:
             evaluate_many(h, points)
         assert str(got.value) == str(expected.value)
 
+    def test_stacked_solve_gets_stacked_rhs(self, h1, monkeypatch):
+        # numpy 1.x reads a b with one axis fewer than a stacked a as a stack of vectors
+        solve = np.linalg.solve
+        shapes = []
+
+        def matrix_rhs_only(a, b):
+            shapes.append((a.shape, b.shape))
+            assert a.ndim == 2 or b.ndim == a.ndim
+            return solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", matrix_rhs_only)
+        xs = [MatrixTuple((0.1 * np.eye(2), 0.2 * np.eye(2)))] * 3
+        evaluate_many(h1, xs)
+        assert shapes == [((3, 4, 4), (3, 4, 2))]
+
     def test_mixed_sizes_and_empty_rejected(self, h1):
         with pytest.raises(DimensionError):
             evaluate_many(h1, [scalars(0.1, 0.2), MatrixTuple((0.1 * np.eye(2),) * 2)])
