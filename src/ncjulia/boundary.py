@@ -21,12 +21,14 @@ from .domain import (
     ApproachSequence,
     eval_delta,
     find_transverse_direction,
-    generate_sequence,
     InwardWitnessResult,
     on_distinguished_boundary,
     radial_sequence,
     ray_sequence,
-    _random_interior_sample,
+    _block_rows,
+    _gaussian_draft,
+    _into_domain,
+    _sequence_in_domain,
     DISTINGUISHED_TOL,
 )
 from .errors import ConvergenceError, DimensionError, PreconditionError, SingularMatrixError
@@ -39,7 +41,7 @@ from .numerics import (
     operator_norm,
 )
 from .realization import NcFunctionHandle, PointEvaluation, _identity_defect, _model_operators
-from .realization import _evaluate_at, evaluate, evaluate_many
+from .realization import _evaluate_at, _evaluate_stack, evaluate
 # unused here; perfbench's test_tracer_restores_every_binding reads boundary.eval_phi
 from .realization import eval_phi  # noqa: F401
 
@@ -76,9 +78,9 @@ def _quotient_at(ev: PointEvaluation) -> JuliaQuotient:
 
 
 def _evaluate_sequence(h: NcFunctionHandle, seq: ApproachSequence):
-    """The interior points of the sequence and their evaluations, one per point."""
-    pts = generate_sequence(seq, h.delta)
-    return pts, evaluate_many(h, pts.points)
+    """The interior points of the sequence and their evaluations, one Delta per point."""
+    pts, big_delta, norms = _sequence_in_domain(seq, h.delta)
+    return pts, _evaluate_stack(h, pts.points, big_delta, norms)
 
 
 @dataclass(frozen=True)
@@ -351,25 +353,34 @@ class JuliaSweep:
 
 
 def _julia_sweep(h, rng, dt, w, alpha, samples, margin, rel_tol, u_t=None) -> JuliaSweep:
-    """Check the inequality at ``samples`` random interior points, each evaluated once."""
+    """Check the inequality at ``samples`` random interior points, each evaluated once.
+
+    The points are those of ``samples`` calls of ``random_interior_point`` on
+    rng: their Gaussian drafts are drawn in its stream order, one block at a
+    time, and each block is scaled into the domain by one stacked call.
+    """
     checked = violations = skipped = 0
     max_ratio = identity_max = None
-    for _ in range(samples):
-        # the Delta(x) that accepted the sample is the one its evaluation uses
-        ev = _evaluate_at(h, *_random_interior_sample(h.delta, w.shape[0], rng, margin=margin))
-        check = _julia_check_at(ev, dt, w, alpha, rel_tol, DEGENERATE_TOL)
-        if check.skipped:
-            skipped += 1
-            continue
-        checked += 1
-        if not check.holds:
-            violations += 1
-        if check.rhs > 0:
-            ratio = check.lhs / check.rhs
-            max_ratio = ratio if max_ratio is None else max(max_ratio, ratio)
-        if u_t is not None:
-            res = _identity_defect(h, w, u_t, dt, ev)
-            identity_max = res if identity_max is None else max(identity_max, res)
+    n = w.shape[0]
+    block = _block_rows(h.delta, n)
+    for start in range(0, samples, block):
+        drafts = [_gaussian_draft(h.delta.d, n, rng) for _ in range(min(block, samples - start))]
+        # the Delta(x) that accepted each sample is the one its evaluation uses
+        for sample in _into_domain(h.delta, drafts, margin):
+            ev = _evaluate_at(h, *sample)
+            check = _julia_check_at(ev, dt, w, alpha, rel_tol, DEGENERATE_TOL)
+            if check.skipped:
+                skipped += 1
+                continue
+            checked += 1
+            if not check.holds:
+                violations += 1
+            if check.rhs > 0:
+                ratio = check.lhs / check.rhs
+                max_ratio = ratio if max_ratio is None else max(max_ratio, ratio)
+            if u_t is not None:
+                res = _identity_defect(h, w, u_t, dt, ev)
+                identity_max = res if identity_max is None else max(identity_max, res)
     return JuliaSweep(checked, violations, skipped, max_ratio, identity_max)
 
 

@@ -32,6 +32,7 @@ from .numerics import (
     numerical_rank,
     operator_norm,
     is_self_adjoint,
+    _operator_norms,
 )
 
 DISTINGUISHED_TOL = 1e-8
@@ -484,31 +485,49 @@ def generate_sequence(seq: ApproachSequence, delta: DeltaMatrix) -> SequencePoin
     this is checked syntactically.  Dropped points are counted and warned
     about; an empty result is an error.
     """
+    return _sequence_in_domain(seq, delta)[0]
+
+
+def _sequence_in_domain(seq: ApproachSequence, delta: DeltaMatrix):
+    """:func:`generate_sequence` with the stacked Delta and ||Delta|| of the kept points.
+
+    Membership of every point comes from one stacked Delta and one batched
+    SVD; each norm equals ``in_G_delta(delta, z).norm``.
+    """
     if seq.kind == "radial" and not delta.is_homogeneous_degree_one():
         raise PreconditionError(
             "radial sequences require a grid homogeneous of degree one"
         )
-    points, steps = [], []
-    dropped = 0
-    for t in seq.steps:
-        if seq.kind == "radial":
-            z = (1.0 - t) * seq.base
-        else:
-            z = seq.base + t * seq.direction
-        if in_G_delta(delta, z):
-            points.append(z)
-            steps.append(float(t))
-        else:
-            dropped += 1
+    if delta.d != seq.base.d:
+        raise DimensionError(f"delta has d={delta.d} but point has d={seq.base.d}")
+    if seq.kind == "radial":
+        zs = [(1.0 - t) * seq.base for t in seq.steps]
+    else:
+        zs = [seq.base + t * seq.direction for t in seq.steps]
+    big_delta = _eval_delta_stack(delta, [np.stack(c) for c in zip(*(z.components for z in zs))])
+    if not np.isfinite(big_delta).all():
+        raise PreconditionError("matrix contains non-finite entries")
+    norms = _operator_norms(big_delta)
+    inside = norms < 1.0
+    dropped = len(zs) - int(inside.sum())
     if dropped:
         warnings.warn(
             f"{dropped} of {len(seq.steps)} sequence points fell outside the domain",
             GDeltaExitWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
-    if not points:
+    if not inside.any():
         raise PreconditionError("no sequence point lies inside the domain")
-    return SequencePoints(points=points, steps=steps, dropped=dropped)
+    points = SequencePoints(
+        points=[z for z, keep in zip(zs, inside) if keep],
+        steps=[float(t) for t, keep in zip(seq.steps, inside) if keep],
+        dropped=dropped,
+    )
+    return points, big_delta[inside], norms[inside]
+
+
+# stacked Delta bytes that one block of drafts may take in _into_domain
+_BLOCK_BYTES = 8 << 20
 
 
 def random_interior_point(
@@ -518,24 +537,92 @@ def random_interior_point(
     margin: float = 0.05,
     max_halvings: int = 60,
 ) -> MatrixTuple:
-    """Random point with ||delta(x)|| <= 1 - margin, by scaling a Gaussian tuple."""
-    return _random_interior_sample(delta, n, rng, margin, max_halvings)[0]
+    """Random point with ||delta(x)|| <= 1 - margin, by scaling a Gaussian tuple.
+
+    Sampling has two steps.  :func:`_gaussian_draft` takes every random draw:
+    d complex Gaussian n x n matrices, in component order, each real part
+    before its imaginary part.  :func:`_into_domain` then scales the draft
+    into the domain and draws nothing: it divides each component by
+    max(1, its norm) and halves the tuple until ||delta(x)|| <= 1 - margin.
+    Samplers of many points (the Julia sweep, ``ncjulia fuzz``) draw their
+    drafts in this stream order and scale them in one stacked call, so each
+    of their points is bit-identical to a call of this function on the same
+    generator.  A stacked call works in blocks whose stacked Delta takes at
+    most ``_BLOCK_BYTES`` (8 MiB), so its memory does not grow with the
+    sample count.
+    """
+    return _into_domain(delta, [_gaussian_draft(delta.d, n, rng)], margin, max_halvings)[0][0]
 
 
-def _random_interior_sample(delta, n, rng, margin=0.05, max_halvings=60):
-    """The point of :func:`random_interior_point` with the Delta(x) and ||Delta(x)|| that accepted it."""
+def _gaussian_draft(d: int, n: int, rng: np.random.Generator) -> tuple:
+    """The d complex Gaussian n x n matrices of one random point: all the draws it takes."""
+    return tuple(
+        (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2.0)
+        for _ in range(d)
+    )
+
+
+def _block_rows(delta: DeltaMatrix, n: int) -> int:
+    """Drafts of matrix size n that one block of :func:`_into_domain` scales together."""
+    return max(1, _BLOCK_BYTES // (16 * (delta.J * n) ** 2))
+
+
+def _into_domain(delta: DeltaMatrix, drafts, margin: float = 0.05, max_halvings: int = 60) -> list:
+    """(x, Delta(x), ||Delta(x)||) for each draft, scaled as :func:`random_interior_point` scales it.
+
+    Drafts of one matrix size are scaled together, in blocks of
+    :func:`_block_rows`.  When drafts fail, the error of the first failing
+    draft in draft order is raised, as scaling them one by one would.
+    """
+    by_size = {}
+    for k, draft in enumerate(drafts):
+        by_size.setdefault(draft[0].shape[-1], []).append(k)
+    out = [None] * len(drafts)
+    for n, rows in by_size.items():
+        step = _block_rows(delta, n)
+        for start in range(0, len(rows), step):
+            block = rows[start : start + step]
+            scaled = _scale_block(delta, [drafts[k] for k in block], margin, max_halvings)
+            for k, result in zip(block, scaled):
+                out[k] = result
+    for result in out:
+        if isinstance(result, str):
+            raise PreconditionError(result)
+    return out
+
+
+def _scale_block(delta: DeltaMatrix, drafts, margin: float, max_halvings: int) -> list:
+    """The scaled sample, or the message of its error, for each draft of one matrix size.
+
+    One batched norm per component scales the drafts into the unit ball;
+    then each halving round takes one stacked Delta and one batched SVD over
+    the drafts not yet accepted, and halves the rest with ``0.5 *`` as
+    ``MatrixTuple.__mul__`` does.
+    """
     comps = []
-    for _ in range(delta.d):
-        g = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2.0)
-        comps.append(g / max(1.0, operator_norm(g)))
-    x = MatrixTuple(tuple(comps))
+    for r in range(delta.d):
+        g = np.stack([draft[r] for draft in drafts])
+        comps.append(g / np.maximum(1.0, _operator_norms(g))[:, None, None])
+    out = ["could not scale a random point into the domain"] * len(drafts)
+    rows = np.arange(len(drafts))
     for _ in range(max_halvings):
-        big_delta = eval_delta(delta, x)
-        norm = operator_norm(big_delta)
-        if norm <= 1.0 - margin:
-            return x, big_delta, norm
-        x = 0.5 * x
-    raise PreconditionError("could not scale a random point into the domain")
+        if not rows.size:
+            break
+        big_delta = _eval_delta_stack(delta, comps)
+        finite = np.isfinite(big_delta).all(axis=(-2, -1))
+        norms = np.zeros(rows.size)
+        norms[finite] = _operator_norms(big_delta if finite.all() else big_delta[finite])
+        accept = finite & (norms <= 1.0 - margin)
+        accepted = big_delta[accept]
+        for j, k in enumerate(np.flatnonzero(accept)):
+            x = MatrixTuple(tuple(c[k] for c in comps))
+            out[rows[k]] = (x, accepted[j], float(norms[k]))
+        for k in np.flatnonzero(~finite):
+            out[rows[k]] = "matrix contains non-finite entries"
+        halve = finite & ~accept
+        rows = rows[halve]
+        comps = [0.5 * c[halve] for c in comps]
+    return out
 
 
 # --- JSON wire format -------------------------------------------------------

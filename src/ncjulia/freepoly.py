@@ -16,11 +16,13 @@ Multiplication is always explicit ('*'); juxtaposition is a syntax error.
 '^' applies to variables and parenthesized groups only.  Exponents and degrees
 above ``MAX_DEGREE``, and sums, products or powers that could form more than
 ``MAX_TERMS`` terms, are rejected before they are expanded, and so are
-parentheses nested deeper than ``MAX_DEPTH``.
+parentheses nested deeper than ``MAX_DEPTH``.  A literal, sum, product or
+power whose coefficient overflows to infinity or NaN is rejected too.
 """
 
 from __future__ import annotations
 
+import cmath
 import re
 from dataclasses import dataclass
 
@@ -355,7 +357,7 @@ class _Parser:
             op, _, pos = self.advance()
             rhs = self.term()
             _check_size(poly.degree(), len(poly.terms) + len(rhs.terms), pos)
-            poly = poly + rhs if op == "+" else poly - rhs
+            poly = _check_finite(poly + rhs if op == "+" else poly - rhs, pos)
         return poly
 
     def term(self):
@@ -364,7 +366,7 @@ class _Parser:
             pos = self.advance()[2]
             rhs = self.factor()
             _check_size(poly.degree() + rhs.degree(), len(poly.terms) * len(rhs.terms), pos)
-            poly = poly * rhs
+            poly = _check_finite(poly * rhs, pos)
         return poly
 
     def factor(self):
@@ -386,14 +388,14 @@ class _Parser:
                 raise PolyParseError("exponent must be a non-negative integer", tok[2])
             k = int(value.real)
             _check_size(poly.degree() * k, _power_term_bound(poly, k), tok[2])
-            poly = poly**k
+            poly = _check_finite(poly**k, tok[2])
         return poly
 
     def primary(self):
         tok = self.advance()
         kind, value, pos = tok
         if kind == "num":
-            return FreePolynomial.constant(self.d, value), False
+            return _check_finite(FreePolynomial.constant(self.d, value), pos), False
         if kind == "var":
             if value >= self.d:
                 raise PolyParseError(
@@ -416,6 +418,16 @@ def _check_size(degree: int, terms: int, pos: int):
         raise PolyParseError(f"degree {degree} exceeds the maximum {MAX_DEGREE}", pos)
     if terms > MAX_TERMS:
         raise PolyParseError(f"expansion may form {terms} terms, more than {MAX_TERMS}", pos)
+
+
+def _check_finite(poly: FreePolynomial, pos: int) -> FreePolynomial:
+    if not _finite_coefficients(poly):
+        raise PolyParseError("coefficient overflows to a non-finite value", pos)
+    return poly
+
+
+def _finite_coefficients(p: FreePolynomial) -> bool:
+    return all(cmath.isfinite(c) for _, c in p.terms)
 
 
 def _power_term_bound(p: FreePolynomial, k: int) -> int:
@@ -530,9 +542,12 @@ def poly_from_json(obj, d: int | None = None) -> FreePolynomial:
             raise ParseError(f"malformed polynomial term: {exc}") from None
         terms.append((word, complex(float(re_), float(im))))
     try:
-        return FreePolynomial(pd, tuple(terms))
+        poly = FreePolynomial(pd, tuple(terms))
     except DimensionError as exc:
         raise ParseError(str(exc)) from None
+    if not _finite_coefficients(poly):
+        raise ParseError("polynomial coefficient is not finite")
+    return poly
 
 
 def tuple_to_json(x: MatrixTuple) -> dict:

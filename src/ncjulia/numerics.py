@@ -46,7 +46,12 @@ def operator_norm(m) -> float:
 
 
 def _operator_norms(stack: np.ndarray) -> np.ndarray:
-    """Largest singular value of each matrix of a (B, r, c) stack, from one batched SVD."""
+    """Largest singular value of each matrix of a (B, r, c) stack, from one batched SVD.
+
+    As in :func:`operator_norm`, an empty matrix has norm 0.
+    """
+    if 0 in stack.shape[-2:]:
+        return np.zeros(stack.shape[0])
     return np.linalg.svd(stack, compute_uv=False)[:, 0]
 
 

@@ -202,7 +202,12 @@ def evaluate_many(h: NcFunctionHandle, xs) -> list:
             raise DimensionError(f"points must share one matrix size, got n={n} and n={x.n}")
     components = [np.stack(comps) for comps in zip(*(x.components for x in xs))]
     big_delta = _eval_delta_stack(h.delta, components)
-    norms = _interior_norms(big_delta)
+    return _evaluate_stack(h, xs, big_delta, _interior_norms(big_delta))
+
+
+def _evaluate_stack(h: NcFunctionHandle, xs: list, big_delta: np.ndarray, norms) -> list:
+    """:func:`evaluate_many` at interior xs whose stacked Delta(x) and ||Delta(x)|| are known."""
+    n = xs[0].n
     resolvent, rhs, _ = _model_operators(h, big_delta, n)
     # a right-hand side stacked like the resolvent reads as matrices under numpy 1.x and 2.x
     u = np.linalg.solve(resolvent, np.broadcast_to(rhs, resolvent.shape[:-1] + rhs.shape[-1:]))

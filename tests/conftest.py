@@ -68,3 +68,26 @@ def near_identity(rng, n, scale=0.2):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+def sequential_interior_sample(delta, n, rng, margin=0.05, max_halvings=60):
+    """Oracle: one random interior point drawn and scaled one halving at a time.
+
+    A copy of the sequential sampler that ``random_interior_point`` replaced
+    with a stacked one; returns the point, Delta(x), ||Delta(x)|| and the
+    number of Delta evaluations (halving rounds) that it took.
+    """
+    from ncjulia import PreconditionError, eval_delta, operator_norm
+
+    comps = []
+    for _ in range(delta.d):
+        g = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2.0)
+        comps.append(g / max(1.0, operator_norm(g)))
+    x = MatrixTuple(tuple(comps))
+    for rounds in range(1, max_halvings + 1):
+        big_delta = eval_delta(delta, x)
+        norm = operator_norm(big_delta)
+        if norm <= 1.0 - margin:
+            return x, big_delta, norm, rounds
+        x = 0.5 * x
+    raise PreconditionError("could not scale a random point into the domain")

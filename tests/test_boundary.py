@@ -27,7 +27,7 @@ from ncjulia import (
     tfae_report,
 )
 
-from conftest import random_unitary_tuple
+from conftest import random_unitary_tuple, sequential_interior_sample
 
 
 @pytest.fixture
@@ -441,13 +441,14 @@ class TestAnalyzeBpoint:
         from ncjulia import boundary
 
         # points passed through evaluate and the sweep's _evaluate_at (one each) and
-        # evaluate_many (len(xs) each)
+        # the sequence's _evaluate_stack (len(xs) each); sequences built by
+        # _sequence_in_domain, the helper generate_sequence wraps
         calls = {"evaluate": 0, "generate_sequence": 0}
         counters = (
             ("evaluate", "evaluate", lambda args: 1),
             ("_evaluate_at", "evaluate", lambda args: 1),
-            ("evaluate_many", "evaluate", lambda args: len(args[1])),
-            ("generate_sequence", "generate_sequence", lambda args: 1),
+            ("_evaluate_stack", "evaluate", lambda args: len(args[1])),
+            ("_sequence_in_domain", "generate_sequence", lambda args: 1),
         )
         for name, key, points in counters:
             def counted(*args, _key=key, _points=points, _original=getattr(boundary, name), **kwargs):
@@ -487,6 +488,24 @@ class TestAnalyzeBpoint:
 
         for module in (domain, realization, boundary):
             monkeypatch.setattr(module, "eval_delta", counted)
+        # rows of the stacked Delta evaluations made while scaling the samples
+        sampling, stacked_rows = [], []
+        into_domain, stack = domain._into_domain, domain._eval_delta_stack
+
+        def scaling(*args, **kwargs):
+            sampling.append(True)
+            try:
+                return into_domain(*args, **kwargs)
+            finally:
+                sampling.pop()
+
+        def stacked(delta, components):
+            if sampling:
+                stacked_rows.append(components[0].shape[0])
+            return stack(delta, components)
+
+        monkeypatch.setattr(boundary, "_into_domain", scaling)
+        monkeypatch.setattr(domain, "_eval_delta_stack", stacked)
         samples = []
         check_at = boundary._julia_check_at
 
@@ -497,7 +516,36 @@ class TestAnalyzeBpoint:
         monkeypatch.setattr(boundary, "_julia_check_at", recorded)
         analyze_bpoint(h1, scalars(1.0, 1.0), julia_samples=50, seed=1)
         assert len(samples) == 50
-        assert [sum(y is x for y in evaluated) for x in samples] == [1] * 50
+        assert [sum(y is x for y in evaluated) for x in samples] == [0] * 50
+        # one row per halving round of each sample, as the sequential sampler takes them
+        oracle_rng = np.random.default_rng(1)
+        oracle = [sequential_interior_sample(h1.delta, 1, oracle_rng) for _ in range(50)]
+        assert sum(stacked_rows) == sum(rounds for *_, rounds in oracle)
+        for x, (x0, *_) in zip(samples, oracle):
+            assert all(np.array_equal(a, b) for a, b in zip(x.components, x0.components))
+
+    def test_one_delta_evaluation_per_approach_point(self, h1, monkeypatch):
+        from ncjulia import boundary, domain, realization
+
+        rows = {"eval_delta": 0, "stacked": 0}
+        original, stack = domain.eval_delta, domain._eval_delta_stack
+
+        def counted(delta, x):
+            rows["eval_delta"] += 1
+            return original(delta, x)
+
+        def stacked(delta, components):
+            rows["stacked"] += components[0].shape[0]
+            return stack(delta, components)
+
+        for module in (domain, realization, boundary):
+            monkeypatch.setattr(module, "eval_delta", counted)
+        for module in (domain, realization):
+            monkeypatch.setattr(module, "_eval_delta_stack", stacked)
+        rep = analyze_bpoint(h1, scalars(1.0, 1.0), julia_samples=0, seed=1)
+        # Delta(T) once, and each of the 12 approach points once, for membership and evaluation
+        assert len(rep.alpha.steps) == 12 and rep.sequence_dropped == 0
+        assert rows == {"eval_delta": 1, "stacked": 12}
 
     def test_shared_evaluations_match_public_functions(self, h1, rng):
         t = random_unitary_tuple(rng, 2, 2)

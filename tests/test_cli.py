@@ -230,9 +230,9 @@ class TestFuzz:
         from ncjulia import boundary
 
         calls = []
-        original = boundary.generate_sequence
+        original = boundary._sequence_in_domain  # the helper generate_sequence wraps
         monkeypatch.setattr(
-            boundary, "generate_sequence", lambda *a, **kw: calls.append(a) or original(*a, **kw)
+            boundary, "_sequence_in_domain", lambda *a, **kw: calls.append(a) or original(*a, **kw)
         )
         # one sample: the Julia sub-sweep runs at sample 0 only
         assert main(["fuzz", "--samples", "1", "--seed", "7"]) == 0
@@ -248,6 +248,36 @@ class TestFuzz:
         by_file = capsys.readouterr().out
         assert json.loads(by_name)["julia_inequality"]["checked"] > 0
         assert by_file == by_name
+
+    @pytest.mark.parametrize(
+        "argv, dim_e, checked, max_residual",
+        [
+            # three Julia sub-sweeps of five samples each
+            (["--delta", "polydisk:2"], 1, 15, 1.2263889032422858e-15),
+            (["--delta", "cartan:2", "--dim-E", "2"], 2, 0, 9.9574492268740612e-16),
+        ],
+    )
+    def test_golden_output(self, argv, dim_e, checked, max_residual, capsys):
+        assert main(["fuzz", "--samples", "25", "--seed", "11", *argv]) == 0
+        assert json.loads(capsys.readouterr().out) == {
+            "samples": 25,
+            "seed": 11,
+            "dim_E": dim_e,
+            "J": 2,
+            "model_identity": {
+                "checked": 25,
+                "violations": 0,
+                "max_residual": max_residual,
+                "tolerance": 1e-9,
+            },
+            "julia_inequality": {"checked": checked, "violations": 0, "skipped": 0},
+        }
+
+    def test_non_finite_coefficient_is_a_parse_error(self, files):
+        bad = {"d": 2, "terms": [{"coeff": [float("inf"), 0.0], "word": [0]}]}  # JSON Infinity
+        for entry in ("1e300*x0*1e300", "x0 + 1e400", bad):
+            path = write_json(files["tmp"] / "delta.json", {"d": 2, "entries": [[entry, "x1"]]})
+            assert main(["fuzz", "--samples", "3", "--delta", path]) == 2
 
 
 class TestDerivative:

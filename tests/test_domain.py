@@ -1,8 +1,12 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ncjulia import (
     DeltaMatrix,
+    DimensionError,
     FreePolynomial,
     MatrixTuple,
     PreconditionError,
@@ -23,14 +27,16 @@ from ncjulia import (
     nontangential_constant,
     on_distinguished_boundary,
     operator_norm,
+    parse_poly,
     polydisk_delta,
     radial_sequence,
     random_interior_point,
     ray_sequence,
 )
-from ncjulia.domain import GDeltaExitWarning
+from ncjulia import domain
+from ncjulia.domain import GDeltaExitWarning, _gaussian_draft, _into_domain, _sequence_in_domain
 
-from conftest import random_poly, random_tuple, random_unitary_tuple
+from conftest import random_poly, random_tuple, random_unitary_tuple, sequential_interior_sample
 
 
 def blocked_delta():
@@ -316,6 +322,131 @@ class TestSequences:
             pts = generate_sequence(seq, d)
             apertures = [nontangential_constant(d, z, t) for z in pts.points]
             assert max(apertures) < 1e3
+
+
+    def test_stacked_membership_matches_in_G_delta(self, rng):
+        d = cartan_delta(2)
+        t = MatrixTuple((np.eye(2), np.zeros((2, 2)), np.eye(2)))
+        inward = -1.0 * t + 0.3 * random_tuple(rng, 3, 2)
+        seq = ray_sequence(t, inward, num_steps=8, first_step=4.0)
+        with pytest.warns(GDeltaExitWarning):
+            pts, big_delta, norms = _sequence_in_domain(seq, d)
+        assert 0 < pts.dropped < 8
+        assert len(pts.points) == len(pts.steps) == len(big_delta) == len(norms)
+        members = [in_G_delta(d, z) for z in pts.points]
+        assert all(members) and [m.norm for m in members] == list(norms)
+        assert all(np.array_equal(eval_delta(d, z), b) for z, b in zip(pts.points, big_delta))
+        with pytest.warns(GDeltaExitWarning):
+            assert pts.steps == generate_sequence(seq, d).steps
+
+    def test_non_finite_sequence_point_rejected(self):
+        # 1e308 (x + x^2) overflows near x = 1
+        delta = DeltaMatrix.from_grid(1, [[FreePolynomial(1, (((0,), 1e308), ((0, 0), 1e308)))]])
+        one = MatrixTuple.from_scalars([1.0])
+        with np.errstate(over="ignore"), pytest.raises(PreconditionError, match="non-finite"):
+            generate_sequence(ray_sequence(one, -1.0 * one, num_steps=6), delta)
+
+    def test_point_of_other_d_rejected(self):
+        t = MatrixTuple.from_scalars([1.0, 1.0])
+        with pytest.raises(DimensionError):
+            generate_sequence(radial_sequence(t), polydisk_delta(3))
+
+
+def nonhomogeneous_delta():
+    """Padded 1 x 2 grid with constant, degree-one and degree-two words."""
+    return DeltaMatrix.from_grid(
+        2, [[parse_poly("0.5*x0*x1 + 0.2", 2), parse_poly("x1^2 - 0.3i*x0", 2)]]
+    )
+
+
+SAMPLING_DELTAS = {
+    "polydisk:2": polydisk_delta(2),
+    "ball:3": ball_delta(3),
+    "cartan:2": cartan_delta(2),
+    "grid": nonhomogeneous_delta(),
+}
+
+
+class TestInteriorSampling:
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(
+        name=st.sampled_from(sorted(SAMPLING_DELTAS)),
+        sizes=st.lists(st.sampled_from((1, 2, 4)), min_size=1, max_size=8),
+        margin=st.sampled_from((0.05, 0.3)),
+        block_bytes=st.sampled_from((1, 4096, domain._BLOCK_BYTES)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_stacked_scaling_matches_sequential(self, name, sizes, margin, block_bytes, seed):
+        delta = SAMPLING_DELTAS[name]
+        rng = np.random.default_rng(seed)
+        drafts = [_gaussian_draft(delta.d, n, rng) for n in sizes]
+        with mock.patch.object(domain, "_BLOCK_BYTES", block_bytes):
+            got = _into_domain(delta, drafts, margin)
+        oracle_rng = np.random.default_rng(seed)
+        expected = [sequential_interior_sample(delta, n, oracle_rng, margin) for n in sizes]
+        assert rng.bit_generator.state == oracle_rng.bit_generator.state
+        assert len(got) == len(expected)
+        for (x, big_delta, norm), (x0, delta0, norm0, _) in zip(got, expected):
+            assert x.d == x0.d
+            assert all(np.array_equal(a, b) for a, b in zip(x.components, x0.components))
+            assert np.array_equal(big_delta, delta0)
+            assert norm == norm0
+
+    def test_random_interior_point_matches_sequential(self):
+        for name, delta in SAMPLING_DELTAS.items():
+            rng, oracle_rng = np.random.default_rng(5), np.random.default_rng(5)
+            for n in (1, 3, 2):
+                x = random_interior_point(delta, n, rng, margin=0.3)
+                x0 = sequential_interior_sample(delta, n, oracle_rng, margin=0.3)[0]
+                assert all(np.array_equal(a, b) for a, b in zip(x.components, x0.components))
+            assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+    def test_first_failing_draft_raises_its_error(self, monkeypatch):
+        # p(x) = 1e308 (x + x^2) is 0.01 at x = 1e-310, 1e8 at x = 1e-300 (one
+        # halving does not bring it under 1) and overflows at x = 1
+        p = FreePolynomial(1, (((0,), 1e308), ((0, 0), 1e308)))
+        delta = DeltaMatrix.from_grid(1, [[p]])
+        norms = domain._operator_norms
+
+        def finite_only(stack):
+            assert np.isfinite(stack).all(), "a non-finite Delta reached the SVD"
+            return norms(stack)
+
+        monkeypatch.setattr(domain, "_operator_norms", finite_only)
+
+        def draft(value, n=1):
+            return (value * np.eye(n, dtype=np.complex128),)
+
+        ok, too_big, overflow = draft(1e-310), draft(1e-300), draft(1.0)
+        assert _into_domain(delta, [ok, ok], max_halvings=1)[1][2] == pytest.approx(0.01)
+        cases = (
+            ([ok, overflow, too_big], "non-finite"),
+            ([ok, too_big, overflow], "could not scale"),
+            # sizes are scaled in separate groups; draft order still decides
+            ([ok, draft(1e-300, 2), overflow], "could not scale"),
+            ([ok, draft(1.0, 2), too_big], "non-finite"),
+        )
+        for drafts, message in cases:
+            with np.errstate(over="ignore"), pytest.raises(PreconditionError, match=message):
+                _into_domain(delta, drafts, max_halvings=1)
+
+    def test_blocks_hold_at_most_the_byte_budget(self, monkeypatch):
+        delta = cartan_delta(2)
+        # 8 MiB of stacked Delta: 32 drafts at n = 64 (a 128 x 128 Delta), 8192 at n = 4
+        assert domain._block_rows(delta, 64) == 32
+        assert domain._block_rows(delta, 4) == 8192
+        sizes = []
+        scale = domain._scale_block
+
+        def recorded(delta, drafts, *args):
+            sizes.append(len(drafts))
+            return scale(delta, drafts, *args)
+
+        monkeypatch.setattr(domain, "_scale_block", recorded)
+        monkeypatch.setattr(domain, "_BLOCK_BYTES", 7 * 16 * 4**2)  # 7 drafts at n = 2
+        rng = np.random.default_rng(3)
+        _into_domain(delta, [_gaussian_draft(3, 2, rng) for _ in range(20)])
+        assert sizes == [7, 7, 6]
 
 
 class TestDeltaJson:

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from ncjulia import (
     DimensionError,
     FreePolynomial,
     MatrixTuple,
+    ParseError,
     PolyParseError,
     SingularMatrixError,
     direct_sum,
@@ -105,6 +108,19 @@ class TestParse:
             with pytest.raises(PolyParseError, match="nested") as err:
                 parse_poly("(" * depth + "x0" + ")" * depth, 1)
             assert err.value.position == MAX_DEPTH
+
+    def test_overflowing_coefficients_rejected(self):
+        cases = {
+            "1e300*x0*1e300": 8,  # the product
+            "x0 + 1e400": 5,  # the literal
+            "1e308*x0 + 1e308*x0": 9,  # the sum
+            "(1e200*x0)^2": 11,  # the power
+        }
+        for text, position in cases.items():
+            with pytest.raises(PolyParseError, match="non-finite") as err:
+                parse_poly(text, 1)
+            assert err.value.position == position
+        assert parse_poly("1e300*x0*1e8", 1).terms == (((0,), 1e308 + 0j),)
 
 
 class TestFormat:
@@ -282,6 +298,15 @@ class TestJson:
 
     def test_poly_from_text(self):
         assert poly_from_json("x0*x1", 2) == parse_poly("x0*x1", 2)
+
+    def test_non_finite_coefficients_rejected(self):
+        inf, nan = float("inf"), float("nan")
+        for coeffs in ([[inf, 0.0]], [[0.0, nan]], [["-inf", 0.0]], [[1e308, 0.0], [1e308, 0.0]]):
+            obj = {"d": 1, "terms": [{"coeff": c, "word": [0]} for c in coeffs]}
+            with pytest.raises(ParseError, match="not finite"):
+                poly_from_json(json.loads(json.dumps(obj)))
+        with pytest.raises(ParseError):
+            poly_from_json("1e300*x0*1e300", 1)
 
     def test_tuple_round_trip(self, rng):
         x = random_tuple(rng, 2, 3)

@@ -4,6 +4,7 @@ import pytest
 from ncjulia import (
     DeltaMatrix,
     DimensionError,
+    FreePolynomial,
     MatrixTuple,
     NcFunctionHandle,
     PreconditionError,
@@ -190,8 +191,9 @@ class TestEvaluateMany:
             with pytest.raises(PreconditionError) as got:
                 evaluate_many(h1, [inside, failing[0], inside, failing[1]])
             assert str(got.value) == str(expected.value)
-        # an infinite coefficient gives a non-finite Delta(x), which no SVD may see
-        overflowing = DeltaMatrix.from_grid(1, [[parse_poly("1e300*x0*1e300", 1)]])
+        # an infinite coefficient (which parse_poly refuses) gives a non-finite
+        # Delta(x), which no SVD may see
+        overflowing = DeltaMatrix.from_grid(1, [[FreePolynomial(1, (((0,), float("inf")),))]])
         h = NcFunctionHandle(random_realization(1, 1, 0), overflowing)
         points = [MatrixTuple.from_scalars([0.0]), MatrixTuple.from_scalars([0.5])]
         with pytest.raises(PreconditionError) as expected:
