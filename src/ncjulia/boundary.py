@@ -26,10 +26,12 @@ from .domain import (
     radial_sequence,
     ray_sequence,
     _block_rows,
+    _check_margin,
     _gaussian_draft,
     _into_domain,
     _sequence_in_domain,
     DISTINGUISHED_TOL,
+    SAMPLE_MARGIN,
 )
 from .errors import ConvergenceError, DimensionError, PreconditionError, SingularMatrixError
 from .freepoly import MatrixTuple
@@ -50,6 +52,9 @@ UNITARY_DISTANCE_TOL = 1e-4
 APERTURE_CAP = 1e6
 COMPARABILITY_RTOL = 1e-8
 DEGENERATE_TOL = 1e-12
+RANGE_TOL = 1e-8  # largest range-test residual of a B-point
+JULIA_RTOL = 1e-8  # relative slack of the Julia inequality
+WITNESS_STARTS = 8  # random starts of the range test's inward-witness search
 
 
 @dataclass(frozen=True)
@@ -101,16 +106,12 @@ class AlphaEstimate:
     is_liminf: bool
 
 
-def estimate_alpha(
-    h: NcFunctionHandle, seq: ApproachSequence, conv_rtol: float = CONVERGENCE_RTOL
-) -> AlphaEstimate:
+def estimate_alpha(h: NcFunctionHandle, seq: ApproachSequence) -> AlphaEstimate:
     """Estimate the quotient limit along the sequence by Richardson extrapolation."""
-    return _alpha_along(h, seq, *_evaluate_sequence(h, seq), conv_rtol)
+    return _alpha_along(h, seq, *_evaluate_sequence(h, seq))
 
 
-def _alpha_along(
-    h: NcFunctionHandle, seq: ApproachSequence, pts, evals, conv_rtol: float = CONVERGENCE_RTOL
-) -> AlphaEstimate:
+def _alpha_along(h: NcFunctionHandle, seq: ApproachSequence, pts, evals) -> AlphaEstimate:
     if len(pts.points) < 2:
         raise PreconditionError("need at least two interior sequence points")
     quotients = [_quotient_at(ev).value for ev in evals]
@@ -138,7 +139,7 @@ def _alpha_along(
     res = extrapolate_limit(list(zip(pts.steps, quotients)))
     alpha = float(np.real(res.value.reshape(())))
     last_increment = res.increments[-1] if res.increments else 0.0
-    converged = last_increment <= conv_rtol * max(1.0, abs(alpha))
+    converged = last_increment <= CONVERGENCE_RTOL * max(1.0, abs(alpha))
     return AlphaEstimate(
         alpha=alpha,
         quotients=tuple(quotients),
@@ -158,19 +159,17 @@ class BoundaryValue:
     unitary_distance: float  # spectral distance from the raw limit to W
 
 
-def extract_W(
-    h: NcFunctionHandle, seq: ApproachSequence, max_unitary_distance: float = UNITARY_DISTANCE_TOL
-) -> BoundaryValue:
+def extract_W(h: NcFunctionHandle, seq: ApproachSequence) -> BoundaryValue:
     """Extrapolate phi along the sequence and project onto the unitary group.
 
-    A raw limit farther than ``max_unitary_distance`` from unitary is treated
+    A raw limit farther than ``UNITARY_DISTANCE_TOL`` from unitary is treated
     as evidence that the base point is not a B-point.
     """
     pts, evals = _evaluate_sequence(h, seq)
-    return _boundary_value_along(pts.steps, evals, max_unitary_distance)
+    return _boundary_value_along(pts.steps, evals)
 
 
-def _boundary_value_along(steps, evals, max_unitary_distance=UNITARY_DISTANCE_TOL) -> BoundaryValue:
+def _boundary_value_along(steps, evals) -> BoundaryValue:
     if len(evals) < 2:
         raise PreconditionError("need at least two interior sequence points")
     raw = extrapolate_limit(list(zip(steps, [ev.phi for ev in evals]))).value
@@ -181,10 +180,10 @@ def _boundary_value_along(steps, evals, max_unitary_distance=UNITARY_DISTANCE_TO
             f"limit of phi along the sequence is singular, no unitary boundary value: {exc}"
         ) from None
     distance = operator_norm(raw - w)
-    if distance > max_unitary_distance:
+    if distance > UNITARY_DISTANCE_TOL:
         raise ConvergenceError(
             f"limit of phi is {distance:.3e} away from unitary "
-            f"(threshold {max_unitary_distance:.0e}); base point looks like a non-B-point"
+            f"(threshold {UNITARY_DISTANCE_TOL:.0e}); base point looks like a non-B-point"
         )
     return BoundaryValue(W=w, unitary_distance=distance)
 
@@ -215,11 +214,9 @@ class ModelVectorAtBoundary:
     kernel_defect: float
 
 
-def solve_uT(
-    h: NcFunctionHandle, t: MatrixTuple, boundary_tol: float = DISTINGUISHED_TOL
-) -> ModelVectorAtBoundary:
+def solve_uT(h: NcFunctionHandle, t: MatrixTuple) -> ModelVectorAtBoundary:
     """Solve the singular boundary system for the model vector at T."""
-    if not on_distinguished_boundary(h.delta, t, boundary_tol):
+    if not on_distinguished_boundary(h.delta, t):
         raise PreconditionError(
             "model vector at the boundary requires T on the distinguished boundary"
         )
@@ -266,28 +263,16 @@ class RangeTestResult:
         return self.is_bpoint
 
 
-def is_bpoint_range_test(
-    h: NcFunctionHandle,
-    t: MatrixTuple,
-    tol: float = 1e-8,
-    boundary_tol: float = DISTINGUISHED_TOL,
-    witness_starts: int = 8,
-    seed: int = 0,
-) -> RangeTestResult:
-    """B-point iff the boundary system is consistent: residual <= tol."""
-    return _range_test_with(h, t, solve_uT(h, t, boundary_tol), tol, witness_starts, seed)
+def is_bpoint_range_test(h: NcFunctionHandle, t: MatrixTuple) -> RangeTestResult:
+    """B-point iff the boundary system is consistent: residual <= RANGE_TOL."""
+    return _range_test_with(h, t, solve_uT(h, t), RANGE_TOL, seed=0)
 
 
 def _range_test_with(
-    h: NcFunctionHandle,
-    t: MatrixTuple,
-    solution: ModelVectorAtBoundary,
-    tol: float,
-    witness_starts: int,
-    seed: int,
+    h: NcFunctionHandle, t: MatrixTuple, solution: ModelVectorAtBoundary, tol: float, seed: int
 ) -> RangeTestResult:
     """:func:`is_bpoint_range_test` given the boundary model system's solution at T."""
-    witness = find_transverse_direction(h.delta, t, n_starts=witness_starts, seed=seed)
+    witness = find_transverse_direction(h.delta, t, n_starts=WITNESS_STARTS, seed=seed)
     return RangeTestResult(
         is_bpoint=solution.range_residual <= tol,
         conditional=not witness.found,
@@ -316,8 +301,7 @@ def julia_inequality_check(
     w: np.ndarray,
     alpha: float,
     z: MatrixTuple,
-    rel_tol: float = 1e-8,
-    degenerate_tol: float = DEGENERATE_TOL,
+    rel_tol: float = JULIA_RTOL,
 ) -> JuliaCheck:
     """Check ||phi(Z)-W||^2 / ||I-phi*phi|| <= alpha ||I-Delta(T)*Delta(Z)||^2 / (1-||Delta(Z)||^2)."""
     if z.n != t.n:
@@ -326,14 +310,14 @@ def julia_inequality_check(
     w = np.asarray(w, dtype=np.complex128)
     if w.shape != (z.n, z.n):
         raise DimensionError(f"W has shape {w.shape}, expected ({z.n}, {z.n})")
-    return _julia_check_at(ev, eval_delta(h.delta, t), w, alpha, rel_tol, degenerate_tol)
+    return _julia_check_at(ev, eval_delta(h.delta, t), w, alpha, rel_tol)
 
 
-def _julia_check_at(ev: PointEvaluation, dt, w, alpha, rel_tol, degenerate_tol) -> JuliaCheck:
+def _julia_check_at(ev: PointEvaluation, dt, w, alpha, rel_tol) -> JuliaCheck:
     quotient = _quotient_at(ev)
     gram = operator_norm(np.eye(dt.shape[0]) - dt.conj().T @ ev.delta)
     rhs = alpha * gram**2 / quotient.denominator
-    if quotient.numerator <= degenerate_tol:
+    if quotient.numerator <= DEGENERATE_TOL:
         return JuliaCheck(lhs=None, rhs=rhs, holds=None, skipped=True)
     lhs = operator_norm(ev.phi - w) ** 2 / quotient.numerator
     return JuliaCheck(
@@ -368,7 +352,7 @@ def _julia_sweep(h, rng, dt, w, alpha, samples, margin, rel_tol, u_t=None) -> Ju
         # the Delta(x) that accepted each sample is the one its evaluation uses
         for sample in _into_domain(h.delta, drafts, margin):
             ev = _evaluate_at(h, *sample)
-            check = _julia_check_at(ev, dt, w, alpha, rel_tol, DEGENERATE_TOL)
+            check = _julia_check_at(ev, dt, w, alpha, rel_tol)
             if check.skipped:
                 skipped += 1
                 continue
@@ -430,17 +414,14 @@ class TfaeReport:
 
 
 def tfae_report(
-    h: NcFunctionHandle,
-    seq: ApproachSequence,
-    aperture_cap: float = APERTURE_CAP,
-    rel_tol: float = COMPARABILITY_RTOL,
+    h: NcFunctionHandle, seq: ApproachSequence, aperture_cap: float = APERTURE_CAP
 ) -> TfaeReport:
     """Evaluate the four boundedness quantities along a non-tangential sequence."""
     _, evals = _evaluate_sequence(h, seq)
-    return _tfae_along(evals, eval_delta(h.delta, seq.base), aperture_cap, rel_tol)
+    return _tfae_along(evals, eval_delta(h.delta, seq.base), aperture_cap)
 
 
-def _tfae_along(evals, dt: np.ndarray, aperture_cap: float, rel_tol: float) -> TfaeReport:
+def _tfae_along(evals, dt: np.ndarray, aperture_cap: float) -> TfaeReport:
     jn = dt.shape[0]
     sup_gram = sup_scalar = sup_model = 0.0
     aperture = 0.0
@@ -455,7 +436,7 @@ def _tfae_along(evals, dt: np.ndarray, aperture_cap: float, rel_tol: float) -> T
         raise PreconditionError(
             f"sequence is tangential: aperture {aperture:.3e} exceeds cap {aperture_cap:.0e}"
         )
-    slack = lambda v: v * (1.0 + rel_tol) + 1e-15  # noqa: E731
+    slack = lambda v: v * (1.0 + COMPARABILITY_RTOL) + 1e-15  # noqa: E731
     comparability = {
         "gram_le_scalar": bool(sup_gram <= slack(sup_scalar)),
         "scalar_le_2c_gram": bool(sup_scalar <= slack(2.0 * aperture * sup_gram)),
@@ -500,30 +481,30 @@ def analyze_bpoint(
     num_steps: int = 12,
     first_step: float = 0.5,
     julia_samples: int = 100,
-    margin: float = 0.05,
+    margin: float = SAMPLE_MARGIN,
     seed: int = 0,
-    boundary_tol: float = DISTINGUISHED_TOL,
-    range_tol: float = 1e-8,
-    rel_tol: float = 1e-8,
-    witness_starts: int = 8,
+    range_tol: float = RANGE_TOL,
+    rel_tol: float = JULIA_RTOL,
 ) -> BPointReport:
     """Run the full boundary diagnostic suite at T, approached radially or along ``direction``.
 
     T must lie on the boundary; for T on the distinguished boundary the model
     machinery (boundary model vector, range test, boundedness report) runs as
     well, otherwise only the quotient, boundary value and inequality checks.
+    The sampling margin of the Julia sweep must lie in (0, 1).
     """
+    _check_margin(margin)
     dt = eval_delta(h.delta, t)
     delta_norm = operator_norm(dt)
-    if delta_norm < 1.0 - boundary_tol:
+    if delta_norm < 1.0 - DISTINGUISHED_TOL:
         raise PreconditionError(
             f"T is interior (||delta(T)|| = {delta_norm:.6g}); boundary analysis undefined"
         )
-    if delta_norm > 1.0 + boundary_tol:
+    if delta_norm > 1.0 + DISTINGUISHED_TOL:
         raise PreconditionError(
             f"T is outside the closed domain (||delta(T)|| = {delta_norm:.6g})"
         )
-    distinguished = on_distinguished_boundary(h.delta, t, boundary_tol)
+    distinguished = on_distinguished_boundary(h.delta, t)
     if direction is None:
         seq = radial_sequence(t, num_steps=num_steps, first_step=first_step)
     else:
@@ -541,7 +522,7 @@ def analyze_bpoint(
     range_test = u_t = None
     if distinguished:
         solution = _solve_uT_at(h, dt, t.n)  # T is distinguished and dt is Delta(T)
-        range_test = _range_test_with(h, t, solution, range_tol, witness_starts, seed)
+        range_test = _range_test_with(h, t, solution, range_tol, seed)
         u_t = range_test.solution.u_T
         # the range criterion is decisive only when the boundary value of the
         # defining matrix is square unitary; zero-padded grids can pass the
@@ -558,7 +539,7 @@ def analyze_bpoint(
             h, rng, dt, boundary_value.W, alpha.alpha, julia_samples, margin, rel_tol, u_t
         )
 
-    tfae = _tfae_along(evals, dt, APERTURE_CAP, COMPARABILITY_RTOL) if distinguished else None
+    tfae = _tfae_along(evals, dt, APERTURE_CAP) if distinguished else None
 
     return BPointReport(
         T=t,

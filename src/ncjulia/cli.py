@@ -3,7 +3,8 @@
 Each subcommand takes only the options its handler reads.  Handle sources,
 seed, sweep sizes, tolerances and output format are declared once, in
 ``_OPTIONS``, and validated by their argparse types: tolerances and steps are
-finite and > 0, counts have a lower bound, seeds are >= 0.
+finite and > 0, the margin lies in (0, 1), counts have a lower bound, seeds
+are >= 0.  Defaults the library shares are its named constants.
 
 Exit codes: 0 success (and verdict true for ``bpoint``), 1 verdict false or
 violations found, 2 parse error or invalid option value, 3 precondition
@@ -104,6 +105,14 @@ def _positive(text: str) -> float:
     return value
 
 
+def _unit_interval(text: str) -> float:
+    """argparse type: a number in the open interval (0, 1)."""
+    value = _positive(text)
+    if not value < 1.0:
+        raise argparse.ArgumentTypeError(f"expected a number in (0, 1), got {text!r}")
+    return value
+
+
 def _at_least(k: int):
     """argparse type: an integer >= k."""
 
@@ -131,13 +140,21 @@ _OPTIONS = {
     "--steps": dict(type=_at_least(2), default=12, help="approach-sequence steps"),
     "--first-step": dict(type=_positive, default=0.5, help="first step of the approach sequence"),
     "--ladder-first-step": dict(
-        type=_positive, default=1e-2, help="first step of derivative ladders"
+        type=_positive, default=derivative.LADDER_FIRST_STEP, help="first step of ladders"
     ),
-    "--margin": dict(type=_positive, default=0.05, help="interior sampling margin"),
-    "--residual-tol": dict(type=_positive, default=1e-8, help="B-point range-test tolerance"),
+    "--margin": dict(
+        type=_unit_interval, default=domain.SAMPLE_MARGIN, help="interior sampling margin"
+    ),
+    "--residual-tol": dict(
+        type=_positive, default=boundary.RANGE_TOL, help="B-point range-test tolerance"
+    ),
     "--model-residual-tol": dict(type=_positive, default=1e-9, help="model-identity threshold"),
-    "--rel-tol": dict(type=_positive, default=1e-8, help="Julia-inequality relative tolerance"),
-    "--isometry-tol": dict(type=_positive, default=1e-8, help="realization isometry tolerance"),
+    "--rel-tol": dict(
+        type=_positive, default=boundary.JULIA_RTOL, help="Julia-inequality relative tolerance"
+    ),
+    "--isometry-tol": dict(
+        type=_positive, default=realization.ISOMETRY_TOL, help="realization isometry tolerance"
+    ),
     "--output": dict(choices=("json", "text"), default="json"),
 }
 

@@ -21,6 +21,9 @@ from .numerics import extrapolate_limit, hermitian_part_max_eig, operator_norm
 from .realization import NcFunctionHandle, evaluate_many
 
 STEP_FLOOR = 1e-8  # below this, difference quotients drown in cancellation
+LADDER_FIRST_STEP = 1e-2
+ANGULAR_STEPS = 12  # ladder steps of scalar_angular_derivative
+MIN_INWARD_MARGIN = 1e-10  # smallest transversality margin eta_numeric accepts
 
 
 @dataclass(frozen=True)
@@ -74,8 +77,7 @@ def eta_numeric(
     w: np.ndarray,
     direction: MatrixTuple,
     steps: int = 10,
-    first_step: float = 1e-2,
-    beta_min: float = 1e-10,
+    first_step: float = LADDER_FIRST_STEP,
 ) -> DirectionalDerivativeResult:
     """One-sided derivative of phi at the boundary point t along an inward direction.
 
@@ -89,9 +91,9 @@ def eta_numeric(
     if w.shape != (t.n, t.n):
         raise DimensionError(f"W has shape {w.shape}, expected ({t.n}, {t.n})")
     beta = _inward_margin(h, t, direction)
-    if beta < beta_min:
+    if beta < MIN_INWARD_MARGIN:
         raise PreconditionError(
-            f"direction is not inward: transversality margin {beta:.3e} < {beta_min:.0e}"
+            f"direction is not inward: transversality margin {beta:.3e} < {MIN_INWARD_MARGIN:.0e}"
         )
     t0, ladder, evals = _admissible_ladder(h, t, direction, first_step, steps)
     quotients = [(ev.phi - w) / s for s, ev in zip(ladder, evals)]
@@ -124,13 +126,11 @@ def homogeneity_check(
     w: np.ndarray,
     result: DirectionalDerivativeResult,
     s: float,
-    steps: int = 10,
-    first_step: float = 1e-2,
 ) -> float:
-    """Defect || eta(s H) - s eta(H) || for a scale factor s in (0, 1]."""
+    """Defect || eta(s H) - s eta(H) || for a scale factor s in (0, 1], on the default ladder."""
     if not 0.0 < s <= 1.0:
         raise PreconditionError("scale factor must lie in (0, 1]")
-    scaled = eta_numeric(h, t, w, s * result.H, steps=steps, first_step=first_step)
+    scaled = eta_numeric(h, t, w, s * result.H)
     return operator_norm(scaled.eta - s * result.eta)
 
 
@@ -140,8 +140,6 @@ def scalar_angular_derivative(
     k: MatrixTuple,
     v: np.ndarray | None = None,
     w: np.ndarray | None = None,
-    steps: int = 12,
-    first_step: float = 1e-2,
 ) -> complex:
     """One-variable angular derivative of the scalar slice along a transverse ray.
 
@@ -161,7 +159,7 @@ def scalar_angular_derivative(
     if nrm == 0:
         raise PreconditionError("v must be a non-zero vector")
     v = v / nrm
-    _, ladder, evals = _admissible_ladder(h, t, k, first_step, steps)
+    _, ladder, evals = _admissible_ladder(h, t, k, LADDER_FIRST_STEP, ANGULAR_STEPS)
     if w is None:
         w = _boundary_value_along(ladder, evals).W
     wv = np.asarray(w, dtype=np.complex128) @ v

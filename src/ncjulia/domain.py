@@ -36,6 +36,11 @@ from .numerics import (
 )
 
 DISTINGUISHED_TOL = 1e-8
+SELF_ADJOINT_TOL = 1e-8  # ||M - M*|| bound of the self-adjointness cone
+INWARD_BETA = 1e-8  # margin by which an inward direction must be strictly inward
+DESCENT_ITERATIONS = 150  # subgradient steps per start of the witness search
+SAMPLE_MARGIN = 0.05  # interior sampling: ||delta(x)|| <= 1 - margin
+MAX_HALVINGS = 60  # halvings of a random draft before sampling gives up
 
 
 class GDeltaExitWarning(UserWarning):
@@ -169,13 +174,11 @@ def in_G_delta(delta: DeltaMatrix, x: MatrixTuple) -> Membership:
     return Membership(inside=nrm < 1.0, margin=1.0 - nrm, norm=nrm)
 
 
-def on_distinguished_boundary(
-    delta: DeltaMatrix, t: MatrixTuple, tol: float = DISTINGUISHED_TOL
-) -> bool:
-    """True iff the unpadded boundary value is an isometry: ||d(T)*d(T) - I|| <= tol."""
+def on_distinguished_boundary(delta: DeltaMatrix, t: MatrixTuple) -> bool:
+    """True iff the unpadded value is an isometry: ||d(T)*d(T) - I|| <= DISTINGUISHED_TOL."""
     v = eval_delta_original(delta, t)
     eye = np.eye(v.shape[1], dtype=np.complex128)
-    return operator_norm(v.conj().T @ v - eye) <= tol
+    return operator_norm(v.conj().T @ v - eye) <= DISTINGUISHED_TOL
 
 
 def nontangential_constant(delta: DeltaMatrix, z: MatrixTuple, t: MatrixTuple) -> float:
@@ -198,32 +201,30 @@ def _check_direction_norm(h: MatrixTuple):
         )
 
 
-def in_Gamma(delta: DeltaMatrix, t: MatrixTuple, h: MatrixTuple, beta: float = 1e-8) -> bool:
+def in_Gamma(
+    delta: DeltaMatrix, t: MatrixTuple, h: MatrixTuple, beta: float = INWARD_BETA
+) -> bool:
     """Inward cone test: the Hermitian part of d(T)* grad d(T)[h] is <= -beta."""
     _check_direction_norm(h)
     return hermitian_part_max_eig(_gram_derivative(delta, t, h)) <= -beta
 
 
-def in_Sigma(delta: DeltaMatrix, t: MatrixTuple, h: MatrixTuple, tol: float = 1e-8) -> bool:
-    """Self-adjointness cone: d(T)* grad d(T)[h] is self-adjoint within tol."""
+def in_Sigma(delta: DeltaMatrix, t: MatrixTuple, h: MatrixTuple) -> bool:
+    """Self-adjointness cone: d(T)* grad d(T)[h] is self-adjoint within SELF_ADJOINT_TOL."""
     _check_direction_norm(h)
     m = _gram_derivative(delta, t, h)
     if m.shape[0] != m.shape[1]:
         return False
-    return is_self_adjoint(m, tol)
+    return is_self_adjoint(m, SELF_ADJOINT_TOL)
 
 
 def in_Delta(
-    delta: DeltaMatrix,
-    t: MatrixTuple,
-    h: MatrixTuple,
-    beta: float = 1e-8,
-    tol: float = 1e-8,
+    delta: DeltaMatrix, t: MatrixTuple, h: MatrixTuple, beta: float = INWARD_BETA
 ) -> bool:
-    """Transverse inward cone: self-adjoint within tol and eigenvalues <= -beta."""
+    """Transverse inward cone: self-adjoint within SELF_ADJOINT_TOL and eigenvalues <= -beta."""
     _check_direction_norm(h)
     m = _gram_derivative(delta, t, h)
-    if m.shape[0] != m.shape[1] or not is_self_adjoint(m, tol):
+    if m.shape[0] != m.shape[1] or not is_self_adjoint(m, SELF_ADJOINT_TOL):
         return False
     return hermitian_part_max_eig(m) <= -beta
 
@@ -288,20 +289,15 @@ def _sigma_nullspace(delta: DeltaMatrix, t: MatrixTuple, lmat: np.ndarray) -> np
 
 
 def find_transverse_direction(
-    delta: DeltaMatrix,
-    t: MatrixTuple,
-    beta_min: float = 1e-8,
-    sym_tol: float = 1e-8,
-    n_starts: int = 50,
-    n_iterations: int = 150,
-    seed: int = 0,
+    delta: DeltaMatrix, t: MatrixTuple, n_starts: int = 50, seed: int = 0
 ) -> InwardWitnessResult:
-    """Search the unit ball for K with d(T)* grad d(T)[K] <= -beta, self-adjoint.
+    """Search the unit ball for K with d(T)* grad d(T)[K] <= -INWARD_BETA, self-adjoint.
 
     Tries K = -T first (exact for grids homogeneous of degree one, where the
     Gram derivative at -T is minus the identity).  Otherwise runs projected
     subgradient descent on the largest eigenvalue of the Hermitian part from
-    random starts; candidates whose Gram derivative is not self-adjoint are
+    ``n_starts`` random starts, ``DESCENT_ITERATIONS`` steps each; candidates
+    whose Gram derivative is not self-adjoint within ``SELF_ADJOINT_TOL`` are
     repaired by projecting onto the self-adjointness subspace and re-scored.
     Failure means "no witness found", not certified infeasibility.
     """
@@ -317,7 +313,7 @@ def find_transverse_direction(
     def consider(k: MatrixTuple):
         nonlocal best_val, best_k
         top_eig, sym_defect = assess(k)
-        if sym_defect <= sym_tol and top_eig < best_val:
+        if sym_defect <= SELF_ADJOINT_TOL and top_eig < best_val:
             best_val, best_k = top_eig, k
         return top_eig, sym_defect
 
@@ -325,7 +321,7 @@ def find_transverse_direction(
     nrm = neg_t.max_component_norm()
     if nrm > 0:
         consider(neg_t * min(1.0, 1.0 / nrm))
-    if best_val <= -beta_min:
+    if best_val <= -INWARD_BETA:
         return InwardWitnessResult(found=True, witness=best_k, beta=-best_val)
 
     lmat = _gram_derivative_matrix(delta, t)
@@ -341,7 +337,7 @@ def find_transverse_direction(
     for _ in range(n_starts):
         vec = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
         vec = _project_to_unit_ball(vec, d, n)
-        for it in range(n_iterations):
+        for it in range(DESCENT_ITERATIONS):
             m = (lmat @ vec).reshape(gram_dim, gram_dim)
             herm = (m + m.conj().T) / 2.0
             _, evecs = np.linalg.eigh(herm)
@@ -350,14 +346,14 @@ def find_transverse_direction(
             vec = _project_to_unit_ball(vec - (0.5 / np.sqrt(it + 1.0)) * grad, d, n)
         k = _vec_to_tuple(vec, d, n)
         top_eig, sym_defect = consider(k)
-        if sym_defect > sym_tol and top_eig < 0:
+        if sym_defect > SELF_ADJOINT_TOL and top_eig < 0:
             # inward but not transverse: project onto the self-adjoint subspace
             repaired = sigma_project(vec)
             if np.linalg.norm(repaired) > 0:
                 consider(_vec_to_tuple(_project_to_unit_ball(repaired, d, n), d, n))
-        if best_val <= -beta_min:
+        if best_val <= -INWARD_BETA:
             break
-    found = best_val <= -beta_min
+    found = best_val <= -INWARD_BETA
     return InwardWitnessResult(found=found, witness=best_k, beta=-best_val)
 
 
@@ -395,12 +391,7 @@ class AssumptionReport:
 
 
 def check_assumption_A(
-    delta: DeltaMatrix,
-    t: MatrixTuple,
-    beta_min: float = 1e-8,
-    n_starts: int = 50,
-    seed: int = 0,
-    boundary_tol: float = DISTINGUISHED_TOL,
+    delta: DeltaMatrix, t: MatrixTuple, n_starts: int = 50
 ) -> AssumptionReport:
     """Check that transverse inward directions exist and span everything.
 
@@ -409,11 +400,9 @@ def check_assumption_A(
     part computes the complex span dimension of the self-adjointness cone and
     compares it with d * n^2.
     """
-    if not on_distinguished_boundary(delta, t, boundary_tol):
+    if not on_distinguished_boundary(delta, t):
         raise PreconditionError("assumption checks require T on the distinguished boundary")
-    witness = find_transverse_direction(
-        delta, t, beta_min=beta_min, n_starts=n_starts, seed=seed
-    )
+    witness = find_transverse_direction(delta, t, n_starts=n_starts)
     span = sigma_span_dimension(delta, t)
     full = t.d * t.n * t.n
     return AssumptionReport(
@@ -534,8 +523,7 @@ def random_interior_point(
     delta: DeltaMatrix,
     n: int,
     rng: np.random.Generator,
-    margin: float = 0.05,
-    max_halvings: int = 60,
+    margin: float = SAMPLE_MARGIN,
 ) -> MatrixTuple:
     """Random point with ||delta(x)|| <= 1 - margin, by scaling a Gaussian tuple.
 
@@ -543,7 +531,8 @@ def random_interior_point(
     d complex Gaussian n x n matrices, in component order, each real part
     before its imaginary part.  :func:`_into_domain` then scales the draft
     into the domain and draws nothing: it divides each component by
-    max(1, its norm) and halves the tuple until ||delta(x)|| <= 1 - margin.
+    max(1, its norm) and halves the tuple until ||delta(x)|| <= 1 - margin,
+    at most ``MAX_HALVINGS`` times.  The margin must lie in (0, 1).
     Samplers of many points (the Julia sweep, ``ncjulia fuzz``) draw their
     drafts in this stream order and scale them in one stacked call, so each
     of their points is bit-identical to a call of this function on the same
@@ -551,7 +540,7 @@ def random_interior_point(
     most ``_BLOCK_BYTES`` (8 MiB), so its memory does not grow with the
     sample count.
     """
-    return _into_domain(delta, [_gaussian_draft(delta.d, n, rng)], margin, max_halvings)[0][0]
+    return _into_domain(delta, [_gaussian_draft(delta.d, n, rng)], margin)[0][0]
 
 
 def _gaussian_draft(d: int, n: int, rng: np.random.Generator) -> tuple:
@@ -562,18 +551,26 @@ def _gaussian_draft(d: int, n: int, rng: np.random.Generator) -> tuple:
     )
 
 
+def _check_margin(margin: float):
+    if not 0.0 < margin < 1.0:
+        raise PreconditionError(f"sampling margin must lie in (0, 1), got {margin!r}")
+
+
 def _block_rows(delta: DeltaMatrix, n: int) -> int:
     """Drafts of matrix size n that one block of :func:`_into_domain` scales together."""
     return max(1, _BLOCK_BYTES // (16 * (delta.J * n) ** 2))
 
 
-def _into_domain(delta: DeltaMatrix, drafts, margin: float = 0.05, max_halvings: int = 60) -> list:
+def _into_domain(
+    delta: DeltaMatrix, drafts, margin: float = SAMPLE_MARGIN, max_halvings: int = MAX_HALVINGS
+) -> list:
     """(x, Delta(x), ||Delta(x)||) for each draft, scaled as :func:`random_interior_point` scales it.
 
     Drafts of one matrix size are scaled together, in blocks of
     :func:`_block_rows`.  When drafts fail, the error of the first failing
     draft in draft order is raised, as scaling them one by one would.
     """
+    _check_margin(margin)
     by_size = {}
     for k, draft in enumerate(drafts):
         by_size.setdefault(draft[0].shape[-1], []).append(k)
@@ -645,6 +642,8 @@ def delta_from_json(obj) -> DeltaMatrix:
         grid = obj["entries"]
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"delta object missing or malformed field: {exc}") from None
+    if d < 1:
+        raise ParseError(f"delta variable count d must be at least 1, got {d}")
     if not isinstance(grid, list) or not grid:
         raise ParseError("delta entries must be a non-empty grid")
     rows = []

@@ -165,6 +165,8 @@ class MatrixTuple:
         if not comps:
             raise DimensionError("a matrix tuple needs at least one component")
         n = comps[0].shape[0]
+        if n == 0:
+            raise DimensionError("matrix tuple components must be at least 1 x 1")
         for k, c in enumerate(comps):
             if c.shape != (n, n):
                 raise DimensionError(

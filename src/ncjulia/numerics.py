@@ -13,7 +13,6 @@ import numpy as np
 
 from .errors import DimensionError, ParseError, PreconditionError, SingularMatrixError
 
-# Default tolerances; every caller may override per call.
 CONSISTENCY_TOL = 1e-8
 RANK_RTOL = 1e-10
 PINV_RTOL = 1e-12
@@ -85,8 +84,8 @@ class SolveOutcome:
 
     ``solution`` is orthogonal to the kernel of the system matrix (a property
     of the pseudoinverse), ``residual_norm`` is the spectral norm of
-    ``M @ solution - b`` and ``consistent`` compares it against the tolerance
-    the solve was called with.
+    ``M @ solution - b`` and ``consistent`` compares it against
+    ``CONSISTENCY_TOL``.
     """
 
     solution: np.ndarray
@@ -94,7 +93,7 @@ class SolveOutcome:
     consistent: bool
 
 
-def min_norm_solve(m, b, tol: float = CONSISTENCY_TOL) -> SolveOutcome:
+def min_norm_solve(m, b) -> SolveOutcome:
     """Minimum-Frobenius-norm solution of M x = b via SVD pseudoinverse.
 
     The relative singular-value cutoff is ``PINV_RTOL``, chosen small so the
@@ -108,7 +107,7 @@ def min_norm_solve(m, b, tol: float = CONSISTENCY_TOL) -> SolveOutcome:
         )
     x = np.linalg.pinv(a, rcond=PINV_RTOL) @ rhs
     residual = operator_norm(a @ x - rhs)
-    return SolveOutcome(solution=x, residual_norm=residual, consistent=residual <= tol)
+    return SolveOutcome(solution=x, residual_norm=residual, consistent=residual <= CONSISTENCY_TOL)
 
 
 def nearest_unitary(m) -> np.ndarray:

@@ -547,6 +547,27 @@ class TestAnalyzeBpoint:
         assert len(rep.alpha.steps) == 12 and rep.sequence_dropped == 0
         assert rows == {"eval_delta": 1, "stacked": 12}
 
+    def test_margin_outside_unit_interval_evaluates_nothing(self, h1, monkeypatch):
+        from ncjulia import domain, realization
+
+        calls = []
+        stack = domain._eval_delta_stack
+
+        def stacked(delta, components):
+            calls.append(components[0].shape[0])
+            return stack(delta, components)
+
+        for module in (domain, realization):
+            monkeypatch.setattr(module, "_eval_delta_stack", stacked)
+        with pytest.raises(PreconditionError, match=r"margin must lie in \(0, 1\)"):
+            random_interior_point(h1.delta, 1, np.random.default_rng(0), margin=1.0)
+        with pytest.raises(PreconditionError, match=r"margin must lie in \(0, 1\)"):
+            analyze_bpoint(h1, scalars(1.0, 1.0), margin=1.0)
+        assert calls == []
+        # the same patch sees the stacked evaluations of a valid margin
+        random_interior_point(h1.delta, 1, np.random.default_rng(0), margin=0.5)
+        assert calls
+
     def test_shared_evaluations_match_public_functions(self, h1, rng):
         t = random_unitary_tuple(rng, 2, 2)
         rep = analyze_bpoint(h1, t, julia_samples=20, seed=4)

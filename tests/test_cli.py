@@ -188,6 +188,18 @@ class TestBpoint:
         assert out["W"] is None and out["W_unitary_distance"] is None
         assert isinstance(out["W_error"], str)
 
+    def test_defaults_are_the_library_defaults(self, files, capsys, monkeypatch):
+        from ncjulia import analyze_bpoint, get_fixture, tuple_from_json
+        from ncjulia.cli import _jsonable_report
+
+        monkeypatch.delenv("NCJULIA_SEED", raising=False)
+        assert main(["bpoint", "--fixture", "example-h1", "--point", files["boundary"]]) == 0
+        with open(files["boundary"]) as fh:
+            t = tuple_from_json(json.load(fh))
+        # the CLI's default seed is 2024, the library's 0; every other value is shared
+        report = analyze_bpoint(get_fixture("example-h1").handle, t, seed=2024)
+        assert capsys.readouterr().out == render_json(_jsonable_report(report)) + "\n"
+
 
 class TestFuzz:
     def test_clean_run(self, capsys):
@@ -273,6 +285,12 @@ class TestFuzz:
             "julia_inequality": {"checked": checked, "violations": 0, "skipped": 0},
         }
 
+    def test_delta_without_variables_is_a_parse_error(self, files, capsys):
+        for d in (-1, 0):
+            path = write_json(files["tmp"] / "delta.json", {"d": d, "entries": [["0.5"]]})
+            assert main(["fuzz", "--samples", "3", "--delta", path]) == 2, d
+            assert "d must be at least 1" in capsys.readouterr().err
+
     def test_non_finite_coefficient_is_a_parse_error(self, files):
         bad = {"d": 2, "terms": [{"coeff": [float("inf"), 0.0], "word": [0]}]}  # JSON Infinity
         for entry in ("1e300*x0*1e300", "x0 + 1e400", bad):
@@ -349,6 +367,8 @@ class TestMeta:
         for argv in (
             fuzz + ["--margin", "-1"],
             fuzz + ["--margin", "nan"],
+            fuzz + ["--margin", "2"],
+            fuzz + ["--margin", "1"],
             fuzz + ["--rel-tol", "inf"],
             fuzz + ["--model-residual-tol", "nan"],
             fuzz + ["--samples", "0"],
@@ -357,12 +377,25 @@ class TestMeta:
             bpoint + ["--steps", "1"],
             bpoint + ["--residual-tol", "nan"],
             bpoint + ["--seed", "-1"],
+            bpoint + ["--margin", "1"],
             evaluate + ["--isometry-tol", "nan"],
         ):
             assert main(argv) == 2, argv
         monkeypatch.setenv("NCJULIA_SEED", "-1")
         assert main(fuzz) == 2
         assert main(bpoint) == 2
+
+    def test_zero_size_point_is_a_parse_error(self, files, capsys):
+        empty = {"rows": 0, "cols": 0, "data": []}
+        point = write_json(files["tmp"] / "empty.json", {"components": [empty, empty]})
+        handle = ["--fixture", "example-h1", "--point", point]
+        for argv in (
+            ["eval", *handle],
+            ["derivative", *handle, "--direction", files["inward"]],
+            ["bpoint", *handle],
+        ):
+            assert main(argv) == 2, argv
+            assert "at least 1 x 1" in capsys.readouterr().err
 
     def test_options_a_command_ignores_are_rejected(self, files):
         assert main([
