@@ -32,6 +32,7 @@ from .domain import (
     _sequence_in_domain,
     DISTINGUISHED_TOL,
     SAMPLE_MARGIN,
+    SEQUENCE_FIRST_STEP,
 )
 from .errors import ConvergenceError, DimensionError, PreconditionError, SingularMatrixError
 from .freepoly import MatrixTuple
@@ -55,6 +56,8 @@ DEGENERATE_TOL = 1e-12
 RANGE_TOL = 1e-8  # largest range-test residual of a B-point
 JULIA_RTOL = 1e-8  # relative slack of the Julia inequality
 WITNESS_STARTS = 8  # random starts of the range test's inward-witness search
+SEQUENCE_STEPS = 12  # points of analyze_bpoint's approach sequence
+JULIA_SAMPLES = 100  # interior points of analyze_bpoint's Julia sweep
 
 
 @dataclass(frozen=True)
@@ -478,9 +481,9 @@ def analyze_bpoint(
     h: NcFunctionHandle,
     t: MatrixTuple,
     direction: MatrixTuple | None = None,
-    num_steps: int = 12,
-    first_step: float = 0.5,
-    julia_samples: int = 100,
+    num_steps: int = SEQUENCE_STEPS,
+    first_step: float = SEQUENCE_FIRST_STEP,
+    julia_samples: int = JULIA_SAMPLES,
     margin: float = SAMPLE_MARGIN,
     seed: int = 0,
     range_tol: float = RANGE_TOL,

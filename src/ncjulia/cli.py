@@ -113,16 +113,17 @@ def _unit_interval(text: str) -> float:
     return value
 
 
-def _at_least(k: int):
-    """argparse type: an integer >= k."""
+def _at_least(k: int, at_most: float = math.inf):
+    """argparse type: an integer >= k (and <= at_most)."""
 
     def parse(text: str) -> int:
         try:
             value = int(text)
         except ValueError:
             value = None
-        if value is None or value < k:
-            raise argparse.ArgumentTypeError(f"expected an integer >= {k}, got {text!r}")
+        if value is None or not k <= value <= at_most:
+            cap = "" if at_most == math.inf else f" and <= {at_most}"
+            raise argparse.ArgumentTypeError(f"expected an integer >= {k}{cap}, got {text!r}")
         return value
 
     return parse
@@ -136,9 +137,15 @@ _OPTIONS = {
     "--delta": dict(help="delta file or name (polydisk:2, ball:3, cartan:2)"),
     "--realization": dict(help="realization file or fixture name"),
     "--seed": dict(type=_at_least(0), default=2024, help="random seed (NCJULIA_SEED overrides)"),
-    "--samples": dict(type=_at_least(1), default=100, help="sweep sample count"),
-    "--steps": dict(type=_at_least(2), default=12, help="approach-sequence steps"),
-    "--first-step": dict(type=_positive, default=0.5, help="first step of the approach sequence"),
+    "--samples": dict(type=_at_least(1), default=boundary.JULIA_SAMPLES, help="sweep sample count"),
+    "--steps": dict(
+        type=_at_least(2), default=boundary.SEQUENCE_STEPS, help="approach-sequence steps"
+    ),
+    "--first-step": dict(
+        type=_positive,
+        default=domain.SEQUENCE_FIRST_STEP,
+        help="first step of the approach sequence",
+    ),
     "--ladder-first-step": dict(
         type=_positive, default=derivative.LADDER_FIRST_STEP, help="first step of ladders"
     ),
@@ -188,6 +195,8 @@ def _load_json_file(path: str):
         raise ParseError(
             f"malformed JSON in {path}: {exc.msg} at line {exc.lineno} column {exc.colno}"
         ) from None
+    except ValueError as exc:  # an integer literal longer than Python converts
+        raise ParseError(f"malformed JSON in {path}: {exc}") from None
 
 
 def _resolve_delta(name_or_path: str) -> domain.DeltaMatrix:
@@ -351,8 +360,10 @@ def cmd_fuzz(args) -> int:
     max_model_residual = 0.0
     pending = []  # (handle, Gaussian draft) of the samples whose model identity is unchecked
     sweeps = []
-    # Haar-unitary tuples lie on the distinguished boundary of the polydisk only
-    run_julia = delta == fixtures.polydisk_delta(delta.d)
+    # Haar-unitary tuples lie on the distinguished boundary of the polydisk only;
+    # the shape test first, so a small grid over many variables builds no d x d grid
+    square = len(delta.entries) == len(delta.entries[0]) == delta.d
+    run_julia = square and delta == fixtures.polydisk_delta(delta.d)
 
     for k in range(args.samples):
         colligation = realization.random_realization(args.dim_E, delta.J, seed + k)
@@ -502,7 +513,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_bp.set_defaults(func=cmd_bpoint)
 
     p_fuzz = sub.add_parser("fuzz", help="random colligation sweeps of the identities")
-    p_fuzz.add_argument("--dim-E", type=_at_least(1), default=1, dest="dim_E")
+    p_fuzz.add_argument(
+        "--dim-E", type=_at_least(1, fixtures.MAX_FAMILY_SIZE), default=1, dest="dim_E"
+    )
     p_fuzz.add_argument("--delta", default="polydisk:2")
     p_fuzz.add_argument(
         "--no-isometry", action="store_true", dest="no_isometry",

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .boundary import _boundary_value_along
-from .domain import in_Delta, _check_direction_norm, _gram_derivative
+from .domain import in_Delta, _cone_matrix
 from .errors import ConvergenceError, DimensionError, PreconditionError
 from .freepoly import MatrixTuple
 from .numerics import extrapolate_limit, hermitian_part_max_eig, operator_norm
@@ -47,8 +47,7 @@ class DirectionalDerivativeResult:
 
 
 def _inward_margin(h: NcFunctionHandle, t: MatrixTuple, direction: MatrixTuple) -> float:
-    _check_direction_norm(direction)
-    return -hermitian_part_max_eig(_gram_derivative(h.delta, t, direction))
+    return -hermitian_part_max_eig(_cone_matrix(h.delta, t, direction))
 
 
 def _admissible_ladder(

@@ -1,11 +1,11 @@
 """Polynomial matrix domains: membership, boundary geometry, inward cones.
 
-A domain is cut out by a square matrix of free polynomials: the point x
-belongs to it when ||delta(x)|| < 1.  Non-square polynomial grids are padded
-with zero polynomials to a square J x J shape for the transfer-function
-machinery; geometric tests (isometry of the boundary value, inward cones)
-use the original unpadded grid, since zero padding inserts zero rows or
-columns into the Gram matrix and would falsify them.
+A domain is cut out by a matrix of free polynomials, kept as given and not
+necessarily square: the point x belongs to it when ||delta(x)|| < 1.  The
+model evaluations (:func:`eval_delta`, :func:`delta_derivative`) zero pad it
+to the square J x J grid of the transfer-function machinery; geometric tests
+(isometry of the boundary value, inward cones) use the grid as given, since
+zero padding inserts zero rows or columns into the Gram matrix.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from .freepoly import (
 )
 from .numerics import (
     RANK_RTOL,
+    _json_int,
     hermitian_part_max_eig,
     numerical_rank,
     operator_norm,
@@ -41,6 +42,7 @@ INWARD_BETA = 1e-8  # margin by which an inward direction must be strictly inwar
 DESCENT_ITERATIONS = 150  # subgradient steps per start of the witness search
 SAMPLE_MARGIN = 0.05  # interior sampling: ||delta(x)|| <= 1 - margin
 MAX_HALVINGS = 60  # halvings of a random draft before sampling gives up
+SEQUENCE_FIRST_STEP = 0.5  # first step of radial and ray approach sequences
 
 
 class GDeltaExitWarning(UserWarning):
@@ -49,21 +51,22 @@ class GDeltaExitWarning(UserWarning):
 
 @dataclass(frozen=True)
 class DeltaMatrix:
-    """Square J x J grid of free polynomials defining the domain.
+    """Grid of free polynomials defining the domain, kept as given (rows x cols).
 
-    ``entries`` is the padded square grid; ``original_shape`` remembers the
-    grid the domain was built from before zero padding.
+    ``J`` = max(rows, cols) is the size of the square grid the
+    transfer-function model sees; only :func:`_block_grid` pads to it.
     """
 
     d: int
     entries: tuple
-    original_shape: tuple
 
     def __post_init__(self):
-        rows = len(self.entries)
-        for row in self.entries:
-            if len(row) != rows:
-                raise DimensionError("padded entry grid must be square")
+        rows = tuple(tuple(row) for row in self.entries)
+        if not rows or not rows[0]:
+            raise DimensionError("entry grid must be non-empty")
+        for row in rows:
+            if len(row) != len(rows[0]):
+                raise DimensionError("entry grid rows must have equal length")
             for p in row:
                 if not isinstance(p, FreePolynomial):
                     raise DimensionError("entries must be FreePolynomial instances")
@@ -71,50 +74,28 @@ class DeltaMatrix:
                     raise DimensionError(
                         f"entry has d={p.d}, delta matrix has d={self.d}"
                     )
-        r0, c0 = self.original_shape
-        if not (0 < r0 <= rows and 0 < c0 <= rows and max(r0, c0) == rows):
-            raise DimensionError("original shape inconsistent with padded size")
-
-    @classmethod
-    def from_grid(cls, d: int, grid) -> "DeltaMatrix":
-        """Build from a (possibly non-square) grid, padding with zeros."""
-        rows = [list(row) for row in grid]
-        if not rows or not rows[0]:
-            raise DimensionError("entry grid must be non-empty")
-        r0 = len(rows)
-        c0 = len(rows[0])
-        for row in rows:
-            if len(row) != c0:
-                raise DimensionError("entry grid rows must have equal length")
-        j = max(r0, c0)
-        zero = FreePolynomial.zero(d)
-        padded = [
-            tuple(rows[a][b] if a < r0 and b < c0 else zero for b in range(j))
-            for a in range(j)
-        ]
-        return cls(d=d, entries=tuple(padded), original_shape=(r0, c0))
+        object.__setattr__(self, "entries", rows)
 
     @property
     def J(self) -> int:
-        return len(self.entries)
+        return max(len(self.entries), len(self.entries[0]))
 
     def is_homogeneous_degree_one(self) -> bool:
         return all(p.is_homogeneous_degree_one() for row in self.entries for p in row)
 
 
-def _block_grid(grid, n: int, entry, lead: tuple = ()) -> np.ndarray:
-    """Block matrix whose n x n block (a, b) is entry(grid[a][b]), stacked over ``lead``."""
+def _block_grid(grid, n: int, entry, lead: tuple = (), size: int | None = None) -> np.ndarray:
+    """Block matrix whose n x n block (a, b) is entry(grid[a][b]), stacked over ``lead``.
+
+    With ``size`` it has size x size blocks, those outside the grid zero.
+    """
     rows, cols = len(grid), len(grid[0])
-    out = np.zeros(lead + (rows * n, cols * n), dtype=np.complex128)
+    shape = (rows * n, cols * n) if size is None else (size * n, size * n)
+    out = np.zeros(lead + shape, dtype=np.complex128)
     for a in range(rows):
         for b in range(cols):
             out[..., a * n : (a + 1) * n, b * n : (b + 1) * n] = entry(grid[a][b])
     return out
-
-
-def _original_grid(delta: DeltaMatrix):
-    r0, c0 = delta.original_shape
-    return tuple(row[:c0] for row in delta.entries[:r0])
 
 
 def eval_delta(delta: DeltaMatrix, x: MatrixTuple) -> np.ndarray:
@@ -125,37 +106,49 @@ def eval_delta(delta: DeltaMatrix, x: MatrixTuple) -> np.ndarray:
     """
     if delta.d != x.d:
         raise DimensionError(f"delta has d={delta.d} but point has d={x.d}")
-    return _block_grid(delta.entries, x.n, lambda p: eval_poly(p, x))
+    return _block_grid(delta.entries, x.n, lambda p: eval_poly(p, x), size=delta.J)
 
 
 def _eval_delta_stack(delta: DeltaMatrix, components) -> np.ndarray:
     """Padded Delta at stacked points: components[r] has shape (B, n, n), the result (B, Jn, Jn)."""
     lead, n = components[0].shape[:-2], components[0].shape[-1]
-    return _block_grid(delta.entries, n, lambda p: _eval_words(p, components), lead)
+    return _block_grid(delta.entries, n, lambda p: _eval_words(p, components), lead, size=delta.J)
 
 
 def eval_delta_original(delta: DeltaMatrix, x: MatrixTuple) -> np.ndarray:
-    """Unpadded evaluation on the original grid shape."""
+    """Unpadded evaluation on the grid as given."""
     if delta.d != x.d:
         raise DimensionError(f"delta has d={delta.d} but point has d={x.d}")
-    return _block_grid(_original_grid(delta), x.n, lambda p: eval_poly(p, x))
+    return _block_grid(delta.entries, x.n, lambda p: eval_poly(p, x))
 
 
 def delta_derivative(delta: DeltaMatrix, t: MatrixTuple, h: MatrixTuple) -> np.ndarray:
     """Entrywise directional derivative of the padded grid at t in direction h."""
     if delta.d != t.d or delta.d != h.d:
         raise DimensionError("delta and tuples must share d")
-    return _block_grid(delta.entries, t.n, lambda p: directional_derivative_poly(p, t, h))
+    return _block_grid(
+        delta.entries, t.n, lambda p: directional_derivative_poly(p, t, h), size=delta.J
+    )
 
 
-def _gram_derivative(delta: DeltaMatrix, t: MatrixTuple, h: MatrixTuple) -> np.ndarray:
-    """delta(t)* times the derivative of delta at t along h, on the unpadded grid.
+def _gram_derivative(delta: DeltaMatrix, t: MatrixTuple, h: MatrixTuple, dt=None) -> np.ndarray:
+    """delta(t)* times the derivative of delta at t along h, on the grid as given.
 
     This is the matrix whose sign and self-adjointness define the inward
-    cones; it is complex-linear in h.
+    cones; it is complex-linear in h.  ``dt`` is delta(t) when already known.
     """
-    dv = _block_grid(_original_grid(delta), t.n, lambda p: directional_derivative_poly(p, t, h))
-    return eval_delta_original(delta, t).conj().T @ dv
+    if dt is None:
+        dt = eval_delta_original(delta, t)
+    dv = _block_grid(delta.entries, t.n, lambda p: directional_derivative_poly(p, t, h))
+    return dt.conj().T @ dv
+
+
+def _cone_matrix(delta: DeltaMatrix, t: MatrixTuple, h: MatrixTuple) -> np.ndarray:
+    """The inward-cone matrix delta(T)* grad delta(T)[h] of a direction h in the unit ball."""
+    nrm = h.max_component_norm()
+    if nrm > 1.0 + 1e-12:
+        raise PreconditionError(f"direction exceeds the unit ball: max component norm {nrm:.6g}")
+    return _gram_derivative(delta, t, h)
 
 
 @dataclass(frozen=True)
@@ -194,39 +187,24 @@ def nontangential_constant(delta: DeltaMatrix, z: MatrixTuple, t: MatrixTuple) -
     return operator_norm(dz - dt) / denominator
 
 
-def _check_direction_norm(h: MatrixTuple):
-    if h.max_component_norm() > 1.0 + 1e-12:
-        raise PreconditionError(
-            f"direction exceeds the unit ball: max component norm {h.max_component_norm():.6g}"
-        )
-
-
 def in_Gamma(
     delta: DeltaMatrix, t: MatrixTuple, h: MatrixTuple, beta: float = INWARD_BETA
 ) -> bool:
     """Inward cone test: the Hermitian part of d(T)* grad d(T)[h] is <= -beta."""
-    _check_direction_norm(h)
-    return hermitian_part_max_eig(_gram_derivative(delta, t, h)) <= -beta
+    return hermitian_part_max_eig(_cone_matrix(delta, t, h)) <= -beta
 
 
 def in_Sigma(delta: DeltaMatrix, t: MatrixTuple, h: MatrixTuple) -> bool:
     """Self-adjointness cone: d(T)* grad d(T)[h] is self-adjoint within SELF_ADJOINT_TOL."""
-    _check_direction_norm(h)
-    m = _gram_derivative(delta, t, h)
-    if m.shape[0] != m.shape[1]:
-        return False
-    return is_self_adjoint(m, SELF_ADJOINT_TOL)
+    return is_self_adjoint(_cone_matrix(delta, t, h), SELF_ADJOINT_TOL)
 
 
 def in_Delta(
     delta: DeltaMatrix, t: MatrixTuple, h: MatrixTuple, beta: float = INWARD_BETA
 ) -> bool:
     """Transverse inward cone: self-adjoint within SELF_ADJOINT_TOL and eigenvalues <= -beta."""
-    _check_direction_norm(h)
-    m = _gram_derivative(delta, t, h)
-    if m.shape[0] != m.shape[1] or not is_self_adjoint(m, SELF_ADJOINT_TOL):
-        return False
-    return hermitian_part_max_eig(m) <= -beta
+    m = _cone_matrix(delta, t, h)
+    return is_self_adjoint(m, SELF_ADJOINT_TOL) and hermitian_part_max_eig(m) <= -beta
 
 
 # --- assumption checks ------------------------------------------------------
@@ -239,14 +217,11 @@ def _vec_to_tuple(vec: np.ndarray, d: int, n: int) -> MatrixTuple:
 def _gram_derivative_matrix(delta: DeltaMatrix, t: MatrixTuple) -> np.ndarray:
     """Matrix of the complex-linear map h -> d(T)* grad d(T)[h] on vectorized tuples."""
     d, n = t.d, t.n
-    dim = d * n * n
-    cols = []
-    for k in range(dim):
-        vec = np.zeros(dim, dtype=np.complex128)
-        vec[k] = 1.0
-        m = _gram_derivative(delta, t, _vec_to_tuple(vec, d, n))
-        cols.append(m.reshape(-1))
-    return np.column_stack(cols)
+    dt = eval_delta_original(delta, t)
+    return np.column_stack([
+        _gram_derivative(delta, t, _vec_to_tuple(e, d, n), dt).reshape(-1)
+        for e in np.eye(d * n * n, dtype=np.complex128)
+    ])
 
 
 def _project_to_unit_ball(vec: np.ndarray, d: int, n: int) -> np.ndarray:
@@ -264,23 +239,20 @@ class InwardWitnessResult:
     beta: float  # transversality margin achieved by the witness (>= 0 when found)
 
 
-def _sigma_nullspace(delta: DeltaMatrix, t: MatrixTuple, lmat: np.ndarray) -> np.ndarray:
+def _sigma_nullspace(lmat: np.ndarray, gram_dim: int) -> np.ndarray:
     """Orthonormal real basis (columns) of {h : gram derivative self-adjoint}.
 
     The tuple h is coordinatized as (Re vec, Im vec) in R^{2 d n^2}; the
-    self-adjointness defect is real-linear in these coordinates.
+    self-adjointness defect M(h) - M(h)* is real-linear in these coordinates.
+    With L_k column k of ``lmat`` read as a gram_dim x gram_dim matrix, the
+    unit vector of Re h_k maps to L_k - L_k* and that of Im h_k to
+    i (L_k + L_k*).
     """
-    d, n = t.d, t.n
-    dim = d * n * n
-    gram_dim = delta.original_shape[1] * n
-
-    def defect_map(real_vec: np.ndarray) -> np.ndarray:
-        vec = real_vec[:dim] + 1j * real_vec[dim:]
-        m = (lmat @ vec).reshape(gram_dim, gram_dim)
-        flat = (m - m.conj().T).reshape(-1)
-        return np.concatenate([flat.real, flat.imag])
-
-    constraint = np.column_stack([defect_map(col) for col in np.eye(2 * dim)])
+    dim = lmat.shape[1]
+    cols = lmat.T.reshape(dim, gram_dim, gram_dim)
+    adj = cols.conj().transpose(0, 2, 1)
+    defects = np.concatenate([cols - adj, 1j * (cols + adj)]).reshape(2 * dim, -1)
+    constraint = np.concatenate([defects.real, defects.imag], axis=1).T
     _, s, vh = np.linalg.svd(constraint)
     if s.size == 0 or s[0] == 0.0:
         return np.eye(2 * dim)
@@ -304,15 +276,12 @@ def find_transverse_direction(
     d, n = t.d, t.n
     dim = d * n * n
 
-    def assess(k: MatrixTuple):
-        m = _gram_derivative(delta, t, k)
-        return hermitian_part_max_eig(m), operator_norm(m - m.conj().T)
-
     best_val, best_k = np.inf, None
 
     def consider(k: MatrixTuple):
         nonlocal best_val, best_k
-        top_eig, sym_defect = assess(k)
+        m = _gram_derivative(delta, t, k)
+        top_eig, sym_defect = hermitian_part_max_eig(m), operator_norm(m - m.conj().T)
         if sym_defect <= SELF_ADJOINT_TOL and top_eig < best_val:
             best_val, best_k = top_eig, k
         return top_eig, sym_defect
@@ -325,14 +294,8 @@ def find_transverse_direction(
         return InwardWitnessResult(found=True, witness=best_k, beta=-best_val)
 
     lmat = _gram_derivative_matrix(delta, t)
-    gram_dim = delta.original_shape[1] * n
-    sigma_basis = _sigma_nullspace(delta, t, lmat)
-
-    def sigma_project(vec: np.ndarray) -> np.ndarray:
-        real_vec = np.concatenate([vec.real, vec.imag])
-        proj = sigma_basis @ (sigma_basis.T @ real_vec)
-        return proj[:dim] + 1j * proj[dim:]
-
+    gram_dim = len(delta.entries[0]) * n
+    sigma_basis = _sigma_nullspace(lmat, gram_dim)
     rng = np.random.default_rng(seed)
     for _ in range(n_starts):
         vec = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
@@ -348,13 +311,13 @@ def find_transverse_direction(
         top_eig, sym_defect = consider(k)
         if sym_defect > SELF_ADJOINT_TOL and top_eig < 0:
             # inward but not transverse: project onto the self-adjoint subspace
-            repaired = sigma_project(vec)
+            proj = sigma_basis @ (sigma_basis.T @ np.concatenate([vec.real, vec.imag]))
+            repaired = proj[:dim] + 1j * proj[dim:]
             if np.linalg.norm(repaired) > 0:
                 consider(_vec_to_tuple(_project_to_unit_ball(repaired, d, n), d, n))
         if best_val <= -INWARD_BETA:
             break
-    found = best_val <= -INWARD_BETA
-    return InwardWitnessResult(found=found, witness=best_k, beta=-best_val)
+    return InwardWitnessResult(found=best_val <= -INWARD_BETA, witness=best_k, beta=-best_val)
 
 
 def sigma_span_dimension(delta: DeltaMatrix, t: MatrixTuple) -> int:
@@ -363,27 +326,25 @@ def sigma_span_dimension(delta: DeltaMatrix, t: MatrixTuple) -> int:
     The constraint M(h) = M(h)* is real-linear; its real solution space is
     computed by SVD and the span dimension is the complex rank of a basis.
     """
-    d, n = t.d, t.n
-    dim = d * n * n
-    lmat = _gram_derivative_matrix(delta, t)
-    null_basis = _sigma_nullspace(delta, t, lmat)
+    dim = t.d * t.n * t.n
+    null_basis = _sigma_nullspace(_gram_derivative_matrix(delta, t), len(delta.entries[0]) * t.n)
     if null_basis.shape[1] == 0:
         return 0
-    complex_basis = [col[:dim] + 1j * col[dim:] for col in null_basis.T]
-    return numerical_rank(complex_basis)
+    return numerical_rank([col[:dim] + 1j * col[dim:] for col in null_basis.T])
 
 
 @dataclass(frozen=True)
 class AssumptionReport:
     """Outcome of the inward-direction assumptions at a boundary point."""
 
-    a1: bool
-    a1_witness: MatrixTuple | None
-    a1_beta: float
-    a1_inconclusive: bool
+    witness: InwardWitnessResult  # a failed search is inconclusive, not infeasibility
     a2: bool
     sigma_span_dim: int
     full_dim: int
+
+    @property
+    def a1(self) -> bool:
+        return self.witness.found
 
     @property
     def a(self) -> bool:
@@ -403,17 +364,8 @@ def check_assumption_A(
     if not on_distinguished_boundary(delta, t):
         raise PreconditionError("assumption checks require T on the distinguished boundary")
     witness = find_transverse_direction(delta, t, n_starts=n_starts)
-    span = sigma_span_dimension(delta, t)
-    full = t.d * t.n * t.n
-    return AssumptionReport(
-        a1=witness.found,
-        a1_witness=witness.witness,
-        a1_beta=witness.beta,
-        a1_inconclusive=not witness.found,
-        a2=span == full,
-        sigma_span_dim=span,
-        full_dim=full,
-    )
+    span, full = sigma_span_dimension(delta, t), t.d * t.n * t.n
+    return AssumptionReport(witness=witness, a2=span == full, sigma_span_dim=span, full_dim=full)
 
 
 # --- approach sequences -----------------------------------------------------
@@ -448,13 +400,16 @@ class ApproachSequence:
                 raise PreconditionError("steps must be positive")
 
 
-def radial_sequence(t: MatrixTuple, num_steps: int = 10, first_step: float = 0.5) -> ApproachSequence:
+def radial_sequence(
+    t: MatrixTuple, num_steps: int = 10, first_step: float = SEQUENCE_FIRST_STEP
+) -> ApproachSequence:
     steps = tuple(first_step * 2.0 ** (-k) for k in range(num_steps))
     return ApproachSequence(base=t, kind="radial", direction=None, steps=steps)
 
 
 def ray_sequence(
-    t: MatrixTuple, direction: MatrixTuple, num_steps: int = 10, first_step: float = 0.5
+    t: MatrixTuple, direction: MatrixTuple, num_steps: int = 10,
+    first_step: float = SEQUENCE_FIRST_STEP,
 ) -> ApproachSequence:
     steps = tuple(first_step * 2.0 ** (-k) for k in range(num_steps))
     return ApproachSequence(base=t, kind="ray", direction=direction, steps=steps)
@@ -629,7 +584,7 @@ def delta_to_json(delta: DeltaMatrix) -> dict:
     return {
         "d": delta.d,
         "J": delta.J,
-        "entries": [[poly_to_json(p) for p in row] for row in _original_grid(delta)],
+        "entries": [[poly_to_json(p) for p in row] for row in delta.entries],
     }
 
 
@@ -638,23 +593,16 @@ def delta_from_json(obj) -> DeltaMatrix:
     if not isinstance(obj, dict):
         raise ParseError(f"expected a delta object, got {type(obj).__name__}")
     try:
-        d = int(obj["d"])
+        d = _json_int(obj["d"], "delta variable count d", 1)
         grid = obj["entries"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"delta object missing or malformed field: {exc}") from None
-    if d < 1:
-        raise ParseError(f"delta variable count d must be at least 1, got {d}")
-    if not isinstance(grid, list) or not grid:
-        raise ParseError("delta entries must be a non-empty grid")
-    rows = []
-    for row in grid:
-        if not isinstance(row, list) or not row:
-            raise ParseError("delta entries must be a grid of rows")
-        rows.append([poly_from_json(p, d) for p in row])
+    except KeyError as exc:
+        raise ParseError(f"delta object missing field: {exc}") from None
+    if not isinstance(grid, list) or not all(isinstance(row, list) for row in grid):
+        raise ParseError("delta entries must be a grid of rows")
     try:
-        out = DeltaMatrix.from_grid(d, rows)
+        out = DeltaMatrix(d, [[poly_from_json(p, d) for p in row] for row in grid])
     except DimensionError as exc:
         raise ParseError(str(exc)) from None
-    if "J" in obj and int(obj["J"]) != out.J:
+    if "J" in obj and _json_int(obj["J"], "delta J", 1) != out.J:
         raise ParseError(f"delta lists J={obj['J']} but padded size is {out.J}")
     return out

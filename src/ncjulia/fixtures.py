@@ -22,6 +22,8 @@ from .errors import DimensionError, ParseError, PreconditionError, SingularMatri
 from .freepoly import FreePolynomial, MatrixTuple
 from .realization import NcFunctionHandle, Realization
 
+MAX_FAMILY_SIZE = 64  # largest size of a named delta family, and of ncjulia fuzz --dim-E
+
 
 def polydisk_delta(d: int) -> DeltaMatrix:
     """Diagonal grid diag(x0, ..., x{d-1}); membership means every component is a strict contraction."""
@@ -32,7 +34,7 @@ def polydisk_delta(d: int) -> DeltaMatrix:
         [FreePolynomial.variable(d, r) if r == c else zero for c in range(d)]
         for r in range(d)
     ]
-    return DeltaMatrix.from_grid(d, grid)
+    return DeltaMatrix(d, grid)
 
 
 def ball_delta(d: int) -> DeltaMatrix:
@@ -40,7 +42,7 @@ def ball_delta(d: int) -> DeltaMatrix:
     if d < 1:
         raise DimensionError("d must be at least 1")
     grid = [[FreePolynomial.variable(d, r)] for r in range(d)]
-    return DeltaMatrix.from_grid(d, grid)
+    return DeltaMatrix(d, grid)
 
 
 def cartan_delta(j: int) -> DeltaMatrix:
@@ -62,7 +64,7 @@ def cartan_delta(j: int) -> DeltaMatrix:
     grid = [
         [FreePolynomial.variable(d, index[(a, b)]) for b in range(j)] for a in range(j)
     ]
-    return DeltaMatrix.from_grid(d, grid)
+    return DeltaMatrix(d, grid)
 
 
 def example_h1_realization() -> Realization:
@@ -222,6 +224,8 @@ def get_delta(name: str) -> DeltaMatrix:
                 k = int(size)
             except ValueError:
                 raise ParseError(f"malformed delta size in {name!r}") from None
+            if k > MAX_FAMILY_SIZE:
+                raise ParseError(f"delta size in {name!r} exceeds the maximum {MAX_FAMILY_SIZE}")
             try:
                 return _DELTA_FAMILIES[family](k)
             except DimensionError as exc:

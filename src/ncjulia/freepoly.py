@@ -35,7 +35,8 @@ from .errors import (
     PreconditionError,
     SingularMatrixError,
 )
-from .numerics import as_complex_matrix, matrix_from_json, matrix_to_json, operator_norm
+from .numerics import _json_complex, _json_int, as_complex_matrix, operator_norm
+from .numerics import matrix_from_json, matrix_to_json
 
 # A word is a tuple of variable indices; () is the identity word.
 FreeWord = tuple
@@ -529,20 +530,20 @@ def poly_from_json(obj, d: int | None = None) -> FreePolynomial:
     if not isinstance(obj, dict):
         raise ParseError(f"expected a polynomial object or string, got {type(obj).__name__}")
     try:
-        pd = int(obj["d"])
-        raw_terms = obj["terms"]
-    except (KeyError, TypeError, ValueError) as exc:
+        pd = _json_int(obj["d"], "polynomial variable count d")
+        raw_terms = list(obj["terms"])
+    except (KeyError, TypeError) as exc:
         raise ParseError(f"polynomial object missing or malformed field: {exc}") from None
     if d is not None and pd != d:
         raise ParseError(f"polynomial has d={pd}, expected d={d}")
     terms = []
     for item in raw_terms:
         try:
-            re_, im = item["coeff"]
-            word = tuple(int(i) for i in item["word"])
-        except (KeyError, TypeError, ValueError) as exc:
+            coeff, letters = item["coeff"], list(item["word"])
+        except (KeyError, TypeError) as exc:
             raise ParseError(f"malformed polynomial term: {exc}") from None
-        terms.append((word, complex(float(re_), float(im))))
+        word = tuple(_json_int(i, "polynomial word letter") for i in letters)
+        terms.append((word, _json_complex(coeff, "polynomial coefficient")))
     try:
         poly = FreePolynomial(pd, tuple(terms))
     except DimensionError as exc:
@@ -563,13 +564,9 @@ def tuple_to_json(x: MatrixTuple) -> dict:
 def tuple_from_json(obj) -> MatrixTuple:
     """Decode a point; accepts the full object form or {"scalars": [[re, im], ...]}."""
     if isinstance(obj, dict) and "scalars" in obj:
-        try:
-            scalars = [complex(float(p[0]), float(p[1])) for p in obj["scalars"]]
-        except (TypeError, ValueError, IndexError) as exc:
-            raise ParseError(f"malformed scalars list: {exc}") from None
-        if not scalars:
-            raise ParseError("scalars list must be non-empty")
-        return MatrixTuple.from_scalars(scalars)
+        if not isinstance(obj["scalars"], list) or not obj["scalars"]:
+            raise ParseError("scalars list must be a non-empty list")
+        return MatrixTuple.from_scalars([_json_complex(p, "scalar") for p in obj["scalars"]])
     if isinstance(obj, dict) and "components" in obj:
         comps = obj["components"]
     elif isinstance(obj, list):
@@ -584,8 +581,8 @@ def tuple_from_json(obj) -> MatrixTuple:
     except DimensionError as exc:
         raise ParseError(str(exc)) from None
     if isinstance(obj, dict):
-        if "d" in obj and int(obj["d"]) != x.d:
+        if "d" in obj and _json_int(obj["d"], "point d", 1) != x.d:
             raise ParseError(f"point lists d={obj['d']} but has {x.d} components")
-        if "n" in obj and int(obj["n"]) != x.n:
+        if "n" in obj and _json_int(obj["n"], "point n", 1) != x.n:
             raise ParseError(f"point lists n={obj['n']} but components are {x.n} x {x.n}")
     return x

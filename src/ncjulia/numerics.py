@@ -7,6 +7,8 @@ only through the minimality property of the pseudoinverse solution in
 
 from __future__ import annotations
 
+import cmath
+import contextlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -192,6 +194,25 @@ def haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
 # with entries in row-major order.
 
 
+def _json_int(value, name: str, minimum: int = 0) -> int:
+    """A JSON integer of at least ``minimum``; ParseError otherwise (bools are not integers)."""
+    if type(value) is not int:
+        raise ParseError(f"{name} must be an integer, got {value!r:.40}")
+    if value < minimum:
+        raise ParseError(f"{name} must be at least {minimum}, got {value!r:.40}")
+    return value
+
+
+def _json_complex(pair, name: str) -> complex:
+    """A complex number written as an [re, im] pair of finite JSON numbers; ParseError otherwise."""
+    if isinstance(pair, list) and len(pair) == 2 and all(type(v) in (int, float) for v in pair):
+        with contextlib.suppress(OverflowError):  # an integer beyond the float range
+            z = complex(float(pair[0]), float(pair[1]))
+            if cmath.isfinite(z):
+                return z
+    raise ParseError(f"{name} is not an [re, im] pair of numbers, or not finite")
+
+
 def matrix_to_json(m) -> dict:
     a = as_complex_matrix(m)
     return {
@@ -205,19 +226,13 @@ def matrix_from_json(obj) -> np.ndarray:
     if not isinstance(obj, dict):
         raise ParseError(f"expected a matrix object, got {type(obj).__name__}")
     try:
-        rows, cols, data = int(obj["rows"]), int(obj["cols"]), obj["data"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"matrix object missing or malformed field: {exc}") from None
-    if rows < 0 or cols < 0:
-        raise ParseError("matrix dimensions must be non-negative")
+        rows, cols, data = obj["rows"], obj["cols"], obj["data"]
+    except KeyError as exc:
+        raise ParseError(f"matrix object missing field: {exc}") from None
+    rows, cols = _json_int(rows, "matrix rows"), _json_int(cols, "matrix cols")
     if not isinstance(data, list) or len(data) != rows * cols:
         raise ParseError(f"matrix data must list {rows * cols} [re, im] pairs")
     flat = np.empty(rows * cols, dtype=np.complex128)
     for k, pair in enumerate(data):
-        if not (isinstance(pair, list) and len(pair) == 2):
-            raise ParseError(f"matrix entry {k} is not an [re, im] pair")
-        flat[k] = complex(float(pair[0]), float(pair[1]))
-    a = flat.reshape(rows, cols)
-    if a.size and not np.all(np.isfinite(a)):
-        raise ParseError("matrix entries must be finite")
-    return a
+        flat[k] = _json_complex(pair, f"matrix entry {k}")
+    return flat.reshape(rows, cols)

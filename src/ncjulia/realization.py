@@ -49,6 +49,7 @@ from .numerics import (
     COND_WARN_THRESHOLD,
     as_complex_matrix,
     haar_unitary,
+    _json_int,
     matrix_from_json,
     matrix_to_json,
     _operator_norms,
@@ -374,11 +375,11 @@ def realization_from_json(obj, isometry_tol: float = ISOMETRY_TOL) -> Realizatio
     if not isinstance(obj, dict):
         raise ParseError(f"expected a realization object, got {type(obj).__name__}")
     try:
-        dim_e = int(obj["dim_E"])
-        j = int(obj["J"])
+        dim_e = _json_int(obj["dim_E"], "realization dim_E", 1)
+        j = _json_int(obj["J"], "realization J", 1)
         blocks = {name: matrix_from_json(obj[name]) for name in ("A", "B", "C", "D")}
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"realization object missing or malformed field: {exc}") from None
+    except KeyError as exc:
+        raise ParseError(f"realization object missing field: {exc}") from None
     try:
         out = Realization(dim_E=dim_e, J=j, validate=False, **blocks)
     except DimensionError as exc:

@@ -249,7 +249,7 @@ def test_criterion_08_nc_axiom_suite(h1):
     for _ in range(200):
         d, n = int(rng.integers(1, 3)), int(rng.integers(1, 3))
         grid = [[random_poly(rng, d, 3, 3) for _ in range(2)] for _ in range(2)]
-        delta = DeltaMatrix.from_grid(d, grid)
+        delta = DeltaMatrix(d, grid)
         x, y = random_tuple(rng, d, n), random_tuple(rng, d, n)
         lhs_norm = operator_norm(eval_delta(delta, direct_sum(x, y)))
         rhs_norm = max(operator_norm(eval_delta(delta, x)), operator_norm(eval_delta(delta, y)))
@@ -296,7 +296,7 @@ def test_criterion_09_derivative_vs_finite_difference():
         d, n = int(rng.integers(1, 4)), int(rng.integers(1, 3))
         rows = int(rng.integers(1, 3))
         grid = [[random_poly(rng, d, 4, 4) for _ in range(rows)] for _ in range(rows)]
-        delta = DeltaMatrix.from_grid(d, grid)
+        delta = DeltaMatrix(d, grid)
         t = random_tuple(rng, d, n, max_norm=1.0)
         h = random_tuple(rng, d, n, max_norm=1.0)
         analytic = delta_derivative(delta, t, h)

@@ -3,7 +3,18 @@ import json
 import numpy as np
 import pytest
 
+from ncjulia import get_fixture, realization_to_json
 from ncjulia.cli import main, render_json
+
+
+_SCALAR = {"rows": 1, "cols": 1, "data": [[0.5, 0]]}
+
+
+def _poly(coeff, word):
+    return {"d": 2, "terms": [{"coeff": c, "word": word} for c in coeff]}
+
+
+_H1_REALIZATION = realization_to_json(get_fixture("example-h1").realization)
 
 
 def write_json(path, obj):
@@ -396,6 +407,70 @@ class TestMeta:
         ):
             assert main(argv) == 2, argv
             assert "at least 1 x 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "kind, obj",
+        [
+            ("delta", {"d": 2, "J": "x", "entries": [["x0", "0"], ["0", "x1"]]}),
+            ("delta", {"d": 2.7, "entries": [["x0", "0"], ["0", "x1"]]}),
+            ("delta", {"d": True, "entries": [["x0"]]}),
+            ("delta", {"d": 2, "entries": [[_poly([["a", 0]], [0]), "x1"]]}),
+            ("delta", {"d": 2, "entries": [[_poly([[1, 0]], [0.9]), "x1"]]}),
+            ("delta", {"d": 2, "entries": [[_poly([[10**400, 0]], [0]), "x1"]]}),
+            ("point", {"d": 2, "n": "two", "components": [_SCALAR, _SCALAR]}),
+            ("point", {"components": [{"rows": 1, "cols": 1, "data": [["a", 0]]}, _SCALAR]}),
+            ("point", {"components": [{"rows": 1, "cols": 1, "data": [[None, 0]]}, _SCALAR]}),
+            ("point", {"components": [{"rows": 1.9, "cols": 1, "data": [[0.5, 0]]}, _SCALAR]}),
+            ("point", {"scalars": [[0.5, 0], [True, 0]]}),
+            ("realization", {**_H1_REALIZATION, "dim_E": 1.0}),
+            ("realization", {**_H1_REALIZATION, "J": "2"}),
+        ],
+    )
+    def test_malformed_json_numbers_are_parse_errors(self, files, kind, obj):
+        path = write_json(files["tmp"] / f"{kind}.json", obj)
+        argv = {
+            "delta": ["fuzz", "--samples", "3", "--delta", path],
+            "point": ["eval", "--fixture", "example-h1", "--point", path],
+            "realization": [
+                "eval", "--delta", "polydisk:2", "--realization", path,
+                "--point", files["interior"],
+            ],
+        }[kind]
+        assert main(argv) == 2
+
+    def test_integer_beyond_the_digit_limit_is_a_parse_error(self, files):
+        path = files["tmp"] / "delta.json"
+        path.write_text('{"d": 1' + "0" * 5000 + ', "entries": [["x0"]]}')
+        assert main(["fuzz", "--samples", "3", "--delta", str(path)]) == 2
+
+    def test_many_variables_in_a_small_grid_build_no_polydisk(self, files, monkeypatch):
+        from ncjulia import fixtures
+
+        def refuse(d):
+            raise AssertionError(f"built the {d}-polydisk")
+
+        monkeypatch.setattr(fixtures, "polydisk_delta", refuse)
+        path = write_json(files["tmp"] / "delta.json", {"d": 100, "entries": [["0.5*x0"]]})
+        assert main(["fuzz", "--samples", "2", "--delta", path]) == 0
+
+    def test_oversized_families_and_dim_e_build_nothing(self, monkeypatch):
+        from ncjulia import fixtures, realization
+
+        def refuse(*args):
+            raise AssertionError("an oversized grid or colligation was built")
+
+        for family in ("polydisk", "ball", "cartan"):
+            monkeypatch.setitem(fixtures._DELTA_FAMILIES, family, refuse)
+        monkeypatch.setattr(realization, "random_realization", refuse)
+        cap = fixtures.MAX_FAMILY_SIZE
+        for argv in (
+            ["--delta", "polydisk:100000"],
+            ["--delta", "ball:20000"],
+            ["--delta", f"cartan:{cap + 1}"],
+            ["--dim-E", "100000"],
+            ["--dim-E", str(cap + 1)],
+        ):
+            assert main(["fuzz", "--samples", "1", *argv]) == 2, argv
 
     def test_options_a_command_ignores_are_rejected(self, files):
         assert main([

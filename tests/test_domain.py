@@ -44,7 +44,7 @@ def blocked_delta():
     one = FreePolynomial.constant(1, 1.0)
     x0 = FreePolynomial.variable(1, 0)
     zero = FreePolynomial.zero(1)
-    return DeltaMatrix.from_grid(1, [[x0, zero], [zero, one]])
+    return DeltaMatrix(1, [[x0, zero], [zero, one]])
 
 
 class TestEvalDelta:
@@ -59,8 +59,32 @@ class TestEvalDelta:
         np.testing.assert_allclose(eval_delta(d, x), [[0.6, 0.0], [0.8, 0.0]], atol=1e-15)
         np.testing.assert_allclose(eval_delta_original(d, x), [[0.6], [0.8]], atol=1e-15)
 
+    def test_non_square_grid_is_the_given_grid_zero_padded(self, rng):
+        for rows, cols in ((3, 1), (1, 2), (2, 3)):
+            grid = [[random_poly(rng, 2, 3, 3) for _ in range(cols)] for _ in range(rows)]
+            delta = DeltaMatrix(2, grid)
+            j = max(rows, cols)
+            assert delta.J == j
+            for n in (1, 2):
+                xs = [random_tuple(rng, 2, n) for _ in range(3)]
+                padded = []
+                for x in xs:
+                    want = np.zeros((j * n, j * n), dtype=np.complex128)
+                    want[: rows * n, : cols * n] = eval_delta_original(delta, x)
+                    assert np.array_equal(eval_delta(delta, x), want)
+                    padded.append(want)
+                stacked = [np.stack(c) for c in zip(*(x.components for x in xs))]
+                assert np.array_equal(domain._eval_delta_stack(delta, stacked), np.stack(padded))
+
+    def test_padding_blocks_evaluate_no_polynomial(self, monkeypatch):
+        calls = []
+        eval_poly = domain.eval_poly
+        monkeypatch.setattr(domain, "eval_poly", lambda p, x: calls.append(p) or eval_poly(p, x))
+        big = eval_delta(ball_delta(3), MatrixTuple.from_scalars([0.1, 0.2, 0.3]))
+        assert big.shape == (3, 3) and len(calls) == 3
+
     def test_zero_grid(self):
-        d = DeltaMatrix.from_grid(1, [[FreePolynomial.zero(1)]])
+        d = DeltaMatrix(1, [[FreePolynomial.zero(1)]])
         x = MatrixTuple((np.ones((2, 2)),))
         np.testing.assert_allclose(eval_delta(d, x), np.zeros((2, 2)))
 
@@ -68,7 +92,7 @@ class TestEvalDelta:
         for _ in range(30):
             d = int(rng.integers(1, 3))
             grid = [[random_poly(rng, d, 3, 3) for _ in range(2)] for _ in range(2)]
-            delta = DeltaMatrix.from_grid(d, grid)
+            delta = DeltaMatrix(d, grid)
             x = random_tuple(rng, d, int(rng.integers(1, 3)))
             y = random_tuple(rng, d, int(rng.integers(1, 3)))
             lhs = operator_norm(eval_delta(delta, direct_sum(x, y)))
@@ -186,7 +210,7 @@ class TestAssumptionA:
             t = random_unitary_tuple(rng, 2, n)
             rep = check_assumption_A(d, t, n_starts=5)
             assert rep.a1 and rep.a2 and rep.a
-            assert rep.a1_beta == pytest.approx(1.0, abs=1e-10)
+            assert rep.witness.beta == pytest.approx(1.0, abs=1e-10)
             assert rep.sigma_span_dim == 2 * n * n
 
     def test_cartan(self):
@@ -225,7 +249,7 @@ class TestAssumptionA:
     def test_blocked_delta_a1_fails(self):
         rep = check_assumption_A(blocked_delta(), MatrixTuple.from_scalars([1.0]), n_starts=5)
         assert not rep.a1
-        assert rep.a1_inconclusive
+        assert not rep.witness.found
         assert not rep.a
 
     def test_witness_search_succeeds_where_heuristic_fails(self):
@@ -236,7 +260,7 @@ class TestAssumptionA:
 
         d2 = parse_poly("3*x1 - 2*x1^2", 2)
         zero = FreePolynomial.zero(2)
-        delta = DeltaMatrix.from_grid(
+        delta = DeltaMatrix(
             2, [[FreePolynomial.variable(2, 0), zero], [zero, d2]]
         )
         t = MatrixTuple.from_scalars([1.0, 1.0])
@@ -246,6 +270,38 @@ class TestAssumptionA:
         assert res.found
         assert res.beta == pytest.approx(1.0, abs=1e-4)
         assert in_Delta(delta, t, res.witness, beta=0.5)
+
+    def test_sigma_constraint_matches_defect_map_oracle(self, rng, monkeypatch):
+        def oracle(lmat, gram_dim):
+            """The self-adjointness defect applied to each real unit coordinate."""
+            dim = lmat.shape[1]
+
+            def defect_map(real_vec):
+                m = (lmat @ (real_vec[:dim] + 1j * real_vec[dim:])).reshape(gram_dim, gram_dim)
+                flat = (m - m.conj().T).reshape(-1)
+                return np.concatenate([flat.real, flat.imag])
+
+            return np.column_stack([defect_map(col) for col in np.eye(2 * dim)])
+
+        zero = FreePolynomial.zero(2)
+        witness_grid = DeltaMatrix(
+            2, [[FreePolynomial.variable(2, 0), zero], [zero, parse_poly("3*x1 - 2*x1^2", 2)]]
+        )
+        iso = np.linalg.qr(rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2)))[0]
+        cases = (
+            (polydisk_delta(2), random_unitary_tuple(rng, 2, 2)),
+            (ball_delta(2), MatrixTuple((iso[:2], iso[2:]))),
+            (witness_grid, MatrixTuple.from_scalars([1.0, 1.0])),
+        )
+        svd, seen = np.linalg.svd, []
+        monkeypatch.setattr(np.linalg, "svd", lambda a, **kw: seen.append(a) or svd(a, **kw))
+        for delta, t in cases:
+            assert on_distinguished_boundary(delta, t)
+            lmat = domain._gram_derivative_matrix(delta, t)
+            gram_dim = len(delta.entries[0]) * t.n
+            seen.clear()
+            domain._sigma_nullspace(lmat, gram_dim)
+            assert len(seen) == 1 and np.array_equal(seen[0], oracle(lmat, gram_dim))
 
     def test_requires_distinguished_boundary(self):
         with pytest.raises(PreconditionError):
@@ -296,7 +352,7 @@ class TestSequences:
 
     def test_radial_requires_homogeneous(self):
         x0 = FreePolynomial.variable(1, 0)
-        d = DeltaMatrix.from_grid(1, [[x0 * x0]])
+        d = DeltaMatrix(1, [[x0 * x0]])
         t = MatrixTuple.from_scalars([1.0])
         with pytest.raises(PreconditionError):
             generate_sequence(radial_sequence(t), d)
@@ -341,7 +397,7 @@ class TestSequences:
 
     def test_non_finite_sequence_point_rejected(self):
         # 1e308 (x + x^2) overflows near x = 1
-        delta = DeltaMatrix.from_grid(1, [[FreePolynomial(1, (((0,), 1e308), ((0, 0), 1e308)))]])
+        delta = DeltaMatrix(1, [[FreePolynomial(1, (((0,), 1e308), ((0, 0), 1e308)))]])
         one = MatrixTuple.from_scalars([1.0])
         with np.errstate(over="ignore"), pytest.raises(PreconditionError, match="non-finite"):
             generate_sequence(ray_sequence(one, -1.0 * one, num_steps=6), delta)
@@ -354,7 +410,7 @@ class TestSequences:
 
 def nonhomogeneous_delta():
     """Padded 1 x 2 grid with constant, degree-one and degree-two words."""
-    return DeltaMatrix.from_grid(
+    return DeltaMatrix(
         2, [[parse_poly("0.5*x0*x1 + 0.2", 2), parse_poly("x1^2 - 0.3i*x0", 2)]]
     )
 
@@ -405,7 +461,7 @@ class TestInteriorSampling:
         # p(x) = 1e308 (x + x^2) is 0.01 at x = 1e-310, 1e8 at x = 1e-300 (one
         # halving does not bring it under 1) and overflows at x = 1
         p = FreePolynomial(1, (((0,), 1e308), ((0, 0), 1e308)))
-        delta = DeltaMatrix.from_grid(1, [[p]])
+        delta = DeltaMatrix(1, [[p]])
         norms = domain._operator_norms
 
         def finite_only(stack):
@@ -452,12 +508,12 @@ class TestInteriorSampling:
 class TestDeltaJson:
     def test_round_trip(self, rng):
         for rows, cols in ((2, 2), (2, 1), (1, 3)):
-            delta = DeltaMatrix.from_grid(
+            delta = DeltaMatrix(
                 2, [[random_poly(rng, 2, 2, 3) for _ in range(cols)] for _ in range(rows)]
             )
             again = delta_from_json(delta_to_json(delta))
             assert again.entries == delta.entries
-            assert again.original_shape == delta.original_shape
+            assert np.shape(again.entries) == np.shape(delta.entries)
 
     def test_text_entries(self):
         delta = delta_from_json({"d": 2, "entries": [["x0", "0"], ["0", "x1"]]})

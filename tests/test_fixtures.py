@@ -38,13 +38,13 @@ def unitary_test_pair():
 class TestBuiltinDeltas:
     def test_polydisk_structure(self):
         d = polydisk_delta(3)
-        assert d.J == 3 and d.original_shape == (3, 3)
+        assert d.J == 3 and np.shape(d.entries) == (3, 3)
         assert d.entries[0][0] == parse_poly("x0", 3)
         assert d.entries[0][1].is_zero()
 
     def test_ball_structure(self):
         d = ball_delta(2)
-        assert d.J == 2 and d.original_shape == (2, 1)
+        assert d.J == 2 and np.shape(d.entries) == (2, 1)
 
     def test_cartan_structure(self):
         d = cartan_delta(2)
@@ -197,7 +197,7 @@ class TestRegistry:
 
     def test_get_delta_families(self):
         assert get_delta("polydisk:3").d == 3
-        assert get_delta("ball:2").original_shape == (2, 1)
+        assert np.shape(get_delta("ball:2").entries) == (2, 1)
         assert get_delta("cartan:2").d == 3
         assert get_delta("example-h1").d == 2
 

@@ -166,10 +166,10 @@ class TestEvaluateMany:
             NcFunctionHandle(random_realization(dim_e, get_delta(name).J, seed), get_delta(name))
             for seed, (name, dim_e) in enumerate((("polydisk:2", 2), ("ball:3", 2), ("cartan:2", 1)))
         ]
-        assert handles[2].delta.original_shape == (3, 1)  # ball:3 is zero padded
+        assert np.shape(handles[2].delta.entries) == (3, 1)  # ball:3 is zero padded
         # constant words, products, powers and a padded zero row
         grid = [[parse_poly("0.3 + 0.5*x0*x1", 2), parse_poly("0.2i*x1^2 - 0.4*x0", 2)]]
-        mixed = DeltaMatrix.from_grid(2, grid)
+        mixed = DeltaMatrix(2, grid)
         handles.append(NcFunctionHandle(random_realization(2, mixed.J, 7), mixed))
         for h in handles:
             for n in (1, 2, 5):
@@ -193,13 +193,14 @@ class TestEvaluateMany:
             assert str(got.value) == str(expected.value)
         # an infinite coefficient (which parse_poly refuses) gives a non-finite
         # Delta(x), which no SVD may see
-        overflowing = DeltaMatrix.from_grid(1, [[FreePolynomial(1, (((0,), float("inf")),))]])
+        overflowing = DeltaMatrix(1, [[FreePolynomial(1, (((0,), float("inf")),))]])
         h = NcFunctionHandle(random_realization(1, 1, 0), overflowing)
         points = [MatrixTuple.from_scalars([0.0]), MatrixTuple.from_scalars([0.5])]
-        with pytest.raises(PreconditionError) as expected:
-            evaluate(h, points[0])
-        with pytest.raises(PreconditionError) as got:
-            evaluate_many(h, points)
+        with np.errstate(invalid="ignore", over="ignore"):
+            with pytest.raises(PreconditionError) as expected:
+                evaluate(h, points[0])
+            with pytest.raises(PreconditionError) as got:
+                evaluate_many(h, points)
         assert str(got.value) == str(expected.value)
 
     def test_stacked_solve_gets_stacked_rhs(self, h1, monkeypatch):
