@@ -86,18 +86,23 @@ from .realization import (
 from .boundary import (
     AlphaEstimate,
     BPointReport,
+    BoundaryPoint,
     BoundaryValue,
     JuliaCheck,
     JuliaQuotient,
     RangeTestResult,
+    SequenceEvaluation,
     TfaeReport,
     analyze_bpoint,
     boundary_identity_residual,
+    boundary_point,
     estimate_alpha,
+    evaluate_sequence,
     extract_W,
     is_bpoint_range_test,
     julia_inequality_check,
     julia_quotient,
+    julia_sweep,
     solve_uT,
     tfae_report,
 )

@@ -8,7 +8,9 @@ stays bounded along some sequence of interior points approaching T.  At such
 points phi has a unitary boundary value W, the model vector has a limit u_T
 solving a consistent singular system, and a boundary Schwarz-Pick inequality
 holds on the whole domain.  This module estimates all of these numerically
-and verifies the identities they satisfy.
+and verifies the identities they satisfy.  Each diagnostic takes evaluations
+made once by ``realization.evaluate``, :func:`evaluate_sequence` or
+:func:`boundary_point`.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from .domain import (
     ApproachSequence,
     eval_delta,
     find_transverse_direction,
+    generate_sequence,
     InwardWitnessResult,
     on_distinguished_boundary,
     radial_sequence,
@@ -29,7 +32,6 @@ from .domain import (
     _check_margin,
     _gaussian_draft,
     _into_domain,
-    _sequence_in_domain,
     DISTINGUISHED_TOL,
     SAMPLE_MARGIN,
     SEQUENCE_FIRST_STEP,
@@ -44,7 +46,7 @@ from .numerics import (
     operator_norm,
 )
 from .realization import NcFunctionHandle, PointEvaluation, _identity_defect, _model_operators
-from .realization import _evaluate_at, _evaluate_stack, evaluate
+from .realization import _evaluate_at, _evaluate_stack
 # unused here; perfbench's test_tracer_restores_every_binding reads boundary.eval_phi
 from .realization import eval_phi  # noqa: F401
 
@@ -72,12 +74,8 @@ class JuliaQuotient:
         return self.value
 
 
-def julia_quotient(h: NcFunctionHandle, z: MatrixTuple) -> JuliaQuotient:
-    """Quotient || I - phi(Z)* phi(Z) || / (1 - ||Delta(Z)||^2) at interior Z."""
-    return _quotient_at(evaluate(h, z))
-
-
-def _quotient_at(ev: PointEvaluation) -> JuliaQuotient:
+def julia_quotient(ev: PointEvaluation) -> JuliaQuotient:
+    """Quotient || I - phi(Z)* phi(Z) || / (1 - ||Delta(Z)||^2) at the evaluated interior Z."""
     numerator = operator_norm(np.eye(ev.x.n) - ev.phi.conj().T @ ev.phi)
     denominator = 1.0 - ev.delta_norm**2
     return JuliaQuotient(
@@ -85,10 +83,38 @@ def _quotient_at(ev: PointEvaluation) -> JuliaQuotient:
     )
 
 
-def _evaluate_sequence(h: NcFunctionHandle, seq: ApproachSequence):
-    """The interior points of the sequence and their evaluations, one Delta per point."""
-    pts, big_delta, norms = _sequence_in_domain(seq, h.delta)
-    return pts, _evaluate_stack(h, pts.points, big_delta, norms)
+@dataclass(frozen=True, eq=False)
+class SequenceEvaluation:
+    """The interior points of an approach sequence: steps, dropped count, evaluations."""
+
+    h: NcFunctionHandle
+    seq: ApproachSequence
+    steps: list
+    dropped: int
+    evals: list
+
+
+def evaluate_sequence(h: NcFunctionHandle, seq: ApproachSequence) -> SequenceEvaluation:
+    """Evaluate the interior points of the sequence, one Delta per point."""
+    pts = generate_sequence(seq, h.delta)
+    evals = _evaluate_stack(h, pts.points, pts.delta, pts.norms)
+    return SequenceEvaluation(h, seq, pts.steps, pts.dropped, evals)
+
+
+@dataclass(frozen=True, eq=False)
+class BoundaryPoint:
+    """A point T of the closed domain with padded Delta(T), ||Delta(T)|| and its kind."""
+
+    t: MatrixTuple
+    delta: np.ndarray
+    delta_norm: float
+    distinguished: bool  # Delta(T) on the grid as given is an isometry
+
+
+def boundary_point(h: NcFunctionHandle, t: MatrixTuple) -> BoundaryPoint:
+    """Evaluate Delta(T), its norm and the distinguished-boundary test at T, once each."""
+    dt = eval_delta(h.delta, t)
+    return BoundaryPoint(t, dt, operator_norm(dt), on_distinguished_boundary(h.delta, t))
 
 
 @dataclass(frozen=True)
@@ -109,16 +135,12 @@ class AlphaEstimate:
     is_liminf: bool
 
 
-def estimate_alpha(h: NcFunctionHandle, seq: ApproachSequence) -> AlphaEstimate:
+def estimate_alpha(path: SequenceEvaluation) -> AlphaEstimate:
     """Estimate the quotient limit along the sequence by Richardson extrapolation."""
-    return _alpha_along(h, seq, *_evaluate_sequence(h, seq))
-
-
-def _alpha_along(h: NcFunctionHandle, seq: ApproachSequence, pts, evals) -> AlphaEstimate:
-    if len(pts.points) < 2:
+    if len(path.evals) < 2:
         raise PreconditionError("need at least two interior sequence points")
-    quotients = [_quotient_at(ev).value for ev in evals]
-    is_liminf = seq.kind == "radial" and h.delta.is_homogeneous_degree_one()
+    quotients = [julia_quotient(ev).value for ev in path.evals]
+    is_liminf = path.seq.kind == "radial" and path.h.delta.is_homogeneous_degree_one()
 
     # bounded quotients may approach their limit from below, so growth alone
     # is not divergence; divergence means significant increments that fail to
@@ -133,20 +155,20 @@ def _alpha_along(h: NcFunctionHandle, seq: ApproachSequence, pts, evals) -> Alph
         return AlphaEstimate(
             alpha=float("inf"),
             quotients=tuple(quotients),
-            steps=tuple(pts.steps),
+            steps=tuple(path.steps),
             increments=(),
             converged=False,
             diverging=True,
             is_liminf=False,
         )
-    res = extrapolate_limit(list(zip(pts.steps, quotients)))
+    res = extrapolate_limit(list(zip(path.steps, quotients)))
     alpha = float(np.real(res.value.reshape(())))
     last_increment = res.increments[-1] if res.increments else 0.0
     converged = last_increment <= CONVERGENCE_RTOL * max(1.0, abs(alpha))
     return AlphaEstimate(
         alpha=alpha,
         quotients=tuple(quotients),
-        steps=tuple(pts.steps),
+        steps=tuple(path.steps),
         increments=res.increments,
         converged=converged,
         diverging=False,
@@ -162,20 +184,15 @@ class BoundaryValue:
     unitary_distance: float  # spectral distance from the raw limit to W
 
 
-def extract_W(h: NcFunctionHandle, seq: ApproachSequence) -> BoundaryValue:
+def extract_W(path: SequenceEvaluation) -> BoundaryValue:
     """Extrapolate phi along the sequence and project onto the unitary group.
 
     A raw limit farther than ``UNITARY_DISTANCE_TOL`` from unitary is treated
     as evidence that the base point is not a B-point.
     """
-    pts, evals = _evaluate_sequence(h, seq)
-    return _boundary_value_along(pts.steps, evals)
-
-
-def _boundary_value_along(steps, evals) -> BoundaryValue:
-    if len(evals) < 2:
+    if len(path.evals) < 2:
         raise PreconditionError("need at least two interior sequence points")
-    raw = extrapolate_limit(list(zip(steps, [ev.phi for ev in evals]))).value
+    raw = extrapolate_limit(list(zip(path.steps, [ev.phi for ev in path.evals]))).value
     try:
         w = nearest_unitary(raw)
     except SingularMatrixError as exc:
@@ -217,18 +234,15 @@ class ModelVectorAtBoundary:
     kernel_defect: float
 
 
-def solve_uT(h: NcFunctionHandle, t: MatrixTuple) -> ModelVectorAtBoundary:
+def solve_uT(h: NcFunctionHandle, bp: BoundaryPoint) -> ModelVectorAtBoundary:
     """Solve the singular boundary system for the model vector at T."""
-    if not on_distinguished_boundary(h.delta, t):
+    if not bp.distinguished:
         raise PreconditionError(
             "model vector at the boundary requires T on the distinguished boundary"
         )
-    return _solve_uT_at(h, eval_delta(h.delta, t), t.n)
-
-
-def _solve_uT_at(h: NcFunctionHandle, big_delta: np.ndarray, n: int) -> ModelVectorAtBoundary:
-    """:func:`solve_uT` at a distinguished boundary point T with Delta(T) = big_delta."""
-    resolvent, rhs, _ = _model_operators(h, big_delta, n)
+    resolvent, rhs, _ = _model_operators(h, bp.delta, bp.t.n)
+    if operator_norm(resolvent) <= PINV_RTOL:  # zero but for the rounding of Delta(T)
+        resolvent = np.zeros_like(resolvent)
     outcome = min_norm_solve(resolvent, rhs)
     kernel, cokernel = _kernel_bases(resolvent)
     orthogonality = (
@@ -266,16 +280,12 @@ class RangeTestResult:
         return self.is_bpoint
 
 
-def is_bpoint_range_test(h: NcFunctionHandle, t: MatrixTuple) -> RangeTestResult:
-    """B-point iff the boundary system is consistent: residual <= RANGE_TOL."""
-    return _range_test_with(h, t, solve_uT(h, t), RANGE_TOL, seed=0)
-
-
-def _range_test_with(
-    h: NcFunctionHandle, t: MatrixTuple, solution: ModelVectorAtBoundary, tol: float, seed: int
+def is_bpoint_range_test(
+    h: NcFunctionHandle, bp: BoundaryPoint, tol: float = RANGE_TOL, seed: int = 0
 ) -> RangeTestResult:
-    """:func:`is_bpoint_range_test` given the boundary model system's solution at T."""
-    witness = find_transverse_direction(h.delta, t, n_starts=WITNESS_STARTS, seed=seed)
+    """B-point iff the boundary system is consistent: residual <= tol."""
+    solution = solve_uT(h, bp)
+    witness = find_transverse_direction(h.delta, bp.t, n_starts=WITNESS_STARTS, seed=seed)
     return RangeTestResult(
         is_bpoint=solution.range_residual <= tol,
         conditional=not witness.found,
@@ -299,26 +309,20 @@ class JuliaCheck:
 
 
 def julia_inequality_check(
-    h: NcFunctionHandle,
-    t: MatrixTuple,
+    ev: PointEvaluation,
+    bp: BoundaryPoint,
     w: np.ndarray,
     alpha: float,
-    z: MatrixTuple,
     rel_tol: float = JULIA_RTOL,
 ) -> JuliaCheck:
     """Check ||phi(Z)-W||^2 / ||I-phi*phi|| <= alpha ||I-Delta(T)*Delta(Z)||^2 / (1-||Delta(Z)||^2)."""
-    if z.n != t.n:
+    if ev.x.n != bp.t.n:
         raise DimensionError("Z must have the same matrix size as T")
-    ev = evaluate(h, z)
     w = np.asarray(w, dtype=np.complex128)
-    if w.shape != (z.n, z.n):
-        raise DimensionError(f"W has shape {w.shape}, expected ({z.n}, {z.n})")
-    return _julia_check_at(ev, eval_delta(h.delta, t), w, alpha, rel_tol)
-
-
-def _julia_check_at(ev: PointEvaluation, dt, w, alpha, rel_tol) -> JuliaCheck:
-    quotient = _quotient_at(ev)
-    gram = operator_norm(np.eye(dt.shape[0]) - dt.conj().T @ ev.delta)
+    if w.shape != (bp.t.n, bp.t.n):
+        raise DimensionError(f"W has shape {w.shape}, expected ({bp.t.n}, {bp.t.n})")
+    quotient = julia_quotient(ev)
+    gram = operator_norm(np.eye(bp.delta.shape[0]) - bp.delta.conj().T @ ev.delta)
     rhs = alpha * gram**2 / quotient.denominator
     if quotient.numerator <= DEGENERATE_TOL:
         return JuliaCheck(lhs=None, rhs=rhs, holds=None, skipped=True)
@@ -339,7 +343,7 @@ class JuliaSweep:
     identity_max: float | None = None
 
 
-def _julia_sweep(h, rng, dt, w, alpha, samples, margin, rel_tol, u_t=None) -> JuliaSweep:
+def julia_sweep(h, rng, bp, w, alpha, samples, margin, rel_tol, u_t=None) -> JuliaSweep:
     """Check the inequality at ``samples`` random interior points, each evaluated once.
 
     The points are those of ``samples`` calls of ``random_interior_point`` on
@@ -348,14 +352,14 @@ def _julia_sweep(h, rng, dt, w, alpha, samples, margin, rel_tol, u_t=None) -> Ju
     """
     checked = violations = skipped = 0
     max_ratio = identity_max = None
-    n = w.shape[0]
+    n = bp.t.n
     block = _block_rows(h.delta, n)
     for start in range(0, samples, block):
         drafts = [_gaussian_draft(h.delta.d, n, rng) for _ in range(min(block, samples - start))]
         # the Delta(x) that accepted each sample is the one its evaluation uses
         for sample in _into_domain(h.delta, drafts, margin):
             ev = _evaluate_at(h, *sample)
-            check = _julia_check_at(ev, dt, w, alpha, rel_tol)
+            check = julia_inequality_check(ev, bp, w, alpha, rel_tol)
             if check.skipped:
                 skipped += 1
                 continue
@@ -366,30 +370,30 @@ def _julia_sweep(h, rng, dt, w, alpha, samples, margin, rel_tol, u_t=None) -> Ju
                 ratio = check.lhs / check.rhs
                 max_ratio = ratio if max_ratio is None else max(max_ratio, ratio)
             if u_t is not None:
-                res = _identity_defect(h, w, u_t, dt, ev)
+                res = boundary_identity_residual(h, bp, w, u_t, ev)
                 identity_max = res if identity_max is None else max(identity_max, res)
     return JuliaSweep(checked, violations, skipped, max_ratio, identity_max)
 
 
 def boundary_identity_residual(
     h: NcFunctionHandle,
-    t: MatrixTuple,
+    bp: BoundaryPoint,
     w: np.ndarray,
     u_t: np.ndarray,
-    z: MatrixTuple,
+    ev: PointEvaluation,
 ) -> float:
     """Residual of I - W* phi(Z) = u_T* (I_m kron (I - Delta(T)* Delta(Z))) u(Z)."""
-    if z.n != t.n:
+    if ev.x.n != bp.t.n:
         raise DimensionError("Z must have the same matrix size as T")
     w = np.asarray(w, dtype=np.complex128)
-    if w.shape != (t.n, t.n):
-        raise DimensionError(f"W has shape {w.shape}, expected ({t.n}, {t.n})")
+    if w.shape != (bp.t.n, bp.t.n):
+        raise DimensionError(f"W has shape {w.shape}, expected ({bp.t.n}, {bp.t.n})")
     m = h.realization.dim_E
-    jn = h.realization.J * t.n
+    jn = h.realization.J * bp.t.n
     u_t = np.asarray(u_t, dtype=np.complex128)
-    if u_t.shape != (m * jn, t.n):
-        raise DimensionError(f"u_T has shape {u_t.shape}, expected ({m * jn}, {t.n})")
-    return _identity_defect(h, w, u_t, eval_delta(h.delta, t), evaluate(h, z))
+    if u_t.shape != (m * jn, bp.t.n):
+        raise DimensionError(f"u_T has shape {u_t.shape}, expected ({m * jn}, {bp.t.n})")
+    return _identity_defect(h, w, u_t, bp.delta, ev)
 
 
 @dataclass(frozen=True)
@@ -417,21 +421,17 @@ class TfaeReport:
 
 
 def tfae_report(
-    h: NcFunctionHandle, seq: ApproachSequence, aperture_cap: float = APERTURE_CAP
+    path: SequenceEvaluation, bp: BoundaryPoint, aperture_cap: float = APERTURE_CAP
 ) -> TfaeReport:
-    """Evaluate the four boundedness quantities along a non-tangential sequence."""
-    _, evals = _evaluate_sequence(h, seq)
-    return _tfae_along(evals, eval_delta(h.delta, seq.base), aperture_cap)
-
-
-def _tfae_along(evals, dt: np.ndarray, aperture_cap: float) -> TfaeReport:
-    jn = dt.shape[0]
+    """Evaluate the four boundedness quantities along a non-tangential sequence to T."""
+    if path.seq.base.n != bp.t.n:
+        raise DimensionError("the sequence and T must have the same matrix size")
     sup_gram = sup_scalar = sup_model = 0.0
     aperture = 0.0
-    for ev in evals:
-        quotient = _quotient_at(ev)
-        gram_defect = operator_norm(np.eye(jn) - ev.delta.conj().T @ ev.delta)
-        aperture = max(aperture, operator_norm(ev.delta - dt) / quotient.denominator)
+    for ev in path.evals:
+        quotient = julia_quotient(ev)
+        gram_defect = operator_norm(np.eye(bp.delta.shape[0]) - ev.delta.conj().T @ ev.delta)
+        aperture = max(aperture, operator_norm(ev.delta - bp.delta) / quotient.denominator)
         sup_gram = max(sup_gram, quotient.numerator / gram_defect)
         sup_scalar = max(sup_scalar, quotient.value)
         sup_model = max(sup_model, operator_norm(ev.u) ** 2)
@@ -454,7 +454,7 @@ def _tfae_along(evals, dt: np.ndarray, aperture_cap: float) -> TfaeReport:
         sup_model_norm_sq=sup_model,
         sup_model_norm_sq_all=sup_model,
         aperture=aperture,
-        n_points=len(evals),
+        n_points=len(path.evals),
         comparability=comparability,
     )
 
@@ -463,9 +463,7 @@ def _tfae_along(evals, dt: np.ndarray, aperture_cap: float) -> TfaeReport:
 class BPointReport:
     """Full per-point diagnostic bundle assembled by :func:`analyze_bpoint`."""
 
-    T: MatrixTuple
-    delta_norm_at_T: float
-    on_distinguished_boundary: bool
+    point: BoundaryPoint
     sequence_kind: str
     sequence_dropped: int
     alpha: AlphaEstimate
@@ -497,35 +495,32 @@ def analyze_bpoint(
     The sampling margin of the Julia sweep must lie in (0, 1).
     """
     _check_margin(margin)
-    dt = eval_delta(h.delta, t)
-    delta_norm = operator_norm(dt)
-    if delta_norm < 1.0 - DISTINGUISHED_TOL:
+    bp = boundary_point(h, t)
+    if bp.delta_norm < 1.0 - DISTINGUISHED_TOL:
         raise PreconditionError(
-            f"T is interior (||delta(T)|| = {delta_norm:.6g}); boundary analysis undefined"
+            f"T is interior (||delta(T)|| = {bp.delta_norm:.6g}); boundary analysis undefined"
         )
-    if delta_norm > 1.0 + DISTINGUISHED_TOL:
+    if bp.delta_norm > 1.0 + DISTINGUISHED_TOL:
         raise PreconditionError(
-            f"T is outside the closed domain (||delta(T)|| = {delta_norm:.6g})"
+            f"T is outside the closed domain (||delta(T)|| = {bp.delta_norm:.6g})"
         )
-    distinguished = on_distinguished_boundary(h.delta, t)
     if direction is None:
         seq = radial_sequence(t, num_steps=num_steps, first_step=first_step)
     else:
         seq = ray_sequence(t, direction, num_steps=num_steps, first_step=first_step)
 
-    points, evals = _evaluate_sequence(h, seq)
-    alpha = _alpha_along(h, seq, points, evals)
+    path = evaluate_sequence(h, seq)
+    alpha = estimate_alpha(path)
 
     boundary_value = w_error = None
     try:
-        boundary_value = _boundary_value_along(points.steps, evals)
+        boundary_value = extract_W(path)
     except (ConvergenceError, PreconditionError) as exc:
         w_error = str(exc)
 
     range_test = u_t = None
-    if distinguished:
-        solution = _solve_uT_at(h, dt, t.n)  # T is distinguished and dt is Delta(T)
-        range_test = _range_test_with(h, t, solution, range_tol, seed)
+    if bp.distinguished:
+        range_test = is_bpoint_range_test(h, bp, range_tol, seed)
         u_t = range_test.solution.u_T
         # the range criterion is decisive only when the boundary value of the
         # defining matrix is square unitary; zero-padded grids can pass the
@@ -538,18 +533,16 @@ def analyze_bpoint(
     julia = JuliaSweep()
     if boundary_value is not None and np.isfinite(alpha.alpha):
         rng = np.random.default_rng(seed)
-        julia = _julia_sweep(
-            h, rng, dt, boundary_value.W, alpha.alpha, julia_samples, margin, rel_tol, u_t
+        julia = julia_sweep(
+            h, rng, bp, boundary_value.W, alpha.alpha, julia_samples, margin, rel_tol, u_t
         )
 
-    tfae = _tfae_along(evals, dt, APERTURE_CAP) if distinguished else None
+    tfae = tfae_report(path, bp) if bp.distinguished else None
 
     return BPointReport(
-        T=t,
-        delta_norm_at_T=delta_norm,
-        on_distinguished_boundary=distinguished,
+        point=bp,
         sequence_kind=seq.kind,
-        sequence_dropped=points.dropped,
+        sequence_dropped=path.dropped,
         alpha=alpha,
         boundary_value=boundary_value,
         W_error=w_error,

@@ -271,9 +271,9 @@ def _jsonable_report(r: boundary.BPointReport) -> dict:
     bv, rt = r.boundary_value, r.range_test
     sol = None if rt is None else rt.solution
     out = {
-        "T": freepoly.tuple_to_json(r.T),
-        "delta_norm_at_T": r.delta_norm_at_T,
-        "on_distinguished_boundary": r.on_distinguished_boundary,
+        "T": freepoly.tuple_to_json(r.point.t),
+        "delta_norm_at_T": r.point.delta_norm,
+        "on_distinguished_boundary": r.point.distinguished,
         "sequence": {
             "kind": r.sequence_kind,
             "steps": list(r.alpha.steps),
@@ -387,16 +387,16 @@ def cmd_fuzz(args) -> int:
             )
             seq = domain.radial_sequence(t, num_steps=18)
             try:
-                points, evals = boundary._evaluate_sequence(handle, seq)
-                alpha = boundary._alpha_along(handle, seq, points, evals)
-                w = boundary._boundary_value_along(points.steps, evals).W
-            except (PreconditionError, ValueError):
+                path = boundary.evaluate_sequence(handle, seq)
+                alpha = boundary.estimate_alpha(path)
+                w = boundary.extract_W(path).W
+            except ValueError:  # every error class of the package is a ValueError
                 continue
             if not alpha.converged:
                 continue
-            dt = domain.eval_delta(delta, t)
-            sweeps.append(boundary._julia_sweep(
-                handle, rng, dt, w, alpha.alpha, 5, args.margin, args.rel_tol
+            bp = boundary.boundary_point(handle, t)
+            sweeps.append(boundary.julia_sweep(
+                handle, rng, bp, w, alpha.alpha, 5, args.margin, args.rel_tol
             ))
 
     julia = {k: sum(getattr(s, k) for s in sweeps) for k in ("checked", "violations", "skipped")}
@@ -427,7 +427,7 @@ def cmd_derivative(args) -> int:
         seq = domain.radial_sequence(t, num_steps=max(args.steps, 14))
     else:
         seq = domain.ray_sequence(t, h, num_steps=max(args.steps, 14))
-    w = boundary.extract_W(handle, seq).W
+    w = boundary.extract_W(boundary.evaluate_sequence(handle, seq)).W
     result = derivative.eta_numeric(
         handle, t, w, h, steps=args.steps, first_step=args.ladder_first_step
     )

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boundary import _boundary_value_along
-from .domain import in_Delta, _cone_matrix
+from .boundary import SequenceEvaluation, extract_W
+from .domain import in_Delta, ray_sequence, _cone_matrix
 from .errors import ConvergenceError, DimensionError, PreconditionError
 from .freepoly import MatrixTuple
 from .numerics import extrapolate_limit, hermitian_part_max_eig, operator_norm
@@ -158,9 +158,10 @@ def scalar_angular_derivative(
     if nrm == 0:
         raise PreconditionError("v must be a non-zero vector")
     v = v / nrm
-    _, ladder, evals = _admissible_ladder(h, t, k, LADDER_FIRST_STEP, ANGULAR_STEPS)
+    t0, ladder, evals = _admissible_ladder(h, t, k, LADDER_FIRST_STEP, ANGULAR_STEPS)
     if w is None:
-        w = _boundary_value_along(ladder, evals).W
+        seq = ray_sequence(t, k, len(ladder), t0)  # its steps t0 2^-j are the ladder's
+        w = extract_W(SequenceEvaluation(h, seq, ladder, 0, evals)).W
     wv = np.asarray(w, dtype=np.complex128) @ v
     quotients = [(complex(wv.conj() @ (ev.phi @ v)) - 1.0) / s for s, ev in zip(ladder, evals)]
     res = extrapolate_limit(list(zip(ladder, [np.array(q) for q in quotients])))

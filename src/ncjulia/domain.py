@@ -43,6 +43,8 @@ DESCENT_ITERATIONS = 150  # subgradient steps per start of the witness search
 SAMPLE_MARGIN = 0.05  # interior sampling: ||delta(x)|| <= 1 - margin
 MAX_HALVINGS = 60  # halvings of a random draft before sampling gives up
 SEQUENCE_FIRST_STEP = 0.5  # first step of radial and ray approach sequences
+MAX_FAMILY_SIZE = 64  # largest size of a named delta family, and of ncjulia fuzz --dim-E
+MAX_DELTA_VARIABLES = MAX_FAMILY_SIZE * (MAX_FAMILY_SIZE + 1) // 2  # d of cartan:MAX_FAMILY_SIZE
 
 
 class GDeltaExitWarning(UserWarning):
@@ -419,6 +421,8 @@ class SequencePoints(NamedTuple):
     points: list
     steps: list
     dropped: int
+    delta: np.ndarray  # stacked padded Delta of the kept points
+    norms: np.ndarray  # their ||Delta||
 
 
 def generate_sequence(seq: ApproachSequence, delta: DeltaMatrix) -> SequencePoints:
@@ -427,16 +431,9 @@ def generate_sequence(seq: ApproachSequence, delta: DeltaMatrix) -> SequencePoin
     The radial rule is only meaningful when every monomial of every entry has
     total degree one, so that scaling the point scales the defining matrix;
     this is checked syntactically.  Dropped points are counted and warned
-    about; an empty result is an error.
-    """
-    return _sequence_in_domain(seq, delta)[0]
-
-
-def _sequence_in_domain(seq: ApproachSequence, delta: DeltaMatrix):
-    """:func:`generate_sequence` with the stacked Delta and ||Delta|| of the kept points.
-
-    Membership of every point comes from one stacked Delta and one batched
-    SVD; each norm equals ``in_G_delta(delta, z).norm``.
+    about; an empty result is an error.  Membership of every point comes
+    from one stacked Delta and one batched SVD; each norm equals
+    ``in_G_delta(delta, z).norm``.
     """
     if seq.kind == "radial" and not delta.is_homogeneous_degree_one():
         raise PreconditionError(
@@ -462,12 +459,13 @@ def _sequence_in_domain(seq: ApproachSequence, delta: DeltaMatrix):
         )
     if not inside.any():
         raise PreconditionError("no sequence point lies inside the domain")
-    points = SequencePoints(
+    return SequencePoints(
         points=[z for z, keep in zip(zs, inside) if keep],
         steps=[float(t) for t, keep in zip(seq.steps, inside) if keep],
         dropped=dropped,
+        delta=big_delta[inside],
+        norms=norms[inside],
     )
-    return points, big_delta[inside], norms[inside]
 
 
 # stacked Delta bytes that one block of drafts may take in _into_domain
@@ -597,6 +595,8 @@ def delta_from_json(obj) -> DeltaMatrix:
         grid = obj["entries"]
     except KeyError as exc:
         raise ParseError(f"delta object missing field: {exc}") from None
+    if d > MAX_DELTA_VARIABLES:
+        raise ParseError(f"delta variable count d must be at most {MAX_DELTA_VARIABLES}, got {d}")
     if not isinstance(grid, list) or not all(isinstance(row, list) for row in grid):
         raise ParseError("delta entries must be a grid of rows")
     try:

@@ -17,12 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import DeltaMatrix
+from .domain import MAX_FAMILY_SIZE, DeltaMatrix
 from .errors import DimensionError, ParseError, PreconditionError, SingularMatrixError
 from .freepoly import FreePolynomial, MatrixTuple
 from .realization import NcFunctionHandle, Realization
-
-MAX_FAMILY_SIZE = 64  # largest size of a named delta family, and of ncjulia fuzz --dim-E
 
 
 def polydisk_delta(d: int) -> DeltaMatrix:

@@ -14,6 +14,7 @@ from ncjulia import (
     DeltaMatrix,
     MatrixTuple,
     NcFunctionHandle,
+    boundary_point,
     delta_derivative,
     direct_sum,
     estimate_alpha,
@@ -22,6 +23,8 @@ from ncjulia import (
     eval_phi,
     eval_phi_neumann,
     eval_poly,
+    evaluate,
+    evaluate_sequence,
     example_eta,
     example_phi_closed,
     example_psi,
@@ -89,7 +92,7 @@ def test_criterion_02_diagonal_julia_quotient(h1):
     worst = 0.0
     for n in (1, 2, 3):
         t = MatrixTuple((np.eye(n),) * 2)
-        est = estimate_alpha(h1, radial_sequence(t, num_steps=10))
+        est = estimate_alpha(evaluate_sequence(h1, radial_sequence(t, num_steps=10)))
         worst = max(worst, abs(est.alpha - 1.0))
     elapsed = time.perf_counter() - start
     check(
@@ -149,27 +152,29 @@ def test_criterion_04_model_identity_sweep():
 
 def test_criterion_05_julia_inequality(h1):
     rng = np.random.default_rng(501)
-    t = MatrixTuple((np.eye(2),) * 2)
+    bp = boundary_point(h1, MatrixTuple((np.eye(2),) * 2))
     w = np.eye(2)
     violations = skipped = 0
     for _ in range(1000):
         z = random_tuple(rng, 2, 2, max_norm=0.95)
-        result = julia_inequality_check(h1, t, w, 1.0, z, rel_tol=1e-8)
+        result = julia_inequality_check(evaluate(h1, z), bp, w, 1.0, rel_tol=1e-8)
         if result.skipped:
             skipped += 1
         elif not result.holds:
             violations += 1
     # equality when both components coincide: scalars and scaled unitaries
     worst_eq = 0.0
-    t1 = MatrixTuple((np.eye(1),) * 2)
+    bp1 = boundary_point(h1, MatrixTuple((np.eye(1),) * 2))
     for _ in range(25):
         z = complex(*rng.uniform(-0.65, 0.65, 2))
-        result = julia_inequality_check(h1, t1, np.eye(1), 1.0, MatrixTuple.from_scalars([z, z]))
+        result = julia_inequality_check(
+            evaluate(h1, MatrixTuple.from_scalars([z, z])), bp1, np.eye(1), 1.0
+        )
         worst_eq = max(worst_eq, abs(result.lhs - result.rhs))
     for _ in range(25):
         c = rng.uniform(0.2, 0.9) * np.exp(1j * rng.uniform(0, 2 * np.pi))
         u = c * haar_unitary(2, rng)
-        result = julia_inequality_check(h1, t, w, 1.0, MatrixTuple((u, u)))
+        result = julia_inequality_check(evaluate(h1, MatrixTuple((u, u))), bp, w, 1.0)
         worst_eq = max(worst_eq, abs(result.lhs - result.rhs))
     check(
         "05 julia-inequality",
@@ -180,17 +185,18 @@ def test_criterion_05_julia_inequality(h1):
 
 def test_criterion_06_boundary_model_vector(h1):
     t = MatrixTuple.from_scalars([1.0, 1.0])
-    sol = solve_uT(h1, t)
+    bp = boundary_point(h1, t)
+    sol = solve_uT(h1, bp)
     target = np.array([[1.0], [1.0]]) / np.sqrt(2.0)
     u_err = operator_norm(sol.u_T - target)
-    alpha = estimate_alpha(h1, radial_sequence(t, num_steps=12)).alpha
+    alpha = estimate_alpha(evaluate_sequence(h1, radial_sequence(t, num_steps=12))).alpha
     norm_gap = abs(operator_norm(sol.u_T) ** 2 - alpha)
     rng = np.random.default_rng(601)
     worst_identity = 0.0
     for _ in range(100):
         z = random_interior_point(h1.delta, 1, rng, margin=0.05)
         worst_identity = max(
-            worst_identity, boundary_identity_residual(h1, t, np.eye(1), sol.u_T, z)
+            worst_identity, boundary_identity_residual(h1, bp, np.eye(1), sol.u_T, evaluate(h1, z))
         )
     check(
         "06 boundary-model-vector",
@@ -350,7 +356,9 @@ def test_criterion_11_tfae_comparability(h1):
     ok = True
     details = []
     for handle, t in cases:
-        rep = tfae_report(handle, radial_sequence(t, num_steps=12))
+        rep = tfae_report(
+            evaluate_sequence(handle, radial_sequence(t, num_steps=12)), boundary_point(handle, t)
+        )
         c = rep.aperture
         two_sided = (
             rep.sup_gram_quotient <= rep.sup_scalar_quotient * (1 + eps) + 1e-15

@@ -9,8 +9,11 @@ from ncjulia import (
     Realization,
     analyze_bpoint,
     boundary_identity_residual,
+    boundary_point,
     estimate_alpha,
     eval_u,
+    evaluate,
+    evaluate_sequence,
     extract_W,
     get_fixture,
     is_bpoint_range_test,
@@ -60,69 +63,99 @@ def inconsistent_handle():
     return NcFunctionHandle(realization=r, delta=polydisk_delta(1))
 
 
+class TestEvaluateSequence:
+    def test_each_evaluation_equals_evaluate_at_its_point(self, rng):
+        from ncjulia import cartan_delta, ball_delta, haar_unitary
+
+        kept = 0
+        for delta in (polydisk_delta(2), ball_delta(2), cartan_delta(2)):
+            handle = NcFunctionHandle(realization=random_realization(2, 2, seed=31), delta=delta)
+            for n in (1, 2, 3):
+                if delta.d == 3:  # cartan: Delta(T) = [[cV, isV], [isV, cV]]
+                    v = haar_unitary(n, rng)
+                    t = MatrixTuple((np.cos(0.4) * v, 1j * np.sin(0.4) * v, np.cos(0.4) * v))
+                elif len(delta.entries[0]) == 1:  # ball: a column isometry
+                    u = haar_unitary(2 * n, rng)
+                    t = MatrixTuple((u[:n, :n], u[n:, :n]))
+                else:  # polydisk: a Haar-unitary pair
+                    t = random_unitary_tuple(rng, 2, n)
+                ray = ray_sequence(t, -1.0 * t, num_steps=12)
+                for seq in (radial_sequence(t, num_steps=12), ray):
+                    path = evaluate_sequence(handle, seq)
+                    assert path.dropped == 0 and path.steps == list(seq.steps)
+                    for ev in path.evals:
+                        one = evaluate(handle, ev.x)
+                        for name in ("delta", "resolvent", "u", "phi"):
+                            assert np.array_equal(getattr(ev, name), getattr(one, name)), name
+                        assert ev.delta_norm == one.delta_norm
+                        kept += 1
+        assert kept == 216
+
+
 class TestJuliaQuotient:
     def test_diagonal_is_one(self, h1):
         for r in (0.3, 0.6, 0.9):
-            assert julia_quotient(h1, scalars(r, r)).value == pytest.approx(1.0, abs=1e-12)
+            q = julia_quotient(evaluate(h1, scalars(r, r)))
+            assert q.value == pytest.approx(1.0, abs=1e-12)
 
     def test_origin_is_one(self, h1):
-        q = julia_quotient(h1, scalars(0.0, 0.0))
+        q = julia_quotient(evaluate(h1, scalars(0.0, 0.0)))
         assert q.value == pytest.approx(1.0)
         assert q.numerator == pytest.approx(1.0)
         assert q.denominator == pytest.approx(1.0)
 
     def test_derived_value(self, h1):
         # phi = 5/12: (1 - 25/144) / (1 - 1/4) = (119/144)/(3/4) = 119/108
-        q = julia_quotient(h1, scalars(0.5, 0.3))
+        q = julia_quotient(evaluate(h1, scalars(0.5, 0.3)))
         assert q.value == pytest.approx(119.0 / 108.0, abs=1e-12)
 
     def test_boundary_rejected(self, h1):
         with pytest.raises(PreconditionError):
-            julia_quotient(h1, scalars(1.0, 0.0))
+            julia_quotient(evaluate(h1, scalars(1.0, 0.0)))
 
 
 class TestEstimateAlpha:
     def test_example_radial(self, h1):
         for n in (1, 2, 3):
             t = MatrixTuple((np.eye(n),) * 2)
-            est = estimate_alpha(h1, radial_sequence(t, num_steps=10))
+            est = estimate_alpha(evaluate_sequence(h1, radial_sequence(t, num_steps=10)))
             assert est.alpha == pytest.approx(1.0, abs=1e-8)
             assert est.converged and est.is_liminf and not est.diverging
 
     def test_trivial_disk(self, disk):
-        est = estimate_alpha(disk, radial_sequence(scalars(1.0), num_steps=10))
+        est = estimate_alpha(evaluate_sequence(disk, radial_sequence(scalars(1.0), num_steps=10)))
         assert est.alpha == pytest.approx(1.0, abs=1e-10)
 
     def test_growth_detected(self):
         h = inconsistent_handle()
-        est = estimate_alpha(h, radial_sequence(scalars(1.0), num_steps=10))
+        est = estimate_alpha(evaluate_sequence(h, radial_sequence(scalars(1.0), num_steps=10)))
         assert est.diverging and not est.converged
         assert est.alpha == float("inf")
         # cross-check: the range test agrees that T=1 is not a B-point
-        verdict = is_bpoint_range_test(h, scalars(1.0))
+        verdict = is_bpoint_range_test(h, boundary_point(h, scalars(1.0)))
         assert not verdict.is_bpoint
         assert verdict.solution.range_residual == pytest.approx(1.0)
 
     def test_ray_estimate_not_labeled_liminf(self, h1):
         t = scalars(1.0, 1.0)
-        est = estimate_alpha(h1, ray_sequence(t, -1.0 * t, num_steps=10))
+        est = estimate_alpha(evaluate_sequence(h1, ray_sequence(t, -1.0 * t, num_steps=10)))
         assert est.alpha == pytest.approx(1.0, abs=1e-8)
         assert not est.is_liminf
 
 
 class TestExtractW:
     def test_example_scalar(self, h1):
-        res = extract_W(h1, radial_sequence(scalars(1.0, 1.0), num_steps=12))
+        res = extract_W(evaluate_sequence(h1, radial_sequence(scalars(1.0, 1.0), num_steps=12)))
         assert res.W[0, 0] == pytest.approx(1.0, abs=1e-10)
         assert res.unitary_distance <= 1e-6
 
     def test_example_matrix_level(self, h1):
         t = MatrixTuple((np.eye(2),) * 2)
-        res = extract_W(h1, radial_sequence(t, num_steps=12))
+        res = extract_W(evaluate_sequence(h1, radial_sequence(t, num_steps=12)))
         np.testing.assert_allclose(res.W, np.eye(2), atol=1e-8)
 
     def test_trivial_disk(self, disk):
-        res = extract_W(disk, radial_sequence(scalars(1.0), num_steps=12))
+        res = extract_W(evaluate_sequence(disk, radial_sequence(scalars(1.0), num_steps=12)))
         assert res.W[0, 0] == pytest.approx(1.0, abs=1e-12)
 
     def test_uniqueness_across_transverse_rays(self, rng):
@@ -138,14 +171,16 @@ class TestExtractW:
             p = 0.6 * np.eye(2) + 0.4 * (g @ g.conj().T) / max(1.0, np.linalg.norm(g @ g.conj().T, 2))
             weights.append(-u @ p / np.linalg.norm(p, 2))
         k2 = MatrixTuple(tuple(weights))
-        w1 = extract_W(handle, ray_sequence(t, k1, num_steps=18, first_step=0.05)).W
-        w2 = extract_W(handle, ray_sequence(t, k2, num_steps=18, first_step=0.05)).W
+        w1, w2 = (
+            extract_W(evaluate_sequence(handle, ray_sequence(t, k, 18, first_step=0.05))).W
+            for k in (k1, k2)
+        )
         assert operator_norm(w1 - w2) <= 1e-6
 
 
 class TestSolveUT:
     def test_example_values(self, h1):
-        sol = solve_uT(h1, scalars(1.0, 1.0))
+        sol = solve_uT(h1, boundary_point(h1, scalars(1.0, 1.0)))
         np.testing.assert_allclose(
             sol.u_T, np.array([[1.0], [1.0]]) / np.sqrt(2.0), atol=1e-12
         )
@@ -156,7 +191,7 @@ class TestSolveUT:
 
     def test_invertible_resolvent_residual_zero(self, h1):
         # det [I - D delta(1, -1)] = 1, the system is regular
-        sol = solve_uT(h1, scalars(1.0, -1.0))
+        sol = solve_uT(h1, boundary_point(h1, scalars(1.0, -1.0)))
         assert sol.range_residual <= 1e-12
         assert sol.kernel_orthogonality == 0.0
 
@@ -171,12 +206,12 @@ class TestSolveUT:
             validate=False,
         )
         h = NcFunctionHandle(realization=r, delta=polydisk_delta(2))
-        sol = solve_uT(h, scalars(1.0, 1.0))
+        sol = solve_uT(h, boundary_point(h, scalars(1.0, 1.0)))
         assert sol.kernel_defect > 0.5
 
     def test_requires_distinguished_boundary(self, h1):
         with pytest.raises(PreconditionError):
-            solve_uT(h1, scalars(1.0, 0.5))
+            solve_uT(h1, boundary_point(h1, scalars(1.0, 0.5)))
 
     def test_one_full_svd_for_kernel_and_cokernel(self, h1, monkeypatch):
         calls = []
@@ -189,24 +224,24 @@ class TestSolveUT:
             return original(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "svd", counting_svd)
-        solve_uT(h1, scalars(1.0, 1.0))
+        solve_uT(h1, boundary_point(h1, scalars(1.0, 1.0)))
         assert calls == [(2, 2)]
 
 
 class TestRangeTest:
     def test_example_diagonal_point(self, h1):
-        verdict = is_bpoint_range_test(h1, scalars(1.0, 1.0))
+        verdict = is_bpoint_range_test(h1, boundary_point(h1, scalars(1.0, 1.0)))
         assert verdict.is_bpoint and not verdict.conditional
         assert verdict.inward_witness.found
 
     def test_example_mixed_point(self, h1):
-        assert is_bpoint_range_test(h1, scalars(1.0, -1.0)).is_bpoint
+        assert is_bpoint_range_test(h1, boundary_point(h1, scalars(1.0, -1.0))).is_bpoint
 
     def test_consistency_with_bounded_quotients(self, h1):
         # positive range test implies bounded quotients along a transverse ray
         t = scalars(1.0, -1.0)
-        assert is_bpoint_range_test(h1, t).is_bpoint
-        est = estimate_alpha(h1, ray_sequence(t, -1.0 * t, num_steps=12))
+        assert is_bpoint_range_test(h1, boundary_point(h1, t)).is_bpoint
+        est = estimate_alpha(evaluate_sequence(h1, ray_sequence(t, -1.0 * t, num_steps=12)))
         assert est.converged and not est.diverging
         assert np.isfinite(est.alpha)
 
@@ -215,7 +250,7 @@ class TestJuliaInequality:
     def test_derived_values(self, h1):
         # lhs = (7/12)^2 / (119/144) = 49/119, rhs = 0.49 / 0.75
         check = julia_inequality_check(
-            h1, scalars(1.0, 1.0), np.eye(1), 1.0, scalars(0.5, 0.3)
+            evaluate(h1, scalars(0.5, 0.3)), boundary_point(h1, scalars(1.0, 1.0)), np.eye(1), 1.0
         )
         assert check.lhs == pytest.approx(49.0 / 119.0, abs=1e-12)
         assert check.rhs == pytest.approx(0.49 / 0.75, abs=1e-12)
@@ -224,22 +259,29 @@ class TestJuliaInequality:
     def test_equality_on_diagonal(self, h1):
         for r in (0.2, 0.5, 0.8):
             check = julia_inequality_check(
-                h1, scalars(1.0, 1.0), np.eye(1), 1.0, scalars(r, r)
+                evaluate(h1, scalars(r, r)), boundary_point(h1, scalars(1.0, 1.0)), np.eye(1), 1.0
             )
             assert check.lhs == pytest.approx(check.rhs, abs=1e-12)
             assert check.holds
 
     def test_point_size_mismatch(self, h1):
         z = MatrixTuple((0.5 * np.eye(2),) * 2)
+        bp = boundary_point(h1, scalars(1.0, 1.0))
         with pytest.raises(DimensionError, match="same matrix size"):
-            julia_inequality_check(h1, scalars(1.0, 1.0), np.eye(1), 1.0, z)
+            julia_inequality_check(evaluate(h1, z), bp, np.eye(1), 1.0)
+        u_t = solve_uT(h1, bp).u_T
+        with pytest.raises(DimensionError, match="same matrix size"):
+            boundary_identity_residual(h1, bp, np.eye(1), u_t, evaluate(h1, z))
+        path = evaluate_sequence(h1, radial_sequence(MatrixTuple((np.eye(2),) * 2), num_steps=6))
+        with pytest.raises(DimensionError, match="same matrix size"):
+            tfae_report(path, bp)
 
     def test_sweep_no_violations(self, h1, rng):
         t = MatrixTuple((np.eye(2),) * 2)
         w = np.eye(2)
         for _ in range(200):
             z = random_interior_point(h1.delta, 2, rng)
-            check = julia_inequality_check(h1, t, w, 1.0, z)
+            check = julia_inequality_check(evaluate(h1, z), boundary_point(h1, t), w, 1.0)
             assert check.skipped or check.holds
 
     def test_random_realizations_with_estimated_data(self, rng):
@@ -251,47 +293,55 @@ class TestJuliaInequality:
                 realization=random_realization(1 + k % 2, 2, seed=1200 + k), delta=delta
             )
             t = random_unitary_tuple(rng, 2, int(rng.integers(1, 3)))
-            assert is_bpoint_range_test(handle, t).is_bpoint
-            est = estimate_alpha(handle, radial_sequence(t, num_steps=20))
+            assert is_bpoint_range_test(handle, boundary_point(handle, t)).is_bpoint
+            est = estimate_alpha(evaluate_sequence(handle, radial_sequence(t, num_steps=20)))
             assert est.converged
-            w = extract_W(handle, radial_sequence(t, num_steps=20)).W
+            w = extract_W(evaluate_sequence(handle, radial_sequence(t, num_steps=20))).W
             for _ in range(30):
                 z = random_interior_point(delta, t.n, rng)
-                check = julia_inequality_check(handle, t, w, est.alpha, z, rel_tol=1e-8)
+                check = julia_inequality_check(
+                    evaluate(handle, z), boundary_point(handle, t), w, est.alpha, rel_tol=1e-8
+                )
                 assert check.skipped or check.holds
 
 
 class TestBoundaryIdentity:
     def test_derived_point(self, h1):
-        sol = solve_uT(h1, scalars(1.0, 1.0))
-        res = boundary_identity_residual(
-            h1, scalars(1.0, 1.0), np.eye(1), sol.u_T, scalars(0.5, 0.3)
-        )
+        bp = boundary_point(h1, scalars(1.0, 1.0))
+        sol = solve_uT(h1, bp)
+        z = evaluate(h1, scalars(0.5, 0.3))
+        res = boundary_identity_residual(h1, bp, np.eye(1), sol.u_T, z)
         assert res <= 1e-10
 
     def test_origin_identity(self, h1):
         # at Z = 0 the identity says 1 - W* A = u_T* u(0)
         t = scalars(1.0, 1.0)
-        sol = solve_uT(h1, t)
+        bp = boundary_point(h1, t)
+        sol = solve_uT(h1, bp)
         u0 = eval_u(h1, scalars(0.0, 0.0))
         lhs = 1.0 - np.conj(1.0) * h1.realization.A[0, 0]
         rhs = (sol.u_T.conj().T @ u0)[0, 0]
         assert lhs == pytest.approx(rhs, abs=1e-12)
-        assert boundary_identity_residual(h1, t, np.eye(1), sol.u_T, scalars(0.0, 0.0)) <= 1e-12
+        origin = evaluate(h1, scalars(0.0, 0.0))
+        assert boundary_identity_residual(h1, bp, np.eye(1), sol.u_T, origin) <= 1e-12
 
     def test_random_sweep(self, h1, rng):
-        t = scalars(1.0, 1.0)
-        sol = solve_uT(h1, t)
+        bp = boundary_point(h1, scalars(1.0, 1.0))
+        sol = solve_uT(h1, bp)
         worst = 0.0
         for _ in range(100):
             z = random_interior_point(h1.delta, 1, rng)
-            worst = max(worst, boundary_identity_residual(h1, t, np.eye(1), sol.u_T, z))
+            ev = evaluate(h1, z)
+            worst = max(worst, boundary_identity_residual(h1, bp, np.eye(1), sol.u_T, ev))
         assert worst <= 1e-8
 
 
 class TestTfae:
     def test_example_all_one(self, h1):
-        rep = tfae_report(h1, radial_sequence(scalars(1.0, 1.0), num_steps=12))
+        t = scalars(1.0, 1.0)
+        rep = tfae_report(
+            evaluate_sequence(h1, radial_sequence(t, num_steps=12)), boundary_point(h1, t)
+        )
         assert rep.sup_gram_quotient == pytest.approx(1.0, abs=1e-9)
         assert rep.sup_scalar_quotient == pytest.approx(1.0, abs=1e-9)
         assert rep.sup_model_norm_sq == pytest.approx(1.0, abs=1e-9)
@@ -308,7 +358,10 @@ class TestTfae:
                 realization=random_realization(1 + k % 2, 2, seed=500 + k), delta=delta
             )
             t = random_unitary_tuple(rng, 2, int(rng.integers(1, 3)))
-            rep = tfae_report(handle, radial_sequence(t, num_steps=12))
+            rep = tfae_report(
+                evaluate_sequence(handle, radial_sequence(t, num_steps=12)),
+                boundary_point(handle, t),
+            )
             assert rep.comparability["gram_le_scalar"]
             assert rep.comparability["scalar_le_2c_gram"]
             assert rep.comparability["gram_le_model"]
@@ -322,7 +375,7 @@ class TestTfae:
         k = k * (1.0 / k.max_component_norm())
         seq = ray_sequence(t, k, num_steps=6, first_step=my_first_step(eps))
         with pytest.raises(PreconditionError, match="tangential"):
-            tfae_report(h1, seq, aperture_cap=1e3)
+            tfae_report(evaluate_sequence(h1, seq), boundary_point(h1, t), aperture_cap=1e3)
 
 
 def my_first_step(eps):
@@ -342,7 +395,7 @@ class TestNontangentialBound:
                 realization=random_realization(1, 2, seed=700 + k), delta=delta
             )
             t = random_unitary_tuple(rng, 2, 2)
-            est = estimate_alpha(handle, radial_sequence(t, num_steps=18))
+            est = estimate_alpha(evaluate_sequence(handle, radial_sequence(t, num_steps=18)))
             assert est.converged
             cases.append((handle, t, est.alpha))
         from ncjulia import generate_sequence
@@ -354,7 +407,7 @@ class TestNontangentialBound:
             ):
                 pts = generate_sequence(seq, handle.delta)
                 for z in pts.points:
-                    q = julia_quotient(handle, z).value
+                    q = julia_quotient(evaluate(handle, z)).value
                     c = nontangential_constant(handle.delta, z, t)
                     assert q <= 4.0 * alpha * c**2 * (1 + 1e-6) + 1e-8
 
@@ -367,8 +420,8 @@ class TestNontangentialBound:
                 realization=random_realization(1 + k % 2, 2, seed=900 + k), delta=delta
             )
             t = random_unitary_tuple(rng, 2, int(rng.integers(1, 3)))
-            est = estimate_alpha(handle, radial_sequence(t, num_steps=18))
-            sol = solve_uT(handle, t)
+            est = estimate_alpha(evaluate_sequence(handle, radial_sequence(t, num_steps=18)))
+            sol = solve_uT(handle, boundary_point(handle, t))
             assert sol.range_residual <= 1e-8
             assert abs(operator_norm(sol.u_T) ** 2 - est.alpha) <= 1e-6
 
@@ -377,7 +430,7 @@ class TestAnalyzeBpoint:
     def test_example_full_report(self, h1):
         rep = analyze_bpoint(h1, scalars(1.0, 1.0), julia_samples=50, seed=3)
         assert rep.is_bpoint and not rep.range_test.conditional
-        assert rep.on_distinguished_boundary
+        assert rep.point.distinguished
         assert rep.alpha.alpha == pytest.approx(1.0, abs=1e-8)
         assert rep.boundary_value.W[0, 0] == pytest.approx(1.0, abs=1e-8)
         assert operator_norm(rep.range_test.solution.u_T) ** 2 == pytest.approx(1.0, abs=1e-10)
@@ -397,7 +450,7 @@ class TestAnalyzeBpoint:
 
     def test_non_distinguished_boundary_quotient_only(self, h1):
         rep = analyze_bpoint(h1, scalars(1.0, 0.5), julia_samples=10, seed=1)
-        assert not rep.on_distinguished_boundary
+        assert not rep.point.distinguished
         assert rep.range_test is None and rep.tfae is None
         assert rep.alpha.converged
         assert rep.is_bpoint
@@ -432,7 +485,7 @@ class TestAnalyzeBpoint:
         )
         t = scalars(0.6, 0.8)
         rep = analyze_bpoint(handle, t, julia_samples=5, seed=3)
-        assert rep.on_distinguished_boundary
+        assert rep.point.distinguished
         assert rep.range_test.solution.range_residual <= 1e-10
         assert rep.alpha.diverging
         assert not rep.is_bpoint
@@ -440,15 +493,13 @@ class TestAnalyzeBpoint:
     def test_each_point_evaluated_once(self, h1, monkeypatch):
         from ncjulia import boundary
 
-        # points passed through evaluate and the sweep's _evaluate_at (one each) and
-        # the sequence's _evaluate_stack (len(xs) each); sequences built by
-        # _sequence_in_domain, the helper generate_sequence wraps
+        # points passed through the sweep's _evaluate_at (one each) and the
+        # sequence's _evaluate_stack (len(xs) each)
         calls = {"evaluate": 0, "generate_sequence": 0}
         counters = (
-            ("evaluate", "evaluate", lambda args: 1),
             ("_evaluate_at", "evaluate", lambda args: 1),
             ("_evaluate_stack", "evaluate", lambda args: len(args[1])),
-            ("_sequence_in_domain", "generate_sequence", lambda args: 1),
+            ("generate_sequence", "generate_sequence", lambda args: 1),
         )
         for name, key, points in counters:
             def counted(*args, _key=key, _points=points, _original=getattr(boundary, name), **kwargs):
@@ -507,13 +558,13 @@ class TestAnalyzeBpoint:
         monkeypatch.setattr(boundary, "_into_domain", scaling)
         monkeypatch.setattr(domain, "_eval_delta_stack", stacked)
         samples = []
-        check_at = boundary._julia_check_at
+        check_at = boundary.julia_inequality_check
 
         def recorded(ev, *args):
             samples.append(ev.x)
             return check_at(ev, *args)
 
-        monkeypatch.setattr(boundary, "_julia_check_at", recorded)
+        monkeypatch.setattr(boundary, "julia_inequality_check", recorded)
         analyze_bpoint(h1, scalars(1.0, 1.0), julia_samples=50, seed=1)
         assert len(samples) == 50
         assert [sum(y is x for y in evaluated) for x in samples] == [0] * 50
@@ -572,20 +623,82 @@ class TestAnalyzeBpoint:
         t = random_unitary_tuple(rng, 2, 2)
         rep = analyze_bpoint(h1, t, julia_samples=20, seed=4)
         seq = radial_sequence(t, num_steps=12)
-        assert estimate_alpha(h1, seq) == rep.alpha
-        assert np.array_equal(extract_W(h1, seq).W, rep.boundary_value.W)
-        assert tfae_report(h1, seq) == rep.tfae
+        assert estimate_alpha(evaluate_sequence(h1, seq)) == rep.alpha
+        assert np.array_equal(extract_W(evaluate_sequence(h1, seq)).W, rep.boundary_value.W)
+        assert tfae_report(evaluate_sequence(h1, seq), boundary_point(h1, t)) == rep.tfae
         sample_rng = np.random.default_rng(4)
         ratios, residuals = [], []
         for _ in range(20):
             z = random_interior_point(h1.delta, t.n, sample_rng, margin=0.05)
-            check = julia_inequality_check(h1, t, rep.boundary_value.W, rep.alpha.alpha, z)
+            ev, bp = evaluate(h1, z), boundary_point(h1, t)
+            check = julia_inequality_check(ev, bp, rep.boundary_value.W, rep.alpha.alpha)
             if check.skipped:
                 continue
             if check.rhs > 0:
                 ratios.append(check.lhs / check.rhs)
             residuals.append(boundary_identity_residual(
-                h1, t, rep.boundary_value.W, rep.range_test.solution.u_T, z
+                h1, bp, rep.boundary_value.W, rep.range_test.solution.u_T, ev
             ))
         assert max(ratios) == rep.julia.max_ratio
         assert max(residuals) == rep.julia.identity_max
+
+
+
+def _verdict_case(source, arg, seed):
+    """(handle, T, whether T is a B-point) of one case of the verdict-stability test."""
+    from ncjulia import get_delta, haar_unitary
+
+    rng = np.random.default_rng(seed)
+    if source == "inconsistent":
+        return inconsistent_handle(), scalars(arg), False
+    if source == "example-h1":
+        return get_fixture(source).handle, random_unitary_tuple(rng, 2, arg), True
+    delta = get_delta(source)
+    colligation = random_realization(1 + seed % 2, delta.J, seed)
+    handle = NcFunctionHandle(realization=colligation, delta=delta)
+    if source == "polydisk:2":
+        return handle, random_unitary_tuple(rng, 2, arg), True
+    if source == "cartan:2":  # Delta(T) = [[cV, isV], [isV, cV]] is unitary
+        v, c, s = haar_unitary(arg, rng), np.cos(0.7), np.sin(0.7)
+        return handle, MatrixTuple((c * v, 1j * s * v, c * v)), True
+    u = haar_unitary(2 * arg, rng)  # ball:2 at a column isometry, where the quotient diverges
+    return handle, MatrixTuple((u[:arg, :arg], u[arg:, :arg])), False
+
+
+class TestVerdictStability:
+    @pytest.mark.parametrize("source, arg, seed", [
+        ("example-h1", 1, 1),
+        ("example-h1", 2, 2),
+        ("polydisk:2", 1, 3),
+        ("polydisk:2", 2, 4),
+        ("polydisk:2", 2, 5),
+        ("cartan:2", 1, 6),
+        ("cartan:2", 2, 7),
+        ("ball:2", 1, 8),
+        ("ball:2", 2, 9),
+        ("inconsistent", 1.0, 10),
+        ("inconsistent", 1j, 11),
+        ("inconsistent", np.exp(0.3j), 12),
+    ])
+    def test_same_under_similarity_seed_and_json_round_trip(self, source, arg, seed):
+        import json
+
+        from ncjulia import haar_unitary, similarity, tuple_from_json, tuple_to_json
+
+        handle, t, expected = _verdict_case(source, arg, seed)
+
+        def verdict(point, sweep_seed):
+            rep = analyze_bpoint(handle, point, julia_samples=20, seed=sweep_seed)
+            range_verdict = None if rep.range_test is None else rep.range_test.is_bpoint
+            alpha = rep.alpha
+            return (
+                rep.is_bpoint, alpha.converged, alpha.diverging, range_verdict,
+                rep.julia.violations == 0,
+            )
+
+        base = verdict(t, 1)
+        assert base[0] == expected
+        u = haar_unitary(t.n, np.random.default_rng(seed))
+        assert verdict(similarity(t, u), 1) == base
+        assert verdict(t, 7) == base
+        assert verdict(tuple_from_json(json.loads(json.dumps(tuple_to_json(t)))), 1) == base

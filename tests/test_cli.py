@@ -253,9 +253,9 @@ class TestFuzz:
         from ncjulia import boundary
 
         calls = []
-        original = boundary._sequence_in_domain  # the helper generate_sequence wraps
+        original = boundary.generate_sequence
         monkeypatch.setattr(
-            boundary, "_sequence_in_domain", lambda *a, **kw: calls.append(a) or original(*a, **kw)
+            boundary, "generate_sequence", lambda *a, **kw: calls.append(a) or original(*a, **kw)
         )
         # one sample: the Julia sub-sweep runs at sample 0 only
         assert main(["fuzz", "--samples", "1", "--seed", "7"]) == 0
@@ -452,6 +452,24 @@ class TestMeta:
         monkeypatch.setattr(fixtures, "polydisk_delta", refuse)
         path = write_json(files["tmp"] / "delta.json", {"d": 100, "entries": [["0.5*x0"]]})
         assert main(["fuzz", "--samples", "2", "--delta", path]) == 0
+
+    def test_delta_file_above_the_variable_cap_draws_nothing(self, files, monkeypatch):
+        from ncjulia import cartan_delta, delta_from_json, delta_to_json, domain
+
+        def refuse(*args):
+            raise AssertionError("drew a sample for an oversized delta file")
+
+        monkeypatch.setattr(domain, "_gaussian_draft", refuse)
+        cap = domain.MAX_DELTA_VARIABLES
+        path = write_json(files["tmp"] / "delta.json", {"d": cap + 1, "entries": [["0.5*x0"]]})
+        assert main(["fuzz", "--samples", "3", "--delta", path]) == 2
+        assert main([
+            "eval", "--fixture", "example-h1", "--delta", path, "--point", files["interior"],
+        ]) == 2
+        # the largest named family is a valid delta file
+        largest = cartan_delta(domain.MAX_FAMILY_SIZE)
+        assert largest.d == cap
+        assert delta_from_json(delta_to_json(largest)) == largest
 
     def test_oversized_families_and_dim_e_build_nothing(self, monkeypatch):
         from ncjulia import fixtures, realization

@@ -7,6 +7,7 @@ from ncjulia import (
     PreconditionError,
     eta_numeric,
     eval_phi,
+    evaluate_sequence,
     example_eta,
     extract_W,
     extrapolate_limit,
@@ -179,7 +180,7 @@ class TestScalarAngularDerivative:
         assert all(in_G_delta(h1.delta, t + s * k) for s in ladder)
         seq = ApproachSequence(base=t, kind="ray", direction=k, steps=tuple(ladder))
         v = np.eye(n, dtype=complex)[0]
-        wv = extract_W(h1, seq).W @ v
+        wv = extract_W(evaluate_sequence(h1, seq)).W @ v
         quotients = [
             np.array((complex(wv.conj() @ (eval_phi(h1, t + s * k) @ v)) - 1.0) / s)
             for s in ladder

@@ -8,8 +8,11 @@ from ncjulia import (
     NcFunctionHandle,
     analyze_bpoint,
     boundary_identity_residual,
+    boundary_point,
     estimate_alpha,
     eta_numeric,
+    evaluate,
+    evaluate_sequence,
     extract_W,
     julia_inequality_check,
     operator_norm,
@@ -38,21 +41,23 @@ def test_full_chain_random_instance(d, dim_e, n, seed):
     )
     t = random_unitary_tuple(rng, d, n)
 
-    est = estimate_alpha(handle, radial_sequence(t, num_steps=20))
+    est = estimate_alpha(evaluate_sequence(handle, radial_sequence(t, num_steps=20)))
     assert est.converged and est.is_liminf
 
-    sol = solve_uT(handle, t)
+    bp = boundary_point(handle, t)
+    sol = solve_uT(handle, bp)
     assert sol.range_residual <= 1e-8
     assert abs(operator_norm(sol.u_T) ** 2 - est.alpha) <= 1e-6
 
-    w = extract_W(handle, radial_sequence(t, num_steps=20)).W
+    w = extract_W(evaluate_sequence(handle, radial_sequence(t, num_steps=20))).W
     assert operator_norm(w.conj().T @ w - np.eye(n)) <= 1e-10
 
     for _ in range(25):
         z = random_interior_point(delta, n, rng, margin=0.05)
-        check = julia_inequality_check(handle, t, w, est.alpha, z, rel_tol=1e-6)
+        ev = evaluate(handle, z)
+        check = julia_inequality_check(ev, bp, w, est.alpha, rel_tol=1e-6)
         assert check.skipped or check.holds
-        assert boundary_identity_residual(handle, t, w, sol.u_T, z) <= 1e-6
+        assert boundary_identity_residual(handle, bp, w, sol.u_T, ev) <= 1e-6
 
     direction = -1.0 * t
     res = eta_numeric(handle, t, w, direction)
