@@ -46,14 +46,15 @@ from .freepoly import (
 from .domain import (
     ApproachSequence,
     AssumptionReport,
+    BoundaryPoint,
     DeltaMatrix,
     Membership,
+    boundary_point,
     check_assumption_A,
     delta_derivative,
     delta_from_json,
     delta_to_json,
     eval_delta,
-    eval_delta_original,
     find_transverse_direction,
     generate_sequence,
     in_Delta,
@@ -61,7 +62,6 @@ from .domain import (
     in_Gamma,
     in_Sigma,
     nontangential_constant,
-    on_distinguished_boundary,
     radial_sequence,
     random_interior_point,
     ray_sequence,
@@ -86,7 +86,6 @@ from .realization import (
 from .boundary import (
     AlphaEstimate,
     BPointReport,
-    BoundaryPoint,
     BoundaryValue,
     JuliaCheck,
     JuliaQuotient,
@@ -95,7 +94,6 @@ from .boundary import (
     TfaeReport,
     analyze_bpoint,
     boundary_identity_residual,
-    boundary_point,
     estimate_alpha,
     evaluate_sequence,
     extract_W,

@@ -10,22 +10,23 @@ solving a consistent singular system, and a boundary Schwarz-Pick inequality
 holds on the whole domain.  This module estimates all of these numerically
 and verifies the identities they satisfy.  Each diagnostic takes evaluations
 made once by ``realization.evaluate``, :func:`evaluate_sequence` or
-:func:`boundary_point`.
+``domain.boundary_point``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .domain import (
     ApproachSequence,
-    eval_delta,
+    BoundaryPoint,
+    boundary_point,
     find_transverse_direction,
     generate_sequence,
     InwardWitnessResult,
-    on_distinguished_boundary,
     radial_sequence,
     ray_sequence,
     _block_rows,
@@ -45,8 +46,8 @@ from .numerics import (
     nearest_unitary,
     operator_norm,
 )
-from .realization import NcFunctionHandle, PointEvaluation, _identity_defect, _model_operators
-from .realization import _evaluate_at, _evaluate_stack
+from .realization import ISOMETRY_TOL, NcFunctionHandle, PointEvaluation, _identity_defect
+from .realization import _evaluate_at, _evaluate_stack, _model_operators
 # unused here; perfbench's test_tracer_restores_every_binding reads boundary.eval_phi
 from .realization import eval_phi  # noqa: F401
 
@@ -93,28 +94,17 @@ class SequenceEvaluation:
     dropped: int
     evals: list
 
+    @cached_property
+    def quotients(self) -> tuple:
+        """The Julia quotient of each evaluation, computed on first read."""
+        return tuple(julia_quotient(ev) for ev in self.evals)
+
 
 def evaluate_sequence(h: NcFunctionHandle, seq: ApproachSequence) -> SequenceEvaluation:
     """Evaluate the interior points of the sequence, one Delta per point."""
     pts = generate_sequence(seq, h.delta)
     evals = _evaluate_stack(h, pts.points, pts.delta, pts.norms)
     return SequenceEvaluation(h, seq, pts.steps, pts.dropped, evals)
-
-
-@dataclass(frozen=True, eq=False)
-class BoundaryPoint:
-    """A point T of the closed domain with padded Delta(T), ||Delta(T)|| and its kind."""
-
-    t: MatrixTuple
-    delta: np.ndarray
-    delta_norm: float
-    distinguished: bool  # Delta(T) on the grid as given is an isometry
-
-
-def boundary_point(h: NcFunctionHandle, t: MatrixTuple) -> BoundaryPoint:
-    """Evaluate Delta(T), its norm and the distinguished-boundary test at T, once each."""
-    dt = eval_delta(h.delta, t)
-    return BoundaryPoint(t, dt, operator_norm(dt), on_distinguished_boundary(h.delta, t))
 
 
 @dataclass(frozen=True)
@@ -139,7 +129,7 @@ def estimate_alpha(path: SequenceEvaluation) -> AlphaEstimate:
     """Estimate the quotient limit along the sequence by Richardson extrapolation."""
     if len(path.evals) < 2:
         raise PreconditionError("need at least two interior sequence points")
-    quotients = [julia_quotient(ev).value for ev in path.evals]
+    quotients = [q.value for q in path.quotients]
     is_liminf = path.seq.kind == "radial" and path.h.delta.is_homogeneous_degree_one()
 
     # bounded quotients may approach their limit from below, so growth alone
@@ -266,9 +256,11 @@ def solve_uT(h: NcFunctionHandle, bp: BoundaryPoint) -> ModelVectorAtBoundary:
 class RangeTestResult:
     """Verdict of the range-membership B-point test.
 
-    ``conditional`` marks a verdict issued without a transverse inward
-    witness: the criterion's hypothesis could not be confirmed, only searched
-    for unsuccessfully.
+    The range criterion is decisive under two hypotheses: a transverse inward
+    direction exists at T, and the colligation is an isometry.
+    ``conditional`` marks a verdict issued without confirming both: no
+    transverse inward witness was found (it was only searched for), or the
+    colligation's isometry defect exceeds ``ISOMETRY_TOL``.
     """
 
     is_bpoint: bool
@@ -285,10 +277,10 @@ def is_bpoint_range_test(
 ) -> RangeTestResult:
     """B-point iff the boundary system is consistent: residual <= tol."""
     solution = solve_uT(h, bp)
-    witness = find_transverse_direction(h.delta, bp.t, n_starts=WITNESS_STARTS, seed=seed)
+    witness = find_transverse_direction(bp, n_starts=WITNESS_STARTS, seed=seed)
     return RangeTestResult(
         is_bpoint=solution.range_residual <= tol,
-        conditional=not witness.found,
+        conditional=not witness.found or h.realization.isometry_defect > ISOMETRY_TOL,
         solution=solution,
         inward_witness=witness,
     )
@@ -428,8 +420,7 @@ def tfae_report(
         raise DimensionError("the sequence and T must have the same matrix size")
     sup_gram = sup_scalar = sup_model = 0.0
     aperture = 0.0
-    for ev in path.evals:
-        quotient = julia_quotient(ev)
+    for ev, quotient in zip(path.evals, path.quotients):
         gram_defect = operator_norm(np.eye(bp.delta.shape[0]) - ev.delta.conj().T @ ev.delta)
         aperture = max(aperture, operator_norm(ev.delta - bp.delta) / quotient.denominator)
         sup_gram = max(sup_gram, quotient.numerator / gram_defect)
@@ -495,7 +486,7 @@ def analyze_bpoint(
     The sampling margin of the Julia sweep must lie in (0, 1).
     """
     _check_margin(margin)
-    bp = boundary_point(h, t)
+    bp = boundary_point(h.delta, t)
     if bp.delta_norm < 1.0 - DISTINGUISHED_TOL:
         raise PreconditionError(
             f"T is interior (||delta(T)|| = {bp.delta_norm:.6g}); boundary analysis undefined"
@@ -515,7 +506,7 @@ def analyze_bpoint(
     boundary_value = w_error = None
     try:
         boundary_value = extract_W(path)
-    except (ConvergenceError, PreconditionError) as exc:
+    except PreconditionError as exc:  # ConvergenceError subclasses it
         w_error = str(exc)
 
     range_test = u_t = None

@@ -16,6 +16,7 @@ regressions are bit-stable.  The environment variable NCJULIA_SEED overrides
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -338,10 +339,6 @@ def cmd_bpoint(args) -> int:
     return 0 if report.is_bpoint else 1
 
 
-# fuzz samples whose points are scaled into the domain and checked together
-_FUZZ_BLOCK = 256
-
-
 def _model_identity_defects(delta, pending, margin: float) -> list:
     """``model_residual(h, x, x)`` at each pending (handle, draft) sample, x scaled from the draft."""
     points = domain._into_domain(delta, [draft for _, draft in pending], margin)
@@ -358,7 +355,8 @@ def cmd_fuzz(args) -> int:
     rng = np.random.default_rng(seed)
     model_violations = 0
     max_model_residual = 0.0
-    pending = []  # (handle, Gaussian draft) of the samples whose model identity is unchecked
+    # (handle, Gaussian draft) of the samples whose model identity is unchecked, and their D bytes
+    pending, pending_bytes = [], 0
     sweeps = []
     # Haar-unitary tuples lie on the distinguished boundary of the polydisk only;
     # the shape test first, so a small grid over many variables builds no d x d grid
@@ -375,12 +373,13 @@ def cmd_fuzz(args) -> int:
         n = int(rng.integers(1, 3))
         # the draws of random_interior_point; its scaling takes none, so it can wait
         pending.append((handle, domain._gaussian_draft(delta.d, n, rng)))
-        if len(pending) == _FUZZ_BLOCK or k == args.samples - 1:
+        pending_bytes += colligation.D.nbytes
+        if pending_bytes >= domain._BLOCK_BYTES or k == args.samples - 1:
             for res in _model_identity_defects(delta, pending, args.margin):
                 max_model_residual = max(max_model_residual, res)
                 if res > args.model_residual_tol:
                     model_violations += 1
-            pending = []
+            pending, pending_bytes = [], 0
         if run_julia and k % 10 == 0:
             t = freepoly.MatrixTuple(
                 tuple(numerics.haar_unitary(n, rng) for _ in range(delta.d))
@@ -394,7 +393,7 @@ def cmd_fuzz(args) -> int:
                 continue
             if not alpha.converged:
                 continue
-            bp = boundary.boundary_point(handle, t)
+            bp = domain.boundary_point(delta, t)
             sweeps.append(boundary.julia_sweep(
                 handle, rng, bp, w, alpha.alpha, 5, args.margin, args.rel_tol
             ))
@@ -490,6 +489,7 @@ def cmd_schema(args) -> int:
 # --- argument parsing ----------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ncjulia",

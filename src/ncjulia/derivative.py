@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .boundary import SequenceEvaluation, extract_W
-from .domain import in_Delta, ray_sequence, _cone_matrix
+from .domain import boundary_point, in_Delta, ray_sequence, _cone_matrix
 from .errors import ConvergenceError, DimensionError, PreconditionError
 from .freepoly import MatrixTuple
 from .numerics import extrapolate_limit, hermitian_part_max_eig, operator_norm
@@ -44,10 +44,6 @@ class DirectionalDerivativeResult:
     steps_used: int
     partial: bool
     converged: bool
-
-
-def _inward_margin(h: NcFunctionHandle, t: MatrixTuple, direction: MatrixTuple) -> float:
-    return -hermitian_part_max_eig(_cone_matrix(h.delta, t, direction))
 
 
 def _admissible_ladder(
@@ -89,7 +85,7 @@ def eta_numeric(
     w = np.asarray(w, dtype=np.complex128)
     if w.shape != (t.n, t.n):
         raise DimensionError(f"W has shape {w.shape}, expected ({t.n}, {t.n})")
-    beta = _inward_margin(h, t, direction)
+    beta = -hermitian_part_max_eig(_cone_matrix(boundary_point(h.delta, t), direction))
     if beta < MIN_INWARD_MARGIN:
         raise PreconditionError(
             f"direction is not inward: transversality margin {beta:.3e} < {MIN_INWARD_MARGIN:.0e}"
@@ -146,7 +142,7 @@ def scalar_angular_derivative(
     returns the one-sided derivative of f at 0, where f(0) = 1 because W is
     unitary.  The direction must lie in the transverse inward cone.
     """
-    if not in_Delta(h.delta, t, k):
+    if not in_Delta(boundary_point(h.delta, t), k):
         raise PreconditionError("direction must lie in the transverse inward cone")
     if v is None:
         v = np.zeros(t.n, dtype=np.complex128)

@@ -1,17 +1,19 @@
 """Polynomial matrix domains: membership, boundary geometry, inward cones.
 
 A domain is cut out by a matrix of free polynomials, kept as given and not
-necessarily square: the point x belongs to it when ||delta(x)|| < 1.  The
-model evaluations (:func:`eval_delta`, :func:`delta_derivative`) zero pad it
-to the square J x J grid of the transfer-function machinery; geometric tests
-(isometry of the boundary value, inward cones) use the grid as given, since
-zero padding inserts zero rows or columns into the Gram matrix.
+necessarily square: the point x belongs to it when ||delta(x)|| < 1.  Every
+evaluation of the grid zero pads it to the square J x J grid of the
+transfer-function machinery.  Its value on the grid as given, the top-left
+block, is what the geometric tests at a :class:`BoundaryPoint` (isometry of
+the boundary value, inward cones) read, since zero padding inserts zero
+rows or columns into the Gram matrix.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -56,7 +58,7 @@ class DeltaMatrix:
     """Grid of free polynomials defining the domain, kept as given (rows x cols).
 
     ``J`` = max(rows, cols) is the size of the square grid the
-    transfer-function model sees; only :func:`_block_grid` pads to it.
+    transfer-function model sees; every evaluation pads to it.
     """
 
     d: int
@@ -86,18 +88,18 @@ class DeltaMatrix:
         return all(p.is_homogeneous_degree_one() for row in self.entries for p in row)
 
 
-def _block_grid(grid, n: int, entry, lead: tuple = (), size: int | None = None) -> np.ndarray:
-    """Block matrix whose n x n block (a, b) is entry(grid[a][b]), stacked over ``lead``.
-
-    With ``size`` it has size x size blocks, those outside the grid zero.
-    """
-    rows, cols = len(grid), len(grid[0])
-    shape = (rows * n, cols * n) if size is None else (size * n, size * n)
-    out = np.zeros(lead + shape, dtype=np.complex128)
-    for a in range(rows):
-        for b in range(cols):
-            out[..., a * n : (a + 1) * n, b * n : (b + 1) * n] = entry(grid[a][b])
+def _block_grid(grid: DeltaMatrix, n: int, entry, lead: tuple = ()) -> np.ndarray:
+    """J x J blocks of size n: block (a, b) is entry(grid[a][b]), zero off the grid; over ``lead``."""
+    out = np.zeros(lead + (grid.J * n, grid.J * n), dtype=np.complex128)
+    for a, row in enumerate(grid.entries):
+        for b, p in enumerate(row):
+            out[..., a * n : (a + 1) * n, b * n : (b + 1) * n] = entry(p)
     return out
+
+
+def _on_given_grid(grid: DeltaMatrix, n: int, padded: np.ndarray) -> np.ndarray:
+    """The top-left (rows n) x (cols n) view of a padded evaluation: the grid as given."""
+    return padded[..., : len(grid.entries) * n, : len(grid.entries[0]) * n]
 
 
 def eval_delta(delta: DeltaMatrix, x: MatrixTuple) -> np.ndarray:
@@ -108,49 +110,71 @@ def eval_delta(delta: DeltaMatrix, x: MatrixTuple) -> np.ndarray:
     """
     if delta.d != x.d:
         raise DimensionError(f"delta has d={delta.d} but point has d={x.d}")
-    return _block_grid(delta.entries, x.n, lambda p: eval_poly(p, x), size=delta.J)
+    return _block_grid(delta, x.n, lambda p: eval_poly(p, x))
 
 
 def _eval_delta_stack(delta: DeltaMatrix, components) -> np.ndarray:
     """Padded Delta at stacked points: components[r] has shape (B, n, n), the result (B, Jn, Jn)."""
     lead, n = components[0].shape[:-2], components[0].shape[-1]
-    return _block_grid(delta.entries, n, lambda p: _eval_words(p, components), lead, size=delta.J)
-
-
-def eval_delta_original(delta: DeltaMatrix, x: MatrixTuple) -> np.ndarray:
-    """Unpadded evaluation on the grid as given."""
-    if delta.d != x.d:
-        raise DimensionError(f"delta has d={delta.d} but point has d={x.d}")
-    return _block_grid(delta.entries, x.n, lambda p: eval_poly(p, x))
+    return _block_grid(delta, n, lambda p: _eval_words(p, components), lead)
 
 
 def delta_derivative(delta: DeltaMatrix, t: MatrixTuple, h: MatrixTuple) -> np.ndarray:
     """Entrywise directional derivative of the padded grid at t in direction h."""
     if delta.d != t.d or delta.d != h.d:
         raise DimensionError("delta and tuples must share d")
-    return _block_grid(
-        delta.entries, t.n, lambda p: directional_derivative_poly(p, t, h), size=delta.J
-    )
+    return _block_grid(delta, t.n, lambda p: directional_derivative_poly(p, t, h))
 
 
-def _gram_derivative(delta: DeltaMatrix, t: MatrixTuple, h: MatrixTuple, dt=None) -> np.ndarray:
-    """delta(t)* times the derivative of delta at t along h, on the grid as given.
+@dataclass(frozen=True, eq=False)
+class BoundaryPoint:
+    """A point T of the closed domain with the padded Delta(T) of one evaluation.
+
+    ``given`` is Delta(T) on the grid as given, a view of ``delta``;
+    ``delta_norm`` and ``distinguished`` are computed on first read.
+    """
+
+    grid: DeltaMatrix
+    t: MatrixTuple
+    delta: np.ndarray
+
+    @property
+    def given(self) -> np.ndarray:
+        return _on_given_grid(self.grid, self.t.n, self.delta)
+
+    @cached_property
+    def delta_norm(self) -> float:
+        return operator_norm(self.delta)
+
+    @cached_property
+    def distinguished(self) -> bool:
+        """Delta(T) on the grid as given is an isometry: ||v*v - I|| <= DISTINGUISHED_TOL."""
+        v = self.given
+        eye = np.eye(v.shape[1], dtype=np.complex128)
+        return operator_norm(v.conj().T @ v - eye) <= DISTINGUISHED_TOL
+
+
+def boundary_point(delta: DeltaMatrix, t: MatrixTuple) -> BoundaryPoint:
+    """The point T with Delta(T), evaluated once."""
+    return BoundaryPoint(delta, t, eval_delta(delta, t))
+
+
+def _gram_derivative(bp: BoundaryPoint, h: MatrixTuple) -> np.ndarray:
+    """Delta(T)* times the derivative of Delta at T along h, on the grid as given.
 
     This is the matrix whose sign and self-adjointness define the inward
-    cones; it is complex-linear in h.  ``dt`` is delta(t) when already known.
+    cones; it is complex-linear in h.
     """
-    if dt is None:
-        dt = eval_delta_original(delta, t)
-    dv = _block_grid(delta.entries, t.n, lambda p: directional_derivative_poly(p, t, h))
-    return dt.conj().T @ dv
+    dv = _on_given_grid(bp.grid, bp.t.n, delta_derivative(bp.grid, bp.t, h))
+    return bp.given.conj().T @ dv
 
 
-def _cone_matrix(delta: DeltaMatrix, t: MatrixTuple, h: MatrixTuple) -> np.ndarray:
+def _cone_matrix(bp: BoundaryPoint, h: MatrixTuple) -> np.ndarray:
     """The inward-cone matrix delta(T)* grad delta(T)[h] of a direction h in the unit ball."""
     nrm = h.max_component_norm()
     if nrm > 1.0 + 1e-12:
         raise PreconditionError(f"direction exceeds the unit ball: max component norm {nrm:.6g}")
-    return _gram_derivative(delta, t, h)
+    return _gram_derivative(bp, h)
 
 
 @dataclass(frozen=True)
@@ -169,43 +193,31 @@ def in_G_delta(delta: DeltaMatrix, x: MatrixTuple) -> Membership:
     return Membership(inside=nrm < 1.0, margin=1.0 - nrm, norm=nrm)
 
 
-def on_distinguished_boundary(delta: DeltaMatrix, t: MatrixTuple) -> bool:
-    """True iff the unpadded value is an isometry: ||d(T)*d(T) - I|| <= DISTINGUISHED_TOL."""
-    v = eval_delta_original(delta, t)
-    eye = np.eye(v.shape[1], dtype=np.complex128)
-    return operator_norm(v.conj().T @ v - eye) <= DISTINGUISHED_TOL
-
-
-def nontangential_constant(delta: DeltaMatrix, z: MatrixTuple, t: MatrixTuple) -> float:
+def nontangential_constant(bp: BoundaryPoint, z: MatrixTuple) -> float:
     """Aperture ||delta(Z) - delta(T)|| / (1 - ||delta(Z)||^2); inf when Z is not interior.
 
     A sequence approaches T non-tangentially iff this stays bounded along it.
     """
-    dz = eval_delta(delta, z)
-    dt = eval_delta(delta, t)
+    dz = eval_delta(bp.grid, z)
     denominator = 1.0 - operator_norm(dz) ** 2
     if denominator <= 0.0:
         return float("inf")
-    return operator_norm(dz - dt) / denominator
+    return operator_norm(dz - bp.delta) / denominator
 
 
-def in_Gamma(
-    delta: DeltaMatrix, t: MatrixTuple, h: MatrixTuple, beta: float = INWARD_BETA
-) -> bool:
+def in_Gamma(bp: BoundaryPoint, h: MatrixTuple, beta: float = INWARD_BETA) -> bool:
     """Inward cone test: the Hermitian part of d(T)* grad d(T)[h] is <= -beta."""
-    return hermitian_part_max_eig(_cone_matrix(delta, t, h)) <= -beta
+    return hermitian_part_max_eig(_cone_matrix(bp, h)) <= -beta
 
 
-def in_Sigma(delta: DeltaMatrix, t: MatrixTuple, h: MatrixTuple) -> bool:
+def in_Sigma(bp: BoundaryPoint, h: MatrixTuple) -> bool:
     """Self-adjointness cone: d(T)* grad d(T)[h] is self-adjoint within SELF_ADJOINT_TOL."""
-    return is_self_adjoint(_cone_matrix(delta, t, h), SELF_ADJOINT_TOL)
+    return is_self_adjoint(_cone_matrix(bp, h), SELF_ADJOINT_TOL)
 
 
-def in_Delta(
-    delta: DeltaMatrix, t: MatrixTuple, h: MatrixTuple, beta: float = INWARD_BETA
-) -> bool:
+def in_Delta(bp: BoundaryPoint, h: MatrixTuple, beta: float = INWARD_BETA) -> bool:
     """Transverse inward cone: self-adjoint within SELF_ADJOINT_TOL and eigenvalues <= -beta."""
-    m = _cone_matrix(delta, t, h)
+    m = _cone_matrix(bp, h)
     return is_self_adjoint(m, SELF_ADJOINT_TOL) and hermitian_part_max_eig(m) <= -beta
 
 
@@ -216,12 +228,11 @@ def _vec_to_tuple(vec: np.ndarray, d: int, n: int) -> MatrixTuple:
     return MatrixTuple(tuple(vec.reshape(d, n, n)[r] for r in range(d)))
 
 
-def _gram_derivative_matrix(delta: DeltaMatrix, t: MatrixTuple) -> np.ndarray:
+def _gram_derivative_matrix(bp: BoundaryPoint) -> np.ndarray:
     """Matrix of the complex-linear map h -> d(T)* grad d(T)[h] on vectorized tuples."""
-    d, n = t.d, t.n
-    dt = eval_delta_original(delta, t)
+    d, n = bp.t.d, bp.t.n
     return np.column_stack([
-        _gram_derivative(delta, t, _vec_to_tuple(e, d, n), dt).reshape(-1)
+        _gram_derivative(bp, _vec_to_tuple(e, d, n)).reshape(-1)
         for e in np.eye(d * n * n, dtype=np.complex128)
     ])
 
@@ -263,7 +274,7 @@ def _sigma_nullspace(lmat: np.ndarray, gram_dim: int) -> np.ndarray:
 
 
 def find_transverse_direction(
-    delta: DeltaMatrix, t: MatrixTuple, n_starts: int = 50, seed: int = 0
+    bp: BoundaryPoint, n_starts: int = 50, seed: int = 0
 ) -> InwardWitnessResult:
     """Search the unit ball for K with d(T)* grad d(T)[K] <= -INWARD_BETA, self-adjoint.
 
@@ -275,6 +286,7 @@ def find_transverse_direction(
     repaired by projecting onto the self-adjointness subspace and re-scored.
     Failure means "no witness found", not certified infeasibility.
     """
+    t = bp.t
     d, n = t.d, t.n
     dim = d * n * n
 
@@ -282,7 +294,7 @@ def find_transverse_direction(
 
     def consider(k: MatrixTuple):
         nonlocal best_val, best_k
-        m = _gram_derivative(delta, t, k)
+        m = _gram_derivative(bp, k)
         top_eig, sym_defect = hermitian_part_max_eig(m), operator_norm(m - m.conj().T)
         if sym_defect <= SELF_ADJOINT_TOL and top_eig < best_val:
             best_val, best_k = top_eig, k
@@ -295,8 +307,8 @@ def find_transverse_direction(
     if best_val <= -INWARD_BETA:
         return InwardWitnessResult(found=True, witness=best_k, beta=-best_val)
 
-    lmat = _gram_derivative_matrix(delta, t)
-    gram_dim = len(delta.entries[0]) * n
+    lmat = _gram_derivative_matrix(bp)
+    gram_dim = bp.given.shape[1]
     sigma_basis = _sigma_nullspace(lmat, gram_dim)
     rng = np.random.default_rng(seed)
     for _ in range(n_starts):
@@ -322,14 +334,14 @@ def find_transverse_direction(
     return InwardWitnessResult(found=best_val <= -INWARD_BETA, witness=best_k, beta=-best_val)
 
 
-def sigma_span_dimension(delta: DeltaMatrix, t: MatrixTuple) -> int:
+def sigma_span_dimension(bp: BoundaryPoint) -> int:
     """Complex dimension of the span of the self-adjointness cone at t.
 
     The constraint M(h) = M(h)* is real-linear; its real solution space is
     computed by SVD and the span dimension is the complex rank of a basis.
     """
-    dim = t.d * t.n * t.n
-    null_basis = _sigma_nullspace(_gram_derivative_matrix(delta, t), len(delta.entries[0]) * t.n)
+    dim = bp.t.d * bp.t.n * bp.t.n
+    null_basis = _sigma_nullspace(_gram_derivative_matrix(bp), bp.given.shape[1])
     if null_basis.shape[1] == 0:
         return 0
     return numerical_rank([col[:dim] + 1j * col[dim:] for col in null_basis.T])
@@ -353,9 +365,7 @@ class AssumptionReport:
         return self.a1 and self.a2
 
 
-def check_assumption_A(
-    delta: DeltaMatrix, t: MatrixTuple, n_starts: int = 50
-) -> AssumptionReport:
+def check_assumption_A(bp: BoundaryPoint, n_starts: int = 50) -> AssumptionReport:
     """Check that transverse inward directions exist and span everything.
 
     The first part searches for a witness direction; a failed search is
@@ -363,10 +373,10 @@ def check_assumption_A(
     part computes the complex span dimension of the self-adjointness cone and
     compares it with d * n^2.
     """
-    if not on_distinguished_boundary(delta, t):
+    if not bp.distinguished:
         raise PreconditionError("assumption checks require T on the distinguished boundary")
-    witness = find_transverse_direction(delta, t, n_starts=n_starts)
-    span, full = sigma_span_dimension(delta, t), t.d * t.n * t.n
+    witness = find_transverse_direction(bp, n_starts=n_starts)
+    span, full = sigma_span_dimension(bp), bp.t.d * bp.t.n * bp.t.n
     return AssumptionReport(witness=witness, a2=span == full, sigma_span_dim=span, full_dim=full)
 
 

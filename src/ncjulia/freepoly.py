@@ -38,9 +38,6 @@ from .errors import (
 from .numerics import _json_complex, _json_int, as_complex_matrix, operator_norm
 from .numerics import matrix_from_json, matrix_to_json
 
-# A word is a tuple of variable indices; () is the identity word.
-FreeWord = tuple
-
 MAX_DEGREE = 64  # largest exponent and total degree the parser expands
 MAX_TERMS = 4096  # largest term count one parsed sum, product or power may form
 MAX_DEPTH = 64  # deepest parenthesis nesting the recursive-descent parser enters

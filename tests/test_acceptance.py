@@ -152,7 +152,7 @@ def test_criterion_04_model_identity_sweep():
 
 def test_criterion_05_julia_inequality(h1):
     rng = np.random.default_rng(501)
-    bp = boundary_point(h1, MatrixTuple((np.eye(2),) * 2))
+    bp = boundary_point(h1.delta, MatrixTuple((np.eye(2),) * 2))
     w = np.eye(2)
     violations = skipped = 0
     for _ in range(1000):
@@ -164,7 +164,7 @@ def test_criterion_05_julia_inequality(h1):
             violations += 1
     # equality when both components coincide: scalars and scaled unitaries
     worst_eq = 0.0
-    bp1 = boundary_point(h1, MatrixTuple((np.eye(1),) * 2))
+    bp1 = boundary_point(h1.delta, MatrixTuple((np.eye(1),) * 2))
     for _ in range(25):
         z = complex(*rng.uniform(-0.65, 0.65, 2))
         result = julia_inequality_check(
@@ -185,7 +185,7 @@ def test_criterion_05_julia_inequality(h1):
 
 def test_criterion_06_boundary_model_vector(h1):
     t = MatrixTuple.from_scalars([1.0, 1.0])
-    bp = boundary_point(h1, t)
+    bp = boundary_point(h1.delta, t)
     sol = solve_uT(h1, bp)
     target = np.array([[1.0], [1.0]]) / np.sqrt(2.0)
     u_err = operator_norm(sol.u_T - target)
@@ -357,7 +357,8 @@ def test_criterion_11_tfae_comparability(h1):
     details = []
     for handle, t in cases:
         rep = tfae_report(
-            evaluate_sequence(handle, radial_sequence(t, num_steps=12)), boundary_point(handle, t)
+            evaluate_sequence(handle, radial_sequence(t, num_steps=12)),
+            boundary_point(handle.delta, t),
         )
         c = rep.aperture
         two_sided = (

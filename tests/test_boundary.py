@@ -132,7 +132,7 @@ class TestEstimateAlpha:
         assert est.diverging and not est.converged
         assert est.alpha == float("inf")
         # cross-check: the range test agrees that T=1 is not a B-point
-        verdict = is_bpoint_range_test(h, boundary_point(h, scalars(1.0)))
+        verdict = is_bpoint_range_test(h, boundary_point(h.delta, scalars(1.0)))
         assert not verdict.is_bpoint
         assert verdict.solution.range_residual == pytest.approx(1.0)
 
@@ -180,7 +180,7 @@ class TestExtractW:
 
 class TestSolveUT:
     def test_example_values(self, h1):
-        sol = solve_uT(h1, boundary_point(h1, scalars(1.0, 1.0)))
+        sol = solve_uT(h1, boundary_point(h1.delta, scalars(1.0, 1.0)))
         np.testing.assert_allclose(
             sol.u_T, np.array([[1.0], [1.0]]) / np.sqrt(2.0), atol=1e-12
         )
@@ -191,7 +191,7 @@ class TestSolveUT:
 
     def test_invertible_resolvent_residual_zero(self, h1):
         # det [I - D delta(1, -1)] = 1, the system is regular
-        sol = solve_uT(h1, boundary_point(h1, scalars(1.0, -1.0)))
+        sol = solve_uT(h1, boundary_point(h1.delta, scalars(1.0, -1.0)))
         assert sol.range_residual <= 1e-12
         assert sol.kernel_orthogonality == 0.0
 
@@ -206,12 +206,12 @@ class TestSolveUT:
             validate=False,
         )
         h = NcFunctionHandle(realization=r, delta=polydisk_delta(2))
-        sol = solve_uT(h, boundary_point(h, scalars(1.0, 1.0)))
+        sol = solve_uT(h, boundary_point(h.delta, scalars(1.0, 1.0)))
         assert sol.kernel_defect > 0.5
 
     def test_requires_distinguished_boundary(self, h1):
         with pytest.raises(PreconditionError):
-            solve_uT(h1, boundary_point(h1, scalars(1.0, 0.5)))
+            solve_uT(h1, boundary_point(h1.delta, scalars(1.0, 0.5)))
 
     def test_one_full_svd_for_kernel_and_cokernel(self, h1, monkeypatch):
         calls = []
@@ -224,23 +224,23 @@ class TestSolveUT:
             return original(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "svd", counting_svd)
-        solve_uT(h1, boundary_point(h1, scalars(1.0, 1.0)))
+        solve_uT(h1, boundary_point(h1.delta, scalars(1.0, 1.0)))
         assert calls == [(2, 2)]
 
 
 class TestRangeTest:
     def test_example_diagonal_point(self, h1):
-        verdict = is_bpoint_range_test(h1, boundary_point(h1, scalars(1.0, 1.0)))
+        verdict = is_bpoint_range_test(h1, boundary_point(h1.delta, scalars(1.0, 1.0)))
         assert verdict.is_bpoint and not verdict.conditional
         assert verdict.inward_witness.found
 
     def test_example_mixed_point(self, h1):
-        assert is_bpoint_range_test(h1, boundary_point(h1, scalars(1.0, -1.0))).is_bpoint
+        assert is_bpoint_range_test(h1, boundary_point(h1.delta, scalars(1.0, -1.0))).is_bpoint
 
     def test_consistency_with_bounded_quotients(self, h1):
         # positive range test implies bounded quotients along a transverse ray
         t = scalars(1.0, -1.0)
-        assert is_bpoint_range_test(h1, boundary_point(h1, t)).is_bpoint
+        assert is_bpoint_range_test(h1, boundary_point(h1.delta, t)).is_bpoint
         est = estimate_alpha(evaluate_sequence(h1, ray_sequence(t, -1.0 * t, num_steps=12)))
         assert est.converged and not est.diverging
         assert np.isfinite(est.alpha)
@@ -249,24 +249,22 @@ class TestRangeTest:
 class TestJuliaInequality:
     def test_derived_values(self, h1):
         # lhs = (7/12)^2 / (119/144) = 49/119, rhs = 0.49 / 0.75
-        check = julia_inequality_check(
-            evaluate(h1, scalars(0.5, 0.3)), boundary_point(h1, scalars(1.0, 1.0)), np.eye(1), 1.0
-        )
+        bp = boundary_point(h1.delta, scalars(1.0, 1.0))
+        check = julia_inequality_check(evaluate(h1, scalars(0.5, 0.3)), bp, np.eye(1), 1.0)
         assert check.lhs == pytest.approx(49.0 / 119.0, abs=1e-12)
         assert check.rhs == pytest.approx(0.49 / 0.75, abs=1e-12)
         assert check.holds and not check.skipped
 
     def test_equality_on_diagonal(self, h1):
+        bp = boundary_point(h1.delta, scalars(1.0, 1.0))
         for r in (0.2, 0.5, 0.8):
-            check = julia_inequality_check(
-                evaluate(h1, scalars(r, r)), boundary_point(h1, scalars(1.0, 1.0)), np.eye(1), 1.0
-            )
+            check = julia_inequality_check(evaluate(h1, scalars(r, r)), bp, np.eye(1), 1.0)
             assert check.lhs == pytest.approx(check.rhs, abs=1e-12)
             assert check.holds
 
     def test_point_size_mismatch(self, h1):
         z = MatrixTuple((0.5 * np.eye(2),) * 2)
-        bp = boundary_point(h1, scalars(1.0, 1.0))
+        bp = boundary_point(h1.delta, scalars(1.0, 1.0))
         with pytest.raises(DimensionError, match="same matrix size"):
             julia_inequality_check(evaluate(h1, z), bp, np.eye(1), 1.0)
         u_t = solve_uT(h1, bp).u_T
@@ -281,7 +279,7 @@ class TestJuliaInequality:
         w = np.eye(2)
         for _ in range(200):
             z = random_interior_point(h1.delta, 2, rng)
-            check = julia_inequality_check(evaluate(h1, z), boundary_point(h1, t), w, 1.0)
+            check = julia_inequality_check(evaluate(h1, z), boundary_point(h1.delta, t), w, 1.0)
             assert check.skipped or check.holds
 
     def test_random_realizations_with_estimated_data(self, rng):
@@ -293,21 +291,21 @@ class TestJuliaInequality:
                 realization=random_realization(1 + k % 2, 2, seed=1200 + k), delta=delta
             )
             t = random_unitary_tuple(rng, 2, int(rng.integers(1, 3)))
-            assert is_bpoint_range_test(handle, boundary_point(handle, t)).is_bpoint
+            assert is_bpoint_range_test(handle, boundary_point(handle.delta, t)).is_bpoint
             est = estimate_alpha(evaluate_sequence(handle, radial_sequence(t, num_steps=20)))
             assert est.converged
             w = extract_W(evaluate_sequence(handle, radial_sequence(t, num_steps=20))).W
             for _ in range(30):
                 z = random_interior_point(delta, t.n, rng)
                 check = julia_inequality_check(
-                    evaluate(handle, z), boundary_point(handle, t), w, est.alpha, rel_tol=1e-8
+                    evaluate(handle, z), boundary_point(handle.delta, t), w, est.alpha, rel_tol=1e-8
                 )
                 assert check.skipped or check.holds
 
 
 class TestBoundaryIdentity:
     def test_derived_point(self, h1):
-        bp = boundary_point(h1, scalars(1.0, 1.0))
+        bp = boundary_point(h1.delta, scalars(1.0, 1.0))
         sol = solve_uT(h1, bp)
         z = evaluate(h1, scalars(0.5, 0.3))
         res = boundary_identity_residual(h1, bp, np.eye(1), sol.u_T, z)
@@ -316,7 +314,7 @@ class TestBoundaryIdentity:
     def test_origin_identity(self, h1):
         # at Z = 0 the identity says 1 - W* A = u_T* u(0)
         t = scalars(1.0, 1.0)
-        bp = boundary_point(h1, t)
+        bp = boundary_point(h1.delta, t)
         sol = solve_uT(h1, bp)
         u0 = eval_u(h1, scalars(0.0, 0.0))
         lhs = 1.0 - np.conj(1.0) * h1.realization.A[0, 0]
@@ -326,7 +324,7 @@ class TestBoundaryIdentity:
         assert boundary_identity_residual(h1, bp, np.eye(1), sol.u_T, origin) <= 1e-12
 
     def test_random_sweep(self, h1, rng):
-        bp = boundary_point(h1, scalars(1.0, 1.0))
+        bp = boundary_point(h1.delta, scalars(1.0, 1.0))
         sol = solve_uT(h1, bp)
         worst = 0.0
         for _ in range(100):
@@ -340,7 +338,7 @@ class TestTfae:
     def test_example_all_one(self, h1):
         t = scalars(1.0, 1.0)
         rep = tfae_report(
-            evaluate_sequence(h1, radial_sequence(t, num_steps=12)), boundary_point(h1, t)
+            evaluate_sequence(h1, radial_sequence(t, num_steps=12)), boundary_point(h1.delta, t)
         )
         assert rep.sup_gram_quotient == pytest.approx(1.0, abs=1e-9)
         assert rep.sup_scalar_quotient == pytest.approx(1.0, abs=1e-9)
@@ -360,7 +358,7 @@ class TestTfae:
             t = random_unitary_tuple(rng, 2, int(rng.integers(1, 3)))
             rep = tfae_report(
                 evaluate_sequence(handle, radial_sequence(t, num_steps=12)),
-                boundary_point(handle, t),
+                boundary_point(handle.delta, t),
             )
             assert rep.comparability["gram_le_scalar"]
             assert rep.comparability["scalar_le_2c_gram"]
@@ -375,7 +373,7 @@ class TestTfae:
         k = k * (1.0 / k.max_component_norm())
         seq = ray_sequence(t, k, num_steps=6, first_step=my_first_step(eps))
         with pytest.raises(PreconditionError, match="tangential"):
-            tfae_report(evaluate_sequence(h1, seq), boundary_point(h1, t), aperture_cap=1e3)
+            tfae_report(evaluate_sequence(h1, seq), boundary_point(h1.delta, t), aperture_cap=1e3)
 
 
 def my_first_step(eps):
@@ -408,7 +406,7 @@ class TestNontangentialBound:
                 pts = generate_sequence(seq, handle.delta)
                 for z in pts.points:
                     q = julia_quotient(evaluate(handle, z)).value
-                    c = nontangential_constant(handle.delta, z, t)
+                    c = nontangential_constant(boundary_point(handle.delta, t), z)
                     assert q <= 4.0 * alpha * c**2 * (1 + 1e-6) + 1e-8
 
     def test_model_norm_squared_matches_alpha_for_homogeneous(self, rng):
@@ -421,7 +419,7 @@ class TestNontangentialBound:
             )
             t = random_unitary_tuple(rng, 2, int(rng.integers(1, 3)))
             est = estimate_alpha(evaluate_sequence(handle, radial_sequence(t, num_steps=18)))
-            sol = solve_uT(handle, boundary_point(handle, t))
+            sol = solve_uT(handle, boundary_point(handle.delta, t))
             assert sol.range_residual <= 1e-8
             assert abs(operator_norm(sol.u_T) ** 2 - est.alpha) <= 1e-6
 
@@ -511,21 +509,32 @@ class TestAnalyzeBpoint:
         # 12 approach points and 200 Julia samples, one sequence
         assert calls == {"evaluate": 212, "generate_sequence": 1}
 
+    def test_each_julia_quotient_computed_once(self, h1, monkeypatch):
+        from ncjulia import boundary
+
+        calls = []
+        original = boundary.julia_quotient
+        monkeypatch.setattr(boundary, "julia_quotient", lambda ev: calls.append(ev) or original(ev))
+        rep = analyze_bpoint(h1, scalars(1.0, 1.0), julia_samples=0, seed=1)
+        # estimate_alpha and tfae_report both read the quotients of the 12 approach points
+        assert len(rep.alpha.quotients) == 12 and rep.tfae.n_points == 12
+        assert len(calls) == 12
+
     def test_delta_at_T_evaluated_once(self, h1, monkeypatch):
-        from ncjulia import boundary, domain
+        from ncjulia import domain
 
         t = scalars(1.0, 1.0)
-        calls = {"eval_delta": 0, "on_distinguished_boundary": 0}
+        calls = {"eval_delta": 0, "eval_poly": 0}
         for name in calls:
-            def counted(delta, x, *args, _name=name, _original=getattr(domain, name), **kwargs):
+            def counted(first, x, *args, _name=name, _original=getattr(domain, name), **kwargs):
                 calls[_name] += x is t
-                return _original(delta, x, *args, **kwargs)
+                return _original(first, x, *args, **kwargs)
 
-            for module in (domain, boundary):
-                monkeypatch.setattr(module, name, counted)
+            monkeypatch.setattr(domain, name, counted)
         rep = analyze_bpoint(h1, t, julia_samples=10, seed=1)
         assert rep.range_test is not None
-        assert calls == {"eval_delta": 1, "on_distinguished_boundary": 1}
+        # one evaluation of the grid at T: every entry of polydisk:2 once
+        assert calls == {"eval_delta": 1, "eval_poly": 4}
 
     def test_one_delta_evaluation_per_julia_sample(self, h1, monkeypatch):
         from ncjulia import boundary, domain, realization
@@ -537,7 +546,7 @@ class TestAnalyzeBpoint:
             evaluated.append(x)
             return original(delta, x)
 
-        for module in (domain, realization, boundary):
+        for module in (domain, realization):
             monkeypatch.setattr(module, "eval_delta", counted)
         # rows of the stacked Delta evaluations made while scaling the samples
         sampling, stacked_rows = [], []
@@ -589,9 +598,8 @@ class TestAnalyzeBpoint:
             rows["stacked"] += components[0].shape[0]
             return stack(delta, components)
 
-        for module in (domain, realization, boundary):
-            monkeypatch.setattr(module, "eval_delta", counted)
         for module in (domain, realization):
+            monkeypatch.setattr(module, "eval_delta", counted)
             monkeypatch.setattr(module, "_eval_delta_stack", stacked)
         rep = analyze_bpoint(h1, scalars(1.0, 1.0), julia_samples=0, seed=1)
         # Delta(T) once, and each of the 12 approach points once, for membership and evaluation
@@ -625,12 +633,12 @@ class TestAnalyzeBpoint:
         seq = radial_sequence(t, num_steps=12)
         assert estimate_alpha(evaluate_sequence(h1, seq)) == rep.alpha
         assert np.array_equal(extract_W(evaluate_sequence(h1, seq)).W, rep.boundary_value.W)
-        assert tfae_report(evaluate_sequence(h1, seq), boundary_point(h1, t)) == rep.tfae
+        assert tfae_report(evaluate_sequence(h1, seq), boundary_point(h1.delta, t)) == rep.tfae
         sample_rng = np.random.default_rng(4)
         ratios, residuals = [], []
         for _ in range(20):
             z = random_interior_point(h1.delta, t.n, sample_rng, margin=0.05)
-            ev, bp = evaluate(h1, z), boundary_point(h1, t)
+            ev, bp = evaluate(h1, z), boundary_point(h1.delta, t)
             check = julia_inequality_check(ev, bp, rep.boundary_value.W, rep.alpha.alpha)
             if check.skipped:
                 continue
@@ -698,6 +706,8 @@ class TestVerdictStability:
 
         base = verdict(t, 1)
         assert base[0] == expected
+        if source == "inconsistent":  # a non-isometric colligation: no range verdict is decisive
+            assert analyze_bpoint(handle, t, julia_samples=0, seed=1).range_test.conditional
         u = haar_unitary(t.n, np.random.default_rng(seed))
         assert verdict(similarity(t, u), 1) == base
         assert verdict(t, 7) == base

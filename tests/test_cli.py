@@ -249,6 +249,26 @@ class TestFuzz:
         # there is no --J option to contradict the delta
         assert main(["fuzz", "--J", "3", "--delta", "polydisk:3"]) == 2
 
+    def test_pending_samples_flush_by_bytes(self, monkeypatch, capsys):
+        from ncjulia import cli, domain
+
+        argv = ["fuzz", "--samples", "25", "--seed", "5", "--dim-E", "2"]
+        code = main(argv)
+        unpatched = capsys.readouterr().out
+        flushes = []
+        original = cli._model_identity_defects
+
+        def recorded(delta, pending, margin):
+            flushes.append(len(pending))
+            return original(delta, pending, margin)
+
+        monkeypatch.setattr(cli, "_model_identity_defects", recorded)
+        # dim_E 2 on polydisk:2: each colligation's D is 4 x 4 complex, 256 bytes
+        monkeypatch.setattr(domain, "_BLOCK_BYTES", 3 * 256)
+        assert main(argv) == code
+        assert flushes == [3] * 8 + [1]
+        assert capsys.readouterr().out == unpatched
+
     def test_one_sequence_per_julia_sub_sweep(self, monkeypatch, capsys):
         from ncjulia import boundary
 
@@ -369,6 +389,14 @@ class TestMeta:
 
     def test_usage_error_exit_code(self):
         assert main(["no-such-command"]) == 2
+
+    def test_one_parser_serves_failing_and_valid_calls(self, capsys):
+        from ncjulia import cli
+
+        assert main(["fuzz", "--samples", "0"]) == 2
+        assert main(["fixtures"]) == 0
+        assert "example-h1" in json.loads(capsys.readouterr().out)["fixtures"]
+        assert cli.build_parser() is cli.build_parser()
 
     def test_config_validation(self, files, monkeypatch):
         # each invalid value is refused before any work is done

@@ -11,13 +11,14 @@ from ncjulia import (
     MatrixTuple,
     PreconditionError,
     ball_delta,
+    boundary_point,
     cartan_delta,
     check_assumption_A,
     delta_from_json,
     delta_to_json,
     direct_sum,
     eval_delta,
-    eval_delta_original,
+    eval_poly,
     find_transverse_direction,
     generate_sequence,
     in_Delta,
@@ -25,7 +26,6 @@ from ncjulia import (
     in_Gamma,
     in_Sigma,
     nontangential_constant,
-    on_distinguished_boundary,
     operator_norm,
     parse_poly,
     polydisk_delta,
@@ -57,7 +57,7 @@ class TestEvalDelta:
         d = ball_delta(2)
         x = MatrixTuple.from_scalars([0.6, 0.8])
         np.testing.assert_allclose(eval_delta(d, x), [[0.6, 0.0], [0.8, 0.0]], atol=1e-15)
-        np.testing.assert_allclose(eval_delta_original(d, x), [[0.6], [0.8]], atol=1e-15)
+        np.testing.assert_allclose(boundary_point(d, x).given, [[0.6], [0.8]], atol=1e-15)
 
     def test_non_square_grid_is_the_given_grid_zero_padded(self, rng):
         for rows, cols in ((3, 1), (1, 2), (2, 3)):
@@ -70,8 +70,14 @@ class TestEvalDelta:
                 padded = []
                 for x in xs:
                     want = np.zeros((j * n, j * n), dtype=np.complex128)
-                    want[: rows * n, : cols * n] = eval_delta_original(delta, x)
+                    for a in range(rows):
+                        for b in range(cols):
+                            want[a * n : (a + 1) * n, b * n : (b + 1) * n] = eval_poly(
+                                grid[a][b], x
+                            )
                     assert np.array_equal(eval_delta(delta, x), want)
+                    given = boundary_point(delta, x).given
+                    assert np.array_equal(given, want[: rows * n, : cols * n])
                     padded.append(want)
                 stacked = [np.stack(c) for c in zip(*(x.components for x in xs))]
                 assert np.array_equal(domain._eval_delta_stack(delta, stacked), np.stack(padded))
@@ -120,14 +126,14 @@ class TestMembership:
 
 class TestDistinguishedBoundary:
     def test_polydisk_unitary_pair(self):
-        assert on_distinguished_boundary(polydisk_delta(2), MatrixTuple.from_scalars([1, 1]))
+        assert boundary_point(polydisk_delta(2), MatrixTuple.from_scalars([1, 1])).distinguished
 
     def test_ball_unit_column(self):
-        assert on_distinguished_boundary(ball_delta(2), MatrixTuple.from_scalars([0.6, 0.8]))
+        assert boundary_point(ball_delta(2), MatrixTuple.from_scalars([0.6, 0.8])).distinguished
 
     def test_polydisk_non_unitary_block(self):
         t = MatrixTuple((np.eye(2), np.diag([1.0, 0.0])))
-        assert not on_distinguished_boundary(polydisk_delta(2), t)
+        assert not boundary_point(polydisk_delta(2), t).distinguished
 
     def test_isometry_norm_identity(self, rng):
         # with a square unitary boundary value, ||d(T) - d(Z)|| = ||I - d(T)*d(Z)||
@@ -145,93 +151,86 @@ class TestDistinguishedBoundary:
 
 class TestNontangentialConstant:
     def test_radial_bounded_by_one(self):
-        d = polydisk_delta(1)
-        t = MatrixTuple.from_scalars([1.0])
+        bp = boundary_point(polydisk_delta(1), MatrixTuple.from_scalars([1.0]))
         for r in (0.5, 0.9, 0.99):
-            c = nontangential_constant(d, MatrixTuple.from_scalars([r]), t)
+            c = nontangential_constant(bp, MatrixTuple.from_scalars([r]))
             assert c == pytest.approx(1.0 / (1.0 + r))
 
     def test_boundary_point_gives_infinity(self):
-        d = polydisk_delta(1)
         t = MatrixTuple.from_scalars([1.0])
-        assert nontangential_constant(d, t, t) == float("inf")
+        assert nontangential_constant(boundary_point(polydisk_delta(1), t), t) == float("inf")
 
     def test_ray_constant_approaches_half(self):
         # along Z = (1-t) T: c(t) = t / (2t - t^2) = 1 / (2 - t)
         d = polydisk_delta(2)
         t = MatrixTuple.from_scalars([1.0, 1.0])
+        bp = boundary_point(d, t)
         for step in (0.5, 0.25, 0.125, 1e-3):
             z = (1.0 - step) * t
-            assert nontangential_constant(d, z, t) == pytest.approx(1.0 / (2.0 - step))
+            assert nontangential_constant(bp, z) == pytest.approx(1.0 / (2.0 - step))
 
 
 class TestCones:
     def test_neg_t_is_transverse(self):
-        d = polydisk_delta(2)
-        t = MatrixTuple.from_scalars([1.0, 1.0])
+        bp = boundary_point(polydisk_delta(2), MatrixTuple.from_scalars([1.0, 1.0]))
         h = MatrixTuple.from_scalars([-1.0, -1.0])
-        assert in_Delta(d, t, h)
-        assert in_Gamma(d, t, h)
-        assert in_Sigma(d, t, h)
+        assert in_Delta(bp, h)
+        assert in_Gamma(bp, h)
+        assert in_Sigma(bp, h)
 
     def test_tangential_component_not_inward(self):
         # gram derivative diag(i, -1) has Hermitian part diag(0, -1): top eig 0
-        d = polydisk_delta(2)
-        t = MatrixTuple.from_scalars([1.0, 1.0])
+        bp = boundary_point(polydisk_delta(2), MatrixTuple.from_scalars([1.0, 1.0]))
         h = MatrixTuple.from_scalars([1j, -1.0])
-        assert not in_Gamma(d, t, h)
+        assert not in_Gamma(bp, h)
 
     def test_blocked_delta_has_empty_transverse_cone(self, rng):
-        d = blocked_delta()
-        t = MatrixTuple.from_scalars([1.0])
+        bp = boundary_point(blocked_delta(), MatrixTuple.from_scalars([1.0]))
         for _ in range(20):
             h = random_tuple(rng, 1, 1, max_norm=1.0)
-            assert not in_Delta(d, t, h)
+            assert not in_Delta(bp, h)
 
     def test_norm_constraint_enforced(self):
-        d = polydisk_delta(2)
-        t = MatrixTuple.from_scalars([1.0, 1.0])
+        bp = boundary_point(polydisk_delta(2), MatrixTuple.from_scalars([1.0, 1.0]))
         with pytest.raises(PreconditionError):
-            in_Gamma(d, t, MatrixTuple.from_scalars([-2.0, -2.0]))
+            in_Gamma(bp, MatrixTuple.from_scalars([-2.0, -2.0]))
 
     def test_delta_subset_gamma_and_sigma(self, rng):
         d = polydisk_delta(2)
         for _ in range(30):
-            t = random_unitary_tuple(rng, 2, 2)
+            bp = boundary_point(d, random_unitary_tuple(rng, 2, 2))
             h = random_tuple(rng, 2, 2, max_norm=1.0)
-            if in_Delta(d, t, h):
-                assert in_Gamma(d, t, h) and in_Sigma(d, t, h)
+            if in_Delta(bp, h):
+                assert in_Gamma(bp, h) and in_Sigma(bp, h)
 
 
 class TestAssumptionA:
     def test_polydisk(self, rng):
         d = polydisk_delta(2)
         for n in (1, 2):
-            t = random_unitary_tuple(rng, 2, n)
-            rep = check_assumption_A(d, t, n_starts=5)
+            rep = check_assumption_A(boundary_point(d, random_unitary_tuple(rng, 2, n)), n_starts=5)
             assert rep.a1 and rep.a2 and rep.a
             assert rep.witness.beta == pytest.approx(1.0, abs=1e-10)
             assert rep.sigma_span_dim == 2 * n * n
 
     def test_cartan(self):
-        d = cartan_delta(2)
         t = MatrixTuple.from_scalars([1.0, 0.0, 1.0])
-        rep = check_assumption_A(d, t, n_starts=5)
+        rep = check_assumption_A(boundary_point(cartan_delta(2), t), n_starts=5)
         assert rep.a1 and rep.a2 and rep.a
         assert rep.sigma_span_dim == 3
 
     def test_cartan_antidiagonal_point(self):
-        d = cartan_delta(2)
         t = MatrixTuple.from_scalars([0.0, 1.0, 0.0])
-        rep = check_assumption_A(d, t, n_starts=5)
+        rep = check_assumption_A(boundary_point(cartan_delta(2), t), n_starts=5)
         assert rep.a1 and rep.a2
 
     def test_cartan_matrix_level(self):
         d = cartan_delta(2)
         eye, zero = np.eye(2), np.zeros((2, 2))
         for t in (MatrixTuple((eye, zero, eye)), MatrixTuple((zero, eye, zero))):
-            assert on_distinguished_boundary(d, t)
-            rep = check_assumption_A(d, t, n_starts=3)
+            bp = boundary_point(d, t)
+            assert bp.distinguished
+            rep = check_assumption_A(bp, n_starts=3)
             assert rep.a1 and rep.a2
             assert rep.sigma_span_dim == 12
 
@@ -242,12 +241,14 @@ class TestAssumptionA:
         s = u @ u.T
         coords = [s[a, b] for a in range(3) for b in range(a, 3)]
         t = MatrixTuple.from_scalars(coords)
-        assert on_distinguished_boundary(d, t)
-        rep = check_assumption_A(d, t, n_starts=3)
+        bp = boundary_point(d, t)
+        assert bp.distinguished
+        rep = check_assumption_A(bp, n_starts=3)
         assert rep.a and rep.sigma_span_dim == 6
 
     def test_blocked_delta_a1_fails(self):
-        rep = check_assumption_A(blocked_delta(), MatrixTuple.from_scalars([1.0]), n_starts=5)
+        bp = boundary_point(blocked_delta(), MatrixTuple.from_scalars([1.0]))
+        rep = check_assumption_A(bp, n_starts=5)
         assert not rep.a1
         assert not rep.witness.found
         assert not rep.a
@@ -264,12 +265,13 @@ class TestAssumptionA:
             2, [[FreePolynomial.variable(2, 0), zero], [zero, d2]]
         )
         t = MatrixTuple.from_scalars([1.0, 1.0])
-        assert on_distinguished_boundary(delta, t)
-        assert not in_Delta(delta, t, -1.0 * t)
-        res = find_transverse_direction(delta, t, n_starts=10, seed=0)
+        bp = boundary_point(delta, t)
+        assert bp.distinguished
+        assert not in_Delta(bp, -1.0 * t)
+        res = find_transverse_direction(bp, n_starts=10, seed=0)
         assert res.found
         assert res.beta == pytest.approx(1.0, abs=1e-4)
-        assert in_Delta(delta, t, res.witness, beta=0.5)
+        assert in_Delta(bp, res.witness, beta=0.5)
 
     def test_sigma_constraint_matches_defect_map_oracle(self, rng, monkeypatch):
         def oracle(lmat, gram_dim):
@@ -296,8 +298,9 @@ class TestAssumptionA:
         svd, seen = np.linalg.svd, []
         monkeypatch.setattr(np.linalg, "svd", lambda a, **kw: seen.append(a) or svd(a, **kw))
         for delta, t in cases:
-            assert on_distinguished_boundary(delta, t)
-            lmat = domain._gram_derivative_matrix(delta, t)
+            bp = boundary_point(delta, t)
+            assert bp.distinguished
+            lmat = domain._gram_derivative_matrix(bp)
             gram_dim = len(delta.entries[0]) * t.n
             seen.clear()
             domain._sigma_nullspace(lmat, gram_dim)
@@ -305,14 +308,16 @@ class TestAssumptionA:
 
     def test_requires_distinguished_boundary(self):
         with pytest.raises(PreconditionError):
-            check_assumption_A(polydisk_delta(2), MatrixTuple.from_scalars([0.5, 0.5]))
+            check_assumption_A(
+                boundary_point(polydisk_delta(2), MatrixTuple.from_scalars([0.5, 0.5]))
+            )
 
     def test_ball_gram_derivative_unpadded(self):
         # for the column grid the cone matrix is n x n, so -T is transverse
-        d = ball_delta(2)
         t = MatrixTuple.from_scalars([0.6, 0.8])
-        assert in_Delta(d, t, -1.0 * t)
-        res = find_transverse_direction(d, t, n_starts=1)
+        bp = boundary_point(ball_delta(2), t)
+        assert in_Delta(bp, -1.0 * t)
+        res = find_transverse_direction(bp, n_starts=1)
         assert res.found and res.beta == pytest.approx(1.0, abs=1e-10)
 
 
@@ -373,10 +378,11 @@ class TestSequences:
                     )
                 )
             )
-            assert in_Gamma(d, t, h, beta=1e-6)
+            bp = boundary_point(d, t)
+            assert in_Gamma(bp, h, beta=1e-6)
             seq = ray_sequence(t, h, num_steps=8, first_step=0.05)
             pts = generate_sequence(seq, d)
-            apertures = [nontangential_constant(d, z, t) for z in pts.points]
+            apertures = [nontangential_constant(bp, z) for z in pts.points]
             assert max(apertures) < 1e3
 
 

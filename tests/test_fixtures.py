@@ -7,6 +7,7 @@ from ncjulia import (
     PreconditionError,
     SingularMatrixError,
     ball_delta,
+    boundary_point,
     cartan_delta,
     eval_phi,
     eval_phi_neumann,
@@ -19,7 +20,6 @@ from ncjulia import (
     get_fixture,
     in_G_delta,
     list_fixtures,
-    on_distinguished_boundary,
     operator_norm,
     parse_poly,
     polydisk_delta,
@@ -219,7 +219,7 @@ class TestRegistry:
         assert h.realization.isometry_defect <= 1e-12
 
     def test_ball_distinguished_point(self):
-        assert on_distinguished_boundary(ball_delta(2), MatrixTuple.from_scalars([0.6, 0.8]))
+        assert boundary_point(ball_delta(2), MatrixTuple.from_scalars([0.6, 0.8])).distinguished
 
     def test_bad_sizes(self):
         with pytest.raises(ParseError):

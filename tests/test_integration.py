@@ -44,7 +44,7 @@ def test_full_chain_random_instance(d, dim_e, n, seed):
     est = estimate_alpha(evaluate_sequence(handle, radial_sequence(t, num_steps=20)))
     assert est.converged and est.is_liminf
 
-    bp = boundary_point(handle, t)
+    bp = boundary_point(handle.delta, t)
     sol = solve_uT(handle, bp)
     assert sol.range_residual <= 1e-8
     assert abs(operator_norm(sol.u_T) ** 2 - est.alpha) <= 1e-6

@@ -1,15 +1,24 @@
-"""The package names the benchmark's layer tracer looks up must exist.
+"""The package names and call forms the benchmark uses must exist and bind.
 
-``perfbench/trace.py`` rebinds each name in its ``TARGETS`` with ``getattr``;
-a renamed function would first fail inside the benchmark, so Tier-1 checks
-the names here, reading ``TARGETS`` as a literal without importing perfbench.
+``perfbench/trace.py`` rebinds each name in its ``TARGETS`` with ``getattr``,
+and ``perfbench/workloads.py`` calls package functions by module; a renamed
+function or a changed signature would first fail inside the benchmark, so
+Tier-1 checks both here, reading the files with ``ast`` without importing
+perfbench.
 """
 
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
-TRACE_PY = Path(__file__).resolve().parent.parent / "perfbench" / "trace.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+TRACE_PY = PERFBENCH / "trace.py"
+WORKLOADS_PY = PERFBENCH / "workloads.py"
+# the package modules workloads.py imports and calls into
+WORKLOAD_MODULES = (
+    "cli", "derivative", "domain", "fixtures", "freepoly", "numerics", "realization"
+)
 
 
 def _targets() -> dict:
@@ -32,3 +41,28 @@ def test_every_traced_name_is_a_callable_of_its_module():
     from ncjulia import boundary, realization
 
     assert boundary.eval_phi is realization.eval_phi
+
+
+def test_every_workload_call_binds_to_its_signature():
+    calls = [
+        node
+        for node in ast.walk(ast.parse(WORKLOADS_PY.read_text()))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and isinstance(node.func.value, ast.Name)
+        and node.func.value.id in WORKLOAD_MODULES
+    ]
+    assert len(calls) >= 32
+    for call in calls:
+        where = f"{WORKLOADS_PY.name}:{call.lineno} {call.func.value.id}.{call.func.attr}"
+        assert not any(isinstance(a, ast.Starred) for a in call.args), where
+        assert all(k.arg is not None for k in call.keywords), where
+        module = importlib.import_module(f"ncjulia.{call.func.value.id}")
+        target = getattr(module, call.func.attr, None)
+        assert callable(target), where
+        try:
+            inspect.signature(target).bind(
+                *[None] * len(call.args), **{k.arg: None for k in call.keywords}
+            )
+        except TypeError as exc:
+            raise AssertionError(f"{where}: {exc}") from None
