@@ -9,8 +9,10 @@ are >= 0.  Defaults the library shares are its named constants.
 Exit codes: 0 success (and verdict true for ``bpoint``), 1 verdict false or
 violations found, 2 parse error or invalid option value, 3 precondition
 violation.  All numeric output is printed with 17 significant digits so
-regressions are bit-stable.  The environment variable NCJULIA_SEED overrides
-``--seed`` of ``bpoint`` and ``fuzz``, the two commands that draw random numbers.
+regressions are bit-stable.  A run is set by its arguments alone; no
+environment variable is read.  ``--fixture F`` fills whichever of ``--delta``
+and ``--realization`` is absent, and a point file holds
+``{"components": [...]}`` or ``{"scalars": [...]}``.
 """
 
 from __future__ import annotations
@@ -134,10 +136,10 @@ def _at_least(k: int, at_most: float = math.inf):
 # once as flag -> argparse keywords.  A subcommand adds, with ``_add_options``,
 # only the flags its handler reads.
 _OPTIONS = {
-    "--fixture": dict(help="named fixture providing delta and realization"),
+    "--fixture": dict(help="named fixture for whichever of --delta and --realization is absent"),
     "--delta": dict(help="delta file or name (polydisk:2, ball:3, cartan:2)"),
     "--realization": dict(help="realization file or fixture name"),
-    "--seed": dict(type=_at_least(0), default=2024, help="random seed (NCJULIA_SEED overrides)"),
+    "--seed": dict(type=_at_least(0), default=boundary.SEED, help="random seed"),
     "--samples": dict(type=_at_least(1), default=boundary.JULIA_SAMPLES, help="sweep sample count"),
     "--steps": dict(
         type=_at_least(2), default=boundary.SEQUENCE_STEPS, help="approach-sequence steps"
@@ -172,17 +174,6 @@ def _add_options(parser: argparse.ArgumentParser, *flags: str):
         parser.add_argument(flag, **_OPTIONS[flag])
 
 
-def _seed(args) -> int:
-    """The seed of ``bpoint`` and ``fuzz``: NCJULIA_SEED when set, else ``--seed``."""
-    env_seed = os.environ.get("NCJULIA_SEED")
-    if env_seed is None:
-        return args.seed
-    try:
-        return _at_least(0)(env_seed)
-    except argparse.ArgumentTypeError as exc:
-        raise ParseError(f"NCJULIA_SEED: {exc}") from None
-
-
 # --- input resolution ---------------------------------------------------------
 
 
@@ -215,15 +206,14 @@ def _resolve_realization(name_or_path: str, isometry_tol: float) -> realization.
 
 
 def _resolve_handle(args) -> realization.NcFunctionHandle:
-    if args.fixture is not None:
-        fixture = fixtures.get_fixture(args.fixture)
-        delta = fixture.delta if args.delta is None else _resolve_delta(args.delta)
-        return realization.NcFunctionHandle(realization=fixture.realization, delta=delta)
-    if args.delta is None or args.realization is None:
+    """The handle of ``--delta`` and ``--realization``; ``--fixture`` fills whichever is absent."""
+    colligation = args.realization or args.fixture
+    delta = args.delta or args.fixture
+    if colligation is None or delta is None:
         raise ParseError("need either --fixture or both --delta and --realization")
     return realization.NcFunctionHandle(
-        realization=_resolve_realization(args.realization, args.isometry_tol),
-        delta=_resolve_delta(args.delta),
+        realization=_resolve_realization(colligation, args.isometry_tol),
+        delta=_resolve_delta(delta),
     )
 
 
@@ -319,7 +309,6 @@ def _jsonable_report(r: boundary.BPointReport) -> dict:
 
 
 def cmd_bpoint(args) -> int:
-    seed = _seed(args)
     handle = _resolve_handle(args)
     t = _load_point(args.point)
     direction = None if args.ray is None else _load_point(args.ray)
@@ -331,7 +320,7 @@ def cmd_bpoint(args) -> int:
         first_step=args.first_step,
         julia_samples=args.samples,
         margin=args.margin,
-        seed=seed,
+        seed=args.seed,
         range_tol=args.residual_tol,
         rel_tol=args.rel_tol,
     )
@@ -350,9 +339,8 @@ def _model_identity_defects(delta, pending, margin: float) -> list:
 
 
 def cmd_fuzz(args) -> int:
-    seed = _seed(args)
     delta = _resolve_delta(args.delta)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(args.seed)
     model_violations = 0
     max_model_residual = 0.0
     # (handle, Gaussian draft) of the samples whose model identity is unchecked, and their D bytes
@@ -364,10 +352,10 @@ def cmd_fuzz(args) -> int:
     run_julia = square and delta == fixtures.polydisk_delta(delta.d)
 
     for k in range(args.samples):
-        colligation = realization.random_realization(args.dim_E, delta.J, seed + k)
+        colligation = realization.random_realization(args.dim_E, delta.J, args.seed + k)
         if args.no_isometry:
             colligation = realization.perturb_realization(
-                colligation, eps=0.05, seed=seed + k
+                colligation, eps=0.05, seed=args.seed + k
             )
         handle = realization.NcFunctionHandle(realization=colligation, delta=delta)
         n = int(rng.integers(1, 3))
@@ -402,7 +390,7 @@ def cmd_fuzz(args) -> int:
     emit(
         {
             "samples": args.samples,
-            "seed": seed,
+            "seed": args.seed,
             "dim_E": args.dim_E,
             "J": delta.J,
             "model_identity": {

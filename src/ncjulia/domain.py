@@ -131,7 +131,8 @@ class BoundaryPoint:
     """A point T of the closed domain with the padded Delta(T) of one evaluation.
 
     ``given`` is Delta(T) on the grid as given, a view of ``delta``;
-    ``delta_norm`` and ``distinguished`` are computed on first read.
+    ``delta_norm``, ``distinguished``, ``gram_map`` and ``sigma_basis`` are
+    computed on first read.
     """
 
     grid: DeltaMatrix
@@ -152,6 +153,26 @@ class BoundaryPoint:
         v = self.given
         eye = np.eye(v.shape[1], dtype=np.complex128)
         return operator_norm(v.conj().T @ v - eye) <= DISTINGUISHED_TOL
+
+    @cached_property
+    def gram_map(self) -> np.ndarray:
+        """Matrix of the complex-linear map h -> d(T)* grad d(T)[h] on vectorized tuples."""
+        d, n = self.t.d, self.t.n
+        return _read_only(np.column_stack([
+            _gram_derivative(self, _vec_to_tuple(e, d, n)).reshape(-1)
+            for e in np.eye(d * n * n, dtype=np.complex128)
+        ]))
+
+    @cached_property
+    def sigma_basis(self) -> np.ndarray:
+        """Orthonormal real basis (columns) of {h : d(T)* grad d(T)[h] self-adjoint}."""
+        return _read_only(_sigma_nullspace(self.gram_map, self.given.shape[1]))
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """``a``, made read-only: every reader of a ``BoundaryPoint`` shares its cached arrays."""
+    a.flags.writeable = False
+    return a
 
 
 def boundary_point(delta: DeltaMatrix, t: MatrixTuple) -> BoundaryPoint:
@@ -228,15 +249,6 @@ def _vec_to_tuple(vec: np.ndarray, d: int, n: int) -> MatrixTuple:
     return MatrixTuple(tuple(vec.reshape(d, n, n)[r] for r in range(d)))
 
 
-def _gram_derivative_matrix(bp: BoundaryPoint) -> np.ndarray:
-    """Matrix of the complex-linear map h -> d(T)* grad d(T)[h] on vectorized tuples."""
-    d, n = bp.t.d, bp.t.n
-    return np.column_stack([
-        _gram_derivative(bp, _vec_to_tuple(e, d, n)).reshape(-1)
-        for e in np.eye(d * n * n, dtype=np.complex128)
-    ])
-
-
 def _project_to_unit_ball(vec: np.ndarray, d: int, n: int) -> np.ndarray:
     comps = vec.reshape(d, n, n).copy()
     for r in range(d):
@@ -307,9 +319,8 @@ def find_transverse_direction(
     if best_val <= -INWARD_BETA:
         return InwardWitnessResult(found=True, witness=best_k, beta=-best_val)
 
-    lmat = _gram_derivative_matrix(bp)
+    lmat = bp.gram_map
     gram_dim = bp.given.shape[1]
-    sigma_basis = _sigma_nullspace(lmat, gram_dim)
     rng = np.random.default_rng(seed)
     for _ in range(n_starts):
         vec = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
@@ -325,7 +336,7 @@ def find_transverse_direction(
         top_eig, sym_defect = consider(k)
         if sym_defect > SELF_ADJOINT_TOL and top_eig < 0:
             # inward but not transverse: project onto the self-adjoint subspace
-            proj = sigma_basis @ (sigma_basis.T @ np.concatenate([vec.real, vec.imag]))
+            proj = bp.sigma_basis @ (bp.sigma_basis.T @ np.concatenate([vec.real, vec.imag]))
             repaired = proj[:dim] + 1j * proj[dim:]
             if np.linalg.norm(repaired) > 0:
                 consider(_vec_to_tuple(_project_to_unit_ball(repaired, d, n), d, n))
@@ -341,10 +352,9 @@ def sigma_span_dimension(bp: BoundaryPoint) -> int:
     computed by SVD and the span dimension is the complex rank of a basis.
     """
     dim = bp.t.d * bp.t.n * bp.t.n
-    null_basis = _sigma_nullspace(_gram_derivative_matrix(bp), bp.given.shape[1])
-    if null_basis.shape[1] == 0:
+    if bp.sigma_basis.shape[1] == 0:
         return 0
-    return numerical_rank([col[:dim] + 1j * col[dim:] for col in null_basis.T])
+    return numerical_rank([col[:dim] + 1j * col[dim:] for col in bp.sigma_basis.T])
 
 
 @dataclass(frozen=True)
@@ -524,9 +534,7 @@ def _block_rows(delta: DeltaMatrix, n: int) -> int:
     return max(1, _BLOCK_BYTES // (16 * (delta.J * n) ** 2))
 
 
-def _into_domain(
-    delta: DeltaMatrix, drafts, margin: float = SAMPLE_MARGIN, max_halvings: int = MAX_HALVINGS
-) -> list:
+def _into_domain(delta: DeltaMatrix, drafts, margin: float = SAMPLE_MARGIN) -> list:
     """(x, Delta(x), ||Delta(x)||) for each draft, scaled as :func:`random_interior_point` scales it.
 
     Drafts of one matrix size are scaled together, in blocks of
@@ -542,7 +550,7 @@ def _into_domain(
         step = _block_rows(delta, n)
         for start in range(0, len(rows), step):
             block = rows[start : start + step]
-            scaled = _scale_block(delta, [drafts[k] for k in block], margin, max_halvings)
+            scaled = _scale_block(delta, [drafts[k] for k in block], margin)
             for k, result in zip(block, scaled):
                 out[k] = result
     for result in out:
@@ -551,7 +559,7 @@ def _into_domain(
     return out
 
 
-def _scale_block(delta: DeltaMatrix, drafts, margin: float, max_halvings: int) -> list:
+def _scale_block(delta: DeltaMatrix, drafts, margin: float) -> list:
     """The scaled sample, or the message of its error, for each draft of one matrix size.
 
     One batched norm per component scales the drafts into the unit ball;
@@ -565,7 +573,7 @@ def _scale_block(delta: DeltaMatrix, drafts, margin: float, max_halvings: int) -
         comps.append(g / np.maximum(1.0, _operator_norms(g))[:, None, None])
     out = ["could not scale a random point into the domain"] * len(drafts)
     rows = np.arange(len(drafts))
-    for _ in range(max_halvings):
+    for _ in range(MAX_HALVINGS):
         if not rows.size:
             break
         big_delta = _eval_delta_stack(delta, comps)

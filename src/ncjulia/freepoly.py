@@ -559,17 +559,14 @@ def tuple_to_json(x: MatrixTuple) -> dict:
 
 
 def tuple_from_json(obj) -> MatrixTuple:
-    """Decode a point; accepts the full object form or {"scalars": [[re, im], ...]}."""
+    """Decode a point: {"components": [matrix, ...]} or {"scalars": [[re, im], ...]}."""
     if isinstance(obj, dict) and "scalars" in obj:
         if not isinstance(obj["scalars"], list) or not obj["scalars"]:
             raise ParseError("scalars list must be a non-empty list")
         return MatrixTuple.from_scalars([_json_complex(p, "scalar") for p in obj["scalars"]])
-    if isinstance(obj, dict) and "components" in obj:
-        comps = obj["components"]
-    elif isinstance(obj, list):
-        comps = obj
-    else:
+    if not isinstance(obj, dict) or "components" not in obj:
         raise ParseError("expected a point object with 'components' or 'scalars'")
+    comps = obj["components"]
     if not isinstance(comps, list) or not comps:
         raise ParseError("point needs a non-empty component list")
     mats = [matrix_from_json(c) for c in comps]
@@ -577,9 +574,8 @@ def tuple_from_json(obj) -> MatrixTuple:
         x = MatrixTuple(tuple(mats))
     except DimensionError as exc:
         raise ParseError(str(exc)) from None
-    if isinstance(obj, dict):
-        if "d" in obj and _json_int(obj["d"], "point d", 1) != x.d:
-            raise ParseError(f"point lists d={obj['d']} but has {x.d} components")
-        if "n" in obj and _json_int(obj["n"], "point n", 1) != x.n:
-            raise ParseError(f"point lists n={obj['n']} but components are {x.n} x {x.n}")
+    if "d" in obj and _json_int(obj["d"], "point d", 1) != x.d:
+        raise ParseError(f"point lists d={obj['d']} but has {x.d} components")
+    if "n" in obj and _json_int(obj["n"], "point n", 1) != x.n:
+        raise ParseError(f"point lists n={obj['n']} but components are {x.n} x {x.n}")
     return x

@@ -68,8 +68,8 @@ class Realization:
     """Isometric colligation (A, B, C, D) on C + (E tensor C^J).
 
     Construction fails when the stacked block matrix is farther than
-    ``ISOMETRY_TOL`` from an isometry, unless ``validate=False`` (used only to
-    build deliberately broken specimens for negative controls).
+    ``isometry_tol`` from an isometry; ``isometry_tol=np.inf`` builds the
+    deliberately broken specimens of negative controls.
     """
 
     dim_E: int
@@ -79,9 +79,9 @@ class Realization:
     C: np.ndarray
     D: np.ndarray
     isometry_defect: float = field(init=False)
-    validate: InitVar[bool] = True
+    isometry_tol: InitVar[float] = ISOMETRY_TOL
 
-    def __post_init__(self, validate):
+    def __post_init__(self, isometry_tol):
         if self.dim_E < 1 or self.J < 1:
             raise DimensionError("dim_E and J must be at least 1")
         mj = self.dim_E * self.J
@@ -102,9 +102,9 @@ class Realization:
         m = self.colligation
         defect = operator_norm(m.conj().T @ m - np.eye(1 + mj))
         object.__setattr__(self, "isometry_defect", float(defect))
-        if validate and defect > ISOMETRY_TOL:
+        if defect > isometry_tol:
             raise PreconditionError(
-                f"colligation is not an isometry: defect {defect:.3e} > {ISOMETRY_TOL:.0e}"
+                f"colligation is not an isometry: defect {defect:.3e} > {isometry_tol:.0e}"
             )
 
     @property
@@ -348,7 +348,7 @@ def perturb_realization(r: Realization, eps: float, seed: int = 0) -> Realizatio
     g = (rng.standard_normal((mj, mj)) + 1j * rng.standard_normal((mj, mj))) / np.sqrt(2.0)
     g *= eps / max(1.0, operator_norm(g))
     return Realization(
-        dim_E=r.dim_E, J=r.J, A=r.A, B=r.B, C=r.C, D=r.D + g, validate=False
+        dim_E=r.dim_E, J=r.J, A=r.A, B=r.B, C=r.C, D=r.D + g, isometry_tol=np.inf
     )
 
 
@@ -381,12 +381,6 @@ def realization_from_json(obj, isometry_tol: float = ISOMETRY_TOL) -> Realizatio
     except KeyError as exc:
         raise ParseError(f"realization object missing field: {exc}") from None
     try:
-        out = Realization(dim_E=dim_e, J=j, validate=False, **blocks)
+        return Realization(dim_E=dim_e, J=j, isometry_tol=isometry_tol, **blocks)
     except DimensionError as exc:
         raise ParseError(str(exc)) from None
-    if out.isometry_defect > isometry_tol:
-        raise PreconditionError(
-            f"colligation is not an isometry: defect {out.isometry_defect:.3e} "
-            f"> {isometry_tol:.0e}"
-        )
-    return out

@@ -58,7 +58,7 @@ def inconsistent_handle():
         dim_E=1, J=1,
         A=np.array([[0.0]]), B=np.array([[0.0]]),
         C=np.array([[1.0]]), D=np.array([[1.0]]),
-        validate=False,
+        isometry_tol=np.inf,
     )
     return NcFunctionHandle(realization=r, delta=polydisk_delta(1))
 
@@ -203,7 +203,7 @@ class TestSolveUT:
             A=np.array([[0.0]]), B=np.array([[0.0, 0.0]]),
             C=np.array([[1.0], [0.0]]),
             D=np.array([[1.0, 1.0], [0.0, 0.0]]),
-            validate=False,
+            isometry_tol=np.inf,
         )
         h = NcFunctionHandle(realization=r, delta=polydisk_delta(2))
         sol = solve_uT(h, boundary_point(h.delta, scalars(1.0, 1.0)))
@@ -365,15 +365,18 @@ class TestTfae:
             assert rep.comparability["gram_le_model"]
             assert rep.comparability["model_le_scalar"]
 
-    def test_tangential_sequence_rejected(self, h1):
+    def test_tangential_sequence_rejected(self, h1, monkeypatch):
+        from ncjulia import boundary
+
         # direction (i - eps) T enters the domain but with huge aperture
         t = scalars(1.0, 1.0)
         eps = 1e-4
         k = MatrixTuple.from_scalars([(1j - eps), (1j - eps)])
         k = k * (1.0 / k.max_component_norm())
         seq = ray_sequence(t, k, num_steps=6, first_step=my_first_step(eps))
+        monkeypatch.setattr(boundary, "APERTURE_CAP", 1e3)
         with pytest.raises(PreconditionError, match="tangential"):
-            tfae_report(evaluate_sequence(h1, seq), boundary_point(h1.delta, t), aperture_cap=1e3)
+            tfae_report(evaluate_sequence(h1, seq), boundary_point(h1.delta, t))
 
 
 def my_first_step(eps):
@@ -691,18 +694,30 @@ class TestVerdictStability:
     def test_same_under_similarity_seed_and_json_round_trip(self, source, arg, seed):
         import json
 
-        from ncjulia import haar_unitary, similarity, tuple_from_json, tuple_to_json
+        from ncjulia import (
+            delta_from_json,
+            delta_to_json,
+            haar_unitary,
+            realization_from_json,
+            realization_to_json,
+            similarity,
+            tuple_from_json,
+            tuple_to_json,
+        )
 
         handle, t, expected = _verdict_case(source, arg, seed)
 
-        def verdict(point, sweep_seed):
-            rep = analyze_bpoint(handle, point, julia_samples=20, seed=sweep_seed)
+        def verdict(point, sweep_seed, h=handle):
+            rep = analyze_bpoint(h, point, julia_samples=20, seed=sweep_seed)
             range_verdict = None if rep.range_test is None else rep.range_test.is_bpoint
             alpha = rep.alpha
             return (
                 rep.is_bpoint, alpha.converged, alpha.diverging, range_verdict,
                 rep.julia.violations == 0,
             )
+
+        def round_trip(obj):
+            return json.loads(json.dumps(obj))
 
         base = verdict(t, 1)
         assert base[0] == expected
@@ -711,4 +726,15 @@ class TestVerdictStability:
         u = haar_unitary(t.n, np.random.default_rng(seed))
         assert verdict(similarity(t, u), 1) == base
         assert verdict(t, 7) == base
-        assert verdict(tuple_from_json(json.loads(json.dumps(tuple_to_json(t)))), 1) == base
+        assert verdict(tuple_from_json(round_trip(tuple_to_json(t))), 1) == base
+
+        colligation = round_trip(realization_to_json(handle.realization))
+        if source == "inconsistent":  # loads only past the one isometry check
+            with pytest.raises(PreconditionError, match="not an isometry"):
+                realization_from_json(colligation)
+            loaded = realization_from_json(colligation, isometry_tol=np.inf)
+        else:
+            loaded = realization_from_json(colligation)
+        grid = delta_from_json(round_trip(delta_to_json(handle.delta)))
+        loaded_handle = NcFunctionHandle(realization=loaded, delta=grid)
+        assert verdict(t, 1, loaded_handle) == base

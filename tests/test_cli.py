@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from ncjulia import get_fixture, realization_to_json
+from ncjulia import get_fixture, random_realization, realization_to_json
 from ncjulia.cli import main, render_json
 
 
@@ -50,8 +50,32 @@ class TestEval:
     def test_malformed_json(self, files):
         assert main(["eval", "--fixture", "example-h1", "--point", files["malformed"]]) == 2
 
-    def test_unknown_fixture(self, files):
+    def test_unknown_fixture(self, files, capsys):
         assert main(["eval", "--fixture", "nope", "--point", files["interior"]]) == 2
+        assert "unknown fixture 'nope'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags, pair", [
+        (["--fixture", "F"], ["--delta", "F", "--realization", "F"]),
+        (["--fixture", "F", "--delta", "D"], ["--delta", "D", "--realization", "F"]),
+        (["--fixture", "F", "--realization", "R"], ["--delta", "F", "--realization", "R"]),
+        (
+            ["--fixture", "F", "--delta", "D", "--realization", "R"],
+            ["--delta", "D", "--realization", "R"],
+        ),
+    ])
+    def test_fixture_fills_the_absent_handle_flag(self, files, capsys, flags, pair):
+        colligation = realization_to_json(random_realization(1, 2, 5))
+        names = {
+            "F": "example-h1",
+            "D": "ball:2",
+            "R": write_json(files["tmp"] / "colligation.json", colligation),
+        }
+        runs = []
+        for argv in (flags, pair):
+            code = main(["eval", *(names.get(a, a) for a in argv), "--point", files["interior"]])
+            runs.append((code, capsys.readouterr()))
+        assert runs[0] == runs[1]
+        assert runs[0][0] == 0
 
     def test_named_delta_and_realization(self, files, capsys):
         code = main([
@@ -199,16 +223,19 @@ class TestBpoint:
         assert out["W"] is None and out["W_unitary_distance"] is None
         assert isinstance(out["W_error"], str)
 
-    def test_defaults_are_the_library_defaults(self, files, capsys, monkeypatch):
-        from ncjulia import analyze_bpoint, get_fixture, tuple_from_json
-        from ncjulia.cli import _jsonable_report
+    def test_defaults_are_the_library_defaults(self, files, capsys):
+        import inspect
 
-        monkeypatch.delenv("NCJULIA_SEED", raising=False)
+        from ncjulia import analyze_bpoint, boundary, get_fixture, tuple_from_json
+        from ncjulia.cli import _OPTIONS, _jsonable_report
+
         assert main(["bpoint", "--fixture", "example-h1", "--point", files["boundary"]]) == 0
         with open(files["boundary"]) as fh:
             t = tuple_from_json(json.load(fh))
-        # the CLI's default seed is 2024, the library's 0; every other value is shared
-        report = analyze_bpoint(get_fixture("example-h1").handle, t, seed=2024)
+        # one default seed, boundary.SEED, serves the CLI and the library
+        assert _OPTIONS["--seed"]["default"] == boundary.SEED
+        assert inspect.signature(analyze_bpoint).parameters["seed"].default == boundary.SEED
+        report = analyze_bpoint(get_fixture("example-h1").handle, t)
         assert capsys.readouterr().out == render_json(_jsonable_report(report)) + "\n"
 
 
@@ -231,17 +258,14 @@ class TestFuzz:
         second = capsys.readouterr().out
         assert first == second
 
-    def test_env_seed_override(self, capsys, monkeypatch):
-        main(["fuzz", "--samples", "15", "--seed", "1"])
-        baseline = capsys.readouterr().out
+    def test_environment_does_not_set_the_seed(self, capsys, monkeypatch):
+        monkeypatch.delenv("NCJULIA_SEED", raising=False)
+        main(["fuzz", "--samples", "15", "--seed", "999"])
+        unset = capsys.readouterr().out
         monkeypatch.setenv("NCJULIA_SEED", "1")
         main(["fuzz", "--samples", "15", "--seed", "999"])
-        overridden = capsys.readouterr().out
-        assert overridden == baseline
-
-    def test_bad_env_seed(self, monkeypatch):
-        monkeypatch.setenv("NCJULIA_SEED", "pi")
-        assert main(["fuzz", "--samples", "5"]) == 2
+        assert capsys.readouterr().out == unset
+        assert json.loads(unset)["seed"] == 999
 
     def test_J_comes_from_delta(self, capsys):
         assert main(["fuzz", "--samples", "2", "--delta", "polydisk:3"]) == 0
@@ -398,7 +422,28 @@ class TestMeta:
         assert "example-h1" in json.loads(capsys.readouterr().out)["fixtures"]
         assert cli.build_parser() is cli.build_parser()
 
-    def test_config_validation(self, files, monkeypatch):
+    def test_package_reads_no_environment(self):
+        # a run is set by its arguments alone: no module of the package reads an environment knob
+        import ast
+        from pathlib import Path
+
+        import ncjulia
+
+        knobs = {"environ", "environb", "getenv", "getenvb"}
+        found = []
+        for path in sorted(Path(ncjulia.__file__).parent.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if (
+                    isinstance(node, ast.Attribute) and node.attr in knobs
+                    and isinstance(node.value, ast.Name) and node.value.id == "os"
+                ) or (
+                    isinstance(node, ast.ImportFrom) and node.module == "os"
+                    and any(alias.name in knobs for alias in node.names)
+                ):
+                    found.append(f"{path.name}:{node.lineno}")
+        assert found == []
+
+    def test_config_validation(self, files):
         # each invalid value is refused before any work is done
         fuzz = ["fuzz", "--samples", "2"]
         bpoint = ["bpoint", "--fixture", "example-h1", "--point", files["boundary"]]
@@ -420,9 +465,11 @@ class TestMeta:
             evaluate + ["--isometry-tol", "nan"],
         ):
             assert main(argv) == 2, argv
-        monkeypatch.setenv("NCJULIA_SEED", "-1")
-        assert main(fuzz) == 2
-        assert main(bpoint) == 2
+
+    def test_bare_list_point_is_a_parse_error(self, files, capsys):
+        point = write_json(files["tmp"] / "bare.json", [_SCALAR, _SCALAR])
+        assert main(["eval", "--fixture", "example-h1", "--point", point]) == 2
+        assert "'components' or 'scalars'" in capsys.readouterr().err
 
     def test_zero_size_point_is_a_parse_error(self, files, capsys):
         empty = {"rows": 0, "cols": 0, "data": []}

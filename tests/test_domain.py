@@ -253,6 +253,17 @@ class TestAssumptionA:
         assert not rep.witness.found
         assert not rep.a
 
+    def test_blocked_delta_builds_the_sigma_basis_once(self, monkeypatch):
+        # -T fails on diag(x0, 1), so the descent and the span dimension both read the basis
+        calls, nullspace = [], domain._sigma_nullspace
+        monkeypatch.setattr(
+            domain, "_sigma_nullspace", lambda *args: calls.append(args) or nullspace(*args)
+        )
+        bp = boundary_point(blocked_delta(), MatrixTuple.from_scalars([1.0]))
+        rep = check_assumption_A(bp, n_starts=5)
+        assert not rep.witness.found and rep.sigma_span_dim == 1
+        assert len(calls) == 1 and calls[0][0] is bp.gram_map
+
     def test_witness_search_succeeds_where_heuristic_fails(self):
         # diag(x0, 3 x1 - 2 x1^2) at T=(1,1): the cone matrix is diag(h1, -h2),
         # so -T gives diag(-1, +1) (indefinite) while K=(-1, +1) is a witness
@@ -300,7 +311,7 @@ class TestAssumptionA:
         for delta, t in cases:
             bp = boundary_point(delta, t)
             assert bp.distinguished
-            lmat = domain._gram_derivative_matrix(bp)
+            lmat = bp.gram_map
             gram_dim = len(delta.entries[0]) * t.n
             seen.clear()
             domain._sigma_nullspace(lmat, gram_dim)
@@ -474,12 +485,13 @@ class TestInteriorSampling:
             return norms(stack)
 
         monkeypatch.setattr(domain, "_operator_norms", finite_only)
+        monkeypatch.setattr(domain, "MAX_HALVINGS", 1)
 
         def draft(value, n=1):
             return (value * np.eye(n, dtype=np.complex128),)
 
         ok, too_big, overflow = draft(1e-310), draft(1e-300), draft(1.0)
-        assert _into_domain(delta, [ok, ok], max_halvings=1)[1][2] == pytest.approx(0.01)
+        assert _into_domain(delta, [ok, ok])[1][2] == pytest.approx(0.01)
         cases = (
             ([ok, overflow, too_big], "non-finite"),
             ([ok, too_big, overflow], "could not scale"),
@@ -489,7 +501,7 @@ class TestInteriorSampling:
         )
         for drafts, message in cases:
             with np.errstate(over="ignore"), pytest.raises(PreconditionError, match=message):
-                _into_domain(delta, drafts, max_halvings=1)
+                _into_domain(delta, drafts)
 
     def test_blocks_hold_at_most_the_byte_budget(self, monkeypatch):
         delta = cartan_delta(2)

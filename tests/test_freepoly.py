@@ -14,6 +14,7 @@ from ncjulia import (
     directional_derivative_poly,
     eval_poly,
     format_poly,
+    matrix_to_json,
     parse_poly,
     poly_from_json,
     poly_to_json,
@@ -318,3 +319,7 @@ class TestJson:
         x = tuple_from_json({"scalars": [[0.5, 0.0], [0.0, -1.0]]})
         assert x.n == 1 and x.d == 2
         assert x.components[1][0, 0] == -1j
+
+    def test_bare_list_of_matrices_rejected(self):
+        with pytest.raises(ParseError, match="'components' or 'scalars'"):
+            tuple_from_json([matrix_to_json(np.eye(2))])
