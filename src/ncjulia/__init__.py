@@ -76,7 +76,6 @@ from .realization import (
     eval_phi_neumann,
     eval_u,
     evaluate,
-    evaluate_many,
     model_residual,
     perturb_realization,
     random_realization,

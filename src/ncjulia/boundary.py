@@ -142,28 +142,21 @@ def estimate_alpha(path: SequenceEvaluation) -> AlphaEstimate:
         d_last = quotients[-1] - quotients[-2]
         significant = d_last > 1e-6 * max(1.0, abs(quotients[-1]))
         diverging = significant and d_prev > 0 and d_last >= 0.9 * d_prev
-    if diverging:
-        return AlphaEstimate(
-            alpha=float("inf"),
-            quotients=tuple(quotients),
-            steps=tuple(path.steps),
-            increments=(),
-            converged=False,
-            diverging=True,
-            is_liminf=False,
-        )
-    res = extrapolate_limit(list(zip(path.steps, quotients)))
-    alpha = float(np.real(res.value.reshape(())))
-    last_increment = res.increments[-1] if res.increments else 0.0
-    converged = last_increment <= CONVERGENCE_RTOL * max(1.0, abs(alpha))
+    alpha, increments, converged = float("inf"), (), False
+    if not diverging:
+        res = extrapolate_limit(list(zip(path.steps, quotients)))
+        alpha = float(np.real(res.value.reshape(())))
+        increments = res.increments
+        last_increment = increments[-1] if increments else 0.0
+        converged = last_increment <= CONVERGENCE_RTOL * max(1.0, abs(alpha))
     return AlphaEstimate(
         alpha=alpha,
         quotients=tuple(quotients),
         steps=tuple(path.steps),
-        increments=res.increments,
+        increments=increments,
         converged=converged,
-        diverging=False,
-        is_liminf=is_liminf,
+        diverging=diverging,
+        is_liminf=is_liminf and not diverging,
     )
 
 
@@ -395,9 +388,9 @@ class TfaeReport:
 
     The four quantities are the quotient against the Gram defect
     ||I - Delta*Delta||, the quotient against the scalar defect 1 - ||Delta||^2,
-    and the squared model-vector norm twice (once for "some model vector",
-    once for "every model vector"; the realization materializes exactly one
-    canonical model vector, so the two coincide here).
+    and the squared model-vector norm, for "some model vector" and for "every
+    model vector" alike: the realization materializes exactly one canonical
+    model vector, so ``sup_model_norm_sq`` is both.
 
     The comparability entries verify the chain that makes the quantities
     equivalent on a non-tangential sequence of aperture c:
@@ -407,7 +400,6 @@ class TfaeReport:
     sup_gram_quotient: float
     sup_scalar_quotient: float
     sup_model_norm_sq: float
-    sup_model_norm_sq_all: float
     aperture: float
     n_points: int
     comparability: dict
@@ -445,7 +437,6 @@ def tfae_report(path: SequenceEvaluation, bp: BoundaryPoint) -> TfaeReport:
         sup_gram_quotient=sup_gram,
         sup_scalar_quotient=sup_scalar,
         sup_model_norm_sq=sup_model,
-        sup_model_norm_sq_all=sup_model,
         aperture=aperture,
         n_points=len(path.evals),
         comparability=comparability,
@@ -457,15 +448,23 @@ class BPointReport:
     """Full per-point diagnostic bundle assembled by :func:`analyze_bpoint`."""
 
     point: BoundaryPoint
-    sequence_kind: str
-    sequence_dropped: int
+    path: SequenceEvaluation
     alpha: AlphaEstimate
     boundary_value: BoundaryValue | None
     W_error: str | None
     range_test: RangeTestResult | None
-    is_bpoint: bool
     julia: JuliaSweep
     tfae: TfaeReport | None
+
+    @property
+    def is_bpoint(self) -> bool:
+        """The range test's verdict where it ran, else ``alpha.converged``; never if diverging.
+
+        Zero-padded grids can pass the range test while the quotient genuinely
+        diverges, so an observed divergence overrides it.
+        """
+        verdict = self.alpha.converged if self.range_test is None else self.range_test.is_bpoint
+        return verdict and not self.alpha.diverging
 
 
 def analyze_bpoint(
@@ -515,13 +514,6 @@ def analyze_bpoint(
     if bp.distinguished:
         range_test = is_bpoint_range_test(h, bp, range_tol, seed)
         u_t = range_test.solution.u_T
-        # the range criterion is decisive only when the boundary value of the
-        # defining matrix is square unitary; zero-padded grids can pass the
-        # range test while the quotient genuinely diverges, so an observed
-        # divergence overrides
-        is_bpoint = range_test.is_bpoint and not alpha.diverging
-    else:
-        is_bpoint = alpha.converged and not alpha.diverging
 
     julia = JuliaSweep()
     if boundary_value is not None and np.isfinite(alpha.alpha):
@@ -534,13 +526,11 @@ def analyze_bpoint(
 
     return BPointReport(
         point=bp,
-        sequence_kind=seq.kind,
-        sequence_dropped=path.dropped,
+        path=path,
         alpha=alpha,
         boundary_value=boundary_value,
         W_error=w_error,
         range_test=range_test,
-        is_bpoint=is_bpoint,
         julia=julia,
         tfae=tfae,
     )

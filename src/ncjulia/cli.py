@@ -88,10 +88,13 @@ def render_text(obj, prefix: str = "") -> list:
 
 
 def emit(obj, output: str):
-    if output == "text":
-        print("\n".join(render_text(obj)))
-    else:
-        print(render_json(obj))
+    text = "\n".join(render_text(obj)) if output == "text" else render_json(obj)
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        # a reader that closed the pipe early changes no exit code; /dev/null takes
+        # the interpreter's flush of stdout at exit, which would raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 # --- options -------------------------------------------------------------------
@@ -266,9 +269,9 @@ def _jsonable_report(r: boundary.BPointReport) -> dict:
         "delta_norm_at_T": r.point.delta_norm,
         "on_distinguished_boundary": r.point.distinguished,
         "sequence": {
-            "kind": r.sequence_kind,
+            "kind": r.path.seq.kind,
             "steps": list(r.alpha.steps),
-            "dropped": r.sequence_dropped,
+            "dropped": r.path.dropped,
         },
         "alpha": _jsonable_alpha(r.alpha),
         "is_bpoint": r.is_bpoint,
@@ -300,7 +303,8 @@ def _jsonable_report(r: boundary.BPointReport) -> dict:
             "sup_gram_quotient": r.tfae.sup_gram_quotient,
             "sup_scalar_quotient": r.tfae.sup_scalar_quotient,
             "sup_model_norm_sq": r.tfae.sup_model_norm_sq,
-            "sup_model_norm_sq_all": r.tfae.sup_model_norm_sq_all,
+            # "every model vector" is the one canonical model vector
+            "sup_model_norm_sq_all": r.tfae.sup_model_norm_sq,
             "aperture": r.tfae.aperture,
             "n_points": r.tfae.n_points,
             "comparability": r.tfae.comparability,

@@ -9,16 +9,17 @@ consequences (homogeneity in H and ladder independence) are exposed.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .boundary import SequenceEvaluation, extract_W
-from .domain import boundary_point, in_Delta, ray_sequence, _cone_matrix
+from .boundary import SequenceEvaluation, evaluate_sequence, extract_W
+from .domain import GDeltaExitWarning, boundary_point, in_Delta, ray_sequence, _cone_matrix
 from .errors import ConvergenceError, DimensionError, PreconditionError
 from .freepoly import MatrixTuple
 from .numerics import extrapolate_limit, hermitian_part_max_eig, operator_norm
-from .realization import NcFunctionHandle, evaluate_many
+from .realization import NcFunctionHandle
 
 STEP_FLOOR = 1e-8  # below this, difference quotients drown in cancellation
 LADDER_FIRST_STEP = 1e-2
@@ -48,16 +49,21 @@ class DirectionalDerivativeResult:
 
 def _admissible_ladder(
     h: NcFunctionHandle, t: MatrixTuple, direction: MatrixTuple, first_step: float, steps: int
-):
-    """Halve the first step until all ladder points are interior; return t0, ladder, evaluations."""
+) -> SequenceEvaluation:
+    """The ray sequence of the ladder, its first step halved until every point is interior."""
     t0 = first_step
     for _ in range(80):
-        ladder = [s for s in (t0 * 2.0**-k for k in range(steps)) if s >= STEP_FLOOR]
-        if len(ladder) >= 2:
-            try:
-                return t0, ladder, evaluate_many(h, [t + s * direction for s in ladder])
-            except PreconditionError:
-                pass  # a ladder point lies outside the domain
+        kept = sum(t0 * 2.0**-k >= STEP_FLOOR for k in range(steps))
+        if kept >= 2:
+            # a dropped point only calls for a smaller first step, so it is not warned about
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", GDeltaExitWarning)
+                try:
+                    path = evaluate_sequence(h, ray_sequence(t, direction, kept, t0))
+                    if path.dropped == 0:
+                        return path
+                except PreconditionError:
+                    pass  # no ladder point lies inside the domain
         t0 /= 2.0
         if t0 < STEP_FLOOR * 4:
             break
@@ -90,9 +96,9 @@ def eta_numeric(
         raise PreconditionError(
             f"direction is not inward: transversality margin {beta:.3e} < {MIN_INWARD_MARGIN:.0e}"
         )
-    t0, ladder, evals = _admissible_ladder(h, t, direction, first_step, steps)
-    quotients = [(ev.phi - w) / s for s, ev in zip(ladder, evals)]
-    res = extrapolate_limit(list(zip(ladder, quotients)))
+    path = _admissible_ladder(h, t, direction, first_step, steps)
+    quotients = [(ev.phi - w) / s for s, ev in zip(path.steps, path.evals)]
+    res = extrapolate_limit(list(zip(path.steps, quotients)))
     eta = res.value
     scale = max(1.0, operator_norm(eta))
     inc = res.increments
@@ -108,9 +114,9 @@ def eta_numeric(
         eta=eta,
         convergence_increments=inc,
         beta=beta,
-        first_step=t0,
-        steps_used=len(ladder),
-        partial=len(ladder) < steps,
+        first_step=path.steps[0],
+        steps_used=len(path.steps),
+        partial=len(path.steps) < steps,
         converged=converged,
     )
 
@@ -154,13 +160,14 @@ def scalar_angular_derivative(
     if nrm == 0:
         raise PreconditionError("v must be a non-zero vector")
     v = v / nrm
-    t0, ladder, evals = _admissible_ladder(h, t, k, LADDER_FIRST_STEP, ANGULAR_STEPS)
+    path = _admissible_ladder(h, t, k, LADDER_FIRST_STEP, ANGULAR_STEPS)
     if w is None:
-        seq = ray_sequence(t, k, len(ladder), t0)  # its steps t0 2^-j are the ladder's
-        w = extract_W(SequenceEvaluation(h, seq, ladder, 0, evals)).W
+        w = extract_W(path).W
     wv = np.asarray(w, dtype=np.complex128) @ v
-    quotients = [(complex(wv.conj() @ (ev.phi @ v)) - 1.0) / s for s, ev in zip(ladder, evals)]
-    res = extrapolate_limit(list(zip(ladder, [np.array(q) for q in quotients])))
+    quotients = [
+        (complex(wv.conj() @ (ev.phi @ v)) - 1.0) / s for s, ev in zip(path.steps, path.evals)
+    ]
+    res = extrapolate_limit(list(zip(path.steps, [np.array(q) for q in quotients])))
     inc = res.increments
     if len(inc) >= 2 and inc[-1] > max(inc[-2] * 1.5, 1e-6):
         raise ConvergenceError(

@@ -397,36 +397,37 @@ def check_assumption_A(bp: BoundaryPoint, n_starts: int = 50) -> AssumptionRepor
 class ApproachSequence:
     """Recipe for a sequence approaching the base point.
 
-    kind "radial" generates (1 - t) * T for each step t; kind "ray" generates
-    T + t * K.  Steps must decrease geometrically by 2 so the limit
-    extrapolation contract holds downstream.
+    Without a direction it is radial, (1 - t) * T for each step t; with a
+    direction K it is a ray, T + t * K.  Steps must decrease geometrically by
+    2 so the limit extrapolation contract holds downstream.
     """
 
     base: MatrixTuple
-    kind: str
     direction: MatrixTuple | None
     steps: tuple
 
     def __post_init__(self):
-        if self.kind not in ("radial", "ray"):
-            raise PreconditionError(f"unknown sequence kind {self.kind!r}")
-        if self.kind == "ray":
-            if self.direction is None:
-                raise PreconditionError("ray sequences need a direction tuple")
-            if self.direction.d != self.base.d or self.direction.n != self.base.n:
-                raise DimensionError("direction must match the base point in d and n")
+        if self.direction is not None and (
+            self.direction.d != self.base.d or self.direction.n != self.base.n
+        ):
+            raise DimensionError("direction must match the base point in d and n")
         if len(self.steps) < 2:
             raise PreconditionError("need at least 2 steps")
         for t in self.steps:
             if not t > 0:
                 raise PreconditionError("steps must be positive")
 
+    @property
+    def kind(self) -> str:
+        """The sequence kind: "radial" without a direction, "ray" with one."""
+        return "radial" if self.direction is None else "ray"
+
 
 def radial_sequence(
     t: MatrixTuple, num_steps: int = 10, first_step: float = SEQUENCE_FIRST_STEP
 ) -> ApproachSequence:
     steps = tuple(first_step * 2.0 ** (-k) for k in range(num_steps))
-    return ApproachSequence(base=t, kind="radial", direction=None, steps=steps)
+    return ApproachSequence(base=t, direction=None, steps=steps)
 
 
 def ray_sequence(
@@ -434,7 +435,7 @@ def ray_sequence(
     first_step: float = SEQUENCE_FIRST_STEP,
 ) -> ApproachSequence:
     steps = tuple(first_step * 2.0 ** (-k) for k in range(num_steps))
-    return ApproachSequence(base=t, kind="ray", direction=direction, steps=steps)
+    return ApproachSequence(base=t, direction=direction, steps=steps)
 
 
 class SequencePoints(NamedTuple):

@@ -559,21 +559,24 @@ def tuple_to_json(x: MatrixTuple) -> dict:
 
 
 def tuple_from_json(obj) -> MatrixTuple:
-    """Decode a point: {"components": [matrix, ...]} or {"scalars": [[re, im], ...]}."""
+    """Decode a point: {"components": [matrix, ...]} or {"scalars": [[re, im], ...]}.
+
+    Either form may list "d" and "n", which must match the point.
+    """
     if isinstance(obj, dict) and "scalars" in obj:
         if not isinstance(obj["scalars"], list) or not obj["scalars"]:
             raise ParseError("scalars list must be a non-empty list")
-        return MatrixTuple.from_scalars([_json_complex(p, "scalar") for p in obj["scalars"]])
-    if not isinstance(obj, dict) or "components" not in obj:
+        x = MatrixTuple.from_scalars([_json_complex(p, "scalar") for p in obj["scalars"]])
+    elif not isinstance(obj, dict) or "components" not in obj:
         raise ParseError("expected a point object with 'components' or 'scalars'")
-    comps = obj["components"]
-    if not isinstance(comps, list) or not comps:
+    elif not isinstance(obj["components"], list) or not obj["components"]:
         raise ParseError("point needs a non-empty component list")
-    mats = [matrix_from_json(c) for c in comps]
-    try:
-        x = MatrixTuple(tuple(mats))
-    except DimensionError as exc:
-        raise ParseError(str(exc)) from None
+    else:
+        mats = [matrix_from_json(c) for c in obj["components"]]
+        try:
+            x = MatrixTuple(tuple(mats))
+        except DimensionError as exc:
+            raise ParseError(str(exc)) from None
     if "d" in obj and _json_int(obj["d"], "point d", 1) != x.d:
         raise ParseError(f"point lists d={obj['d']} but has {x.d} components")
     if "n" in obj and _json_int(obj["n"], "point n", 1) != x.n:

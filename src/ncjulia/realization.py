@@ -28,10 +28,10 @@ Batch axis: the kernels that form Delta(x), the model operators and phi
 ``_times_delta``, ``_model_operators`` and ``_phi_from`` here) take arrays
 with leading axes before the trailing matrix axes.
 :func:`evaluate` calls them on one point with no leading axis;
-:func:`evaluate_many` stacks B points of one matrix size along a leading
-axis of length B and calls the same kernels once, with one batched SVD for
-the norms ||Delta(x)|| and one stacked solve.  Every stacked product is a
-loop of the same BLAS and LAPACK calls on the same matrices, so each of its
+``_evaluate_stack`` takes B points of one matrix size with their Delta(x)
+stacked along a leading axis of length B, and their norms, and calls the
+same kernels once, with one stacked solve.  Every stacked product is a loop
+of the same BLAS and LAPACK calls on the same matrices, so each of its
 results is bit-identical to :func:`evaluate` at that point.
 """
 
@@ -42,7 +42,7 @@ from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
-from .domain import DeltaMatrix, _eval_delta_stack, eval_delta
+from .domain import DeltaMatrix, eval_delta
 from .errors import DimensionError, ParseError, PreconditionError
 from .freepoly import MatrixTuple
 from .numerics import (
@@ -52,7 +52,6 @@ from .numerics import (
     _json_int,
     matrix_from_json,
     matrix_to_json,
-    _operator_norms,
     operator_norm,
 )
 
@@ -186,28 +185,8 @@ def _evaluate_at(h: NcFunctionHandle, x: MatrixTuple, big_delta, norm: float) ->
     return PointEvaluation(x, big_delta, norm, resolvent, u, _phi_from(h, big_delta, u, x.n))
 
 
-def evaluate_many(h: NcFunctionHandle, xs) -> list:
-    """:func:`evaluate` at each of the points xs, all of one matrix size, on stacked arrays.
-
-    Each result equals :func:`evaluate` at its point; when a point is not
-    interior, the first such point raises the error :func:`evaluate` raises.
-    """
-    xs = list(xs)
-    if not xs:
-        raise DimensionError("evaluate_many needs at least one point")
-    n = xs[0].n
-    for x in xs:
-        if x.d != h.delta.d:
-            raise DimensionError(f"delta has d={h.delta.d} but point has d={x.d}")
-        if x.n != n:
-            raise DimensionError(f"points must share one matrix size, got n={n} and n={x.n}")
-    components = [np.stack(comps) for comps in zip(*(x.components for x in xs))]
-    big_delta = _eval_delta_stack(h.delta, components)
-    return _evaluate_stack(h, xs, big_delta, _interior_norms(big_delta))
-
-
 def _evaluate_stack(h: NcFunctionHandle, xs: list, big_delta: np.ndarray, norms) -> list:
-    """:func:`evaluate_many` at interior xs whose stacked Delta(x) and ||Delta(x)|| are known."""
+    """:func:`evaluate` at interior xs of one size whose stacked Delta(x) and norms are known."""
     n = xs[0].n
     resolvent, rhs, _ = _model_operators(h, big_delta, n)
     # a right-hand side stacked like the resolvent reads as matrices under numpy 1.x and 2.x
@@ -217,16 +196,6 @@ def _evaluate_stack(h: NcFunctionHandle, xs: list, big_delta: np.ndarray, norms)
         PointEvaluation(x, big_delta[k], float(norms[k]), resolvent[k], u[k], phi[k])
         for k, x in enumerate(xs)
     ]
-
-
-def _interior_norms(big_delta: np.ndarray) -> np.ndarray:
-    """||Delta|| of each stacked Delta from one batched SVD, when every point is interior."""
-    if np.isfinite(big_delta).all():
-        norms = _operator_norms(big_delta)
-        if (norms < 1.0).all():
-            return norms
-    # the first point that is not interior raises the error evaluate raises
-    return np.array([_require_interior(operator_norm(one)) for one in big_delta])
 
 
 def eval_u(h: NcFunctionHandle, x: MatrixTuple, return_cond: bool = False):

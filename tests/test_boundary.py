@@ -343,7 +343,6 @@ class TestTfae:
         assert rep.sup_gram_quotient == pytest.approx(1.0, abs=1e-9)
         assert rep.sup_scalar_quotient == pytest.approx(1.0, abs=1e-9)
         assert rep.sup_model_norm_sq == pytest.approx(1.0, abs=1e-9)
-        assert rep.sup_model_norm_sq_all == rep.sup_model_norm_sq
         assert all(
             rep.comparability[k]
             for k in ("gram_le_scalar", "scalar_le_2c_gram", "gram_le_model", "model_le_scalar")
@@ -464,7 +463,7 @@ class TestAnalyzeBpoint:
     def test_ray_rule_matches_radial_verdict(self, h1):
         t = scalars(1.0, 1.0)
         rep = analyze_bpoint(h1, t, direction=-1.0 * t, julia_samples=10, seed=5)
-        assert rep.is_bpoint and rep.sequence_kind == "ray"
+        assert rep.is_bpoint and rep.path.seq.kind == "ray"
         assert rep.alpha.alpha == pytest.approx(1.0, abs=1e-8)
         assert not rep.alpha.is_liminf  # only radial sequences earn that label
 
@@ -603,14 +602,14 @@ class TestAnalyzeBpoint:
 
         for module in (domain, realization):
             monkeypatch.setattr(module, "eval_delta", counted)
-            monkeypatch.setattr(module, "_eval_delta_stack", stacked)
+        monkeypatch.setattr(domain, "_eval_delta_stack", stacked)
         rep = analyze_bpoint(h1, scalars(1.0, 1.0), julia_samples=0, seed=1)
         # Delta(T) once, and each of the 12 approach points once, for membership and evaluation
-        assert len(rep.alpha.steps) == 12 and rep.sequence_dropped == 0
+        assert len(rep.alpha.steps) == 12 and rep.path.dropped == 0
         assert rows == {"eval_delta": 1, "stacked": 12}
 
     def test_margin_outside_unit_interval_evaluates_nothing(self, h1, monkeypatch):
-        from ncjulia import domain, realization
+        from ncjulia import domain
 
         calls = []
         stack = domain._eval_delta_stack
@@ -619,8 +618,7 @@ class TestAnalyzeBpoint:
             calls.append(components[0].shape[0])
             return stack(delta, components)
 
-        for module in (domain, realization):
-            monkeypatch.setattr(module, "_eval_delta_stack", stacked)
+        monkeypatch.setattr(domain, "_eval_delta_stack", stacked)
         with pytest.raises(PreconditionError, match=r"margin must lie in \(0, 1\)"):
             random_interior_point(h1.delta, 1, np.random.default_rng(0), margin=1.0)
         with pytest.raises(PreconditionError, match=r"margin must lie in \(0, 1\)"):

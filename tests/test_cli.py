@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,9 +35,77 @@ def files(tmp_path):
         "edge": write_json(tmp_path / "edge.json", {"scalars": [[1, 0], [0, 0]]}),
         "inward": write_json(tmp_path / "H.json", {"scalars": [[-1, 0], [-1, 0]]}),
         "tangent": write_json(tmp_path / "Ht.json", {"scalars": [[0, 1], [0, 1]]}),
+        "ball": write_json(tmp_path / "Tball.json", {"scalars": [[0.6, 0], [0.8, 0]]}),
         "malformed": str((tmp_path / "broken.json").write_text("{oops") or tmp_path / "broken.json"),
         "tmp": tmp_path,
     }
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+# golden file: (exit code, argv); "{name}" stands for the file of that name in ``files``
+GOLDEN_RUNS = {
+    "bpoint-h1-radial.json": (0, ["bpoint", "--fixture", "example-h1", "--point", "{boundary}"]),
+    "bpoint-h1-radial.txt": (
+        0, ["bpoint", "--fixture", "example-h1", "--point", "{boundary}", "--output", "text"]
+    ),
+    "bpoint-h1-ray.json": (
+        0, ["bpoint", "--fixture", "example-h1", "--point", "{boundary}", "--ray", "{inward}"]
+    ),
+    "bpoint-h1-ray.txt": (
+        0,
+        [
+            "bpoint", "--fixture", "example-h1", "--point", "{boundary}", "--ray", "{inward}",
+            "--output", "text",
+        ],
+    ),
+    # the quotient diverges at a boundary point of the ball: not a B-point
+    "bpoint-ball2.json": (
+        1, ["bpoint", "--delta", "ball:2", "--fixture", "example-h1", "--point", "{ball}"]
+    ),
+    "derivative-h3-eta.json": (
+        0,
+        [
+            "derivative", "--fixture", "example-h1", "--point", "{boundary}",
+            "--direction", "{inward}", "--closed-form", "example-h3-eta",
+        ],
+    ),
+    "eval-h1.json": (0, ["eval", "--fixture", "example-h1", "--point", "{interior}"]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))
+def test_golden_stdout(name, files, capsys):
+    code, argv = GOLDEN_RUNS[name]
+    assert main([arg.format(**files) for arg in argv]) == code
+    assert capsys.readouterr().out == (GOLDEN / name).read_text()
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["eval", "--fixture", "example-h1", "--point", "{big}"], 0),
+        (["bpoint", "--delta", "ball:2", "--fixture", "example-h1", "--point", "{ball}"], 1),
+    ],
+)
+def test_reader_closing_stdout_early_changes_no_exit_code(files, argv, code):
+    import ncjulia
+
+    # n = 16: the eval output is larger than the stdout buffer
+    big = {"components": [{"rows": 16, "cols": 16, "data": [[0.0, 0.0]] * 256}] * 2}
+    files = {**files, "big": write_json(files["tmp"] / "P.json", big)}
+    argv = [arg.format(**files) for arg in argv]
+    src = str(Path(ncjulia.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone before the command writes
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "ncjulia.cli", *argv],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr.decode()) == (code, "")
 
 
 class TestEval:
@@ -470,6 +542,14 @@ class TestMeta:
         point = write_json(files["tmp"] / "bare.json", [_SCALAR, _SCALAR])
         assert main(["eval", "--fixture", "example-h1", "--point", point]) == 2
         assert "'components' or 'scalars'" in capsys.readouterr().err
+
+    def test_listed_sizes_must_match_the_point(self, files, capsys):
+        listings = (({"d": 3, "n": 4}, "point lists d=3"), ({"n": 4}, "point lists n=4"))
+        for listed, message in listings:
+            for form in ({"scalars": [[0.5, 0], [0.3, 0]]}, {"components": [_SCALAR, _SCALAR]}):
+                point = write_json(files["tmp"] / "sized.json", {**form, **listed})
+                assert main(["eval", "--fixture", "example-h1", "--point", point]) == 2
+                assert message in capsys.readouterr().err
 
     def test_zero_size_point_is_a_parse_error(self, files, capsys):
         empty = {"rows": 0, "cols": 0, "data": []}

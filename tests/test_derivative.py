@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from ncjulia import (
     PreconditionError,
     eta_numeric,
     eval_phi,
+    evaluate,
     evaluate_sequence,
     example_eta,
     extract_W,
@@ -15,8 +18,12 @@ from ncjulia import (
     homogeneity_check,
     in_G_delta,
     operator_norm,
+    ray_sequence,
     scalar_angular_derivative,
 )
+
+from ncjulia.derivative import STEP_FLOOR, _admissible_ladder
+from ncjulia.domain import GDeltaExitWarning
 
 from conftest import random_admissible_direction
 
@@ -84,13 +91,13 @@ class TestEtaNumeric:
             assert b <= 0.75 * a
 
     def test_each_ladder_point_evaluated_once(self, h1, monkeypatch):
-        from ncjulia import derivative, domain, realization
+        from ncjulia import boundary, derivative, domain, realization
 
-        # points passed through evaluate (one each) and evaluate_many (len(xs) each)
+        # points passed through evaluate (one each) and the stacked kernel (len(xs) each)
         calls = {"evaluate": 0, "in_G_delta": 0}
         counters = (
             ("evaluate", realization, "evaluate", lambda args: 1),
-            ("evaluate_many", realization, "evaluate", lambda args: len(args[1])),
+            ("_evaluate_stack", boundary, "evaluate", lambda args: len(args[1])),
             ("in_G_delta", domain, "in_G_delta", lambda args: 1),
         )
         for name, home, key, points in counters:
@@ -114,6 +121,47 @@ class TestEtaNumeric:
             expected = extrapolate_limit(list(zip(ladder, quotients)))
             assert np.array_equal(res.eta, expected.value)
             assert res.convergence_increments == expected.increments
+
+
+class TestAdmissibleLadder:
+    FIELDS = ("delta", "delta_norm", "resolvent", "u", "phi")
+
+    def ladder(self, h, t, direction, first_step, steps):
+        """The ladder, checked against its step list and against evaluate at each point."""
+        path = _admissible_ladder(h, t, direction, first_step, steps)
+        t0 = path.steps[0]
+        assert path.steps == [s for s in (t0 * 2.0**-k for k in range(steps)) if s >= STEP_FLOOR]
+        assert path.dropped == 0 and path.seq.kind == "ray" and path.seq.direction is direction
+        for s, ev in zip(path.steps, path.evals, strict=True):
+            one = evaluate(h, t + s * direction)
+            for name in self.FIELDS:
+                assert np.array_equal(getattr(ev, name), getattr(one, name)), name
+        return path
+
+    def test_ladder_is_the_ray_sequence(self, h1, rng):
+        path = self.ladder(h1, identity_pair(2), random_admissible_direction(rng, 2), 1e-2, 10)
+        assert path.steps[0] == 1e-2 and len(path.steps) == 10
+        # steps below the floor are cut: 1e-7, 5e-8, 2.5e-8 and 1.25e-8 remain
+        path = self.ladder(h1, scalars(1.0, 1.0), scalars(-1.0, -1.0), 1e-7, 10)
+        assert len(path.steps) == 4
+
+    def test_halving_ladder_warns_nothing(self, h1):
+        t, direction = scalars(1.0, 1.0), scalars(-1.0, -1.0)
+        # the first attempt drops points, which a plain sequence warns about
+        with pytest.warns(GDeltaExitWarning):
+            evaluate_sequence(h1, ray_sequence(t, direction, 10, 40.0))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            path = self.ladder(h1, t, direction, 40.0, 10)
+        assert caught == []
+        assert path.steps[0] == 40.0 / 2**5 and len(path.steps) == 10
+
+    def test_no_admissible_first_step(self, h1):
+        t = scalars(1.0, 1.0)
+        # every point of an outward ray lies outside; a first step near the floor leaves one step
+        for direction, first_step in ((scalars(1.0, 1.0), 1e-2), (scalars(-1.0, -1.0), 1.5e-8)):
+            with pytest.raises(PreconditionError, match="no admissible first step"):
+                _admissible_ladder(h1, t, direction, first_step, 10)
 
 
 class TestHomogeneity:
@@ -178,7 +226,7 @@ class TestScalarAngularDerivative:
         ladder = [1e-2 * 2.0**-j for j in range(12)]
         # every point of the default ladder is interior, so the first step is kept
         assert all(in_G_delta(h1.delta, t + s * k) for s in ladder)
-        seq = ApproachSequence(base=t, kind="ray", direction=k, steps=tuple(ladder))
+        seq = ApproachSequence(base=t, direction=k, steps=tuple(ladder))
         v = np.eye(n, dtype=complex)[0]
         wv = extract_W(evaluate_sequence(h1, seq)).W @ v
         quotients = [

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ncjulia import (
+    ApproachSequence,
     DeltaMatrix,
     DimensionError,
     FreePolynomial,
@@ -422,6 +423,16 @@ class TestSequences:
         t = MatrixTuple.from_scalars([1.0, 1.0])
         with pytest.raises(DimensionError):
             generate_sequence(radial_sequence(t), polydisk_delta(3))
+
+    def test_kind_follows_direction(self):
+        t = MatrixTuple.from_scalars([1.0, 1.0])
+        steps = (0.5, 0.25)
+        assert ApproachSequence(base=t, direction=None, steps=steps).kind == "radial"
+        assert ApproachSequence(base=t, direction=-1.0 * t, steps=steps).kind == "ray"
+        assert radial_sequence(t).kind == "radial" and ray_sequence(t, -1.0 * t).kind == "ray"
+        for direction in (MatrixTuple.from_scalars([-1.0]), MatrixTuple((np.eye(2),) * 2)):
+            with pytest.raises(DimensionError, match="direction must match"):
+                ApproachSequence(base=t, direction=direction, steps=steps)
 
 
 def nonhomogeneous_delta():

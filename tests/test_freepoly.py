@@ -320,6 +320,17 @@ class TestJson:
         assert x.n == 1 and x.d == 2
         assert x.components[1][0, 0] == -1j
 
+    def test_listed_d_and_n_checked_in_either_form(self):
+        for form in (
+            {"scalars": [[0.5, 0.0], [0.3, 0.0]]},
+            {"components": [matrix_to_json(np.full((1, 1), v)) for v in (0.5, 0.3)]},
+        ):
+            assert tuple_from_json({**form, "d": 2, "n": 1}).d == 2
+            with pytest.raises(ParseError, match="point lists d=3 but has 2 components"):
+                tuple_from_json({**form, "d": 3, "n": 4})
+            with pytest.raises(ParseError, match="point lists n=4 but components are 1 x 1"):
+                tuple_from_json({**form, "n": 4})
+
     def test_bare_list_of_matrices_rejected(self):
         with pytest.raises(ParseError, match="'components' or 'scalars'"):
             tuple_from_json([matrix_to_json(np.eye(2))])

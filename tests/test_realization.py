@@ -4,7 +4,6 @@ import pytest
 from ncjulia import (
     DeltaMatrix,
     DimensionError,
-    FreePolynomial,
     MatrixTuple,
     NcFunctionHandle,
     PreconditionError,
@@ -15,7 +14,6 @@ from ncjulia import (
     eval_phi_neumann,
     eval_u,
     evaluate,
-    evaluate_many,
     get_delta,
     get_fixture,
     in_G_delta,
@@ -31,9 +29,12 @@ from ncjulia import (
     similarity,
 )
 from ncjulia.errors import ParseError
+from ncjulia.domain import _eval_delta_stack
+from ncjulia.numerics import _operator_norms
 from ncjulia.realization import (
     NearSingularResolventWarning,
     PointEvaluation,
+    _evaluate_stack,
     _identity_defect,
     _model_operators,
     _phi_from,
@@ -157,10 +158,19 @@ class TestExampleEvaluation:
             eval_u(h1, scalars(r, r))
 
 
-class TestEvaluateMany:
+def evaluate_stacked(h, xs):
+    """``_evaluate_stack`` at xs, fed as ``generate_sequence`` feeds it.
+
+    One stacked Delta(x) for all points, and their norms from one batched SVD.
+    """
+    big_delta = _eval_delta_stack(h.delta, [np.stack(c) for c in zip(*(x.components for x in xs))])
+    return _evaluate_stack(h, xs, big_delta, _operator_norms(big_delta))
+
+
+class TestEvaluateStack:
     FIELDS = ("delta", "delta_norm", "resolvent", "u", "phi")
 
-    def test_evaluate_many_matches_evaluate(self, h1):
+    def test_evaluate_stack_matches_evaluate(self, h1):
         rng = np.random.default_rng(1606)
         handles = [h1] + [
             NcFunctionHandle(random_realization(dim_e, get_delta(name).J, seed), get_delta(name))
@@ -175,33 +185,13 @@ class TestEvaluateMany:
             for n in (1, 2, 5):
                 for b in (1, 3, 10):
                     xs = [random_interior_point(h.delta, n, rng, margin=0.01) for _ in range(b)]
-                    many = evaluate_many(h, xs)
+                    many = evaluate_stacked(h, xs)
                     assert len(many) == b
                     for x, ev in zip(xs, many):
                         one = evaluate(h, x)
                         assert ev.x is x and type(ev.delta_norm) is float
                         for name in self.FIELDS:
                             assert np.array_equal(getattr(ev, name), getattr(one, name)), name
-
-    def test_first_point_not_interior_raises_its_evaluate_error(self, h1):
-        inside = scalars(0.3, 0.2)
-        for failing in ([scalars(1.0, 0.0), scalars(2.0, 0.0)], [scalars(2.0, 0.0), scalars(1.0, 0.0)]):
-            with pytest.raises(PreconditionError) as expected:
-                evaluate(h1, failing[0])
-            with pytest.raises(PreconditionError) as got:
-                evaluate_many(h1, [inside, failing[0], inside, failing[1]])
-            assert str(got.value) == str(expected.value)
-        # an infinite coefficient (which parse_poly refuses) gives a non-finite
-        # Delta(x), which no SVD may see
-        overflowing = DeltaMatrix(1, [[FreePolynomial(1, (((0,), float("inf")),))]])
-        h = NcFunctionHandle(random_realization(1, 1, 0), overflowing)
-        points = [MatrixTuple.from_scalars([0.0]), MatrixTuple.from_scalars([0.5])]
-        with np.errstate(invalid="ignore", over="ignore"):
-            with pytest.raises(PreconditionError) as expected:
-                evaluate(h, points[0])
-            with pytest.raises(PreconditionError) as got:
-                evaluate_many(h, points)
-        assert str(got.value) == str(expected.value)
 
     def test_stacked_solve_gets_stacked_rhs(self, h1, monkeypatch):
         # numpy 1.x reads a b with one axis fewer than a stacked a as a stack of vectors
@@ -215,16 +205,8 @@ class TestEvaluateMany:
 
         monkeypatch.setattr(np.linalg, "solve", matrix_rhs_only)
         xs = [MatrixTuple((0.1 * np.eye(2), 0.2 * np.eye(2)))] * 3
-        evaluate_many(h1, xs)
+        evaluate_stacked(h1, xs)
         assert shapes == [((3, 4, 4), (3, 4, 2))]
-
-    def test_mixed_sizes_and_empty_rejected(self, h1):
-        with pytest.raises(DimensionError):
-            evaluate_many(h1, [scalars(0.1, 0.2), MatrixTuple((0.1 * np.eye(2),) * 2)])
-        with pytest.raises(DimensionError):
-            evaluate_many(h1, [])
-        with pytest.raises(DimensionError):
-            evaluate_many(h1, [scalars(0.1, 0.2, 0.3)])
 
 
 class TestNeumann:
