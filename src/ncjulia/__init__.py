@@ -62,8 +62,8 @@ from .domain import (
     in_Gamma,
     in_Sigma,
     nontangential_constant,
-    radial_sequence,
     random_interior_point,
+    random_interior_points,
     ray_sequence,
     sigma_span_dimension,
 )

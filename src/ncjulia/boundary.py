@@ -27,12 +27,9 @@ from .domain import (
     find_transverse_direction,
     generate_sequence,
     InwardWitnessResult,
-    radial_sequence,
+    random_interior_points,
     ray_sequence,
-    _block_rows,
-    _check_margin,
-    _gaussian_draft,
-    _into_domain,
+    SequencePoints,
     DISTINGUISHED_TOL,
     SAMPLE_MARGIN,
     SEQUENCE_FIRST_STEP,
@@ -47,7 +44,7 @@ from .numerics import (
     operator_norm,
 )
 from .realization import ISOMETRY_TOL, NcFunctionHandle, PointEvaluation, _identity_defect
-from .realization import _evaluate_at, _evaluate_stack, _model_operators
+from .realization import _evaluate_stack, _model_operators
 # unused here; perfbench's test_tracer_restores_every_binding reads boundary.eval_phi
 from .realization import eval_phi  # noqa: F401
 
@@ -87,13 +84,17 @@ def julia_quotient(ev: PointEvaluation) -> JuliaQuotient:
 
 @dataclass(frozen=True, eq=False)
 class SequenceEvaluation:
-    """The interior points of an approach sequence: steps, dropped count, evaluations."""
+    """An approach sequence with its interior points; they are evaluated on first read."""
 
     h: NcFunctionHandle
     seq: ApproachSequence
-    steps: list
-    dropped: int
-    evals: list
+    points: SequencePoints
+
+    @cached_property
+    def evals(self) -> list:
+        """The evaluation of each interior point, from one stacked solve."""
+        pts = self.points
+        return _evaluate_stack(self.h, pts.points, pts.delta, pts.norms)
 
     @cached_property
     def quotients(self) -> tuple:
@@ -102,10 +103,8 @@ class SequenceEvaluation:
 
 
 def evaluate_sequence(h: NcFunctionHandle, seq: ApproachSequence) -> SequenceEvaluation:
-    """Evaluate the interior points of the sequence, one Delta per point."""
-    pts = generate_sequence(seq, h.delta)
-    evals = _evaluate_stack(h, pts.points, pts.delta, pts.norms)
-    return SequenceEvaluation(h, seq, pts.steps, pts.dropped, evals)
+    """The sequence's interior points, one Delta per point; ``evals`` solves them on first read."""
+    return SequenceEvaluation(h, seq, generate_sequence(seq, h.delta))
 
 
 @dataclass(frozen=True)
@@ -144,7 +143,7 @@ def estimate_alpha(path: SequenceEvaluation) -> AlphaEstimate:
         diverging = significant and d_prev > 0 and d_last >= 0.9 * d_prev
     alpha, increments, converged = float("inf"), (), False
     if not diverging:
-        res = extrapolate_limit(list(zip(path.steps, quotients)))
+        res = extrapolate_limit(list(zip(path.points.steps, quotients)))
         alpha = float(np.real(res.value.reshape(())))
         increments = res.increments
         last_increment = increments[-1] if increments else 0.0
@@ -152,7 +151,7 @@ def estimate_alpha(path: SequenceEvaluation) -> AlphaEstimate:
     return AlphaEstimate(
         alpha=alpha,
         quotients=tuple(quotients),
-        steps=tuple(path.steps),
+        steps=tuple(path.points.steps),
         increments=increments,
         converged=converged,
         diverging=diverging,
@@ -176,7 +175,7 @@ def extract_W(path: SequenceEvaluation) -> BoundaryValue:
     """
     if len(path.evals) < 2:
         raise PreconditionError("need at least two interior sequence points")
-    raw = extrapolate_limit(list(zip(path.steps, [ev.phi for ev in path.evals]))).value
+    raw = extrapolate_limit(list(zip(path.points.steps, [ev.phi for ev in path.evals]))).value
     try:
         w = nearest_unitary(raw)
     except SingularMatrixError as exc:
@@ -329,22 +328,17 @@ class JuliaSweep:
     identity_max: float | None = None
 
 
-def julia_sweep(h, rng, bp, w, alpha, samples, margin, rel_tol, u_t=None) -> JuliaSweep:
-    """Check the inequality at ``samples`` random interior points, each evaluated once.
+def julia_sweep(h, samples, bp, w, alpha, rel_tol, u_t=None) -> JuliaSweep:
+    """Check the inequality at every interior point of ``samples``, each evaluated once.
 
-    The points are those of ``samples`` calls of ``random_interior_point`` on
-    rng: their Gaussian drafts are drawn in its stream order, one block at a
-    time, and each block is scaled into the domain by one stacked call.
+    ``samples`` yields blocks ``(points, stacked Delta, norms)``, as
+    ``domain.random_interior_points`` makes them; each block is evaluated by
+    one stacked solve, and each of its points checked on its own.
     """
     checked = violations = skipped = 0
     max_ratio = identity_max = None
-    n = bp.t.n
-    block = _block_rows(h.delta, n)
-    for start in range(0, samples, block):
-        drafts = [_gaussian_draft(h.delta.d, n, rng) for _ in range(min(block, samples - start))]
-        # the Delta(x) that accepted each sample is the one its evaluation uses
-        for sample in _into_domain(h.delta, drafts, margin):
-            ev = _evaluate_at(h, *sample)
+    for block in samples:
+        for ev in _evaluate_stack(h, *block):
             check = julia_inequality_check(ev, bp, w, alpha, rel_tol)
             if check.skipped:
                 skipped += 1
@@ -486,7 +480,8 @@ def analyze_bpoint(
     well, otherwise only the quotient, boundary value and inequality checks.
     The sampling margin of the Julia sweep must lie in (0, 1).
     """
-    _check_margin(margin)
+    rng = np.random.default_rng(seed)
+    samples = random_interior_points(h.delta, t.n, rng, julia_samples, margin)
     bp = boundary_point(h.delta, t)
     if bp.delta_norm < 1.0 - DISTINGUISHED_TOL:
         raise PreconditionError(
@@ -496,12 +491,7 @@ def analyze_bpoint(
         raise PreconditionError(
             f"T is outside the closed domain (||delta(T)|| = {bp.delta_norm:.6g})"
         )
-    if direction is None:
-        seq = radial_sequence(t, num_steps=num_steps, first_step=first_step)
-    else:
-        seq = ray_sequence(t, direction, num_steps=num_steps, first_step=first_step)
-
-    path = evaluate_sequence(h, seq)
+    path = evaluate_sequence(h, ray_sequence(t, direction, num_steps, first_step))
     alpha = estimate_alpha(path)
 
     boundary_value = w_error = None
@@ -517,10 +507,7 @@ def analyze_bpoint(
 
     julia = JuliaSweep()
     if boundary_value is not None and np.isfinite(alpha.alpha):
-        rng = np.random.default_rng(seed)
-        julia = julia_sweep(
-            h, rng, bp, boundary_value.W, alpha.alpha, julia_samples, margin, rel_tol, u_t
-        )
+        julia = julia_sweep(h, samples, bp, boundary_value.W, alpha.alpha, rel_tol, u_t)
 
     tfae = tfae_report(path, bp) if bp.distinguished else None
 

@@ -271,7 +271,7 @@ def _jsonable_report(r: boundary.BPointReport) -> dict:
         "sequence": {
             "kind": r.path.seq.kind,
             "steps": list(r.alpha.steps),
-            "dropped": r.path.dropped,
+            "dropped": r.path.points.dropped,
         },
         "alpha": _jsonable_alpha(r.alpha),
         "is_bpoint": r.is_bpoint,
@@ -376,9 +376,8 @@ def cmd_fuzz(args) -> int:
             t = freepoly.MatrixTuple(
                 tuple(numerics.haar_unitary(n, rng) for _ in range(delta.d))
             )
-            seq = domain.radial_sequence(t, num_steps=18)
             try:
-                path = boundary.evaluate_sequence(handle, seq)
+                path = boundary.evaluate_sequence(handle, domain.ray_sequence(t, None, 18))
                 alpha = boundary.estimate_alpha(path)
                 w = boundary.extract_W(path).W
             except ValueError:  # every error class of the package is a ValueError
@@ -386,9 +385,8 @@ def cmd_fuzz(args) -> int:
             if not alpha.converged:
                 continue
             bp = domain.boundary_point(delta, t)
-            sweeps.append(boundary.julia_sweep(
-                handle, rng, bp, w, alpha.alpha, 5, args.margin, args.rel_tol
-            ))
+            samples = domain.random_interior_points(delta, n, rng, 5, args.margin)
+            sweeps.append(boundary.julia_sweep(handle, samples, bp, w, alpha.alpha, args.rel_tol))
 
     julia = {k: sum(getattr(s, k) for s in sweeps) for k in ("checked", "violations", "skipped")}
     emit(
@@ -414,10 +412,8 @@ def cmd_derivative(args) -> int:
     handle = _resolve_handle(args)
     t = _load_point(args.point)
     h = _load_point(args.direction)
-    if handle.delta.is_homogeneous_degree_one():
-        seq = domain.radial_sequence(t, num_steps=max(args.steps, 14))
-    else:
-        seq = domain.ray_sequence(t, h, num_steps=max(args.steps, 14))
+    radial = handle.delta.is_homogeneous_degree_one()
+    seq = domain.ray_sequence(t, None if radial else h, max(args.steps, 14))
     w = boundary.extract_W(boundary.evaluate_sequence(handle, seq)).W
     result = derivative.eta_numeric(
         handle, t, w, h, steps=args.steps, first_step=args.ladder_first_step

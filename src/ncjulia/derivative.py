@@ -50,9 +50,14 @@ class DirectionalDerivativeResult:
 def _admissible_ladder(
     h: NcFunctionHandle, t: MatrixTuple, direction: MatrixTuple, first_step: float, steps: int
 ) -> SequenceEvaluation:
-    """The ray sequence of the ladder, its first step halved until every point is interior."""
+    """The ray sequence of the ladder, its finite first step halved until every point is interior.
+
+    However large it starts, the step is halved until it falls below 4 ``STEP_FLOOR``.
+    """
+    if not np.isfinite(first_step):
+        raise PreconditionError(f"ladder first step must be finite, got {first_step!r}")
     t0 = first_step
-    for _ in range(80):
+    while True:
         kept = sum(t0 * 2.0**-k >= STEP_FLOOR for k in range(steps))
         if kept >= 2:
             # a dropped point only calls for a smaller first step, so it is not warned about
@@ -60,16 +65,15 @@ def _admissible_ladder(
                 warnings.simplefilter("ignore", GDeltaExitWarning)
                 try:
                     path = evaluate_sequence(h, ray_sequence(t, direction, kept, t0))
-                    if path.dropped == 0:
+                    if path.points.dropped == 0:
                         return path
                 except PreconditionError:
                     pass  # no ladder point lies inside the domain
         t0 /= 2.0
         if t0 < STEP_FLOOR * 4:
-            break
-    raise PreconditionError(
-        "no admissible first step: points along the direction never enter the domain"
-    )
+            raise PreconditionError(
+                "no admissible first step: points along the direction never enter the domain"
+            )
 
 
 def eta_numeric(
@@ -97,8 +101,9 @@ def eta_numeric(
             f"direction is not inward: transversality margin {beta:.3e} < {MIN_INWARD_MARGIN:.0e}"
         )
     path = _admissible_ladder(h, t, direction, first_step, steps)
-    quotients = [(ev.phi - w) / s for s, ev in zip(path.steps, path.evals)]
-    res = extrapolate_limit(list(zip(path.steps, quotients)))
+    ladder = path.points.steps
+    quotients = [(ev.phi - w) / s for s, ev in zip(ladder, path.evals)]
+    res = extrapolate_limit(list(zip(ladder, quotients)))
     eta = res.value
     scale = max(1.0, operator_norm(eta))
     inc = res.increments
@@ -114,9 +119,9 @@ def eta_numeric(
         eta=eta,
         convergence_increments=inc,
         beta=beta,
-        first_step=path.steps[0],
-        steps_used=len(path.steps),
-        partial=len(path.steps) < steps,
+        first_step=ladder[0],
+        steps_used=len(ladder),
+        partial=len(ladder) < steps,
         converged=converged,
     )
 
@@ -164,10 +169,9 @@ def scalar_angular_derivative(
     if w is None:
         w = extract_W(path).W
     wv = np.asarray(w, dtype=np.complex128) @ v
-    quotients = [
-        (complex(wv.conj() @ (ev.phi @ v)) - 1.0) / s for s, ev in zip(path.steps, path.evals)
-    ]
-    res = extrapolate_limit(list(zip(path.steps, [np.array(q) for q in quotients])))
+    ladder = path.points.steps
+    quotients = [(complex(wv.conj() @ (ev.phi @ v)) - 1.0) / s for s, ev in zip(ladder, path.evals)]
+    res = extrapolate_limit(list(zip(ladder, [np.array(q) for q in quotients])))
     inc = res.increments
     if len(inc) >= 2 and inc[-1] > max(inc[-2] * 1.5, 1e-6):
         raise ConvergenceError(

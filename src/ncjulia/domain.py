@@ -423,17 +423,11 @@ class ApproachSequence:
         return "radial" if self.direction is None else "ray"
 
 
-def radial_sequence(
-    t: MatrixTuple, num_steps: int = 10, first_step: float = SEQUENCE_FIRST_STEP
-) -> ApproachSequence:
-    steps = tuple(first_step * 2.0 ** (-k) for k in range(num_steps))
-    return ApproachSequence(base=t, direction=None, steps=steps)
-
-
 def ray_sequence(
-    t: MatrixTuple, direction: MatrixTuple, num_steps: int = 10,
+    t: MatrixTuple, direction: MatrixTuple | None, num_steps: int = 10,
     first_step: float = SEQUENCE_FIRST_STEP,
 ) -> ApproachSequence:
+    """Steps ``first_step`` * 2^-k, k < num_steps, along ``direction``; radial when it is None."""
     steps = tuple(first_step * 2.0 ** (-k) for k in range(num_steps))
     return ApproachSequence(base=t, direction=direction, steps=steps)
 
@@ -493,28 +487,43 @@ def generate_sequence(seq: ApproachSequence, delta: DeltaMatrix) -> SequencePoin
 _BLOCK_BYTES = 8 << 20
 
 
-def random_interior_point(
-    delta: DeltaMatrix,
-    n: int,
-    rng: np.random.Generator,
-    margin: float = SAMPLE_MARGIN,
-) -> MatrixTuple:
-    """Random point with ||delta(x)|| <= 1 - margin, by scaling a Gaussian tuple.
+def random_interior_points(
+    delta: DeltaMatrix, n: int, rng: np.random.Generator, count: int, margin: float
+):
+    """``count`` random points with ||delta(x)|| <= 1 - margin, in blocks of stacked Delta.
 
     Sampling has two steps.  :func:`_gaussian_draft` takes every random draw:
     d complex Gaussian n x n matrices, in component order, each real part
     before its imaginary part.  :func:`_into_domain` then scales the draft
     into the domain and draws nothing: it divides each component by
     max(1, its norm) and halves the tuple until ||delta(x)|| <= 1 - margin,
-    at most ``MAX_HALVINGS`` times.  The margin must lie in (0, 1).
-    Samplers of many points (the Julia sweep, ``ncjulia fuzz``) draw their
-    drafts in this stream order and scale them in one stacked call, so each
-    of their points is bit-identical to a call of this function on the same
-    generator.  A stacked call works in blocks whose stacked Delta takes at
-    most ``_BLOCK_BYTES`` (8 MiB), so its memory does not grow with the
-    sample count.
+    at most ``MAX_HALVINGS`` times.  The margin must lie in (0, 1), which is
+    checked on the call, before anything is drawn.  The result yields
+    ``(points, stacked Delta, norms)`` for blocks of :func:`_block_rows`
+    points, whose Delta takes at most ``_BLOCK_BYTES`` (8 MiB), and draws
+    each block when it is reached: every point is bit-identical to a call
+    of :func:`random_interior_point` on the same generator.
     """
-    return _into_domain(delta, [_gaussian_draft(delta.d, n, rng)], margin)[0][0]
+    _check_margin(margin)
+    block = _block_rows(delta, n)
+    return (
+        _interior_block(delta, n, rng, min(block, count - start), margin)
+        for start in range(0, count, block)
+    )
+
+
+def random_interior_point(
+    delta: DeltaMatrix, n: int, rng: np.random.Generator, margin: float = SAMPLE_MARGIN
+) -> MatrixTuple:
+    """The first point of :func:`random_interior_points`: one draft, scaled into the domain."""
+    return next(random_interior_points(delta, n, rng, 1, margin))[0][0]
+
+
+def _interior_block(delta: DeltaMatrix, n: int, rng, rows: int, margin: float) -> tuple:
+    """``rows`` points of size n drawn from rng, with their stacked Delta and their norms."""
+    drafts = [_gaussian_draft(delta.d, n, rng) for _ in range(rows)]
+    points, deltas, norms = zip(*_into_domain(delta, drafts, margin))
+    return list(points), np.stack(deltas), np.array(norms)
 
 
 def _gaussian_draft(d: int, n: int, rng: np.random.Generator) -> tuple:
@@ -542,7 +551,6 @@ def _into_domain(delta: DeltaMatrix, drafts, margin: float = SAMPLE_MARGIN) -> l
     :func:`_block_rows`.  When drafts fail, the error of the first failing
     draft in draft order is raised, as scaling them one by one would.
     """
-    _check_margin(margin)
     by_size = {}
     for k, draft in enumerate(drafts):
         by_size.setdefault(draft[0].shape[-1], []).append(k)

@@ -26,13 +26,15 @@ u_y[f]* G, where u_y[f] is rows fJn:(f+1)Jn of u_y.
 Batch axis: the kernels that form Delta(x), the model operators and phi
 (the word evaluation ``freepoly._eval_words`` under ``eval_delta``, and
 ``_times_delta``, ``_model_operators`` and ``_phi_from`` here) take arrays
-with leading axes before the trailing matrix axes.
-:func:`evaluate` calls them on one point with no leading axis;
+with leading axes before the trailing matrix axes, and so does
+``_model_solution``, the one body that solves for u and forms phi.
+:func:`evaluate` calls it on one point with no leading axis;
 ``_evaluate_stack`` takes B points of one matrix size with their Delta(x)
-stacked along a leading axis of length B, and their norms, and calls the
-same kernels once, with one stacked solve.  Every stacked product is a loop
-of the same BLAS and LAPACK calls on the same matrices, so each of its
-results is bit-identical to :func:`evaluate` at that point.
+stacked along a leading axis of length B, and their norms, and calls it
+once, with one stacked solve: approach sequences, derivative ladders and
+each block of Julia-sweep samples are evaluated so.  Every stacked product
+is a loop of the same BLAS and LAPACK calls on the same matrices, so each
+of its results is bit-identical to :func:`evaluate` at that point.
 """
 
 from __future__ import annotations
@@ -180,22 +182,24 @@ def evaluate(h: NcFunctionHandle, x: MatrixTuple) -> PointEvaluation:
 def _evaluate_at(h: NcFunctionHandle, x: MatrixTuple, big_delta, norm: float) -> PointEvaluation:
     """:func:`evaluate` at x whose Delta(x) and ||Delta(x)|| are already known."""
     _require_interior(norm)
-    resolvent, rhs, _ = _model_operators(h, big_delta, x.n)
-    u = np.linalg.solve(resolvent, rhs)
-    return PointEvaluation(x, big_delta, norm, resolvent, u, _phi_from(h, big_delta, u, x.n))
+    return PointEvaluation(x, big_delta, norm, *_model_solution(h, big_delta, x.n))
 
 
 def _evaluate_stack(h: NcFunctionHandle, xs: list, big_delta: np.ndarray, norms) -> list:
     """:func:`evaluate` at interior xs of one size whose stacked Delta(x) and norms are known."""
-    n = xs[0].n
-    resolvent, rhs, _ = _model_operators(h, big_delta, n)
-    # a right-hand side stacked like the resolvent reads as matrices under numpy 1.x and 2.x
-    u = np.linalg.solve(resolvent, np.broadcast_to(rhs, resolvent.shape[:-1] + rhs.shape[-1:]))
-    phi = _phi_from(h, big_delta, u, n)
+    resolvent, u, phi = _model_solution(h, big_delta, xs[0].n)
     return [
         PointEvaluation(x, big_delta[k], float(norms[k]), resolvent[k], u[k], phi[k])
         for k, x in enumerate(xs)
     ]
+
+
+def _model_solution(h: NcFunctionHandle, big_delta: np.ndarray, n: int) -> tuple:
+    """Resolvent, u and phi at Delta(x), one point's or stacked, from one solve."""
+    resolvent, rhs, _ = _model_operators(h, big_delta, n)
+    # a right-hand side stacked like the resolvent reads as matrices under numpy 1.x and 2.x
+    u = np.linalg.solve(resolvent, np.broadcast_to(rhs, resolvent.shape[:-1] + rhs.shape[-1:]))
+    return resolvent, u, _phi_from(h, big_delta, u, n)
 
 
 def eval_u(h: NcFunctionHandle, x: MatrixTuple, return_cond: bool = False):

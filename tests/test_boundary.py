@@ -19,16 +19,19 @@ from ncjulia import (
     is_bpoint_range_test,
     julia_inequality_check,
     julia_quotient,
+    julia_sweep,
     nontangential_constant,
     operator_norm,
     polydisk_delta,
-    radial_sequence,
     random_interior_point,
+    random_interior_points,
     random_realization,
     ray_sequence,
     solve_uT,
     tfae_report,
 )
+
+from ncjulia.boundary import JuliaSweep
 
 from conftest import random_unitary_tuple, sequential_interior_sample
 
@@ -80,9 +83,9 @@ class TestEvaluateSequence:
                 else:  # polydisk: a Haar-unitary pair
                     t = random_unitary_tuple(rng, 2, n)
                 ray = ray_sequence(t, -1.0 * t, num_steps=12)
-                for seq in (radial_sequence(t, num_steps=12), ray):
+                for seq in (ray_sequence(t, None, num_steps=12), ray):
                     path = evaluate_sequence(handle, seq)
-                    assert path.dropped == 0 and path.steps == list(seq.steps)
+                    assert path.points.dropped == 0 and path.points.steps == list(seq.steps)
                     for ev in path.evals:
                         one = evaluate(handle, ev.x)
                         for name in ("delta", "resolvent", "u", "phi"):
@@ -118,17 +121,17 @@ class TestEstimateAlpha:
     def test_example_radial(self, h1):
         for n in (1, 2, 3):
             t = MatrixTuple((np.eye(n),) * 2)
-            est = estimate_alpha(evaluate_sequence(h1, radial_sequence(t, num_steps=10)))
+            est = estimate_alpha(evaluate_sequence(h1, ray_sequence(t, None, num_steps=10)))
             assert est.alpha == pytest.approx(1.0, abs=1e-8)
             assert est.converged and est.is_liminf and not est.diverging
 
     def test_trivial_disk(self, disk):
-        est = estimate_alpha(evaluate_sequence(disk, radial_sequence(scalars(1.0), num_steps=10)))
+        est = estimate_alpha(evaluate_sequence(disk, ray_sequence(scalars(1.0), None, num_steps=10)))
         assert est.alpha == pytest.approx(1.0, abs=1e-10)
 
     def test_growth_detected(self):
         h = inconsistent_handle()
-        est = estimate_alpha(evaluate_sequence(h, radial_sequence(scalars(1.0), num_steps=10)))
+        est = estimate_alpha(evaluate_sequence(h, ray_sequence(scalars(1.0), None, num_steps=10)))
         assert est.diverging and not est.converged
         assert est.alpha == float("inf")
         # cross-check: the range test agrees that T=1 is not a B-point
@@ -145,17 +148,17 @@ class TestEstimateAlpha:
 
 class TestExtractW:
     def test_example_scalar(self, h1):
-        res = extract_W(evaluate_sequence(h1, radial_sequence(scalars(1.0, 1.0), num_steps=12)))
+        res = extract_W(evaluate_sequence(h1, ray_sequence(scalars(1.0, 1.0), None, num_steps=12)))
         assert res.W[0, 0] == pytest.approx(1.0, abs=1e-10)
         assert res.unitary_distance <= 1e-6
 
     def test_example_matrix_level(self, h1):
         t = MatrixTuple((np.eye(2),) * 2)
-        res = extract_W(evaluate_sequence(h1, radial_sequence(t, num_steps=12)))
+        res = extract_W(evaluate_sequence(h1, ray_sequence(t, None, num_steps=12)))
         np.testing.assert_allclose(res.W, np.eye(2), atol=1e-8)
 
     def test_trivial_disk(self, disk):
-        res = extract_W(evaluate_sequence(disk, radial_sequence(scalars(1.0), num_steps=12)))
+        res = extract_W(evaluate_sequence(disk, ray_sequence(scalars(1.0), None, num_steps=12)))
         assert res.W[0, 0] == pytest.approx(1.0, abs=1e-12)
 
     def test_uniqueness_across_transverse_rays(self, rng):
@@ -270,7 +273,7 @@ class TestJuliaInequality:
         u_t = solve_uT(h1, bp).u_T
         with pytest.raises(DimensionError, match="same matrix size"):
             boundary_identity_residual(h1, bp, np.eye(1), u_t, evaluate(h1, z))
-        path = evaluate_sequence(h1, radial_sequence(MatrixTuple((np.eye(2),) * 2), num_steps=6))
+        path = evaluate_sequence(h1, ray_sequence(MatrixTuple((np.eye(2),) * 2), None, num_steps=6))
         with pytest.raises(DimensionError, match="same matrix size"):
             tfae_report(path, bp)
 
@@ -292,15 +295,59 @@ class TestJuliaInequality:
             )
             t = random_unitary_tuple(rng, 2, int(rng.integers(1, 3)))
             assert is_bpoint_range_test(handle, boundary_point(handle.delta, t)).is_bpoint
-            est = estimate_alpha(evaluate_sequence(handle, radial_sequence(t, num_steps=20)))
+            est = estimate_alpha(evaluate_sequence(handle, ray_sequence(t, None, num_steps=20)))
             assert est.converged
-            w = extract_W(evaluate_sequence(handle, radial_sequence(t, num_steps=20))).W
+            w = extract_W(evaluate_sequence(handle, ray_sequence(t, None, num_steps=20))).W
             for _ in range(30):
                 z = random_interior_point(delta, t.n, rng)
                 check = julia_inequality_check(
                     evaluate(handle, z), boundary_point(handle.delta, t), w, est.alpha, rel_tol=1e-8
                 )
                 assert check.skipped or check.holds
+
+    @pytest.mark.parametrize("source, n", [
+        ("example-h1", 1), ("example-h1", 2), ("example-h1", 4), ("cartan:2", 2),
+    ])
+    def test_stacked_sweep_equals_looped_checks(self, source, n, monkeypatch):
+        from ncjulia import domain, get_delta, haar_unitary
+
+        rng = np.random.default_rng(30 + n)
+        if source == "cartan:2":  # Delta(T) = [[cV, isV], [isV, cV]] is unitary
+            delta = get_delta(source)
+            handle = NcFunctionHandle(realization=random_realization(2, delta.J, 31), delta=delta)
+            v, c, s = haar_unitary(n, rng), np.cos(0.7), np.sin(0.7)
+            t = MatrixTuple((c * v, 1j * s * v, c * v))
+        else:
+            handle, t = get_fixture(source).handle, random_unitary_tuple(rng, 2, n)
+        bp = boundary_point(handle.delta, t)
+        path = evaluate_sequence(handle, ray_sequence(t, None, num_steps=12))
+        w, alpha = extract_W(path).W, estimate_alpha(path).alpha
+        u_t = solve_uT(handle, bp).u_T if source == "cartan:2" else None
+        # blocks of 7 samples, so that the 30 samples span five blocks
+        monkeypatch.setattr(domain, "_BLOCK_BYTES", 7 * 16 * (handle.delta.J * n) ** 2)
+        samples = random_interior_points(handle.delta, n, np.random.default_rng(3), 30, 0.05)
+        sweep = julia_sweep(handle, samples, bp, w, alpha, 1e-8, u_t)
+        # the oracle: evaluate and the per-point checks at sequentially drawn points
+        oracle_rng = np.random.default_rng(3)
+        checked = violations = skipped = 0
+        ratios, residuals = [], []
+        for _ in range(30):
+            ev = evaluate(handle, sequential_interior_sample(handle.delta, n, oracle_rng)[0])
+            check = julia_inequality_check(ev, bp, w, alpha, 1e-8)
+            if check.skipped:
+                skipped += 1
+                continue
+            checked += 1
+            violations += not check.holds
+            if check.rhs > 0:
+                ratios.append(check.lhs / check.rhs)
+            if u_t is not None:
+                residuals.append(boundary_identity_residual(handle, bp, w, u_t, ev))
+        expected = JuliaSweep(
+            checked, violations, skipped, max(ratios, default=None), max(residuals, default=None)
+        )
+        assert sweep == expected and checked + skipped == 30
+        assert (sweep.identity_max is None) == (u_t is None)
 
 
 class TestBoundaryIdentity:
@@ -338,7 +385,7 @@ class TestTfae:
     def test_example_all_one(self, h1):
         t = scalars(1.0, 1.0)
         rep = tfae_report(
-            evaluate_sequence(h1, radial_sequence(t, num_steps=12)), boundary_point(h1.delta, t)
+            evaluate_sequence(h1, ray_sequence(t, None, num_steps=12)), boundary_point(h1.delta, t)
         )
         assert rep.sup_gram_quotient == pytest.approx(1.0, abs=1e-9)
         assert rep.sup_scalar_quotient == pytest.approx(1.0, abs=1e-9)
@@ -356,7 +403,7 @@ class TestTfae:
             )
             t = random_unitary_tuple(rng, 2, int(rng.integers(1, 3)))
             rep = tfae_report(
-                evaluate_sequence(handle, radial_sequence(t, num_steps=12)),
+                evaluate_sequence(handle, ray_sequence(t, None, num_steps=12)),
                 boundary_point(handle.delta, t),
             )
             assert rep.comparability["gram_le_scalar"]
@@ -395,14 +442,14 @@ class TestNontangentialBound:
                 realization=random_realization(1, 2, seed=700 + k), delta=delta
             )
             t = random_unitary_tuple(rng, 2, 2)
-            est = estimate_alpha(evaluate_sequence(handle, radial_sequence(t, num_steps=18)))
+            est = estimate_alpha(evaluate_sequence(handle, ray_sequence(t, None, num_steps=18)))
             assert est.converged
             cases.append((handle, t, est.alpha))
         from ncjulia import generate_sequence
 
         for handle, t, alpha in cases:
             for seq in (
-                radial_sequence(t, num_steps=12),
+                ray_sequence(t, None, num_steps=12),
                 ray_sequence(t, -1.0 * t, num_steps=12),
             ):
                 pts = generate_sequence(seq, handle.delta)
@@ -420,7 +467,7 @@ class TestNontangentialBound:
                 realization=random_realization(1 + k % 2, 2, seed=900 + k), delta=delta
             )
             t = random_unitary_tuple(rng, 2, int(rng.integers(1, 3)))
-            est = estimate_alpha(evaluate_sequence(handle, radial_sequence(t, num_steps=18)))
+            est = estimate_alpha(evaluate_sequence(handle, ray_sequence(t, None, num_steps=18)))
             sol = solve_uT(handle, boundary_point(handle.delta, t))
             assert sol.range_residual <= 1e-8
             assert abs(operator_norm(sol.u_T) ** 2 - est.alpha) <= 1e-6
@@ -493,11 +540,9 @@ class TestAnalyzeBpoint:
     def test_each_point_evaluated_once(self, h1, monkeypatch):
         from ncjulia import boundary
 
-        # points passed through the sweep's _evaluate_at (one each) and the
-        # sequence's _evaluate_stack (len(xs) each)
+        # points passed through _evaluate_stack (len(xs) each), by the sequence and the sweep
         calls = {"evaluate": 0, "generate_sequence": 0}
         counters = (
-            ("_evaluate_at", "evaluate", lambda args: 1),
             ("_evaluate_stack", "evaluate", lambda args: len(args[1])),
             ("generate_sequence", "generate_sequence", lambda args: 1),
         )
@@ -566,7 +611,7 @@ class TestAnalyzeBpoint:
                 stacked_rows.append(components[0].shape[0])
             return stack(delta, components)
 
-        monkeypatch.setattr(boundary, "_into_domain", scaling)
+        monkeypatch.setattr(domain, "_into_domain", scaling)
         monkeypatch.setattr(domain, "_eval_delta_stack", stacked)
         samples = []
         check_at = boundary.julia_inequality_check
@@ -605,7 +650,7 @@ class TestAnalyzeBpoint:
         monkeypatch.setattr(domain, "_eval_delta_stack", stacked)
         rep = analyze_bpoint(h1, scalars(1.0, 1.0), julia_samples=0, seed=1)
         # Delta(T) once, and each of the 12 approach points once, for membership and evaluation
-        assert len(rep.alpha.steps) == 12 and rep.path.dropped == 0
+        assert len(rep.alpha.steps) == 12 and rep.path.points.dropped == 0
         assert rows == {"eval_delta": 1, "stacked": 12}
 
     def test_margin_outside_unit_interval_evaluates_nothing(self, h1, monkeypatch):
@@ -631,7 +676,7 @@ class TestAnalyzeBpoint:
     def test_shared_evaluations_match_public_functions(self, h1, rng):
         t = random_unitary_tuple(rng, 2, 2)
         rep = analyze_bpoint(h1, t, julia_samples=20, seed=4)
-        seq = radial_sequence(t, num_steps=12)
+        seq = ray_sequence(t, None, num_steps=12)
         assert estimate_alpha(evaluate_sequence(h1, seq)) == rep.alpha
         assert np.array_equal(extract_W(evaluate_sequence(h1, seq)).W, rep.boundary_value.W)
         assert tfae_report(evaluate_sequence(h1, seq), boundary_point(h1.delta, t)) == rep.tfae

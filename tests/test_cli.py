@@ -445,6 +445,16 @@ class TestDerivative:
         out = json.loads(capsys.readouterr().out)
         assert out["closed_form_relative_error"] <= 1e-6
 
+    def test_huge_ladder_first_step_is_halved_into_the_domain(self, files, capsys):
+        code = main([
+            "derivative", "--fixture", "example-h1", "--point", files["boundary"],
+            "--direction", files["inward"], "--ladder-first-step", "1e30",
+        ])
+        assert code == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["converged"] is True and 1.0 <= out["first_step"] < 2.0
+        assert out["eta"]["data"][0][0] == pytest.approx(-1.0, abs=1e-12)
+
     def test_tangent_direction_rejected(self, files):
         assert main([
             "derivative", "--fixture", "example-h1", "--point", files["boundary"],

@@ -129,10 +129,10 @@ class TestAdmissibleLadder:
     def ladder(self, h, t, direction, first_step, steps):
         """The ladder, checked against its step list and against evaluate at each point."""
         path = _admissible_ladder(h, t, direction, first_step, steps)
-        t0 = path.steps[0]
-        assert path.steps == [s for s in (t0 * 2.0**-k for k in range(steps)) if s >= STEP_FLOOR]
-        assert path.dropped == 0 and path.seq.kind == "ray" and path.seq.direction is direction
-        for s, ev in zip(path.steps, path.evals, strict=True):
+        t0 = path.points.steps[0]
+        assert path.points.steps == [s for s in (t0 * 2.0**-k for k in range(steps)) if s >= STEP_FLOOR]
+        assert path.points.dropped == 0 and path.seq.kind == "ray" and path.seq.direction is direction
+        for s, ev in zip(path.points.steps, path.evals, strict=True):
             one = evaluate(h, t + s * direction)
             for name in self.FIELDS:
                 assert np.array_equal(getattr(ev, name), getattr(one, name)), name
@@ -140,10 +140,10 @@ class TestAdmissibleLadder:
 
     def test_ladder_is_the_ray_sequence(self, h1, rng):
         path = self.ladder(h1, identity_pair(2), random_admissible_direction(rng, 2), 1e-2, 10)
-        assert path.steps[0] == 1e-2 and len(path.steps) == 10
+        assert path.points.steps[0] == 1e-2 and len(path.points.steps) == 10
         # steps below the floor are cut: 1e-7, 5e-8, 2.5e-8 and 1.25e-8 remain
         path = self.ladder(h1, scalars(1.0, 1.0), scalars(-1.0, -1.0), 1e-7, 10)
-        assert len(path.steps) == 4
+        assert len(path.points.steps) == 4
 
     def test_halving_ladder_warns_nothing(self, h1):
         t, direction = scalars(1.0, 1.0), scalars(-1.0, -1.0)
@@ -154,7 +154,32 @@ class TestAdmissibleLadder:
             warnings.simplefilter("always")
             path = self.ladder(h1, t, direction, 40.0, 10)
         assert caught == []
-        assert path.steps[0] == 40.0 / 2**5 and len(path.steps) == 10
+        assert path.points.steps[0] == 40.0 / 2**5 and len(path.points.steps) == 10
+
+    def test_rejected_first_steps_solve_nothing(self, h1, monkeypatch):
+        from ncjulia import boundary
+
+        rows = []
+        stack = boundary._evaluate_stack
+
+        def counted(h, xs, *args):
+            rows.append(len(xs))
+            return stack(h, xs, *args)
+
+        monkeypatch.setattr(boundary, "_evaluate_stack", counted)
+        eta_numeric(h1, scalars(1.0, 1.0), np.eye(1), scalars(-1.0, -1.0), first_step=40.0)
+        # first steps 40 to 2.5 leave ladder points outside; only the admitted ladder is solved
+        assert rows == [10]
+
+    def test_huge_first_step_is_halved_into_the_domain(self, h1):
+        direction = scalars(-1.0, -1.0)
+        res = eta_numeric(h1, scalars(1.0, 1.0), np.eye(1), direction, first_step=1e30)
+        # about 100 halvings bring the first step under 2, where the whole ladder is interior
+        assert res.converged and 1.0 <= res.first_step < 2.0 and res.steps_used == 10
+        assert operator_norm(res.eta - example_eta(direction)) <= 1e-13
+        for first_step in (np.inf, np.nan):
+            with pytest.raises(PreconditionError, match="first step must be finite"):
+                eta_numeric(h1, scalars(1.0, 1.0), np.eye(1), direction, first_step=first_step)
 
     def test_no_admissible_first_step(self, h1):
         t = scalars(1.0, 1.0)

@@ -30,8 +30,8 @@ from ncjulia import (
     operator_norm,
     parse_poly,
     polydisk_delta,
-    radial_sequence,
     random_interior_point,
+    random_interior_points,
     ray_sequence,
 )
 from ncjulia import domain
@@ -337,7 +337,7 @@ class TestSequences:
     def test_radial_all_inside(self):
         d = polydisk_delta(2)
         t = MatrixTuple.from_scalars([1.0, 1.0])
-        pts = generate_sequence(radial_sequence(t, num_steps=10), d)
+        pts = generate_sequence(ray_sequence(t, None, num_steps=10), d)
         assert len(pts.points) == 10 and pts.dropped == 0
         assert all(in_G_delta(d, z) for z in pts.points)
 
@@ -345,7 +345,7 @@ class TestSequences:
         d = polydisk_delta(2)
         t = MatrixTuple.from_scalars([1.0, 1.0])
         pts_ray = generate_sequence(ray_sequence(t, -1.0 * t, num_steps=6), d)
-        pts_rad = generate_sequence(radial_sequence(t, num_steps=6), d)
+        pts_rad = generate_sequence(ray_sequence(t, None, num_steps=6), d)
         for a, b in zip(pts_ray.points, pts_rad.points):
             np.testing.assert_allclose(a.components[0], b.components[0], atol=1e-15)
 
@@ -372,7 +372,7 @@ class TestSequences:
         d = DeltaMatrix(1, [[x0 * x0]])
         t = MatrixTuple.from_scalars([1.0])
         with pytest.raises(PreconditionError):
-            generate_sequence(radial_sequence(t), d)
+            generate_sequence(ray_sequence(t, None), d)
 
     def test_inward_rays_enter_and_stay_nontangential(self, rng):
         # directions in the inward cone enter the domain for small t with
@@ -422,14 +422,14 @@ class TestSequences:
     def test_point_of_other_d_rejected(self):
         t = MatrixTuple.from_scalars([1.0, 1.0])
         with pytest.raises(DimensionError):
-            generate_sequence(radial_sequence(t), polydisk_delta(3))
+            generate_sequence(ray_sequence(t, None), polydisk_delta(3))
 
     def test_kind_follows_direction(self):
         t = MatrixTuple.from_scalars([1.0, 1.0])
         steps = (0.5, 0.25)
         assert ApproachSequence(base=t, direction=None, steps=steps).kind == "radial"
         assert ApproachSequence(base=t, direction=-1.0 * t, steps=steps).kind == "ray"
-        assert radial_sequence(t).kind == "radial" and ray_sequence(t, -1.0 * t).kind == "ray"
+        assert ray_sequence(t, None).kind == "radial" and ray_sequence(t, -1.0 * t).kind == "ray"
         for direction in (MatrixTuple.from_scalars([-1.0]), MatrixTuple((np.eye(2),) * 2)):
             with pytest.raises(DimensionError, match="direction must match"):
                 ApproachSequence(base=t, direction=direction, steps=steps)
@@ -475,7 +475,7 @@ class TestInteriorSampling:
             assert np.array_equal(big_delta, delta0)
             assert norm == norm0
 
-    def test_random_interior_point_matches_sequential(self):
+    def test_random_interior_point_matches_sequential(self, monkeypatch):
         for name, delta in SAMPLING_DELTAS.items():
             rng, oracle_rng = np.random.default_rng(5), np.random.default_rng(5)
             for n in (1, 3, 2):
@@ -483,6 +483,34 @@ class TestInteriorSampling:
                 x0 = sequential_interior_sample(delta, n, oracle_rng, margin=0.3)[0]
                 assert all(np.array_equal(a, b) for a, b in zip(x.components, x0.components))
             assert rng.bit_generator.state == oracle_rng.bit_generator.state
+        # the blocks of random_interior_points: one at the default budget, then blocks of 3 rows
+        for n, rows, sizes in ((1, None, [8]), (2, 3, [3, 3, 2])):
+            for delta in SAMPLING_DELTAS.values():
+                if rows:
+                    monkeypatch.setattr(domain, "_BLOCK_BYTES", rows * 16 * (delta.J * n) ** 2)
+                rng, oracle_rng = np.random.default_rng(6), np.random.default_rng(6)
+                blocks = random_interior_points(delta, n, rng, 8, 0.3)
+                # nothing is drawn before a block is read
+                assert rng.bit_generator.state == oracle_rng.bit_generator.state
+                expected = [sequential_interior_sample(delta, n, oracle_rng, 0.3) for _ in range(8)]
+                got, rows_cap = [], domain._block_rows(delta, n)
+                for points, big_delta, norms in blocks:
+                    assert len(points) == len(big_delta) == len(norms) <= rows_cap
+                    got.append(len(points))
+                    for k, (x0, delta0, norm0, _) in enumerate(expected[: len(points)]):
+                        assert all(map(np.array_equal, points[k].components, x0.components))
+                        assert np.array_equal(big_delta[k], delta0) and norms[k] == norm0
+                    expected = expected[len(points):]
+                assert got == sizes and expected == []
+                assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+    def test_margin_outside_unit_interval_raises_on_the_call(self):
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        for margin in (0.0, 1.0, -0.5, 1.5, np.nan):
+            with pytest.raises(PreconditionError, match=r"margin must lie in \(0, 1\)"):
+                random_interior_points(polydisk_delta(2), 1, rng, 5, margin)
+        assert rng.bit_generator.state == state
 
     def test_first_failing_draft_raises_its_error(self, monkeypatch):
         # p(x) = 1e308 (x + x^2) is 0.01 at x = 1e-310, 1e8 at x = 1e-300 (one

@@ -17,7 +17,7 @@ from ncjulia import (
     julia_inequality_check,
     operator_norm,
     polydisk_delta,
-    radial_sequence,
+    ray_sequence,
     random_interior_point,
     random_realization,
     solve_uT,
@@ -41,7 +41,7 @@ def test_full_chain_random_instance(d, dim_e, n, seed):
     )
     t = random_unitary_tuple(rng, d, n)
 
-    est = estimate_alpha(evaluate_sequence(handle, radial_sequence(t, num_steps=20)))
+    est = estimate_alpha(evaluate_sequence(handle, ray_sequence(t, None, num_steps=20)))
     assert est.converged and est.is_liminf
 
     bp = boundary_point(handle.delta, t)
@@ -49,7 +49,7 @@ def test_full_chain_random_instance(d, dim_e, n, seed):
     assert sol.range_residual <= 1e-8
     assert abs(operator_norm(sol.u_T) ** 2 - est.alpha) <= 1e-6
 
-    w = extract_W(evaluate_sequence(handle, radial_sequence(t, num_steps=20))).W
+    w = extract_W(evaluate_sequence(handle, ray_sequence(t, None, num_steps=20))).W
     assert operator_norm(w.conj().T @ w - np.eye(n)) <= 1e-10
 
     for _ in range(25):

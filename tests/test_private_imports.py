@@ -13,11 +13,6 @@ import ncjulia
 
 # (reading module, module read from, private name)
 ALLOWED = {
-    ("boundary", "domain", "_block_rows"),
-    ("boundary", "domain", "_check_margin"),
-    ("boundary", "domain", "_gaussian_draft"),
-    ("boundary", "domain", "_into_domain"),
-    ("boundary", "realization", "_evaluate_at"),
     ("boundary", "realization", "_evaluate_stack"),
     ("boundary", "realization", "_identity_defect"),
     ("boundary", "realization", "_model_operators"),
