@@ -223,7 +223,7 @@ def solve_uT(h: NcFunctionHandle, bp: BoundaryPoint) -> ModelVectorAtBoundary:
         raise PreconditionError(
             "model vector at the boundary requires T on the distinguished boundary"
         )
-    resolvent, rhs, _ = _model_operators(h, bp.delta, bp.t.n)
+    resolvent, rhs, _ = _model_operators(h.realization, bp.delta, bp.t.n)
     if operator_norm(resolvent) <= PINV_RTOL:  # zero but for the rounding of Delta(T)
         resolvent = np.zeros_like(resolvent)
     outcome = min_norm_solve(resolvent, rhs)
@@ -373,7 +373,7 @@ def boundary_identity_residual(
     u_t = np.asarray(u_t, dtype=np.complex128)
     if u_t.shape != (m * jn, bp.t.n):
         raise DimensionError(f"u_T has shape {u_t.shape}, expected ({m * jn}, {bp.t.n})")
-    return _identity_defect(h, w, u_t, bp.delta, ev)
+    return _identity_defect(h.realization, (w, u_t, bp.delta), (ev.phi, ev.u, ev.delta))
 
 
 @dataclass(frozen=True)

@@ -231,8 +231,9 @@ def cmd_eval(args) -> int:
     handle = _resolve_handle(args)
     point = _load_point(args.point)
     ev = realization.evaluate(handle, point)
-    cond = realization._resolvent_condition(ev)
-    residual = realization._identity_defect(handle, ev.phi, ev.u, ev.delta, ev)
+    cond = realization.resolvent_condition(ev)
+    at_x = (ev.phi, ev.u, ev.delta)
+    residual = realization._identity_defect(handle.realization, at_x, at_x)
     emit(
         {
             "phi": numerics.matrix_to_json(ev.phi),
@@ -332,13 +333,22 @@ def cmd_bpoint(args) -> int:
     return 0 if report.is_bpoint else 1
 
 
-def _model_identity_defects(delta, pending, margin: float) -> list:
-    """``model_residual(h, x, x)`` at each pending (handle, draft) sample, x scaled from the draft."""
-    points = domain._into_domain(delta, [draft for _, draft in pending], margin)
+# norm of the perturbation of D that fuzz --no-isometry adds to each colligation
+_PERTURBATION = 0.05
+
+
+def _model_identity_defects(args, delta, block) -> list:
+    """``model_residual(h, x, x)`` at each (seed, draft) sample of a block, x scaled from the draft.
+
+    The samples of each matrix size are checked with one stacked solve.
+    """
     defects = []
-    for (handle, _), sample in zip(pending, points):
-        ev = realization._evaluate_at(handle, *sample)
-        defects.append(realization._identity_defect(handle, ev.phi, ev.u, ev.delta, ev))
+    for scaled in domain.scale_into_domain(delta, [draft for _, draft in block], args.margin):
+        seeds = [block[k][0] for k in scaled.index]
+        colligations = realization.random_colligations(args.dim_E, delta.J, seeds)
+        if args.no_isometry:
+            colligations = realization.perturb_colligations(colligations, _PERTURBATION, seeds)
+        defects += realization.model_identity_defects(colligations, scaled.delta).tolist()
     return defects
 
 
@@ -347,8 +357,11 @@ def cmd_fuzz(args) -> int:
     rng = np.random.default_rng(args.seed)
     model_violations = 0
     max_model_residual = 0.0
-    # (handle, Gaussian draft) of the samples whose model identity is unchecked, and their D bytes
-    pending, pending_bytes = [], 0
+    # (seed, Gaussian draft) of the samples whose model identity is unchecked, and the bytes
+    # of their model systems; a block is checked before a sample of the largest size, n = 2,
+    # could take it over BLOCK_BYTES
+    block, block_bytes = [], 0
+    mj = args.dim_E * delta.J
     sweeps = []
     # Haar-unitary tuples lie on the distinguished boundary of the polydisk only;
     # the shape test first, so a small grid over many variables builds no d x d grid
@@ -356,23 +369,23 @@ def cmd_fuzz(args) -> int:
     run_julia = square and delta == fixtures.polydisk_delta(delta.d)
 
     for k in range(args.samples):
-        colligation = realization.random_realization(args.dim_E, delta.J, args.seed + k)
-        if args.no_isometry:
-            colligation = realization.perturb_realization(
-                colligation, eps=0.05, seed=args.seed + k
-            )
-        handle = realization.NcFunctionHandle(realization=colligation, delta=delta)
         n = int(rng.integers(1, 3))
         # the draws of random_interior_point; its scaling takes none, so it can wait
-        pending.append((handle, domain._gaussian_draft(delta.d, n, rng)))
-        pending_bytes += colligation.D.nbytes
-        if pending_bytes >= domain._BLOCK_BYTES or k == args.samples - 1:
-            for res in _model_identity_defects(delta, pending, args.margin):
+        block.append((args.seed + k, domain.gaussian_draft(delta.d, n, rng)))
+        block_bytes += 16 * (mj * n) ** 2
+        if block_bytes + 16 * (mj * 2) ** 2 > domain.BLOCK_BYTES or k == args.samples - 1:
+            for res in _model_identity_defects(args, delta, block):
                 max_model_residual = max(max_model_residual, res)
                 if res > args.model_residual_tol:
                     model_violations += 1
-            pending, pending_bytes = [], 0
+            block, block_bytes = [], 0
         if run_julia and k % 10 == 0:
+            colligation = realization.random_realization(args.dim_E, delta.J, args.seed + k)
+            if args.no_isometry:
+                colligation = realization.perturb_realization(
+                    colligation, _PERTURBATION, args.seed + k
+                )
+            handle = realization.NcFunctionHandle(realization=colligation, delta=delta)
             t = freepoly.MatrixTuple(
                 tuple(numerics.haar_unitary(n, rng) for _ in range(delta.d))
             )

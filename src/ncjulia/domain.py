@@ -35,7 +35,7 @@ from .numerics import (
     numerical_rank,
     operator_norm,
     is_self_adjoint,
-    _operator_norms,
+    operator_norms,
 )
 
 DISTINGUISHED_TOL = 1e-8
@@ -461,9 +461,7 @@ def generate_sequence(seq: ApproachSequence, delta: DeltaMatrix) -> SequencePoin
     else:
         zs = [seq.base + t * seq.direction for t in seq.steps]
     big_delta = _eval_delta_stack(delta, [np.stack(c) for c in zip(*(z.components for z in zs))])
-    if not np.isfinite(big_delta).all():
-        raise PreconditionError("matrix contains non-finite entries")
-    norms = _operator_norms(big_delta)
+    norms = operator_norms(big_delta)
     inside = norms < 1.0
     dropped = len(zs) - int(inside.sum())
     if dropped:
@@ -483,8 +481,9 @@ def generate_sequence(seq: ApproachSequence, delta: DeltaMatrix) -> SequencePoin
     )
 
 
-# stacked Delta bytes that one block of drafts may take in _into_domain
-_BLOCK_BYTES = 8 << 20
+# bytes of stacked arrays that one block of samples may take: its Delta in
+# random_interior_points, its model systems in ncjulia fuzz
+BLOCK_BYTES = 8 << 20
 
 
 def random_interior_points(
@@ -492,15 +491,14 @@ def random_interior_points(
 ):
     """``count`` random points with ||delta(x)|| <= 1 - margin, in blocks of stacked Delta.
 
-    Sampling has two steps.  :func:`_gaussian_draft` takes every random draw:
-    d complex Gaussian n x n matrices, in component order, each real part
-    before its imaginary part.  :func:`_into_domain` then scales the draft
-    into the domain and draws nothing: it divides each component by
-    max(1, its norm) and halves the tuple until ||delta(x)|| <= 1 - margin,
-    at most ``MAX_HALVINGS`` times.  The margin must lie in (0, 1), which is
-    checked on the call, before anything is drawn.  The result yields
+    Sampling has two steps.  :func:`gaussian_draft` takes every random draw
+    of a point.  :func:`scale_into_domain` then scales drafts into the domain
+    and draws nothing: it divides each component by max(1, its norm) and
+    halves the tuple until ||delta(x)|| <= 1 - margin, at most
+    ``MAX_HALVINGS`` times.  The margin must lie in (0, 1), which is checked
+    on the call, before anything is drawn.  The result yields
     ``(points, stacked Delta, norms)`` for blocks of :func:`_block_rows`
-    points, whose Delta takes at most ``_BLOCK_BYTES`` (8 MiB), and draws
+    points, whose Delta takes at most ``BLOCK_BYTES`` (8 MiB), and draws
     each block when it is reached: every point is bit-identical to a call
     of :func:`random_interior_point` on the same generator.
     """
@@ -521,17 +519,20 @@ def random_interior_point(
 
 def _interior_block(delta: DeltaMatrix, n: int, rng, rows: int, margin: float) -> tuple:
     """``rows`` points of size n drawn from rng, with their stacked Delta and their norms."""
-    drafts = [_gaussian_draft(delta.d, n, rng) for _ in range(rows)]
-    points, deltas, norms = zip(*_into_domain(delta, drafts, margin))
-    return list(points), np.stack(deltas), np.array(norms)
+    drafts = [gaussian_draft(delta.d, n, rng) for _ in range(rows)]
+    (scaled,) = scale_into_domain(delta, drafts, margin)
+    points = [MatrixTuple(tuple(scaled.components[:, k])) for k in range(rows)]
+    return points, scaled.delta, scaled.norms
 
 
-def _gaussian_draft(d: int, n: int, rng: np.random.Generator) -> tuple:
-    """The d complex Gaussian n x n matrices of one random point: all the draws it takes."""
-    return tuple(
-        (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2.0)
-        for _ in range(d)
-    )
+def gaussian_draft(d: int, n: int, rng: np.random.Generator) -> np.ndarray:
+    """The d complex Gaussian n x n matrices of one random point, (d, n, n): all the draws it takes.
+
+    One call draws them, in component order, each real part before its
+    imaginary part.
+    """
+    g = rng.standard_normal((d, 2, n, n))
+    return (g[:, 0] + 1j * g[:, 1]) / np.sqrt(2.0)
 
 
 def _check_margin(margin: float):
@@ -540,66 +541,75 @@ def _check_margin(margin: float):
 
 
 def _block_rows(delta: DeltaMatrix, n: int) -> int:
-    """Drafts of matrix size n that one block of :func:`_into_domain` scales together."""
-    return max(1, _BLOCK_BYTES // (16 * (delta.J * n) ** 2))
+    """Points of matrix size n in one block of :func:`random_interior_points`."""
+    return max(1, BLOCK_BYTES // (16 * (delta.J * n) ** 2))
 
 
-def _into_domain(delta: DeltaMatrix, drafts, margin: float = SAMPLE_MARGIN) -> list:
-    """(x, Delta(x), ||Delta(x)||) for each draft, scaled as :func:`random_interior_point` scales it.
+class ScaledDrafts(NamedTuple):
+    """The drafts of one matrix size, scaled into the domain as one stack."""
 
-    Drafts of one matrix size are scaled together, in blocks of
-    :func:`_block_rows`.  When drafts fail, the error of the first failing
-    draft in draft order is raised, as scaling them one by one would.
+    index: list  # positions of these drafts among those scaled, all of one matrix size
+    components: np.ndarray  # (d, k, n, n): components[r] stacks variable r of the k points
+    delta: np.ndarray  # their stacked padded Delta, (k, Jn, Jn)
+    norms: np.ndarray  # their ||Delta||
+
+
+def scale_into_domain(delta: DeltaMatrix, drafts, margin: float) -> list:
+    """Scale each :func:`gaussian_draft` into the domain, one stack per matrix size.
+
+    Each draft is scaled as :func:`random_interior_point` scales its one, so
+    the result is bit-identical; the drafts of each matrix size form one
+    stack, which the caller bounds.  Returns one :class:`ScaledDrafts` per
+    size, in the order the sizes first appear.  When drafts fail, the error
+    of the first failing draft in draft order is raised, as scaling them one
+    by one would.
     """
     by_size = {}
     for k, draft in enumerate(drafts):
-        by_size.setdefault(draft[0].shape[-1], []).append(k)
-    out = [None] * len(drafts)
-    for n, rows in by_size.items():
-        step = _block_rows(delta, n)
-        for start in range(0, len(rows), step):
-            block = rows[start : start + step]
-            scaled = _scale_block(delta, [drafts[k] for k in block], margin)
-            for k, result in zip(block, scaled):
-                out[k] = result
-    for result in out:
-        if isinstance(result, str):
-            raise PreconditionError(result)
+        by_size.setdefault(draft.shape[-1], []).append(k)
+    out, failed = [], {}
+    for index in by_size.values():
+        *scaled, errors = _scale_block(delta, np.stack([drafts[k] for k in index], axis=1), margin)
+        failed.update((index[k], message) for k, message in errors.items())
+        out.append(ScaledDrafts(index, *scaled))
+    if failed:
+        raise PreconditionError(failed[min(failed)])
     return out
 
 
-def _scale_block(delta: DeltaMatrix, drafts, margin: float) -> list:
-    """The scaled sample, or the message of its error, for each draft of one matrix size.
+def _scale_block(delta: DeltaMatrix, drafts: np.ndarray, margin: float) -> tuple:
+    """Components, stacked Delta and norms of the scaled (d, k, n, n) drafts, and {row: error}.
 
-    One batched norm per component scales the drafts into the unit ball;
-    then each halving round takes one stacked Delta and one batched SVD over
-    the drafts not yet accepted, and halves the rest with ``0.5 *`` as
+    One batched norm scales the components into the unit ball; then each
+    halving round takes one stacked Delta and one batched SVD over the
+    drafts not yet accepted, and halves the rest with ``0.5 *`` as
     ``MatrixTuple.__mul__`` does.
     """
-    comps = []
-    for r in range(delta.d):
-        g = np.stack([draft[r] for draft in drafts])
-        comps.append(g / np.maximum(1.0, _operator_norms(g))[:, None, None])
-    out = ["could not scale a random point into the domain"] * len(drafts)
-    rows = np.arange(len(drafts))
+    d, k, n = drafts.shape[:3]
+    component_norms = operator_norms(drafts.reshape(d * k, n, n)).reshape(d, k, 1, 1)
+    comps = drafts / np.maximum(1.0, component_norms)
+    scaled = np.empty_like(comps)
+    big_out = np.empty((k, delta.J * n, delta.J * n), dtype=np.complex128)
+    norms_out = np.empty(k)
+    errors = {}
+    rows = np.arange(k)
     for _ in range(MAX_HALVINGS):
         if not rows.size:
             break
         big_delta = _eval_delta_stack(delta, comps)
         finite = np.isfinite(big_delta).all(axis=(-2, -1))
         norms = np.zeros(rows.size)
-        norms[finite] = _operator_norms(big_delta if finite.all() else big_delta[finite])
+        norms[finite] = operator_norms(big_delta if finite.all() else big_delta[finite])
         accept = finite & (norms <= 1.0 - margin)
-        accepted = big_delta[accept]
-        for j, k in enumerate(np.flatnonzero(accept)):
-            x = MatrixTuple(tuple(c[k] for c in comps))
-            out[rows[k]] = (x, accepted[j], float(norms[k]))
-        for k in np.flatnonzero(~finite):
-            out[rows[k]] = "matrix contains non-finite entries"
+        scaled[:, rows[accept]] = comps[:, accept]
+        big_out[rows[accept]] = big_delta[accept]
+        norms_out[rows[accept]] = norms[accept]
+        errors.update((int(r), "matrix contains non-finite entries") for r in rows[~finite])
         halve = finite & ~accept
         rows = rows[halve]
-        comps = [0.5 * c[halve] for c in comps]
-    return out
+        comps = 0.5 * comps[:, halve]
+    errors.update((int(r), "could not scale a random point into the domain") for r in rows)
+    return scaled, big_out, norms_out, errors
 
 
 # --- JSON wire format -------------------------------------------------------

@@ -46,11 +46,14 @@ def operator_norm(m) -> float:
     return float(np.linalg.svd(a, compute_uv=False)[0])
 
 
-def _operator_norms(stack: np.ndarray) -> np.ndarray:
+def operator_norms(stack: np.ndarray) -> np.ndarray:
     """Largest singular value of each matrix of a (B, r, c) stack, from one batched SVD.
 
-    As in :func:`operator_norm`, an empty matrix has norm 0.
+    As in :func:`operator_norm`, an empty matrix has norm 0 and non-finite
+    entries are rejected.
     """
+    if not np.isfinite(stack).all():
+        raise PreconditionError("matrix contains non-finite entries")
     if 0 in stack.shape[-2:]:
         return np.zeros(stack.shape[0])
     return np.linalg.svd(stack, compute_uv=False)[:, 0]
@@ -175,17 +178,26 @@ def extrapolate_limit(samples) -> ExtrapolationResult:
                 f"samples must be geometrically spaced with ratio 2, got {a / b:.6g}"
             )
     differences = np.stack([np.atleast_2d(v2 - v1) for v1, v2 in zip(values, values[1:])])
-    increments = tuple(float(s) for s in _operator_norms(differences))
+    increments = tuple(float(s) for s in operator_norms(differences))
     value = 2.0 * values[-1] - values[-2]
     return ExtrapolationResult(value=value, increments=increments)
 
 
 def haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-distributed n x n unitary: QR of a complex Gaussian, phases fixed."""
-    g = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2.0)
-    q, r = np.linalg.qr(g)
-    d = np.diag(r)
-    return q * (d / np.abs(d))
+    return haar_unitaries(n, [rng])[0]
+
+
+def haar_unitaries(n: int, rngs) -> np.ndarray:
+    """One :func:`haar_unitary` from each generator, stacked, by one batched QR.
+
+    Each generator draws the real parts of its Gaussian, then the imaginary
+    parts, in one call.
+    """
+    g = np.stack([rng.standard_normal((2, n, n)) for rng in rngs])
+    q, r = np.linalg.qr((g[:, 0] + 1j * g[:, 1]) / np.sqrt(2.0))
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[:, None, :]
 
 
 # --- JSON wire format ------------------------------------------------------

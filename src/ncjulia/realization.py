@@ -32,15 +32,23 @@ with leading axes before the trailing matrix axes, and so does
 ``_evaluate_stack`` takes B points of one matrix size with their Delta(x)
 stacked along a leading axis of length B, and their norms, and calls it
 once, with one stacked solve: approach sequences, derivative ladders and
-each block of Julia-sweep samples are evaluated so.  Every stacked product
-is a loop of the same BLAS and LAPACK calls on the same matrices, so each
-of its results is bit-identical to :func:`evaluate` at that point.
+each block of Julia-sweep samples are evaluated so.  The colligation may
+be stacked too: these kernels and ``_identity_defect`` read the blocks
+A, B, C, D of a :class:`Realization` or of :class:`Colligations`, B
+colligations stacked along the leading axis of their Delta(x), one per
+point.  :func:`random_colligations` makes such a stack with one batched QR
+and one batched isometry check, and :func:`model_identity_defects` checks
+the model identity of each at its own point with one stacked solve; this
+is how ``ncjulia fuzz`` runs its samples.  Every stacked product is a loop
+of the same BLAS and LAPACK calls on the same matrices, so each of its
+results is bit-identical to the one-point, one-colligation computation.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import InitVar, dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -50,11 +58,13 @@ from .freepoly import MatrixTuple
 from .numerics import (
     COND_WARN_THRESHOLD,
     as_complex_matrix,
+    haar_unitaries,
     haar_unitary,
     _json_int,
     matrix_from_json,
     matrix_to_json,
     operator_norm,
+    operator_norms,
 )
 
 ISOMETRY_TOL = 1e-8
@@ -100,19 +110,48 @@ class Realization:
             block = block.copy()
             block.flags.writeable = False
             object.__setattr__(self, name, block)
-        m = self.colligation
-        defect = operator_norm(m.conj().T @ m - np.eye(1 + mj))
+        defect = _isometry_defects(self.colligation[None], isometry_tol)[0]
         object.__setattr__(self, "isometry_defect", float(defect))
-        if defect > isometry_tol:
-            raise PreconditionError(
-                f"colligation is not an isometry: defect {defect:.3e} > {isometry_tol:.0e}"
-            )
 
     @property
     def colligation(self) -> np.ndarray:
         top = np.hstack([self.A, self.B])
         bottom = np.hstack([self.C, self.D])
         return np.vstack([top, bottom])
+
+
+def _isometry_defects(colligations: np.ndarray, isometry_tol: float) -> np.ndarray:
+    """||M* M - I|| of each stacked colligation M; PreconditionError for the first above the tolerance."""
+    gram = colligations.conj().swapaxes(-1, -2) @ colligations
+    gram -= np.eye(colligations.shape[-1])  # in place: a stack gets no temporary elision
+    defects = operator_norms(gram)
+    for defect in defects:
+        if defect > isometry_tol:
+            raise PreconditionError(
+                f"colligation is not an isometry: defect {defect:.3e} > {isometry_tol:.0e}"
+            )
+    return defects
+
+
+class Colligations(NamedTuple):
+    """The blocks of k colligations of one (dim_E, J), stacked along a leading axis.
+
+    A is (k, 1, 1), B (k, 1, mJ), C (k, mJ, 1) and D (k, mJ, mJ); the model
+    solve reads them as it reads a :class:`Realization`'s.
+    """
+
+    dim_E: int
+    J: int
+    A: np.ndarray
+    B: np.ndarray
+    C: np.ndarray
+    D: np.ndarray
+
+
+def _blocks(colligations: np.ndarray) -> tuple:
+    """Views of A, B, C, D in colligation matrices (..., 1 + mJ, 1 + mJ)."""
+    m = colligations
+    return m[..., :1, :1], m[..., :1, 1:], m[..., 1:, :1], m[..., 1:, 1:]
 
 
 @dataclass(frozen=True, eq=False)
@@ -129,22 +168,27 @@ class NcFunctionHandle:
             )
 
 
-def _times_delta(h: NcFunctionHandle, mat: np.ndarray, big_delta: np.ndarray, n: int):
+def _times_delta(r, mat: np.ndarray, big_delta: np.ndarray, n: int):
     """(mat kron I_n)(I_m kron Delta) for mat with mJ columns, without forming either factor."""
-    m, j = h.realization.dim_E, h.realization.J
+    m, j = r.dim_E, r.J
     jn = j * n
-    lead = big_delta.shape[:-2]
-    rows = mat.shape[0] * n
-    block_columns = mat.reshape(-1, m, j).transpose(1, 0, 2)
-    blocks = block_columns @ big_delta.reshape(*lead, 1, j, n * jn)
-    return blocks.reshape(*lead, m, rows, jn).swapaxes(-3, -2).reshape(*lead, rows, m * jn)
+    rows = mat.shape[-2] * n
+    block_columns = mat.reshape(mat.shape[:-1] + (m, j)).swapaxes(-3, -2)
+    blocks = block_columns @ big_delta.reshape(big_delta.shape[:-2] + (1, j, n * jn))
+    lead = blocks.shape[:-3]
+    return blocks.reshape(lead + (m, rows, jn)).swapaxes(-3, -2).reshape(lead + (rows, m * jn))
 
 
-def _model_operators(h: NcFunctionHandle, big_delta: np.ndarray, n: int):
+def _model_operators(r, big_delta: np.ndarray, n: int):
     """Resolvent I - step, rhs C kron I_n and step (D kron I_n)(I_m kron Delta)."""
-    step = _times_delta(h, h.realization.D, big_delta, n)
-    resolvent = np.eye(step.shape[-1], dtype=np.complex128) - step
-    rhs = (h.realization.C[:, :, None] * np.eye(n, dtype=np.complex128)).reshape(-1, n)
+    step = _times_delta(r, r.D, big_delta, n)
+    # I - step formed in place, so that a stacked step holds no broadcast copy of I beside
+    # it; the diagonal of each matrix is every (size + 1)-th entry of it flattened
+    size = step.shape[-1]
+    resolvent = np.zeros(step.shape, dtype=np.complex128)
+    resolvent.reshape(step.shape[:-2] + (-1,))[..., :: size + 1] = 1.0
+    resolvent -= step
+    rhs = (r.C[..., None] * np.eye(n, dtype=np.complex128)).reshape(*r.C.shape[:-2], -1, n)
     return resolvent, rhs, step
 
 
@@ -155,10 +199,10 @@ def _require_interior(norm: float) -> float:
     return norm
 
 
-def _phi_from(h: NcFunctionHandle, big_delta: np.ndarray, u: np.ndarray, n: int) -> np.ndarray:
+def _phi_from(r, big_delta: np.ndarray, u: np.ndarray, n: int) -> np.ndarray:
     """A I_n + (B kron I_n)(I_m kron Delta) u for a model vector u."""
-    b_delta = _times_delta(h, h.realization.B, big_delta, n)
-    return h.realization.A[0, 0] * np.eye(n, dtype=np.complex128) + b_delta @ u
+    b_delta = _times_delta(r, r.B, big_delta, n)
+    return r.A * np.eye(n, dtype=np.complex128) + b_delta @ u
 
 
 @dataclass(frozen=True, eq=False)
@@ -176,30 +220,25 @@ class PointEvaluation:
 def evaluate(h: NcFunctionHandle, x: MatrixTuple) -> PointEvaluation:
     """Evaluate Delta, ||Delta||, u and phi at interior x with one model solve."""
     big_delta = eval_delta(h.delta, x)
-    return _evaluate_at(h, x, big_delta, operator_norm(big_delta))
-
-
-def _evaluate_at(h: NcFunctionHandle, x: MatrixTuple, big_delta, norm: float) -> PointEvaluation:
-    """:func:`evaluate` at x whose Delta(x) and ||Delta(x)|| are already known."""
-    _require_interior(norm)
-    return PointEvaluation(x, big_delta, norm, *_model_solution(h, big_delta, x.n))
+    norm = _require_interior(operator_norm(big_delta))
+    return PointEvaluation(x, big_delta, norm, *_model_solution(h.realization, big_delta, x.n))
 
 
 def _evaluate_stack(h: NcFunctionHandle, xs: list, big_delta: np.ndarray, norms) -> list:
     """:func:`evaluate` at interior xs of one size whose stacked Delta(x) and norms are known."""
-    resolvent, u, phi = _model_solution(h, big_delta, xs[0].n)
+    resolvent, u, phi = _model_solution(h.realization, big_delta, xs[0].n)
     return [
         PointEvaluation(x, big_delta[k], float(norms[k]), resolvent[k], u[k], phi[k])
         for k, x in enumerate(xs)
     ]
 
 
-def _model_solution(h: NcFunctionHandle, big_delta: np.ndarray, n: int) -> tuple:
-    """Resolvent, u and phi at Delta(x), one point's or stacked, from one solve."""
-    resolvent, rhs, _ = _model_operators(h, big_delta, n)
+def _model_solution(r, big_delta: np.ndarray, n: int) -> tuple:
+    """Resolvent, u and phi at Delta(x) from one solve; r and Delta(x) may be stacked alike."""
+    resolvent, rhs, _ = _model_operators(r, big_delta, n)
     # a right-hand side stacked like the resolvent reads as matrices under numpy 1.x and 2.x
     u = np.linalg.solve(resolvent, np.broadcast_to(rhs, resolvent.shape[:-1] + rhs.shape[-1:]))
-    return resolvent, u, _phi_from(h, big_delta, u, n)
+    return resolvent, u, _phi_from(r, big_delta, u, n)
 
 
 def eval_u(h: NcFunctionHandle, x: MatrixTuple, return_cond: bool = False):
@@ -209,11 +248,11 @@ def eval_u(h: NcFunctionHandle, x: MatrixTuple, return_cond: bool = False):
     with ``return_cond=True`` returns ``(u, cond)``.
     """
     ev = evaluate(h, x)
-    cond = _resolvent_condition(ev)
+    cond = resolvent_condition(ev)
     return (ev.u, cond) if return_cond else ev.u
 
 
-def _resolvent_condition(ev: PointEvaluation) -> float:
+def resolvent_condition(ev: PointEvaluation) -> float:
     """Condition number of the model system matrix; warns above ``COND_WARN_THRESHOLD``."""
     sv = np.linalg.svd(ev.resolvent, compute_uv=False)
     cond = float("inf") if sv[-1] == 0.0 else float(sv[0] / sv[-1])
@@ -252,7 +291,7 @@ def eval_phi_neumann(h: NcFunctionHandle, x: MatrixTuple, terms: int) -> Neumann
     big_delta = eval_delta(h.delta, x)
     _require_interior(operator_norm(big_delta))
     n = x.n
-    _, rhs, step = _model_operators(h, big_delta, n)
+    _, rhs, step = _model_operators(h.realization, big_delta, n)
     q = operator_norm(step)
     if q >= 1.0:
         raise PreconditionError(
@@ -263,7 +302,7 @@ def eval_phi_neumann(h: NcFunctionHandle, x: MatrixTuple, terms: int) -> Neumann
     for _ in range(terms):
         power = step @ power
         acc += power
-    value = _phi_from(h, big_delta, acc, n)
+    value = _phi_from(h.realization, big_delta, acc, n)
     bound = q ** (terms + 1) / (1.0 - q)
     return NeumannEvaluation(
         value=value, truncation_bound=float(bound), contraction_factor=float(q), terms=terms
@@ -280,23 +319,41 @@ def model_residual(h: NcFunctionHandle, x: MatrixTuple, y: MatrixTuple) -> float
         raise DimensionError("x and y must share matrix size and variable count")
     ev_x = evaluate(h, x)
     ev_y = ev_x if y is x else evaluate(h, y)
-    return _identity_defect(h, ev_y.phi, ev_y.u, ev_y.delta, ev_x)
+    return _identity_defect(
+        h.realization, (ev_y.phi, ev_y.u, ev_y.delta), (ev_x.phi, ev_x.u, ev_x.delta)
+    )
 
 
-def _identity_defect(h: NcFunctionHandle, phi_y, u_y, delta_y, ev: PointEvaluation) -> float:
-    """|| I - phi_y* phi(x) - u_y* (I_m kron (I - delta_y* Delta(x))) u(x) ||, ev at x.
+def model_identity_defects(c: Colligations, big_delta: np.ndarray) -> np.ndarray:
+    """``model_residual(h, x, x)`` for each stacked colligation at its own interior x.
 
-    The model identity when (phi_y, u_y, delta_y) are taken at an interior
-    y, the boundary identity when they are (W, u_T, Delta(T)).
+    ``big_delta`` stacks the padded Delta(x) of the points as ``c`` stacks
+    the colligations; one stacked solve serves them all.
     """
-    n = ev.x.n
-    m = h.realization.dim_E
-    jn = h.realization.J * n
-    gram = np.eye(jn, dtype=np.complex128) - delta_y.conj().T @ ev.delta
-    left = u_y.reshape(m, jn, n).conj().transpose(0, 2, 1) @ gram
-    left = left.transpose(1, 0, 2).reshape(n, m * jn)
-    lhs = np.eye(n, dtype=np.complex128) - phi_y.conj().T @ ev.phi
-    return operator_norm(lhs - left @ ev.u)
+    _, u, phi = _model_solution(c, big_delta, big_delta.shape[-1] // c.J)
+    at_x = (phi, u, big_delta)
+    return _identity_defect(c, at_x, at_x)
+
+
+def _identity_defect(r, y: tuple, x: tuple):
+    """|| I - phi_y* phi_x - u_y* (I_m kron (I - delta_y* delta_x)) u_x ||.
+
+    ``y`` and ``x`` are (phi, u, Delta) triples: the model identity when y is
+    an evaluated interior point, the boundary identity when y is
+    (W, u_T, Delta(T)).  A float for one colligation r; an array of defects
+    for colligations and x stacked alike.
+    """
+    phi_y, u_y, delta_y = y
+    phi_x, u_x, delta_x = x
+    n = phi_x.shape[-1]
+    m, jn = r.dim_E, r.J * n
+    lead = u_y.shape[:-2]
+    gram = np.eye(jn, dtype=np.complex128) - delta_y.conj().swapaxes(-1, -2) @ delta_x
+    left = u_y.reshape(*lead, m, jn, n).conj().swapaxes(-1, -2) @ gram[..., None, :, :]
+    left = left.swapaxes(-3, -2).reshape(*lead, n, m * jn)
+    lhs = np.eye(n, dtype=np.complex128) - phi_y.conj().swapaxes(-1, -2) @ phi_x
+    residual = lhs - left @ u_x
+    return operator_norm(residual) if residual.ndim == 2 else operator_norms(residual)
 
 
 def random_realization(dim_E: int, J: int, seed: int) -> Realization:
@@ -304,25 +361,42 @@ def random_realization(dim_E: int, J: int, seed: int) -> Realization:
     if dim_E < 1 or J < 1:
         raise DimensionError("dim_E and J must be at least 1")
     q = haar_unitary(1 + dim_E * J, np.random.default_rng(seed))
-    return Realization(
-        dim_E=dim_E,
-        J=J,
-        A=q[:1, :1],
-        B=q[:1, 1:],
-        C=q[1:, :1],
-        D=q[1:, 1:],
-    )
+    return Realization(dim_E, J, *_blocks(q))
+
+
+def random_colligations(dim_E: int, J: int, seeds) -> Colligations:
+    """The colligation of ``random_realization(dim_E, J, seed)`` for each seed, stacked.
+
+    Each seed takes the draws of :func:`random_realization`; one batched QR
+    makes the colligations and one batched check, :class:`Realization`'s,
+    holds them to ``ISOMETRY_TOL``.
+    """
+    if dim_E < 1 or J < 1:
+        raise DimensionError("dim_E and J must be at least 1")
+    q = haar_unitaries(1 + dim_E * J, [np.random.default_rng(seed) for seed in seeds])
+    _isometry_defects(q, ISOMETRY_TOL)
+    return Colligations(dim_E, J, *map(np.ascontiguousarray, _blocks(q)))
 
 
 def perturb_realization(r: Realization, eps: float, seed: int = 0) -> Realization:
     """Break the isometry by adding a Gaussian perturbation to D (negative control)."""
-    rng = np.random.default_rng(seed)
-    mj = r.dim_E * r.J
-    g = (rng.standard_normal((mj, mj)) + 1j * rng.standard_normal((mj, mj))) / np.sqrt(2.0)
-    g *= eps / max(1.0, operator_norm(g))
+    g = _perturbations(r.dim_E * r.J, eps, [seed])[0]
     return Realization(
         dim_E=r.dim_E, J=r.J, A=r.A, B=r.B, C=r.C, D=r.D + g, isometry_tol=np.inf
     )
+
+
+def perturb_colligations(c: Colligations, eps: float, seeds) -> Colligations:
+    """:func:`perturb_realization` of each stacked colligation, with its seed."""
+    return c._replace(D=c.D + _perturbations(c.dim_E * c.J, eps, seeds))
+
+
+def _perturbations(mj: int, eps: float, seeds) -> np.ndarray:
+    """The mj x mj complex Gaussian from each seed's generator, scaled to norm at most eps."""
+    g = np.stack([np.random.default_rng(seed).standard_normal((2, mj, mj)) for seed in seeds])
+    g = (g[:, 0] + 1j * g[:, 1]) / np.sqrt(2.0)
+    g *= (eps / np.maximum(1.0, operator_norms(g)))[:, None, None]
+    return g
 
 
 # --- JSON wire format -------------------------------------------------------

@@ -324,7 +324,7 @@ class TestJuliaInequality:
         w, alpha = extract_W(path).W, estimate_alpha(path).alpha
         u_t = solve_uT(handle, bp).u_T if source == "cartan:2" else None
         # blocks of 7 samples, so that the 30 samples span five blocks
-        monkeypatch.setattr(domain, "_BLOCK_BYTES", 7 * 16 * (handle.delta.J * n) ** 2)
+        monkeypatch.setattr(domain, "BLOCK_BYTES", 7 * 16 * (handle.delta.J * n) ** 2)
         samples = random_interior_points(handle.delta, n, np.random.default_rng(3), 30, 0.05)
         sweep = julia_sweep(handle, samples, bp, w, alpha, 1e-8, u_t)
         # the oracle: evaluate and the per-point checks at sequentially drawn points
@@ -597,7 +597,7 @@ class TestAnalyzeBpoint:
             monkeypatch.setattr(module, "eval_delta", counted)
         # rows of the stacked Delta evaluations made while scaling the samples
         sampling, stacked_rows = [], []
-        into_domain, stack = domain._into_domain, domain._eval_delta_stack
+        into_domain, stack = domain.scale_into_domain, domain._eval_delta_stack
 
         def scaling(*args, **kwargs):
             sampling.append(True)
@@ -611,7 +611,7 @@ class TestAnalyzeBpoint:
                 stacked_rows.append(components[0].shape[0])
             return stack(delta, components)
 
-        monkeypatch.setattr(domain, "_into_domain", scaling)
+        monkeypatch.setattr(domain, "scale_into_domain", scaling)
         monkeypatch.setattr(domain, "_eval_delta_stack", stacked)
         samples = []
         check_at = boundary.julia_inequality_check

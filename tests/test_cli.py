@@ -21,6 +21,62 @@ def _poly(coeff, word):
 _H1_REALIZATION = realization_to_json(get_fixture("example-h1").realization)
 
 
+def looped_fuzz(delta_name, dim_e, seed, samples, no_isometry):
+    """The per-sample model residuals and the JSON of ``ncjulia fuzz`` at default tolerances.
+
+    The oracle of the stacked fuzz: a loop that builds each sample's
+    colligation with ``random_realization`` (and ``perturb_realization``),
+    scales its point with the sequential sampler and takes
+    ``model_residual(h, x, x)``, drawing from the generator in the order
+    ``fuzz`` draws, Julia sub-sweeps included.
+    """
+    from ncjulia import (
+        MatrixTuple, NcFunctionHandle, boundary_point, estimate_alpha, evaluate_sequence,
+        extract_W, get_delta, haar_unitary, julia_sweep, model_residual, perturb_realization,
+        random_interior_points, ray_sequence,
+    )
+    from conftest import sequential_interior_sample
+
+    delta = get_delta(delta_name)
+    rng = np.random.default_rng(seed)
+    residuals, julia = [], {"checked": 0, "violations": 0, "skipped": 0}
+    for k in range(samples):
+        r = random_realization(dim_e, delta.J, seed + k)
+        if no_isometry:
+            r = perturb_realization(r, 0.05, seed + k)
+        h = NcFunctionHandle(r, delta)
+        n = int(rng.integers(1, 3))
+        x = sequential_interior_sample(delta, n, rng)[0]
+        residuals.append(model_residual(h, x, x))
+        if not (delta_name.startswith("polydisk") and k % 10 == 0):
+            continue
+        t = MatrixTuple(tuple(haar_unitary(n, rng) for _ in range(delta.d)))
+        try:
+            path = evaluate_sequence(h, ray_sequence(t, None, 18))
+            alpha, w = estimate_alpha(path), extract_W(path).W
+        except ValueError:
+            continue
+        if alpha.converged:
+            points = random_interior_points(delta, n, rng, 5, 0.05)
+            sweep = julia_sweep(h, points, boundary_point(delta, t), w, alpha.alpha, 1e-8)
+            julia = {key: value + getattr(sweep, key) for key, value in julia.items()}
+    violations = sum(res > 1e-9 for res in residuals)
+    out = {
+        "samples": samples,
+        "seed": seed,
+        "dim_E": dim_e,
+        "J": delta.J,
+        "model_identity": {
+            "checked": samples,
+            "violations": violations,
+            "max_residual": max([0.0, *residuals]),
+            "tolerance": 1e-9,
+        },
+        "julia_inequality": julia,
+    }
+    return residuals, out
+
+
 def write_json(path, obj):
     path.write_text(json.dumps(obj))
     return str(path)
@@ -354,16 +410,96 @@ class TestFuzz:
         flushes = []
         original = cli._model_identity_defects
 
-        def recorded(delta, pending, margin):
-            flushes.append(len(pending))
-            return original(delta, pending, margin)
+        def recorded(args, delta, block):
+            flushes.append([draft.shape[-1] for _, draft in block])
+            return original(args, delta, block)
 
         monkeypatch.setattr(cli, "_model_identity_defects", recorded)
-        # dim_E 2 on polydisk:2: each colligation's D is 4 x 4 complex, 256 bytes
-        monkeypatch.setattr(domain, "_BLOCK_BYTES", 3 * 256)
-        assert main(argv) == code
-        assert flushes == [3] * 8 + [1]
-        assert capsys.readouterr().out == unpatched
+        # dim_E 2 on polydisk:2: the model system of a sample of size n is 4n x 4n complex,
+        # 256 n^2 bytes; a block is checked before a sample of size 2 could take it over budget
+        for budget in (3 * 1024, 100):
+            flushes.clear()
+            monkeypatch.setattr(domain, "BLOCK_BYTES", budget)
+            assert main(argv) == code
+            assert capsys.readouterr().out == unpatched
+            assert sum(map(len, flushes)) == 25
+            for k, block in enumerate(flushes):
+                system_bytes = [256 * n**2 for n in block]
+                # at least one sample; more only while they fit
+                assert len(block) == 1 or sum(system_bytes) <= budget
+                if k + 1 < len(flushes):
+                    assert sum(system_bytes) + 256 * 2**2 > budget
+        assert flushes == [[n] for block in flushes for n in block]
+
+    @pytest.mark.parametrize("no_isometry", [False, True])
+    @pytest.mark.parametrize("delta", ["polydisk:2", "ball:3", "cartan:2"])
+    def test_stacked_model_identity_equals_looped_oracle(
+        self, delta, no_isometry, monkeypatch, capsys
+    ):
+        from ncjulia import domain, realization
+
+        stacked = []
+        defects = realization.model_identity_defects
+
+        def recorded(colligations, big_delta):
+            stacked.append(defects(colligations, big_delta))
+            return stacked[-1]
+
+        monkeypatch.setattr(realization, "model_identity_defects", recorded)
+        default = domain.BLOCK_BYTES
+        for dim_e in (1, 2, 3):
+            residuals, expected = looped_fuzz(delta, dim_e, 40 + dim_e, 25, no_isometry)
+            argv = ["fuzz", "--samples", "25", "--seed", str(40 + dim_e), "--delta", delta]
+            argv += ["--dim-E", str(dim_e)] + ["--no-isometry"] * no_isometry
+            # one block at the default budget, then blocks of a few samples
+            for budget in (default, 5 * 16 * (dim_e * 3 * 2) ** 2):
+                stacked.clear()
+                monkeypatch.setattr(domain, "BLOCK_BYTES", budget)
+                code = main(argv)
+                assert json.loads(capsys.readouterr().out) == expected
+                assert code == (1 if no_isometry else 0)
+                assert sorted(np.concatenate(stacked).tolist()) == sorted(residuals)
+                assert len(stacked) > (2 if budget < default and dim_e > 1 else 0)
+
+    def test_realizations_only_for_julia_samples(self, monkeypatch, capsys):
+        from ncjulia import cli, domain, realization
+
+        built, solves, blocks = [], [], []
+        post_init = realization.Realization.__post_init__
+        solution = realization._model_solution
+        defects = cli._model_identity_defects
+
+        def counted_post_init(self, isometry_tol):
+            built.append(self)
+            post_init(self, isometry_tol)
+
+        def counted_solution(r, big_delta, n):
+            if isinstance(r, realization.Colligations):
+                solves.append((n, len(r.D)))
+            return solution(r, big_delta, n)
+
+        def recorded(args, delta, block):
+            blocks.append([draft.shape[-1] for _, draft in block])
+            return defects(args, delta, block)
+
+        monkeypatch.setattr(realization.Realization, "__post_init__", counted_post_init)
+        monkeypatch.setattr(realization, "_model_solution", counted_solution)
+        monkeypatch.setattr(cli, "_model_identity_defects", recorded)
+        for argv, budget, realizations in (
+            ([], domain.BLOCK_BYTES, 2),  # the Julia sub-sweeps of samples 0 and 10
+            (["--no-isometry"], domain.BLOCK_BYTES, 4),  # and their perturbed colligations
+            ([], 3 * 16 * 4**2, 2),  # blocks of at most three samples of size 2
+        ):
+            built.clear(), solves.clear(), blocks.clear()
+            monkeypatch.setattr(domain, "BLOCK_BYTES", budget)
+            main(["fuzz", "--samples", "20", "--seed", "7", *argv])
+            capsys.readouterr()
+            assert len(built) == realizations
+            # one stacked solve for the samples of each matrix size in each block
+            assert solves == [
+                (n, block.count(n)) for block in blocks for n in dict.fromkeys(block)
+            ]
+            assert sum(map(len, blocks)) == 20 and (len(blocks) == 1) == (budget > 4096)
 
     def test_one_sequence_per_julia_sub_sweep(self, monkeypatch, capsys):
         from ncjulia import boundary
@@ -624,7 +760,7 @@ class TestMeta:
         def refuse(*args):
             raise AssertionError("drew a sample for an oversized delta file")
 
-        monkeypatch.setattr(domain, "_gaussian_draft", refuse)
+        monkeypatch.setattr(domain, "gaussian_draft", refuse)
         cap = domain.MAX_DELTA_VARIABLES
         path = write_json(files["tmp"] / "delta.json", {"d": cap + 1, "entries": [["0.5*x0"]]})
         assert main(["fuzz", "--samples", "3", "--delta", path]) == 2

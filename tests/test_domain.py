@@ -1,5 +1,3 @@
-from unittest import mock
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,6 +19,7 @@ from ncjulia import (
     eval_delta,
     eval_poly,
     find_transverse_direction,
+    gaussian_draft,
     generate_sequence,
     in_Delta,
     in_G_delta,
@@ -33,9 +32,10 @@ from ncjulia import (
     random_interior_point,
     random_interior_points,
     ray_sequence,
+    scale_into_domain,
 )
 from ncjulia import domain
-from ncjulia.domain import GDeltaExitWarning, _gaussian_draft, _into_domain
+from ncjulia.domain import GDeltaExitWarning
 
 from conftest import random_poly, random_tuple, random_unitary_tuple, sequential_interior_sample
 
@@ -442,6 +442,23 @@ def nonhomogeneous_delta():
     )
 
 
+def scaled_per_draft(delta, drafts, margin):
+    """(components, Delta, norm) of each draft, in draft order, from ``scale_into_domain``.
+
+    Checks that each block holds the drafts of one size, in order of first appearance.
+    """
+    blocks = scale_into_domain(delta, drafts, margin)
+    sizes = [draft.shape[-1] for draft in drafts]
+    assert [sizes[b.index[0]] for b in blocks] == list(dict.fromkeys(sizes))
+    out = [None] * len(drafts)
+    for b in blocks:
+        size = sizes[b.index[0]]
+        assert b.index == [k for k, n in enumerate(sizes) if n == size]
+        for j, k in enumerate(b.index):
+            out[k] = (b.components[:, j], b.delta[j], b.norms[j])
+    return out
+
+
 SAMPLING_DELTAS = {
     "polydisk:2": polydisk_delta(2),
     "ball:3": ball_delta(3),
@@ -456,22 +473,20 @@ class TestInteriorSampling:
         name=st.sampled_from(sorted(SAMPLING_DELTAS)),
         sizes=st.lists(st.sampled_from((1, 2, 4)), min_size=1, max_size=8),
         margin=st.sampled_from((0.05, 0.3)),
-        block_bytes=st.sampled_from((1, 4096, domain._BLOCK_BYTES)),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_stacked_scaling_matches_sequential(self, name, sizes, margin, block_bytes, seed):
+    def test_stacked_scaling_matches_sequential(self, name, sizes, margin, seed):
         delta = SAMPLING_DELTAS[name]
         rng = np.random.default_rng(seed)
-        drafts = [_gaussian_draft(delta.d, n, rng) for n in sizes]
-        with mock.patch.object(domain, "_BLOCK_BYTES", block_bytes):
-            got = _into_domain(delta, drafts, margin)
+        drafts = [gaussian_draft(delta.d, n, rng) for n in sizes]
+        got = scaled_per_draft(delta, drafts, margin)
         oracle_rng = np.random.default_rng(seed)
         expected = [sequential_interior_sample(delta, n, oracle_rng, margin) for n in sizes]
         assert rng.bit_generator.state == oracle_rng.bit_generator.state
         assert len(got) == len(expected)
         for (x, big_delta, norm), (x0, delta0, norm0, _) in zip(got, expected):
-            assert x.d == x0.d
-            assert all(np.array_equal(a, b) for a, b in zip(x.components, x0.components))
+            assert len(x) == x0.d
+            assert all(np.array_equal(a, b) for a, b in zip(x, x0.components))
             assert np.array_equal(big_delta, delta0)
             assert norm == norm0
 
@@ -487,7 +502,7 @@ class TestInteriorSampling:
         for n, rows, sizes in ((1, None, [8]), (2, 3, [3, 3, 2])):
             for delta in SAMPLING_DELTAS.values():
                 if rows:
-                    monkeypatch.setattr(domain, "_BLOCK_BYTES", rows * 16 * (delta.J * n) ** 2)
+                    monkeypatch.setattr(domain, "BLOCK_BYTES", rows * 16 * (delta.J * n) ** 2)
                 rng, oracle_rng = np.random.default_rng(6), np.random.default_rng(6)
                 blocks = random_interior_points(delta, n, rng, 8, 0.3)
                 # nothing is drawn before a block is read
@@ -517,20 +532,21 @@ class TestInteriorSampling:
         # halving does not bring it under 1) and overflows at x = 1
         p = FreePolynomial(1, (((0,), 1e308), ((0, 0), 1e308)))
         delta = DeltaMatrix(1, [[p]])
-        norms = domain._operator_norms
+        norms = domain.operator_norms
 
         def finite_only(stack):
             assert np.isfinite(stack).all(), "a non-finite Delta reached the SVD"
             return norms(stack)
 
-        monkeypatch.setattr(domain, "_operator_norms", finite_only)
+        monkeypatch.setattr(domain, "operator_norms", finite_only)
         monkeypatch.setattr(domain, "MAX_HALVINGS", 1)
 
         def draft(value, n=1):
-            return (value * np.eye(n, dtype=np.complex128),)
+            return (value * np.eye(n, dtype=np.complex128))[None]
 
         ok, too_big, overflow = draft(1e-310), draft(1e-300), draft(1.0)
-        assert _into_domain(delta, [ok, ok])[1][2] == pytest.approx(0.01)
+        margin = domain.SAMPLE_MARGIN
+        assert scale_into_domain(delta, [ok, ok], margin)[0].norms[1] == pytest.approx(0.01)
         cases = (
             ([ok, overflow, too_big], "non-finite"),
             ([ok, too_big, overflow], "could not scale"),
@@ -540,7 +556,7 @@ class TestInteriorSampling:
         )
         for drafts, message in cases:
             with np.errstate(over="ignore"), pytest.raises(PreconditionError, match=message):
-                _into_domain(delta, drafts)
+                scale_into_domain(delta, drafts, margin)
 
     def test_blocks_hold_at_most_the_byte_budget(self, monkeypatch):
         delta = cartan_delta(2)
@@ -551,14 +567,29 @@ class TestInteriorSampling:
         scale = domain._scale_block
 
         def recorded(delta, drafts, *args):
-            sizes.append(len(drafts))
+            sizes.append(drafts.shape[1])
             return scale(delta, drafts, *args)
 
         monkeypatch.setattr(domain, "_scale_block", recorded)
-        monkeypatch.setattr(domain, "_BLOCK_BYTES", 7 * 16 * 4**2)  # 7 drafts at n = 2
+        monkeypatch.setattr(domain, "BLOCK_BYTES", 7 * 16 * 4**2)  # 7 drafts at n = 2
         rng = np.random.default_rng(3)
-        _into_domain(delta, [_gaussian_draft(3, 2, rng) for _ in range(20)])
+        blocks = random_interior_points(delta, 2, rng, 20, domain.SAMPLE_MARGIN)
+        assert [len(points) for points, _, _ in blocks] == [7, 7, 6]
         assert sizes == [7, 7, 6]
+
+    def test_gaussian_draft_matches_two_draws_per_component(self):
+        # the oracle: a real and an imaginary n x n draw for each component in turn
+        for d, n in ((2, 1), (3, 2), (6, 4)):
+            rng, oracle_rng = np.random.default_rng(d * n), np.random.default_rng(d * n)
+            draft = gaussian_draft(d, n, rng)
+            oracle = [
+                (oracle_rng.standard_normal((n, n)) + 1j * oracle_rng.standard_normal((n, n)))
+                / np.sqrt(2.0)
+                for _ in range(d)
+            ]
+            assert draft.shape == (d, n, n)
+            assert all(np.array_equal(a, b) for a, b in zip(draft, oracle))
+            assert rng.bit_generator.state == oracle_rng.bit_generator.state
 
 
 class TestDeltaJson:

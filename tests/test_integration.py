@@ -80,3 +80,14 @@ def test_report_is_self_consistent_on_random_instance():
     assert abs(operator_norm(rep.range_test.solution.u_T) ** 2 - rep.alpha.alpha) <= 1e-4
     assert rep.tfae.sup_model_norm_sq <= rep.tfae.sup_scalar_quotient * (1 + 1e-8)
     assert rep.julia.identity_max <= 1e-6
+
+
+def test_result_types_are_exported():
+    from ncjulia import JuliaSweep, ModelVectorAtBoundary, boundary, get_fixture
+
+    assert JuliaSweep is boundary.JuliaSweep
+    assert ModelVectorAtBoundary is boundary.ModelVectorAtBoundary
+    h1 = get_fixture("example-h1").handle
+    t = MatrixTuple.from_scalars([1.0, 1.0])
+    assert isinstance(solve_uT(h1, boundary_point(h1.delta, t)), ModelVectorAtBoundary)
+    assert isinstance(analyze_bpoint(h1, t, julia_samples=3).julia, JuliaSweep)

@@ -16,16 +16,10 @@ ALLOWED = {
     ("boundary", "realization", "_evaluate_stack"),
     ("boundary", "realization", "_identity_defect"),
     ("boundary", "realization", "_model_operators"),
-    ("cli", "domain", "_BLOCK_BYTES"),
-    ("cli", "domain", "_gaussian_draft"),
-    ("cli", "domain", "_into_domain"),
-    ("cli", "realization", "_evaluate_at"),
     ("cli", "realization", "_identity_defect"),
-    ("cli", "realization", "_resolvent_condition"),
     ("derivative", "domain", "_cone_matrix"),
     ("domain", "freepoly", "_eval_words"),
     ("domain", "numerics", "_json_int"),
-    ("domain", "numerics", "_operator_norms"),
     ("freepoly", "numerics", "_json_complex"),
     ("freepoly", "numerics", "_json_int"),
     ("realization", "numerics", "_json_int"),

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from ncjulia import (
+    Colligations,
     DeltaMatrix,
     DimensionError,
     MatrixTuple,
@@ -17,30 +18,35 @@ from ncjulia import (
     get_delta,
     get_fixture,
     in_G_delta,
+    model_identity_defects,
     model_residual,
     operator_norm,
     parse_poly,
+    perturb_colligations,
     perturb_realization,
     polydisk_delta,
+    random_colligations,
     random_interior_point,
     random_realization,
     realization_from_json,
     realization_to_json,
+    resolvent_condition,
     similarity,
 )
+from ncjulia import realization
 from ncjulia.errors import ParseError
 from ncjulia.domain import _eval_delta_stack
-from ncjulia.numerics import _operator_norms
+from ncjulia.numerics import operator_norms
 from ncjulia.realization import (
+    ISOMETRY_TOL,
     NearSingularResolventWarning,
-    PointEvaluation,
     _evaluate_stack,
     _identity_defect,
     _model_operators,
     _phi_from,
 )
 
-from conftest import near_identity, random_matrix, random_tuple
+from conftest import near_identity, random_matrix, random_tuple, sequential_interior_sample
 
 
 @pytest.fixture
@@ -86,14 +92,13 @@ class TestTensorLayout:
             delta = get_delta(name)
             j = delta.J
             r = random_realization(m, j, seed=seed)
-            h = NcFunctionHandle(realization=r, delta=delta)
             x = random_tuple(rng, delta.d, n)
             big = eval_delta(delta, x)
             eye_n = np.eye(n)
             delta_op = np.kron(np.eye(m), big)
             step_kron = np.kron(r.D, eye_n) @ delta_op
 
-            resolvent, rhs, step = _model_operators(h, big, n)
+            resolvent, rhs, step = _model_operators(r, big, n)
             np.testing.assert_allclose(step, step_kron, **tol)
             np.testing.assert_allclose(resolvent, np.eye(m * j * n) - step_kron, **tol)
             np.testing.assert_array_equal(rhs, np.kron(r.C, eye_n))
@@ -106,7 +111,7 @@ class TestTensorLayout:
 
             u = random_matrix(rng, m * j * n, n)
             phi_kron = r.A[0, 0] * eye_n + np.kron(r.B, eye_n) @ delta_op @ u
-            phi = _phi_from(h, big, u, n)
+            phi = _phi_from(r, big, u, n)
             np.testing.assert_allclose(phi, phi_kron, **tol)
 
             delta_y = eval_delta(delta, random_tuple(rng, delta.d, n))
@@ -116,9 +121,8 @@ class TestTensorLayout:
             defect_kron = operator_norm(
                 eye_n - phi_y.conj().T @ phi - u_y.conj().T @ middle @ u
             )
-            ev = PointEvaluation(x, big, operator_norm(big), resolvent, u, phi)
             np.testing.assert_allclose(
-                _identity_defect(h, phi_y, u_y, delta_y, ev), defect_kron, **tol
+                _identity_defect(r, (phi_y, u_y, delta_y), (phi, u, big)), defect_kron, **tol
             )
 
 
@@ -164,7 +168,7 @@ def evaluate_stacked(h, xs):
     One stacked Delta(x) for all points, and their norms from one batched SVD.
     """
     big_delta = _eval_delta_stack(h.delta, [np.stack(c) for c in zip(*(x.components for x in xs))])
-    return _evaluate_stack(h, xs, big_delta, _operator_norms(big_delta))
+    return _evaluate_stack(h, xs, big_delta, operator_norms(big_delta))
 
 
 class TestEvaluateStack:
@@ -321,6 +325,69 @@ class TestRandomRealization:
         for _ in range(100):
             x = random_interior_point(delta, int(rng.integers(1, 3)), rng)
             assert operator_norm(eval_phi(handle, x)) <= 1.0 + 1e-9
+
+
+class TestColligationStacks:
+    SEEDS = (5, 0, 123, 7, 2024)
+
+    def test_stack_equals_looped_realizations(self):
+        for dim_e, j in ((1, 1), (1, 2), (2, 2), (3, 3), (2, 6)):
+            stack = random_colligations(dim_e, j, self.SEEDS)
+            perturbed = perturb_colligations(stack, 0.05, self.SEEDS)
+            assert isinstance(stack, Colligations) and (stack.dim_E, stack.J) == (dim_e, j)
+            for k, seed in enumerate(self.SEEDS):
+                r = random_realization(dim_e, j, seed)
+                p = perturb_realization(r, 0.05, seed)
+                for name in "ABCD":
+                    assert np.array_equal(getattr(stack, name)[k], getattr(r, name)), name
+                    assert np.array_equal(getattr(perturbed, name)[k], getattr(p, name)), name
+                assert np.array_equal(stack.D[k], r.D) and not np.array_equal(perturbed.D[k], r.D)
+
+    @pytest.mark.parametrize("name", ["polydisk:2", "ball:3", "cartan:2"])
+    def test_stacked_defects_equal_model_residual(self, name):
+        delta = get_delta(name)
+        for dim_e in (1, 2, 3):
+            for n in (1, 2):
+                rng = np.random.default_rng(10 * dim_e + n)
+                samples = [sequential_interior_sample(delta, n, rng) for _ in self.SEEDS]
+                big_delta = np.stack([big for _, big, _, _ in samples])
+                for eps in (None, 0.05):
+                    stack = random_colligations(dim_e, delta.J, self.SEEDS)
+                    if eps:
+                        stack = perturb_colligations(stack, eps, self.SEEDS)
+                    expected = []
+                    for seed, (x, *_) in zip(self.SEEDS, samples):
+                        r = random_realization(dim_e, delta.J, seed)
+                        if eps:
+                            r = perturb_realization(r, eps, seed)
+                        expected.append(model_residual(NcFunctionHandle(r, delta), x, x))
+                    assert model_identity_defects(stack, big_delta).tolist() == expected
+                    assert max(expected) > 1e-3 if eps else max(expected) < 1e-12
+
+    def test_stacked_isometry_check_is_the_realization_check(self, monkeypatch):
+        good = random_realization(2, 2, 1).colligation
+        broken = [good + eps * np.eye(len(good)) for eps in (1e-6, 1e-3)]
+        with pytest.raises(PreconditionError) as one:
+            Realization(2, 2, *realization._blocks(broken[0]))
+        # random_colligations holds each colligation to ISOMETRY_TOL; the first failing one
+        # is reported with Realization's message
+        stack = np.stack([good, broken[0], good, broken[1]])
+        monkeypatch.setattr(realization, "haar_unitaries", lambda n, rngs: stack[: len(rngs)])
+        random_colligations(2, 2, [0])
+        with pytest.raises(PreconditionError) as many:
+            random_colligations(2, 2, [0, 1, 2, 3])
+        assert str(many.value) == str(one.value) and "not an isometry" in str(one.value)
+        defects = realization._isometry_defects(stack, np.inf)
+        assert defects[0] == Realization(2, 2, *realization._blocks(good)).isometry_defect
+        assert defects[1] > ISOMETRY_TOL
+        with pytest.raises(PreconditionError, match="non-finite"):
+            realization._isometry_defects(np.stack([good, good * np.nan]), np.inf)
+
+    def test_resolvent_condition_is_public(self, h1):
+        ev = evaluate(h1, scalars(0.5, 0.3))
+        sv = np.linalg.svd(ev.resolvent, compute_uv=False)
+        assert resolvent_condition(ev) == sv[0] / sv[-1]
+        assert eval_u(h1, scalars(0.5, 0.3), return_cond=True)[1] == resolvent_condition(ev)
 
 
 class TestNcAxioms:
