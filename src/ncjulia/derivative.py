@@ -58,7 +58,7 @@ def _admissible_ladder(
         raise PreconditionError(f"ladder first step must be finite, got {first_step!r}")
     t0 = first_step
     while True:
-        kept = sum(t0 * 2.0**-k >= STEP_FLOOR for k in range(steps))
+        kept = next((k for k in range(steps) if t0 * 2.0**-k < STEP_FLOOR), steps)
         if kept >= 2:
             # a dropped point only calls for a smaller first step, so it is not warned about
             with warnings.catch_warnings():
@@ -153,6 +153,8 @@ def scalar_angular_derivative(
     returns the one-sided derivative of f at 0, where f(0) = 1 because W is
     unitary.  The direction must lie in the transverse inward cone.
     """
+    if w is not None and np.shape(w) != (t.n, t.n):
+        raise DimensionError(f"W has shape {np.shape(w)}, expected ({t.n}, {t.n})")
     if not in_Delta(boundary_point(h.delta, t), k):
         raise PreconditionError("direction must lie in the transverse inward cone")
     if v is None:

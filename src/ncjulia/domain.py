@@ -22,9 +22,8 @@ from .errors import DimensionError, ParseError, PreconditionError
 from .freepoly import (
     FreePolynomial,
     MatrixTuple,
-    directional_derivative_poly,
-    eval_poly,
     _eval_words,
+    lift,
     poly_from_json,
     poly_to_json,
 )
@@ -88,15 +87,6 @@ class DeltaMatrix:
         return all(p.is_homogeneous_degree_one() for row in self.entries for p in row)
 
 
-def _block_grid(grid: DeltaMatrix, n: int, entry, lead: tuple = ()) -> np.ndarray:
-    """J x J blocks of size n: block (a, b) is entry(grid[a][b]), zero off the grid; over ``lead``."""
-    out = np.zeros(lead + (grid.J * n, grid.J * n), dtype=np.complex128)
-    for a, row in enumerate(grid.entries):
-        for b, p in enumerate(row):
-            out[..., a * n : (a + 1) * n, b * n : (b + 1) * n] = entry(p)
-    return out
-
-
 def _on_given_grid(grid: DeltaMatrix, n: int, padded: np.ndarray) -> np.ndarray:
     """The top-left (rows n) x (cols n) view of a padded evaluation: the grid as given."""
     return padded[..., : len(grid.entries) * n, : len(grid.entries[0]) * n]
@@ -110,20 +100,26 @@ def eval_delta(delta: DeltaMatrix, x: MatrixTuple) -> np.ndarray:
     """
     if delta.d != x.d:
         raise DimensionError(f"delta has d={delta.d} but point has d={x.d}")
-    return _block_grid(delta, x.n, lambda p: eval_poly(p, x))
+    return _eval_delta_stack(delta, x.components)
 
 
 def _eval_delta_stack(delta: DeltaMatrix, components) -> np.ndarray:
-    """Padded Delta at stacked points: components[r] has shape (B, n, n), the result (B, Jn, Jn)."""
+    """Padded Delta over any leading axes: components[r] is (..., n, n), the result (..., Jn, Jn)."""
     lead, n = components[0].shape[:-2], components[0].shape[-1]
-    return _block_grid(delta, n, lambda p: _eval_words(p, components), lead)
+    out = np.zeros(lead + (delta.J * n, delta.J * n), dtype=np.complex128)
+    for a, row in enumerate(delta.entries):
+        for b, p in enumerate(row):
+            out[..., a * n : (a + 1) * n, b * n : (b + 1) * n] = _eval_words(p, components)
+    return out
 
 
 def delta_derivative(delta: DeltaMatrix, t: MatrixTuple, h: MatrixTuple) -> np.ndarray:
-    """Entrywise directional derivative of the padded grid at t in direction h."""
-    if delta.d != t.d or delta.d != h.d:
+    """Derivative of the padded grid at t along h: the top-right n x n of each block at lift(t, h)."""
+    if delta.d != t.d:
         raise DimensionError("delta and tuples must share d")
-    return _block_grid(delta, t.n, lambda p: directional_derivative_poly(p, t, h))
+    j, n = delta.J, t.n
+    at_lift = _eval_delta_stack(delta, lift(t, h)).reshape(j, 2, n, j, 2, n)
+    return at_lift[:, 0, :, :, 1, :].reshape(j * n, j * n)
 
 
 @dataclass(frozen=True, eq=False)
@@ -428,6 +424,9 @@ def ray_sequence(
     first_step: float = SEQUENCE_FIRST_STEP,
 ) -> ApproachSequence:
     """Steps ``first_step`` * 2^-k, k < num_steps, along ``direction``; radial when it is None."""
+    # the last step, checked before any is built
+    if num_steps >= 2 and not first_step * 2.0 ** (1 - num_steps) > 0:
+        raise PreconditionError("steps must be positive")
     steps = tuple(first_step * 2.0 ** (-k) for k in range(num_steps))
     return ApproachSequence(base=t, direction=direction, steps=steps)
 

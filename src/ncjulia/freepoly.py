@@ -17,7 +17,9 @@ Multiplication is always explicit ('*'); juxtaposition is a syntax error.
 above ``MAX_DEGREE``, and sums, products or powers that could form more than
 ``MAX_TERMS`` terms, are rejected before they are expanded, and so are
 parentheses nested deeper than ``MAX_DEPTH``.  A literal, sum, product or
-power whose coefficient overflows to infinity or NaN is rejected too.
+power whose coefficient overflows to infinity or NaN is rejected too.  A JSON
+polynomial object may hold at most ``MAX_TERMS`` terms and words of at most
+``MAX_DEGREE`` letters, checked before any term or word is built.
 """
 
 from __future__ import annotations
@@ -236,6 +238,22 @@ def similarity(x: MatrixTuple, s) -> MatrixTuple:
     return MatrixTuple(tuple(np.linalg.solve(m, c @ m) for c in x.components))
 
 
+def lift(t: MatrixTuple, h: MatrixTuple) -> np.ndarray:
+    """Components of the tuple [[t, h], [0, t]], as one (d, 2n, 2n) array.
+
+    A free polynomial p there is [[p(t), p'(t)[h]], [0, p(t)]]: its value and derivative.
+    """
+    if t.d != h.d:
+        raise DimensionError(f"base point has d={t.d} but direction has d={h.d}")
+    if t.n != h.n:
+        raise DimensionError(f"base point has n={t.n} but direction has n={h.n}")
+    n = t.n
+    out = np.zeros((t.d, 2 * n, 2 * n), dtype=np.complex128)
+    out[:, :n, :n] = out[:, n:, n:] = t.components
+    out[:, :n, n:] = h.components
+    return out
+
+
 def eval_poly(p: FreePolynomial, x: MatrixTuple) -> np.ndarray:
     """Evaluate p at the tuple x; the identity word contributes coeff * I_n."""
     if p.d != x.d:
@@ -256,31 +274,10 @@ def _eval_words(p: FreePolynomial, components) -> np.ndarray:
 
 
 def directional_derivative_poly(p: FreePolynomial, t: MatrixTuple, h: MatrixTuple) -> np.ndarray:
-    """Exact derivative of p at t in direction h by the product rule.
-
-    For each word, sums t^{i_1}..t^{i_{m-1}} h^{i_m} t^{i_{m+1}}..t^{i_k}
-    over positions m; constant terms contribute nothing.
-    """
-    if p.d != t.d or p.d != h.d:
+    """Exact derivative of p at t in direction h: the top-right block of p at lift(t, h)."""
+    if p.d != t.d:
         raise DimensionError("polynomial and tuples must share d")
-    if t.n != h.n:
-        raise DimensionError(f"base point has n={t.n} but direction has n={h.n}")
-    n = t.n
-    eye = np.eye(n, dtype=np.complex128)
-    acc = np.zeros((n, n), dtype=np.complex128)
-    for word, coeff in p.terms:
-        k = len(word)
-        if k == 0:
-            continue
-        prefixes = [eye]
-        for letter in word[:-1]:
-            prefixes.append(prefixes[-1] @ t.components[letter])
-        suffix = eye
-        # walk positions right to left so the suffix grows one factor at a time
-        for m in range(k - 1, -1, -1):
-            acc += coeff * (prefixes[m] @ h.components[word[m]] @ suffix)
-            suffix = t.components[word[m]] @ suffix
-    return acc
+    return _eval_words(p, lift(t, h))[: t.n, t.n :]
 
 
 # --- text grammar ----------------------------------------------------------
@@ -533,12 +530,16 @@ def poly_from_json(obj, d: int | None = None) -> FreePolynomial:
         raise ParseError(f"polynomial object missing or malformed field: {exc}") from None
     if d is not None and pd != d:
         raise ParseError(f"polynomial has d={pd}, expected d={d}")
+    if len(raw_terms) > MAX_TERMS:
+        raise ParseError(f"polynomial has {len(raw_terms)} terms, more than {MAX_TERMS}")
     terms = []
     for item in raw_terms:
         try:
             coeff, letters = item["coeff"], list(item["word"])
         except (KeyError, TypeError) as exc:
             raise ParseError(f"malformed polynomial term: {exc}") from None
+        if len(letters) > MAX_DEGREE:
+            raise ParseError(f"word of degree {len(letters)} exceeds the maximum {MAX_DEGREE}")
         word = tuple(_json_int(i, "polynomial word letter") for i in letters)
         terms.append((word, _json_complex(coeff, "polynomial coefficient")))
     try:

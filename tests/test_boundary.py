@@ -571,17 +571,18 @@ class TestAnalyzeBpoint:
         from ncjulia import domain
 
         t = scalars(1.0, 1.0)
-        calls = {"eval_delta": 0, "eval_poly": 0}
+        calls = {"eval_delta": 0, "_eval_words": 0}
+        at_t = {"eval_delta": lambda x: x is t, "_eval_words": lambda c: c is t.components}
         for name in calls:
             def counted(first, x, *args, _name=name, _original=getattr(domain, name), **kwargs):
-                calls[_name] += x is t
+                calls[_name] += at_t[_name](x)
                 return _original(first, x, *args, **kwargs)
 
             monkeypatch.setattr(domain, name, counted)
         rep = analyze_bpoint(h1, t, julia_samples=10, seed=1)
         assert rep.range_test is not None
         # one evaluation of the grid at T: every entry of polydisk:2 once
-        assert calls == {"eval_delta": 1, "eval_poly": 4}
+        assert calls == {"eval_delta": 1, "_eval_words": 4}
 
     def test_one_delta_evaluation_per_julia_sample(self, h1, monkeypatch):
         from ncjulia import boundary, domain, realization
@@ -634,24 +635,27 @@ class TestAnalyzeBpoint:
     def test_one_delta_evaluation_per_approach_point(self, h1, monkeypatch):
         from ncjulia import boundary, domain, realization
 
-        rows = {"eval_delta": 0, "stacked": 0}
-        original, stack = domain.eval_delta, domain._eval_delta_stack
+        rows = {"eval_delta": 0, "entries": 0, "lift": 0}
+        original, words = domain.eval_delta, domain._eval_words
 
         def counted(delta, x):
             rows["eval_delta"] += 1
             return original(delta, x)
 
-        def stacked(delta, components):
-            rows["stacked"] += components[0].shape[0]
-            return stack(delta, components)
+        def entry_points(p, components):
+            # the points are 1 x 1; a 2 x 2 point is the lift [[T, K], [0, T]] of a derivative
+            key = "lift" if components[0].shape[-1] == 2 else "entries"
+            rows[key] += int(np.prod(components[0].shape[:-2]))
+            return words(p, components)
 
         for module in (domain, realization):
             monkeypatch.setattr(module, "eval_delta", counted)
-        monkeypatch.setattr(domain, "_eval_delta_stack", stacked)
+        monkeypatch.setattr(domain, "_eval_words", entry_points)
         rep = analyze_bpoint(h1, scalars(1.0, 1.0), julia_samples=0, seed=1)
-        # Delta(T) once, and each of the 12 approach points once, for membership and evaluation
+        # Delta(T) once, and each of the 12 approach points once, for membership and evaluation:
+        # every entry of polydisk:2 at those 13 points, and at the one lift the witness search reads
         assert len(rep.alpha.steps) == 12 and rep.path.points.dropped == 0
-        assert rows == {"eval_delta": 1, "stacked": 12}
+        assert rows == {"eval_delta": 1, "entries": 4 * 13, "lift": 4}
 
     def test_margin_outside_unit_interval_evaluates_nothing(self, h1, monkeypatch):
         from ncjulia import domain

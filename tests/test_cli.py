@@ -560,6 +560,16 @@ class TestFuzz:
             path = write_json(files["tmp"] / "delta.json", {"d": 2, "entries": [[entry, "x1"]]})
             assert main(["fuzz", "--samples", "3", "--delta", path]) == 2
 
+    def test_json_polynomial_above_the_caps_is_a_parse_error(self, files, capsys):
+        from ncjulia.freepoly import MAX_DEGREE, MAX_TERMS
+
+        deep = {"d": 2, "terms": [{"coeff": [0.5, 0.0], "word": [0] * 200_000}]}
+        wide = {"d": 2, "terms": [{"coeff": [0.5, 0.0], "word": [0]}] * (MAX_TERMS + 1)}
+        for entry, message in ((deep, f"maximum {MAX_DEGREE}"), (wide, f"more than {MAX_TERMS}")):
+            path = write_json(files["tmp"] / "delta.json", {"d": 2, "entries": [[entry, "x1"]]})
+            assert main(["fuzz", "--samples", "5", "--delta", path]) == 2
+            assert message in capsys.readouterr().err
+
 
 class TestDerivative:
     def test_diagonal_direction(self, files, capsys):
@@ -683,6 +693,17 @@ class TestMeta:
             evaluate + ["--isometry-tol", "nan"],
         ):
             assert main(argv) == 2, argv
+
+    def test_underflowing_step_count_exits_three_at_once(self, files, monkeypatch):
+        from ncjulia import domain
+
+        def refuse(**kwargs):
+            raise AssertionError(f"built a sequence of {len(kwargs['steps'])} steps")
+
+        monkeypatch.setattr(domain, "ApproachSequence", refuse)
+        point = ["--fixture", "example-h1", "--point", files["boundary"]]
+        for argv in (["bpoint", *point], ["derivative", *point, "--direction", files["inward"]]):
+            assert main(argv + ["--steps", "2000"]) == 3, argv
 
     def test_bare_list_point_is_a_parse_error(self, files, capsys):
         point = write_json(files["tmp"] / "bare.json", [_SCALAR, _SCALAR])

@@ -1,3 +1,4 @@
+import time
 import warnings
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from ncjulia import (
     ApproachSequence,
+    DimensionError,
     MatrixTuple,
     PreconditionError,
     eta_numeric,
@@ -181,6 +183,13 @@ class TestAdmissibleLadder:
             with pytest.raises(PreconditionError, match="first step must be finite"):
                 eta_numeric(h1, scalars(1.0, 1.0), np.eye(1), direction, first_step=first_step)
 
+    def test_huge_step_count_stops_at_the_floor(self, h1):
+        start = time.perf_counter()
+        res = eta_numeric(h1, scalars(1.0, 1.0), np.eye(1), scalars(-1.0, -1.0), steps=10**8)
+        assert time.perf_counter() - start < 5.0
+        # 1e-2 * 2^-k stays at or above the floor for k <= 19
+        assert res.steps_used == 20 and res.partial and res.converged
+
     def test_no_admissible_first_step(self, h1):
         t = scalars(1.0, 1.0)
         # every point of an outward ray lies outside; a first step near the floor leaves one step
@@ -260,6 +269,11 @@ class TestScalarAngularDerivative:
         ]
         expected = extrapolate_limit(list(zip(ladder, quotients))).value
         assert scalar_angular_derivative(h1, t, k) == complex(expected.reshape(()))
+
+    def test_w_of_another_size_rejected(self, h1):
+        t = identity_pair(2)
+        with pytest.raises(DimensionError, match=r"W has shape \(3, 3\), expected \(2, 2\)"):
+            scalar_angular_derivative(h1, t, -1.0 * t, w=np.eye(3))
 
     def test_non_transverse_rejected(self, h1):
         with pytest.raises(PreconditionError, match="transverse"):

@@ -13,6 +13,7 @@ from ncjulia import (
     boundary_point,
     cartan_delta,
     check_assumption_A,
+    delta_derivative,
     delta_from_json,
     delta_to_json,
     direct_sum,
@@ -85,10 +86,17 @@ class TestEvalDelta:
 
     def test_padding_blocks_evaluate_no_polynomial(self, monkeypatch):
         calls = []
-        eval_poly = domain.eval_poly
-        monkeypatch.setattr(domain, "eval_poly", lambda p, x: calls.append(p) or eval_poly(p, x))
+        words = domain._eval_words
+        monkeypatch.setattr(domain, "_eval_words", lambda p, c: calls.append(p) or words(p, c))
         big = eval_delta(ball_delta(3), MatrixTuple.from_scalars([0.1, 0.2, 0.3]))
         assert big.shape == (3, 3) and len(calls) == 3
+
+    def test_degree_one_derivative_is_the_grid_at_the_direction(self, rng):
+        # exact: the corner of each block at the lift [[T, H], [0, T]] is the grid at H
+        for delta in (polydisk_delta(2), ball_delta(3), cartan_delta(2)):
+            for n in (1, 2, 3, 4):
+                t, h = random_tuple(rng, delta.d, n), random_tuple(rng, delta.d, n)
+                assert np.array_equal(delta_derivative(delta, t, h), eval_delta(delta, h))
 
     def test_zero_grid(self):
         d = DeltaMatrix(1, [[FreePolynomial.zero(1)]])
@@ -423,6 +431,25 @@ class TestSequences:
         t = MatrixTuple.from_scalars([1.0, 1.0])
         with pytest.raises(DimensionError):
             generate_sequence(ray_sequence(t, None), polydisk_delta(3))
+
+    def test_underflowing_step_count_builds_no_sequence(self, monkeypatch):
+        built = []
+        original = domain.ApproachSequence
+
+        def record(**kwargs):
+            built.append(kwargs)
+            return original(**kwargs)
+
+        monkeypatch.setattr(domain, "ApproachSequence", record)
+        t = MatrixTuple.from_scalars([1.0, 1.0])
+        # 0.5 * 2^-1073 is the smallest subnormal step; one more underflows to 0
+        assert len(ray_sequence(t, None, 1074).steps) == 1074 and len(built) == 1
+        for num_steps in (1075, 2000):
+            with pytest.raises(PreconditionError, match="steps must be positive"):
+                ray_sequence(t, None, num_steps)
+        assert len(built) == 1
+        with pytest.raises(PreconditionError, match="at least 2 steps"):
+            ray_sequence(t, None, -2000)
 
     def test_kind_follows_direction(self):
         t = MatrixTuple.from_scalars([1.0, 1.0])

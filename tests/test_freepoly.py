@@ -309,6 +309,22 @@ class TestJson:
         with pytest.raises(ParseError):
             poly_from_json("1e300*x0*1e300", 1)
 
+    def test_term_count_capped_before_any_term_is_decoded(self):
+        malformed = {"coeff": "not a pair", "word": [0]}
+        with pytest.raises(ParseError, match=f"more than {MAX_TERMS}"):
+            poly_from_json({"d": 1, "terms": [malformed] * (MAX_TERMS + 1)})
+        term = {"coeff": [1.0, 0.0], "word": [0]}
+        assert poly_from_json({"d": 1, "terms": [term] * MAX_TERMS}).terms == (((0,), MAX_TERMS + 0j),)
+
+    def test_word_length_capped(self):
+        def word_of(length):
+            return {"d": 2, "terms": [{"coeff": [0.5, 0.0], "word": [0] * length}]}
+
+        assert poly_from_json(word_of(MAX_DEGREE)).degree() == MAX_DEGREE
+        for length in (MAX_DEGREE + 1, 200_000):
+            with pytest.raises(ParseError, match=f"exceeds the maximum {MAX_DEGREE}"):
+                poly_from_json(word_of(length))
+
     def test_tuple_round_trip(self, rng):
         x = random_tuple(rng, 2, 3)
         y = tuple_from_json(tuple_to_json(x))

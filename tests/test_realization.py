@@ -18,6 +18,7 @@ from ncjulia import (
     get_delta,
     get_fixture,
     in_G_delta,
+    lift,
     model_identity_defects,
     model_residual,
     operator_norm,
@@ -419,6 +420,20 @@ class TestNcAxioms:
             rhs = np.linalg.solve(s, eval_phi(handle, x) @ s)
             assert operator_norm(lhs - rhs) <= 1e-8
             done += 1
+
+    def test_upper_triangular_lift(self, h1, rng):
+        # phi at [[x, k], [0, x]] is [[phi(x), phi'(x)[k]], [0, phi(x)]]
+        step = 1e-5
+        for n in (1, 2):
+            x = random_interior_point(h1.delta, n, rng, margin=0.3)
+            k = 0.1 * random_tuple(rng, 2, n)
+            phi = evaluate(h1, MatrixTuple(tuple(lift(x, k)))).phi
+            at_x = evaluate(h1, x).phi
+            assert operator_norm(phi[:n, :n] - at_x) <= 1e-12
+            assert operator_norm(phi[n:, n:] - at_x) <= 1e-12
+            assert operator_norm(phi[n:, :n]) <= 1e-12
+            central = (eval_phi(h1, x + step * k) - eval_phi(h1, x + (-step) * k)) / (2 * step)
+            assert operator_norm(phi[:n, n:] - central) <= 1e-6
 
 
 class TestJson:
