@@ -43,8 +43,8 @@ from .numerics import (
     nearest_unitary,
     operator_norm,
 )
-from .realization import ISOMETRY_TOL, NcFunctionHandle, PointEvaluation, _identity_defect
-from .realization import _evaluate_stack, _model_operators
+from .realization import ISOMETRY_TOL, NcFunctionHandle, PointEvaluation, _model_operators
+from .realization import evaluate_stack, identity_defect
 # unused here; perfbench's test_tracer_restores_every_binding reads boundary.eval_phi
 from .realization import eval_phi  # noqa: F401
 
@@ -93,8 +93,7 @@ class SequenceEvaluation:
     @cached_property
     def evals(self) -> list:
         """The evaluation of each interior point, from one stacked solve."""
-        pts = self.points
-        return _evaluate_stack(self.h, pts.points, pts.delta, pts.norms)
+        return evaluate_stack(self.h, self.points.stack)
 
     @cached_property
     def quotients(self) -> tuple:
@@ -331,14 +330,14 @@ class JuliaSweep:
 def julia_sweep(h, samples, bp, w, alpha, rel_tol, u_t=None) -> JuliaSweep:
     """Check the inequality at every interior point of ``samples``, each evaluated once.
 
-    ``samples`` yields blocks ``(points, stacked Delta, norms)``, as
+    ``samples`` yields ``domain.PointStack`` blocks, as
     ``domain.random_interior_points`` makes them; each block is evaluated by
     one stacked solve, and each of its points checked on its own.
     """
     checked = violations = skipped = 0
     max_ratio = identity_max = None
-    for block in samples:
-        for ev in _evaluate_stack(h, *block):
+    for stack in samples:
+        for ev in evaluate_stack(h, stack):
             check = julia_inequality_check(ev, bp, w, alpha, rel_tol)
             if check.skipped:
                 skipped += 1
@@ -373,7 +372,7 @@ def boundary_identity_residual(
     u_t = np.asarray(u_t, dtype=np.complex128)
     if u_t.shape != (m * jn, bp.t.n):
         raise DimensionError(f"u_T has shape {u_t.shape}, expected ({m * jn}, {bp.t.n})")
-    return _identity_defect(h.realization, (w, u_t, bp.delta), (ev.phi, ev.u, ev.delta))
+    return identity_defect(h.realization, (w, u_t, bp.delta), (ev.phi, ev.u, ev.delta))
 
 
 @dataclass(frozen=True)

@@ -233,7 +233,7 @@ def cmd_eval(args) -> int:
     ev = realization.evaluate(handle, point)
     cond = realization.resolvent_condition(ev)
     at_x = (ev.phi, ev.u, ev.delta)
-    residual = realization._identity_defect(handle.realization, at_x, at_x)
+    residual = realization.identity_defect(handle.realization, at_x, at_x)
     emit(
         {
             "phi": numerics.matrix_to_json(ev.phi),
@@ -343,12 +343,12 @@ def _model_identity_defects(args, delta, block) -> list:
     The samples of each matrix size are checked with one stacked solve.
     """
     defects = []
-    for scaled in domain.scale_into_domain(delta, [draft for _, draft in block], args.margin):
-        seeds = [block[k][0] for k in scaled.index]
+    for index, stack in domain.scale_into_domain(delta, [draft for _, draft in block], args.margin):
+        seeds = [block[k][0] for k in index]
         colligations = realization.random_colligations(args.dim_E, delta.J, seeds)
         if args.no_isometry:
             colligations = realization.perturb_colligations(colligations, _PERTURBATION, seeds)
-        defects += realization.model_identity_defects(colligations, scaled.delta).tolist()
+        defects += realization.model_identity_defects(colligations, stack.delta).tolist()
     return defects
 
 

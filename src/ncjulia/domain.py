@@ -44,7 +44,7 @@ DESCENT_ITERATIONS = 150  # subgradient steps per start of the witness search
 SAMPLE_MARGIN = 0.05  # interior sampling: ||delta(x)|| <= 1 - margin
 MAX_HALVINGS = 60  # halvings of a random draft before sampling gives up
 SEQUENCE_FIRST_STEP = 0.5  # first step of radial and ray approach sequences
-MAX_FAMILY_SIZE = 64  # largest size of a named delta family, and of ncjulia fuzz --dim-E
+MAX_FAMILY_SIZE = 64  # largest named delta family, delta-file grid side and ncjulia fuzz --dim-E
 MAX_DELTA_VARIABLES = MAX_FAMILY_SIZE * (MAX_FAMILY_SIZE + 1) // 2  # d of cartan:MAX_FAMILY_SIZE
 
 
@@ -117,9 +117,14 @@ def delta_derivative(delta: DeltaMatrix, t: MatrixTuple, h: MatrixTuple) -> np.n
     """Derivative of the padded grid at t along h: the top-right n x n of each block at lift(t, h)."""
     if delta.d != t.d:
         raise DimensionError("delta and tuples must share d")
-    j, n = delta.J, t.n
-    at_lift = _eval_delta_stack(delta, lift(t, h)).reshape(j, 2, n, j, 2, n)
-    return at_lift[:, 0, :, :, 1, :].reshape(j * n, j * n)
+    return _lift_corner(delta, t.n, _eval_delta_stack(delta, lift(t, h)))
+
+
+def _lift_corner(delta: DeltaMatrix, n: int, at_lift: np.ndarray) -> np.ndarray:
+    """The derivative in padded grids at lifts, (..., 2Jn, 2Jn): each block's top-right n x n."""
+    j, lead = delta.J, at_lift.shape[:-2]
+    blocks = at_lift.reshape(lead + (j, 2, n, j, 2, n))[..., :, 0, :, :, 1, :]
+    return blocks.reshape(lead + (j * n, j * n))
 
 
 @dataclass(frozen=True, eq=False)
@@ -152,12 +157,22 @@ class BoundaryPoint:
 
     @cached_property
     def gram_map(self) -> np.ndarray:
-        """Matrix of the complex-linear map h -> d(T)* grad d(T)[h] on vectorized tuples."""
-        d, n = self.t.d, self.t.n
-        return _read_only(np.column_stack([
-            _gram_derivative(self, _vec_to_tuple(e, d, n)).reshape(-1)
-            for e in np.eye(d * n * n, dtype=np.complex128)
-        ]))
+        """Matrix of the complex-linear map h -> d(T)* grad d(T)[h] on vectorized tuples.
+
+        Column k is read from the grid at the lift [[T, e_k], [0, T]]; the
+        lifts are evaluated in stacks of at most ``BLOCK_BYTES`` of padded grid.
+        """
+        d, n, grid = self.t.d, self.t.n, self.grid
+        dim, rows = d * n * n, max(1, BLOCK_BYTES // (16 * (2 * grid.J * n) ** 2))
+        basis = np.eye(dim).reshape(dim, d, n, n).swapaxes(0, 1)
+        columns = []
+        for k in range(0, dim, rows):
+            lifts = np.zeros((d, min(rows, dim - k), 2 * n, 2 * n), dtype=np.complex128)
+            lifts[..., :n, :n] = lifts[..., n:, n:] = np.stack(self.t.components)[:, None]
+            lifts[..., :n, n:] = basis[:, k : k + rows]
+            at_lifts = _lift_corner(grid, n, _eval_delta_stack(grid, lifts))
+            columns.append(self.given.conj().T @ _on_given_grid(grid, n, at_lifts))
+        return _read_only(np.ascontiguousarray(np.concatenate(columns).reshape(dim, -1).T))
 
     @cached_property
     def sigma_basis(self) -> np.ndarray:
@@ -431,12 +446,22 @@ def ray_sequence(
     return ApproachSequence(base=t, direction=direction, steps=steps)
 
 
+class PointStack(NamedTuple):
+    """Points of one matrix size as one stack, with their padded Delta and its norms."""
+
+    components: np.ndarray  # (d, B, n, n): components[r] stacks variable r of the B points
+    delta: np.ndarray  # (B, Jn, Jn): the padded Delta of each point
+    norms: np.ndarray  # (B,): their ||Delta||
+
+    def point(self, k: int) -> MatrixTuple:
+        """Point k, built as a tuple where a caller reads one."""
+        return MatrixTuple(tuple(self.components[:, k]))
+
+
 class SequencePoints(NamedTuple):
-    points: list
+    stack: PointStack  # the kept points
     steps: list
     dropped: int
-    delta: np.ndarray  # stacked padded Delta of the kept points
-    norms: np.ndarray  # their ||Delta||
 
 
 def generate_sequence(seq: ApproachSequence, delta: DeltaMatrix) -> SequencePoints:
@@ -444,62 +469,60 @@ def generate_sequence(seq: ApproachSequence, delta: DeltaMatrix) -> SequencePoin
 
     The radial rule is only meaningful when every monomial of every entry has
     total degree one, so that scaling the point scales the defining matrix;
-    this is checked syntactically.  Dropped points are counted and warned
-    about; an empty result is an error.  Membership of every point comes
-    from one stacked Delta and one batched SVD; each norm equals
-    ``in_G_delta(delta, z).norm``.
+    this is checked syntactically.  The points are built as one stack; a
+    non-finite one is an error.  Dropped points are counted and warned about,
+    and an empty result is an error.  Each norm, from one stacked Delta and
+    one batched SVD, equals ``in_G_delta(delta, z).norm``.
     """
     if seq.kind == "radial" and not delta.is_homogeneous_degree_one():
-        raise PreconditionError(
-            "radial sequences require a grid homogeneous of degree one"
-        )
+        raise PreconditionError("radial sequences require a grid homogeneous of degree one")
     if delta.d != seq.base.d:
         raise DimensionError(f"delta has d={delta.d} but point has d={seq.base.d}")
-    if seq.kind == "radial":
-        zs = [(1.0 - t) * seq.base for t in seq.steps]
-    else:
-        zs = [seq.base + t * seq.direction for t in seq.steps]
-    big_delta = _eval_delta_stack(delta, [np.stack(c) for c in zip(*(z.components for z in zs))])
+    steps, base = np.array(seq.steps)[:, None, None], np.stack(seq.base.components)[:, None]
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite point is refused below
+        if seq.kind == "radial":
+            comps = (1.0 - steps) * base
+        else:
+            comps = base + steps * np.stack(seq.direction.components)[:, None]
+    if not np.isfinite(comps).all():
+        raise PreconditionError("a sequence point contains non-finite entries")
+    big_delta = _eval_delta_stack(delta, comps)
     norms = operator_norms(big_delta)
     inside = norms < 1.0
-    dropped = len(zs) - int(inside.sum())
+    dropped = len(seq.steps) - int(inside.sum())
     if dropped:
-        warnings.warn(
-            f"{dropped} of {len(seq.steps)} sequence points fell outside the domain",
-            GDeltaExitWarning,
-            stacklevel=3,
-        )
+        message = f"{dropped} of {len(seq.steps)} sequence points fell outside the domain"
+        warnings.warn(message, GDeltaExitWarning, stacklevel=3)
     if not inside.any():
         raise PreconditionError("no sequence point lies inside the domain")
     return SequencePoints(
-        points=[z for z, keep in zip(zs, inside) if keep],
+        stack=PointStack(comps[:, inside], big_delta[inside], norms[inside]),
         steps=[float(t) for t, keep in zip(seq.steps, inside) if keep],
         dropped=dropped,
-        delta=big_delta[inside],
-        norms=norms[inside],
     )
 
 
-# bytes of stacked arrays that one block of samples may take: its Delta in
-# random_interior_points, its model systems in ncjulia fuzz
+# bytes of stacked arrays that one block may take: the Delta of a block of samples
+# in random_interior_points, their model systems in ncjulia fuzz, and the padded
+# grid at a stack of the Gram map's lifts
 BLOCK_BYTES = 8 << 20
 
 
 def random_interior_points(
     delta: DeltaMatrix, n: int, rng: np.random.Generator, count: int, margin: float
 ):
-    """``count`` random points with ||delta(x)|| <= 1 - margin, in blocks of stacked Delta.
+    """``count`` random points with ||delta(x)|| <= 1 - margin, as a :class:`PointStack` per block.
 
     Sampling has two steps.  :func:`gaussian_draft` takes every random draw
     of a point.  :func:`scale_into_domain` then scales drafts into the domain
     and draws nothing: it divides each component by max(1, its norm) and
     halves the tuple until ||delta(x)|| <= 1 - margin, at most
     ``MAX_HALVINGS`` times.  The margin must lie in (0, 1), which is checked
-    on the call, before anything is drawn.  The result yields
-    ``(points, stacked Delta, norms)`` for blocks of :func:`_block_rows`
-    points, whose Delta takes at most ``BLOCK_BYTES`` (8 MiB), and draws
-    each block when it is reached: every point is bit-identical to a call
-    of :func:`random_interior_point` on the same generator.
+    on the call, before anything is drawn.  The result yields a stack of
+    :func:`_block_rows` points at a time, whose Delta takes at most
+    ``BLOCK_BYTES`` (8 MiB), and draws each block when it is reached: every
+    point is bit-identical to a call of :func:`random_interior_point` on the
+    same generator.
     """
     _check_margin(margin)
     block = _block_rows(delta, n)
@@ -513,15 +536,14 @@ def random_interior_point(
     delta: DeltaMatrix, n: int, rng: np.random.Generator, margin: float = SAMPLE_MARGIN
 ) -> MatrixTuple:
     """The first point of :func:`random_interior_points`: one draft, scaled into the domain."""
-    return next(random_interior_points(delta, n, rng, 1, margin))[0][0]
+    return next(random_interior_points(delta, n, rng, 1, margin)).point(0)
 
 
-def _interior_block(delta: DeltaMatrix, n: int, rng, rows: int, margin: float) -> tuple:
-    """``rows`` points of size n drawn from rng, with their stacked Delta and their norms."""
+def _interior_block(delta: DeltaMatrix, n: int, rng, rows: int, margin: float) -> PointStack:
+    """``rows`` points of size n drawn from rng, as one stack."""
     drafts = [gaussian_draft(delta.d, n, rng) for _ in range(rows)]
-    (scaled,) = scale_into_domain(delta, drafts, margin)
-    points = [MatrixTuple(tuple(scaled.components[:, k])) for k in range(rows)]
-    return points, scaled.delta, scaled.norms
+    ((_, stack),) = scale_into_domain(delta, drafts, margin)
+    return stack
 
 
 def gaussian_draft(d: int, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -544,40 +566,31 @@ def _block_rows(delta: DeltaMatrix, n: int) -> int:
     return max(1, BLOCK_BYTES // (16 * (delta.J * n) ** 2))
 
 
-class ScaledDrafts(NamedTuple):
-    """The drafts of one matrix size, scaled into the domain as one stack."""
-
-    index: list  # positions of these drafts among those scaled, all of one matrix size
-    components: np.ndarray  # (d, k, n, n): components[r] stacks variable r of the k points
-    delta: np.ndarray  # their stacked padded Delta, (k, Jn, Jn)
-    norms: np.ndarray  # their ||Delta||
-
-
 def scale_into_domain(delta: DeltaMatrix, drafts, margin: float) -> list:
     """Scale each :func:`gaussian_draft` into the domain, one stack per matrix size.
 
     Each draft is scaled as :func:`random_interior_point` scales its one, so
     the result is bit-identical; the drafts of each matrix size form one
-    stack, which the caller bounds.  Returns one :class:`ScaledDrafts` per
-    size, in the order the sizes first appear.  When drafts fail, the error
-    of the first failing draft in draft order is raised, as scaling them one
-    by one would.
+    stack, which the caller bounds.  Returns a pair (positions of the drafts
+    among those given, their :class:`PointStack`) per size, in the order the
+    sizes first appear.  When drafts fail, the error of the first failing
+    draft in draft order is raised, as scaling them one by one would.
     """
     by_size = {}
     for k, draft in enumerate(drafts):
         by_size.setdefault(draft.shape[-1], []).append(k)
     out, failed = [], {}
     for index in by_size.values():
-        *scaled, errors = _scale_block(delta, np.stack([drafts[k] for k in index], axis=1), margin)
+        stack, errors = _scale_block(delta, np.stack([drafts[k] for k in index], axis=1), margin)
         failed.update((index[k], message) for k, message in errors.items())
-        out.append(ScaledDrafts(index, *scaled))
+        out.append((index, stack))
     if failed:
         raise PreconditionError(failed[min(failed)])
     return out
 
 
 def _scale_block(delta: DeltaMatrix, drafts: np.ndarray, margin: float) -> tuple:
-    """Components, stacked Delta and norms of the scaled (d, k, n, n) drafts, and {row: error}.
+    """The stack of the scaled (d, k, n, n) drafts, and {row: error}.
 
     One batched norm scales the components into the unit ball; then each
     halving round takes one stacked Delta and one batched SVD over the
@@ -608,7 +621,7 @@ def _scale_block(delta: DeltaMatrix, drafts: np.ndarray, margin: float) -> tuple
         rows = rows[halve]
         comps = 0.5 * comps[:, halve]
     errors.update((int(r), "could not scale a random point into the domain") for r in rows)
-    return scaled, big_out, norms_out, errors
+    return PointStack(scaled, big_out, norms_out), errors
 
 
 # --- JSON wire format -------------------------------------------------------
@@ -635,6 +648,8 @@ def delta_from_json(obj) -> DeltaMatrix:
         raise ParseError(f"delta variable count d must be at most {MAX_DELTA_VARIABLES}, got {d}")
     if not isinstance(grid, list) or not all(isinstance(row, list) for row in grid):
         raise ParseError("delta entries must be a grid of rows")
+    if max([len(grid), *map(len, grid)]) > MAX_FAMILY_SIZE:
+        raise ParseError(f"delta grid must have at most {MAX_FAMILY_SIZE} rows and columns")
     try:
         out = DeltaMatrix(d, [[poly_from_json(p, d) for p in row] for row in grid])
     except DimensionError as exc:

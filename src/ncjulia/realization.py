@@ -29,11 +29,11 @@ Batch axis: the kernels that form Delta(x), the model operators and phi
 with leading axes before the trailing matrix axes, and so does
 ``_model_solution``, the one body that solves for u and forms phi.
 :func:`evaluate` calls it on one point with no leading axis;
-``_evaluate_stack`` takes B points of one matrix size with their Delta(x)
-stacked along a leading axis of length B, and their norms, and calls it
-once, with one stacked solve: approach sequences, derivative ladders and
-each block of Julia-sweep samples are evaluated so.  The colligation may
-be stacked too: these kernels and ``_identity_defect`` read the blocks
+:func:`evaluate_stack` calls it once on a ``domain.PointStack``, B points
+of one matrix size with their Delta(x) stacked along a leading axis of
+length B: approach sequences, derivative ladders and each block of
+Julia-sweep samples are evaluated so.  The colligation may be stacked
+too: these kernels and :func:`identity_defect` read the blocks
 A, B, C, D of a :class:`Realization` or of :class:`Colligations`, B
 colligations stacked along the leading axis of their Delta(x), one per
 point.  :func:`random_colligations` makes such a stack with one batched QR
@@ -52,7 +52,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .domain import DeltaMatrix, eval_delta
+from .domain import DeltaMatrix, PointStack, eval_delta
 from .errors import DimensionError, ParseError, PreconditionError
 from .freepoly import MatrixTuple
 from .numerics import (
@@ -224,12 +224,13 @@ def evaluate(h: NcFunctionHandle, x: MatrixTuple) -> PointEvaluation:
     return PointEvaluation(x, big_delta, norm, *_model_solution(h.realization, big_delta, x.n))
 
 
-def _evaluate_stack(h: NcFunctionHandle, xs: list, big_delta: np.ndarray, norms) -> list:
-    """:func:`evaluate` at interior xs of one size whose stacked Delta(x) and norms are known."""
-    resolvent, u, phi = _model_solution(h.realization, big_delta, xs[0].n)
+def evaluate_stack(h: NcFunctionHandle, stack: PointStack) -> list:
+    """:func:`evaluate` at each interior point of the stack, from one stacked solve."""
+    _require_interior(float(stack.norms.max(initial=0.0)))
+    resolvent, u, phi = _model_solution(h.realization, stack.delta, stack.components.shape[-1])
     return [
-        PointEvaluation(x, big_delta[k], float(norms[k]), resolvent[k], u[k], phi[k])
-        for k, x in enumerate(xs)
+        PointEvaluation(stack.point(k), delta, float(norm), resolvent[k], u[k], phi[k])
+        for k, (delta, norm) in enumerate(zip(stack.delta, stack.norms))
     ]
 
 
@@ -319,7 +320,7 @@ def model_residual(h: NcFunctionHandle, x: MatrixTuple, y: MatrixTuple) -> float
         raise DimensionError("x and y must share matrix size and variable count")
     ev_x = evaluate(h, x)
     ev_y = ev_x if y is x else evaluate(h, y)
-    return _identity_defect(
+    return identity_defect(
         h.realization, (ev_y.phi, ev_y.u, ev_y.delta), (ev_x.phi, ev_x.u, ev_x.delta)
     )
 
@@ -332,10 +333,10 @@ def model_identity_defects(c: Colligations, big_delta: np.ndarray) -> np.ndarray
     """
     _, u, phi = _model_solution(c, big_delta, big_delta.shape[-1] // c.J)
     at_x = (phi, u, big_delta)
-    return _identity_defect(c, at_x, at_x)
+    return identity_defect(c, at_x, at_x)
 
 
-def _identity_defect(r, y: tuple, x: tuple):
+def identity_defect(r, y: tuple, x: tuple):
     """|| I - phi_y* phi_x - u_y* (I_m kron (I - delta_y* delta_x)) u_x ||.
 
     ``y`` and ``x`` are (phi, u, Delta) triples: the model identity when y is

@@ -65,6 +65,11 @@ def near_identity(rng, n, scale=0.2):
     return np.eye(n, dtype=np.complex128) + scale * random_matrix(rng, n)
 
 
+def stack_points(stack):
+    """The points of a ``PointStack``, each as a tuple."""
+    return [stack.point(k) for k in range(len(stack.norms))]
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

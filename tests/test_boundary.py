@@ -33,7 +33,7 @@ from ncjulia import (
 
 from ncjulia.boundary import JuliaSweep
 
-from conftest import random_unitary_tuple, sequential_interior_sample
+from conftest import random_unitary_tuple, sequential_interior_sample, stack_points
 
 
 @pytest.fixture
@@ -70,29 +70,57 @@ class TestEvaluateSequence:
     def test_each_evaluation_equals_evaluate_at_its_point(self, rng):
         from ncjulia import cartan_delta, ball_delta, haar_unitary
 
+        def bits(z):
+            return [c.view(np.uint64) for c in z.components]
+
+        # n = None: a unitary pair with signed zeros, whose points must carry the sign bits too
+        signed = MatrixTuple(
+            (np.array([[1.0, -0.0], [0.0, -1.0]]), np.array([[-0.0, 1j], [1j, 0.0]]))
+        )
+        deltas = (polydisk_delta(2), ball_delta(2), cartan_delta(2))
+        inputs = [(delta, n) for delta in deltas for n in (1, 2, 3)]
         kept = 0
-        for delta in (polydisk_delta(2), ball_delta(2), cartan_delta(2)):
+        for delta, n in inputs + [(polydisk_delta(2), None)]:
             handle = NcFunctionHandle(realization=random_realization(2, 2, seed=31), delta=delta)
-            for n in (1, 2, 3):
-                if delta.d == 3:  # cartan: Delta(T) = [[cV, isV], [isV, cV]]
-                    v = haar_unitary(n, rng)
-                    t = MatrixTuple((np.cos(0.4) * v, 1j * np.sin(0.4) * v, np.cos(0.4) * v))
-                elif len(delta.entries[0]) == 1:  # ball: a column isometry
-                    u = haar_unitary(2 * n, rng)
-                    t = MatrixTuple((u[:n, :n], u[n:, :n]))
-                else:  # polydisk: a Haar-unitary pair
-                    t = random_unitary_tuple(rng, 2, n)
-                ray = ray_sequence(t, -1.0 * t, num_steps=12)
-                for seq in (ray_sequence(t, None, num_steps=12), ray):
-                    path = evaluate_sequence(handle, seq)
-                    assert path.points.dropped == 0 and path.points.steps == list(seq.steps)
-                    for ev in path.evals:
-                        one = evaluate(handle, ev.x)
-                        for name in ("delta", "resolvent", "u", "phi"):
-                            assert np.array_equal(getattr(ev, name), getattr(one, name)), name
-                        assert ev.delta_norm == one.delta_norm
-                        kept += 1
-        assert kept == 216
+            if n is None:
+                t = signed
+            elif delta.d == 3:  # cartan: Delta(T) = [[cV, isV], [isV, cV]]
+                v = haar_unitary(n, rng)
+                t = MatrixTuple((np.cos(0.4) * v, 1j * np.sin(0.4) * v, np.cos(0.4) * v))
+            elif len(delta.entries[0]) == 1:  # ball: a column isometry
+                u = haar_unitary(2 * n, rng)
+                t = MatrixTuple((u[:n, :n], u[n:, :n]))
+            else:  # polydisk: a Haar-unitary pair
+                t = random_unitary_tuple(rng, 2, n)
+            ray = ray_sequence(t, -1.0 * t, num_steps=12)
+            for seq in (ray_sequence(t, None, num_steps=12), ray):
+                path = evaluate_sequence(handle, seq)
+                assert path.points.dropped == 0 and path.points.steps == list(seq.steps)
+                for s, ev in zip(seq.steps, path.evals, strict=True):
+                    # each point is the tuple arithmetic of its step, bit for bit
+                    z = (1.0 - s) * t if seq.direction is None else t + s * seq.direction
+                    assert all(map(np.array_equal, bits(ev.x), bits(z)))
+                    one = evaluate(handle, ev.x)
+                    for name in ("delta", "resolvent", "u", "phi"):
+                        assert np.array_equal(getattr(ev, name), getattr(one, name)), name
+                    assert ev.delta_norm == one.delta_norm
+                    kept += 1
+        assert kept == 240
+
+    def test_generate_sequence_builds_no_tuple(self, h1, monkeypatch):
+        from ncjulia import generate_sequence
+
+        t, direction = scalars(1.0, 1.0), scalars(-1.0, -1.0)
+        built = []
+        post_init = MatrixTuple.__post_init__
+        monkeypatch.setattr(
+            MatrixTuple, "__post_init__", lambda self: built.append(self) or post_init(self)
+        )
+        for seq in (ray_sequence(t, None, 12), ray_sequence(t, direction, 12)):
+            pts = generate_sequence(seq, h1.delta)
+            assert len(pts.steps) == 12 and built == []
+        # a point is built only where it is read
+        assert len(stack_points(pts.stack)) == 12 and len(built) == 12
 
 
 class TestJuliaQuotient:
@@ -453,7 +481,7 @@ class TestNontangentialBound:
                 ray_sequence(t, -1.0 * t, num_steps=12),
             ):
                 pts = generate_sequence(seq, handle.delta)
-                for z in pts.points:
+                for z in stack_points(pts.stack):
                     q = julia_quotient(evaluate(handle, z)).value
                     c = nontangential_constant(boundary_point(handle.delta, t), z)
                     assert q <= 4.0 * alpha * c**2 * (1 + 1e-6) + 1e-8
@@ -540,10 +568,10 @@ class TestAnalyzeBpoint:
     def test_each_point_evaluated_once(self, h1, monkeypatch):
         from ncjulia import boundary
 
-        # points passed through _evaluate_stack (len(xs) each), by the sequence and the sweep
+        # points passed through evaluate_stack (one per row), by the sequence and the sweep
         calls = {"evaluate": 0, "generate_sequence": 0}
         counters = (
-            ("_evaluate_stack", "evaluate", lambda args: len(args[1])),
+            ("evaluate_stack", "evaluate", lambda args: len(args[1].norms)),
             ("generate_sequence", "generate_sequence", lambda args: 1),
         )
         for name, key, points in counters:

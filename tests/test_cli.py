@@ -783,15 +783,28 @@ class TestMeta:
 
         monkeypatch.setattr(domain, "gaussian_draft", refuse)
         cap = domain.MAX_DELTA_VARIABLES
-        path = write_json(files["tmp"] / "delta.json", {"d": cap + 1, "entries": [["0.5*x0"]]})
-        assert main(["fuzz", "--samples", "3", "--delta", path]) == 2
-        assert main([
-            "eval", "--fixture", "example-h1", "--delta", path, "--point", files["interior"],
-        ]) == 2
+        # too many variables, and a 1 x 65 grid of zeros: above the grid cap
+        wide = [["0"] * (domain.MAX_FAMILY_SIZE + 1)]
+        for obj in ({"d": cap + 1, "entries": [["0.5*x0"]]}, {"d": 1, "entries": wide}):
+            path = write_json(files["tmp"] / "delta.json", obj)
+            assert main(["fuzz", "--samples", "3", "--delta", path]) == 2
+            assert main([
+                "eval", "--fixture", "example-h1", "--delta", path, "--point", files["interior"],
+            ]) == 2
         # the largest named family is a valid delta file
         largest = cartan_delta(domain.MAX_FAMILY_SIZE)
         assert largest.d == cap
         assert delta_from_json(delta_to_json(largest)) == largest
+
+    def test_overflowing_sequence_point_exits_three(self, files, capsys):
+        # T + 1e308 H overflows at the first step: refused before Delta, with no numpy warning
+        ray = write_json(files["tmp"] / "H4.json", {"scalars": [[-4, 0], [-4, 0]]})
+        argv = [
+            "bpoint", "--fixture", "example-h1", "--point", files["boundary"], "--ray", ray,
+            "--first-step", "1e308",
+        ]
+        assert main(argv) == 3
+        assert "non-finite" in capsys.readouterr().err
 
     def test_oversized_families_and_dim_e_build_nothing(self, monkeypatch):
         from ncjulia import fixtures, realization

@@ -95,11 +95,11 @@ class TestEtaNumeric:
     def test_each_ladder_point_evaluated_once(self, h1, monkeypatch):
         from ncjulia import boundary, derivative, domain, realization
 
-        # points passed through evaluate (one each) and the stacked kernel (len(xs) each)
+        # points passed through evaluate (one each) and evaluate_stack (one per row)
         calls = {"evaluate": 0, "in_G_delta": 0}
         counters = (
             ("evaluate", realization, "evaluate", lambda args: 1),
-            ("_evaluate_stack", boundary, "evaluate", lambda args: len(args[1])),
+            ("evaluate_stack", boundary, "evaluate", lambda args: len(args[1].norms)),
             ("in_G_delta", domain, "in_G_delta", lambda args: 1),
         )
         for name, home, key, points in counters:
@@ -162,13 +162,13 @@ class TestAdmissibleLadder:
         from ncjulia import boundary
 
         rows = []
-        stack = boundary._evaluate_stack
+        evaluate_stack = boundary.evaluate_stack
 
-        def counted(h, xs, *args):
-            rows.append(len(xs))
-            return stack(h, xs, *args)
+        def counted(h, stack):
+            rows.append(len(stack.norms))
+            return evaluate_stack(h, stack)
 
-        monkeypatch.setattr(boundary, "_evaluate_stack", counted)
+        monkeypatch.setattr(boundary, "evaluate_stack", counted)
         eta_numeric(h1, scalars(1.0, 1.0), np.eye(1), scalars(-1.0, -1.0), first_step=40.0)
         # first steps 40 to 2.5 leave ladder points outside; only the admitted ladder is solved
         assert rows == [10]

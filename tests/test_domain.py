@@ -8,6 +8,7 @@ from ncjulia import (
     DimensionError,
     FreePolynomial,
     MatrixTuple,
+    ParseError,
     PreconditionError,
     ball_delta,
     boundary_point,
@@ -38,7 +39,9 @@ from ncjulia import (
 from ncjulia import domain
 from ncjulia.domain import GDeltaExitWarning
 
-from conftest import random_poly, random_tuple, random_unitary_tuple, sequential_interior_sample
+from conftest import (
+    random_poly, random_tuple, random_unitary_tuple, sequential_interior_sample, stack_points,
+)
 
 
 def blocked_delta():
@@ -273,6 +276,27 @@ class TestAssumptionA:
         assert not rep.witness.found and rep.sigma_span_dim == 1
         assert len(calls) == 1 and calls[0][0] is bp.gram_map
 
+    def test_gram_map_evaluates_the_grid_once(self, monkeypatch):
+        # the d n^2 = 18 basis lifts of polydisk:2 at T = (I_3, I_3), as one stack
+        t = MatrixTuple((np.eye(3), np.eye(3)))
+        bp = boundary_point(polydisk_delta(2), t)
+        calls, stack = [], domain._eval_delta_stack
+        monkeypatch.setattr(
+            domain, "_eval_delta_stack", lambda *args: calls.append(args) or stack(*args)
+        )
+        lmat = bp.gram_map
+        assert len(calls) == 1 and np.shape(calls[0][1]) == (2, 18, 6, 6)
+        # column k is the Gram derivative along basis tuple k
+        for k, e in enumerate(np.eye(18)):
+            column = domain._gram_derivative(bp, MatrixTuple(tuple(e.reshape(2, 3, 3))))
+            assert np.array_equal(lmat[:, k], column.reshape(-1))
+        # a byte budget of 5 lifts' padded grid (12 x 12): stacks of 5, 5, 5 and 3 lifts
+        monkeypatch.setattr(domain, "BLOCK_BYTES", 5 * 16 * 12**2)
+        bp = boundary_point(polydisk_delta(2), t)
+        calls.clear()
+        assert np.array_equal(bp.gram_map, lmat)
+        assert [np.shape(c[1])[1] for c in calls] == [5, 5, 5, 3]
+
     def test_witness_search_succeeds_where_heuristic_fails(self):
         # diag(x0, 3 x1 - 2 x1^2) at T=(1,1): the cone matrix is diag(h1, -h2),
         # so -T gives diag(-1, +1) (indefinite) while K=(-1, +1) is a witness
@@ -346,15 +370,15 @@ class TestSequences:
         d = polydisk_delta(2)
         t = MatrixTuple.from_scalars([1.0, 1.0])
         pts = generate_sequence(ray_sequence(t, None, num_steps=10), d)
-        assert len(pts.points) == 10 and pts.dropped == 0
-        assert all(in_G_delta(d, z) for z in pts.points)
+        assert len(stack_points(pts.stack)) == 10 and pts.dropped == 0
+        assert all(in_G_delta(d, z) for z in stack_points(pts.stack))
 
     def test_ray_matches_radial_for_neg_t(self):
         d = polydisk_delta(2)
         t = MatrixTuple.from_scalars([1.0, 1.0])
         pts_ray = generate_sequence(ray_sequence(t, -1.0 * t, num_steps=6), d)
         pts_rad = generate_sequence(ray_sequence(t, None, num_steps=6), d)
-        for a, b in zip(pts_ray.points, pts_rad.points):
+        for a, b in zip(stack_points(pts_ray.stack), stack_points(pts_rad.stack)):
             np.testing.assert_allclose(a.components[0], b.components[0], atol=1e-15)
 
     def test_exiting_points_dropped_with_warning(self):
@@ -402,7 +426,7 @@ class TestSequences:
             assert in_Gamma(bp, h, beta=1e-6)
             seq = ray_sequence(t, h, num_steps=8, first_step=0.05)
             pts = generate_sequence(seq, d)
-            apertures = [nontangential_constant(bp, z) for z in pts.points]
+            apertures = [nontangential_constant(bp, z) for z in stack_points(pts.stack)]
             assert max(apertures) < 1e3
 
 
@@ -413,12 +437,12 @@ class TestSequences:
         seq = ray_sequence(t, inward, num_steps=8, first_step=4.0)
         with pytest.warns(GDeltaExitWarning):
             pts = generate_sequence(seq, d)
-        big_delta, norms = pts.delta, pts.norms
+        points, big_delta, norms = stack_points(pts.stack), pts.stack.delta, pts.stack.norms
         assert 0 < pts.dropped < 8
-        assert len(pts.points) == len(pts.steps) == len(big_delta) == len(norms)
-        members = [in_G_delta(d, z) for z in pts.points]
+        assert len(points) == len(pts.steps) == len(big_delta) == len(norms)
+        members = [in_G_delta(d, z) for z in points]
         assert all(members) and [m.norm for m in members] == list(norms)
-        assert all(np.array_equal(eval_delta(d, z), b) for z, b in zip(pts.points, big_delta))
+        assert all(np.array_equal(eval_delta(d, z), b) for z, b in zip(points, big_delta))
 
     def test_non_finite_sequence_point_rejected(self):
         # 1e308 (x + x^2) overflows near x = 1
@@ -426,6 +450,9 @@ class TestSequences:
         one = MatrixTuple.from_scalars([1.0])
         with np.errstate(over="ignore"), pytest.raises(PreconditionError, match="non-finite"):
             generate_sequence(ray_sequence(one, -1.0 * one, num_steps=6), delta)
+        # T + 1e308 H itself overflows: refused before Delta, with no numpy warning
+        with pytest.raises(PreconditionError, match="sequence point contains non-finite"):
+            generate_sequence(ray_sequence(one, -4.0 * one, 6, 1e308), delta)
 
     def test_point_of_other_d_rejected(self):
         t = MatrixTuple.from_scalars([1.0, 1.0])
@@ -476,13 +503,13 @@ def scaled_per_draft(delta, drafts, margin):
     """
     blocks = scale_into_domain(delta, drafts, margin)
     sizes = [draft.shape[-1] for draft in drafts]
-    assert [sizes[b.index[0]] for b in blocks] == list(dict.fromkeys(sizes))
+    assert [sizes[index[0]] for index, _ in blocks] == list(dict.fromkeys(sizes))
     out = [None] * len(drafts)
-    for b in blocks:
-        size = sizes[b.index[0]]
-        assert b.index == [k for k, n in enumerate(sizes) if n == size]
-        for j, k in enumerate(b.index):
-            out[k] = (b.components[:, j], b.delta[j], b.norms[j])
+    for index, stack in blocks:
+        size = sizes[index[0]]
+        assert index == [k for k, n in enumerate(sizes) if n == size]
+        for j, k in enumerate(index):
+            out[k] = (stack.components[:, j], stack.delta[j], stack.norms[j])
     return out
 
 
@@ -536,7 +563,8 @@ class TestInteriorSampling:
                 assert rng.bit_generator.state == oracle_rng.bit_generator.state
                 expected = [sequential_interior_sample(delta, n, oracle_rng, 0.3) for _ in range(8)]
                 got, rows_cap = [], domain._block_rows(delta, n)
-                for points, big_delta, norms in blocks:
+                for stack in blocks:
+                    points, big_delta, norms = stack_points(stack), stack.delta, stack.norms
                     assert len(points) == len(big_delta) == len(norms) <= rows_cap
                     got.append(len(points))
                     for k, (x0, delta0, norm0, _) in enumerate(expected[: len(points)]):
@@ -573,7 +601,7 @@ class TestInteriorSampling:
 
         ok, too_big, overflow = draft(1e-310), draft(1e-300), draft(1.0)
         margin = domain.SAMPLE_MARGIN
-        assert scale_into_domain(delta, [ok, ok], margin)[0].norms[1] == pytest.approx(0.01)
+        assert scale_into_domain(delta, [ok, ok], margin)[0][1].norms[1] == pytest.approx(0.01)
         cases = (
             ([ok, overflow, too_big], "non-finite"),
             ([ok, too_big, overflow], "could not scale"),
@@ -601,7 +629,7 @@ class TestInteriorSampling:
         monkeypatch.setattr(domain, "BLOCK_BYTES", 7 * 16 * 4**2)  # 7 drafts at n = 2
         rng = np.random.default_rng(3)
         blocks = random_interior_points(delta, 2, rng, 20, domain.SAMPLE_MARGIN)
-        assert [len(points) for points, _, _ in blocks] == [7, 7, 6]
+        assert [len(stack.norms) for stack in blocks] == [7, 7, 6]
         assert sizes == [7, 7, 6]
 
     def test_gaussian_draft_matches_two_draws_per_component(self):
@@ -628,6 +656,19 @@ class TestDeltaJson:
             again = delta_from_json(delta_to_json(delta))
             assert again.entries == delta.entries
             assert np.shape(again.entries) == np.shape(delta.entries)
+
+    def test_grid_side_capped_before_any_entry_is_decoded(self, monkeypatch):
+        cap = domain.MAX_FAMILY_SIZE
+        largest = delta_from_json({"d": 1, "entries": [["0"] * cap]})
+        assert largest.J == cap
+
+        def refuse(*args):
+            raise AssertionError("decoded an entry of an oversized grid")
+
+        monkeypatch.setattr(domain, "poly_from_json", refuse)
+        for grid in ([["0"] * (cap + 1)], [["0"]] * (cap + 1)):
+            with pytest.raises(ParseError, match=f"at most {cap} rows and columns"):
+                delta_from_json({"d": 1, "entries": grid})
 
     def test_text_entries(self):
         delta = delta_from_json({"d": 2, "entries": [["x0", "0"], ["0", "x1"]]})

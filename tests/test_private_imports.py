@@ -13,10 +13,7 @@ import ncjulia
 
 # (reading module, module read from, private name)
 ALLOWED = {
-    ("boundary", "realization", "_evaluate_stack"),
-    ("boundary", "realization", "_identity_defect"),
     ("boundary", "realization", "_model_operators"),
-    ("cli", "realization", "_identity_defect"),
     ("derivative", "domain", "_cone_matrix"),
     ("domain", "freepoly", "_eval_words"),
     ("domain", "numerics", "_json_int"),

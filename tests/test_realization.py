@@ -7,6 +7,7 @@ from ncjulia import (
     DimensionError,
     MatrixTuple,
     NcFunctionHandle,
+    PointStack,
     PreconditionError,
     Realization,
     direct_sum,
@@ -15,7 +16,9 @@ from ncjulia import (
     eval_phi_neumann,
     eval_u,
     evaluate,
+    evaluate_stack,
     get_delta,
+    identity_defect,
     get_fixture,
     in_G_delta,
     lift,
@@ -41,8 +44,6 @@ from ncjulia.numerics import operator_norms
 from ncjulia.realization import (
     ISOMETRY_TOL,
     NearSingularResolventWarning,
-    _evaluate_stack,
-    _identity_defect,
     _model_operators,
     _phi_from,
 )
@@ -123,7 +124,7 @@ class TestTensorLayout:
                 eye_n - phi_y.conj().T @ phi - u_y.conj().T @ middle @ u
             )
             np.testing.assert_allclose(
-                _identity_defect(r, (phi_y, u_y, delta_y), (phi, u, big)), defect_kron, **tol
+                identity_defect(r, (phi_y, u_y, delta_y), (phi, u, big)), defect_kron, **tol
             )
 
 
@@ -164,12 +165,13 @@ class TestExampleEvaluation:
 
 
 def evaluate_stacked(h, xs):
-    """``_evaluate_stack`` at xs, fed as ``generate_sequence`` feeds it.
+    """``evaluate_stack`` at xs, stacked as ``generate_sequence`` stacks its points.
 
     One stacked Delta(x) for all points, and their norms from one batched SVD.
     """
-    big_delta = _eval_delta_stack(h.delta, [np.stack(c) for c in zip(*(x.components for x in xs))])
-    return _evaluate_stack(h, xs, big_delta, operator_norms(big_delta))
+    components = np.stack([x.components for x in xs], axis=1)
+    big_delta = _eval_delta_stack(h.delta, components)
+    return evaluate_stack(h, PointStack(components, big_delta, operator_norms(big_delta)))
 
 
 class TestEvaluateStack:
@@ -194,9 +196,15 @@ class TestEvaluateStack:
                     assert len(many) == b
                     for x, ev in zip(xs, many):
                         one = evaluate(h, x)
-                        assert ev.x is x and type(ev.delta_norm) is float
+                        assert all(map(np.array_equal, ev.x.components, x.components))
+                        assert type(ev.delta_norm) is float
                         for name in self.FIELDS:
                             assert np.array_equal(getattr(ev, name), getattr(one, name)), name
+
+    def test_stack_with_a_boundary_point_rejected(self, h1):
+        xs = [MatrixTuple.from_scalars([0.5, 0.3]), MatrixTuple.from_scalars([1.0, 0.2])]
+        with pytest.raises(PreconditionError, match="not inside the domain"):
+            evaluate_stacked(h1, xs)
 
     def test_stacked_solve_gets_stacked_rhs(self, h1, monkeypatch):
         # numpy 1.x reads a b with one axis fewer than a stacked a as a stack of vectors
