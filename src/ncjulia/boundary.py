@@ -43,7 +43,7 @@ from .numerics import (
     nearest_unitary,
     operator_norm,
 )
-from .realization import ISOMETRY_TOL, NcFunctionHandle, PointEvaluation, _model_operators
+from .realization import ISOMETRY_TOL, NcFunctionHandle, PointEvaluation, model_operators
 from .realization import evaluate_stack, identity_defect
 # unused here; perfbench's test_tracer_restores_every_binding reads boundary.eval_phi
 from .realization import eval_phi  # noqa: F401
@@ -222,7 +222,7 @@ def solve_uT(h: NcFunctionHandle, bp: BoundaryPoint) -> ModelVectorAtBoundary:
         raise PreconditionError(
             "model vector at the boundary requires T on the distinguished boundary"
         )
-    resolvent, rhs, _ = _model_operators(h.realization, bp.delta, bp.t.n)
+    resolvent, rhs, _ = model_operators(h.realization, bp.delta, bp.t.n)
     if operator_norm(resolvent) <= PINV_RTOL:  # zero but for the rounding of Delta(T)
         resolvent = np.zeros_like(resolvent)
     outcome = min_norm_solve(resolvent, rhs)

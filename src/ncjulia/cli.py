@@ -337,31 +337,32 @@ def cmd_bpoint(args) -> int:
 _PERTURBATION = 0.05
 
 
-def _model_identity_defects(args, delta, block) -> list:
-    """``model_residual(h, x, x)`` at each (seed, draft) sample of a block, x scaled from the draft.
+def _model_identity_defects(args, delta, samples) -> np.ndarray:
+    """``model_residual(h, x, x)`` at each (seed, draft) sample of one matrix size.
 
-    The samples of each matrix size are checked with one stacked solve.
+    x is the draft scaled into the domain; one stacked solve serves the samples.
     """
-    defects = []
-    for index, stack in domain.scale_into_domain(delta, [draft for _, draft in block], args.margin):
-        seeds = [block[k][0] for k in index]
-        colligations = realization.random_colligations(args.dim_E, delta.J, seeds)
-        if args.no_isometry:
-            colligations = realization.perturb_colligations(colligations, _PERTURBATION, seeds)
-        defects += realization.model_identity_defects(colligations, stack.delta).tolist()
-    return defects
+    seeds = [seed for seed, _ in samples]
+    drafts = np.concatenate([draft for _, draft in samples], axis=1)
+    stack = domain.scale_into_domain(delta, drafts, args.margin)
+    colligations = realization.random_colligations(args.dim_E, delta.J, seeds)
+    if args.no_isometry:
+        colligations = realization.perturb_colligations(colligations, _PERTURBATION, seeds)
+    return realization.model_identity_defects(colligations, stack.delta)
 
 
 def cmd_fuzz(args) -> int:
     delta = _resolve_delta(args.delta)
-    rng = np.random.default_rng(args.seed)
-    model_violations = 0
-    max_model_residual = 0.0
-    # (seed, Gaussian draft) of the samples whose model identity is unchecked, and the bytes
-    # of their model systems; a block is checked before a sample of the largest size, n = 2,
-    # could take it over BLOCK_BYTES
-    block, block_bytes = [], 0
     mj = args.dim_E * delta.J
+    if mj > fixtures.MAX_FAMILY_SIZE:
+        raise ParseError(
+            f"--dim-E times the grid size J must be at most {fixtures.MAX_FAMILY_SIZE}, "
+            f"got {args.dim_E} * {delta.J}"
+        )
+    rng = np.random.default_rng(args.seed)
+    # (seed, Gaussian draft) of the samples of each matrix size whose model identity is
+    # unchecked; a size's samples are checked once their model systems fill a block
+    pending, defects = {1: [], 2: []}, []
     sweeps = []
     # Haar-unitary tuples lie on the distinguished boundary of the polydisk only;
     # the shape test first, so a small grid over many variables builds no d x d grid
@@ -371,14 +372,10 @@ def cmd_fuzz(args) -> int:
     for k in range(args.samples):
         n = int(rng.integers(1, 3))
         # the draws of random_interior_point; its scaling takes none, so it can wait
-        block.append((args.seed + k, domain.gaussian_draft(delta.d, n, rng)))
-        block_bytes += 16 * (mj * n) ** 2
-        if block_bytes + 16 * (mj * 2) ** 2 > domain.BLOCK_BYTES or k == args.samples - 1:
-            for res in _model_identity_defects(args, delta, block):
-                max_model_residual = max(max_model_residual, res)
-                if res > args.model_residual_tol:
-                    model_violations += 1
-            block, block_bytes = [], 0
+        pending[n].append((args.seed + k, domain.gaussian_drafts(delta.d, n, rng, 1)))
+        if len(pending[n]) == domain.block_rows(16 * (mj * n) ** 2):
+            defects.append(_model_identity_defects(args, delta, pending[n]))
+            pending[n] = []
         if run_julia and k % 10 == 0:
             colligation = realization.random_realization(args.dim_E, delta.J, args.seed + k)
             if args.no_isometry:
@@ -401,6 +398,10 @@ def cmd_fuzz(args) -> int:
             samples = domain.random_interior_points(delta, n, rng, 5, args.margin)
             sweeps.append(boundary.julia_sweep(handle, samples, bp, w, alpha.alpha, args.rel_tol))
 
+    defects += [_model_identity_defects(args, delta, s) for s in pending.values() if s]
+    defects = np.concatenate(defects)
+    model_violations = int(np.count_nonzero(defects > args.model_residual_tol))
+    max_model_residual = float(np.fmax.reduce(defects, initial=0.0))  # a NaN defect is no maximum
     julia = {k: sum(getattr(s, k) for s in sweeps) for k in ("checked", "violations", "skipped")}
     emit(
         {

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .boundary import SequenceEvaluation, evaluate_sequence, extract_W
-from .domain import GDeltaExitWarning, boundary_point, in_Delta, ray_sequence, _cone_matrix
+from .domain import GDeltaExitWarning, boundary_point, cone_matrix, in_Delta, ray_sequence
 from .errors import ConvergenceError, DimensionError, PreconditionError
 from .freepoly import MatrixTuple
 from .numerics import extrapolate_limit, hermitian_part_max_eig, operator_norm
@@ -95,7 +95,7 @@ def eta_numeric(
     w = np.asarray(w, dtype=np.complex128)
     if w.shape != (t.n, t.n):
         raise DimensionError(f"W has shape {w.shape}, expected ({t.n}, {t.n})")
-    beta = -hermitian_part_max_eig(_cone_matrix(boundary_point(h.delta, t), direction))
+    beta = -hermitian_part_max_eig(cone_matrix(boundary_point(h.delta, t), direction))
     if beta < MIN_INWARD_MARGIN:
         raise PreconditionError(
             f"direction is not inward: transversality margin {beta:.3e} < {MIN_INWARD_MARGIN:.0e}"

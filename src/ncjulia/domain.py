@@ -22,18 +22,18 @@ from .errors import DimensionError, ParseError, PreconditionError
 from .freepoly import (
     FreePolynomial,
     MatrixTuple,
-    _eval_words,
+    eval_words,
     lift,
     poly_from_json,
     poly_to_json,
 )
 from .numerics import (
     RANK_RTOL,
-    _json_int,
     hermitian_part_max_eig,
+    is_self_adjoint,
+    json_int,
     numerical_rank,
     operator_norm,
-    is_self_adjoint,
     operator_norms,
 )
 
@@ -109,7 +109,7 @@ def _eval_delta_stack(delta: DeltaMatrix, components) -> np.ndarray:
     out = np.zeros(lead + (delta.J * n, delta.J * n), dtype=np.complex128)
     for a, row in enumerate(delta.entries):
         for b, p in enumerate(row):
-            out[..., a * n : (a + 1) * n, b * n : (b + 1) * n] = _eval_words(p, components)
+            out[..., a * n : (a + 1) * n, b * n : (b + 1) * n] = eval_words(p, components)
     return out
 
 
@@ -163,7 +163,7 @@ class BoundaryPoint:
         lifts are evaluated in stacks of at most ``BLOCK_BYTES`` of padded grid.
         """
         d, n, grid = self.t.d, self.t.n, self.grid
-        dim, rows = d * n * n, max(1, BLOCK_BYTES // (16 * (2 * grid.J * n) ** 2))
+        dim, rows = d * n * n, block_rows(16 * (2 * grid.J * n) ** 2)
         basis = np.eye(dim).reshape(dim, d, n, n).swapaxes(0, 1)
         columns = []
         for k in range(0, dim, rows):
@@ -201,7 +201,7 @@ def _gram_derivative(bp: BoundaryPoint, h: MatrixTuple) -> np.ndarray:
     return bp.given.conj().T @ dv
 
 
-def _cone_matrix(bp: BoundaryPoint, h: MatrixTuple) -> np.ndarray:
+def cone_matrix(bp: BoundaryPoint, h: MatrixTuple) -> np.ndarray:
     """The inward-cone matrix delta(T)* grad delta(T)[h] of a direction h in the unit ball."""
     nrm = h.max_component_norm()
     if nrm > 1.0 + 1e-12:
@@ -239,17 +239,17 @@ def nontangential_constant(bp: BoundaryPoint, z: MatrixTuple) -> float:
 
 def in_Gamma(bp: BoundaryPoint, h: MatrixTuple, beta: float = INWARD_BETA) -> bool:
     """Inward cone test: the Hermitian part of d(T)* grad d(T)[h] is <= -beta."""
-    return hermitian_part_max_eig(_cone_matrix(bp, h)) <= -beta
+    return hermitian_part_max_eig(cone_matrix(bp, h)) <= -beta
 
 
 def in_Sigma(bp: BoundaryPoint, h: MatrixTuple) -> bool:
     """Self-adjointness cone: d(T)* grad d(T)[h] is self-adjoint within SELF_ADJOINT_TOL."""
-    return is_self_adjoint(_cone_matrix(bp, h), SELF_ADJOINT_TOL)
+    return is_self_adjoint(cone_matrix(bp, h), SELF_ADJOINT_TOL)
 
 
 def in_Delta(bp: BoundaryPoint, h: MatrixTuple, beta: float = INWARD_BETA) -> bool:
     """Transverse inward cone: self-adjoint within SELF_ADJOINT_TOL and eigenvalues <= -beta."""
-    m = _cone_matrix(bp, h)
+    m = cone_matrix(bp, h)
     return is_self_adjoint(m, SELF_ADJOINT_TOL) and hermitian_part_max_eig(m) <= -beta
 
 
@@ -508,27 +508,31 @@ def generate_sequence(seq: ApproachSequence, delta: DeltaMatrix) -> SequencePoin
 BLOCK_BYTES = 8 << 20
 
 
+def block_rows(row_bytes: int) -> int:
+    """Rows of ``row_bytes`` each in one block of at most ``BLOCK_BYTES``; at least one."""
+    return max(1, BLOCK_BYTES // row_bytes)
+
+
 def random_interior_points(
     delta: DeltaMatrix, n: int, rng: np.random.Generator, count: int, margin: float
 ):
     """``count`` random points with ||delta(x)|| <= 1 - margin, as a :class:`PointStack` per block.
 
-    Sampling has two steps.  :func:`gaussian_draft` takes every random draw
-    of a point.  :func:`scale_into_domain` then scales drafts into the domain
-    and draws nothing: it divides each component by max(1, its norm) and
-    halves the tuple until ||delta(x)|| <= 1 - margin, at most
-    ``MAX_HALVINGS`` times.  The margin must lie in (0, 1), which is checked
-    on the call, before anything is drawn.  The result yields a stack of
-    :func:`_block_rows` points at a time, whose Delta takes at most
+    Sampling has two steps.  :func:`gaussian_drafts` takes every random draw
+    of a block in one call.  :func:`scale_into_domain` then scales the drafts
+    into the domain and draws nothing.  The margin must lie in (0, 1), which
+    is checked on the call, before anything is drawn.  The result yields a
+    stack of :func:`block_rows` points at a time, whose Delta takes at most
     ``BLOCK_BYTES`` (8 MiB), and draws each block when it is reached: every
     point is bit-identical to a call of :func:`random_interior_point` on the
     same generator.
     """
-    _check_margin(margin)
-    block = _block_rows(delta, n)
+    if not 0.0 < margin < 1.0:
+        raise PreconditionError(f"sampling margin must lie in (0, 1), got {margin!r}")
+    rows = block_rows(16 * (delta.J * n) ** 2)
     return (
-        _interior_block(delta, n, rng, min(block, count - start), margin)
-        for start in range(0, count, block)
+        scale_into_domain(delta, gaussian_drafts(delta.d, n, rng, min(rows, count - start)), margin)
+        for start in range(0, count, rows)
     )
 
 
@@ -539,63 +543,25 @@ def random_interior_point(
     return next(random_interior_points(delta, n, rng, 1, margin)).point(0)
 
 
-def _interior_block(delta: DeltaMatrix, n: int, rng, rows: int, margin: float) -> PointStack:
-    """``rows`` points of size n drawn from rng, as one stack."""
-    drafts = [gaussian_draft(delta.d, n, rng) for _ in range(rows)]
-    ((_, stack),) = scale_into_domain(delta, drafts, margin)
-    return stack
+def gaussian_drafts(d: int, n: int, rng: np.random.Generator, count: int) -> np.ndarray:
+    """The d complex Gaussian n x n matrices of ``count`` random points, (d, count, n, n).
 
-
-def gaussian_draft(d: int, n: int, rng: np.random.Generator) -> np.ndarray:
-    """The d complex Gaussian n x n matrices of one random point, (d, n, n): all the draws it takes.
-
-    One call draws them, in component order, each real part before its
-    imaginary part.
+    One call draws them all, point by point, in component order, each real
+    part before its imaginary part.
     """
-    g = rng.standard_normal((d, 2, n, n))
-    return (g[:, 0] + 1j * g[:, 1]) / np.sqrt(2.0)
+    g = rng.standard_normal((count, d, 2, n, n))
+    return np.ascontiguousarray(((g[:, :, 0] + 1j * g[:, :, 1]) / np.sqrt(2.0)).swapaxes(0, 1))
 
 
-def _check_margin(margin: float):
-    if not 0.0 < margin < 1.0:
-        raise PreconditionError(f"sampling margin must lie in (0, 1), got {margin!r}")
+def scale_into_domain(delta: DeltaMatrix, drafts: np.ndarray, margin: float) -> PointStack:
+    """The (d, k, n, n) :func:`gaussian_drafts`, scaled into the domain, as one stack.
 
-
-def _block_rows(delta: DeltaMatrix, n: int) -> int:
-    """Points of matrix size n in one block of :func:`random_interior_points`."""
-    return max(1, BLOCK_BYTES // (16 * (delta.J * n) ** 2))
-
-
-def scale_into_domain(delta: DeltaMatrix, drafts, margin: float) -> list:
-    """Scale each :func:`gaussian_draft` into the domain, one stack per matrix size.
-
-    Each draft is scaled as :func:`random_interior_point` scales its one, so
-    the result is bit-identical; the drafts of each matrix size form one
-    stack, which the caller bounds.  Returns a pair (positions of the drafts
-    among those given, their :class:`PointStack`) per size, in the order the
-    sizes first appear.  When drafts fail, the error of the first failing
-    draft in draft order is raised, as scaling them one by one would.
-    """
-    by_size = {}
-    for k, draft in enumerate(drafts):
-        by_size.setdefault(draft.shape[-1], []).append(k)
-    out, failed = [], {}
-    for index in by_size.values():
-        stack, errors = _scale_block(delta, np.stack([drafts[k] for k in index], axis=1), margin)
-        failed.update((index[k], message) for k, message in errors.items())
-        out.append((index, stack))
-    if failed:
-        raise PreconditionError(failed[min(failed)])
-    return out
-
-
-def _scale_block(delta: DeltaMatrix, drafts: np.ndarray, margin: float) -> tuple:
-    """The stack of the scaled (d, k, n, n) drafts, and {row: error}.
-
-    One batched norm scales the components into the unit ball; then each
+    One batched norm divides each component by max(1, its norm); then each
     halving round takes one stacked Delta and one batched SVD over the
     drafts not yet accepted, and halves the rest with ``0.5 *`` as
-    ``MatrixTuple.__mul__`` does.
+    ``MatrixTuple.__mul__`` does, until ||delta(x)|| <= 1 - margin, at most
+    ``MAX_HALVINGS`` times.  Each row is bit-identical to scaling its draft
+    alone.  When drafts fail, the error of the first failing row is raised.
     """
     d, k, n = drafts.shape[:3]
     component_norms = operator_norms(drafts.reshape(d * k, n, n)).reshape(d, k, 1, 1)
@@ -621,7 +587,9 @@ def _scale_block(delta: DeltaMatrix, drafts: np.ndarray, margin: float) -> tuple
         rows = rows[halve]
         comps = 0.5 * comps[:, halve]
     errors.update((int(r), "could not scale a random point into the domain") for r in rows)
-    return PointStack(scaled, big_out, norms_out), errors
+    if errors:
+        raise PreconditionError(errors[min(errors)])
+    return PointStack(scaled, big_out, norms_out)
 
 
 # --- JSON wire format -------------------------------------------------------
@@ -640,7 +608,7 @@ def delta_from_json(obj) -> DeltaMatrix:
     if not isinstance(obj, dict):
         raise ParseError(f"expected a delta object, got {type(obj).__name__}")
     try:
-        d = _json_int(obj["d"], "delta variable count d", 1)
+        d = json_int(obj["d"], "delta variable count d", 1)
         grid = obj["entries"]
     except KeyError as exc:
         raise ParseError(f"delta object missing field: {exc}") from None
@@ -654,6 +622,6 @@ def delta_from_json(obj) -> DeltaMatrix:
         out = DeltaMatrix(d, [[poly_from_json(p, d) for p in row] for row in grid])
     except DimensionError as exc:
         raise ParseError(str(exc)) from None
-    if "J" in obj and _json_int(obj["J"], "delta J", 1) != out.J:
+    if "J" in obj and json_int(obj["J"], "delta J", 1) != out.J:
         raise ParseError(f"delta lists J={obj['J']} but padded size is {out.J}")
     return out

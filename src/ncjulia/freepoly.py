@@ -37,7 +37,7 @@ from .errors import (
     PreconditionError,
     SingularMatrixError,
 )
-from .numerics import _json_complex, _json_int, as_complex_matrix, operator_norm
+from .numerics import as_complex_matrix, json_complex, json_int, operator_norm
 from .numerics import matrix_from_json, matrix_to_json
 
 MAX_DEGREE = 64  # largest exponent and total degree the parser expands
@@ -258,10 +258,10 @@ def eval_poly(p: FreePolynomial, x: MatrixTuple) -> np.ndarray:
     """Evaluate p at the tuple x; the identity word contributes coeff * I_n."""
     if p.d != x.d:
         raise DimensionError(f"polynomial has d={p.d} but point has d={x.d}")
-    return _eval_words(p, x.components)
+    return eval_words(p, x.components)
 
 
-def _eval_words(p: FreePolynomial, components) -> np.ndarray:
+def eval_words(p: FreePolynomial, components) -> np.ndarray:
     """Evaluate p at components of shape (..., n, n); leading axes index stacked points."""
     acc = np.zeros(components[0].shape, dtype=np.complex128)
     eye = np.eye(acc.shape[-1], dtype=np.complex128)
@@ -277,7 +277,7 @@ def directional_derivative_poly(p: FreePolynomial, t: MatrixTuple, h: MatrixTupl
     """Exact derivative of p at t in direction h: the top-right block of p at lift(t, h)."""
     if p.d != t.d:
         raise DimensionError("polynomial and tuples must share d")
-    return _eval_words(p, lift(t, h))[: t.n, t.n :]
+    return eval_words(p, lift(t, h))[: t.n, t.n :]
 
 
 # --- text grammar ----------------------------------------------------------
@@ -524,7 +524,7 @@ def poly_from_json(obj, d: int | None = None) -> FreePolynomial:
     if not isinstance(obj, dict):
         raise ParseError(f"expected a polynomial object or string, got {type(obj).__name__}")
     try:
-        pd = _json_int(obj["d"], "polynomial variable count d")
+        pd = json_int(obj["d"], "polynomial variable count d", 0)
         raw_terms = list(obj["terms"])
     except (KeyError, TypeError) as exc:
         raise ParseError(f"polynomial object missing or malformed field: {exc}") from None
@@ -540,8 +540,8 @@ def poly_from_json(obj, d: int | None = None) -> FreePolynomial:
             raise ParseError(f"malformed polynomial term: {exc}") from None
         if len(letters) > MAX_DEGREE:
             raise ParseError(f"word of degree {len(letters)} exceeds the maximum {MAX_DEGREE}")
-        word = tuple(_json_int(i, "polynomial word letter") for i in letters)
-        terms.append((word, _json_complex(coeff, "polynomial coefficient")))
+        word = tuple(json_int(i, "polynomial word letter", 0) for i in letters)
+        terms.append((word, json_complex(coeff, "polynomial coefficient")))
     try:
         poly = FreePolynomial(pd, tuple(terms))
     except DimensionError as exc:
@@ -567,7 +567,7 @@ def tuple_from_json(obj) -> MatrixTuple:
     if isinstance(obj, dict) and "scalars" in obj:
         if not isinstance(obj["scalars"], list) or not obj["scalars"]:
             raise ParseError("scalars list must be a non-empty list")
-        x = MatrixTuple.from_scalars([_json_complex(p, "scalar") for p in obj["scalars"]])
+        x = MatrixTuple.from_scalars([json_complex(p, "scalar") for p in obj["scalars"]])
     elif not isinstance(obj, dict) or "components" not in obj:
         raise ParseError("expected a point object with 'components' or 'scalars'")
     elif not isinstance(obj["components"], list) or not obj["components"]:
@@ -578,8 +578,8 @@ def tuple_from_json(obj) -> MatrixTuple:
             x = MatrixTuple(tuple(mats))
         except DimensionError as exc:
             raise ParseError(str(exc)) from None
-    if "d" in obj and _json_int(obj["d"], "point d", 1) != x.d:
+    if "d" in obj and json_int(obj["d"], "point d", 1) != x.d:
         raise ParseError(f"point lists d={obj['d']} but has {x.d} components")
-    if "n" in obj and _json_int(obj["n"], "point n", 1) != x.n:
+    if "n" in obj and json_int(obj["n"], "point n", 1) != x.n:
         raise ParseError(f"point lists n={obj['n']} but components are {x.n} x {x.n}")
     return x

@@ -206,7 +206,7 @@ def haar_unitaries(n: int, rngs) -> np.ndarray:
 # with entries in row-major order.
 
 
-def _json_int(value, name: str, minimum: int = 0) -> int:
+def json_int(value, name: str, minimum: int) -> int:
     """A JSON integer of at least ``minimum``; ParseError otherwise (bools are not integers)."""
     if type(value) is not int:
         raise ParseError(f"{name} must be an integer, got {value!r:.40}")
@@ -215,7 +215,7 @@ def _json_int(value, name: str, minimum: int = 0) -> int:
     return value
 
 
-def _json_complex(pair, name: str) -> complex:
+def json_complex(pair, name: str) -> complex:
     """A complex number written as an [re, im] pair of finite JSON numbers; ParseError otherwise."""
     if isinstance(pair, list) and len(pair) == 2 and all(type(v) in (int, float) for v in pair):
         with contextlib.suppress(OverflowError):  # an integer beyond the float range
@@ -241,10 +241,10 @@ def matrix_from_json(obj) -> np.ndarray:
         rows, cols, data = obj["rows"], obj["cols"], obj["data"]
     except KeyError as exc:
         raise ParseError(f"matrix object missing field: {exc}") from None
-    rows, cols = _json_int(rows, "matrix rows"), _json_int(cols, "matrix cols")
+    rows, cols = json_int(rows, "matrix rows", 0), json_int(cols, "matrix cols", 0)
     if not isinstance(data, list) or len(data) != rows * cols:
         raise ParseError(f"matrix data must list {rows * cols} [re, im] pairs")
     flat = np.empty(rows * cols, dtype=np.complex128)
     for k, pair in enumerate(data):
-        flat[k] = _json_complex(pair, f"matrix entry {k}")
+        flat[k] = json_complex(pair, f"matrix entry {k}")
     return flat.reshape(rows, cols)

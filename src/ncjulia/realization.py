@@ -24,8 +24,8 @@ product C[:, :, None] * I_n; and u_y* (I_m kron G) has the blocks
 u_y[f]* G, where u_y[f] is rows fJn:(f+1)Jn of u_y.
 
 Batch axis: the kernels that form Delta(x), the model operators and phi
-(the word evaluation ``freepoly._eval_words`` under ``eval_delta``, and
-``_times_delta``, ``_model_operators`` and ``_phi_from`` here) take arrays
+(the word evaluation ``freepoly.eval_words`` under ``eval_delta``, and
+``_times_delta``, ``model_operators`` and ``_phi_from`` here) take arrays
 with leading axes before the trailing matrix axes, and so does
 ``_model_solution``, the one body that solves for u and forms phi.
 :func:`evaluate` calls it on one point with no leading axis;
@@ -60,7 +60,7 @@ from .numerics import (
     as_complex_matrix,
     haar_unitaries,
     haar_unitary,
-    _json_int,
+    json_int,
     matrix_from_json,
     matrix_to_json,
     operator_norm,
@@ -179,7 +179,7 @@ def _times_delta(r, mat: np.ndarray, big_delta: np.ndarray, n: int):
     return blocks.reshape(lead + (m, rows, jn)).swapaxes(-3, -2).reshape(lead + (rows, m * jn))
 
 
-def _model_operators(r, big_delta: np.ndarray, n: int):
+def model_operators(r, big_delta: np.ndarray, n: int):
     """Resolvent I - step, rhs C kron I_n and step (D kron I_n)(I_m kron Delta)."""
     step = _times_delta(r, r.D, big_delta, n)
     # I - step formed in place, so that a stacked step holds no broadcast copy of I beside
@@ -236,7 +236,7 @@ def evaluate_stack(h: NcFunctionHandle, stack: PointStack) -> list:
 
 def _model_solution(r, big_delta: np.ndarray, n: int) -> tuple:
     """Resolvent, u and phi at Delta(x) from one solve; r and Delta(x) may be stacked alike."""
-    resolvent, rhs, _ = _model_operators(r, big_delta, n)
+    resolvent, rhs, _ = model_operators(r, big_delta, n)
     # a right-hand side stacked like the resolvent reads as matrices under numpy 1.x and 2.x
     u = np.linalg.solve(resolvent, np.broadcast_to(rhs, resolvent.shape[:-1] + rhs.shape[-1:]))
     return resolvent, u, _phi_from(r, big_delta, u, n)
@@ -292,7 +292,7 @@ def eval_phi_neumann(h: NcFunctionHandle, x: MatrixTuple, terms: int) -> Neumann
     big_delta = eval_delta(h.delta, x)
     _require_interior(operator_norm(big_delta))
     n = x.n
-    _, rhs, step = _model_operators(h.realization, big_delta, n)
+    _, rhs, step = model_operators(h.realization, big_delta, n)
     q = operator_norm(step)
     if q >= 1.0:
         raise PreconditionError(
@@ -423,8 +423,8 @@ def realization_from_json(obj, isometry_tol: float = ISOMETRY_TOL) -> Realizatio
     if not isinstance(obj, dict):
         raise ParseError(f"expected a realization object, got {type(obj).__name__}")
     try:
-        dim_e = _json_int(obj["dim_E"], "realization dim_E", 1)
-        j = _json_int(obj["J"], "realization J", 1)
+        dim_e = json_int(obj["dim_E"], "realization dim_E", 1)
+        j = json_int(obj["J"], "realization J", 1)
         blocks = {name: matrix_from_json(obj[name]) for name in ("A", "B", "C", "D")}
     except KeyError as exc:
         raise ParseError(f"realization object missing field: {exc}") from None

@@ -599,8 +599,8 @@ class TestAnalyzeBpoint:
         from ncjulia import domain
 
         t = scalars(1.0, 1.0)
-        calls = {"eval_delta": 0, "_eval_words": 0}
-        at_t = {"eval_delta": lambda x: x is t, "_eval_words": lambda c: c is t.components}
+        calls = {"eval_delta": 0, "eval_words": 0}
+        at_t = {"eval_delta": lambda x: x is t, "eval_words": lambda c: c is t.components}
         for name in calls:
             def counted(first, x, *args, _name=name, _original=getattr(domain, name), **kwargs):
                 calls[_name] += at_t[_name](x)
@@ -610,7 +610,7 @@ class TestAnalyzeBpoint:
         rep = analyze_bpoint(h1, t, julia_samples=10, seed=1)
         assert rep.range_test is not None
         # one evaluation of the grid at T: every entry of polydisk:2 once
-        assert calls == {"eval_delta": 1, "_eval_words": 4}
+        assert calls == {"eval_delta": 1, "eval_words": 4}
 
     def test_one_delta_evaluation_per_julia_sample(self, h1, monkeypatch):
         from ncjulia import boundary, domain, realization
@@ -664,7 +664,7 @@ class TestAnalyzeBpoint:
         from ncjulia import boundary, domain, realization
 
         rows = {"eval_delta": 0, "entries": 0, "lift": 0}
-        original, words = domain.eval_delta, domain._eval_words
+        original, words = domain.eval_delta, domain.eval_words
 
         def counted(delta, x):
             rows["eval_delta"] += 1
@@ -678,7 +678,7 @@ class TestAnalyzeBpoint:
 
         for module in (domain, realization):
             monkeypatch.setattr(module, "eval_delta", counted)
-        monkeypatch.setattr(domain, "_eval_words", entry_points)
+        monkeypatch.setattr(domain, "eval_words", entry_points)
         rep = analyze_bpoint(h1, scalars(1.0, 1.0), julia_samples=0, seed=1)
         # Delta(T) once, and each of the 12 approach points once, for membership and evaluation:
         # every entry of polydisk:2 at those 13 points, and at the one lift the witness search reads

@@ -410,26 +410,57 @@ class TestFuzz:
         flushes = []
         original = cli._model_identity_defects
 
-        def recorded(args, delta, block):
-            flushes.append([draft.shape[-1] for _, draft in block])
-            return original(args, delta, block)
+        def recorded(args, delta, samples):
+            flushes.append([draft.shape[-1] for _, draft in samples])
+            return original(args, delta, samples)
 
         monkeypatch.setattr(cli, "_model_identity_defects", recorded)
         # dim_E 2 on polydisk:2: the model system of a sample of size n is 4n x 4n complex,
-        # 256 n^2 bytes; a block is checked before a sample of size 2 could take it over budget
+        # 256 n^2 bytes; a size's samples are checked when they fill the budget, or at the end
         for budget in (3 * 1024, 100):
             flushes.clear()
             monkeypatch.setattr(domain, "BLOCK_BYTES", budget)
             assert main(argv) == code
             assert capsys.readouterr().out == unpatched
             assert sum(map(len, flushes)) == 25
-            for k, block in enumerate(flushes):
-                system_bytes = [256 * n**2 for n in block]
-                # at least one sample; more only while they fit
-                assert len(block) == 1 or sum(system_bytes) <= budget
-                if k + 1 < len(flushes):
-                    assert sum(system_bytes) + 256 * 2**2 > budget
+            for n in (1, 2):
+                rows = max(1, budget // (256 * n**2))  # at least one sample
+                sizes = [len(block) for block in flushes if block[0] == n]
+                assert sizes[:-1] == [rows] * (len(sizes) - 1) and 0 < sizes[-1] <= rows
+            assert all(len(set(block)) == 1 for block in flushes)
         assert flushes == [[n] for block in flushes for n in block]
+
+    def test_every_flush_holds_one_matrix_size(self, monkeypatch, capsys):
+        from ncjulia import cli, domain
+
+        argv = ["fuzz", "--samples", "40", "--seed", "11"]
+        code = main(argv)
+        unpatched = capsys.readouterr().out
+        flushes = []
+        original = cli._model_identity_defects
+
+        def recorded(args, delta, samples):
+            flushes.append([(seed - 11, draft.shape[-1]) for seed, draft in samples])
+            return original(args, delta, samples)
+
+        monkeypatch.setattr(cli, "_model_identity_defects", recorded)
+        # polydisk:2 with dim_E 1 has 2n x 2n model systems: a budget of three of size 2,
+        # which holds twelve of size 1
+        monkeypatch.setattr(domain, "BLOCK_BYTES", 3 * 16 * 4**2)
+        assert main(argv) == code
+        assert capsys.readouterr().out == unpatched
+        assert all(len({n for _, n in block}) == 1 for block in flushes)
+        # the oracle: a size is checked when it fills its rows, the rest at the end
+        sizes = dict(sample for block in flushes for sample in block)
+        assert sorted(sizes) == list(range(40))
+        pending, expected = {1: [], 2: []}, []
+        for k in range(40):
+            pending[sizes[k]].append((k, sizes[k]))
+            if len(pending[sizes[k]]) == {1: 12, 2: 3}[sizes[k]]:
+                expected.append(pending[sizes[k]])
+                pending[sizes[k]] = []
+        expected += [samples for samples in pending.values() if samples]
+        assert flushes == expected
 
     @pytest.mark.parametrize("no_isometry", [False, True])
     @pytest.mark.parametrize("delta", ["polydisk:2", "ball:3", "cartan:2"])
@@ -451,15 +482,15 @@ class TestFuzz:
             residuals, expected = looped_fuzz(delta, dim_e, 40 + dim_e, 25, no_isometry)
             argv = ["fuzz", "--samples", "25", "--seed", str(40 + dim_e), "--delta", delta]
             argv += ["--dim-E", str(dim_e)] + ["--no-isometry"] * no_isometry
-            # one block at the default budget, then blocks of a few samples
-            for budget in (default, 5 * 16 * (dim_e * 3 * 2) ** 2):
+            # one block per size at the default budget, then blocks of five samples of size 2
+            for budget in (default, 5 * 16 * (dim_e * expected["J"] * 2) ** 2):
                 stacked.clear()
                 monkeypatch.setattr(domain, "BLOCK_BYTES", budget)
                 code = main(argv)
                 assert json.loads(capsys.readouterr().out) == expected
                 assert code == (1 if no_isometry else 0)
                 assert sorted(np.concatenate(stacked).tolist()) == sorted(residuals)
-                assert len(stacked) > (2 if budget < default and dim_e > 1 else 0)
+                assert len(stacked) > (2 if budget < default else 0)
 
     def test_realizations_only_for_julia_samples(self, monkeypatch, capsys):
         from ncjulia import cli, domain, realization
@@ -478,9 +509,9 @@ class TestFuzz:
                 solves.append((n, len(r.D)))
             return solution(r, big_delta, n)
 
-        def recorded(args, delta, block):
-            blocks.append([draft.shape[-1] for _, draft in block])
-            return defects(args, delta, block)
+        def recorded(args, delta, samples):
+            blocks.append([draft.shape[-1] for _, draft in samples])
+            return defects(args, delta, samples)
 
         monkeypatch.setattr(realization.Realization, "__post_init__", counted_post_init)
         monkeypatch.setattr(realization, "_model_solution", counted_solution)
@@ -495,11 +526,10 @@ class TestFuzz:
             main(["fuzz", "--samples", "20", "--seed", "7", *argv])
             capsys.readouterr()
             assert len(built) == realizations
-            # one stacked solve for the samples of each matrix size in each block
-            assert solves == [
-                (n, block.count(n)) for block in blocks for n in dict.fromkeys(block)
-            ]
-            assert sum(map(len, blocks)) == 20 and (len(blocks) == 1) == (budget > 4096)
+            # one stacked solve for each block, which holds samples of one matrix size
+            assert all(len(set(block)) == 1 for block in blocks)
+            assert solves == [(block[0], len(block)) for block in blocks]
+            assert sum(map(len, blocks)) == 20 and (len(blocks) == 2) == (budget > 4096)
 
     def test_one_sequence_per_julia_sub_sweep(self, monkeypatch, capsys):
         from ncjulia import boundary
@@ -547,6 +577,37 @@ class TestFuzz:
             },
             "julia_inequality": {"checked": checked, "violations": 0, "skipped": 0},
         }
+
+    def test_colligation_above_the_family_cap_draws_nothing(self, monkeypatch, capsys):
+        from ncjulia import domain, realization
+
+        def refuse(*args):
+            raise AssertionError("drew a sample or built a colligation for an oversized one")
+
+        for module, name in (
+            (realization, "random_colligations"),
+            (realization, "random_realization"),
+            (domain, "gaussian_drafts"),
+        ):
+            monkeypatch.setattr(module, name, refuse)
+        # cartan:11 has J = 11, so dim_E 6 makes mJ = 66 > 64, though each is below the cap
+        argv = ["fuzz", "--samples", "2", "--seed", "1", "--delta", "cartan:11", "--dim-E", "6"]
+        assert main(argv) == 2
+        assert "--dim-E times the grid size J must be at most 64" in capsys.readouterr().err
+        monkeypatch.undo()
+        # each cap alone still runs: mJ = 64
+        for delta, dim_e in (("cartan:64", "1"), ("polydisk:1", "64")):
+            argv = ["fuzz", "--samples", "2", "--seed", "1", "--delta", delta, "--dim-E", dim_e]
+            assert main(argv) == 0
+            assert json.loads(capsys.readouterr().out)["model_identity"]["violations"] == 0
+
+    def test_grid_that_cannot_be_sampled_exits_three(self, files, capsys):
+        # halving a draft moves 1 + 0.5 x toward 1, above 1 - margin: a draft outside stays out
+        path = write_json(files["tmp"] / "delta.json", {"d": 1, "entries": [["1 + 0.5*x0"]]})
+        assert main(["fuzz", "--samples", "3", "--delta", path]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: could not scale a random point into the domain\n"
 
     def test_delta_without_variables_is_a_parse_error(self, files, capsys):
         for d in (-1, 0):
@@ -781,7 +842,7 @@ class TestMeta:
         def refuse(*args):
             raise AssertionError("drew a sample for an oversized delta file")
 
-        monkeypatch.setattr(domain, "gaussian_draft", refuse)
+        monkeypatch.setattr(domain, "gaussian_drafts", refuse)
         cap = domain.MAX_DELTA_VARIABLES
         # too many variables, and a 1 x 65 grid of zeros: above the grid cap
         wide = [["0"] * (domain.MAX_FAMILY_SIZE + 1)]

@@ -21,7 +21,7 @@ from ncjulia import (
     eval_delta,
     eval_poly,
     find_transverse_direction,
-    gaussian_draft,
+    gaussian_drafts,
     generate_sequence,
     in_Delta,
     in_G_delta,
@@ -89,8 +89,8 @@ class TestEvalDelta:
 
     def test_padding_blocks_evaluate_no_polynomial(self, monkeypatch):
         calls = []
-        words = domain._eval_words
-        monkeypatch.setattr(domain, "_eval_words", lambda p, c: calls.append(p) or words(p, c))
+        words = domain.eval_words
+        monkeypatch.setattr(domain, "eval_words", lambda p, c: calls.append(p) or words(p, c))
         big = eval_delta(ball_delta(3), MatrixTuple.from_scalars([0.1, 0.2, 0.3]))
         assert big.shape == (3, 3) and len(calls) == 3
 
@@ -497,17 +497,16 @@ def nonhomogeneous_delta():
 
 
 def scaled_per_draft(delta, drafts, margin):
-    """(components, Delta, norm) of each draft, in draft order, from ``scale_into_domain``.
+    """(components, Delta, norm) of each (d, 1, n, n) draft, in draft order.
 
-    Checks that each block holds the drafts of one size, in order of first appearance.
+    The drafts of each matrix size are scaled as one ``scale_into_domain`` stack.
     """
-    blocks = scale_into_domain(delta, drafts, margin)
     sizes = [draft.shape[-1] for draft in drafts]
-    assert [sizes[index[0]] for index, _ in blocks] == list(dict.fromkeys(sizes))
     out = [None] * len(drafts)
-    for index, stack in blocks:
-        size = sizes[index[0]]
-        assert index == [k for k, n in enumerate(sizes) if n == size]
+    for size in set(sizes):
+        index = [k for k, n in enumerate(sizes) if n == size]
+        stack = scale_into_domain(delta, np.concatenate([drafts[k] for k in index], axis=1), margin)
+        assert stack.components.shape == (delta.d, len(index), size, size)
         for j, k in enumerate(index):
             out[k] = (stack.components[:, j], stack.delta[j], stack.norms[j])
     return out
@@ -532,7 +531,7 @@ class TestInteriorSampling:
     def test_stacked_scaling_matches_sequential(self, name, sizes, margin, seed):
         delta = SAMPLING_DELTAS[name]
         rng = np.random.default_rng(seed)
-        drafts = [gaussian_draft(delta.d, n, rng) for n in sizes]
+        drafts = [gaussian_drafts(delta.d, n, rng, 1) for n in sizes]
         got = scaled_per_draft(delta, drafts, margin)
         oracle_rng = np.random.default_rng(seed)
         expected = [sequential_interior_sample(delta, n, oracle_rng, margin) for n in sizes]
@@ -562,7 +561,7 @@ class TestInteriorSampling:
                 # nothing is drawn before a block is read
                 assert rng.bit_generator.state == oracle_rng.bit_generator.state
                 expected = [sequential_interior_sample(delta, n, oracle_rng, 0.3) for _ in range(8)]
-                got, rows_cap = [], domain._block_rows(delta, n)
+                got, rows_cap = [], domain.block_rows(16 * (delta.J * n) ** 2)
                 for stack in blocks:
                     points, big_delta, norms = stack_points(stack), stack.delta, stack.norms
                     assert len(points) == len(big_delta) == len(norms) <= rows_cap
@@ -596,36 +595,34 @@ class TestInteriorSampling:
         monkeypatch.setattr(domain, "operator_norms", finite_only)
         monkeypatch.setattr(domain, "MAX_HALVINGS", 1)
 
-        def draft(value, n=1):
-            return (value * np.eye(n, dtype=np.complex128))[None]
+        def drafts(*values):  # a (1, k, 1, 1) stack of 1 x 1 drafts
+            return np.array(values, dtype=np.complex128)[None, :, None, None]
 
-        ok, too_big, overflow = draft(1e-310), draft(1e-300), draft(1.0)
+        ok, too_big, overflow = 1e-310, 1e-300, 1.0
         margin = domain.SAMPLE_MARGIN
-        assert scale_into_domain(delta, [ok, ok], margin)[0][1].norms[1] == pytest.approx(0.01)
+        assert scale_into_domain(delta, drafts(ok, ok), margin).norms[1] == pytest.approx(0.01)
         cases = (
-            ([ok, overflow, too_big], "non-finite"),
-            ([ok, too_big, overflow], "could not scale"),
-            # sizes are scaled in separate groups; draft order still decides
-            ([ok, draft(1e-300, 2), overflow], "could not scale"),
-            ([ok, draft(1.0, 2), too_big], "non-finite"),
+            ((ok, overflow, too_big), "non-finite"),
+            ((ok, too_big, overflow), "could not scale"),
         )
-        for drafts, message in cases:
+        for values, message in cases:
             with np.errstate(over="ignore"), pytest.raises(PreconditionError, match=message):
-                scale_into_domain(delta, drafts, margin)
+                scale_into_domain(delta, drafts(*values), margin)
 
     def test_blocks_hold_at_most_the_byte_budget(self, monkeypatch):
         delta = cartan_delta(2)
         # 8 MiB of stacked Delta: 32 drafts at n = 64 (a 128 x 128 Delta), 8192 at n = 4
-        assert domain._block_rows(delta, 64) == 32
-        assert domain._block_rows(delta, 4) == 8192
+        assert domain.block_rows(16 * (delta.J * 64) ** 2) == 32
+        assert domain.block_rows(16 * (delta.J * 4) ** 2) == 8192
+        assert domain.block_rows(domain.BLOCK_BYTES + 1) == 1  # a row above the budget is a block
         sizes = []
-        scale = domain._scale_block
+        scale = domain.scale_into_domain
 
         def recorded(delta, drafts, *args):
             sizes.append(drafts.shape[1])
             return scale(delta, drafts, *args)
 
-        monkeypatch.setattr(domain, "_scale_block", recorded)
+        monkeypatch.setattr(domain, "scale_into_domain", recorded)
         monkeypatch.setattr(domain, "BLOCK_BYTES", 7 * 16 * 4**2)  # 7 drafts at n = 2
         rng = np.random.default_rng(3)
         blocks = random_interior_points(delta, 2, rng, 20, domain.SAMPLE_MARGIN)
@@ -633,18 +630,36 @@ class TestInteriorSampling:
         assert sizes == [7, 7, 6]
 
     def test_gaussian_draft_matches_two_draws_per_component(self):
-        # the oracle: a real and an imaginary n x n draw for each component in turn
+        # the oracle: point by point, a real and an imaginary n x n draw for each component
         for d, n in ((2, 1), (3, 2), (6, 4)):
-            rng, oracle_rng = np.random.default_rng(d * n), np.random.default_rng(d * n)
-            draft = gaussian_draft(d, n, rng)
-            oracle = [
-                (oracle_rng.standard_normal((n, n)) + 1j * oracle_rng.standard_normal((n, n)))
-                / np.sqrt(2.0)
-                for _ in range(d)
-            ]
-            assert draft.shape == (d, n, n)
-            assert all(np.array_equal(a, b) for a, b in zip(draft, oracle))
-            assert rng.bit_generator.state == oracle_rng.bit_generator.state
+            for count in (1, 3, 100):
+                rng, oracle_rng = np.random.default_rng(d * n), np.random.default_rng(d * n)
+                drafts = gaussian_drafts(d, n, rng, count)
+                oracle = [
+                    [
+                        (oracle_rng.standard_normal((n, n))
+                         + 1j * oracle_rng.standard_normal((n, n))) / np.sqrt(2.0)
+                        for _ in range(d)
+                    ]
+                    for _ in range(count)
+                ]
+                assert drafts.shape == (d, count, n, n) and drafts.flags.c_contiguous
+                oracle = np.ascontiguousarray(np.array(oracle).swapaxes(0, 1))
+                assert np.array_equal(drafts.view(np.uint64), oracle.view(np.uint64))
+                assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+    def test_block_drafts_take_one_generator_call(self):
+        class CountingGenerator:
+            def __init__(self, rng):
+                self.rng, self.calls = rng, 0
+
+            def standard_normal(self, *args):
+                self.calls += 1
+                return self.rng.standard_normal(*args)
+
+        rng = CountingGenerator(np.random.default_rng(4))
+        (stack,) = random_interior_points(polydisk_delta(2), 2, rng, 100, domain.SAMPLE_MARGIN)
+        assert len(stack.norms) == 100 and rng.calls == 1
 
 
 class TestDeltaJson:

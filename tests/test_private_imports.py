@@ -1,9 +1,7 @@
-"""Ratchet on private names that one package module reads from another.
+"""Ban on private names that one package module reads from another.
 
-Each module of ``src/ncjulia`` should call the others through public names
-only.  The reads that remain are pinned below; a new one fails this test,
-and a removed one must be dropped from the list, so the list can only
-shrink.
+Each module of ``src/ncjulia`` calls the others through public names only;
+a read of another module's private name fails this test.
 """
 
 import ast
@@ -11,16 +9,8 @@ from pathlib import Path
 
 import ncjulia
 
-# (reading module, module read from, private name)
-ALLOWED = {
-    ("boundary", "realization", "_model_operators"),
-    ("derivative", "domain", "_cone_matrix"),
-    ("domain", "freepoly", "_eval_words"),
-    ("domain", "numerics", "_json_int"),
-    ("freepoly", "numerics", "_json_complex"),
-    ("freepoly", "numerics", "_json_int"),
-    ("realization", "numerics", "_json_int"),
-}
+# (reading module, module read from, private name): none is allowed
+ALLOWED = set()
 
 
 def private_reads() -> set:
@@ -48,4 +38,3 @@ def private_reads() -> set:
 def test_private_reads_only_shrink():
     found = private_reads()
     assert sorted(found - ALLOWED) == [], "a module reads a private name of another module"
-    assert sorted(ALLOWED - found) == [], "a pinned read is gone: drop it from ALLOWED"

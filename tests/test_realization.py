@@ -44,7 +44,7 @@ from ncjulia.numerics import operator_norms
 from ncjulia.realization import (
     ISOMETRY_TOL,
     NearSingularResolventWarning,
-    _model_operators,
+    model_operators,
     _phi_from,
 )
 
@@ -100,7 +100,7 @@ class TestTensorLayout:
             delta_op = np.kron(np.eye(m), big)
             step_kron = np.kron(r.D, eye_n) @ delta_op
 
-            resolvent, rhs, step = _model_operators(r, big, n)
+            resolvent, rhs, step = model_operators(r, big, n)
             np.testing.assert_allclose(step, step_kron, **tol)
             np.testing.assert_allclose(resolvent, np.eye(m * j * n) - step_kron, **tol)
             np.testing.assert_array_equal(rhs, np.kron(r.C, eye_n))
