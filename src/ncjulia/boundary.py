@@ -42,9 +42,10 @@ from .numerics import (
     min_norm_solve,
     nearest_unitary,
     operator_norm,
+    operator_norms,
 )
 from .realization import ISOMETRY_TOL, NcFunctionHandle, PointEvaluation, model_operators
-from .realization import evaluate_stack, identity_defect
+from .realization import StackEvaluation, evaluate_stack, identity_defect
 # unused here; perfbench's test_tracer_restores_every_binding reads boundary.eval_phi
 from .realization import eval_phi  # noqa: F401
 
@@ -63,7 +64,7 @@ SEED = 2024  # seed of analyze_bpoint's witness search and Julia sweep
 
 @dataclass(frozen=True)
 class JuliaQuotient:
-    """The boundedness quotient at one interior point, with its two parts."""
+    """The boundedness quotient at one interior point, with its two parts; arrays for a stack."""
 
     value: float
     numerator: float
@@ -73,10 +74,17 @@ class JuliaQuotient:
         return self.value
 
 
-def julia_quotient(ev: PointEvaluation) -> JuliaQuotient:
-    """Quotient || I - phi(Z)* phi(Z) || / (1 - ||Delta(Z)||^2) at the evaluated interior Z."""
-    numerator = operator_norm(np.eye(ev.x.n) - ev.phi.conj().T @ ev.phi)
-    denominator = 1.0 - ev.delta_norm**2
+def julia_quotient(ev: PointEvaluation | StackEvaluation) -> JuliaQuotient:
+    """Quotient || I - phi(Z)* phi(Z) || / (1 - ||Delta(Z)||^2) at the evaluated interior Z.
+
+    Floats for one evaluated point; for a stack, arrays over its rows.
+    """
+    defect = np.eye(ev.phi.shape[-1]) - ev.phi.conj().swapaxes(-1, -2) @ ev.phi
+    if defect.ndim == 2:
+        numerator, denominator = operator_norm(defect), 1.0 - ev.delta_norm**2
+    else:  # Python's power of each norm, as at one point: numpy's square may round otherwise
+        numerator = operator_norms(defect)
+        denominator = 1.0 - np.array([norm**2 for norm in ev.delta_norm.tolist()])
     return JuliaQuotient(
         value=numerator / denominator, numerator=numerator, denominator=denominator
     )
@@ -91,18 +99,18 @@ class SequenceEvaluation:
     points: SequencePoints
 
     @cached_property
-    def evals(self) -> list:
-        """The evaluation of each interior point, from one stacked solve."""
+    def evaluation(self) -> StackEvaluation:
+        """The interior points, evaluated by one stacked solve."""
         return evaluate_stack(self.h, self.points.stack)
 
     @cached_property
-    def quotients(self) -> tuple:
-        """The Julia quotient of each evaluation, computed on first read."""
-        return tuple(julia_quotient(ev) for ev in self.evals)
+    def quotients(self) -> JuliaQuotient:
+        """The Julia quotients of the points, as arrays over them, computed on first read."""
+        return julia_quotient(self.evaluation)
 
 
 def evaluate_sequence(h: NcFunctionHandle, seq: ApproachSequence) -> SequenceEvaluation:
-    """The sequence's interior points, one Delta per point; ``evals`` solves them on first read."""
+    """The sequence's interior points, one Delta each; ``evaluation`` solves them on first read."""
     return SequenceEvaluation(h, seq, generate_sequence(seq, h.delta))
 
 
@@ -126,9 +134,9 @@ class AlphaEstimate:
 
 def estimate_alpha(path: SequenceEvaluation) -> AlphaEstimate:
     """Estimate the quotient limit along the sequence by Richardson extrapolation."""
-    if len(path.evals) < 2:
+    if len(path.points.steps) < 2:
         raise PreconditionError("need at least two interior sequence points")
-    quotients = [q.value for q in path.quotients]
+    quotients = path.quotients.value.tolist()
     is_liminf = path.seq.kind == "radial" and path.h.delta.is_homogeneous_degree_one()
 
     # bounded quotients may approach their limit from below, so growth alone
@@ -172,9 +180,9 @@ def extract_W(path: SequenceEvaluation) -> BoundaryValue:
     A raw limit farther than ``UNITARY_DISTANCE_TOL`` from unitary is treated
     as evidence that the base point is not a B-point.
     """
-    if len(path.evals) < 2:
+    if len(path.points.steps) < 2:
         raise PreconditionError("need at least two interior sequence points")
-    raw = extrapolate_limit(list(zip(path.points.steps, [ev.phi for ev in path.evals]))).value
+    raw = extrapolate_limit(list(zip(path.points.steps, path.evaluation.phi))).value
     try:
         w = nearest_unitary(raw)
     except SingularMatrixError as exc:
@@ -337,7 +345,8 @@ def julia_sweep(h, samples, bp, w, alpha, rel_tol, u_t=None) -> JuliaSweep:
     checked = violations = skipped = 0
     max_ratio = identity_max = None
     for stack in samples:
-        for ev in evaluate_stack(h, stack):
+        evaluation = evaluate_stack(h, stack)
+        for ev in map(evaluation.point, range(len(stack.norms))):
             check = julia_inequality_check(ev, bp, w, alpha, rel_tol)
             if check.skipped:
                 skipped += 1
@@ -405,14 +414,14 @@ def tfae_report(path: SequenceEvaluation, bp: BoundaryPoint) -> TfaeReport:
     """
     if path.seq.base.n != bp.t.n:
         raise DimensionError("the sequence and T must have the same matrix size")
-    sup_gram = sup_scalar = sup_model = 0.0
-    aperture = 0.0
-    for ev, quotient in zip(path.evals, path.quotients):
-        gram_defect = operator_norm(np.eye(bp.delta.shape[0]) - ev.delta.conj().T @ ev.delta)
-        aperture = max(aperture, operator_norm(ev.delta - bp.delta) / quotient.denominator)
-        sup_gram = max(sup_gram, quotient.numerator / gram_defect)
-        sup_scalar = max(sup_scalar, quotient.value)
-        sup_model = max(sup_model, operator_norm(ev.u) ** 2)
+    ev, quotient = path.evaluation, path.quotients
+    gram = np.eye(bp.delta.shape[0]) - ev.delta.conj().swapaxes(-1, -2) @ ev.delta
+    sup = lambda values: max(0.0, float(values.max()))  # noqa: E731
+    aperture = sup(operator_norms(ev.delta - bp.delta) / quotient.denominator)
+    sup_gram = sup(quotient.numerator / operator_norms(gram))
+    sup_scalar = sup(quotient.value)
+    # Python's power of the largest norm: the largest of each norm's Python power
+    sup_model = sup(operator_norms(ev.u)) ** 2
     if not np.isfinite(aperture) or aperture > APERTURE_CAP:
         raise PreconditionError(
             f"sequence is tangential: aperture {aperture:.3e} exceeds cap {APERTURE_CAP:.0e}"
@@ -431,7 +440,7 @@ def tfae_report(path: SequenceEvaluation, bp: BoundaryPoint) -> TfaeReport:
         sup_scalar_quotient=sup_scalar,
         sup_model_norm_sq=sup_model,
         aperture=aperture,
-        n_points=len(path.evals),
+        n_points=len(path.points.steps),
         comparability=comparability,
     )
 

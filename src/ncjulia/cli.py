@@ -361,7 +361,7 @@ def cmd_fuzz(args) -> int:
         )
     rng = np.random.default_rng(args.seed)
     # (seed, Gaussian draft) of the samples of each matrix size whose model identity is
-    # unchecked; a size's samples are checked once their model systems fill a block
+    # unchecked; a size's samples are checked once their drafts and model systems fill a block
     pending, defects = {1: [], 2: []}, []
     sweeps = []
     # Haar-unitary tuples lie on the distinguished boundary of the polydisk only;
@@ -373,7 +373,7 @@ def cmd_fuzz(args) -> int:
         n = int(rng.integers(1, 3))
         # the draws of random_interior_point; its scaling takes none, so it can wait
         pending[n].append((args.seed + k, domain.gaussian_drafts(delta.d, n, rng, 1)))
-        if len(pending[n]) == domain.block_rows(16 * (mj * n) ** 2):
+        if len(pending[n]) == domain.block_rows(16 * (mj * n) ** 2 + 16 * delta.d * n * n):
             defects.append(_model_identity_defects(args, delta, pending[n]))
             pending[n] = []
         if run_julia and k % 10 == 0:

@@ -102,7 +102,7 @@ def eta_numeric(
         )
     path = _admissible_ladder(h, t, direction, first_step, steps)
     ladder = path.points.steps
-    quotients = [(ev.phi - w) / s for s, ev in zip(ladder, path.evals)]
+    quotients = [(phi - w) / s for s, phi in zip(ladder, path.evaluation.phi)]
     res = extrapolate_limit(list(zip(ladder, quotients)))
     eta = res.value
     scale = max(1.0, operator_norm(eta))
@@ -172,7 +172,8 @@ def scalar_angular_derivative(
         w = extract_W(path).W
     wv = np.asarray(w, dtype=np.complex128) @ v
     ladder = path.points.steps
-    quotients = [(complex(wv.conj() @ (ev.phi @ v)) - 1.0) / s for s, ev in zip(ladder, path.evals)]
+    phis = path.evaluation.phi
+    quotients = [(complex(wv.conj() @ (phi @ v)) - 1.0) / s for s, phi in zip(ladder, phis)]
     res = extrapolate_limit(list(zip(ladder, [np.array(q) for q in quotients])))
     inc = res.increments
     if len(inc) >= 2 and inc[-1] > max(inc[-2] * 1.5, 1e-6):

@@ -160,10 +160,11 @@ class BoundaryPoint:
         """Matrix of the complex-linear map h -> d(T)* grad d(T)[h] on vectorized tuples.
 
         Column k is read from the grid at the lift [[T, e_k], [0, T]]; the
-        lifts are evaluated in stacks of at most ``BLOCK_BYTES`` of padded grid.
+        lifts are evaluated in stacks of at most ``BLOCK_BYTES`` of lifts and
+        padded grid.
         """
         d, n, grid = self.t.d, self.t.n, self.grid
-        dim, rows = d * n * n, block_rows(16 * (2 * grid.J * n) ** 2)
+        dim, rows = d * n * n, block_rows(16 * (2 * grid.J * n) ** 2 + 16 * d * (2 * n) ** 2)
         basis = np.eye(dim).reshape(dim, d, n, n).swapaxes(0, 1)
         columns = []
         for k in range(0, dim, rows):
@@ -502,9 +503,9 @@ def generate_sequence(seq: ApproachSequence, delta: DeltaMatrix) -> SequencePoin
     )
 
 
-# bytes of stacked arrays that one block may take: the Delta of a block of samples
-# in random_interior_points, their model systems in ncjulia fuzz, and the padded
-# grid at a stack of the Gram map's lifts
+# bytes of stacked arrays that one block may take: the drafts of a block of samples and
+# their Delta in random_interior_points, their drafts and model systems in ncjulia fuzz,
+# and a stack of the Gram map's lifts with the padded grid at them
 BLOCK_BYTES = 8 << 20
 
 
@@ -522,14 +523,14 @@ def random_interior_points(
     of a block in one call.  :func:`scale_into_domain` then scales the drafts
     into the domain and draws nothing.  The margin must lie in (0, 1), which
     is checked on the call, before anything is drawn.  The result yields a
-    stack of :func:`block_rows` points at a time, whose Delta takes at most
-    ``BLOCK_BYTES`` (8 MiB), and draws each block when it is reached: every
-    point is bit-identical to a call of :func:`random_interior_point` on the
-    same generator.
+    stack of :func:`block_rows` points at a time, whose drafts and Delta take
+    at most ``BLOCK_BYTES`` (8 MiB), and draws each block when it is reached:
+    every point is bit-identical to a call of :func:`random_interior_point` on
+    the same generator.
     """
     if not 0.0 < margin < 1.0:
         raise PreconditionError(f"sampling margin must lie in (0, 1), got {margin!r}")
-    rows = block_rows(16 * (delta.J * n) ** 2)
+    rows = block_rows(16 * (delta.J * n) ** 2 + 16 * delta.d * n * n)
     return (
         scale_into_domain(delta, gaussian_drafts(delta.d, n, rng, min(rows, count - start)), margin)
         for start in range(0, count, rows)

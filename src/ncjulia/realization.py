@@ -31,7 +31,8 @@ with leading axes before the trailing matrix axes, and so does
 :func:`evaluate` calls it on one point with no leading axis;
 :func:`evaluate_stack` calls it once on a ``domain.PointStack``, B points
 of one matrix size with their Delta(x) stacked along a leading axis of
-length B: approach sequences, derivative ladders and each block of
+length B, and returns a :class:`StackEvaluation`, whose arrays keep that
+axis: approach sequences, derivative ladders and each block of
 Julia-sweep samples are evaluated so.  The colligation may be stacked
 too: these kernels and :func:`identity_defect` read the blocks
 A, B, C, D of a :class:`Realization` or of :class:`Colligations`, B
@@ -217,6 +218,34 @@ class PointEvaluation:
     phi: np.ndarray
 
 
+@dataclass(frozen=True, eq=False)
+class StackEvaluation:
+    """:class:`PointEvaluation` of each point of a stack, as arrays with a leading row axis.
+
+    ``delta`` and ``delta_norm`` are the stack's; :meth:`point` builds row k
+    as a :class:`PointEvaluation` where a caller reads one point.
+    """
+
+    stack: PointStack
+    resolvent: np.ndarray
+    u: np.ndarray
+    phi: np.ndarray
+
+    @property
+    def delta(self) -> np.ndarray:
+        return self.stack.delta
+
+    @property
+    def delta_norm(self) -> np.ndarray:
+        return self.stack.norms
+
+    def point(self, k: int) -> PointEvaluation:
+        return PointEvaluation(
+            self.stack.point(k), self.delta[k], float(self.delta_norm[k]),
+            self.resolvent[k], self.u[k], self.phi[k],
+        )
+
+
 def evaluate(h: NcFunctionHandle, x: MatrixTuple) -> PointEvaluation:
     """Evaluate Delta, ||Delta||, u and phi at interior x with one model solve."""
     big_delta = eval_delta(h.delta, x)
@@ -224,14 +253,12 @@ def evaluate(h: NcFunctionHandle, x: MatrixTuple) -> PointEvaluation:
     return PointEvaluation(x, big_delta, norm, *_model_solution(h.realization, big_delta, x.n))
 
 
-def evaluate_stack(h: NcFunctionHandle, stack: PointStack) -> list:
+def evaluate_stack(h: NcFunctionHandle, stack: PointStack) -> StackEvaluation:
     """:func:`evaluate` at each interior point of the stack, from one stacked solve."""
     _require_interior(float(stack.norms.max(initial=0.0)))
-    resolvent, u, phi = _model_solution(h.realization, stack.delta, stack.components.shape[-1])
-    return [
-        PointEvaluation(stack.point(k), delta, float(norm), resolvent[k], u[k], phi[k])
-        for k, (delta, norm) in enumerate(zip(stack.delta, stack.norms))
-    ]
+    return StackEvaluation(
+        stack, *_model_solution(h.realization, stack.delta, stack.components.shape[-1])
+    )
 
 
 def _model_solution(r, big_delta: np.ndarray, n: int) -> tuple:

@@ -96,7 +96,9 @@ class TestEvaluateSequence:
             for seq in (ray_sequence(t, None, num_steps=12), ray):
                 path = evaluate_sequence(handle, seq)
                 assert path.points.dropped == 0 and path.points.steps == list(seq.steps)
-                for s, ev in zip(seq.steps, path.evals, strict=True):
+                assert len(path.evaluation.phi) == len(seq.steps)
+                for k, s in enumerate(seq.steps):
+                    ev = path.evaluation.point(k)
                     # each point is the tuple arithmetic of its step, bit for bit
                     z = (1.0 - s) * t if seq.direction is None else t + s * seq.direction
                     assert all(map(np.array_equal, bits(ev.x), bits(z)))
@@ -121,6 +123,34 @@ class TestEvaluateSequence:
             assert len(pts.steps) == 12 and built == []
         # a point is built only where it is read
         assert len(stack_points(pts.stack)) == 12 and len(built) == 12
+
+
+    def test_sequence_diagnostics_build_no_tuple_or_point_evaluation(self, h1, monkeypatch):
+        from ncjulia import PointEvaluation, eta_numeric
+
+        t, direction = scalars(1.0, 1.0), scalars(-1.0, -1.0)
+        bp = boundary_point(h1.delta, t)
+        built = {"MatrixTuple": 0, "PointEvaluation": 0}
+        post_init, init = MatrixTuple.__post_init__, PointEvaluation.__init__
+
+        def counted_post_init(self):
+            built["MatrixTuple"] += 1
+            post_init(self)
+
+        def counted_init(self, *args, **kwargs):
+            built["PointEvaluation"] += 1
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(MatrixTuple, "__post_init__", counted_post_init)
+        monkeypatch.setattr(PointEvaluation, "__init__", counted_init)
+        for seq in (ray_sequence(t, None, 12), ray_sequence(t, direction, 12)):
+            path = evaluate_sequence(h1, seq)
+            estimate_alpha(path), extract_W(path), tfae_report(path, bp)
+        res = eta_numeric(h1, t, np.eye(1), direction)
+        assert res.steps_used == 10 and built == {"MatrixTuple": 0, "PointEvaluation": 0}
+        # a point of the stack is built where it is read
+        path.evaluation.point(3)
+        assert built == {"MatrixTuple": 1, "PointEvaluation": 1}
 
 
 class TestJuliaQuotient:
@@ -352,7 +382,8 @@ class TestJuliaInequality:
         w, alpha = extract_W(path).W, estimate_alpha(path).alpha
         u_t = solve_uT(handle, bp).u_T if source == "cartan:2" else None
         # blocks of 7 samples, so that the 30 samples span five blocks
-        monkeypatch.setattr(domain, "BLOCK_BYTES", 7 * 16 * (handle.delta.J * n) ** 2)
+        row_bytes = 16 * (handle.delta.J * n) ** 2 + 16 * handle.delta.d * n * n
+        monkeypatch.setattr(domain, "BLOCK_BYTES", 7 * row_bytes)
         samples = random_interior_points(handle.delta, n, np.random.default_rng(3), 30, 0.05)
         sweep = julia_sweep(handle, samples, bp, w, alpha, 1e-8, u_t)
         # the oracle: evaluate and the per-point checks at sequentially drawn points
@@ -568,16 +599,17 @@ class TestAnalyzeBpoint:
     def test_each_point_evaluated_once(self, h1, monkeypatch):
         from ncjulia import boundary
 
-        # points passed through evaluate_stack (one per row), by the sequence and the sweep
+        # rows of the StackEvaluations that evaluate_stack returns, to the sequence and the sweep
         calls = {"evaluate": 0, "generate_sequence": 0}
         counters = (
-            ("evaluate_stack", "evaluate", lambda args: len(args[1].norms)),
-            ("generate_sequence", "generate_sequence", lambda args: 1),
+            ("evaluate_stack", "evaluate", lambda result: len(result.phi)),
+            ("generate_sequence", "generate_sequence", lambda result: 1),
         )
         for name, key, points in counters:
             def counted(*args, _key=key, _points=points, _original=getattr(boundary, name), **kwargs):
-                calls[_key] += _points(args)
-                return _original(*args, **kwargs)
+                result = _original(*args, **kwargs)
+                calls[_key] += _points(result)
+                return result
 
             monkeypatch.setattr(boundary, name, counted)
         analyze_bpoint(h1, scalars(1.0, 1.0), julia_samples=200, seed=1)
@@ -587,13 +619,19 @@ class TestAnalyzeBpoint:
     def test_each_julia_quotient_computed_once(self, h1, monkeypatch):
         from ncjulia import boundary
 
-        calls = []
+        rows = []  # the points of each call: one evaluated point, or each row of a stack
         original = boundary.julia_quotient
-        monkeypatch.setattr(boundary, "julia_quotient", lambda ev: calls.append(ev) or original(ev))
+
+        def counted(ev):
+            rows.append(1 if ev.phi.ndim == 2 else len(ev.phi))
+            return original(ev)
+
+        monkeypatch.setattr(boundary, "julia_quotient", counted)
         rep = analyze_bpoint(h1, scalars(1.0, 1.0), julia_samples=0, seed=1)
-        # estimate_alpha and tfae_report both read the quotients of the 12 approach points
+        # estimate_alpha and tfae_report both read the quotients of the 12 approach points,
+        # computed by one call on the sequence's stack
         assert len(rep.alpha.quotients) == 12 and rep.tfae.n_points == 12
-        assert len(calls) == 12
+        assert rows == [12]
 
     def test_delta_at_T_evaluated_once(self, h1, monkeypatch):
         from ncjulia import domain

@@ -416,7 +416,8 @@ class TestFuzz:
 
         monkeypatch.setattr(cli, "_model_identity_defects", recorded)
         # dim_E 2 on polydisk:2: the model system of a sample of size n is 4n x 4n complex,
-        # 256 n^2 bytes; a size's samples are checked when they fill the budget, or at the end
+        # 256 n^2 bytes, and its draft 2 n x n complex, 32 n^2 bytes; a size's samples are
+        # checked when they fill the budget, or at the end
         for budget in (3 * 1024, 100):
             flushes.clear()
             monkeypatch.setattr(domain, "BLOCK_BYTES", budget)
@@ -424,11 +425,44 @@ class TestFuzz:
             assert capsys.readouterr().out == unpatched
             assert sum(map(len, flushes)) == 25
             for n in (1, 2):
-                rows = max(1, budget // (256 * n**2))  # at least one sample
+                rows = max(1, budget // (288 * n**2))  # at least one sample
                 sizes = [len(block) for block in flushes if block[0] == n]
                 assert sizes[:-1] == [rows] * (len(sizes) - 1) and 0 < sizes[-1] <= rows
             assert all(len(set(block)) == 1 for block in flushes)
         assert flushes == [[n] for block in flushes for n in block]
+
+    def test_block_drafts_and_model_systems_fit_the_budget(self, files, monkeypatch, capsys):
+        from ncjulia import cli, domain, realization
+
+        # a one-entry grid over many variables: a sample's draft outweighs its model system
+        path = write_json(files["tmp"] / "delta.json", {"d": 300, "entries": [["0.5*x0"]]})
+        argv = ["fuzz", "--samples", "20", "--seed", "3", "--delta", path]
+        code = main(argv)
+        unpatched = capsys.readouterr().out
+        drafts, systems = [], []
+        defects, operators = cli._model_identity_defects, realization.model_operators
+
+        def recorded(args, delta, samples):
+            drafts.append((len(samples), sum(draft.nbytes for _, draft in samples)))
+            return defects(args, delta, samples)
+
+        def recorded_operators(r, big_delta, n):
+            resolvent, rhs, step = operators(r, big_delta, n)
+            systems.append(resolvent.nbytes)
+            return resolvent, rhs, step
+
+        monkeypatch.setattr(cli, "_model_identity_defects", recorded)
+        monkeypatch.setattr(realization, "model_operators", recorded_operators)
+        budget = 64 << 10
+        monkeypatch.setattr(domain, "BLOCK_BYTES", budget)
+        assert main(argv) == code
+        assert capsys.readouterr().out == unpatched
+        # 16 (1 + 300) n^2 bytes a sample: blocks of three of size 2, of thirteen of size 1
+        assert sum(rows for rows, _ in drafts) == 20 and len(systems) == len(drafts)
+        assert max(rows for rows, _ in drafts) > 1
+        assert all(
+            nbytes + system <= budget for (_, nbytes), system in zip(drafts, systems, strict=True)
+        )
 
     def test_every_flush_holds_one_matrix_size(self, monkeypatch, capsys):
         from ncjulia import cli, domain
@@ -444,9 +478,9 @@ class TestFuzz:
             return original(args, delta, samples)
 
         monkeypatch.setattr(cli, "_model_identity_defects", recorded)
-        # polydisk:2 with dim_E 1 has 2n x 2n model systems: a budget of three of size 2,
-        # which holds twelve of size 1
-        monkeypatch.setattr(domain, "BLOCK_BYTES", 3 * 16 * 4**2)
+        # polydisk:2 with dim_E 1 has 2n x 2n model systems and drafts of two n x n
+        # matrices: a budget of three samples of size 2, which holds twelve of size 1
+        monkeypatch.setattr(domain, "BLOCK_BYTES", 3 * (16 * 4**2 + 16 * 2 * 2**2))
         assert main(argv) == code
         assert capsys.readouterr().out == unpatched
         assert all(len({n for _, n in block}) == 1 for block in flushes)

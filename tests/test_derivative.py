@@ -95,17 +95,19 @@ class TestEtaNumeric:
     def test_each_ladder_point_evaluated_once(self, h1, monkeypatch):
         from ncjulia import boundary, derivative, domain, realization
 
-        # points passed through evaluate (one each) and evaluate_stack (one per row)
+        # points evaluated by evaluate (one each) and rows of the StackEvaluations of
+        # evaluate_stack
         calls = {"evaluate": 0, "in_G_delta": 0}
         counters = (
-            ("evaluate", realization, "evaluate", lambda args: 1),
-            ("evaluate_stack", boundary, "evaluate", lambda args: len(args[1].norms)),
-            ("in_G_delta", domain, "in_G_delta", lambda args: 1),
+            ("evaluate", realization, "evaluate", lambda result: 1),
+            ("evaluate_stack", boundary, "evaluate", lambda result: len(result.phi)),
+            ("in_G_delta", domain, "in_G_delta", lambda result: 1),
         )
         for name, home, key, points in counters:
             def counted(*args, _key=key, _points=points, _original=getattr(home, name), **kwargs):
-                calls[_key] += _points(args)
-                return _original(*args, **kwargs)
+                result = _original(*args, **kwargs)
+                calls[_key] += _points(result)
+                return result
 
             for module in (home, derivative):
                 monkeypatch.setattr(module, name, counted, raising=False)
@@ -134,10 +136,12 @@ class TestAdmissibleLadder:
         t0 = path.points.steps[0]
         assert path.points.steps == [s for s in (t0 * 2.0**-k for k in range(steps)) if s >= STEP_FLOOR]
         assert path.points.dropped == 0 and path.seq.kind == "ray" and path.seq.direction is direction
-        for s, ev in zip(path.points.steps, path.evals, strict=True):
+        ev = path.evaluation
+        assert {len(getattr(ev, name)) for name in self.FIELDS} == {len(path.points.steps)}
+        for k, s in enumerate(path.points.steps):
             one = evaluate(h, t + s * direction)
             for name in self.FIELDS:
-                assert np.array_equal(getattr(ev, name), getattr(one, name)), name
+                assert np.array_equal(getattr(ev, name)[k], getattr(one, name)), name
         return path
 
     def test_ladder_is_the_ray_sequence(self, h1, rng):
@@ -165,8 +169,9 @@ class TestAdmissibleLadder:
         evaluate_stack = boundary.evaluate_stack
 
         def counted(h, stack):
-            rows.append(len(stack.norms))
-            return evaluate_stack(h, stack)
+            evaluation = evaluate_stack(h, stack)
+            rows.append(len(evaluation.phi))
+            return evaluation
 
         monkeypatch.setattr(boundary, "evaluate_stack", counted)
         eta_numeric(h1, scalars(1.0, 1.0), np.eye(1), scalars(-1.0, -1.0), first_step=40.0)

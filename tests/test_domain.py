@@ -290,8 +290,9 @@ class TestAssumptionA:
         for k, e in enumerate(np.eye(18)):
             column = domain._gram_derivative(bp, MatrixTuple(tuple(e.reshape(2, 3, 3))))
             assert np.array_equal(lmat[:, k], column.reshape(-1))
-        # a byte budget of 5 lifts' padded grid (12 x 12): stacks of 5, 5, 5 and 3 lifts
-        monkeypatch.setattr(domain, "BLOCK_BYTES", 5 * 16 * 12**2)
+        # a byte budget of 5 lifts (2 x 6 x 6) and their padded grid (12 x 12): stacks of
+        # 5, 5, 5 and 3 lifts
+        monkeypatch.setattr(domain, "BLOCK_BYTES", 5 * (16 * 12**2 + 16 * 2 * 6**2))
         bp = boundary_point(polydisk_delta(2), t)
         calls.clear()
         assert np.array_equal(bp.gram_map, lmat)
@@ -555,13 +556,15 @@ class TestInteriorSampling:
         for n, rows, sizes in ((1, None, [8]), (2, 3, [3, 3, 2])):
             for delta in SAMPLING_DELTAS.values():
                 if rows:
-                    monkeypatch.setattr(domain, "BLOCK_BYTES", rows * 16 * (delta.J * n) ** 2)
+                    row_bytes = 16 * (delta.J * n) ** 2 + 16 * delta.d * n * n
+                    monkeypatch.setattr(domain, "BLOCK_BYTES", rows * row_bytes)
                 rng, oracle_rng = np.random.default_rng(6), np.random.default_rng(6)
                 blocks = random_interior_points(delta, n, rng, 8, 0.3)
                 # nothing is drawn before a block is read
                 assert rng.bit_generator.state == oracle_rng.bit_generator.state
                 expected = [sequential_interior_sample(delta, n, oracle_rng, 0.3) for _ in range(8)]
-                got, rows_cap = [], domain.block_rows(16 * (delta.J * n) ** 2)
+                got = []
+                rows_cap = domain.block_rows(16 * (delta.J * n) ** 2 + 16 * delta.d * n * n)
                 for stack in blocks:
                     points, big_delta, norms = stack_points(stack), stack.delta, stack.norms
                     assert len(points) == len(big_delta) == len(norms) <= rows_cap
@@ -623,11 +626,48 @@ class TestInteriorSampling:
             return scale(delta, drafts, *args)
 
         monkeypatch.setattr(domain, "scale_into_domain", recorded)
-        monkeypatch.setattr(domain, "BLOCK_BYTES", 7 * 16 * 4**2)  # 7 drafts at n = 2
+        # 7 drafts at n = 2: three 2 x 2 components and a 4 x 4 Delta each
+        monkeypatch.setattr(domain, "BLOCK_BYTES", 7 * (16 * 4**2 + 16 * 3 * 2**2))
         rng = np.random.default_rng(3)
         blocks = random_interior_points(delta, 2, rng, 20, domain.SAMPLE_MARGIN)
         assert [len(stack.norms) for stack in blocks] == [7, 7, 6]
         assert sizes == [7, 7, 6]
+
+    def test_block_drafts_and_delta_fit_the_budget(self, monkeypatch):
+        # a one-entry grid over many variables: a point's draft outweighs its 1 x 1 Delta
+        budget = 64 << 10
+        monkeypatch.setattr(domain, "BLOCK_BYTES", budget)
+        sampled, scale = [], domain.scale_into_domain
+
+        def recorded(delta, drafts, *args):
+            stack = scale(delta, drafts, *args)
+            sampled.append((len(stack.norms), drafts.nbytes + stack.delta.nbytes))
+            return stack
+
+        monkeypatch.setattr(domain, "scale_into_domain", recorded)
+        delta = DeltaMatrix(300, [[parse_poly("0.5*x0", 300)]])
+        # 16 (1 + 300) n^2 bytes a point: three of size 2 fit, thirteen of size 1
+        for n, sizes in ((2, [3, 3, 3, 1]), (1, [10])):
+            sampled.clear()
+            list(random_interior_points(delta, n, np.random.default_rng(n), 10, 0.3))
+            assert [rows for rows, _ in sampled] == sizes
+            assert all(nbytes <= budget for _, nbytes in sampled)
+        # the Gram map at T = (2 I_2, 0, ...): 20 n^2 = 80 lifts of 20 (4 x 4) components,
+        # with a 4 x 4 padded grid each, twelve lifts a stack
+        delta = DeltaMatrix(20, [[parse_poly("0.5*x0", 20)]])
+        t = MatrixTuple((2.0 * np.eye(2),) + (np.zeros((2, 2)),) * 19)
+        lifted, stack = [], domain._eval_delta_stack
+
+        def recorded_lifts(grid, lifts):
+            at_lifts = stack(grid, lifts)
+            if np.ndim(lifts) == 4:  # a stack of lifts, not T itself
+                lifted.append((lifts.shape[1], lifts.nbytes + at_lifts.nbytes))
+            return at_lifts
+
+        monkeypatch.setattr(domain, "_eval_delta_stack", recorded_lifts)
+        boundary_point(delta, t).gram_map
+        assert [rows for rows, _ in lifted] == [12] * 6 + [8]
+        assert all(nbytes <= budget for _, nbytes in lifted)
 
     def test_gaussian_draft_matches_two_draws_per_component(self):
         # the oracle: point by point, a real and an imaginary n x n draw for each component

@@ -193,13 +193,15 @@ class TestEvaluateStack:
                 for b in (1, 3, 10):
                     xs = [random_interior_point(h.delta, n, rng, margin=0.01) for _ in range(b)]
                     many = evaluate_stacked(h, xs)
-                    assert len(many) == b
-                    for x, ev in zip(xs, many):
-                        one = evaluate(h, x)
+                    assert many.delta is many.stack.delta and many.delta_norm is many.stack.norms
+                    assert {len(getattr(many, name)) for name in self.FIELDS} == {b}
+                    for k, x in enumerate(xs):
+                        one, ev = evaluate(h, x), many.point(k)
                         assert all(map(np.array_equal, ev.x.components, x.components))
                         assert type(ev.delta_norm) is float
                         for name in self.FIELDS:
                             assert np.array_equal(getattr(ev, name), getattr(one, name)), name
+                            assert np.array_equal(getattr(many, name)[k], getattr(one, name))
 
     def test_stack_with_a_boundary_point_rejected(self, h1):
         xs = [MatrixTuple.from_scalars([0.5, 0.3]), MatrixTuple.from_scalars([1.0, 0.2])]
