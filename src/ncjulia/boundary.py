@@ -42,10 +42,9 @@ from .numerics import (
     min_norm_solve,
     nearest_unitary,
     operator_norm,
-    operator_norms,
 )
-from .realization import ISOMETRY_TOL, NcFunctionHandle, PointEvaluation, model_operators
-from .realization import StackEvaluation, evaluate_stack, identity_defect
+from .realization import ISOMETRY_TOL, Evaluation, NcFunctionHandle, model_operators
+from .realization import evaluate_stack, identity_defect
 # unused here; perfbench's test_tracer_restores_every_binding reads boundary.eval_phi
 from .realization import eval_phi  # noqa: F401
 
@@ -70,21 +69,17 @@ class JuliaQuotient:
     numerator: float
     denominator: float
 
-    def __float__(self):
-        return self.value
 
-
-def julia_quotient(ev: PointEvaluation | StackEvaluation) -> JuliaQuotient:
+def julia_quotient(ev: Evaluation) -> JuliaQuotient:
     """Quotient || I - phi(Z)* phi(Z) || / (1 - ||Delta(Z)||^2) at the evaluated interior Z.
 
     Floats for one evaluated point; for a stack, arrays over its rows.
     """
     defect = np.eye(ev.phi.shape[-1]) - ev.phi.conj().swapaxes(-1, -2) @ ev.phi
-    if defect.ndim == 2:
-        numerator, denominator = operator_norm(defect), 1.0 - ev.delta_norm**2
-    else:  # Python's power of each norm, as at one point: numpy's square may round otherwise
-        numerator = operator_norms(defect)
-        denominator = 1.0 - np.array([norm**2 for norm in ev.delta_norm.tolist()])
+    numerator, norm = operator_norm(defect), ev.delta_norm
+    # Python's power of each norm, as at one point: numpy's square may round otherwise
+    squares = norm**2 if isinstance(norm, float) else np.array([v**2 for v in norm.tolist()])
+    denominator = 1.0 - squares
     return JuliaQuotient(
         value=numerator / denominator, numerator=numerator, denominator=denominator
     )
@@ -99,7 +94,7 @@ class SequenceEvaluation:
     points: SequencePoints
 
     @cached_property
-    def evaluation(self) -> StackEvaluation:
+    def evaluation(self) -> Evaluation:
         """The interior points, evaluated by one stacked solve."""
         return evaluate_stack(self.h, self.points.stack)
 
@@ -150,7 +145,7 @@ def estimate_alpha(path: SequenceEvaluation) -> AlphaEstimate:
         diverging = significant and d_prev > 0 and d_last >= 0.9 * d_prev
     alpha, increments, converged = float("inf"), (), False
     if not diverging:
-        res = extrapolate_limit(list(zip(path.points.steps, quotients)))
+        res = extrapolate_limit(path.points.steps, path.quotients.value)
         alpha = float(np.real(res.value.reshape(())))
         increments = res.increments
         last_increment = increments[-1] if increments else 0.0
@@ -182,7 +177,7 @@ def extract_W(path: SequenceEvaluation) -> BoundaryValue:
     """
     if len(path.points.steps) < 2:
         raise PreconditionError("need at least two interior sequence points")
-    raw = extrapolate_limit(list(zip(path.points.steps, path.evaluation.phi))).value
+    raw = extrapolate_limit(path.points.steps, path.evaluation.phi).value
     try:
         w = nearest_unitary(raw)
     except SingularMatrixError as exc:
@@ -301,14 +296,14 @@ class JuliaCheck:
 
 
 def julia_inequality_check(
-    ev: PointEvaluation,
+    ev: Evaluation,
     bp: BoundaryPoint,
     w: np.ndarray,
     alpha: float,
     rel_tol: float = JULIA_RTOL,
 ) -> JuliaCheck:
     """Check ||phi(Z)-W||^2 / ||I-phi*phi|| <= alpha ||I-Delta(T)*Delta(Z)||^2 / (1-||Delta(Z)||^2)."""
-    if ev.x.n != bp.t.n:
+    if ev.phi.shape[-1] != bp.t.n:
         raise DimensionError("Z must have the same matrix size as T")
     w = np.asarray(w, dtype=np.complex128)
     if w.shape != (bp.t.n, bp.t.n):
@@ -340,13 +335,13 @@ def julia_sweep(h, samples, bp, w, alpha, rel_tol, u_t=None) -> JuliaSweep:
 
     ``samples`` yields ``domain.PointStack`` blocks, as
     ``domain.random_interior_points`` makes them; each block is evaluated by
-    one stacked solve, and each of its points checked on its own.
+    one stacked solve, and each of its rows checked on its own.
     """
     checked = violations = skipped = 0
     max_ratio = identity_max = None
     for stack in samples:
         evaluation = evaluate_stack(h, stack)
-        for ev in map(evaluation.point, range(len(stack.norms))):
+        for ev in map(evaluation.row, range(len(stack.norms))):
             check = julia_inequality_check(ev, bp, w, alpha, rel_tol)
             if check.skipped:
                 skipped += 1
@@ -368,10 +363,10 @@ def boundary_identity_residual(
     bp: BoundaryPoint,
     w: np.ndarray,
     u_t: np.ndarray,
-    ev: PointEvaluation,
+    ev: Evaluation,
 ) -> float:
     """Residual of I - W* phi(Z) = u_T* (I_m kron (I - Delta(T)* Delta(Z))) u(Z)."""
-    if ev.x.n != bp.t.n:
+    if ev.phi.shape[-1] != bp.t.n:
         raise DimensionError("Z must have the same matrix size as T")
     w = np.asarray(w, dtype=np.complex128)
     if w.shape != (bp.t.n, bp.t.n):
@@ -417,11 +412,11 @@ def tfae_report(path: SequenceEvaluation, bp: BoundaryPoint) -> TfaeReport:
     ev, quotient = path.evaluation, path.quotients
     gram = np.eye(bp.delta.shape[0]) - ev.delta.conj().swapaxes(-1, -2) @ ev.delta
     sup = lambda values: max(0.0, float(values.max()))  # noqa: E731
-    aperture = sup(operator_norms(ev.delta - bp.delta) / quotient.denominator)
-    sup_gram = sup(quotient.numerator / operator_norms(gram))
+    aperture = sup(operator_norm(ev.delta - bp.delta) / quotient.denominator)
+    sup_gram = sup(quotient.numerator / operator_norm(gram))
     sup_scalar = sup(quotient.value)
     # Python's power of the largest norm: the largest of each norm's Python power
-    sup_model = sup(operator_norms(ev.u)) ** 2
+    sup_model = sup(operator_norm(ev.u)) ** 2
     if not np.isfinite(aperture) or aperture > APERTURE_CAP:
         raise PreconditionError(
             f"sequence is tangential: aperture {aperture:.3e} exceeds cap {APERTURE_CAP:.0e}"

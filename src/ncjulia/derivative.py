@@ -102,8 +102,7 @@ def eta_numeric(
         )
     path = _admissible_ladder(h, t, direction, first_step, steps)
     ladder = path.points.steps
-    quotients = [(phi - w) / s for s, phi in zip(ladder, path.evaluation.phi)]
-    res = extrapolate_limit(list(zip(ladder, quotients)))
+    res = extrapolate_limit(ladder, (path.evaluation.phi - w) / np.array(ladder)[:, None, None])
     eta = res.value
     scale = max(1.0, operator_norm(eta))
     inc = res.increments
@@ -174,7 +173,7 @@ def scalar_angular_derivative(
     ladder = path.points.steps
     phis = path.evaluation.phi
     quotients = [(complex(wv.conj() @ (phi @ v)) - 1.0) / s for s, phi in zip(ladder, phis)]
-    res = extrapolate_limit(list(zip(ladder, [np.array(q) for q in quotients])))
+    res = extrapolate_limit(ladder, quotients)
     inc = res.increments
     if len(inc) >= 2 and inc[-1] > max(inc[-2] * 1.5, 1e-6):
         raise ConvergenceError(

@@ -20,6 +20,7 @@ import numpy as np
 
 from .errors import DimensionError, ParseError, PreconditionError
 from .freepoly import (
+    MAX_TERMS,
     FreePolynomial,
     MatrixTuple,
     eval_words,
@@ -34,7 +35,6 @@ from .numerics import (
     json_int,
     numerical_rank,
     operator_norm,
-    operator_norms,
 )
 
 DISTINGUISHED_TOL = 1e-8
@@ -488,7 +488,7 @@ def generate_sequence(seq: ApproachSequence, delta: DeltaMatrix) -> SequencePoin
     if not np.isfinite(comps).all():
         raise PreconditionError("a sequence point contains non-finite entries")
     big_delta = _eval_delta_stack(delta, comps)
-    norms = operator_norms(big_delta)
+    norms = operator_norm(big_delta)
     inside = norms < 1.0
     dropped = len(seq.steps) - int(inside.sum())
     if dropped:
@@ -565,8 +565,7 @@ def scale_into_domain(delta: DeltaMatrix, drafts: np.ndarray, margin: float) -> 
     alone.  When drafts fail, the error of the first failing row is raised.
     """
     d, k, n = drafts.shape[:3]
-    component_norms = operator_norms(drafts.reshape(d * k, n, n)).reshape(d, k, 1, 1)
-    comps = drafts / np.maximum(1.0, component_norms)
+    comps = drafts / np.maximum(1.0, operator_norm(drafts)[..., None, None])
     scaled = np.empty_like(comps)
     big_out = np.empty((k, delta.J * n, delta.J * n), dtype=np.complex128)
     norms_out = np.empty(k)
@@ -578,7 +577,7 @@ def scale_into_domain(delta: DeltaMatrix, drafts: np.ndarray, margin: float) -> 
         big_delta = _eval_delta_stack(delta, comps)
         finite = np.isfinite(big_delta).all(axis=(-2, -1))
         norms = np.zeros(rows.size)
-        norms[finite] = operator_norms(big_delta if finite.all() else big_delta[finite])
+        norms[finite] = operator_norm(big_delta if finite.all() else big_delta[finite])
         accept = finite & (norms <= 1.0 - margin)
         scaled[:, rows[accept]] = comps[:, accept]
         big_out[rows[accept]] = big_delta[accept]
@@ -605,7 +604,11 @@ def delta_to_json(delta: DeltaMatrix) -> dict:
 
 
 def delta_from_json(obj) -> DeltaMatrix:
-    """Decode a delta matrix; entries may be polynomial objects or grammar text."""
+    """Decode a delta matrix; entries may be polynomial objects or grammar text.
+
+    The decoded entries may hold at most ``MAX_TERMS`` terms in all; decoding
+    stops at the entry that passes it.
+    """
     if not isinstance(obj, dict):
         raise ParseError(f"expected a delta object, got {type(obj).__name__}")
     try:
@@ -619,8 +622,18 @@ def delta_from_json(obj) -> DeltaMatrix:
         raise ParseError("delta entries must be a grid of rows")
     if max([len(grid), *map(len, grid)]) > MAX_FAMILY_SIZE:
         raise ParseError(f"delta grid must have at most {MAX_FAMILY_SIZE} rows and columns")
+    terms = 0
+
+    def decoded(entry) -> FreePolynomial:
+        nonlocal terms
+        poly = poly_from_json(entry, d)
+        terms += len(poly.terms)
+        if terms > MAX_TERMS:
+            raise ParseError(f"delta grid holds more than {MAX_TERMS} terms in all")
+        return poly
+
     try:
-        out = DeltaMatrix(d, [[poly_from_json(p, d) for p in row] for row in grid])
+        out = DeltaMatrix(d, [[decoded(p) for p in row] for row in grid])
     except DimensionError as exc:
         raise ParseError(str(exc)) from None
     if "J" in obj and json_int(obj["J"], "delta J", 1) != out.J:

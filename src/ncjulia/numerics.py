@@ -38,25 +38,21 @@ def as_complex_matrix(m, name: str = "matrix") -> np.ndarray:
     return a
 
 
-def operator_norm(m) -> float:
-    """Largest singular value; 0 for an empty or zero matrix."""
-    a = as_complex_matrix(m)
-    if a.size == 0:
-        return 0.0
-    return float(np.linalg.svd(a, compute_uv=False)[0])
+def operator_norm(m):
+    """Largest singular value; 0 for an empty or zero matrix.
 
-
-def operator_norms(stack: np.ndarray) -> np.ndarray:
-    """Largest singular value of each matrix of a (B, r, c) stack, from one batched SVD.
-
-    As in :func:`operator_norm`, an empty matrix has norm 0 and non-finite
-    entries are rejected.
+    A matrix gives a float.  A stack (..., r, c) of matrices gives an array over
+    its leading axes, from one batched SVD in the stack's own dtype.
     """
-    if not np.isfinite(stack).all():
+    a = np.asarray(m)
+    if a.ndim <= 2:
+        a = as_complex_matrix(a)
+    elif not np.isfinite(a).all():
         raise PreconditionError("matrix contains non-finite entries")
-    if 0 in stack.shape[-2:]:
-        return np.zeros(stack.shape[0])
-    return np.linalg.svd(stack, compute_uv=False)[:, 0]
+    if 0 in a.shape[-2:]:
+        return 0.0 if a.ndim == 2 else np.zeros(a.shape[:-2])
+    norms = np.linalg.svd(a, compute_uv=False)[..., 0]
+    return float(norms) if a.ndim == 2 else norms
 
 
 def hermitian_part_min_eig(m) -> float:
@@ -155,21 +151,20 @@ class ExtrapolationResult:
     increments: tuple[float, ...]
 
 
-def extrapolate_limit(samples) -> ExtrapolationResult:
-    """Extrapolate lim_{t->0} f(t) from samples at t, t/2, t/4, ...
+def extrapolate_limit(steps, values) -> ExtrapolationResult:
+    """Extrapolate lim_{t->0} f(t) from the values f(t) at steps t, t/2, t/4, ...
 
-    Assumes a first-order error model f(t) = L + c t + O(t^2): the last pair
-    gives 2 f(t/2) - f(t) = L + O(t^2).  Samples must have strictly decreasing
-    t with geometric ratio 2.
+    ``values`` holds one row per step: scalars, vectors or matrices.  Assumes
+    a first-order error model f(t) = L + c t + O(t^2): the last pair gives
+    2 f(t/2) - f(t) = L + O(t^2).  Steps must strictly decrease with
+    geometric ratio 2.
     """
-    pairs = list(samples)
-    if len(pairs) < 2:
+    ts = [float(t) for t in steps]
+    values = np.asarray(values, dtype=np.complex128)
+    if len(ts) < 2:
         raise PreconditionError("need at least 2 samples to extrapolate")
-    ts = [float(t) for t, _ in pairs]
-    values = [np.asarray(v, dtype=np.complex128) for _, v in pairs]
-    shapes = {v.shape for v in values}
-    if len(shapes) != 1:
-        raise DimensionError(f"sample values have mixed shapes {shapes}")
+    if not 1 <= values.ndim <= 3 or len(values) != len(ts):
+        raise DimensionError(f"{len(ts)} steps but values of shape {values.shape}")
     for a, b in zip(ts, ts[1:]):
         if not (a > b > 0.0):
             raise PreconditionError("sample t values must be positive and strictly decreasing")
@@ -177,9 +172,11 @@ def extrapolate_limit(samples) -> ExtrapolationResult:
             raise PreconditionError(
                 f"samples must be geometrically spaced with ratio 2, got {a / b:.6g}"
             )
-    differences = np.stack([np.atleast_2d(v2 - v1) for v1, v2 in zip(values, values[1:])])
-    increments = tuple(float(s) for s in operator_norms(differences))
-    value = 2.0 * values[-1] - values[-2]
+    differences = values[1:] - values[:-1]
+    if values.ndim < 3:  # a scalar or vector row is measured as a 1 x 1 or 1 x k matrix
+        differences = differences.reshape(len(ts) - 1, 1, values[0].size)
+    increments = tuple(operator_norm(differences).tolist())
+    value = 2.0 * values[-1, ...] - values[-2, ...]  # a scalar row stays a 0-d array
     return ExtrapolationResult(value=value, increments=increments)
 
 

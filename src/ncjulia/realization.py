@@ -31,9 +31,9 @@ with leading axes before the trailing matrix axes, and so does
 :func:`evaluate` calls it on one point with no leading axis;
 :func:`evaluate_stack` calls it once on a ``domain.PointStack``, B points
 of one matrix size with their Delta(x) stacked along a leading axis of
-length B, and returns a :class:`StackEvaluation`, whose arrays keep that
-axis: approach sequences, derivative ladders and each block of
-Julia-sweep samples are evaluated so.  The colligation may be stacked
+length B, and returns an :class:`Evaluation` whose arrays keep that axis:
+approach sequences, derivative ladders and each block of Julia-sweep
+samples are evaluated so.  The colligation may be stacked
 too: these kernels and :func:`identity_defect` read the blocks
 A, B, C, D of a :class:`Realization` or of :class:`Colligations`, B
 colligations stacked along the leading axis of their Delta(x), one per
@@ -54,7 +54,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .domain import DeltaMatrix, PointStack, eval_delta
-from .errors import DimensionError, ParseError, PreconditionError
+from .errors import DimensionError, ParseError, PreconditionError, SingularMatrixError
 from .freepoly import MatrixTuple
 from .numerics import (
     COND_WARN_THRESHOLD,
@@ -65,7 +65,6 @@ from .numerics import (
     matrix_from_json,
     matrix_to_json,
     operator_norm,
-    operator_norms,
 )
 
 ISOMETRY_TOL = 1e-8
@@ -125,7 +124,7 @@ def _isometry_defects(colligations: np.ndarray, isometry_tol: float) -> np.ndarr
     """||M* M - I|| of each stacked colligation M; PreconditionError for the first above the tolerance."""
     gram = colligations.conj().swapaxes(-1, -2) @ colligations
     gram -= np.eye(colligations.shape[-1])  # in place: a stack gets no temporary elision
-    defects = operator_norms(gram)
+    defects = operator_norm(gram)
     for defect in defects:
         if defect > isometry_tol:
             raise PreconditionError(
@@ -207,65 +206,53 @@ def _phi_from(r, big_delta: np.ndarray, u: np.ndarray, n: int) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class PointEvaluation:
-    """Padded Delta(x), its norm, the model system matrix, u(x) and phi(x) at interior x."""
+class Evaluation:
+    """Padded Delta(x), its norm, the model system matrix, u(x) and phi(x) at interior x.
 
-    x: MatrixTuple
-    delta: np.ndarray
-    delta_norm: float
-    resolvent: np.ndarray
-    u: np.ndarray
-    phi: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
-class StackEvaluation:
-    """:class:`PointEvaluation` of each point of a stack, as arrays with a leading row axis.
-
-    ``delta`` and ``delta_norm`` are the stack's; :meth:`point` builds row k
-    as a :class:`PointEvaluation` where a caller reads one point.
+    At a stack of points every field has a leading row axis, ``delta_norm``
+    too; :meth:`row` is one row as a one-point evaluation.
     """
 
-    stack: PointStack
+    delta: np.ndarray
+    delta_norm: float | np.ndarray
     resolvent: np.ndarray
     u: np.ndarray
     phi: np.ndarray
 
-    @property
-    def delta(self) -> np.ndarray:
-        return self.stack.delta
-
-    @property
-    def delta_norm(self) -> np.ndarray:
-        return self.stack.norms
-
-    def point(self, k: int) -> PointEvaluation:
-        return PointEvaluation(
-            self.stack.point(k), self.delta[k], float(self.delta_norm[k]),
-            self.resolvent[k], self.u[k], self.phi[k],
+    def row(self, k: int) -> Evaluation:
+        """Row k of a stack, made of views; its norm is a Python float, as at one point."""
+        return Evaluation(
+            self.delta[k], float(self.delta_norm[k]), self.resolvent[k], self.u[k], self.phi[k]
         )
 
 
-def evaluate(h: NcFunctionHandle, x: MatrixTuple) -> PointEvaluation:
+def evaluate(h: NcFunctionHandle, x: MatrixTuple) -> Evaluation:
     """Evaluate Delta, ||Delta||, u and phi at interior x with one model solve."""
     big_delta = eval_delta(h.delta, x)
     norm = _require_interior(operator_norm(big_delta))
-    return PointEvaluation(x, big_delta, norm, *_model_solution(h.realization, big_delta, x.n))
+    return Evaluation(big_delta, norm, *_model_solution(h.realization, big_delta, x.n))
 
 
-def evaluate_stack(h: NcFunctionHandle, stack: PointStack) -> StackEvaluation:
+def evaluate_stack(h: NcFunctionHandle, stack: PointStack) -> Evaluation:
     """:func:`evaluate` at each interior point of the stack, from one stacked solve."""
     _require_interior(float(stack.norms.max(initial=0.0)))
-    return StackEvaluation(
-        stack, *_model_solution(h.realization, stack.delta, stack.components.shape[-1])
-    )
+    n = stack.components.shape[-1]
+    return Evaluation(stack.delta, stack.norms, *_model_solution(h.realization, stack.delta, n))
 
 
 def _model_solution(r, big_delta: np.ndarray, n: int) -> tuple:
-    """Resolvent, u and phi at Delta(x) from one solve; r and Delta(x) may be stacked alike."""
+    """Resolvent, u and phi at Delta(x) from one solve; r and Delta(x) may be stacked alike.
+
+    A singular model system, possible only for a colligation that is not
+    contractive, raises SingularMatrixError.
+    """
     resolvent, rhs, _ = model_operators(r, big_delta, n)
     # a right-hand side stacked like the resolvent reads as matrices under numpy 1.x and 2.x
-    u = np.linalg.solve(resolvent, np.broadcast_to(rhs, resolvent.shape[:-1] + rhs.shape[-1:]))
+    rhs = np.broadcast_to(rhs, resolvent.shape[:-1] + rhs.shape[-1:])
+    try:
+        u = np.linalg.solve(resolvent, rhs)
+    except np.linalg.LinAlgError:
+        raise SingularMatrixError("model system is singular at the evaluation point") from None
     return resolvent, u, _phi_from(r, big_delta, u, n)
 
 
@@ -280,7 +267,7 @@ def eval_u(h: NcFunctionHandle, x: MatrixTuple, return_cond: bool = False):
     return (ev.u, cond) if return_cond else ev.u
 
 
-def resolvent_condition(ev: PointEvaluation) -> float:
+def resolvent_condition(ev: Evaluation) -> float:
     """Condition number of the model system matrix; warns above ``COND_WARN_THRESHOLD``."""
     sv = np.linalg.svd(ev.resolvent, compute_uv=False)
     cond = float("inf") if sv[-1] == 0.0 else float(sv[0] / sv[-1])
@@ -381,7 +368,7 @@ def identity_defect(r, y: tuple, x: tuple):
     left = left.swapaxes(-3, -2).reshape(*lead, n, m * jn)
     lhs = np.eye(n, dtype=np.complex128) - phi_y.conj().swapaxes(-1, -2) @ phi_x
     residual = lhs - left @ u_x
-    return operator_norm(residual) if residual.ndim == 2 else operator_norms(residual)
+    return operator_norm(residual)
 
 
 def random_realization(dim_E: int, J: int, seed: int) -> Realization:
@@ -423,7 +410,7 @@ def _perturbations(mj: int, eps: float, seeds) -> np.ndarray:
     """The mj x mj complex Gaussian from each seed's generator, scaled to norm at most eps."""
     g = np.stack([np.random.default_rng(seed).standard_normal((2, mj, mj)) for seed in seeds])
     g = (g[:, 0] + 1j * g[:, 1]) / np.sqrt(2.0)
-    g *= (eps / np.maximum(1.0, operator_norms(g)))[:, None, None]
+    g *= (eps / np.maximum(1.0, operator_norm(g)))[:, None, None]
     return g
 
 

@@ -65,6 +65,34 @@ def near_identity(rng, n, scale=0.2):
     return np.eye(n, dtype=np.complex128) + scale * random_matrix(rng, n)
 
 
+def extrapolate_pairs(samples):
+    """Oracle: ``extrapolate_limit`` in its former pair form, over (t, f(t)) samples.
+
+    Each value is coerced on its own and each difference is measured as at
+    least a 2-d matrix, by one batched SVD of them all.
+    """
+    from ncjulia import DimensionError, ExtrapolationResult, PreconditionError
+
+    pairs = list(samples)
+    if len(pairs) < 2:
+        raise PreconditionError("need at least 2 samples to extrapolate")
+    ts = [float(t) for t, _ in pairs]
+    values = [np.asarray(v, dtype=np.complex128) for _, v in pairs]
+    if len({v.shape for v in values}) != 1:
+        raise DimensionError("sample values have mixed shapes")
+    for a, b in zip(ts, ts[1:]):
+        if not (a > b > 0.0) or abs(a / b - 2.0) > 1e-6:
+            raise PreconditionError("steps must decrease with ratio 2")
+    differences = np.stack([np.atleast_2d(b - a) for a, b in zip(values, values[1:])])
+    if not np.isfinite(differences).all():
+        raise PreconditionError("matrix contains non-finite entries")
+    if differences.size:
+        increments = tuple(float(s) for s in np.linalg.svd(differences, compute_uv=False)[:, 0])
+    else:  # empty matrices have norm 0
+        increments = (0.0,) * len(differences)
+    return ExtrapolationResult(value=2.0 * values[-1] - values[-2], increments=increments)
+
+
 def stack_points(stack):
     """The points of a ``PointStack``, each as a tuple."""
     return [stack.point(k) for k in range(len(stack.norms))]

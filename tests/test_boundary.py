@@ -98,11 +98,11 @@ class TestEvaluateSequence:
                 assert path.points.dropped == 0 and path.points.steps == list(seq.steps)
                 assert len(path.evaluation.phi) == len(seq.steps)
                 for k, s in enumerate(seq.steps):
-                    ev = path.evaluation.point(k)
+                    x, ev = path.points.stack.point(k), path.evaluation.row(k)
                     # each point is the tuple arithmetic of its step, bit for bit
                     z = (1.0 - s) * t if seq.direction is None else t + s * seq.direction
-                    assert all(map(np.array_equal, bits(ev.x), bits(z)))
-                    one = evaluate(handle, ev.x)
+                    assert all(map(np.array_equal, bits(x), bits(z)))
+                    one = evaluate(handle, x)
                     for name in ("delta", "resolvent", "u", "phi"):
                         assert np.array_equal(getattr(ev, name), getattr(one, name)), name
                     assert ev.delta_norm == one.delta_norm
@@ -126,31 +126,34 @@ class TestEvaluateSequence:
 
 
     def test_sequence_diagnostics_build_no_tuple_or_point_evaluation(self, h1, monkeypatch):
-        from ncjulia import PointEvaluation, eta_numeric
+        from ncjulia import Evaluation, eta_numeric
 
         t, direction = scalars(1.0, 1.0), scalars(-1.0, -1.0)
         bp = boundary_point(h1.delta, t)
-        built = {"MatrixTuple": 0, "PointEvaluation": 0}
-        post_init, init = MatrixTuple.__post_init__, PointEvaluation.__init__
+        # "Evaluation": one-point evaluations, those without a row axis
+        built = {"MatrixTuple": 0, "Evaluation": 0}
+        post_init, init = MatrixTuple.__post_init__, Evaluation.__init__
 
         def counted_post_init(self):
             built["MatrixTuple"] += 1
             post_init(self)
 
         def counted_init(self, *args, **kwargs):
-            built["PointEvaluation"] += 1
             init(self, *args, **kwargs)
+            built["Evaluation"] += self.phi.ndim == 2
 
         monkeypatch.setattr(MatrixTuple, "__post_init__", counted_post_init)
-        monkeypatch.setattr(PointEvaluation, "__init__", counted_init)
+        monkeypatch.setattr(Evaluation, "__init__", counted_init)
         for seq in (ray_sequence(t, None, 12), ray_sequence(t, direction, 12)):
             path = evaluate_sequence(h1, seq)
             estimate_alpha(path), extract_W(path), tfae_report(path, bp)
         res = eta_numeric(h1, t, np.eye(1), direction)
-        assert res.steps_used == 10 and built == {"MatrixTuple": 0, "PointEvaluation": 0}
-        # a point of the stack is built where it is read
-        path.evaluation.point(3)
-        assert built == {"MatrixTuple": 1, "PointEvaluation": 1}
+        assert res.steps_used == 10 and built == {"MatrixTuple": 0, "Evaluation": 0}
+        # a row of the stack, or a point of it, is built where it is read
+        path.evaluation.row(3)
+        assert built == {"MatrixTuple": 0, "Evaluation": 1}
+        path.points.stack.point(3)
+        assert built == {"MatrixTuple": 1, "Evaluation": 1}
 
 
 class TestJuliaQuotient:
@@ -408,6 +411,24 @@ class TestJuliaInequality:
         assert sweep == expected and checked + skipped == 30
         assert (sweep.identity_max is None) == (u_t is None)
 
+    def test_sweep_builds_no_tuple(self, h1, monkeypatch):
+        from ncjulia import domain
+
+        t = scalars(1.0, 1.0)
+        bp = boundary_point(h1.delta, t)
+        u_t = solve_uT(h1, bp).u_T
+        built = []
+        post_init = MatrixTuple.__post_init__
+        monkeypatch.setattr(
+            MatrixTuple, "__post_init__", lambda self: built.append(self) or post_init(self)
+        )
+        monkeypatch.setattr(domain, "BLOCK_BYTES", 7 * (16 * 4 + 16 * 2))  # blocks of 7 at n = 1
+        samples = random_interior_points(h1.delta, 1, np.random.default_rng(5), 30, 0.05)
+        sweep = julia_sweep(h1, samples, bp, np.eye(1), 1.0, 1e-8, u_t)
+        # each row of each block is checked, with the boundary identity too, from its arrays
+        assert sweep.checked + sweep.skipped == 30 and sweep.identity_max is not None
+        assert built == []
+
 
 class TestBoundaryIdentity:
     def test_derived_point(self, h1):
@@ -599,7 +620,7 @@ class TestAnalyzeBpoint:
     def test_each_point_evaluated_once(self, h1, monkeypatch):
         from ncjulia import boundary
 
-        # rows of the StackEvaluations that evaluate_stack returns, to the sequence and the sweep
+        # rows of the evaluations that evaluate_stack returns, to the sequence and the sweep
         calls = {"evaluate": 0, "generate_sequence": 0}
         counters = (
             ("evaluate_stack", "evaluate", lambda result: len(result.phi)),
@@ -653,12 +674,19 @@ class TestAnalyzeBpoint:
     def test_one_delta_evaluation_per_julia_sample(self, h1, monkeypatch):
         from ncjulia import boundary, domain, realization
 
-        evaluated = []  # every point Delta was evaluated at, kept alive so identities stay unique
-        original = domain.eval_delta
+        sweeping, swept = [], []  # swept: an eval_delta call made inside julia_sweep
+        original, sweep = domain.eval_delta, boundary.julia_sweep
 
         def counted(delta, x):
-            evaluated.append(x)
+            swept.extend(sweeping)
             return original(delta, x)
+
+        def in_sweep(*args):
+            sweeping.append(True)
+            try:
+                return sweep(*args)
+            finally:
+                sweeping.pop()
 
         for module in (domain, realization):
             monkeypatch.setattr(module, "eval_delta", counted)
@@ -680,22 +708,32 @@ class TestAnalyzeBpoint:
 
         monkeypatch.setattr(domain, "scale_into_domain", scaling)
         monkeypatch.setattr(domain, "_eval_delta_stack", stacked)
-        samples = []
-        check_at = boundary.julia_inequality_check
+        monkeypatch.setattr(boundary, "julia_sweep", in_sweep)
+        samples, stacks = [], []  # the checked rows; the stacks evaluated, with their evaluations
+        check_at, evaluate_stack = boundary.julia_inequality_check, boundary.evaluate_stack
 
         def recorded(ev, *args):
-            samples.append(ev.x)
+            samples.append(ev)
             return check_at(ev, *args)
 
+        def recorded_stack(h, stack):
+            stacks.append((stack, evaluate_stack(h, stack)))
+            return stacks[-1][1]
+
         monkeypatch.setattr(boundary, "julia_inequality_check", recorded)
+        monkeypatch.setattr(boundary, "evaluate_stack", recorded_stack)
         analyze_bpoint(h1, scalars(1.0, 1.0), julia_samples=50, seed=1)
-        assert len(samples) == 50
-        assert [sum(y is x for y in evaluated) for x in samples] == [0] * 50
+        assert len(samples) == 50 and swept == []
+        # the sequence's stack, then one block of samples, whose rows were checked in order
+        assert [len(stack.norms) for stack, _ in stacks] == [12, 50]
+        (block, evaluation) = stacks[1]
+        for k, ev in enumerate(samples):
+            assert ev.phi.base is evaluation.phi and np.array_equal(ev.phi, evaluation.phi[k])
         # one row per halving round of each sample, as the sequential sampler takes them
         oracle_rng = np.random.default_rng(1)
         oracle = [sequential_interior_sample(h1.delta, 1, oracle_rng) for _ in range(50)]
         assert sum(stacked_rows) == sum(rounds for *_, rounds in oracle)
-        for x, (x0, *_) in zip(samples, oracle):
+        for x, (x0, *_) in zip(stack_points(block), oracle):
             assert all(np.array_equal(a, b) for a, b in zip(x.components, x0.components))
 
     def test_one_delta_evaluation_per_approach_point(self, h1, monkeypatch):

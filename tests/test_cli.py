@@ -351,6 +351,25 @@ class TestBpoint:
         assert out["W"] is None and out["W_unitary_distance"] is None
         assert isinstance(out["W_error"], str)
 
+    def test_singular_model_system_exits_three(self, files, capsys):
+        # A = 0, B = C = 1, D = 2 is far from contractive: 1 - 2x vanishes at x = 0.5,
+        # and on the radial path to T = 1 at the step 0.5
+        blocks = {"dim_E": 1, "J": 1, "A": {"rows": 1, "cols": 1, "data": [[0.0, 0.0]]}}
+        for name, value in (("B", 1.0), ("C", 1.0), ("D", 2.0)):
+            blocks[name] = {"rows": 1, "cols": 1, "data": [[value, 0.0]]}
+        real = write_json(files["tmp"] / "singular.json", blocks)
+        x = write_json(files["tmp"] / "x.json", {"scalars": [[0.5, 0.0]]})
+        t1 = write_json(files["tmp"] / "t1.json", {"scalars": [[1.0, 0.0]]})
+        for command, point in (("eval", x), ("bpoint", t1)):
+            argv = [
+                command, "--delta", "polydisk:1", "--realization", real, "--point", point,
+                "--isometry-tol", "10",
+            ]
+            assert main(argv) == 3, command
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == "error: model system is singular at the evaluation point\n"
+
     def test_defaults_are_the_library_defaults(self, files, capsys):
         import inspect
 
@@ -664,6 +683,30 @@ class TestFuzz:
             path = write_json(files["tmp"] / "delta.json", {"d": 2, "entries": [[entry, "x1"]]})
             assert main(["fuzz", "--samples", "5", "--delta", path]) == 2
             assert message in capsys.readouterr().err
+
+    def test_delta_grid_above_the_term_cap_is_a_parse_error(self, files, capsys, monkeypatch):
+        import time
+
+        from ncjulia import domain
+        from ncjulia.freepoly import MAX_TERMS
+
+        def refuse(*args):
+            raise AssertionError("drew a sample for an oversized delta file")
+
+        # each entry holds 4096 = MAX_TERMS terms; a 16 x 16 grid of them, 4.9 KB of JSON
+        grid = [["(x0+x1+x2+x3)^6"] * 16] * 16
+        path = write_json(files["tmp"] / "delta.json", {"d": 4, "entries": grid})
+        with monkeypatch.context() as patch:
+            patch.setattr(domain, "gaussian_drafts", refuse)
+            start = time.perf_counter()
+            assert main(["fuzz", "--samples", "1", "--delta", path]) == 2
+            assert time.perf_counter() - start < 1.0
+        assert capsys.readouterr().err == (
+            f"error: delta grid holds more than {MAX_TERMS} terms in all\n"
+        )
+        # one such entry is within the cap
+        one = write_json(files["tmp"] / "one.json", {"d": 4, "entries": [grid[0][:1]]})
+        assert main(["fuzz", "--samples", "1", "--delta", one]) == 0
 
 
 class TestDerivative:

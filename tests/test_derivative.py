@@ -95,8 +95,8 @@ class TestEtaNumeric:
     def test_each_ladder_point_evaluated_once(self, h1, monkeypatch):
         from ncjulia import boundary, derivative, domain, realization
 
-        # points evaluated by evaluate (one each) and rows of the StackEvaluations of
-        # evaluate_stack
+        # points evaluated by evaluate (one each) and rows of the evaluations that
+        # evaluate_stack returns
         calls = {"evaluate": 0, "in_G_delta": 0}
         counters = (
             ("evaluate", realization, "evaluate", lambda result: 1),
@@ -122,7 +122,7 @@ class TestEtaNumeric:
             res = eta_numeric(h1, t, w, direction, first_step=first_step)
             ladder = [res.first_step * 2.0**-k for k in range(res.steps_used)]
             quotients = [(eval_phi(h1, t + s * direction) - w) / s for s in ladder]
-            expected = extrapolate_limit(list(zip(ladder, quotients)))
+            expected = extrapolate_limit(ladder, quotients)
             assert np.array_equal(res.eta, expected.value)
             assert res.convergence_increments == expected.increments
 
@@ -272,7 +272,7 @@ class TestScalarAngularDerivative:
             np.array((complex(wv.conj() @ (eval_phi(h1, t + s * k) @ v)) - 1.0) / s)
             for s in ladder
         ]
-        expected = extrapolate_limit(list(zip(ladder, quotients))).value
+        expected = extrapolate_limit(ladder, quotients).value
         assert scalar_angular_derivative(h1, t, k) == complex(expected.reshape(()))
 
     def test_w_of_another_size_rejected(self, h1):

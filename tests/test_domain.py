@@ -589,13 +589,13 @@ class TestInteriorSampling:
         # halving does not bring it under 1) and overflows at x = 1
         p = FreePolynomial(1, (((0,), 1e308), ((0, 0), 1e308)))
         delta = DeltaMatrix(1, [[p]])
-        norms = domain.operator_norms
+        norms = domain.operator_norm
 
         def finite_only(stack):
             assert np.isfinite(stack).all(), "a non-finite Delta reached the SVD"
             return norms(stack)
 
-        monkeypatch.setattr(domain, "operator_norms", finite_only)
+        monkeypatch.setattr(domain, "operator_norm", finite_only)
         monkeypatch.setattr(domain, "MAX_HALVINGS", 1)
 
         def drafts(*values):  # a (1, k, 1, 1) stack of 1 x 1 drafts

@@ -19,7 +19,7 @@ from ncjulia import (
 )
 from ncjulia.errors import ParseError
 
-from conftest import random_matrix
+from conftest import extrapolate_pairs, random_matrix
 
 
 class TestOperatorNorm:
@@ -46,6 +46,35 @@ class TestOperatorNorm:
             assert operator_norm(m) == np.linalg.norm(m, 2)
         for shape in ((2, 2), (3, 1)):
             assert operator_norm(np.zeros(shape)) == np.linalg.norm(np.zeros(shape), 2)
+
+    def test_stack_equals_each_matrix_bit_for_bit(self, rng):
+        for shape in ((4, 3, 3), (5, 2, 5), (3, 7, 1), (2, 3, 2, 4)):
+            stack = random_matrix(rng, int(np.prod(shape[:-1])), shape[-1]).reshape(shape)
+            norms = operator_norm(stack)
+            assert isinstance(norms, np.ndarray) and norms.shape == shape[:-2]
+            for index in np.ndindex(*shape[:-2]):
+                assert norms[index] == operator_norm(stack[index])
+        # a real stack keeps its dtype: one real SVD, as of each of its matrices
+        real = rng.standard_normal((6, 4, 4))
+        norms = [float(np.linalg.svd(m, compute_uv=False)[0]) for m in real]
+        assert operator_norm(real).tolist() == norms
+
+    def test_stack_of_no_rows_and_of_empty_matrices(self):
+        assert operator_norm(np.zeros((0, 3, 3))).shape == (0,)
+        for shape in ((4, 0, 3), (2, 3, 3, 0)):
+            norms = operator_norm(np.zeros(shape, dtype=np.complex128))
+            assert norms.shape == shape[:-2] and not norms.any()
+            assert operator_norm(np.zeros(shape[-2:])) == 0.0
+
+    def test_stack_rejects_nan(self):
+        stack = np.zeros((3, 2, 2), dtype=np.complex128)
+        stack[1, 0, 1] = np.nan
+        with pytest.raises(PreconditionError, match="non-finite"):
+            operator_norm(stack)
+        stack = np.zeros((2, 3, 2, 2))
+        stack[1, 2, 0, 0] = np.inf
+        with pytest.raises(PreconditionError, match="non-finite"):
+            operator_norm(stack)
 
     def test_unitary_invariance_and_submultiplicativity(self, rng):
         for _ in range(50):
@@ -174,50 +203,77 @@ class TestNumericalRank:
 
 class TestExtrapolateLimit:
     def test_constant(self):
-        res = extrapolate_limit([(0.1, 3.0), (0.05, 3.0)])
+        res = extrapolate_limit([0.1, 0.05], [3.0, 3.0])
         assert res.value == pytest.approx(3.0)
         assert res.increments == (0.0,)
 
     def test_first_order_annihilated(self):
-        res = extrapolate_limit([(0.1, 1.1), (0.05, 1.05)])
+        res = extrapolate_limit([0.1, 0.05], [1.1, 1.05])
         assert complex(res.value.reshape(())) == pytest.approx(1.0)
 
     def test_second_order_residual(self):
         # algebra: 2 (t/2)^2 - t^2 = -t^2 / 2
         t = 0.2
-        res = extrapolate_limit([(t, t**2), (t / 2, (t / 2) ** 2)])
+        res = extrapolate_limit([t, t / 2], [t**2, (t / 2) ** 2])
         assert complex(res.value.reshape(())) == pytest.approx(-(t**2) / 2)
 
     def test_linear_matrix_recovery(self, rng):
         a = random_matrix(rng, 3)
         b = random_matrix(rng, 3)
-        samples = [(t, a + t * b) for t in (0.4, 0.2, 0.1, 0.05)]
-        res = extrapolate_limit(samples)
+        steps = [0.4, 0.2, 0.1, 0.05]
+        res = extrapolate_limit(steps, [a + t * b for t in steps])
         np.testing.assert_allclose(res.value, a, atol=1e-14)
 
     def test_increments_equal_numpy_spectral_norm(self, rng):
+        steps = [0.4 * 2.0**-k for k in range(5)]
         for shape in ((1, 1), (3, 3), (2, 5)):
-            samples = [(0.4 * 2.0**-k, random_matrix(rng, *shape)) for k in range(5)]
-            expected = tuple(
-                float(np.linalg.norm(b - a, 2)) for (_, a), (_, b) in zip(samples, samples[1:])
-            )
-            assert extrapolate_limit(samples).increments == expected
-        scalar = extrapolate_limit([(0.2, 1.0 + 2j), (0.1, 0.5 - 1j), (0.05, 0.25)])
+            values = random_matrix(rng, 5 * shape[0], shape[1]).reshape(5, *shape)
+            expected = tuple(float(np.linalg.norm(b - a, 2)) for a, b in zip(values, values[1:]))
+            assert extrapolate_limit(steps, values).increments == expected
+        scalar = extrapolate_limit([0.2, 0.1, 0.05], [1.0 + 2j, 0.5 - 1j, 0.25])
         assert scalar.increments == tuple(
             float(np.linalg.norm(np.atleast_2d(z), 2)) for z in (-0.5 - 3j, -0.25 + 1j)
         )
 
+    def test_rows_equal_the_pair_form_bit_for_bit(self, rng):
+        def bits(res):
+            value = np.ascontiguousarray(res.value)
+            return value.shape, value.view(np.uint64).tolist(), res.increments
+
+        shapes = ((), (1,), (3,), (1, 1), (2, 2), (3, 5), (4, 1), (0, 2))
+        for case in range(600):
+            shape = shapes[case % len(shapes)]
+            count = int(rng.integers(2, 8))
+            first = float(rng.uniform(0.01, 1.0))
+            steps = [first * 2.0**-k for k in range(count)]
+            values = rng.standard_normal((count, *shape))
+            if case % 3:  # complex rows; the real ones are coerced alike
+                values = values + 1j * rng.standard_normal((count, *shape))
+            pairs = list(zip(steps, values))
+            assert bits(extrapolate_limit(steps, values)) == bits(extrapolate_pairs(pairs))
+            if not shape:  # Python numbers, as the scalar diagnostics pass them
+                listed = values.tolist()
+                assert bits(extrapolate_limit(steps, listed)) == bits(extrapolate_pairs(pairs))
+
+    def test_steps_and_rows_must_match(self):
+        with pytest.raises(DimensionError):
+            extrapolate_limit([0.1, 0.05, 0.025], [1.0, 2.0])
+        with pytest.raises(DimensionError):
+            extrapolate_limit([0.1, 0.05], [[1.0, 2.0, 3.0]])
+        with pytest.raises(DimensionError):
+            extrapolate_limit([0.1, 0.05], 1.0)
+
     def test_too_few_samples(self):
         with pytest.raises(PreconditionError):
-            extrapolate_limit([(0.1, 1.0)])
+            extrapolate_limit([0.1], [1.0])
 
     def test_non_geometric_spacing(self):
         with pytest.raises(PreconditionError):
-            extrapolate_limit([(0.1, 1.0), (0.03, 1.0)])
+            extrapolate_limit([0.1, 0.03], [1.0, 1.0])
 
     def test_increasing_t_rejected(self):
         with pytest.raises(PreconditionError):
-            extrapolate_limit([(0.05, 1.0), (0.1, 1.0)])
+            extrapolate_limit([0.05, 0.1], [1.0, 1.0])
 
 
 class TestMatrixJson:

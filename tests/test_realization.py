@@ -40,7 +40,6 @@ from ncjulia import (
 from ncjulia import realization
 from ncjulia.errors import ParseError
 from ncjulia.domain import _eval_delta_stack
-from ncjulia.numerics import operator_norms
 from ncjulia.realization import (
     ISOMETRY_TOL,
     NearSingularResolventWarning,
@@ -164,14 +163,19 @@ class TestExampleEvaluation:
             eval_u(h1, scalars(r, r))
 
 
-def evaluate_stacked(h, xs):
-    """``evaluate_stack`` at xs, stacked as ``generate_sequence`` stacks its points.
+def stacked(h, xs):
+    """xs stacked as ``generate_sequence`` stacks its points.
 
     One stacked Delta(x) for all points, and their norms from one batched SVD.
     """
     components = np.stack([x.components for x in xs], axis=1)
     big_delta = _eval_delta_stack(h.delta, components)
-    return evaluate_stack(h, PointStack(components, big_delta, operator_norms(big_delta)))
+    return PointStack(components, big_delta, operator_norm(big_delta))
+
+
+def evaluate_stacked(h, xs):
+    """``evaluate_stack`` at xs, stacked as ``generate_sequence`` stacks its points."""
+    return evaluate_stack(h, stacked(h, xs))
 
 
 class TestEvaluateStack:
@@ -192,13 +196,17 @@ class TestEvaluateStack:
             for n in (1, 2, 5):
                 for b in (1, 3, 10):
                     xs = [random_interior_point(h.delta, n, rng, margin=0.01) for _ in range(b)]
-                    many = evaluate_stacked(h, xs)
-                    assert many.delta is many.stack.delta and many.delta_norm is many.stack.norms
+                    stack = stacked(h, xs)
+                    many = evaluate_stack(h, stack)
+                    assert many.delta is stack.delta and many.delta_norm is stack.norms
                     assert {len(getattr(many, name)) for name in self.FIELDS} == {b}
-                    for k, x in enumerate(xs):
-                        one, ev = evaluate(h, x), many.point(k)
-                        assert all(map(np.array_equal, ev.x.components, x.components))
+                    for k in range(b):
+                        x = stack.point(k)
+                        assert all(map(np.array_equal, x.components, xs[k].components))
+                        one, ev = evaluate(h, x), many.row(k)
                         assert type(ev.delta_norm) is float
+                        for name in ("delta", "resolvent", "u", "phi"):  # views of the stack
+                            assert np.shares_memory(getattr(ev, name), getattr(many, name))
                         for name in self.FIELDS:
                             assert np.array_equal(getattr(ev, name), getattr(one, name)), name
                             assert np.array_equal(getattr(many, name)[k], getattr(one, name))

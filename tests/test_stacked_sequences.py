@@ -29,7 +29,6 @@ from ncjulia import (
     evaluate,
     evaluate_sequence,
     extract_W,
-    extrapolate_limit,
     get_delta,
     haar_unitary,
     nearest_unitary,
@@ -43,7 +42,7 @@ from ncjulia import (
 from ncjulia import boundary, derivative
 from ncjulia.domain import GDeltaExitWarning
 
-from conftest import random_matrix
+from conftest import extrapolate_pairs, random_matrix
 
 GRIDS = ("polydisk:2", "ball:2", "cartan:2", "grid")
 
@@ -111,7 +110,7 @@ def looped(path):
 def looped_quotients(evs):
     quotients = []
     for ev in evs:
-        numerator = operator_norm(np.eye(ev.x.n) - ev.phi.conj().T @ ev.phi)
+        numerator = operator_norm(np.eye(ev.phi.shape[-1]) - ev.phi.conj().T @ ev.phi)
         denominator = 1.0 - ev.delta_norm**2
         quotients.append((numerator / denominator, numerator, denominator))
     return quotients
@@ -130,7 +129,7 @@ def looped_alpha(path, evs):
         diverging = significant and d_prev > 0 and d_last >= 0.9 * d_prev
     alpha, increments, converged = float("inf"), (), False
     if not diverging:
-        res = extrapolate_limit(list(zip(path.points.steps, quotients)))
+        res = extrapolate_pairs(list(zip(path.points.steps, quotients)))
         alpha = float(np.real(res.value.reshape(())))
         increments = res.increments
         last_increment = increments[-1] if increments else 0.0
@@ -144,7 +143,7 @@ def looped_alpha(path, evs):
 def looped_W(steps, evs):
     if len(evs) < 2:
         raise PreconditionError("need at least two interior sequence points")
-    raw = extrapolate_limit(list(zip(steps, [ev.phi for ev in evs]))).value
+    raw = extrapolate_pairs(list(zip(steps, [ev.phi for ev in evs]))).value
     try:
         w = nearest_unitary(raw)
     except SingularMatrixError:
@@ -180,7 +179,7 @@ def looped_tfae(path, evs, bp):
 
 def looped_eta(path, evs, w):
     steps = path.points.steps
-    res = extrapolate_limit(list(zip(steps, [(ev.phi - w) / s for s, ev in zip(steps, evs)])))
+    res = extrapolate_pairs(list(zip(steps, [(ev.phi - w) / s for s, ev in zip(steps, evs)])))
     return res.value, res.increments
 
 
@@ -190,7 +189,7 @@ def looped_angular(path, evs):
     v[0] = 1.0
     wv = looped_W(steps, evs).W @ v
     quotients = [(complex(wv.conj() @ (ev.phi @ v)) - 1.0) / s for s, ev in zip(steps, evs)]
-    res = extrapolate_limit(list(zip(steps, [np.array(q) for q in quotients])))
+    res = extrapolate_pairs(list(zip(steps, [np.array(q) for q in quotients])))
     inc = res.increments
     if len(inc) >= 2 and inc[-1] > max(inc[-2] * 1.5, 1e-6):
         raise ConvergenceError("not Cauchy")
