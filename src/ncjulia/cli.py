@@ -194,18 +194,14 @@ def _load_json_file(path: str):
         raise ParseError(f"malformed JSON in {path}: {exc}") from None
 
 
-def _resolve_delta(name_or_path: str) -> domain.DeltaMatrix:
+def _resolve(name_or_path: str, from_json, by_name):
+    """``from_json`` of the JSON file name_or_path if it exists, else ``by_name`` of the name."""
     if os.path.exists(name_or_path):
-        return domain.delta_from_json(_load_json_file(name_or_path))
-    return fixtures.get_delta(name_or_path)
-
-
-def _resolve_realization(name_or_path: str, isometry_tol: float) -> realization.Realization:
-    if os.path.exists(name_or_path):
-        return realization.realization_from_json(
-            _load_json_file(name_or_path), isometry_tol=isometry_tol
-        )
-    return fixtures.get_fixture(name_or_path).realization
+        return from_json(_load_json_file(name_or_path))
+    try:
+        return by_name(name_or_path)
+    except ParseError as exc:  # neither a file nor a known name: say both
+        raise ParseError(f"no file {name_or_path!r}, and {exc}") from None
 
 
 def _resolve_handle(args) -> realization.NcFunctionHandle:
@@ -214,9 +210,12 @@ def _resolve_handle(args) -> realization.NcFunctionHandle:
     delta = args.delta or args.fixture
     if colligation is None or delta is None:
         raise ParseError("need either --fixture or both --delta and --realization")
+    from_json = functools.partial(realization.realization_from_json, isometry_tol=args.isometry_tol)
     return realization.NcFunctionHandle(
-        realization=_resolve_realization(colligation, args.isometry_tol),
-        delta=_resolve_delta(delta),
+        realization=_resolve(
+            colligation, from_json, lambda name: fixtures.get_fixture(name).realization
+        ),
+        delta=_resolve(delta, domain.delta_from_json, fixtures.get_delta),
     )
 
 
@@ -348,11 +347,13 @@ def _model_identity_defects(args, delta, samples) -> np.ndarray:
     colligations = realization.random_colligations(args.dim_E, delta.J, seeds)
     if args.no_isometry:
         colligations = realization.perturb_colligations(colligations, _PERTURBATION, seeds)
-    return realization.model_identity_defects(colligations, stack.delta)
+    ev = realization.evaluate_stack(realization.NcFunctionHandle(colligations, delta), stack)
+    at_x = (ev.phi, ev.u, ev.delta)
+    return realization.identity_defect(colligations, at_x, at_x)
 
 
 def cmd_fuzz(args) -> int:
-    delta = _resolve_delta(args.delta)
+    delta = _resolve(args.delta, domain.delta_from_json, fixtures.get_delta)
     mj = args.dim_E * delta.J
     if mj > fixtures.MAX_FAMILY_SIZE:
         raise ParseError(

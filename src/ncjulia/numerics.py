@@ -42,9 +42,9 @@ def operator_norm(m):
     """Largest singular value; 0 for an empty or zero matrix.
 
     A matrix gives a float.  A stack (..., r, c) of matrices gives an array over
-    its leading axes, from one batched SVD in the stack's own dtype.
+    its leading axes, from one batched SVD in complex128, as for a matrix.
     """
-    a = np.asarray(m)
+    a = np.asarray(m, dtype=np.complex128)
     if a.ndim <= 2:
         a = as_complex_matrix(a)
     elif not np.isfinite(a).all():

@@ -33,23 +33,19 @@ with leading axes before the trailing matrix axes, and so does
 of one matrix size with their Delta(x) stacked along a leading axis of
 length B, and returns an :class:`Evaluation` whose arrays keep that axis:
 approach sequences, derivative ladders and each block of Julia-sweep
-samples are evaluated so.  The colligation may be stacked
-too: these kernels and :func:`identity_defect` read the blocks
-A, B, C, D of a :class:`Realization` or of :class:`Colligations`, B
-colligations stacked along the leading axis of their Delta(x), one per
-point.  :func:`random_colligations` makes such a stack with one batched QR
-and one batched isometry check, and :func:`model_identity_defects` checks
-the model identity of each at its own point with one stacked solve; this
-is how ``ncjulia fuzz`` runs its samples.  Every stacked product is a loop
-of the same BLAS and LAPACK calls on the same matrices, so each of its
-results is bit-identical to the one-point, one-colligation computation.
+samples are evaluated so.  A :class:`Realization` may be stacked too, its
+blocks with a leading axis of length B, one colligation per point, which
+:func:`evaluate_stack` evaluates row for row with the points: ``ncjulia
+fuzz`` checks each block of its samples so, with :func:`identity_defect`
+as ``ncjulia eval`` at one point.  Every stacked product is a loop of the
+same BLAS and LAPACK calls on the same matrices, so each of its results is
+bit-identical to the one-point, one-colligation computation.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import InitVar, dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -78,9 +74,11 @@ class NearSingularResolventWarning(UserWarning):
 class Realization:
     """Isometric colligation (A, B, C, D) on C + (E tensor C^J).
 
-    Construction fails when the stacked block matrix is farther than
-    ``isometry_tol`` from an isometry; ``isometry_tol=np.inf`` builds the
-    deliberately broken specimens of negative controls.
+    The blocks may carry one leading axis, k colligations stacked: A (k, 1, 1),
+    B (k, 1, mJ), C (k, mJ, 1), D (k, mJ, mJ), and ``isometry_defect`` (k,).
+    Construction fails at the first colligation farther than ``isometry_tol``
+    from an isometry; ``isometry_tol=np.inf`` builds the deliberately broken
+    specimens of negative controls.
     """
 
     dim_E: int
@@ -89,63 +87,40 @@ class Realization:
     B: np.ndarray
     C: np.ndarray
     D: np.ndarray
-    isometry_defect: float = field(init=False)
+    isometry_defect: float | np.ndarray = field(init=False)
     isometry_tol: InitVar[float] = ISOMETRY_TOL
 
     def __post_init__(self, isometry_tol):
         if self.dim_E < 1 or self.J < 1:
             raise DimensionError("dim_E and J must be at least 1")
         mj = self.dim_E * self.J
-        blocks = {
-            "A": (as_complex_matrix(self.A, "A"), (1, 1)),
-            "B": (as_complex_matrix(self.B, "B"), (1, mj)),
-            "C": (as_complex_matrix(self.C, "C"), (mj, 1)),
-            "D": (as_complex_matrix(self.D, "D"), (mj, mj)),
-        }
-        for name, (block, shape) in blocks.items():
-            if block.shape != shape:
-                raise DimensionError(
-                    f"block {name} has shape {block.shape}, expected {shape}"
-                )
-            block = block.copy()
+        lead = np.shape(self.A)[:1] if np.ndim(self.A) == 3 else ()
+        for name, shape in (("A", (1, 1)), ("B", (1, mj)), ("C", (mj, 1)), ("D", (mj, mj))):
+            block = getattr(self, name)
+            # a stack's non-finite entries are refused by the batched norm below
+            block = (
+                np.array(block, np.complex128) if lead else as_complex_matrix(block, name).copy()
+            )
+            if block.shape != lead + shape:
+                raise DimensionError(f"block {name} has shape {block.shape}, expected {lead + shape}")
             block.flags.writeable = False
             object.__setattr__(self, name, block)
-        defect = _isometry_defects(self.colligation[None], isometry_tol)[0]
-        object.__setattr__(self, "isometry_defect", float(defect))
+        m = self.colligation.reshape(-1, 1 + mj, 1 + mj)
+        gram = m.conj().swapaxes(-1, -2) @ m
+        gram -= np.eye(m.shape[-1])  # in place: a stack gets no temporary elision
+        defects = operator_norm(gram)
+        for defect in defects:
+            if defect > isometry_tol:
+                raise PreconditionError(
+                    f"colligation is not an isometry: defect {defect:.3e} > {isometry_tol:.0e}"
+                )
+        object.__setattr__(self, "isometry_defect", defects if lead else float(defects[0]))
 
     @property
     def colligation(self) -> np.ndarray:
-        top = np.hstack([self.A, self.B])
-        bottom = np.hstack([self.C, self.D])
-        return np.vstack([top, bottom])
-
-
-def _isometry_defects(colligations: np.ndarray, isometry_tol: float) -> np.ndarray:
-    """||M* M - I|| of each stacked colligation M; PreconditionError for the first above the tolerance."""
-    gram = colligations.conj().swapaxes(-1, -2) @ colligations
-    gram -= np.eye(colligations.shape[-1])  # in place: a stack gets no temporary elision
-    defects = operator_norm(gram)
-    for defect in defects:
-        if defect > isometry_tol:
-            raise PreconditionError(
-                f"colligation is not an isometry: defect {defect:.3e} > {isometry_tol:.0e}"
-            )
-    return defects
-
-
-class Colligations(NamedTuple):
-    """The blocks of k colligations of one (dim_E, J), stacked along a leading axis.
-
-    A is (k, 1, 1), B (k, 1, mJ), C (k, mJ, 1) and D (k, mJ, mJ); the model
-    solve reads them as it reads a :class:`Realization`'s.
-    """
-
-    dim_E: int
-    J: int
-    A: np.ndarray
-    B: np.ndarray
-    C: np.ndarray
-    D: np.ndarray
+        top = np.concatenate([self.A, self.B], axis=-1)
+        bottom = np.concatenate([self.C, self.D], axis=-1)
+        return np.concatenate([top, bottom], axis=-2)
 
 
 def _blocks(colligations: np.ndarray) -> tuple:
@@ -234,7 +209,11 @@ def evaluate(h: NcFunctionHandle, x: MatrixTuple) -> Evaluation:
 
 
 def evaluate_stack(h: NcFunctionHandle, stack: PointStack) -> Evaluation:
-    """:func:`evaluate` at each interior point of the stack, from one stacked solve."""
+    """:func:`evaluate` at each interior point of the stack, from one stacked solve.
+
+    A stacked realization is evaluated row for row with the points: point k
+    at colligation k.
+    """
     _require_interior(float(stack.norms.max(initial=0.0)))
     n = stack.components.shape[-1]
     return Evaluation(stack.delta, stack.norms, *_model_solution(h.realization, stack.delta, n))
@@ -339,17 +318,6 @@ def model_residual(h: NcFunctionHandle, x: MatrixTuple, y: MatrixTuple) -> float
     )
 
 
-def model_identity_defects(c: Colligations, big_delta: np.ndarray) -> np.ndarray:
-    """``model_residual(h, x, x)`` for each stacked colligation at its own interior x.
-
-    ``big_delta`` stacks the padded Delta(x) of the points as ``c`` stacks
-    the colligations; one stacked solve serves them all.
-    """
-    _, u, phi = _model_solution(c, big_delta, big_delta.shape[-1] // c.J)
-    at_x = (phi, u, big_delta)
-    return identity_defect(c, at_x, at_x)
-
-
 def identity_defect(r, y: tuple, x: tuple):
     """|| I - phi_y* phi_x - u_y* (I_m kron (I - delta_y* delta_x)) u_x ||.
 
@@ -379,18 +347,17 @@ def random_realization(dim_E: int, J: int, seed: int) -> Realization:
     return Realization(dim_E, J, *_blocks(q))
 
 
-def random_colligations(dim_E: int, J: int, seeds) -> Colligations:
-    """The colligation of ``random_realization(dim_E, J, seed)`` for each seed, stacked.
+def random_colligations(dim_E: int, J: int, seeds) -> Realization:
+    """``random_realization(dim_E, J, seed)`` for each seed, as one stacked :class:`Realization`.
 
     Each seed takes the draws of :func:`random_realization`; one batched QR
-    makes the colligations and one batched check, :class:`Realization`'s,
-    holds them to ``ISOMETRY_TOL``.
+    makes the colligations and the stacked :class:`Realization` checks them
+    with one batched isometry check.
     """
     if dim_E < 1 or J < 1:
         raise DimensionError("dim_E and J must be at least 1")
     q = haar_unitaries(1 + dim_E * J, [np.random.default_rng(seed) for seed in seeds])
-    _isometry_defects(q, ISOMETRY_TOL)
-    return Colligations(dim_E, J, *map(np.ascontiguousarray, _blocks(q)))
+    return Realization(dim_E, J, *_blocks(q))
 
 
 def perturb_realization(r: Realization, eps: float, seed: int = 0) -> Realization:
@@ -401,9 +368,10 @@ def perturb_realization(r: Realization, eps: float, seed: int = 0) -> Realizatio
     )
 
 
-def perturb_colligations(c: Colligations, eps: float, seeds) -> Colligations:
-    """:func:`perturb_realization` of each stacked colligation, with its seed."""
-    return c._replace(D=c.D + _perturbations(c.dim_E * c.J, eps, seeds))
+def perturb_colligations(r: Realization, eps: float, seeds) -> Realization:
+    """:func:`perturb_realization` of each colligation of a stacked realization, with its seed."""
+    g = _perturbations(r.dim_E * r.J, eps, seeds)
+    return Realization(r.dim_E, r.J, r.A, r.B, r.C, r.D + g, isometry_tol=np.inf)
 
 
 def _perturbations(mj: int, eps: float, seeds) -> np.ndarray:

@@ -182,6 +182,24 @@ class TestEval:
         assert main(["eval", "--fixture", "nope", "--point", files["interior"]]) == 2
         assert "unknown fixture 'nope'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, unknown", [
+        (["eval", "--delta", "polydisk:2", "--realization", "MISSING"], "fixture"),
+        (["eval", "--realization", "example-h1", "--delta", "MISSING"], "delta"),
+        (["eval", "--fixture", "MISSING"], "fixture"),
+        (["bpoint", "--fixture", "example-h1", "--delta", "MISSING"], "delta"),
+        (["fuzz", "--delta", "MISSING"], "delta"),
+    ])
+    def test_missing_file_says_no_file_and_unknown_name(self, files, capsys, argv, unknown):
+        # a value that is neither an existing file nor a known name: both are said
+        missing = str(files["tmp"] / "missing.json")
+        argv = [missing if a == "MISSING" else a for a in argv]
+        if argv[0] != "fuzz":
+            argv += ["--point", files["interior"]]
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"no file {missing!r}, and unknown {unknown} {missing!r}" in err
+
     @pytest.mark.parametrize("flags, pair", [
         (["--fixture", "F"], ["--delta", "F", "--realization", "F"]),
         (["--fixture", "F", "--delta", "D"], ["--delta", "D", "--realization", "F"]),
@@ -522,14 +540,27 @@ class TestFuzz:
     ):
         from ncjulia import domain, realization
 
-        stacked = []
-        defects = realization.model_identity_defects
+        stacked, evaluated = [], []
+        evaluate_stack, defects = realization.evaluate_stack, realization.identity_defect
 
-        def recorded(colligations, big_delta):
-            stacked.append(defects(colligations, big_delta))
-            return stacked[-1]
+        def recorded_evaluation(h, stack):
+            ev = evaluate_stack(h, stack)
+            if np.ndim(h.realization.A) == 3:
+                evaluated.append((h.realization, ev))
+            return ev
 
-        monkeypatch.setattr(realization, "model_identity_defects", recorded)
+        def recorded(r, y, x):
+            if np.ndim(r.A) == 3:
+                # the stacked defects, at the stacked evaluation of the same colligations
+                colligations, ev = evaluated[len(stacked)]
+                assert r is colligations and y is x
+                assert all(a is b for a, b in zip(x, (ev.phi, ev.u, ev.delta)))
+                stacked.append(defects(r, y, x))
+                return stacked[-1]
+            return defects(r, y, x)
+
+        monkeypatch.setattr(realization, "evaluate_stack", recorded_evaluation)
+        monkeypatch.setattr(realization, "identity_defect", recorded)
         default = domain.BLOCK_BYTES
         for dim_e in (1, 2, 3):
             residuals, expected = looped_fuzz(delta, dim_e, 40 + dim_e, 25, no_isometry)
@@ -537,28 +568,29 @@ class TestFuzz:
             argv += ["--dim-E", str(dim_e)] + ["--no-isometry"] * no_isometry
             # one block per size at the default budget, then blocks of five samples of size 2
             for budget in (default, 5 * 16 * (dim_e * expected["J"] * 2) ** 2):
-                stacked.clear()
+                stacked.clear(), evaluated.clear()
                 monkeypatch.setattr(domain, "BLOCK_BYTES", budget)
                 code = main(argv)
                 assert json.loads(capsys.readouterr().out) == expected
                 assert code == (1 if no_isometry else 0)
                 assert sorted(np.concatenate(stacked).tolist()) == sorted(residuals)
+                assert len(evaluated) == len(stacked)
                 assert len(stacked) > (2 if budget < default else 0)
 
     def test_realizations_only_for_julia_samples(self, monkeypatch, capsys):
         from ncjulia import cli, domain, realization
 
-        built, solves, blocks = [], [], []
+        built, stacked, solves, blocks = [], [], [], []
         post_init = realization.Realization.__post_init__
         solution = realization._model_solution
         defects = cli._model_identity_defects
 
         def counted_post_init(self, isometry_tol):
-            built.append(self)
+            (stacked if np.ndim(self.A) == 3 else built).append(self)
             post_init(self, isometry_tol)
 
         def counted_solution(r, big_delta, n):
-            if isinstance(r, realization.Colligations):
+            if np.ndim(r.A) == 3:
                 solves.append((n, len(r.D)))
             return solution(r, big_delta, n)
 
@@ -574,11 +606,13 @@ class TestFuzz:
             (["--no-isometry"], domain.BLOCK_BYTES, 4),  # and their perturbed colligations
             ([], 3 * 16 * 4**2, 2),  # blocks of at most three samples of size 2
         ):
-            built.clear(), solves.clear(), blocks.clear()
+            built.clear(), stacked.clear(), solves.clear(), blocks.clear()
             monkeypatch.setattr(domain, "BLOCK_BYTES", budget)
             main(["fuzz", "--samples", "20", "--seed", "7", *argv])
             capsys.readouterr()
             assert len(built) == realizations
+            # one stacked Realization per block, and its perturbed copy under --no-isometry
+            assert len(stacked) == len(blocks) * (2 if argv else 1)
             # one stacked solve for each block, which holds samples of one matrix size
             assert all(len(set(block)) == 1 for block in blocks)
             assert solves == [(block[0], len(block)) for block in blocks]

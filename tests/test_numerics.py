@@ -54,10 +54,11 @@ class TestOperatorNorm:
             assert isinstance(norms, np.ndarray) and norms.shape == shape[:-2]
             for index in np.ndindex(*shape[:-2]):
                 assert norms[index] == operator_norm(stack[index])
-        # a real stack keeps its dtype: one real SVD, as of each of its matrices
-        real = rng.standard_normal((6, 4, 4))
-        norms = [float(np.linalg.svd(m, compute_uv=False)[0]) for m in real]
-        assert operator_norm(real).tolist() == norms
+        # a real stack is coerced to complex128, as each of its matrices is, so its norms
+        # are theirs bit for bit (a real SVD differs in the last bit in about 40 % of these)
+        for _ in range(50):
+            real = rng.standard_normal((6, 4, 4))
+            assert operator_norm(real).tolist() == [operator_norm(m) for m in real]
 
     def test_stack_of_no_rows_and_of_empty_matrices(self):
         assert operator_norm(np.zeros((0, 3, 3))).shape == (0,)

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from ncjulia import (
-    Colligations,
     DeltaMatrix,
     DimensionError,
     MatrixTuple,
@@ -22,7 +21,6 @@ from ncjulia import (
     get_fixture,
     in_G_delta,
     lift,
-    model_identity_defects,
     model_residual,
     operator_norm,
     parse_poly,
@@ -353,14 +351,62 @@ class TestColligationStacks:
         for dim_e, j in ((1, 1), (1, 2), (2, 2), (3, 3), (2, 6)):
             stack = random_colligations(dim_e, j, self.SEEDS)
             perturbed = perturb_colligations(stack, 0.05, self.SEEDS)
-            assert isinstance(stack, Colligations) and (stack.dim_E, stack.J) == (dim_e, j)
+            for c in (stack, perturbed):
+                assert isinstance(c, Realization) and (c.dim_E, c.J) == (dim_e, j)
+                assert c.isometry_defect.shape == (len(self.SEEDS),)
+                assert c.colligation.shape == (len(self.SEEDS), 1 + dim_e * j, 1 + dim_e * j)
             for k, seed in enumerate(self.SEEDS):
                 r = random_realization(dim_e, j, seed)
                 p = perturb_realization(r, 0.05, seed)
                 for name in "ABCD":
                     assert np.array_equal(getattr(stack, name)[k], getattr(r, name)), name
                     assert np.array_equal(getattr(perturbed, name)[k], getattr(p, name)), name
+                assert np.array_equal(stack.colligation[k], r.colligation)
+                assert np.array_equal(r.colligation, np.block([[r.A, r.B], [r.C, r.D]]))
+                assert np.array_equal(perturbed.colligation[k], p.colligation)
+                # the defects, bit for bit: floats for one colligation, rows of the stack's
+                assert isinstance(r.isometry_defect, float)
+                assert stack.isometry_defect[k] == r.isometry_defect
+                assert perturbed.isometry_defect[k] == p.isometry_defect
                 assert np.array_equal(stack.D[k], r.D) and not np.array_equal(perturbed.D[k], r.D)
+
+    def test_stack_blocks_are_frozen_copies(self):
+        q = np.stack([random_realization(2, 2, seed).colligation for seed in self.SEEDS])
+        stack = Realization(2, 2, *realization._blocks(q))
+        for name in "ABCD":
+            block = getattr(stack, name)
+            assert block.dtype == np.complex128 and not block.flags.writeable
+            assert not np.shares_memory(block, q)
+        assert np.array_equal(stack.colligation, q)
+
+    def test_stacked_constructor_refuses_bad_shapes(self):
+        q = np.stack([random_realization(2, 2, seed).colligation for seed in self.SEEDS])
+        a, b, c, d = realization._blocks(q)
+        # leading axes that do not match
+        for blocks in ((a, b[:3], c, d), (a, b, c, d[:4]), (a[:2], b, c, d)):
+            with pytest.raises(DimensionError, match="has shape"):
+                Realization(2, 2, *blocks)
+        # a stacked block among unstacked ones, and the reverse
+        with pytest.raises(DimensionError):
+            Realization(2, 2, a[0], b, c, d)
+        with pytest.raises(DimensionError, match="block B has shape"):
+            Realization(2, 2, a, b[0], c, d)
+        # wrong trailing shapes
+        for blocks in ((a, b, c, d[:, :3]), (a, b[..., :3], c, d), (a, b, c[:, :, :0], d)):
+            with pytest.raises(DimensionError, match="has shape"):
+                Realization(2, 2, *blocks)
+        with pytest.raises(DimensionError, match="expected"):
+            Realization(2, 3, a, b, c, d)
+        # a leading axis of more than one dimension
+        with pytest.raises(DimensionError):
+            Realization(2, 2, a[None], b[None], c[None], d[None])
+
+    def test_stacked_constructor_refuses_a_nan_row(self):
+        q = np.stack([random_realization(2, 2, seed).colligation for seed in self.SEEDS])
+        q[3, 2, 1] = np.nan
+        for tol in (ISOMETRY_TOL, np.inf):
+            with pytest.raises(PreconditionError, match="non-finite"):
+                Realization(2, 2, *realization._blocks(q), isometry_tol=tol)
 
     @pytest.mark.parametrize("name", ["polydisk:2", "ball:3", "cartan:2"])
     def test_stacked_defects_equal_model_residual(self, name):
@@ -369,7 +415,11 @@ class TestColligationStacks:
             for n in (1, 2):
                 rng = np.random.default_rng(10 * dim_e + n)
                 samples = [sequential_interior_sample(delta, n, rng) for _ in self.SEEDS]
-                big_delta = np.stack([big for _, big, _, _ in samples])
+                points = PointStack(
+                    np.stack([x.components for x, *_ in samples], axis=1),
+                    np.stack([big for _, big, _, _ in samples]),
+                    np.array([norm for _, _, norm, _ in samples]),
+                )
                 for eps in (None, 0.05):
                     stack = random_colligations(dim_e, delta.J, self.SEEDS)
                     if eps:
@@ -380,7 +430,9 @@ class TestColligationStacks:
                         if eps:
                             r = perturb_realization(r, eps, seed)
                         expected.append(model_residual(NcFunctionHandle(r, delta), x, x))
-                    assert model_identity_defects(stack, big_delta).tolist() == expected
+                    ev = evaluate_stack(NcFunctionHandle(stack, delta), points)
+                    at_x = (ev.phi, ev.u, ev.delta)
+                    assert identity_defect(stack, at_x, at_x).tolist() == expected
                     assert max(expected) > 1e-3 if eps else max(expected) < 1e-12
 
     def test_stacked_isometry_check_is_the_realization_check(self, monkeypatch):
@@ -388,19 +440,24 @@ class TestColligationStacks:
         broken = [good + eps * np.eye(len(good)) for eps in (1e-6, 1e-3)]
         with pytest.raises(PreconditionError) as one:
             Realization(2, 2, *realization._blocks(broken[0]))
-        # random_colligations holds each colligation to ISOMETRY_TOL; the first failing one
-        # is reported with Realization's message
+        # a stacked Realization holds each colligation to its tolerance; the first failing
+        # one is reported with the message of a Realization of that colligation alone
         stack = np.stack([good, broken[0], good, broken[1]])
+        with pytest.raises(PreconditionError) as many:
+            Realization(2, 2, *realization._blocks(stack))
+        assert str(many.value) == str(one.value) and "not an isometry" in str(one.value)
         monkeypatch.setattr(realization, "haar_unitaries", lambda n, rngs: stack[: len(rngs)])
         random_colligations(2, 2, [0])
-        with pytest.raises(PreconditionError) as many:
+        with pytest.raises(PreconditionError) as drawn:
             random_colligations(2, 2, [0, 1, 2, 3])
-        assert str(many.value) == str(one.value) and "not an isometry" in str(one.value)
-        defects = realization._isometry_defects(stack, np.inf)
+        assert str(drawn.value) == str(one.value)
+        unchecked = Realization(2, 2, *realization._blocks(stack), isometry_tol=np.inf)
+        defects = unchecked.isometry_defect
         assert defects[0] == Realization(2, 2, *realization._blocks(good)).isometry_defect
         assert defects[1] > ISOMETRY_TOL
-        with pytest.raises(PreconditionError, match="non-finite"):
-            realization._isometry_defects(np.stack([good, good * np.nan]), np.inf)
+        assert defects[3] == Realization(
+            2, 2, *realization._blocks(broken[1]), isometry_tol=np.inf
+        ).isometry_defect
 
     def test_resolvent_condition_is_public(self, h1):
         ev = evaluate(h1, scalars(0.5, 0.3))
