@@ -200,8 +200,10 @@ def _resolve(name_or_path: str, from_json, by_name):
         return from_json(_load_json_file(name_or_path))
     try:
         return by_name(name_or_path)
-    except ParseError as exc:  # neither a file nor a known name: say both
-        raise ParseError(f"no file {name_or_path!r}, and {exc}") from None
+    except ParseError as exc:
+        if str(exc).startswith("unknown "):  # neither a file nor a known name: say both
+            raise ParseError(f"no file {name_or_path!r}, and {exc}") from None
+        raise
 
 
 def _resolve_handle(args) -> realization.NcFunctionHandle:

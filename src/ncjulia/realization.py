@@ -54,7 +54,6 @@ from .errors import DimensionError, ParseError, PreconditionError, SingularMatri
 from .freepoly import MatrixTuple
 from .numerics import (
     COND_WARN_THRESHOLD,
-    as_complex_matrix,
     haar_unitaries,
     haar_unitary,
     json_int,
@@ -78,7 +77,9 @@ class Realization:
     B (k, 1, mJ), C (k, mJ, 1), D (k, mJ, mJ), and ``isometry_defect`` (k,).
     Construction fails at the first colligation farther than ``isometry_tol``
     from an isometry; ``isometry_tol=np.inf`` builds the deliberately broken
-    specimens of negative controls.
+    specimens of negative controls.  A stack is taken only by
+    :func:`evaluate_stack`, at one point per colligation, and
+    :func:`identity_defect`; the one-point functions refuse it (DimensionError).
     """
 
     dim_E: int
@@ -96,18 +97,15 @@ class Realization:
         mj = self.dim_E * self.J
         lead = np.shape(self.A)[:1] if np.ndim(self.A) == 3 else ()
         for name, shape in (("A", (1, 1)), ("B", (1, mj)), ("C", (mj, 1)), ("D", (mj, mj))):
-            block = getattr(self, name)
-            # a stack's non-finite entries are refused by the batched norm below
-            block = (
-                np.array(block, np.complex128) if lead else as_complex_matrix(block, name).copy()
-            )
+            block = np.array(getattr(self, name), np.complex128)
             if block.shape != lead + shape:
                 raise DimensionError(f"block {name} has shape {block.shape}, expected {lead + shape}")
             block.flags.writeable = False
             object.__setattr__(self, name, block)
         m = self.colligation.reshape(-1, 1 + mj, 1 + mj)
-        gram = m.conj().swapaxes(-1, -2) @ m
-        gram -= np.eye(m.shape[-1])  # in place: a stack gets no temporary elision
+        with np.errstate(invalid="ignore", over="ignore"):  # the norm refuses non-finite entries
+            gram = m.conj().swapaxes(-1, -2) @ m
+            gram -= np.eye(m.shape[-1])  # in place: a stack gets no temporary elision
         defects = operator_norm(gram)
         for defect in defects:
             if defect > isometry_tol:
@@ -156,6 +154,8 @@ def _times_delta(r, mat: np.ndarray, big_delta: np.ndarray, n: int):
 
 def model_operators(r, big_delta: np.ndarray, n: int):
     """Resolvent I - step, rhs C kron I_n and step (D kron I_n)(I_m kron Delta)."""
+    if r.D.ndim == 3 and big_delta.shape[:-2] != r.D.shape[:1]:
+        raise DimensionError(f"{len(r.D)} stacked colligations need a stack of as many points")
     step = _times_delta(r, r.D, big_delta, n)
     # I - step formed in place, so that a stacked step holds no broadcast copy of I beside
     # it; the diagonal of each matrix is every (size + 1)-th entry of it flattened
@@ -386,6 +386,8 @@ def _perturbations(mj: int, eps: float, seeds) -> np.ndarray:
 
 
 def realization_to_json(r: Realization) -> dict:
+    if r.A.ndim == 3:
+        raise DimensionError("a stacked realization has no JSON form")
     return {
         "dim_E": r.dim_E,
         "J": r.J,

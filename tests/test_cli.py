@@ -200,6 +200,20 @@ class TestEval:
         assert out == ""
         assert f"no file {missing!r}, and unknown {unknown} {missing!r}" in err
 
+    @pytest.mark.parametrize("delta, message", [
+        ("polydisk:99", "delta size in 'polydisk:99' exceeds the maximum"),
+        ("polydisk:x", "malformed delta size in 'polydisk:x'"),
+    ])
+    def test_known_family_with_a_bad_size_says_only_that(self, files, capsys, delta, message):
+        # a known family name is no missing file: its own error is said alone
+        for argv in (
+            ["eval", "--realization", "example-h1", "--delta", delta, "--point", files["interior"]],
+            ["fuzz", "--delta", delta],
+        ):
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert message in err and "no file" not in err
+
     @pytest.mark.parametrize("flags, pair", [
         (["--fixture", "F"], ["--delta", "F", "--realization", "F"]),
         (["--fixture", "F", "--delta", "D"], ["--delta", "D", "--realization", "F"]),

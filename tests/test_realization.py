@@ -5,6 +5,9 @@ from ncjulia import (
     DeltaMatrix,
     DimensionError,
     MatrixTuple,
+    analyze_bpoint,
+    gaussian_drafts,
+    scale_into_domain,
     NcFunctionHandle,
     PointStack,
     PreconditionError,
@@ -404,9 +407,31 @@ class TestColligationStacks:
     def test_stacked_constructor_refuses_a_nan_row(self):
         q = np.stack([random_realization(2, 2, seed).colligation for seed in self.SEEDS])
         q[3, 2, 1] = np.nan
+        one = random_realization(2, 2, 1).colligation
+        one[2, 2] = np.inf  # one colligation takes the same check, and warns nothing first
         for tol in (ISOMETRY_TOL, np.inf):
-            with pytest.raises(PreconditionError, match="non-finite"):
-                Realization(2, 2, *realization._blocks(q), isometry_tol=tol)
+            for m in (q, one):
+                with pytest.raises(PreconditionError, match="non-finite"):
+                    Realization(2, 2, *realization._blocks(m), isometry_tol=tol)
+
+    def test_one_point_functions_refuse_a_stack(self):
+        fx = get_fixture("example-h1")
+        stack = random_colligations(1, fx.delta.J, self.SEEDS)
+        h = NcFunctionHandle(stack, fx.delta)
+        x = scalars(0.5, 0.3)
+        for call in (
+            lambda: evaluate(h, x),
+            lambda: eval_phi_neumann(h, x, terms=10),
+            lambda: model_residual(h, x, x),
+            lambda: analyze_bpoint(h, scalars(1.0, 1.0)),
+            lambda: realization_to_json(stack),
+            # a stack of points of another length than the colligations
+            lambda: evaluate_stack(h, scale_into_domain(
+                fx.delta, gaussian_drafts(fx.delta.d, 1, np.random.default_rng(1), 3), 0.05
+            )),
+        ):
+            with pytest.raises(DimensionError):
+                call()
 
     @pytest.mark.parametrize("name", ["polydisk:2", "ball:3", "cartan:2"])
     def test_stacked_defects_equal_model_residual(self, name):
