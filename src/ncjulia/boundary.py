@@ -39,7 +39,6 @@ from .freepoly import MatrixTuple
 from .numerics import (
     PINV_RTOL,
     extrapolate_limit,
-    min_norm_solve,
     nearest_unitary,
     operator_norm,
 )
@@ -119,8 +118,6 @@ class AlphaEstimate:
     """
 
     alpha: float
-    quotients: tuple
-    steps: tuple
     increments: tuple
     converged: bool
     diverging: bool
@@ -152,8 +149,6 @@ def estimate_alpha(path: SequenceEvaluation) -> AlphaEstimate:
         converged = last_increment <= CONVERGENCE_RTOL * max(1.0, abs(alpha))
     return AlphaEstimate(
         alpha=alpha,
-        quotients=tuple(quotients),
-        steps=tuple(path.points.steps),
         increments=increments,
         converged=converged,
         diverging=diverging,
@@ -193,18 +188,9 @@ def extract_W(path: SequenceEvaluation) -> BoundaryValue:
     return BoundaryValue(W=w, unitary_distance=distance)
 
 
-def _kernel_bases(matrix: np.ndarray) -> tuple:
-    """Orthonormal bases of the kernel and the cokernel of a square matrix, from one SVD."""
-    u, s, vh = np.linalg.svd(matrix)
-    if s.size == 0 or s[0] == 0.0:
-        return np.eye(matrix.shape[0]), np.eye(matrix.shape[0])
-    mask = s <= PINV_RTOL * s[0] * max(matrix.shape) ** 0.5
-    return vh.conj().T[:, mask], u[:, mask]
-
-
 @dataclass(frozen=True)
 class ModelVectorAtBoundary:
-    """Minimum-norm solution of the boundary model system.
+    """Minimum-norm solution of the boundary model system, read from one SVD of it.
 
     ``range_residual`` is the norm of the unsolved part (zero exactly when the
     right-hand side lies in the range, which is the B-point criterion);
@@ -220,28 +206,29 @@ class ModelVectorAtBoundary:
 
 
 def solve_uT(h: NcFunctionHandle, bp: BoundaryPoint) -> ModelVectorAtBoundary:
-    """Solve the singular boundary system for the model vector at T."""
+    """The model vector at T: one SVD of the boundary system gives it, its residual and kernels."""
     if not bp.distinguished:
         raise PreconditionError(
             "model vector at the boundary requires T on the distinguished boundary"
         )
     resolvent, rhs, _ = model_operators(h.realization, bp.delta, bp.t.n)
-    if operator_norm(resolvent) <= PINV_RTOL:  # zero but for the rounding of Delta(T)
-        resolvent = np.zeros_like(resolvent)
-    outcome = min_norm_solve(resolvent, rhs)
-    kernel, cokernel = _kernel_bases(resolvent)
-    orthogonality = (
-        operator_norm(kernel.conj().T @ outcome.solution) if kernel.shape[1] else 0.0
-    )
-    if kernel.shape[1] or cokernel.shape[1]:
-        p_ker = kernel @ kernel.conj().T
-        p_coker = cokernel @ cokernel.conj().T
-        defect = operator_norm(p_ker - p_coker)
+    u, s, vh = np.linalg.svd(resolvent)
+    if s[0] <= PINV_RTOL:  # zero but for the rounding of Delta(T): all of it is kernel
+        resolvent, s = np.zeros_like(resolvent), np.zeros_like(s)
+        kernel = cokernel = np.eye(len(s))
     else:
-        defect = 0.0
+        mask = s <= PINV_RTOL * s[0] * len(s) ** 0.5
+        kernel, cokernel = vh.conj().T[:, mask], u[:, mask]
+    # min_norm_solve's solution, term for term as numpy's pinv forms it
+    s_plus = np.divide(1, s, where=s > PINV_RTOL * s[0], out=np.zeros_like(s))
+    u_t = vh.conj().T @ (s_plus[:, None] * u.conj().T) @ rhs
+    orthogonality = defect = 0.0
+    if kernel.shape[1]:
+        orthogonality = operator_norm(kernel.conj().T @ u_t)
+        defect = operator_norm(kernel @ kernel.conj().T - cokernel @ cokernel.conj().T)
     return ModelVectorAtBoundary(
-        u_T=outcome.solution,
-        range_residual=outcome.residual_norm,
+        u_T=u_t,
+        range_residual=operator_norm(resolvent @ u_t - rhs),
         kernel_orthogonality=orthogonality,
         kernel_defect=defect,
     )
@@ -398,7 +385,6 @@ class TfaeReport:
     sup_scalar_quotient: float
     sup_model_norm_sq: float
     aperture: float
-    n_points: int
     comparability: dict
 
 
@@ -435,7 +421,6 @@ def tfae_report(path: SequenceEvaluation, bp: BoundaryPoint) -> TfaeReport:
         sup_scalar_quotient=sup_scalar,
         sup_model_norm_sq=sup_model,
         aperture=aperture,
-        n_points=len(path.points.steps),
         comparability=comparability,
     )
 

@@ -27,7 +27,7 @@ import sys
 import numpy as np
 
 from . import boundary, derivative, domain, fixtures, freepoly, numerics, realization
-from .errors import ParseError, PreconditionError
+from .errors import ParseError, PreconditionError, UnknownNameError
 
 # --- deterministic JSON/text rendering --------------------------------------
 
@@ -200,10 +200,8 @@ def _resolve(name_or_path: str, from_json, by_name):
         return from_json(_load_json_file(name_or_path))
     try:
         return by_name(name_or_path)
-    except ParseError as exc:
-        if str(exc).startswith("unknown "):  # neither a file nor a known name: say both
-            raise ParseError(f"no file {name_or_path!r}, and {exc}") from None
-        raise
+    except UnknownNameError as exc:  # neither a file nor a known name: say both
+        raise ParseError(f"no file {name_or_path!r}, and {exc}") from None
 
 
 def _resolve_handle(args) -> realization.NcFunctionHandle:
@@ -251,11 +249,11 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def _jsonable_alpha(a: boundary.AlphaEstimate) -> dict:
+def _jsonable_alpha(a: boundary.AlphaEstimate, path: boundary.SequenceEvaluation) -> dict:
     return {
         "alpha": a.alpha,
-        "quotients": list(a.quotients),
-        "steps": list(a.steps),
+        "quotients": path.quotients.value.tolist(),
+        "steps": list(path.points.steps),
         "increments": list(a.increments),
         "converged": a.converged,
         "diverging": a.diverging,
@@ -272,10 +270,10 @@ def _jsonable_report(r: boundary.BPointReport) -> dict:
         "on_distinguished_boundary": r.point.distinguished,
         "sequence": {
             "kind": r.path.seq.kind,
-            "steps": list(r.alpha.steps),
+            "steps": list(r.path.points.steps),
             "dropped": r.path.points.dropped,
         },
-        "alpha": _jsonable_alpha(r.alpha),
+        "alpha": _jsonable_alpha(r.alpha, r.path),
         "is_bpoint": r.is_bpoint,
         "conditional": False if rt is None else rt.conditional,
         "julia": {
@@ -308,7 +306,7 @@ def _jsonable_report(r: boundary.BPointReport) -> dict:
             # "every model vector" is the one canonical model vector
             "sup_model_norm_sq_all": r.tfae.sup_model_norm_sq,
             "aperture": r.tfae.aperture,
-            "n_points": r.tfae.n_points,
+            "n_points": len(r.path.points.steps),
             "comparability": r.tfae.comparability,
         }
     return out

@@ -192,22 +192,16 @@ def boundary_point(delta: DeltaMatrix, t: MatrixTuple) -> BoundaryPoint:
     return BoundaryPoint(delta, t, eval_delta(delta, t))
 
 
-def _gram_derivative(bp: BoundaryPoint, h: MatrixTuple) -> np.ndarray:
-    """Delta(T)* times the derivative of Delta at T along h, on the grid as given.
-
-    This is the matrix whose sign and self-adjointness define the inward
-    cones; it is complex-linear in h.
-    """
-    dv = _on_given_grid(bp.grid, bp.t.n, delta_derivative(bp.grid, bp.t, h))
-    return bp.given.conj().T @ dv
-
-
 def cone_matrix(bp: BoundaryPoint, h: MatrixTuple) -> np.ndarray:
-    """The inward-cone matrix delta(T)* grad delta(T)[h] of a direction h in the unit ball."""
+    """The inward-cone matrix delta(T)* grad delta(T)[h] of a direction h in the unit ball.
+
+    It is complex-linear in h; its sign and self-adjointness define the inward cones.
+    """
     nrm = h.max_component_norm()
     if nrm > 1.0 + 1e-12:
         raise PreconditionError(f"direction exceeds the unit ball: max component norm {nrm:.6g}")
-    return _gram_derivative(bp, h)
+    dv = _on_given_grid(bp.grid, bp.t.n, delta_derivative(bp.grid, bp.t, h))
+    return bp.given.conj().T @ dv
 
 
 @dataclass(frozen=True)
@@ -231,6 +225,8 @@ def nontangential_constant(bp: BoundaryPoint, z: MatrixTuple) -> float:
 
     A sequence approaches T non-tangentially iff this stays bounded along it.
     """
+    if z.n != bp.t.n:
+        raise DimensionError("Z must have the same matrix size as T")
     dz = eval_delta(bp.grid, z)
     denominator = 1.0 - operator_norm(dz) ** 2
     if denominator <= 0.0:
@@ -318,7 +314,7 @@ def find_transverse_direction(
 
     def consider(k: MatrixTuple):
         nonlocal best_val, best_k
-        m = _gram_derivative(bp, k)
+        m = cone_matrix(bp, k)
         top_eig, sym_defect = hermitian_part_max_eig(m), operator_norm(m - m.conj().T)
         if sym_defect <= SELF_ADJOINT_TOL and top_eig < best_val:
             best_val, best_k = top_eig, k
@@ -530,6 +526,10 @@ def random_interior_points(
     """
     if not 0.0 < margin < 1.0:
         raise PreconditionError(f"sampling margin must lie in (0, 1), got {margin!r}")
+    if n < 1:
+        raise DimensionError(f"matrix size n must be at least 1, got {n!r}")
+    if count < 0:
+        raise PreconditionError(f"sample count must be at least 0, got {count!r}")
     rows = block_rows(16 * (delta.J * n) ** 2 + 16 * delta.d * n * n)
     return (
         scale_into_domain(delta, gaussian_drafts(delta.d, n, rng, min(rows, count - start)), margin)

@@ -17,6 +17,10 @@ class PolyParseError(ParseError):
         self.position = position
 
 
+class UnknownNameError(ParseError):
+    """A fixture, delta or closed-form name that names nothing."""
+
+
 class PreconditionError(ValueError):
     """An operation was called outside its documented contract."""
 

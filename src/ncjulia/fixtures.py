@@ -19,6 +19,7 @@ import numpy as np
 
 from .domain import MAX_FAMILY_SIZE, DeltaMatrix
 from .errors import DimensionError, ParseError, PreconditionError, SingularMatrixError
+from .errors import UnknownNameError
 from .freepoly import FreePolynomial, MatrixTuple
 from .realization import NcFunctionHandle, Realization
 
@@ -205,7 +206,7 @@ def list_fixtures() -> list:
 
 def get_fixture(name: str) -> Fixture:
     if name not in _FIXTURES:
-        raise ParseError(
+        raise UnknownNameError(
             f"unknown fixture {name!r}; available: {', '.join(sorted(_FIXTURES))}"
         )
     return _FIXTURES[name]
@@ -228,7 +229,7 @@ def get_delta(name: str) -> DeltaMatrix:
                 return _DELTA_FAMILIES[family](k)
             except DimensionError as exc:
                 raise ParseError(str(exc)) from None
-    raise ParseError(
+    raise UnknownNameError(
         f"unknown delta {name!r}; use a fixture name or one of "
         f"{', '.join(sorted(_DELTA_FAMILIES))}:<size>"
     )
@@ -236,7 +237,7 @@ def get_delta(name: str) -> DeltaMatrix:
 
 def get_closed_form(name: str):
     if name not in CLOSED_FORMS:
-        raise ParseError(
+        raise UnknownNameError(
             f"unknown closed form {name!r}; available: {', '.join(sorted(CLOSED_FORMS))}"
         )
     return CLOSED_FORMS[name]

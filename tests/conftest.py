@@ -93,6 +93,41 @@ def extrapolate_pairs(samples):
     return ExtrapolationResult(value=2.0 * values[-1] - values[-2], increments=increments)
 
 
+def kernel_bases(matrix):
+    """Oracle: orthonormal kernel and cokernel bases of a square matrix, from their own SVD."""
+    from ncjulia.numerics import PINV_RTOL
+
+    u, s, vh = np.linalg.svd(matrix)
+    if s.size == 0 or s[0] == 0.0:
+        return np.eye(matrix.shape[0]), np.eye(matrix.shape[0])
+    mask = s <= PINV_RTOL * s[0] * max(matrix.shape) ** 0.5
+    return vh.conj().T[:, mask], u[:, mask]
+
+
+def solve_uT_three_svds(h, bp):
+    """Oracle: ``solve_uT`` in its former form, (u_T, residual, orthogonality, defect).
+
+    A norm test, ``min_norm_solve`` and :func:`kernel_bases` each factor the system.
+    """
+    from ncjulia import min_norm_solve, operator_norm
+    from ncjulia.numerics import PINV_RTOL
+    from ncjulia.realization import model_operators
+
+    resolvent, rhs, _ = model_operators(h.realization, bp.delta, bp.t.n)
+    if operator_norm(resolvent) <= PINV_RTOL:
+        resolvent = np.zeros_like(resolvent)
+    outcome = min_norm_solve(resolvent, rhs)
+    kernel, cokernel = kernel_bases(resolvent)
+    orthogonality = (
+        operator_norm(kernel.conj().T @ outcome.solution) if kernel.shape[1] else 0.0
+    )
+    if kernel.shape[1] or cokernel.shape[1]:
+        defect = operator_norm(kernel @ kernel.conj().T - cokernel @ cokernel.conj().T)
+    else:
+        defect = 0.0
+    return outcome.solution, outcome.residual_norm, orthogonality, defect
+
+
 def stack_points(stack):
     """The points of a ``PointStack``, each as a tuple."""
     return [stack.point(k) for k in range(len(stack.norms))]

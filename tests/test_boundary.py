@@ -10,12 +10,14 @@ from ncjulia import (
     analyze_bpoint,
     boundary_identity_residual,
     boundary_point,
+    cartan_delta,
     estimate_alpha,
     eval_u,
     evaluate,
     evaluate_sequence,
     extract_W,
     get_fixture,
+    haar_unitary,
     is_bpoint_range_test,
     julia_inequality_check,
     julia_quotient,
@@ -32,8 +34,14 @@ from ncjulia import (
 )
 
 from ncjulia.boundary import JuliaSweep
+from ncjulia.realization import model_operators
 
-from conftest import random_unitary_tuple, sequential_interior_sample, stack_points
+from conftest import (
+    random_unitary_tuple,
+    sequential_interior_sample,
+    solve_uT_three_svds,
+    stack_points,
+)
 
 
 @pytest.fixture
@@ -277,19 +285,62 @@ class TestSolveUT:
         with pytest.raises(PreconditionError):
             solve_uT(h1, boundary_point(h1.delta, scalars(1.0, 0.5)))
 
-    def test_one_full_svd_for_kernel_and_cokernel(self, h1, monkeypatch):
-        calls = []
-        original = np.linalg.svd
+    def test_one_full_svd_for_kernel_and_cokernel(self, h1, rng, monkeypatch):
+        # one full SVD of R0 = I - (D kron I)(I kron Delta(T)) gives the solution and both
+        # kernels: nothing else factors R0, or its conjugate (which numpy's pinv factors)
+        bp = boundary_point(h1.delta, random_unitary_tuple(rng, 2, 2))
+        system = model_operators(h1.realization, bp.delta, 2)[0]
+        factored, original = [], np.linalg.svd
 
         def counting_svd(a, *args, **kwargs):
-            # operator norms and pinv pass arguments; the kernel SVD takes the defaults
-            if not args and not kwargs:
-                calls.append(a.shape)
+            a = np.asarray(a)
+            if any(np.array_equal(a, m) for m in (system, system.conj())):
+                factored.append((a.shape, args, kwargs))
             return original(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "svd", counting_svd)
-        solve_uT(h1, boundary_point(h1.delta, scalars(1.0, 1.0)))
-        assert calls == [(2, 2)]
+        monkeypatch.setitem(np.linalg.pinv.__wrapped__.__globals__, "svd", counting_svd)
+        solve_uT(h1, bp)
+        assert factored == [((4, 4), (), {})]
+
+    @staticmethod
+    def oracle_cases():
+        """(handle, T) on distinguished boundaries; the last two systems are zero or nearly."""
+        rng = np.random.default_rng(2411)
+        h1 = get_fixture("example-h1").handle
+        yield h1, scalars(1.0, 1.0)
+        for n in (1, 2, 3, 4):
+            yield h1, random_unitary_tuple(rng, 2, n)
+        for k in range(4):
+            n = 1 + k % 2
+            handle = NcFunctionHandle(random_realization(2, 2, seed=50 + k), polydisk_delta(2))
+            yield handle, random_unitary_tuple(rng, 2, n)
+            c, s, v = np.cos(0.3 + k / 4), np.sin(0.3 + k / 4), haar_unitary(n, rng)
+            handle = NcFunctionHandle(random_realization(2, 2, seed=60 + k), cartan_delta(2))
+            yield handle, MatrixTuple((c * v, 1j * s * v, c * v))
+        # R0 = 1 - D z is about 1e-14 in modulus, below PINV_RTOL, then exactly zero
+        z = np.exp(0.7j)
+        for c, d, t in ((-1.0 + 0.5j, (1.0 - 1e-14) / z, z), (0.0, 1.0, 1.0)):
+            r = Realization(
+                dim_E=1, J=1, A=np.zeros((1, 1)), B=np.zeros((1, 1)), C=np.full((1, 1), c),
+                D=np.full((1, 1), d), isometry_tol=np.inf,
+            )
+            yield NcFunctionHandle(r, polydisk_delta(1)), scalars(t)
+
+    def test_one_svd_equals_the_three_svd_solve_bit_for_bit(self):
+        def bits(a):
+            a = np.asarray(a)
+            return a.shape, a.dtype, a.tobytes()
+
+        for handle, t in self.oracle_cases():
+            bp = boundary_point(handle.delta, t)
+            assert bp.distinguished
+            sol = solve_uT(handle, bp)
+            got = (sol.u_T, sol.range_residual, sol.kernel_orthogonality, sol.kernel_defect)
+            assert [bits(v) for v in got] == [bits(v) for v in solve_uT_three_svds(handle, bp)]
+            assert type(sol.range_residual) is float
+        # the last system is zero: every vector lies in its kernel and u_T is 0
+        assert not sol.u_T.any() and sol.kernel_defect == 0.0
 
 
 class TestRangeTest:
@@ -651,7 +702,7 @@ class TestAnalyzeBpoint:
         rep = analyze_bpoint(h1, scalars(1.0, 1.0), julia_samples=0, seed=1)
         # estimate_alpha and tfae_report both read the quotients of the 12 approach points,
         # computed by one call on the sequence's stack
-        assert len(rep.alpha.quotients) == 12 and rep.tfae.n_points == 12
+        assert len(rep.path.quotients.value) == 12 and len(rep.path.points.steps) == 12
         assert rows == [12]
 
     def test_delta_at_T_evaluated_once(self, h1, monkeypatch):
@@ -758,8 +809,12 @@ class TestAnalyzeBpoint:
         rep = analyze_bpoint(h1, scalars(1.0, 1.0), julia_samples=0, seed=1)
         # Delta(T) once, and each of the 12 approach points once, for membership and evaluation:
         # every entry of polydisk:2 at those 13 points, and at the one lift the witness search reads
-        assert len(rep.alpha.steps) == 12 and rep.path.points.dropped == 0
+        assert len(rep.path.points.steps) == 12 and rep.path.points.dropped == 0
         assert rows == {"eval_delta": 1, "entries": 4 * 13, "lift": 4}
+
+    def test_negative_sample_count_raises(self, h1):
+        with pytest.raises(PreconditionError, match="sample count must be at least 0"):
+            analyze_bpoint(h1, scalars(1.0, 1.0), julia_samples=-1)
 
     def test_margin_outside_unit_interval_evaluates_nothing(self, h1, monkeypatch):
         from ncjulia import domain

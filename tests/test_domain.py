@@ -172,6 +172,12 @@ class TestNontangentialConstant:
         t = MatrixTuple.from_scalars([1.0])
         assert nontangential_constant(boundary_point(polydisk_delta(1), t), t) == float("inf")
 
+    def test_point_of_another_size_raises(self):
+        bp = boundary_point(polydisk_delta(2), MatrixTuple((np.eye(2), np.eye(2))))
+        z = MatrixTuple((0.5 * np.eye(4), 0.5 * np.eye(4)))
+        with pytest.raises(DimensionError, match="Z must have the same matrix size as T"):
+            nontangential_constant(bp, z)
+
     def test_ray_constant_approaches_half(self):
         # along Z = (1-t) T: c(t) = t / (2t - t^2) = 1 / (2 - t)
         d = polydisk_delta(2)
@@ -288,7 +294,7 @@ class TestAssumptionA:
         assert len(calls) == 1 and np.shape(calls[0][1]) == (2, 18, 6, 6)
         # column k is the Gram derivative along basis tuple k
         for k, e in enumerate(np.eye(18)):
-            column = domain._gram_derivative(bp, MatrixTuple(tuple(e.reshape(2, 3, 3))))
+            column = domain.cone_matrix(bp, MatrixTuple(tuple(e.reshape(2, 3, 3))))
             assert np.array_equal(lmat[:, k], column.reshape(-1))
         # a byte budget of 5 lifts (2 x 6 x 6) and their padded grid (12 x 12): stacks of
         # 5, 5, 5 and 3 lifts
@@ -583,6 +589,19 @@ class TestInteriorSampling:
             with pytest.raises(PreconditionError, match=r"margin must lie in \(0, 1\)"):
                 random_interior_points(polydisk_delta(2), 1, rng, 5, margin)
         assert rng.bit_generator.state == state
+
+    def test_bad_size_or_count_raises_on_the_call(self):
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        for n in (0, -1):
+            with pytest.raises(DimensionError, match="matrix size n must be at least 1"):
+                random_interior_points(polydisk_delta(2), n, rng, 5, 0.05)
+            with pytest.raises(DimensionError, match="matrix size n must be at least 1"):
+                random_interior_point(polydisk_delta(2), n, rng)
+        with pytest.raises(PreconditionError, match="sample count must be at least 0"):
+            random_interior_points(polydisk_delta(2), 1, rng, -1, 0.05)
+        assert rng.bit_generator.state == state
+        assert list(random_interior_points(polydisk_delta(2), 1, rng, 0, 0.05)) == []
 
     def test_first_failing_draft_raises_its_error(self, monkeypatch):
         # p(x) = 1e308 (x + x^2) is 0.01 at x = 1e-310, 1e8 at x = 1e-300 (one

@@ -24,7 +24,7 @@ from ncjulia import (
     parse_poly,
     polydisk_delta,
 )
-from ncjulia.errors import ParseError
+from ncjulia.errors import ParseError, UnknownNameError
 
 from conftest import random_contraction, random_tuple
 
@@ -206,6 +206,19 @@ class TestRegistry:
             get_delta("octagon:4")
         with pytest.raises(ParseError):
             get_delta("polydisk:x")
+
+    def test_unknown_names_raise_unknown_name_error(self):
+        for lookup, name in (
+            (get_fixture, "example-h9"), (get_delta, "octagon:4"), (get_delta, "blob"),
+            (get_closed_form, "example-h9"),
+        ):
+            with pytest.raises(UnknownNameError, match=f"^unknown .*{name!r}"):
+                lookup(name)
+        # a known family with a bad size names something: a plain ParseError
+        for name in ("polydisk:99", "polydisk:x", "polydisk:0"):
+            with pytest.raises(ParseError) as err:
+                get_delta(name)
+            assert type(err.value) is ParseError
 
     def test_closed_form_lookup(self):
         fn = get_closed_form("example-h3-eta")

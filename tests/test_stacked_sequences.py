@@ -134,10 +134,7 @@ def looped_alpha(path, evs):
         increments = res.increments
         last_increment = increments[-1] if increments else 0.0
         converged = last_increment <= boundary.CONVERGENCE_RTOL * max(1.0, abs(alpha))
-    return AlphaEstimate(
-        alpha, tuple(quotients), tuple(path.points.steps), increments, converged, diverging,
-        is_liminf and not diverging,
-    )
+    return AlphaEstimate(alpha, increments, converged, diverging, is_liminf and not diverging)
 
 
 def looped_W(steps, evs):
@@ -174,7 +171,7 @@ def looped_tfae(path, evs, bp):
         "scalar_over_gram": sup_scalar / sup_gram if sup_gram else float("inf"),
         "model_over_gram": sup_model / sup_gram if sup_gram else float("inf"),
     }
-    return TfaeReport(sup_gram, sup_scalar, sup_model, aperture, len(evs), comparability)
+    return TfaeReport(sup_gram, sup_scalar, sup_model, aperture, comparability)
 
 
 def looped_eta(path, evs, w):
@@ -211,6 +208,7 @@ def test_stacked_diagnostics_equal_the_per_point_loop(name, n, seed):
             warnings.simplefilter("ignore", GDeltaExitWarning)
             path = evaluate_sequence(h, ray_sequence(t, ray, 12))
         evs, q = looped(path), path.quotients
+        assert len(path.points.steps) == len(evs)
         got = list(zip(q.value.tolist(), q.numerator.tolist(), q.denominator.tolist()))
         assert bits(got) == bits(looped_quotients(evs))
         assert outcome(estimate_alpha, path) == outcome(looped_alpha, path, evs)
