@@ -322,25 +322,31 @@ def julia_sweep(h, samples, bp, w, alpha, rel_tol, u_t=None) -> JuliaSweep:
 
     ``samples`` yields ``domain.PointStack`` blocks, as
     ``domain.random_interior_points`` makes them; each block is evaluated by
-    one stacked solve, and each of its rows checked on its own.
+    one stacked solve and each of its rows checked on its own.  With u_T
+    given, the boundary identity is checked once per block, over its rows,
+    and its residuals at the rows not skipped are folded in row order.
     """
     checked = violations = skipped = 0
     max_ratio = identity_max = None
     for stack in samples:
         evaluation = evaluate_stack(h, stack)
-        for ev in map(evaluation.row, range(len(stack.norms))):
-            check = julia_inequality_check(ev, bp, w, alpha, rel_tol)
+        kept = []
+        for k in range(len(stack.norms)):
+            check = julia_inequality_check(evaluation.row(k), bp, w, alpha, rel_tol)
             if check.skipped:
                 skipped += 1
                 continue
             checked += 1
+            kept.append(k)
             if not check.holds:
                 violations += 1
             if check.rhs > 0:
                 ratio = check.lhs / check.rhs
                 max_ratio = ratio if max_ratio is None else max(max_ratio, ratio)
-            if u_t is not None:
-                res = boundary_identity_residual(h, bp, w, u_t, ev)
+        if u_t is not None and kept:
+            residuals = boundary_identity_residual(h, bp, w, u_t, evaluation).tolist()
+            for k in kept:
+                res = residuals[k]
                 identity_max = res if identity_max is None else max(identity_max, res)
     return JuliaSweep(checked, violations, skipped, max_ratio, identity_max)
 
@@ -351,8 +357,13 @@ def boundary_identity_residual(
     w: np.ndarray,
     u_t: np.ndarray,
     ev: Evaluation,
-) -> float:
-    """Residual of I - W* phi(Z) = u_T* (I_m kron (I - Delta(T)* Delta(Z))) u(Z)."""
+) -> float | np.ndarray:
+    """Residual of I - W* phi(Z) = u_T* (I_m kron (I - Delta(T)* Delta(Z))) u(Z).
+
+    A float for one evaluated point; for a stack, an array over its rows from
+    one stacked :func:`identity_defect`, each row bit-identical to its
+    one-point residual.
+    """
     if ev.phi.shape[-1] != bp.t.n:
         raise DimensionError("Z must have the same matrix size as T")
     w = np.asarray(w, dtype=np.complex128)

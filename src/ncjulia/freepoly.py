@@ -443,7 +443,7 @@ def parse_poly(text: str, d: int) -> FreePolynomial:
 
 
 def _fmt_real(v: float) -> str:
-    if v == int(v) and abs(v) < 1e16:
+    if abs(v) < 1e16 and v == int(v):  # the bound first: int() refuses inf and nan
         return str(int(v))
     return repr(v)
 

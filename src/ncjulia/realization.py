@@ -323,17 +323,20 @@ def identity_defect(r, y: tuple, x: tuple):
 
     ``y`` and ``x`` are (phi, u, Delta) triples: the model identity when y is
     an evaluated interior point, the boundary identity when y is
-    (W, u_T, Delta(T)).  A float for one colligation r; an array of defects
-    for colligations and x stacked alike.
+    (W, u_T, Delta(T)).  A float when neither triple has a row axis;
+    otherwise an array of defects over their broadcast leading axes, so one
+    boundary triple y checks a stacked x row by row, and colligations stacked
+    with their points check each at its own.  Each row is bit-identical to
+    its one-point call.
     """
     phi_y, u_y, delta_y = y
     phi_x, u_x, delta_x = x
     n = phi_x.shape[-1]
     m, jn = r.dim_E, r.J * n
-    lead = u_y.shape[:-2]
     gram = np.eye(jn, dtype=np.complex128) - delta_y.conj().swapaxes(-1, -2) @ delta_x
-    left = u_y.reshape(*lead, m, jn, n).conj().swapaxes(-1, -2) @ gram[..., None, :, :]
-    left = left.swapaxes(-3, -2).reshape(*lead, n, m * jn)
+    left = u_y.reshape(*u_y.shape[:-2], m, jn, n).conj().swapaxes(-1, -2) @ gram[..., None, :, :]
+    left = left.swapaxes(-3, -2)
+    left = left.reshape(*left.shape[:-2], m * jn)
     lhs = np.eye(n, dtype=np.complex128) - phi_y.conj().swapaxes(-1, -2) @ phi_x
     residual = lhs - left @ u_x
     return operator_norm(residual)

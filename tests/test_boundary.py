@@ -15,6 +15,7 @@ from ncjulia import (
     eval_u,
     evaluate,
     evaluate_sequence,
+    evaluate_stack,
     extract_W,
     get_fixture,
     haar_unitary,
@@ -480,6 +481,34 @@ class TestJuliaInequality:
         assert sweep.checked + sweep.skipped == 30 and sweep.identity_max is not None
         assert built == []
 
+    def test_sweep_checks_the_identity_once_per_block(self, h1, monkeypatch):
+        from ncjulia import boundary, domain
+
+        def recorded(name):
+            calls, original = [], getattr(boundary, name)
+            monkeypatch.setattr(boundary, name, lambda *a: calls.append(a) or original(*a))
+            return calls
+
+        identity = recorded("boundary_identity_residual")
+        checks = recorded("julia_inequality_check")
+        analyze_bpoint(h1, scalars(1.0, 1.0), julia_samples=50, seed=1)
+        assert (len(identity), len(checks)) == (1, 50)
+        identity.clear()
+        monkeypatch.setattr(domain, "BLOCK_BYTES", 7 * (16 * 4 + 16 * 2))  # blocks of 7 at n = 1
+        analyze_bpoint(h1, scalars(1.0, 1.0), julia_samples=30, seed=1)
+        assert len(identity) == 5
+
+    def test_sweep_with_every_row_skipped(self):
+        # phi = e^{0.3i} is constant and unitary, so every sample's I - phi* phi is zero
+        r = Realization(
+            dim_E=1, J=2, A=np.full((1, 1), np.exp(0.3j)), B=np.zeros((1, 2)),
+            C=np.zeros((2, 1)), D=np.eye(2),
+        )
+        handle = NcFunctionHandle(realization=r, delta=polydisk_delta(2))
+        rep = analyze_bpoint(handle, scalars(np.exp(0.5j), 1.0), julia_samples=20, seed=1)
+        assert rep.range_test.is_bpoint and rep.alpha.alpha == 0.0
+        assert rep.julia == JuliaSweep(skipped=20)
+
 
 class TestBoundaryIdentity:
     def test_derived_point(self, h1):
@@ -510,6 +539,16 @@ class TestBoundaryIdentity:
             ev = evaluate(h1, z)
             worst = max(worst, boundary_identity_residual(h1, bp, np.eye(1), sol.u_T, ev))
         assert worst <= 1e-8
+
+    def test_stacked_residuals_equal_the_row_residuals(self, h1):
+        bp = boundary_point(h1.delta, MatrixTuple((np.eye(2),) * 2))
+        u_t = solve_uT(h1, bp).u_T
+        stack = next(random_interior_points(h1.delta, 2, np.random.default_rng(4), 5, 0.05))
+        ev = evaluate_stack(h1, stack)
+        residuals = boundary_identity_residual(h1, bp, np.eye(2), u_t, ev)
+        rows = [boundary_identity_residual(h1, bp, np.eye(2), u_t, ev.row(k)) for k in range(5)]
+        assert residuals.shape == (5,) and np.array_equal(residuals, rows)
+        assert all(type(v) is float for v in rows) and max(rows) <= 1e-10
 
 
 class TestTfae:
@@ -605,6 +644,18 @@ class TestNontangentialBound:
 
 
 class TestAnalyzeBpoint:
+    # Ratchet: the np.linalg.svd calls of one analyze_bpoint run on example-h1 (100 Julia
+    # samples), pinned exactly.  A change that takes fewer lowers the pin; none raises it.
+    SVD_CALLS = 322
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_svd_calls_only_go_down(self, h1, n, monkeypatch):
+        svd, calls = np.linalg.svd, []
+        monkeypatch.setattr(np.linalg, "svd", lambda *a, **kw: calls.append(a) or svd(*a, **kw))
+        t = random_unitary_tuple(np.random.default_rng(7), 2, n)
+        analyze_bpoint(h1, t, julia_samples=100, seed=1)
+        assert len(calls) == self.SVD_CALLS
+
     def test_example_full_report(self, h1):
         rep = analyze_bpoint(h1, scalars(1.0, 1.0), julia_samples=50, seed=3)
         assert rep.is_bpoint and not rep.range_test.conditional

@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ncjulia import (
     DimensionError,
@@ -144,6 +145,23 @@ class TestFormat:
             d = int(rng.integers(1, 4))
             p = random_poly(rng, d)
             assert parse_poly(format_poly(p), d) == p
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(st.data())
+    def test_parse_inverts_format(self, data):
+        d = data.draw(st.integers(1, 3))
+        word = st.lists(st.integers(0, d - 1), max_size=4).map(tuple)
+        part = st.floats(-1e300, 1e300)
+        terms = data.draw(st.lists(st.tuples(word, st.builds(complex, part, part)), max_size=5))
+        p = FreePolynomial(d, tuple(terms))
+        assert parse_poly(format_poly(p), d) == p
+
+    def test_overflowed_coefficient(self):
+        # 1e308 + 1e308 is inf: it is printed, and the parser refuses the text
+        text = format_poly(FreePolynomial(1, (((0,), 1e308), ((0,), 1e308))))
+        assert text == "inf*x0"
+        with pytest.raises(PolyParseError):
+            parse_poly(text, 1)
 
 
 class TestCanonicalForm:

@@ -6,6 +6,7 @@ from ncjulia import (
     DimensionError,
     MatrixTuple,
     analyze_bpoint,
+    boundary_point,
     gaussian_drafts,
     scale_into_domain,
     NcFunctionHandle,
@@ -32,11 +33,13 @@ from ncjulia import (
     polydisk_delta,
     random_colligations,
     random_interior_point,
+    random_interior_points,
     random_realization,
     realization_from_json,
     realization_to_json,
     resolvent_condition,
     similarity,
+    solve_uT,
 )
 from ncjulia import realization
 from ncjulia.errors import ParseError
@@ -307,6 +310,23 @@ class TestModelResidual:
         assert len(calls) == 1
         assert residual == model_residual(h1, x, scalars(0.5, 0.3))
         assert len(calls) == 3
+
+    def test_identity_defect_broadcasts_leading_axes(self, h1):
+        # the boundary triple (W, u_T, Delta(T)) at T = (I, I) has no row axis; against a
+        # stacked x, and as x against a stacked y, each row equals its one-point call
+        bp = boundary_point(h1.delta, MatrixTuple((np.eye(2),) * 2))
+        at_t = (np.eye(2, dtype=np.complex128), solve_uT(h1, bp).u_T, bp.delta)
+        stack = next(random_interior_points(h1.delta, 2, np.random.default_rng(4), 5, 0.05))
+        ev = evaluate_stack(h1, stack)
+        at_z = (ev.phi, ev.u, ev.delta)
+        rows = [(row.phi, row.u, row.delta) for row in map(ev.row, range(5))]
+        r = h1.realization
+        defects = identity_defect(r, at_t, at_z)
+        assert defects.shape == (5,) and defects.max() < 1e-10
+        assert np.array_equal(defects, [identity_defect(r, at_t, row) for row in rows])
+        assert np.array_equal(
+            identity_defect(r, at_z, at_t), [identity_defect(r, row, at_t) for row in rows]
+        )
 
     def test_perturbed_colligation_fails(self, h1):
         broken = perturb_realization(h1.realization, eps=0.05, seed=4)
