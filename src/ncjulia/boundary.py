@@ -322,9 +322,9 @@ def julia_sweep(h, samples, bp, w, alpha, rel_tol, u_t=None) -> JuliaSweep:
 
     ``samples`` yields ``domain.PointStack`` blocks, as
     ``domain.random_interior_points`` makes them; each block is evaluated by
-    one stacked solve and each of its rows checked on its own.  With u_T
-    given, the boundary identity is checked once per block, over its rows,
-    and its residuals at the rows not skipped are folded in row order.
+    one :func:`evaluate_stack` call and each of its rows checked on its own.
+    With u_T given, the boundary identity is checked once per block, over its
+    rows, and its residuals at the rows not skipped are folded in row order.
     """
     checked = violations = skipped = 0
     max_ratio = identity_max = None

@@ -8,11 +8,13 @@ are >= 0.  Defaults the library shares are its named constants.
 
 Exit codes: 0 success (and verdict true for ``bpoint``), 1 verdict false or
 violations found, 2 parse error or invalid option value, 3 precondition
-violation.  All numeric output is printed with 17 significant digits so
-regressions are bit-stable.  A run is set by its arguments alone; no
-environment variable is read.  ``--fixture F`` fills whichever of ``--delta``
-and ``--realization`` is absent, and a point file holds
-``{"components": [...]}`` or ``{"scalars": [...]}``.
+violation.  ``bpoint`` exits on its ``is_bpoint`` verdict only, whatever its
+``julia.violations``; only ``fuzz`` exits 1 on violations.  All numeric
+output is printed with 17 significant digits so regressions are bit-stable.
+A run is set by its arguments alone; no environment variable is read.
+``--fixture F`` fills whichever of ``--delta`` and ``--realization`` is
+absent, and a point file holds ``{"components": [...]}`` or
+``{"scalars": [...]}``.
 """
 
 from __future__ import annotations
@@ -230,7 +232,7 @@ def cmd_eval(args) -> int:
     handle = _resolve_handle(args)
     point = _load_point(args.point)
     ev = realization.evaluate(handle, point)
-    cond = realization.resolvent_condition(ev)
+    cond = realization.resolvent_condition(handle, ev)
     at_x = (ev.phi, ev.u, ev.delta)
     residual = realization.identity_defect(handle.realization, at_x, at_x)
     emit(
@@ -354,17 +356,16 @@ def _model_identity_defects(args, delta, samples) -> np.ndarray:
 
 def cmd_fuzz(args) -> int:
     delta = _resolve(args.delta, domain.delta_from_json, fixtures.get_delta)
-    mj = args.dim_E * delta.J
-    if mj > fixtures.MAX_FAMILY_SIZE:
+    if args.dim_E * delta.J > fixtures.MAX_FAMILY_SIZE:
         raise ParseError(
             f"--dim-E times the grid size J must be at most {fixtures.MAX_FAMILY_SIZE}, "
             f"got {args.dim_E} * {delta.J}"
         )
     rng = np.random.default_rng(args.seed)
     # (seed, Gaussian draft) of the samples of each matrix size whose model identity is
-    # unchecked; a size's samples are checked once their drafts and model systems fill a block
-    pending, defects = {1: [], 2: []}, []
-    sweeps = []
+    # unchecked; a size's samples are checked once they fill one stacked solve
+    pending, defects, sweeps = {1: [], 2: []}, [], []
+    rows = {n: realization.solve_rows(delta, args.dim_E, n) for n in pending}
     # Haar-unitary tuples lie on the distinguished boundary of the polydisk only;
     # the shape test first, so a small grid over many variables builds no d x d grid
     square = len(delta.entries) == len(delta.entries[0]) == delta.d
@@ -374,7 +375,7 @@ def cmd_fuzz(args) -> int:
         n = int(rng.integers(1, 3))
         # the draws of random_interior_point; its scaling takes none, so it can wait
         pending[n].append((args.seed + k, domain.gaussian_drafts(delta.d, n, rng, 1)))
-        if len(pending[n]) == domain.block_rows(16 * (mj * n) ** 2 + 16 * delta.d * n * n):
+        if len(pending[n]) == rows[n]:
             defects.append(_model_identity_defects(args, delta, pending[n]))
             pending[n] = []
         if run_julia and k % 10 == 0:

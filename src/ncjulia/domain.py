@@ -499,9 +499,8 @@ def generate_sequence(seq: ApproachSequence, delta: DeltaMatrix) -> SequencePoin
     )
 
 
-# bytes of stacked arrays that one block may take: the drafts of a block of samples and
-# their Delta in random_interior_points, their drafts and model systems in ncjulia fuzz,
-# and a stack of the Gram map's lifts with the padded grid at them
+# bytes of stacked arrays that one block may take: sampled drafts with their Delta, Gram
+# map lifts with the grid at them, and (realization.solve_rows) points with model systems
 BLOCK_BYTES = 8 << 20
 
 

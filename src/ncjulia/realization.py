@@ -28,18 +28,15 @@ Batch axis: the kernels that form Delta(x), the model operators and phi
 ``_times_delta``, ``model_operators`` and ``_phi_from`` here) take arrays
 with leading axes before the trailing matrix axes, and so does
 ``_model_solution``, the one body that solves for u and forms phi.
-:func:`evaluate` calls it on one point with no leading axis;
-:func:`evaluate_stack` calls it once on a ``domain.PointStack``, B points
-of one matrix size with their Delta(x) stacked along a leading axis of
-length B, and returns an :class:`Evaluation` whose arrays keep that axis:
-approach sequences, derivative ladders and each block of Julia-sweep
-samples are evaluated so.  A :class:`Realization` may be stacked too, its
-blocks with a leading axis of length B, one colligation per point, which
-:func:`evaluate_stack` evaluates row for row with the points: ``ncjulia
-fuzz`` checks each block of its samples so, with :func:`identity_defect`
-as ``ncjulia eval`` at one point.  Every stacked product is a loop of the
-same BLAS and LAPACK calls on the same matrices, so each of its results is
-bit-identical to the one-point, one-colligation computation.
+:func:`evaluate` calls it on one point with no leading axis, and
+:func:`evaluate_stack` on a ``domain.PointStack``: B points of one matrix
+size, their Delta(x) stacked along a leading axis that the returned
+:class:`Evaluation` keeps.  It solves :func:`solve_rows` rows at a time, so
+no solve holds more model systems than ``domain.BLOCK_BYTES`` and no
+evaluation keeps one.  A stacked :class:`Realization`, one colligation per
+point, is sliced with the points; ``ncjulia fuzz`` checks its samples so.
+Every stacked product loops over the same BLAS and LAPACK calls on the same
+matrices, so each result is bit-identical to the one-point computation.
 """
 
 from __future__ import annotations
@@ -49,7 +46,7 @@ from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
-from .domain import DeltaMatrix, PointStack, eval_delta
+from .domain import DeltaMatrix, PointStack, block_rows, eval_delta
 from .errors import DimensionError, ParseError, PreconditionError, SingularMatrixError
 from .freepoly import MatrixTuple
 from .numerics import (
@@ -182,7 +179,7 @@ def _phi_from(r, big_delta: np.ndarray, u: np.ndarray, n: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Evaluation:
-    """Padded Delta(x), its norm, the model system matrix, u(x) and phi(x) at interior x.
+    """Padded Delta(x), its norm, u(x) and phi(x) at interior x.
 
     At a stack of points every field has a leading row axis, ``delta_norm``
     too; :meth:`row` is one row as a one-point evaluation.
@@ -190,15 +187,12 @@ class Evaluation:
 
     delta: np.ndarray
     delta_norm: float | np.ndarray
-    resolvent: np.ndarray
     u: np.ndarray
     phi: np.ndarray
 
     def row(self, k: int) -> Evaluation:
         """Row k of a stack, made of views; its norm is a Python float, as at one point."""
-        return Evaluation(
-            self.delta[k], float(self.delta_norm[k]), self.resolvent[k], self.u[k], self.phi[k]
-        )
+        return Evaluation(self.delta[k], float(self.delta_norm[k]), self.u[k], self.phi[k])
 
 
 def evaluate(h: NcFunctionHandle, x: MatrixTuple) -> Evaluation:
@@ -209,18 +203,33 @@ def evaluate(h: NcFunctionHandle, x: MatrixTuple) -> Evaluation:
 
 
 def evaluate_stack(h: NcFunctionHandle, stack: PointStack) -> Evaluation:
-    """:func:`evaluate` at each interior point of the stack, from one stacked solve.
-
-    A stacked realization is evaluated row for row with the points: point k
-    at colligation k.
-    """
+    """:func:`evaluate` at each point of the stack, at colligation k for point k when stacked."""
     _require_interior(float(stack.norms.max(initial=0.0)))
-    n = stack.components.shape[-1]
-    return Evaluation(stack.delta, stack.norms, *_model_solution(h.realization, stack.delta, n))
+    r, n = h.realization, stack.components.shape[-1]
+    rows = solve_rows(h.delta, r.dim_E, n)
+    blocks = [slice(k, k + rows) for k in range(0, max(1, len(stack.norms)), rows)]
+    parts = [_model_solution(_colligations(r, b), stack.delta[b], n) for b in blocks]
+    u, phi = parts[0] if len(parts) == 1 else map(np.concatenate, zip(*parts))
+    return Evaluation(stack.delta, stack.norms, u, phi)
+
+
+def solve_rows(delta: DeltaMatrix, dim_E: int, n: int) -> int:
+    """Rows of one model solve: a row's point and Delta, its system and step, in ``BLOCK_BYTES``."""
+    return block_rows(16 * (delta.d * n * n + (1 + 2 * dim_E**2) * (delta.J * n) ** 2))
+
+
+def _colligations(r: Realization, rows: slice) -> Realization:
+    """The colligations ``rows`` of a stacked realization as views, not checked again; else r."""
+    if r.A.ndim == 2:
+        return r
+    part = object.__new__(Realization)
+    names = ("A", "B", "C", "D", "isometry_defect")
+    part.__dict__.update(vars(r), **{name: getattr(r, name)[rows] for name in names})
+    return part
 
 
 def _model_solution(r, big_delta: np.ndarray, n: int) -> tuple:
-    """Resolvent, u and phi at Delta(x) from one solve; r and Delta(x) may be stacked alike.
+    """u and phi at Delta(x) from one solve; r and Delta(x) may be stacked alike.
 
     A singular model system, possible only for a colligation that is not
     contractive, raises SingularMatrixError.
@@ -232,7 +241,7 @@ def _model_solution(r, big_delta: np.ndarray, n: int) -> tuple:
         u = np.linalg.solve(resolvent, rhs)
     except np.linalg.LinAlgError:
         raise SingularMatrixError("model system is singular at the evaluation point") from None
-    return resolvent, u, _phi_from(r, big_delta, u, n)
+    return u, _phi_from(r, big_delta, u, n)
 
 
 def eval_u(h: NcFunctionHandle, x: MatrixTuple, return_cond: bool = False):
@@ -242,13 +251,14 @@ def eval_u(h: NcFunctionHandle, x: MatrixTuple, return_cond: bool = False):
     with ``return_cond=True`` returns ``(u, cond)``.
     """
     ev = evaluate(h, x)
-    cond = resolvent_condition(ev)
+    cond = resolvent_condition(h, ev)
     return (ev.u, cond) if return_cond else ev.u
 
 
-def resolvent_condition(ev: Evaluation) -> float:
-    """Condition number of the model system matrix; warns above ``COND_WARN_THRESHOLD``."""
-    sv = np.linalg.svd(ev.resolvent, compute_uv=False)
+def resolvent_condition(h: NcFunctionHandle, ev: Evaluation) -> float:
+    """Condition number of the model system at one point, formed again; warns if ill conditioned."""
+    resolvent = model_operators(h.realization, ev.delta, ev.phi.shape[-1])[0]
+    sv = np.linalg.svd(resolvent, compute_uv=False)
     cond = float("inf") if sv[-1] == 0.0 else float(sv[0] / sv[-1])
     if cond > COND_WARN_THRESHOLD:
         warnings.warn(

@@ -112,7 +112,7 @@ class TestEvaluateSequence:
                     z = (1.0 - s) * t if seq.direction is None else t + s * seq.direction
                     assert all(map(np.array_equal, bits(x), bits(z)))
                     one = evaluate(handle, x)
-                    for name in ("delta", "resolvent", "u", "phi"):
+                    for name in ("delta", "u", "phi"):
                         assert np.array_equal(getattr(ev, name), getattr(one, name)), name
                     assert ev.delta_norm == one.delta_norm
                     kept += 1
@@ -390,6 +390,16 @@ class TestJuliaInequality:
         with pytest.raises(DimensionError, match="same matrix size"):
             tfae_report(path, bp)
 
+    def test_w_and_u_t_of_another_shape_rejected(self, h1):
+        bp = boundary_point(h1.delta, scalars(1.0, 1.0))
+        ev, u_t = evaluate(h1, scalars(0.5, 0.3)), solve_uT(h1, bp).u_T
+        with pytest.raises(DimensionError, match=r"W has shape \(2, 2\), expected \(1, 1\)"):
+            julia_inequality_check(ev, bp, np.eye(2), 1.0)
+        with pytest.raises(DimensionError, match=r"W has shape \(2, 2\), expected \(1, 1\)"):
+            boundary_identity_residual(h1, bp, np.eye(2), u_t, ev)
+        with pytest.raises(DimensionError, match=r"u_T has shape \(3, 1\), expected \(2, 1\)"):
+            boundary_identity_residual(h1, bp, np.eye(1), np.ones((3, 1)), ev)
+
     def test_sweep_no_violations(self, h1, rng):
         t = MatrixTuple((np.eye(2),) * 2)
         w = np.eye(2)
@@ -497,6 +507,74 @@ class TestJuliaInequality:
         monkeypatch.setattr(domain, "BLOCK_BYTES", 7 * (16 * 4 + 16 * 2))  # blocks of 7 at n = 1
         analyze_bpoint(h1, scalars(1.0, 1.0), julia_samples=30, seed=1)
         assert len(identity) == 5
+
+    def test_sweep_counts_violations(self, h1):
+        # negative controls at the B-point (1, 1) of example-h1: the sweep that holds with
+        # the report's alpha and W fails with alpha far too small, or with W rotated
+        t = scalars(1.0, 1.0)
+        rep = analyze_bpoint(h1, t, julia_samples=40, seed=2)
+        w, alpha = rep.boundary_value.W, rep.alpha.alpha
+        assert rep.is_bpoint and rep.julia.checked == 40 and rep.julia.violations == 0
+
+        def sweep(w, alpha):
+            samples = random_interior_points(h1.delta, 1, np.random.default_rng(2), 40, 0.05)
+            return julia_sweep(h1, samples, rep.point, w, alpha, 1e-8)
+
+        assert sweep(w, alpha).violations == 0
+        assert sweep(w, 1e-3 * alpha).violations == 40
+        rotated = sweep(-w, alpha)
+        assert 0 < rotated.violations < rotated.checked == 40
+
+    def test_reports_equal_with_split_solves(self, h1, monkeypatch):
+        from ncjulia import boundary, cli, domain, realization
+
+        # solves of at most four rows: the 12-point path takes three, and each of the
+        # three blocks of nine sweep samples takes three
+        solves, per_stack = [], []
+        solution, evaluate_stack = realization._model_solution, boundary.evaluate_stack
+        monkeypatch.setattr(
+            realization, "_model_solution", lambda *a: solves.append(1) or solution(*a)
+        )
+
+        def counted(h, stack):
+            before = len(solves)
+            evaluation = evaluate_stack(h, stack)
+            per_stack.append(len(solves) - before)
+            return evaluation
+
+        monkeypatch.setattr(boundary, "evaluate_stack", counted)
+        for t in (scalars(1.0, 1.0), random_unitary_tuple(np.random.default_rng(7), 2, 2)):
+            n, default = t.n, domain.BLOCK_BYTES
+            reports = []
+            for budget in (default, 4 * 16 * (2 * n * n + (2 * n) ** 2 + 2 * (2 * n) ** 2)):
+                per_stack.clear()
+                monkeypatch.setattr(domain, "BLOCK_BYTES", budget)
+                rep = analyze_bpoint(h1, t, julia_samples=27, seed=1)
+                reports.append((cli.render_json(cli._jsonable_report(rep)), rep.julia))
+            assert per_stack == [3, 3, 3, 3]
+            assert reports[0][1].identity_max is not None  # the sweep checked u_T too
+            assert reports[1] == reports[0]
+
+    def test_sweep_memory_is_bounded_by_the_block_budget(self):
+        import tracemalloc
+
+        from ncjulia import domain
+
+        # 400 samples of 64 x 64 model systems take 51 MiB held at once; solved in
+        # blocks, the sweep stays within two budgets
+        handle = NcFunctionHandle(random_realization(8, 2, 5), polydisk_delta(2))
+        t = random_unitary_tuple(np.random.default_rng(0), 2, 4)
+        bp = boundary_point(handle.delta, t)
+        u_t = solve_uT(handle, bp).u_T
+        samples = random_interior_points(handle.delta, 4, np.random.default_rng(1), 400, 0.05)
+        tracemalloc.start()
+        try:
+            sweep = julia_sweep(handle, samples, bp, np.eye(4), 1.0, 1e-8, u_t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sweep.checked + sweep.skipped == 400
+        assert peak <= 2 * domain.BLOCK_BYTES
 
     def test_sweep_with_every_row_skipped(self):
         # phi = e^{0.3i} is constant and unitary, so every sample's I - phi* phi is zero

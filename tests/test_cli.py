@@ -466,9 +466,10 @@ class TestFuzz:
             return original(args, delta, samples)
 
         monkeypatch.setattr(cli, "_model_identity_defects", recorded)
-        # dim_E 2 on polydisk:2: the model system of a sample of size n is 4n x 4n complex,
-        # 256 n^2 bytes, and its draft 2 n x n complex, 32 n^2 bytes; a size's samples are
-        # checked when they fill the budget, or at the end
+        # dim_E 2 on polydisk:2: a sample of size n has a draft of two n x n complex
+        # matrices, 32 n^2 bytes, a padded Delta of 64 n^2 bytes, and a 4n x 4n complex model
+        # system and its step, 512 n^2 bytes; a size's samples are checked when they fill
+        # the budget, or at the end
         for budget in (3 * 1024, 100):
             flushes.clear()
             monkeypatch.setattr(domain, "BLOCK_BYTES", budget)
@@ -476,7 +477,7 @@ class TestFuzz:
             assert capsys.readouterr().out == unpatched
             assert sum(map(len, flushes)) == 25
             for n in (1, 2):
-                rows = max(1, budget // (288 * n**2))  # at least one sample
+                rows = max(1, budget // (608 * n**2))  # at least one sample
                 sizes = [len(block) for block in flushes if block[0] == n]
                 assert sizes[:-1] == [rows] * (len(sizes) - 1) and 0 < sizes[-1] <= rows
             assert all(len(set(block)) == 1 for block in flushes)
@@ -529,9 +530,10 @@ class TestFuzz:
             return original(args, delta, samples)
 
         monkeypatch.setattr(cli, "_model_identity_defects", recorded)
-        # polydisk:2 with dim_E 1 has 2n x 2n model systems and drafts of two n x n
-        # matrices: a budget of three samples of size 2, which holds twelve of size 1
-        monkeypatch.setattr(domain, "BLOCK_BYTES", 3 * (16 * 4**2 + 16 * 2 * 2**2))
+        # polydisk:2 with dim_E 1 has drafts of two n x n matrices, 2n x 2n padded Delta,
+        # and 2n x 2n model systems with their steps: a budget of three samples of size 2,
+        # which holds twelve of size 1
+        monkeypatch.setattr(domain, "BLOCK_BYTES", 3 * 16 * (2 * 2**2 + 4**2 + 2 * 4**2))
         assert main(argv) == code
         assert capsys.readouterr().out == unpatched
         assert all(len({n for _, n in block}) == 1 for block in flushes)
@@ -552,7 +554,7 @@ class TestFuzz:
     def test_stacked_model_identity_equals_looped_oracle(
         self, delta, no_isometry, monkeypatch, capsys
     ):
-        from ncjulia import domain, realization
+        from ncjulia import domain, fixtures, realization
 
         stacked, evaluated = [], []
         evaluate_stack, defects = realization.evaluate_stack, realization.identity_defect
@@ -580,8 +582,10 @@ class TestFuzz:
             residuals, expected = looped_fuzz(delta, dim_e, 40 + dim_e, 25, no_isometry)
             argv = ["fuzz", "--samples", "25", "--seed", str(40 + dim_e), "--delta", delta]
             argv += ["--dim-E", str(dim_e)] + ["--no-isometry"] * no_isometry
-            # one block per size at the default budget, then blocks of five samples of size 2
-            for budget in (default, 5 * 16 * (dim_e * expected["J"] * 2) ** 2):
+            # one block per size at the default budget, then blocks of five samples of size 2:
+            # drafts of d 2 x 2 matrices, padded Delta and model systems with their steps
+            d, jn = fixtures.get_delta(delta).d, 2 * expected["J"]
+            for budget in (default, 5 * 16 * (4 * d + jn**2 + 2 * (dim_e * jn) ** 2)):
                 stacked.clear(), evaluated.clear()
                 monkeypatch.setattr(domain, "BLOCK_BYTES", budget)
                 code = main(argv)
@@ -618,7 +622,9 @@ class TestFuzz:
         for argv, budget, realizations in (
             ([], domain.BLOCK_BYTES, 2),  # the Julia sub-sweeps of samples 0 and 10
             (["--no-isometry"], domain.BLOCK_BYTES, 4),  # and their perturbed colligations
-            ([], 3 * 16 * 4**2, 2),  # blocks of at most three samples of size 2
+            # blocks of at most three samples of size 2: drafts, padded Delta, model systems
+            # and their steps
+            ([], 3 * 16 * (2 * 2**2 + 4**2 + 2 * 4**2), 2),
         ):
             built.clear(), stacked.clear(), solves.clear(), blocks.clear()
             monkeypatch.setattr(domain, "BLOCK_BYTES", budget)
@@ -631,6 +637,47 @@ class TestFuzz:
             assert all(len(set(block)) == 1 for block in blocks)
             assert solves == [(block[0], len(block)) for block in blocks]
             assert sum(map(len, blocks)) == 20 and (len(blocks) == 2) == (budget > 4096)
+
+    @pytest.mark.parametrize("no_isometry", [False, True])
+    def test_stacked_realization_split_across_solves(self, no_isometry, monkeypatch, capsys):
+        from ncjulia import cli, domain, realization
+
+        argv = ["fuzz", "--samples", "30", "--seed", "9", "--dim-E", "2"]
+        argv += ["--no-isometry"] * no_isometry
+        code = main(argv)
+        unpatched = capsys.readouterr().out
+        built, solves, flushes = [], [], []
+        post_init, solution = realization.Realization.__post_init__, realization._model_solution
+        defects, default = cli._model_identity_defects, domain.BLOCK_BYTES
+
+        def split(args, delta, samples):
+            # the block was flushed at the default budget; it is solved a third at a time,
+            # at 608 n^2 bytes a sample (draft, padded Delta, model system and its step)
+            n, before = samples[0][1].shape[-1], len(solves)
+            monkeypatch.setattr(domain, "BLOCK_BYTES", 608 * n * n * (len(samples) // 3))
+            result = defects(args, delta, samples)
+            monkeypatch.setattr(domain, "BLOCK_BYTES", default)
+            assert len(solves) - before >= 3 and sum(solves[before:]) == len(samples)
+            flushes.append(len(samples))
+            return result
+
+        def counted_solution(r, big_delta, n):
+            if np.ndim(r.A) == 3:
+                solves.append(len(r.D))
+            return solution(r, big_delta, n)
+
+        monkeypatch.setattr(cli, "_model_identity_defects", split)
+        monkeypatch.setattr(realization, "_model_solution", counted_solution)
+        monkeypatch.setattr(
+            realization.Realization, "__post_init__",
+            lambda self, tol: built.append(self) or post_init(self, tol),
+        )
+        assert main(argv) == code
+        assert capsys.readouterr().out == unpatched
+        # one stacked Realization per flush, and its perturbed copy under --no-isometry:
+        # slicing it into solves builds and checks none
+        assert len(flushes) == 2 and sum(flushes) == 30
+        assert sum(np.ndim(r.A) == 3 for r in built) == 2 * (1 + no_isometry)
 
     def test_one_sequence_per_julia_sub_sweep(self, monkeypatch, capsys):
         from ncjulia import boundary

@@ -70,6 +70,13 @@ class TestEtaNumeric:
         with pytest.raises(PreconditionError, match="not inward"):
             eta_numeric(h1, scalars(1.0, 1.0), np.eye(1), scalars(1j, 1j))
 
+    def test_short_ladder_and_w_of_another_size_rejected(self, h1):
+        t, direction = scalars(1.0, 1.0), scalars(-1.0, -1.0)
+        with pytest.raises(PreconditionError, match="at least 2 ladder steps"):
+            eta_numeric(h1, t, np.eye(1), direction, steps=1)
+        with pytest.raises(DimensionError, match=r"W has shape \(2, 2\), expected \(1, 1\)"):
+            eta_numeric(h1, t, np.eye(2), direction)
+
     def test_oversized_direction_rejected(self, h1):
         with pytest.raises(PreconditionError, match="unit ball"):
             eta_numeric(h1, scalars(1.0, 1.0), np.eye(1), scalars(-2.0, -2.0))
@@ -128,7 +135,7 @@ class TestEtaNumeric:
 
 
 class TestAdmissibleLadder:
-    FIELDS = ("delta", "delta_norm", "resolvent", "u", "phi")
+    FIELDS = ("delta", "delta_norm", "u", "phi")
 
     def ladder(self, h, t, direction, first_step, steps):
         """The ladder, checked against its step list and against evaluate at each point."""
@@ -279,6 +286,13 @@ class TestScalarAngularDerivative:
         t = identity_pair(2)
         with pytest.raises(DimensionError, match=r"W has shape \(3, 3\), expected \(2, 2\)"):
             scalar_angular_derivative(h1, t, -1.0 * t, w=np.eye(3))
+
+    def test_v_of_another_length_or_zero_rejected(self, h1):
+        t = identity_pair(2)
+        with pytest.raises(DimensionError, match="v has length 3, expected 2"):
+            scalar_angular_derivative(h1, t, -1.0 * t, v=np.ones(3))
+        with pytest.raises(PreconditionError, match="non-zero vector"):
+            scalar_angular_derivative(h1, t, -1.0 * t, v=np.zeros(2))
 
     def test_non_transverse_rejected(self, h1):
         with pytest.raises(PreconditionError, match="transverse"):

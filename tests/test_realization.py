@@ -183,7 +183,7 @@ def evaluate_stacked(h, xs):
 
 
 class TestEvaluateStack:
-    FIELDS = ("delta", "delta_norm", "resolvent", "u", "phi")
+    FIELDS = ("delta", "delta_norm", "u", "phi")
 
     def test_evaluate_stack_matches_evaluate(self, h1):
         rng = np.random.default_rng(1606)
@@ -209,7 +209,7 @@ class TestEvaluateStack:
                         assert all(map(np.array_equal, x.components, xs[k].components))
                         one, ev = evaluate(h, x), many.row(k)
                         assert type(ev.delta_norm) is float
-                        for name in ("delta", "resolvent", "u", "phi"):  # views of the stack
+                        for name in ("delta", "u", "phi"):  # views of the stack
                             assert np.shares_memory(getattr(ev, name), getattr(many, name))
                         for name in self.FIELDS:
                             assert np.array_equal(getattr(ev, name), getattr(one, name)), name
@@ -296,6 +296,13 @@ class TestModelResidual:
             x = random_interior_point(delta, n, rng)
             y = random_interior_point(delta, n, rng)
             assert model_residual(handle, x, y) <= 1e-10
+
+    def test_points_of_another_size_or_arity_rejected(self, h1):
+        x = scalars(0.5, 0.3)
+        for y in (MatrixTuple((0.1 * np.eye(2),) * 2), scalars(0.1, 0.1, 0.1)):
+            for pair in ((x, y), (y, x)):
+                with pytest.raises(DimensionError, match="share matrix size and variable count"):
+                    model_residual(h1, *pair)
 
     def test_same_point_evaluated_once(self, h1, monkeypatch):
         from ncjulia import realization
@@ -506,9 +513,11 @@ class TestColligationStacks:
 
     def test_resolvent_condition_is_public(self, h1):
         ev = evaluate(h1, scalars(0.5, 0.3))
-        sv = np.linalg.svd(ev.resolvent, compute_uv=False)
-        assert resolvent_condition(ev) == sv[0] / sv[-1]
-        assert eval_u(h1, scalars(0.5, 0.3), return_cond=True)[1] == resolvent_condition(ev)
+        # the evaluation keeps no model system; the condition number forms it from Delta(x)
+        resolvent = model_operators(h1.realization, ev.delta, 1)[0]
+        sv = np.linalg.svd(resolvent, compute_uv=False)
+        assert resolvent_condition(h1, ev) == sv[0] / sv[-1]
+        assert eval_u(h1, scalars(0.5, 0.3), return_cond=True)[1] == resolvent_condition(h1, ev)
 
 
 class TestNcAxioms:
