@@ -10,7 +10,8 @@ solving a consistent singular system, and a boundary Schwarz-Pick inequality
 holds on the whole domain.  This module estimates all of these numerically
 and verifies the identities they satisfy.  Each diagnostic takes evaluations
 made once by ``realization.evaluate``, :func:`evaluate_sequence` or
-``domain.boundary_point``.
+``domain.boundary_point``.  Every approach path is one :func:`evaluate_sequence`
+call, checked there once by ``domain.generate_sequence``.
 """
 
 from __future__ import annotations
@@ -21,14 +22,12 @@ from functools import cached_property
 import numpy as np
 
 from .domain import (
-    ApproachSequence,
     BoundaryPoint,
     boundary_point,
     find_transverse_direction,
     generate_sequence,
     InwardWitnessResult,
     random_interior_points,
-    ray_sequence,
     SequencePoints,
     DISTINGUISHED_TOL,
     SAMPLE_MARGIN,
@@ -86,10 +85,9 @@ def julia_quotient(ev: Evaluation) -> JuliaQuotient:
 
 @dataclass(frozen=True, eq=False)
 class SequenceEvaluation:
-    """An approach sequence with its interior points; they are evaluated on first read."""
+    """The interior points of an approach sequence; they are evaluated on first read."""
 
     h: NcFunctionHandle
-    seq: ApproachSequence
     points: SequencePoints
 
     @cached_property
@@ -103,9 +101,12 @@ class SequenceEvaluation:
         return julia_quotient(self.evaluation)
 
 
-def evaluate_sequence(h: NcFunctionHandle, seq: ApproachSequence) -> SequenceEvaluation:
-    """The sequence's interior points, one Delta each; ``evaluation`` solves them on first read."""
-    return SequenceEvaluation(h, seq, generate_sequence(seq, h.delta))
+def evaluate_sequence(
+    h: NcFunctionHandle, t: MatrixTuple, direction: MatrixTuple | None, num_steps: int,
+    first_step: float,
+) -> SequenceEvaluation:
+    """The path of ``domain.generate_sequence``; ``evaluation`` solves its points on first read."""
+    return SequenceEvaluation(h, generate_sequence(h.delta, t, direction, num_steps, first_step))
 
 
 @dataclass(frozen=True)
@@ -126,10 +127,8 @@ class AlphaEstimate:
 
 def estimate_alpha(path: SequenceEvaluation) -> AlphaEstimate:
     """Estimate the quotient limit along the sequence by Richardson extrapolation."""
-    if len(path.points.steps) < 2:
-        raise PreconditionError("need at least two interior sequence points")
     quotients = path.quotients.value.tolist()
-    is_liminf = path.seq.kind == "radial" and path.h.delta.is_homogeneous_degree_one()
+    is_liminf = path.points.kind == "radial" and path.h.delta.is_homogeneous_degree_one()
 
     # bounded quotients may approach their limit from below, so growth alone
     # is not divergence; divergence means significant increments that fail to
@@ -170,8 +169,6 @@ def extract_W(path: SequenceEvaluation) -> BoundaryValue:
     A raw limit farther than ``UNITARY_DISTANCE_TOL`` from unitary is treated
     as evidence that the base point is not a B-point.
     """
-    if len(path.points.steps) < 2:
-        raise PreconditionError("need at least two interior sequence points")
     raw = extrapolate_limit(path.points.steps, path.evaluation.phi).value
     try:
         w = nearest_unitary(raw)
@@ -404,7 +401,7 @@ def tfae_report(path: SequenceEvaluation, bp: BoundaryPoint) -> TfaeReport:
 
     A sequence whose aperture exceeds ``APERTURE_CAP`` is tangential and raises.
     """
-    if path.seq.base.n != bp.t.n:
+    if path.points.base.n != bp.t.n:
         raise DimensionError("the sequence and T must have the same matrix size")
     ev, quotient = path.evaluation, path.quotients
     gram = np.eye(bp.delta.shape[0]) - ev.delta.conj().swapaxes(-1, -2) @ ev.delta
@@ -490,7 +487,7 @@ def analyze_bpoint(
         raise PreconditionError(
             f"T is outside the closed domain (||delta(T)|| = {bp.delta_norm:.6g})"
         )
-    path = evaluate_sequence(h, ray_sequence(t, direction, num_steps, first_step))
+    path = evaluate_sequence(h, t, direction, num_steps, first_step)
     alpha = estimate_alpha(path)
 
     boundary_value = w_error = None

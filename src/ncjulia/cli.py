@@ -271,7 +271,7 @@ def _jsonable_report(r: boundary.BPointReport) -> dict:
         "delta_norm_at_T": r.point.delta_norm,
         "on_distinguished_boundary": r.point.distinguished,
         "sequence": {
-            "kind": r.path.seq.kind,
+            "kind": r.path.points.kind,
             "steps": list(r.path.points.steps),
             "dropped": r.path.points.dropped,
         },
@@ -389,7 +389,7 @@ def cmd_fuzz(args) -> int:
                 tuple(numerics.haar_unitary(n, rng) for _ in range(delta.d))
             )
             try:
-                path = boundary.evaluate_sequence(handle, domain.ray_sequence(t, None, 18))
+                path = boundary.evaluate_sequence(handle, t, None, 18, domain.SEQUENCE_FIRST_STEP)
                 alpha = boundary.estimate_alpha(path)
                 w = boundary.extract_W(path).W
             except ValueError:  # every error class of the package is a ValueError
@@ -429,8 +429,11 @@ def cmd_derivative(args) -> int:
     t = _load_point(args.point)
     h = _load_point(args.direction)
     radial = handle.delta.is_homogeneous_degree_one()
-    seq = domain.ray_sequence(t, None if radial else h, max(args.steps, 14))
-    w = boundary.extract_W(boundary.evaluate_sequence(handle, seq)).W
+    path = boundary.evaluate_sequence(
+        handle, t, None if radial else h, max(args.steps, derivative.W_MIN_STEPS),
+        domain.SEQUENCE_FIRST_STEP,
+    )
+    w = boundary.extract_W(path).W
     result = derivative.eta_numeric(
         handle, t, w, h, steps=args.steps, first_step=args.ladder_first_step
     )

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .boundary import SequenceEvaluation, evaluate_sequence, extract_W
-from .domain import GDeltaExitWarning, boundary_point, cone_matrix, in_Delta, ray_sequence
+from .domain import GDeltaExitWarning, boundary_point, cone_matrix, in_Delta
 from .errors import ConvergenceError, DimensionError, PreconditionError
 from .freepoly import MatrixTuple
 from .numerics import extrapolate_limit, hermitian_part_max_eig, operator_norm
@@ -25,6 +25,7 @@ STEP_FLOOR = 1e-8  # below this, difference quotients drown in cancellation
 LADDER_FIRST_STEP = 1e-2
 ANGULAR_STEPS = 12  # ladder steps of scalar_angular_derivative
 MIN_INWARD_MARGIN = 1e-10  # smallest transversality margin eta_numeric accepts
+W_MIN_STEPS = 14  # fewest points of the path ncjulia derivative reads W from
 
 
 @dataclass(frozen=True)
@@ -64,7 +65,7 @@ def _admissible_ladder(
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", GDeltaExitWarning)
                 try:
-                    path = evaluate_sequence(h, ray_sequence(t, direction, kept, t0))
+                    path = evaluate_sequence(h, t, direction, kept, t0)
                     if path.points.dropped == 0:
                         return path
                 except PreconditionError:

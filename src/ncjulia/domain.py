@@ -6,7 +6,9 @@ evaluation of the grid zero pads it to the square J x J grid of the
 transfer-function machinery.  Its value on the grid as given, the top-left
 block, is what the geometric tests at a :class:`BoundaryPoint` (isometry of
 the boundary value, inward cones) read, since zero padding inserts zero
-rows or columns into the Gram matrix.
+rows or columns into the Gram matrix.  An approach path to a boundary point,
+radial or along a direction, is made and checked by one call of
+:func:`generate_sequence`.
 """
 
 from __future__ import annotations
@@ -401,48 +403,6 @@ def check_assumption_A(bp: BoundaryPoint, n_starts: int = 50) -> AssumptionRepor
 # --- approach sequences -----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ApproachSequence:
-    """Recipe for a sequence approaching the base point.
-
-    Without a direction it is radial, (1 - t) * T for each step t; with a
-    direction K it is a ray, T + t * K.  Steps must decrease geometrically by
-    2 so the limit extrapolation contract holds downstream.
-    """
-
-    base: MatrixTuple
-    direction: MatrixTuple | None
-    steps: tuple
-
-    def __post_init__(self):
-        if self.direction is not None and (
-            self.direction.d != self.base.d or self.direction.n != self.base.n
-        ):
-            raise DimensionError("direction must match the base point in d and n")
-        if len(self.steps) < 2:
-            raise PreconditionError("need at least 2 steps")
-        for t in self.steps:
-            if not t > 0:
-                raise PreconditionError("steps must be positive")
-
-    @property
-    def kind(self) -> str:
-        """The sequence kind: "radial" without a direction, "ray" with one."""
-        return "radial" if self.direction is None else "ray"
-
-
-def ray_sequence(
-    t: MatrixTuple, direction: MatrixTuple | None, num_steps: int = 10,
-    first_step: float = SEQUENCE_FIRST_STEP,
-) -> ApproachSequence:
-    """Steps ``first_step`` * 2^-k, k < num_steps, along ``direction``; radial when it is None."""
-    # the last step, checked before any is built
-    if num_steps >= 2 and not first_step * 2.0 ** (1 - num_steps) > 0:
-        raise PreconditionError("steps must be positive")
-    steps = tuple(first_step * 2.0 ** (-k) for k in range(num_steps))
-    return ApproachSequence(base=t, direction=direction, steps=steps)
-
-
 class PointStack(NamedTuple):
     """Points of one matrix size as one stack, with their padded Delta and its norms."""
 
@@ -456,45 +416,72 @@ class PointStack(NamedTuple):
 
 
 class SequencePoints(NamedTuple):
+    """The interior points of a path to ``base``, radial or along ``direction``."""
+
+    base: MatrixTuple
+    direction: MatrixTuple | None
     stack: PointStack  # the kept points
     steps: list
     dropped: int
 
+    @property
+    def kind(self) -> str:
+        """The path kind: "radial" without a direction, "ray" with one."""
+        return "radial" if self.direction is None else "ray"
 
-def generate_sequence(seq: ApproachSequence, delta: DeltaMatrix) -> SequencePoints:
-    """Materialize the sequence, keeping only points inside the domain.
 
-    The radial rule is only meaningful when every monomial of every entry has
-    total degree one, so that scaling the point scales the defining matrix;
-    this is checked syntactically.  The points are built as one stack; a
-    non-finite one is an error.  Dropped points are counted and warned about,
-    and an empty result is an error.  Each norm, from one stacked Delta and
+def generate_sequence(
+    delta: DeltaMatrix, t: MatrixTuple, direction: MatrixTuple | None, num_steps: int,
+    first_step: float,
+) -> SequencePoints:
+    """The path to t with steps ``first_step`` * 2^-k, k < num_steps, kept where interior.
+
+    Without a direction the path is radial, (1 - s) T at each step s; with a
+    direction K it is a ray, T + s K.  The steps halve, as the limit
+    extrapolation downstream requires.  Every check of the path runs here,
+    and before any step is built: at least 2 steps, a positive last step, a
+    direction of T's shape, and for a radial path a grid homogeneous of
+    degree one (checked syntactically), so that scaling the point scales the
+    defining matrix.  The points are built as one stack; a non-finite one is
+    an error.  Dropped points are counted and warned about, and fewer than
+    two interior points is an error.  Each norm, from one stacked Delta and
     one batched SVD, equals ``in_G_delta(delta, z).norm``.
     """
-    if seq.kind == "radial" and not delta.is_homogeneous_degree_one():
+    if num_steps >= 2 and not first_step * 2.0 ** (1 - num_steps) > 0:
+        raise PreconditionError("steps must be positive")
+    if direction is not None and (direction.d != t.d or direction.n != t.n):
+        raise DimensionError("direction must match the base point in d and n")
+    if num_steps < 2:
+        raise PreconditionError("need at least 2 steps")
+    if direction is None and not delta.is_homogeneous_degree_one():
         raise PreconditionError("radial sequences require a grid homogeneous of degree one")
-    if delta.d != seq.base.d:
-        raise DimensionError(f"delta has d={delta.d} but point has d={seq.base.d}")
-    steps, base = np.array(seq.steps)[:, None, None], np.stack(seq.base.components)[:, None]
+    if delta.d != t.d:
+        raise DimensionError(f"delta has d={delta.d} but point has d={t.d}")
+    steps = np.array([first_step * 2.0 ** (-k) for k in range(num_steps)])
+    base = np.stack(t.components)[:, None]
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite point is refused below
-        if seq.kind == "radial":
-            comps = (1.0 - steps) * base
+        if direction is None:
+            comps = (1.0 - steps[:, None, None]) * base
         else:
-            comps = base + steps * np.stack(seq.direction.components)[:, None]
+            comps = base + steps[:, None, None] * np.stack(direction.components)[:, None]
     if not np.isfinite(comps).all():
         raise PreconditionError("a sequence point contains non-finite entries")
     big_delta = _eval_delta_stack(delta, comps)
     norms = operator_norm(big_delta)
     inside = norms < 1.0
-    dropped = len(seq.steps) - int(inside.sum())
+    dropped = num_steps - int(inside.sum())
     if dropped:
-        message = f"{dropped} of {len(seq.steps)} sequence points fell outside the domain"
+        message = f"{dropped} of {num_steps} sequence points fell outside the domain"
         warnings.warn(message, GDeltaExitWarning, stacklevel=3)
     if not inside.any():
         raise PreconditionError("no sequence point lies inside the domain")
+    if dropped > num_steps - 2:
+        raise PreconditionError("need at least two interior sequence points")
     return SequencePoints(
+        base=t,
+        direction=direction,
         stack=PointStack(comps[:, inside], big_delta[inside], norms[inside]),
-        steps=[float(t) for t, keep in zip(seq.steps, inside) if keep],
+        steps=steps[inside].tolist(),
         dropped=dropped,
     )
 

@@ -257,6 +257,8 @@ def eval_u(h: NcFunctionHandle, x: MatrixTuple, return_cond: bool = False):
 
 def resolvent_condition(h: NcFunctionHandle, ev: Evaluation) -> float:
     """Condition number of the model system at one point, formed again; warns if ill conditioned."""
+    if ev.phi.ndim != 2:
+        raise DimensionError("the condition number is of one point's model system, not a stack's")
     resolvent = model_operators(h.realization, ev.delta, ev.phi.shape[-1])[0]
     sv = np.linalg.svd(resolvent, compute_uv=False)
     cond = float("inf") if sv[-1] == 0.0 else float(sv[0] / sv[-1])

@@ -39,7 +39,6 @@ from ncjulia import (
     parse_poly,
     perturb_realization,
     polydisk_delta,
-    ray_sequence,
     random_interior_point,
     random_realization,
     similarity,
@@ -47,6 +46,7 @@ from ncjulia import (
     boundary_identity_residual,
     tfae_report,
 )
+from ncjulia.domain import SEQUENCE_FIRST_STEP
 from ncjulia.cli import main as cli_main
 
 from conftest import (
@@ -92,7 +92,7 @@ def test_criterion_02_diagonal_julia_quotient(h1):
     worst = 0.0
     for n in (1, 2, 3):
         t = MatrixTuple((np.eye(n),) * 2)
-        est = estimate_alpha(evaluate_sequence(h1, ray_sequence(t, None, num_steps=10)))
+        est = estimate_alpha(evaluate_sequence(h1, t, None, 10, SEQUENCE_FIRST_STEP))
         worst = max(worst, abs(est.alpha - 1.0))
     elapsed = time.perf_counter() - start
     check(
@@ -189,7 +189,7 @@ def test_criterion_06_boundary_model_vector(h1):
     sol = solve_uT(h1, bp)
     target = np.array([[1.0], [1.0]]) / np.sqrt(2.0)
     u_err = operator_norm(sol.u_T - target)
-    alpha = estimate_alpha(evaluate_sequence(h1, ray_sequence(t, None, num_steps=12))).alpha
+    alpha = estimate_alpha(evaluate_sequence(h1, t, None, 12, SEQUENCE_FIRST_STEP)).alpha
     norm_gap = abs(operator_norm(sol.u_T) ** 2 - alpha)
     rng = np.random.default_rng(601)
     worst_identity = 0.0
@@ -357,7 +357,7 @@ def test_criterion_11_tfae_comparability(h1):
     details = []
     for handle, t in cases:
         rep = tfae_report(
-            evaluate_sequence(handle, ray_sequence(t, None, num_steps=12)),
+            evaluate_sequence(handle, t, None, 12, SEQUENCE_FIRST_STEP),
             boundary_point(handle.delta, t),
         )
         c = rep.aperture

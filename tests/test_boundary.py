@@ -29,10 +29,10 @@ from ncjulia import (
     random_interior_point,
     random_interior_points,
     random_realization,
-    ray_sequence,
     solve_uT,
     tfae_report,
 )
+from ncjulia.domain import SEQUENCE_FIRST_STEP
 
 from ncjulia.boundary import JuliaSweep
 from ncjulia.realization import model_operators
@@ -101,15 +101,15 @@ class TestEvaluateSequence:
                 t = MatrixTuple((u[:n, :n], u[n:, :n]))
             else:  # polydisk: a Haar-unitary pair
                 t = random_unitary_tuple(rng, 2, n)
-            ray = ray_sequence(t, -1.0 * t, num_steps=12)
-            for seq in (ray_sequence(t, None, num_steps=12), ray):
-                path = evaluate_sequence(handle, seq)
-                assert path.points.dropped == 0 and path.points.steps == list(seq.steps)
-                assert len(path.evaluation.phi) == len(seq.steps)
-                for k, s in enumerate(seq.steps):
+            for direction in (None, -1.0 * t):
+                path = evaluate_sequence(handle, t, direction, 12, SEQUENCE_FIRST_STEP)
+                steps = [SEQUENCE_FIRST_STEP * 2.0 ** (-k) for k in range(12)]
+                assert path.points.dropped == 0 and path.points.steps == steps
+                assert len(path.evaluation.phi) == len(steps)
+                for k, s in enumerate(steps):
                     x, ev = path.points.stack.point(k), path.evaluation.row(k)
                     # each point is the tuple arithmetic of its step, bit for bit
-                    z = (1.0 - s) * t if seq.direction is None else t + s * seq.direction
+                    z = (1.0 - s) * t if direction is None else t + s * direction
                     assert all(map(np.array_equal, bits(x), bits(z)))
                     one = evaluate(handle, x)
                     for name in ("delta", "u", "phi"):
@@ -127,8 +127,8 @@ class TestEvaluateSequence:
         monkeypatch.setattr(
             MatrixTuple, "__post_init__", lambda self: built.append(self) or post_init(self)
         )
-        for seq in (ray_sequence(t, None, 12), ray_sequence(t, direction, 12)):
-            pts = generate_sequence(seq, h1.delta)
+        for ray in (None, direction):
+            pts = generate_sequence(h1.delta, t, ray, 12, SEQUENCE_FIRST_STEP)
             assert len(pts.steps) == 12 and built == []
         # a point is built only where it is read
         assert len(stack_points(pts.stack)) == 12 and len(built) == 12
@@ -153,8 +153,8 @@ class TestEvaluateSequence:
 
         monkeypatch.setattr(MatrixTuple, "__post_init__", counted_post_init)
         monkeypatch.setattr(Evaluation, "__init__", counted_init)
-        for seq in (ray_sequence(t, None, 12), ray_sequence(t, direction, 12)):
-            path = evaluate_sequence(h1, seq)
+        for ray in (None, direction):
+            path = evaluate_sequence(h1, t, ray, 12, SEQUENCE_FIRST_STEP)
             estimate_alpha(path), extract_W(path), tfae_report(path, bp)
         res = eta_numeric(h1, t, np.eye(1), direction)
         assert res.steps_used == 10 and built == {"MatrixTuple": 0, "Evaluation": 0}
@@ -191,17 +191,17 @@ class TestEstimateAlpha:
     def test_example_radial(self, h1):
         for n in (1, 2, 3):
             t = MatrixTuple((np.eye(n),) * 2)
-            est = estimate_alpha(evaluate_sequence(h1, ray_sequence(t, None, num_steps=10)))
+            est = estimate_alpha(evaluate_sequence(h1, t, None, 10, SEQUENCE_FIRST_STEP))
             assert est.alpha == pytest.approx(1.0, abs=1e-8)
             assert est.converged and est.is_liminf and not est.diverging
 
     def test_trivial_disk(self, disk):
-        est = estimate_alpha(evaluate_sequence(disk, ray_sequence(scalars(1.0), None, num_steps=10)))
+        est = estimate_alpha(evaluate_sequence(disk, scalars(1.0), None, 10, SEQUENCE_FIRST_STEP))
         assert est.alpha == pytest.approx(1.0, abs=1e-10)
 
     def test_growth_detected(self):
         h = inconsistent_handle()
-        est = estimate_alpha(evaluate_sequence(h, ray_sequence(scalars(1.0), None, num_steps=10)))
+        est = estimate_alpha(evaluate_sequence(h, scalars(1.0), None, 10, SEQUENCE_FIRST_STEP))
         assert est.diverging and not est.converged
         assert est.alpha == float("inf")
         # cross-check: the range test agrees that T=1 is not a B-point
@@ -211,24 +211,24 @@ class TestEstimateAlpha:
 
     def test_ray_estimate_not_labeled_liminf(self, h1):
         t = scalars(1.0, 1.0)
-        est = estimate_alpha(evaluate_sequence(h1, ray_sequence(t, -1.0 * t, num_steps=10)))
+        est = estimate_alpha(evaluate_sequence(h1, t, -1.0 * t, 10, SEQUENCE_FIRST_STEP))
         assert est.alpha == pytest.approx(1.0, abs=1e-8)
         assert not est.is_liminf
 
 
 class TestExtractW:
     def test_example_scalar(self, h1):
-        res = extract_W(evaluate_sequence(h1, ray_sequence(scalars(1.0, 1.0), None, num_steps=12)))
+        res = extract_W(evaluate_sequence(h1, scalars(1.0, 1.0), None, 12, SEQUENCE_FIRST_STEP))
         assert res.W[0, 0] == pytest.approx(1.0, abs=1e-10)
         assert res.unitary_distance <= 1e-6
 
     def test_example_matrix_level(self, h1):
         t = MatrixTuple((np.eye(2),) * 2)
-        res = extract_W(evaluate_sequence(h1, ray_sequence(t, None, num_steps=12)))
+        res = extract_W(evaluate_sequence(h1, t, None, 12, SEQUENCE_FIRST_STEP))
         np.testing.assert_allclose(res.W, np.eye(2), atol=1e-8)
 
     def test_trivial_disk(self, disk):
-        res = extract_W(evaluate_sequence(disk, ray_sequence(scalars(1.0), None, num_steps=12)))
+        res = extract_W(evaluate_sequence(disk, scalars(1.0), None, 12, SEQUENCE_FIRST_STEP))
         assert res.W[0, 0] == pytest.approx(1.0, abs=1e-12)
 
     def test_uniqueness_across_transverse_rays(self, rng):
@@ -245,7 +245,7 @@ class TestExtractW:
             weights.append(-u @ p / np.linalg.norm(p, 2))
         k2 = MatrixTuple(tuple(weights))
         w1, w2 = (
-            extract_W(evaluate_sequence(handle, ray_sequence(t, k, 18, first_step=0.05))).W
+            extract_W(evaluate_sequence(handle, t, k, 18, 0.05)).W
             for k in (k1, k2)
         )
         assert operator_norm(w1 - w2) <= 1e-6
@@ -357,7 +357,7 @@ class TestRangeTest:
         # positive range test implies bounded quotients along a transverse ray
         t = scalars(1.0, -1.0)
         assert is_bpoint_range_test(h1, boundary_point(h1.delta, t)).is_bpoint
-        est = estimate_alpha(evaluate_sequence(h1, ray_sequence(t, -1.0 * t, num_steps=12)))
+        est = estimate_alpha(evaluate_sequence(h1, t, -1.0 * t, 12, SEQUENCE_FIRST_STEP))
         assert est.converged and not est.diverging
         assert np.isfinite(est.alpha)
 
@@ -386,7 +386,7 @@ class TestJuliaInequality:
         u_t = solve_uT(h1, bp).u_T
         with pytest.raises(DimensionError, match="same matrix size"):
             boundary_identity_residual(h1, bp, np.eye(1), u_t, evaluate(h1, z))
-        path = evaluate_sequence(h1, ray_sequence(MatrixTuple((np.eye(2),) * 2), None, num_steps=6))
+        path = evaluate_sequence(h1, MatrixTuple((np.eye(2),) * 2), None, 6, SEQUENCE_FIRST_STEP)
         with pytest.raises(DimensionError, match="same matrix size"):
             tfae_report(path, bp)
 
@@ -418,9 +418,9 @@ class TestJuliaInequality:
             )
             t = random_unitary_tuple(rng, 2, int(rng.integers(1, 3)))
             assert is_bpoint_range_test(handle, boundary_point(handle.delta, t)).is_bpoint
-            est = estimate_alpha(evaluate_sequence(handle, ray_sequence(t, None, num_steps=20)))
+            est = estimate_alpha(evaluate_sequence(handle, t, None, 20, SEQUENCE_FIRST_STEP))
             assert est.converged
-            w = extract_W(evaluate_sequence(handle, ray_sequence(t, None, num_steps=20))).W
+            w = extract_W(evaluate_sequence(handle, t, None, 20, SEQUENCE_FIRST_STEP)).W
             for _ in range(30):
                 z = random_interior_point(delta, t.n, rng)
                 check = julia_inequality_check(
@@ -443,7 +443,7 @@ class TestJuliaInequality:
         else:
             handle, t = get_fixture(source).handle, random_unitary_tuple(rng, 2, n)
         bp = boundary_point(handle.delta, t)
-        path = evaluate_sequence(handle, ray_sequence(t, None, num_steps=12))
+        path = evaluate_sequence(handle, t, None, 12, SEQUENCE_FIRST_STEP)
         w, alpha = extract_W(path).W, estimate_alpha(path).alpha
         u_t = solve_uT(handle, bp).u_T if source == "cartan:2" else None
         # blocks of 7 samples, so that the 30 samples span five blocks
@@ -633,7 +633,7 @@ class TestTfae:
     def test_example_all_one(self, h1):
         t = scalars(1.0, 1.0)
         rep = tfae_report(
-            evaluate_sequence(h1, ray_sequence(t, None, num_steps=12)), boundary_point(h1.delta, t)
+            evaluate_sequence(h1, t, None, 12, SEQUENCE_FIRST_STEP), boundary_point(h1.delta, t)
         )
         assert rep.sup_gram_quotient == pytest.approx(1.0, abs=1e-9)
         assert rep.sup_scalar_quotient == pytest.approx(1.0, abs=1e-9)
@@ -651,7 +651,7 @@ class TestTfae:
             )
             t = random_unitary_tuple(rng, 2, int(rng.integers(1, 3)))
             rep = tfae_report(
-                evaluate_sequence(handle, ray_sequence(t, None, num_steps=12)),
+                evaluate_sequence(handle, t, None, 12, SEQUENCE_FIRST_STEP),
                 boundary_point(handle.delta, t),
             )
             assert rep.comparability["gram_le_scalar"]
@@ -667,10 +667,10 @@ class TestTfae:
         eps = 1e-4
         k = MatrixTuple.from_scalars([(1j - eps), (1j - eps)])
         k = k * (1.0 / k.max_component_norm())
-        seq = ray_sequence(t, k, num_steps=6, first_step=my_first_step(eps))
+        path = evaluate_sequence(h1, t, k, 6, my_first_step(eps))
         monkeypatch.setattr(boundary, "APERTURE_CAP", 1e3)
         with pytest.raises(PreconditionError, match="tangential"):
-            tfae_report(evaluate_sequence(h1, seq), boundary_point(h1.delta, t))
+            tfae_report(path, boundary_point(h1.delta, t))
 
 
 def my_first_step(eps):
@@ -690,17 +690,14 @@ class TestNontangentialBound:
                 realization=random_realization(1, 2, seed=700 + k), delta=delta
             )
             t = random_unitary_tuple(rng, 2, 2)
-            est = estimate_alpha(evaluate_sequence(handle, ray_sequence(t, None, num_steps=18)))
+            est = estimate_alpha(evaluate_sequence(handle, t, None, 18, SEQUENCE_FIRST_STEP))
             assert est.converged
             cases.append((handle, t, est.alpha))
         from ncjulia import generate_sequence
 
         for handle, t, alpha in cases:
-            for seq in (
-                ray_sequence(t, None, num_steps=12),
-                ray_sequence(t, -1.0 * t, num_steps=12),
-            ):
-                pts = generate_sequence(seq, handle.delta)
+            for direction in (None, -1.0 * t):
+                pts = generate_sequence(handle.delta, t, direction, 12, SEQUENCE_FIRST_STEP)
                 for z in stack_points(pts.stack):
                     q = julia_quotient(evaluate(handle, z)).value
                     c = nontangential_constant(boundary_point(handle.delta, t), z)
@@ -715,7 +712,7 @@ class TestNontangentialBound:
                 realization=random_realization(1 + k % 2, 2, seed=900 + k), delta=delta
             )
             t = random_unitary_tuple(rng, 2, int(rng.integers(1, 3)))
-            est = estimate_alpha(evaluate_sequence(handle, ray_sequence(t, None, num_steps=18)))
+            est = estimate_alpha(evaluate_sequence(handle, t, None, 18, SEQUENCE_FIRST_STEP))
             sol = solve_uT(handle, boundary_point(handle.delta, t))
             assert sol.range_residual <= 1e-8
             assert abs(operator_norm(sol.u_T) ** 2 - est.alpha) <= 1e-6
@@ -770,7 +767,7 @@ class TestAnalyzeBpoint:
     def test_ray_rule_matches_radial_verdict(self, h1):
         t = scalars(1.0, 1.0)
         rep = analyze_bpoint(h1, t, direction=-1.0 * t, julia_samples=10, seed=5)
-        assert rep.is_bpoint and rep.path.seq.kind == "ray"
+        assert rep.is_bpoint and rep.path.points.kind == "ray"
         assert rep.alpha.alpha == pytest.approx(1.0, abs=1e-8)
         assert not rep.alpha.is_liminf  # only radial sequences earn that label
 
@@ -968,10 +965,10 @@ class TestAnalyzeBpoint:
     def test_shared_evaluations_match_public_functions(self, h1, rng):
         t = random_unitary_tuple(rng, 2, 2)
         rep = analyze_bpoint(h1, t, julia_samples=20, seed=4)
-        seq = ray_sequence(t, None, num_steps=12)
-        assert estimate_alpha(evaluate_sequence(h1, seq)) == rep.alpha
-        assert np.array_equal(extract_W(evaluate_sequence(h1, seq)).W, rep.boundary_value.W)
-        assert tfae_report(evaluate_sequence(h1, seq), boundary_point(h1.delta, t)) == rep.tfae
+        path = evaluate_sequence(h1, t, None, 12, SEQUENCE_FIRST_STEP)
+        assert estimate_alpha(path) == rep.alpha
+        assert np.array_equal(extract_W(path).W, rep.boundary_value.W)
+        assert tfae_report(path, boundary_point(h1.delta, t)) == rep.tfae
         sample_rng = np.random.default_rng(4)
         ratios, residuals = [], []
         for _ in range(20):

@@ -33,8 +33,9 @@ def looped_fuzz(delta_name, dim_e, seed, samples, no_isometry):
     from ncjulia import (
         MatrixTuple, NcFunctionHandle, boundary_point, estimate_alpha, evaluate_sequence,
         extract_W, get_delta, haar_unitary, julia_sweep, model_residual, perturb_realization,
-        random_interior_points, ray_sequence,
+        random_interior_points,
     )
+    from ncjulia.domain import SEQUENCE_FIRST_STEP
     from conftest import sequential_interior_sample
 
     delta = get_delta(delta_name)
@@ -52,7 +53,7 @@ def looped_fuzz(delta_name, dim_e, seed, samples, no_isometry):
             continue
         t = MatrixTuple(tuple(haar_unitary(n, rng) for _ in range(delta.d)))
         try:
-            path = evaluate_sequence(h, ray_sequence(t, None, 18))
+            path = evaluate_sequence(h, t, None, 18, SEQUENCE_FIRST_STEP)
             alpha, w = estimate_alpha(path), extract_W(path).W
         except ValueError:
             continue
@@ -861,6 +862,91 @@ class TestDerivative:
         assert out["W"]["data"][0][0] == pytest.approx(1.0, abs=1e-6)
 
 
+def _colligation(a, d):
+    """The 1 x 1 colligation [[a, 0], [0, d]] of dim_E = J = 1, isometric only for |a| = |d| = 1."""
+    zero = {"rows": 1, "cols": 1, "data": [[0, 0]]}
+    scalar = lambda z: {"rows": 1, "cols": 1, "data": [[z, 0]]}  # noqa: E731
+    return {"dim_E": 1, "J": 1, "A": scalar(a), "B": zero, "C": zero, "D": scalar(d)}
+
+
+# error class of the package -> (argv that raises it in its command's handler, exit code),
+# and SystemExit -> an argv that argparse refuses; "{name}" stands for the file of that
+# name in ``files`` or in EXIT_FILES
+EXIT_CODES = {
+    "SystemExit": (
+        ["bpoint", "--fixture", "example-h1", "--point", "{boundary}", "--steps", "1"], 2
+    ),
+    "ParseError": (["eval", "--fixture", "example-h1", "--point", "{malformed}"], 2),
+    "PolyParseError": (
+        ["eval", "--delta", "{bad_grammar}", "--realization", "example-h1", "--point",
+         "{interior}"],
+        2,
+    ),
+    "UnknownNameError": (
+        ["derivative", "--fixture", "example-h1", "--point", "{boundary}", "--direction",
+         "{inward}", "--closed-form", "no-such-form"],
+        2,
+    ),
+    "PreconditionError": (["eval", "--fixture", "example-h1", "--point", "{boundary}"], 3),
+    "DimensionError": (["eval", "--fixture", "example-h1", "--point", "{three_scalars}"], 3),
+    # D = 2 makes I - D x exactly zero at x = 0.5, admitted by a loose isometry tolerance
+    "SingularMatrixError": (
+        ["eval", "--delta", "polydisk:1", "--realization", "{singular}", "--isometry-tol", "10",
+         "--point", "{half}"],
+        3,
+    ),
+    # phi = 1/2 everywhere: its boundary limit is 1/2 away from unitary
+    "ConvergenceError": (
+        ["derivative", "--delta", "polydisk:1", "--realization", "{constant}", "--isometry-tol",
+         "10", "--point", "{one}", "--direction", "{minus_one}"],
+        3,
+    ),
+}
+EXIT_FILES = {
+    "bad_grammar": {"d": 2, "entries": [["x0 +", "0"], ["0", "x1"]]},
+    "three_scalars": {"scalars": [[0.1, 0], [0.2, 0], [0.3, 0]]},
+    "singular": _colligation(0.0, 2.0),
+    "constant": _colligation(0.5, 0.0),
+    "half": {"scalars": [[0.5, 0]]},
+    "one": {"scalars": [[1, 0]]},
+    "minus_one": {"scalars": [[-1, 0]]},
+}
+
+
+class TestExitCodes:
+    """The exit-code contract: each error class of the package, and argparse, has its code."""
+
+    def test_every_error_class_has_a_row(self):
+        import inspect
+
+        from ncjulia import errors
+
+        classes = {
+            name for name, cls in inspect.getmembers(errors, inspect.isclass)
+            if issubclass(cls, Exception) and cls.__module__ == errors.__name__
+        }
+        assert classes | {"SystemExit"} == set(EXIT_CODES)
+
+    @pytest.mark.parametrize("name", list(EXIT_CODES))
+    def test_exit_code(self, name, files, capsys):
+        from ncjulia import errors
+        from ncjulia.cli import build_parser
+
+        paths = {k: write_json(files["tmp"] / f"{k}.json", v) for k, v in EXIT_FILES.items()}
+        paths.update(files)
+        template, code = EXIT_CODES[name]
+        argv = [arg.format(**paths) for arg in template]
+        with pytest.raises((SystemExit, errors.ParseError, errors.PreconditionError)) as caught:
+            args = build_parser().parse_args(argv)
+            args.func(args)
+        assert type(caught.value).__name__ == name
+        capsys.readouterr()
+        assert main(argv) == code
+        # main prints the handler's message; argparse prints its usage and its own message
+        message = "usage:" if name == "SystemExit" else f"error: {caught.value}\n"
+        assert message in capsys.readouterr().err
+
+
 class TestMeta:
     def test_fixtures_listing(self, capsys):
         assert main(["fixtures"]) == 0
@@ -927,16 +1013,17 @@ class TestMeta:
         ):
             assert main(argv) == 2, argv
 
-    def test_underflowing_step_count_exits_three_at_once(self, files, monkeypatch):
+    def test_underflowing_step_count_exits_three_at_once(self, files, monkeypatch, capsys):
         from ncjulia import domain
 
         def refuse(**kwargs):
             raise AssertionError(f"built a sequence of {len(kwargs['steps'])} steps")
 
-        monkeypatch.setattr(domain, "ApproachSequence", refuse)
+        monkeypatch.setattr(domain, "SequencePoints", refuse)
         point = ["--fixture", "example-h1", "--point", files["boundary"]]
         for argv in (["bpoint", *point], ["derivative", *point, "--direction", files["inward"]]):
             assert main(argv + ["--steps", "2000"]) == 3, argv
+            assert capsys.readouterr().err == "error: steps must be positive\n"
 
     def test_bare_list_point_is_a_parse_error(self, files, capsys):
         point = write_json(files["tmp"] / "bare.json", [_SCALAR, _SCALAR])

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from ncjulia import (
-    ApproachSequence,
     DimensionError,
     MatrixTuple,
     PreconditionError,
@@ -20,7 +19,6 @@ from ncjulia import (
     homogeneity_check,
     in_G_delta,
     operator_norm,
-    ray_sequence,
     scalar_angular_derivative,
 )
 
@@ -142,7 +140,8 @@ class TestAdmissibleLadder:
         path = _admissible_ladder(h, t, direction, first_step, steps)
         t0 = path.points.steps[0]
         assert path.points.steps == [s for s in (t0 * 2.0**-k for k in range(steps)) if s >= STEP_FLOOR]
-        assert path.points.dropped == 0 and path.seq.kind == "ray" and path.seq.direction is direction
+        assert path.points.dropped == 0 and path.points.kind == "ray"
+        assert path.points.direction is direction
         ev = path.evaluation
         assert {len(getattr(ev, name)) for name in self.FIELDS} == {len(path.points.steps)}
         for k, s in enumerate(path.points.steps):
@@ -162,7 +161,7 @@ class TestAdmissibleLadder:
         t, direction = scalars(1.0, 1.0), scalars(-1.0, -1.0)
         # the first attempt drops points, which a plain sequence warns about
         with pytest.warns(GDeltaExitWarning):
-            evaluate_sequence(h1, ray_sequence(t, direction, 10, 40.0))
+            evaluate_sequence(h1, t, direction, 10, 40.0)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             path = self.ladder(h1, t, direction, 40.0, 10)
@@ -272,9 +271,8 @@ class TestScalarAngularDerivative:
         ladder = [1e-2 * 2.0**-j for j in range(12)]
         # every point of the default ladder is interior, so the first step is kept
         assert all(in_G_delta(h1.delta, t + s * k) for s in ladder)
-        seq = ApproachSequence(base=t, direction=k, steps=tuple(ladder))
         v = np.eye(n, dtype=complex)[0]
-        wv = extract_W(evaluate_sequence(h1, seq)).W @ v
+        wv = extract_W(evaluate_sequence(h1, t, k, 12, 1e-2)).W @ v
         quotients = [
             np.array((complex(wv.conj() @ (eval_phi(h1, t + s * k) @ v)) - 1.0) / s)
             for s in ladder

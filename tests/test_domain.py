@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ncjulia import (
-    ApproachSequence,
     DeltaMatrix,
     DimensionError,
     FreePolynomial,
@@ -33,11 +32,10 @@ from ncjulia import (
     polydisk_delta,
     random_interior_point,
     random_interior_points,
-    ray_sequence,
     scale_into_domain,
 )
 from ncjulia import domain
-from ncjulia.domain import GDeltaExitWarning
+from ncjulia.domain import GDeltaExitWarning, SEQUENCE_FIRST_STEP
 
 from conftest import (
     random_poly, random_tuple, random_unitary_tuple, sequential_interior_sample, stack_points,
@@ -376,24 +374,23 @@ class TestSequences:
     def test_radial_all_inside(self):
         d = polydisk_delta(2)
         t = MatrixTuple.from_scalars([1.0, 1.0])
-        pts = generate_sequence(ray_sequence(t, None, num_steps=10), d)
+        pts = generate_sequence(d, t, None, 10, SEQUENCE_FIRST_STEP)
         assert len(stack_points(pts.stack)) == 10 and pts.dropped == 0
         assert all(in_G_delta(d, z) for z in stack_points(pts.stack))
 
     def test_ray_matches_radial_for_neg_t(self):
         d = polydisk_delta(2)
         t = MatrixTuple.from_scalars([1.0, 1.0])
-        pts_ray = generate_sequence(ray_sequence(t, -1.0 * t, num_steps=6), d)
-        pts_rad = generate_sequence(ray_sequence(t, None, num_steps=6), d)
+        pts_ray = generate_sequence(d, t, -1.0 * t, 6, SEQUENCE_FIRST_STEP)
+        pts_rad = generate_sequence(d, t, None, 6, SEQUENCE_FIRST_STEP)
         for a, b in zip(stack_points(pts_ray.stack), stack_points(pts_rad.stack)):
             np.testing.assert_allclose(a.components[0], b.components[0], atol=1e-15)
 
     def test_exiting_points_dropped_with_warning(self):
         d = polydisk_delta(2)
         t = MatrixTuple.from_scalars([1.0, 1.0])
-        seq = ray_sequence(t, -1.0 * t, num_steps=4, first_step=4.0)
         with pytest.warns(GDeltaExitWarning):
-            pts = generate_sequence(seq, d)
+            pts = generate_sequence(d, t, -1.0 * t, 4, 4.0)
         # t=4 gives (-3,-3) outside; t=2 gives (-1,-1) on the boundary
         assert pts.dropped == 2
         assert pts.steps[0] == pytest.approx(1.0)
@@ -401,17 +398,16 @@ class TestSequences:
     def test_fully_tangential_ray_rejected(self):
         d = polydisk_delta(2)
         t = MatrixTuple.from_scalars([1.0, 1.0])
-        seq = ray_sequence(t, MatrixTuple.from_scalars([1j, 1j]), num_steps=5)
         with pytest.warns(GDeltaExitWarning):
             with pytest.raises(PreconditionError):
-                generate_sequence(seq, d)
+                generate_sequence(d, t, MatrixTuple.from_scalars([1j, 1j]), 5, SEQUENCE_FIRST_STEP)
 
     def test_radial_requires_homogeneous(self):
         x0 = FreePolynomial.variable(1, 0)
         d = DeltaMatrix(1, [[x0 * x0]])
         t = MatrixTuple.from_scalars([1.0])
         with pytest.raises(PreconditionError):
-            generate_sequence(ray_sequence(t, None), d)
+            generate_sequence(d, t, None, 10, SEQUENCE_FIRST_STEP)
 
     def test_inward_rays_enter_and_stay_nontangential(self, rng):
         # directions in the inward cone enter the domain for small t with
@@ -431,8 +427,7 @@ class TestSequences:
             )
             bp = boundary_point(d, t)
             assert in_Gamma(bp, h, beta=1e-6)
-            seq = ray_sequence(t, h, num_steps=8, first_step=0.05)
-            pts = generate_sequence(seq, d)
+            pts = generate_sequence(d, t, h, 8, 0.05)
             apertures = [nontangential_constant(bp, z) for z in stack_points(pts.stack)]
             assert max(apertures) < 1e3
 
@@ -441,9 +436,8 @@ class TestSequences:
         d = cartan_delta(2)
         t = MatrixTuple((np.eye(2), np.zeros((2, 2)), np.eye(2)))
         inward = -1.0 * t + 0.3 * random_tuple(rng, 3, 2)
-        seq = ray_sequence(t, inward, num_steps=8, first_step=4.0)
         with pytest.warns(GDeltaExitWarning):
-            pts = generate_sequence(seq, d)
+            pts = generate_sequence(d, t, inward, 8, 4.0)
         points, big_delta, norms = stack_points(pts.stack), pts.stack.delta, pts.stack.norms
         assert 0 < pts.dropped < 8
         assert len(points) == len(pts.steps) == len(big_delta) == len(norms)
@@ -456,44 +450,81 @@ class TestSequences:
         delta = DeltaMatrix(1, [[FreePolynomial(1, (((0,), 1e308), ((0, 0), 1e308)))]])
         one = MatrixTuple.from_scalars([1.0])
         with np.errstate(over="ignore"), pytest.raises(PreconditionError, match="non-finite"):
-            generate_sequence(ray_sequence(one, -1.0 * one, num_steps=6), delta)
+            generate_sequence(delta, one, -1.0 * one, 6, SEQUENCE_FIRST_STEP)
         # T + 1e308 H itself overflows: refused before Delta, with no numpy warning
         with pytest.raises(PreconditionError, match="sequence point contains non-finite"):
-            generate_sequence(ray_sequence(one, -4.0 * one, 6, 1e308), delta)
+            generate_sequence(delta, one, -4.0 * one, 6, 1e308)
 
     def test_point_of_other_d_rejected(self):
         t = MatrixTuple.from_scalars([1.0, 1.0])
         with pytest.raises(DimensionError):
-            generate_sequence(ray_sequence(t, None), polydisk_delta(3))
+            generate_sequence(polydisk_delta(3), t, None, 10, SEQUENCE_FIRST_STEP)
 
-    def test_underflowing_step_count_builds_no_sequence(self, monkeypatch):
-        built = []
-        original = domain.ApproachSequence
+    def test_underflowing_step_count_builds_no_sequence(self):
+        d, t = polydisk_delta(2), MatrixTuple.from_scalars([1.0, 1.0])
+        products = []
 
-        def record(**kwargs):
-            built.append(kwargs)
-            return original(**kwargs)
+        class CountedStep(float):
+            """A first step that counts the products formed from it: one per step built."""
 
-        monkeypatch.setattr(domain, "ApproachSequence", record)
-        t = MatrixTuple.from_scalars([1.0, 1.0])
-        # 0.5 * 2^-1073 is the smallest subnormal step; one more underflows to 0
-        assert len(ray_sequence(t, None, 1074).steps) == 1074 and len(built) == 1
+            def __mul__(self, other):
+                products.append(other)
+                return float(self) * other
+
+        # 0.5 * 2^-1073 is the smallest subnormal step; one more underflows to 0.  Radial
+        # points of steps below the rounding of 1 - s lie on the boundary and are dropped
+        with pytest.warns(GDeltaExitWarning):
+            pts = generate_sequence(d, t, None, 1074, CountedStep(0.5))
+        assert len(pts.steps) + pts.dropped == 1074 and len(products) == 1 + 1074
         for num_steps in (1075, 2000):
+            products.clear()
             with pytest.raises(PreconditionError, match="steps must be positive"):
-                ray_sequence(t, None, num_steps)
-        assert len(built) == 1
+                generate_sequence(d, t, None, num_steps, CountedStep(0.5))
+            assert len(products) == 1  # the last step alone
         with pytest.raises(PreconditionError, match="at least 2 steps"):
-            ray_sequence(t, None, -2000)
+            generate_sequence(d, t, None, -2000, SEQUENCE_FIRST_STEP)
+
+    def test_path_checks_run_in_order_before_any_step(self, monkeypatch):
+        d, t = polydisk_delta(2), MatrixTuple.from_scalars([1.0, 1.0])
+        x0 = FreePolynomial.variable(2, 0)
+        square = DeltaMatrix(2, [[x0 * x0]])
+        monkeypatch.setattr(domain, "_eval_delta_stack", lambda *a: pytest.fail("built a step"))
+        positive = (PreconditionError, "steps must be positive")
+        shape = (DimensionError, "direction must match")
+        refusals = [
+            # a non-positive last step is refused first, then a direction of another shape
+            ((d, t, MatrixTuple.from_scalars([1.0]), 2000, 0.5), positive),
+            ((d, t, None, 2, -0.5), positive),
+            ((d, t, None, 2, float("nan")), positive),
+            ((d, t, MatrixTuple.from_scalars([-1.0]), 1, 0.5), shape),
+            ((d, t, MatrixTuple((np.eye(2),) * 2), 6, 0.5), shape),
+            ((d, t, None, 1, 0.5), (PreconditionError, "need at least 2 steps")),
+            ((square, t, None, 6, 0.5), (PreconditionError, "homogeneous of degree one")),
+            ((polydisk_delta(3), t, None, 6, 0.5), (DimensionError, "delta has d=3 but point")),
+        ]
+        for args, (error, message) in refusals:
+            with pytest.raises(error, match=message) as caught:
+                generate_sequence(*args)
+            assert type(caught.value) is error
+
+    def test_fewer_than_two_interior_points_refused(self):
+        d, t = polydisk_delta(2), MatrixTuple.from_scalars([1.0, 1.0])
+        # along K = -T the steps 8 and 4 leave the domain, 2 reaches its boundary
+        # and 1 and 0.5 give the interior points 0 and T / 2
+        with pytest.warns(GDeltaExitWarning, match="3 of 4 sequence points"):
+            with pytest.raises(PreconditionError, match="need at least two interior sequence"):
+                generate_sequence(d, t, -1.0 * t, 4, 8.0)
+        with pytest.warns(GDeltaExitWarning, match="3 of 5 sequence points"):
+            pts = generate_sequence(d, t, -1.0 * t, 5, 8.0)
+        assert pts.steps == [1.0, 0.5] and pts.dropped == 3
 
     def test_kind_follows_direction(self):
-        t = MatrixTuple.from_scalars([1.0, 1.0])
-        steps = (0.5, 0.25)
-        assert ApproachSequence(base=t, direction=None, steps=steps).kind == "radial"
-        assert ApproachSequence(base=t, direction=-1.0 * t, steps=steps).kind == "ray"
-        assert ray_sequence(t, None).kind == "radial" and ray_sequence(t, -1.0 * t).kind == "ray"
-        for direction in (MatrixTuple.from_scalars([-1.0]), MatrixTuple((np.eye(2),) * 2)):
-            with pytest.raises(DimensionError, match="direction must match"):
-                ApproachSequence(base=t, direction=direction, steps=steps)
+        d, t = polydisk_delta(2), MatrixTuple.from_scalars([1.0, 1.0])
+        radial = generate_sequence(d, t, None, 4, SEQUENCE_FIRST_STEP)
+        direction = -1.0 * t
+        ray = generate_sequence(d, t, direction, 4, SEQUENCE_FIRST_STEP)
+        assert radial.kind == "radial" and radial.base is t and radial.direction is None
+        assert ray.kind == "ray" and ray.base is t and ray.direction is direction
 
 
 def nonhomogeneous_delta():

@@ -17,11 +17,11 @@ from ncjulia import (
     julia_inequality_check,
     operator_norm,
     polydisk_delta,
-    ray_sequence,
     random_interior_point,
     random_realization,
     solve_uT,
 )
+from ncjulia.domain import SEQUENCE_FIRST_STEP
 
 from conftest import random_unitary_tuple
 
@@ -41,7 +41,7 @@ def test_full_chain_random_instance(d, dim_e, n, seed):
     )
     t = random_unitary_tuple(rng, d, n)
 
-    est = estimate_alpha(evaluate_sequence(handle, ray_sequence(t, None, num_steps=20)))
+    est = estimate_alpha(evaluate_sequence(handle, t, None, 20, SEQUENCE_FIRST_STEP))
     assert est.converged and est.is_liminf
 
     bp = boundary_point(handle.delta, t)
@@ -49,7 +49,7 @@ def test_full_chain_random_instance(d, dim_e, n, seed):
     assert sol.range_residual <= 1e-8
     assert abs(operator_norm(sol.u_T) ** 2 - est.alpha) <= 1e-6
 
-    w = extract_W(evaluate_sequence(handle, ray_sequence(t, None, num_steps=20))).W
+    w = extract_W(evaluate_sequence(handle, t, None, 20, SEQUENCE_FIRST_STEP)).W
     assert operator_norm(w.conj().T @ w - np.eye(n)) <= 1e-10
 
     for _ in range(25):

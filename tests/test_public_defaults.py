@@ -38,8 +38,6 @@ PINNED = {
     ("domain", "in_Delta", "beta"),
     ("domain", "in_Gamma", "beta"),
     ("domain", "random_interior_point", "margin"),
-    ("domain", "ray_sequence", "first_step"),
-    ("domain", "ray_sequence", "num_steps"),
     ("freepoly", "poly_from_json", "d"),
     ("numerics", "as_complex_matrix", "name"),
     ("numerics", "is_self_adjoint", "tol"),

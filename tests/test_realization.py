@@ -519,6 +519,15 @@ class TestColligationStacks:
         assert resolvent_condition(h1, ev) == sv[0] / sv[-1]
         assert eval_u(h1, scalars(0.5, 0.3), return_cond=True)[1] == resolvent_condition(h1, ev)
 
+    def test_resolvent_condition_refuses_a_stack(self, h1):
+        xs = [scalars(0.5, 0.3), scalars(0.1, -0.2), scalars(0.0, 0.7)]
+        ev = evaluate_stacked(h1, xs)
+        with pytest.raises(DimensionError, match="one point's model system, not a stack's"):
+            resolvent_condition(h1, ev)
+        # each row is one point, and its condition number that of the point's evaluation
+        for k, x in enumerate(xs):
+            assert resolvent_condition(h1, ev.row(k)) == resolvent_condition(h1, evaluate(h1, x))
+
 
 class TestNcAxioms:
     def test_direct_sum(self, rng):

@@ -35,12 +35,11 @@ from ncjulia import (
     operator_norm,
     parse_poly,
     random_realization,
-    ray_sequence,
     scalar_angular_derivative,
     tfae_report,
 )
 from ncjulia import boundary, derivative
-from ncjulia.domain import GDeltaExitWarning
+from ncjulia.domain import GDeltaExitWarning, SEQUENCE_FIRST_STEP
 
 from conftest import extrapolate_pairs, random_matrix
 
@@ -120,7 +119,7 @@ def looped_alpha(path, evs):
     if len(evs) < 2:
         raise PreconditionError("need at least two interior sequence points")
     quotients = [value for value, _, _ in looped_quotients(evs)]
-    is_liminf = path.seq.kind == "radial" and path.h.delta.is_homogeneous_degree_one()
+    is_liminf = path.points.kind == "radial" and path.h.delta.is_homogeneous_degree_one()
     diverging = False
     if len(quotients) >= 3:
         d_prev = quotients[-2] - quotients[-3]
@@ -181,7 +180,7 @@ def looped_eta(path, evs, w):
 
 
 def looped_angular(path, evs):
-    steps, n = path.points.steps, path.seq.base.n
+    steps, n = path.points.steps, path.points.base.n
     v = np.zeros(n, dtype=np.complex128)
     v[0] = 1.0
     wv = looped_W(steps, evs).W @ v
@@ -206,7 +205,7 @@ def test_stacked_diagnostics_equal_the_per_point_loop(name, n, seed):
     for ray in rays:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", GDeltaExitWarning)
-            path = evaluate_sequence(h, ray_sequence(t, ray, 12))
+            path = evaluate_sequence(h, t, ray, 12, SEQUENCE_FIRST_STEP)
         evs, q = looped(path), path.quotients
         assert len(path.points.steps) == len(evs)
         got = list(zip(q.value.tolist(), q.numerator.tolist(), q.denominator.tolist()))
