@@ -29,7 +29,6 @@ from .domain import (
     InwardWitnessResult,
     random_interior_points,
     SequencePoints,
-    DISTINGUISHED_TOL,
     SAMPLE_MARGIN,
     SEQUENCE_FIRST_STEP,
 )
@@ -42,7 +41,7 @@ from .numerics import (
     operator_norm,
 )
 from .realization import ISOMETRY_TOL, Evaluation, NcFunctionHandle, model_operators
-from .realization import evaluate_stack, identity_defect
+from .realization import evaluate_stack, identity_defect, solve_rows
 # unused here; perfbench's test_tracer_restores_every_binding reads boundary.eval_phi
 from .realization import eval_phi  # noqa: F401
 
@@ -318,14 +317,22 @@ def julia_sweep(h, samples, bp, w, alpha, rel_tol, u_t=None) -> JuliaSweep:
     """Check the inequality at every interior point of ``samples``, each evaluated once.
 
     ``samples`` yields ``domain.PointStack`` blocks, as
-    ``domain.random_interior_points`` makes them; each block is evaluated by
-    one :func:`evaluate_stack` call and each of its rows checked on its own.
-    With u_T given, the boundary identity is checked once per block, over its
-    rows, and its residuals at the rows not skipped are folded in row order.
+    ``domain.random_interior_points`` makes them.  Each block is evaluated
+    in parts of ``realization.solve_rows`` rows, one :func:`evaluate_stack`
+    call a part, so u and phi are held for one part at a time; each row is
+    checked on its own.  With u_T given, the boundary identity is checked
+    once per part, over its rows, and its residuals at the rows not skipped
+    are folded in row order.
     """
     checked = violations = skipped = 0
     max_ratio = identity_max = None
-    for stack in samples:
+    rows = solve_rows(h.delta, h.realization.dim_E, bp.t.n)
+    parts = (
+        block.rows(slice(k, k + rows))
+        for block in samples
+        for k in range(0, len(block.norms), rows)
+    )
+    for stack in parts:
         evaluation = evaluate_stack(h, stack)
         kept = []
         for k in range(len(stack.norms)):
@@ -479,14 +486,7 @@ def analyze_bpoint(
     rng = np.random.default_rng(seed)
     samples = random_interior_points(h.delta, t.n, rng, julia_samples, margin)
     bp = boundary_point(h.delta, t)
-    if bp.delta_norm < 1.0 - DISTINGUISHED_TOL:
-        raise PreconditionError(
-            f"T is interior (||delta(T)|| = {bp.delta_norm:.6g}); boundary analysis undefined"
-        )
-    if bp.delta_norm > 1.0 + DISTINGUISHED_TOL:
-        raise PreconditionError(
-            f"T is outside the closed domain (||delta(T)|| = {bp.delta_norm:.6g})"
-        )
+    bp.require_boundary()
     path = evaluate_sequence(h, t, direction, num_steps, first_step)
     alpha = estimate_alpha(path)
 

@@ -15,10 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .boundary import SequenceEvaluation, evaluate_sequence, extract_W
-from .domain import GDeltaExitWarning, boundary_point, cone_matrix, in_Delta
+from .domain import GDeltaExitWarning, boundary_point, cone_matrix, in_Delta, inward_margin
 from .errors import ConvergenceError, DimensionError, PreconditionError
 from .freepoly import MatrixTuple
-from .numerics import extrapolate_limit, hermitian_part_max_eig, operator_norm
+from .numerics import extrapolate_limit, operator_norm
 from .realization import NcFunctionHandle
 
 STEP_FLOOR = 1e-8  # below this, difference quotients drown in cancellation
@@ -32,10 +32,10 @@ W_MIN_STEPS = 14  # fewest points of the path ncjulia derivative reads W from
 class DirectionalDerivativeResult:
     """Extrapolated derivative with its convergence diagnostics.
 
-    ``beta`` is the transversality margin of the direction (the negative of
-    the largest eigenvalue of the Hermitian part of the inward-cone matrix);
-    ``partial`` marks ladders that hit the step floor before using the
-    requested number of steps.
+    ``beta`` is the transversality margin of the direction, the
+    ``domain.inward_margin`` of its inward-cone matrix; ``partial`` marks
+    ladders that hit the step floor before using the requested number of
+    steps.
     """
 
     H: MatrixTuple
@@ -87,16 +87,18 @@ def eta_numeric(
 ) -> DirectionalDerivativeResult:
     """One-sided derivative of phi at the boundary point t along an inward direction.
 
-    Requires the direction to be strictly inward (Hermitian part of the
-    inward-cone matrix negative definite); the first step is auto-shrunk
-    until the whole ladder lies inside the domain.
+    Requires t on the boundary and the direction strictly inward (its
+    ``inward_margin`` at least ``MIN_INWARD_MARGIN``); the first step is
+    auto-shrunk until the whole ladder lies inside the domain.
     """
     if steps < 2:
         raise PreconditionError("need at least 2 ladder steps")
     w = np.asarray(w, dtype=np.complex128)
     if w.shape != (t.n, t.n):
         raise DimensionError(f"W has shape {w.shape}, expected ({t.n}, {t.n})")
-    beta = -hermitian_part_max_eig(cone_matrix(boundary_point(h.delta, t), direction))
+    bp = boundary_point(h.delta, t)
+    bp.require_boundary()
+    beta = inward_margin(cone_matrix(bp, direction))
     if beta < MIN_INWARD_MARGIN:
         raise PreconditionError(
             f"direction is not inward: transversality margin {beta:.3e} < {MIN_INWARD_MARGIN:.0e}"
@@ -151,11 +153,14 @@ def scalar_angular_derivative(
 
     Forms f(s) = <phi(T + sK) v, W v> for a unit vector v (default e_1) and
     returns the one-sided derivative of f at 0, where f(0) = 1 because W is
-    unitary.  The direction must lie in the transverse inward cone.
+    unitary.  T must lie on the boundary and the direction in the transverse
+    inward cone.
     """
     if w is not None and np.shape(w) != (t.n, t.n):
         raise DimensionError(f"W has shape {np.shape(w)}, expected ({t.n}, {t.n})")
-    if not in_Delta(boundary_point(h.delta, t), k):
+    bp = boundary_point(h.delta, t)
+    bp.require_boundary()
+    if not in_Delta(bp, k):
         raise PreconditionError("direction must lie in the transverse inward cone")
     if v is None:
         v = np.zeros(t.n, dtype=np.complex128)

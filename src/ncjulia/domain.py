@@ -6,9 +6,12 @@ evaluation of the grid zero pads it to the square J x J grid of the
 transfer-function machinery.  Its value on the grid as given, the top-left
 block, is what the geometric tests at a :class:`BoundaryPoint` (isometry of
 the boundary value, inward cones) read, since zero padding inserts zero
-rows or columns into the Gram matrix.  An approach path to a boundary point,
-radial or along a direction, is made and checked by one call of
-:func:`generate_sequence`.
+rows or columns into the Gram matrix.  Every inward-cone question about a
+direction h at T forms the cone matrix M = delta(T)* grad delta(T)[h] once,
+by :func:`cone_matrix`, and reads its margin from :func:`inward_margin`, and
+its asymmetry ||M - M*|| where self-adjointness is asked.  An approach path
+to a boundary point, radial or along a direction, is made and checked by
+one call of :func:`generate_sequence`.
 """
 
 from __future__ import annotations
@@ -30,19 +33,13 @@ from .freepoly import (
     poly_from_json,
     poly_to_json,
 )
-from .numerics import (
-    RANK_RTOL,
-    hermitian_part_max_eig,
-    is_self_adjoint,
-    json_int,
-    numerical_rank,
-    operator_norm,
-)
+from .numerics import RANK_RTOL, as_complex_matrix, json_int, operator_norm
 
 DISTINGUISHED_TOL = 1e-8
 SELF_ADJOINT_TOL = 1e-8  # ||M - M*|| bound of the self-adjointness cone
 INWARD_BETA = 1e-8  # margin by which an inward direction must be strictly inward
 DESCENT_ITERATIONS = 150  # subgradient steps per start of the witness search
+ASSUMPTION_STARTS = 50  # random starts of check_assumption_A's witness search
 SAMPLE_MARGIN = 0.05  # interior sampling: ||delta(x)|| <= 1 - margin
 MAX_HALVINGS = 60  # halvings of a random draft before sampling gives up
 SEQUENCE_FIRST_STEP = 0.5  # first step of radial and ray approach sequences
@@ -157,6 +154,17 @@ class BoundaryPoint:
         eye = np.eye(v.shape[1], dtype=np.complex128)
         return operator_norm(v.conj().T @ v - eye) <= DISTINGUISHED_TOL
 
+    def require_boundary(self) -> None:
+        """Refuse T unless ||Delta(T)|| = 1 within DISTINGUISHED_TOL, testing interior first."""
+        if self.delta_norm < 1.0 - DISTINGUISHED_TOL:
+            raise PreconditionError(
+                f"T is interior (||delta(T)|| = {self.delta_norm:.6g}); boundary analysis undefined"
+            )
+        if self.delta_norm > 1.0 + DISTINGUISHED_TOL:
+            raise PreconditionError(
+                f"T is outside the closed domain (||delta(T)|| = {self.delta_norm:.6g})"
+            )
+
     @cached_property
     def gram_map(self) -> np.ndarray:
         """Matrix of the complex-linear map h -> d(T)* grad d(T)[h] on vectorized tuples.
@@ -236,20 +244,21 @@ def nontangential_constant(bp: BoundaryPoint, z: MatrixTuple) -> float:
     return operator_norm(dz - bp.delta) / denominator
 
 
-def in_Gamma(bp: BoundaryPoint, h: MatrixTuple, beta: float = INWARD_BETA) -> bool:
-    """Inward cone test: the Hermitian part of d(T)* grad d(T)[h] is <= -beta."""
-    return hermitian_part_max_eig(cone_matrix(bp, h)) <= -beta
+def inward_margin(m: np.ndarray) -> float:
+    """The margin beta = -lambda_max((M + M*)/2) of a square cone matrix M.
+
+    The direction of M lies in the inward cone Gamma when beta >= INWARD_BETA.
+    """
+    a = as_complex_matrix(m)
+    if a.shape[0] != a.shape[1]:
+        raise DimensionError(f"expected a square matrix, got shape {a.shape}")
+    return float(np.linalg.eigvalsh((-a - a.conj().T) / 2.0)[0])
 
 
-def in_Sigma(bp: BoundaryPoint, h: MatrixTuple) -> bool:
-    """Self-adjointness cone: d(T)* grad d(T)[h] is self-adjoint within SELF_ADJOINT_TOL."""
-    return is_self_adjoint(cone_matrix(bp, h), SELF_ADJOINT_TOL)
-
-
-def in_Delta(bp: BoundaryPoint, h: MatrixTuple, beta: float = INWARD_BETA) -> bool:
-    """Transverse inward cone: self-adjoint within SELF_ADJOINT_TOL and eigenvalues <= -beta."""
+def in_Delta(bp: BoundaryPoint, h: MatrixTuple) -> bool:
+    """Transverse inward cone: ||M - M*|| <= SELF_ADJOINT_TOL, inward_margin(M) >= INWARD_BETA."""
     m = cone_matrix(bp, h)
-    return is_self_adjoint(m, SELF_ADJOINT_TOL) and hermitian_part_max_eig(m) <= -beta
+    return operator_norm(m - m.conj().T) <= SELF_ADJOINT_TOL and inward_margin(m) >= INWARD_BETA
 
 
 # --- assumption checks ------------------------------------------------------
@@ -303,31 +312,32 @@ def find_transverse_direction(
     Tries K = -T first (exact for grids homogeneous of degree one, where the
     Gram derivative at -T is minus the identity).  Otherwise runs projected
     subgradient descent on the largest eigenvalue of the Hermitian part from
-    ``n_starts`` random starts, ``DESCENT_ITERATIONS`` steps each; candidates
-    whose Gram derivative is not self-adjoint within ``SELF_ADJOINT_TOL`` are
-    repaired by projecting onto the self-adjointness subspace and re-scored.
+    ``n_starts`` random starts, ``DESCENT_ITERATIONS`` steps each.  Each
+    candidate is scored by the :func:`inward_margin` and the asymmetry of its
+    cone matrix; one not self-adjoint within ``SELF_ADJOINT_TOL`` is repaired
+    by projecting onto the self-adjointness subspace and scored again.
     Failure means "no witness found", not certified infeasibility.
     """
     t = bp.t
     d, n = t.d, t.n
     dim = d * n * n
 
-    best_val, best_k = np.inf, None
+    best_beta, best_k = -np.inf, None
 
     def consider(k: MatrixTuple):
-        nonlocal best_val, best_k
+        nonlocal best_beta, best_k
         m = cone_matrix(bp, k)
-        top_eig, sym_defect = hermitian_part_max_eig(m), operator_norm(m - m.conj().T)
-        if sym_defect <= SELF_ADJOINT_TOL and top_eig < best_val:
-            best_val, best_k = top_eig, k
-        return top_eig, sym_defect
+        beta, asymmetry = inward_margin(m), operator_norm(m - m.conj().T)
+        if asymmetry <= SELF_ADJOINT_TOL and beta > best_beta:
+            best_beta, best_k = beta, k
+        return beta, asymmetry
 
     neg_t = -1.0 * t
     nrm = neg_t.max_component_norm()
     if nrm > 0:
         consider(neg_t * min(1.0, 1.0 / nrm))
-    if best_val <= -INWARD_BETA:
-        return InwardWitnessResult(found=True, witness=best_k, beta=-best_val)
+    if best_beta >= INWARD_BETA:
+        return InwardWitnessResult(found=True, witness=best_k, beta=best_beta)
 
     lmat = bp.gram_map
     gram_dim = bp.given.shape[1]
@@ -343,28 +353,30 @@ def find_transverse_direction(
             grad = lmat.conj().T @ np.outer(top, top.conj()).reshape(-1)
             vec = _project_to_unit_ball(vec - (0.5 / np.sqrt(it + 1.0)) * grad, d, n)
         k = _vec_to_tuple(vec, d, n)
-        top_eig, sym_defect = consider(k)
-        if sym_defect > SELF_ADJOINT_TOL and top_eig < 0:
+        beta, asymmetry = consider(k)
+        if asymmetry > SELF_ADJOINT_TOL and beta > 0:
             # inward but not transverse: project onto the self-adjoint subspace
             proj = bp.sigma_basis @ (bp.sigma_basis.T @ np.concatenate([vec.real, vec.imag]))
             repaired = proj[:dim] + 1j * proj[dim:]
             if np.linalg.norm(repaired) > 0:
                 consider(_vec_to_tuple(_project_to_unit_ball(repaired, d, n), d, n))
-        if best_val <= -INWARD_BETA:
+        if best_beta >= INWARD_BETA:
             break
-    return InwardWitnessResult(found=best_val <= -INWARD_BETA, witness=best_k, beta=-best_val)
+    return InwardWitnessResult(found=best_beta >= INWARD_BETA, witness=best_k, beta=best_beta)
 
 
 def sigma_span_dimension(bp: BoundaryPoint) -> int:
     """Complex dimension of the span of the self-adjointness cone at t.
 
     The constraint M(h) = M(h)* is real-linear; its real solution space is
-    computed by SVD and the span dimension is the complex rank of a basis.
+    computed by SVD and the span dimension is the complex rank of a basis:
+    its singular values above ``RANK_RTOL`` times the largest.
     """
-    dim = bp.t.d * bp.t.n * bp.t.n
-    if bp.sigma_basis.shape[1] == 0:
+    dim, basis = bp.t.d * bp.t.n * bp.t.n, bp.sigma_basis
+    if basis.shape[1] == 0:
         return 0
-    return numerical_rank([col[:dim] + 1j * col[dim:] for col in bp.sigma_basis.T])
+    s = np.linalg.svd(basis[:dim] + 1j * basis[dim:], compute_uv=False)
+    return int(np.count_nonzero(s > RANK_RTOL * s[0]))
 
 
 @dataclass(frozen=True)
@@ -385,17 +397,17 @@ class AssumptionReport:
         return self.a1 and self.a2
 
 
-def check_assumption_A(bp: BoundaryPoint, n_starts: int = 50) -> AssumptionReport:
+def check_assumption_A(bp: BoundaryPoint) -> AssumptionReport:
     """Check that transverse inward directions exist and span everything.
 
-    The first part searches for a witness direction; a failed search is
-    reported as inconclusive, never as certified infeasibility.  The second
-    part computes the complex span dimension of the self-adjointness cone and
-    compares it with d * n^2.
+    The first part searches for a witness direction from ``ASSUMPTION_STARTS``
+    random starts; a failed search is reported as inconclusive, never as
+    certified infeasibility.  The second part computes the complex span
+    dimension of the self-adjointness cone and compares it with d * n^2.
     """
     if not bp.distinguished:
         raise PreconditionError("assumption checks require T on the distinguished boundary")
-    witness = find_transverse_direction(bp, n_starts=n_starts)
+    witness = find_transverse_direction(bp, n_starts=ASSUMPTION_STARTS)
     span, full = sigma_span_dimension(bp), bp.t.d * bp.t.n * bp.t.n
     return AssumptionReport(witness=witness, a2=span == full, sigma_span_dim=span, full_dim=full)
 
@@ -413,6 +425,10 @@ class PointStack(NamedTuple):
     def point(self, k: int) -> MatrixTuple:
         """Point k, built as a tuple where a caller reads one."""
         return MatrixTuple(tuple(self.components[:, k]))
+
+    def rows(self, part: slice) -> PointStack:
+        """The points ``part`` as one stack of views."""
+        return PointStack(self.components[:, part], self.delta[part], self.norms[part])
 
 
 class SequencePoints(NamedTuple):

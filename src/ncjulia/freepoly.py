@@ -47,11 +47,12 @@ MAX_DEPTH = 64  # deepest parenthesis nesting the recursive-descent parser enter
 
 @dataclass(frozen=True)
 class FreePolynomial:
-    """Canonical free polynomial: distinct words, no zero coefficients.
+    """Canonical free polynomial: distinct words, finite non-zero coefficients.
 
     ``terms`` is a tuple of (word, coefficient) pairs kept sorted by total
     degree, then lexicographically on the letter sequence.  The constructor
-    canonicalizes whatever it is given.
+    canonicalizes whatever it is given, and refuses a coefficient that is
+    not finite, summed duplicates included, with ``PreconditionError``.
     """
 
     d: int
@@ -69,6 +70,8 @@ class FreePolynomial:
                         f"variable index {i} out of range for d={self.d}"
                     )
             combined[w] = combined.get(w, 0j) + complex(coeff)
+        if not all(map(cmath.isfinite, combined.values())):
+            raise PreconditionError("polynomial coefficient is not finite")
         canon = tuple(
             sorted(
                 ((w, c) for w, c in combined.items() if c != 0),
@@ -354,7 +357,7 @@ class _Parser:
             op, _, pos = self.advance()
             rhs = self.term()
             _check_size(poly.degree(), len(poly.terms) + len(rhs.terms), pos)
-            poly = _check_finite(poly + rhs if op == "+" else poly - rhs, pos)
+            poly = _finite(lambda: poly + rhs if op == "+" else poly - rhs, pos)
         return poly
 
     def term(self):
@@ -363,7 +366,7 @@ class _Parser:
             pos = self.advance()[2]
             rhs = self.factor()
             _check_size(poly.degree() + rhs.degree(), len(poly.terms) * len(rhs.terms), pos)
-            poly = _check_finite(poly * rhs, pos)
+            poly = _finite(lambda: poly * rhs, pos)
         return poly
 
     def factor(self):
@@ -385,14 +388,14 @@ class _Parser:
                 raise PolyParseError("exponent must be a non-negative integer", tok[2])
             k = int(value.real)
             _check_size(poly.degree() * k, _power_term_bound(poly, k), tok[2])
-            poly = _check_finite(poly**k, tok[2])
+            poly = _finite(lambda: poly**k, tok[2])
         return poly
 
     def primary(self):
         tok = self.advance()
         kind, value, pos = tok
         if kind == "num":
-            return _check_finite(FreePolynomial.constant(self.d, value), pos), False
+            return _finite(lambda: FreePolynomial.constant(self.d, value), pos), False
         if kind == "var":
             if value >= self.d:
                 raise PolyParseError(
@@ -417,14 +420,12 @@ def _check_size(degree: int, terms: int, pos: int):
         raise PolyParseError(f"expansion may form {terms} terms, more than {MAX_TERMS}", pos)
 
 
-def _check_finite(poly: FreePolynomial, pos: int) -> FreePolynomial:
-    if not _finite_coefficients(poly):
-        raise PolyParseError("coefficient overflows to a non-finite value", pos)
-    return poly
-
-
-def _finite_coefficients(p: FreePolynomial) -> bool:
-    return all(cmath.isfinite(c) for _, c in p.terms)
+def _finite(build, pos: int) -> FreePolynomial:
+    """``build()``, a polynomial the parser forms; one whose coefficient overflows exits 2."""
+    try:
+        return build()
+    except PreconditionError:  # FreePolynomial refuses a non-finite coefficient
+        raise PolyParseError("coefficient overflows to a non-finite value", pos) from None
 
 
 def _power_term_bound(p: FreePolynomial, k: int) -> int:
@@ -443,7 +444,7 @@ def parse_poly(text: str, d: int) -> FreePolynomial:
 
 
 def _fmt_real(v: float) -> str:
-    if abs(v) < 1e16 and v == int(v):  # the bound first: int() refuses inf and nan
+    if abs(v) < 1e16 and v == int(v):  # integers of up to 16 digits print without a point
         return str(int(v))
     return repr(v)
 
@@ -543,12 +544,11 @@ def poly_from_json(obj, d: int | None = None) -> FreePolynomial:
         word = tuple(json_int(i, "polynomial word letter", 0) for i in letters)
         terms.append((word, json_complex(coeff, "polynomial coefficient")))
     try:
-        poly = FreePolynomial(pd, tuple(terms))
+        return FreePolynomial(pd, tuple(terms))
     except DimensionError as exc:
         raise ParseError(str(exc)) from None
-    if not _finite_coefficients(poly):
-        raise ParseError("polynomial coefficient is not finite")
-    return poly
+    except PreconditionError:  # a sum of duplicate words that overflows
+        raise ParseError("polynomial coefficient is not finite") from None
 
 
 def tuple_to_json(x: MatrixTuple) -> dict:

@@ -1,4 +1,4 @@
-"""Dense complex-matrix kernels used by every other module.
+"""Dense complex-matrix kernels shared by the other modules.
 
 All norms are spectral (largest singular value); the Frobenius norm enters
 only through the minimality property of the pseudoinverse solution in
@@ -55,30 +55,6 @@ def operator_norm(m):
     return float(norms) if a.ndim == 2 else norms
 
 
-def hermitian_part_min_eig(m) -> float:
-    """Smallest eigenvalue of (M + M*)/2.  Requires a square matrix."""
-    a = as_complex_matrix(m)
-    if a.shape[0] != a.shape[1]:
-        raise DimensionError(f"expected a square matrix, got shape {a.shape}")
-    if a.size == 0:
-        return 0.0
-    herm = (a + a.conj().T) / 2.0
-    return float(np.linalg.eigvalsh(herm)[0])
-
-
-def hermitian_part_max_eig(m) -> float:
-    """Largest eigenvalue of (M + M*)/2; M is negative definite iff this is < 0."""
-    return -hermitian_part_min_eig(-as_complex_matrix(m))
-
-
-def is_self_adjoint(m, tol: float = CONSISTENCY_TOL) -> bool:
-    """True iff ||M - M*|| <= tol (spectral norm)."""
-    a = as_complex_matrix(m)
-    if a.shape[0] != a.shape[1]:
-        raise DimensionError(f"expected a square matrix, got shape {a.shape}")
-    return operator_norm(a - a.conj().T) <= tol
-
-
 @dataclass(frozen=True)
 class SolveOutcome:
     """Result of a minimum-norm least-squares solve.
@@ -127,20 +103,6 @@ def nearest_unitary(m) -> np.ndarray:
             smallest_singular_value=float(s[-1]) if s.size else 0.0,
         )
     return u @ vh
-
-
-def numerical_rank(vectors, tol: float = RANK_RTOL) -> int:
-    """Number of singular values of the stacked matrix above tol * sigma_max."""
-    cols = [as_complex_matrix(v).reshape(-1) for v in vectors]
-    if not cols:
-        return 0
-    if len({c.shape[0] for c in cols}) != 1:
-        raise DimensionError("vectors must all have the same length")
-    stacked = np.column_stack(cols)
-    s = np.linalg.svd(stacked, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.count_nonzero(s > tol * s[0]))
 
 
 @dataclass(frozen=True)

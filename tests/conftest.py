@@ -159,3 +159,132 @@ def sequential_interior_sample(delta, n, rng, margin=0.05, max_halvings=60):
             return x, big_delta, norm, rounds
         x = 0.5 * x
     raise PreconditionError("could not scale a random point into the domain")
+
+
+# --- the inward-cone formulas before domain.inward_margin, kept as an oracle ---
+
+
+def hermitian_part_min_eig(m) -> float:
+    """Oracle: smallest eigenvalue of (M + M*)/2.  Requires a square matrix."""
+    from ncjulia import DimensionError
+    from ncjulia.numerics import as_complex_matrix
+
+    a = as_complex_matrix(m)
+    if a.shape[0] != a.shape[1]:
+        raise DimensionError(f"expected a square matrix, got shape {a.shape}")
+    if a.size == 0:
+        return 0.0
+    herm = (a + a.conj().T) / 2.0
+    return float(np.linalg.eigvalsh(herm)[0])
+
+
+def hermitian_part_max_eig(m) -> float:
+    """Oracle: largest eigenvalue of (M + M*)/2, as minus the smallest of -M's."""
+    from ncjulia.numerics import as_complex_matrix
+
+    return -hermitian_part_min_eig(-as_complex_matrix(m))
+
+
+def is_self_adjoint(m, tol: float = 1e-8) -> bool:
+    """Oracle: ||M - M*|| <= tol (spectral norm)."""
+    from ncjulia import DimensionError, operator_norm
+    from ncjulia.numerics import as_complex_matrix
+
+    a = as_complex_matrix(m)
+    if a.shape[0] != a.shape[1]:
+        raise DimensionError(f"expected a square matrix, got shape {a.shape}")
+    return operator_norm(a - a.conj().T) <= tol
+
+
+def numerical_rank(vectors, tol: float = 1e-10) -> int:
+    """Oracle: singular values of the stacked vectors above tol * sigma_max."""
+    from ncjulia import DimensionError
+    from ncjulia.numerics import as_complex_matrix
+
+    cols = [as_complex_matrix(v).reshape(-1) for v in vectors]
+    if not cols:
+        return 0
+    if len({c.shape[0] for c in cols}) != 1:
+        raise DimensionError("vectors must all have the same length")
+    s = np.linalg.svd(np.column_stack(cols), compute_uv=False)
+    if s.size == 0 or s[0] == 0.0:
+        return 0
+    return int(np.count_nonzero(s > tol * s[0]))
+
+
+def in_delta_oracle(bp, h, beta: float = 1e-8) -> bool:
+    """Oracle: the transverse inward cone, self-adjoint within 1e-8 and Hermitian part <= -beta."""
+    from ncjulia.domain import SELF_ADJOINT_TOL, cone_matrix
+
+    m = cone_matrix(bp, h)
+    return is_self_adjoint(m, SELF_ADJOINT_TOL) and hermitian_part_max_eig(m) <= -beta
+
+
+def find_transverse_direction_oracle(bp, n_starts: int = 50, seed: int = 0):
+    """Oracle: the witness search scoring candidates by the largest Hermitian-part eigenvalue."""
+    from ncjulia import operator_norm
+    from ncjulia.domain import (
+        DESCENT_ITERATIONS, INWARD_BETA, SELF_ADJOINT_TOL, InwardWitnessResult, cone_matrix,
+    )
+
+    t = bp.t
+    d, n = t.d, t.n
+    dim = d * n * n
+
+    def to_tuple(vec):
+        return MatrixTuple(tuple(vec.reshape(d, n, n)[r] for r in range(d)))
+
+    def to_unit_ball(vec):
+        comps = vec.reshape(d, n, n).copy()
+        for r in range(d):
+            u, s, vh = np.linalg.svd(comps[r])
+            comps[r] = u @ np.diag(np.minimum(s, 1.0)) @ vh
+        return comps.reshape(-1)
+
+    best_val, best_k = np.inf, None
+
+    def consider(k):
+        nonlocal best_val, best_k
+        m = cone_matrix(bp, k)
+        top_eig, sym_defect = hermitian_part_max_eig(m), operator_norm(m - m.conj().T)
+        if sym_defect <= SELF_ADJOINT_TOL and top_eig < best_val:
+            best_val, best_k = top_eig, k
+        return top_eig, sym_defect
+
+    neg_t = -1.0 * t
+    nrm = neg_t.max_component_norm()
+    if nrm > 0:
+        consider(neg_t * min(1.0, 1.0 / nrm))
+    if best_val <= -INWARD_BETA:
+        return InwardWitnessResult(found=True, witness=best_k, beta=-best_val)
+
+    lmat = bp.gram_map
+    gram_dim = bp.given.shape[1]
+    rng = np.random.default_rng(seed)
+    for _ in range(n_starts):
+        vec = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+        vec = to_unit_ball(vec)
+        for it in range(DESCENT_ITERATIONS):
+            m = (lmat @ vec).reshape(gram_dim, gram_dim)
+            herm = (m + m.conj().T) / 2.0
+            _, evecs = np.linalg.eigh(herm)
+            top = evecs[:, -1]
+            grad = lmat.conj().T @ np.outer(top, top.conj()).reshape(-1)
+            vec = to_unit_ball(vec - (0.5 / np.sqrt(it + 1.0)) * grad)
+        top_eig, sym_defect = consider(to_tuple(vec))
+        if sym_defect > SELF_ADJOINT_TOL and top_eig < 0:
+            proj = bp.sigma_basis @ (bp.sigma_basis.T @ np.concatenate([vec.real, vec.imag]))
+            repaired = proj[:dim] + 1j * proj[dim:]
+            if np.linalg.norm(repaired) > 0:
+                consider(to_tuple(to_unit_ball(repaired)))
+        if best_val <= -INWARD_BETA:
+            break
+    return InwardWitnessResult(found=best_val <= -INWARD_BETA, witness=best_k, beta=-best_val)
+
+
+def sigma_span_dimension_oracle(bp) -> int:
+    """Oracle: the complex rank of the self-adjointness basis, column by column."""
+    dim = bp.t.d * bp.t.n * bp.t.n
+    if bp.sigma_basis.shape[1] == 0:
+        return 0
+    return numerical_rank([col[:dim] + 1j * col[dim:] for col in bp.sigma_basis.T])

@@ -504,9 +504,10 @@ class TestJuliaInequality:
         analyze_bpoint(h1, scalars(1.0, 1.0), julia_samples=50, seed=1)
         assert (len(identity), len(checks)) == (1, 50)
         identity.clear()
-        monkeypatch.setattr(domain, "BLOCK_BYTES", 7 * (16 * 4 + 16 * 2))  # blocks of 7 at n = 1
+        # sampler blocks of 7 at n = 1, each evaluated in solve parts of 3, 3 and 1 rows
+        monkeypatch.setattr(domain, "BLOCK_BYTES", 7 * (16 * 4 + 16 * 2))
         analyze_bpoint(h1, scalars(1.0, 1.0), julia_samples=30, seed=1)
-        assert len(identity) == 5
+        assert [len(call[-1].phi) for call in identity] == [3, 3, 1] * 4 + [2]
 
     def test_sweep_counts_violations(self, h1):
         # negative controls at the B-point (1, 1) of example-h1: the sweep that holds with
@@ -529,7 +530,7 @@ class TestJuliaInequality:
         from ncjulia import boundary, cli, domain, realization
 
         # solves of at most four rows: the 12-point path takes three, and each of the
-        # three blocks of nine sweep samples takes three
+        # three blocks of nine sweep samples is evaluated in parts of 4, 4 and 1 rows
         solves, per_stack = [], []
         solution, evaluate_stack = realization._model_solution, boundary.evaluate_stack
         monkeypatch.setattr(
@@ -551,7 +552,7 @@ class TestJuliaInequality:
                 monkeypatch.setattr(domain, "BLOCK_BYTES", budget)
                 rep = analyze_bpoint(h1, t, julia_samples=27, seed=1)
                 reports.append((cli.render_json(cli._jsonable_report(rep)), rep.julia))
-            assert per_stack == [3, 3, 3, 3]
+            assert per_stack == [3] + [1] * 9
             assert reports[0][1].identity_max is not None  # the sweep checked u_T too
             assert reports[1] == reports[0]
 
@@ -561,20 +562,23 @@ class TestJuliaInequality:
         from ncjulia import domain
 
         # 400 samples of 64 x 64 model systems take 51 MiB held at once; solved in
-        # blocks, the sweep stays within two budgets
+        # blocks, the sweep stays within two budgets.  2000 samples make one sampler
+        # block, whose u, phi and identity intermediates together pass two budgets: they
+        # are held for one solve part of the block at a time
         handle = NcFunctionHandle(random_realization(8, 2, 5), polydisk_delta(2))
         t = random_unitary_tuple(np.random.default_rng(0), 2, 4)
         bp = boundary_point(handle.delta, t)
         u_t = solve_uT(handle, bp).u_T
-        samples = random_interior_points(handle.delta, 4, np.random.default_rng(1), 400, 0.05)
-        tracemalloc.start()
-        try:
-            sweep = julia_sweep(handle, samples, bp, np.eye(4), 1.0, 1e-8, u_t)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert sweep.checked + sweep.skipped == 400
-        assert peak <= 2 * domain.BLOCK_BYTES
+        for count in (400, 2000):
+            samples = random_interior_points(handle.delta, 4, np.random.default_rng(1), count, 0.05)
+            tracemalloc.start()
+            try:
+                sweep = julia_sweep(handle, samples, bp, np.eye(4), 1.0, 1e-8, u_t)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert sweep.checked + sweep.skipped == count
+            assert peak <= 2 * domain.BLOCK_BYTES, (count, peak)
 
     def test_sweep_with_every_row_skipped(self):
         # phi = e^{0.3i} is constant and unitary, so every sample's I - phi* phi is zero

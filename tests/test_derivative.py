@@ -79,6 +79,15 @@ class TestEtaNumeric:
         with pytest.raises(PreconditionError, match="unit ball"):
             eta_numeric(h1, scalars(1.0, 1.0), np.eye(1), scalars(-2.0, -2.0))
 
+    def test_t_off_the_boundary_rejected(self, h1):
+        # (-0.5, -0.5) is inward at the interior (0.5, 0.5), whose ladder would extrapolate
+        # a meaningless eta; T is refused as analyze_bpoint refuses it
+        direction = scalars(-0.5, -0.5)
+        with pytest.raises(PreconditionError, match=r"T is interior \(\|\|delta\(T\)\|\| = 0.5\)"):
+            eta_numeric(h1, scalars(0.5, 0.5), np.eye(1), direction)
+        with pytest.raises(PreconditionError, match="T is outside the closed domain"):
+            eta_numeric(h1, scalars(1.5, 0.5), np.eye(1), direction)
+
     def test_ladder_independence(self, h1, rng):
         t, w = identity_pair(2), np.eye(2)
         direction = random_admissible_direction(rng, 2)
@@ -291,6 +300,12 @@ class TestScalarAngularDerivative:
             scalar_angular_derivative(h1, t, -1.0 * t, v=np.ones(3))
         with pytest.raises(PreconditionError, match="non-zero vector"):
             scalar_angular_derivative(h1, t, -1.0 * t, v=np.zeros(2))
+
+    def test_t_off_the_boundary_rejected(self, h1):
+        with pytest.raises(PreconditionError, match=r"T is interior \(\|\|delta\(T\)\|\| = 0.5\)"):
+            scalar_angular_derivative(h1, scalars(0.5, 0.5), scalars(-0.5, -0.5))
+        with pytest.raises(PreconditionError, match="T is outside the closed domain"):
+            scalar_angular_derivative(h1, scalars(1.5, 0.5), scalars(-0.5, -0.5))
 
     def test_non_transverse_rejected(self, h1):
         with pytest.raises(PreconditionError, match="transverse"):

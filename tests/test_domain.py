@@ -22,10 +22,11 @@ from ncjulia import (
     find_transverse_direction,
     gaussian_drafts,
     generate_sequence,
+    get_delta,
+    haar_unitary,
     in_Delta,
     in_G_delta,
-    in_Gamma,
-    in_Sigma,
+    inward_margin,
     nontangential_constant,
     operator_norm,
     parse_poly,
@@ -33,12 +34,17 @@ from ncjulia import (
     random_interior_point,
     random_interior_points,
     scale_into_domain,
+    sigma_span_dimension,
 )
 from ncjulia import domain
-from ncjulia.domain import GDeltaExitWarning, SEQUENCE_FIRST_STEP
+from ncjulia.domain import (
+    INWARD_BETA, SELF_ADJOINT_TOL, GDeltaExitWarning, SEQUENCE_FIRST_STEP, cone_matrix,
+)
 
 from conftest import (
-    random_poly, random_tuple, random_unitary_tuple, sequential_interior_sample, stack_points,
+    find_transverse_direction_oracle, hermitian_part_max_eig, in_delta_oracle, is_self_adjoint,
+    random_poly, random_tuple, random_unitary_tuple, sequential_interior_sample,
+    sigma_span_dimension_oracle, stack_points,
 )
 
 
@@ -48,6 +54,14 @@ def blocked_delta():
     x0 = FreePolynomial.variable(1, 0)
     zero = FreePolynomial.zero(1)
     return DeltaMatrix(1, [[x0, zero], [zero, one]])
+
+
+def witness_grid():
+    """diag(x0, 3 x1 - 2 x1^2): at T = (1, 1) the witness search must run its descent."""
+    zero = FreePolynomial.zero(2)
+    return DeltaMatrix(
+        2, [[FreePolynomial.variable(2, 0), zero], [zero, parse_poly("3*x1 - 2*x1^2", 2)]]
+    )
 
 
 class TestEvalDelta:
@@ -186,19 +200,31 @@ class TestNontangentialConstant:
             assert nontangential_constant(bp, z) == pytest.approx(1.0 / (2.0 - step))
 
 
+def in_gamma(bp, h) -> bool:
+    """h lies in the inward cone: the margin of its cone matrix is at least INWARD_BETA."""
+    return inward_margin(cone_matrix(bp, h)) >= INWARD_BETA
+
+
+def in_sigma(bp, h) -> bool:
+    """h lies in the self-adjointness cone: its cone matrix M has ||M - M*|| <= SELF_ADJOINT_TOL."""
+    m = cone_matrix(bp, h)
+    return operator_norm(m - m.conj().T) <= SELF_ADJOINT_TOL
+
+
 class TestCones:
     def test_neg_t_is_transverse(self):
         bp = boundary_point(polydisk_delta(2), MatrixTuple.from_scalars([1.0, 1.0]))
         h = MatrixTuple.from_scalars([-1.0, -1.0])
         assert in_Delta(bp, h)
-        assert in_Gamma(bp, h)
-        assert in_Sigma(bp, h)
+        assert in_gamma(bp, h)
+        assert in_sigma(bp, h)
 
     def test_tangential_component_not_inward(self):
         # gram derivative diag(i, -1) has Hermitian part diag(0, -1): top eig 0
         bp = boundary_point(polydisk_delta(2), MatrixTuple.from_scalars([1.0, 1.0]))
         h = MatrixTuple.from_scalars([1j, -1.0])
-        assert not in_Gamma(bp, h)
+        assert inward_margin(cone_matrix(bp, h)) == 0.0
+        assert not in_gamma(bp, h)
 
     def test_blocked_delta_has_empty_transverse_cone(self, rng):
         bp = boundary_point(blocked_delta(), MatrixTuple.from_scalars([1.0]))
@@ -209,7 +235,9 @@ class TestCones:
     def test_norm_constraint_enforced(self):
         bp = boundary_point(polydisk_delta(2), MatrixTuple.from_scalars([1.0, 1.0]))
         with pytest.raises(PreconditionError):
-            in_Gamma(bp, MatrixTuple.from_scalars([-2.0, -2.0]))
+            cone_matrix(bp, MatrixTuple.from_scalars([-2.0, -2.0]))
+        with pytest.raises(PreconditionError):
+            in_Delta(bp, MatrixTuple.from_scalars([-2.0, -2.0]))
 
     def test_delta_subset_gamma_and_sigma(self, rng):
         d = polydisk_delta(2)
@@ -217,40 +245,51 @@ class TestCones:
             bp = boundary_point(d, random_unitary_tuple(rng, 2, 2))
             h = random_tuple(rng, 2, 2, max_norm=1.0)
             if in_Delta(bp, h):
-                assert in_Gamma(bp, h) and in_Sigma(bp, h)
+                assert in_gamma(bp, h) and in_sigma(bp, h)
+
+
+@pytest.fixture
+def assumption_starts(monkeypatch):
+    """Sets ``domain.ASSUMPTION_STARTS``, the random starts of check_assumption_A's search."""
+    return lambda k: monkeypatch.setattr(domain, "ASSUMPTION_STARTS", k)
 
 
 class TestAssumptionA:
-    def test_polydisk(self, rng):
+    def test_polydisk(self, assumption_starts, rng):
+        assumption_starts(5)
         d = polydisk_delta(2)
         for n in (1, 2):
-            rep = check_assumption_A(boundary_point(d, random_unitary_tuple(rng, 2, n)), n_starts=5)
+            rep = check_assumption_A(boundary_point(d, random_unitary_tuple(rng, 2, n)))
             assert rep.a1 and rep.a2 and rep.a
             assert rep.witness.beta == pytest.approx(1.0, abs=1e-10)
             assert rep.sigma_span_dim == 2 * n * n
 
-    def test_cartan(self):
+    def test_cartan(self, assumption_starts):
+        assumption_starts(5)
         t = MatrixTuple.from_scalars([1.0, 0.0, 1.0])
-        rep = check_assumption_A(boundary_point(cartan_delta(2), t), n_starts=5)
+        rep = check_assumption_A(boundary_point(cartan_delta(2), t))
         assert rep.a1 and rep.a2 and rep.a
         assert rep.sigma_span_dim == 3
 
-    def test_cartan_antidiagonal_point(self):
+    def test_cartan_antidiagonal_point(self, assumption_starts):
+        assumption_starts(5)
         t = MatrixTuple.from_scalars([0.0, 1.0, 0.0])
-        rep = check_assumption_A(boundary_point(cartan_delta(2), t), n_starts=5)
+        rep = check_assumption_A(boundary_point(cartan_delta(2), t))
         assert rep.a1 and rep.a2
 
-    def test_cartan_matrix_level(self):
+    def test_cartan_matrix_level(self, assumption_starts):
+        assumption_starts(3)
         d = cartan_delta(2)
         eye, zero = np.eye(2), np.zeros((2, 2))
         for t in (MatrixTuple((eye, zero, eye)), MatrixTuple((zero, eye, zero))):
             bp = boundary_point(d, t)
             assert bp.distinguished
-            rep = check_assumption_A(bp, n_starts=3)
+            rep = check_assumption_A(bp)
             assert rep.a1 and rep.a2
             assert rep.sigma_span_dim == 12
 
-    def test_cartan_random_symmetric_unitary(self, rng):
+    def test_cartan_random_symmetric_unitary(self, assumption_starts, rng):
+        assumption_starts(3)
         # U U^T is symmetric unitary for any unitary U
         d = cartan_delta(3)
         u = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))[0]
@@ -259,24 +298,26 @@ class TestAssumptionA:
         t = MatrixTuple.from_scalars(coords)
         bp = boundary_point(d, t)
         assert bp.distinguished
-        rep = check_assumption_A(bp, n_starts=3)
+        rep = check_assumption_A(bp)
         assert rep.a and rep.sigma_span_dim == 6
 
-    def test_blocked_delta_a1_fails(self):
+    def test_blocked_delta_a1_fails(self, assumption_starts):
+        assumption_starts(5)
         bp = boundary_point(blocked_delta(), MatrixTuple.from_scalars([1.0]))
-        rep = check_assumption_A(bp, n_starts=5)
+        rep = check_assumption_A(bp)
         assert not rep.a1
         assert not rep.witness.found
         assert not rep.a
 
-    def test_blocked_delta_builds_the_sigma_basis_once(self, monkeypatch):
+    def test_blocked_delta_builds_the_sigma_basis_once(self, assumption_starts, monkeypatch):
+        assumption_starts(5)
         # -T fails on diag(x0, 1), so the descent and the span dimension both read the basis
         calls, nullspace = [], domain._sigma_nullspace
         monkeypatch.setattr(
             domain, "_sigma_nullspace", lambda *args: calls.append(args) or nullspace(*args)
         )
         bp = boundary_point(blocked_delta(), MatrixTuple.from_scalars([1.0]))
-        rep = check_assumption_A(bp, n_starts=5)
+        rep = check_assumption_A(bp)
         assert not rep.witness.found and rep.sigma_span_dim == 1
         assert len(calls) == 1 and calls[0][0] is bp.gram_map
 
@@ -306,13 +347,7 @@ class TestAssumptionA:
         # diag(x0, 3 x1 - 2 x1^2) at T=(1,1): the cone matrix is diag(h1, -h2),
         # so -T gives diag(-1, +1) (indefinite) while K=(-1, +1) is a witness
         # the descent must discover
-        from ncjulia import parse_poly
-
-        d2 = parse_poly("3*x1 - 2*x1^2", 2)
-        zero = FreePolynomial.zero(2)
-        delta = DeltaMatrix(
-            2, [[FreePolynomial.variable(2, 0), zero], [zero, d2]]
-        )
+        delta = witness_grid()
         t = MatrixTuple.from_scalars([1.0, 1.0])
         bp = boundary_point(delta, t)
         assert bp.distinguished
@@ -320,7 +355,8 @@ class TestAssumptionA:
         res = find_transverse_direction(bp, n_starts=10, seed=0)
         assert res.found
         assert res.beta == pytest.approx(1.0, abs=1e-4)
-        assert in_Delta(bp, res.witness, beta=0.5)
+        m = cone_matrix(bp, res.witness)
+        assert operator_norm(m - m.conj().T) <= SELF_ADJOINT_TOL and inward_margin(m) >= 0.5
 
     def test_sigma_constraint_matches_defect_map_oracle(self, rng, monkeypatch):
         def oracle(lmat, gram_dim):
@@ -334,15 +370,11 @@ class TestAssumptionA:
 
             return np.column_stack([defect_map(col) for col in np.eye(2 * dim)])
 
-        zero = FreePolynomial.zero(2)
-        witness_grid = DeltaMatrix(
-            2, [[FreePolynomial.variable(2, 0), zero], [zero, parse_poly("3*x1 - 2*x1^2", 2)]]
-        )
         iso = np.linalg.qr(rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2)))[0]
         cases = (
             (polydisk_delta(2), random_unitary_tuple(rng, 2, 2)),
             (ball_delta(2), MatrixTuple((iso[:2], iso[2:]))),
-            (witness_grid, MatrixTuple.from_scalars([1.0, 1.0])),
+            (witness_grid(), MatrixTuple.from_scalars([1.0, 1.0])),
         )
         svd, seen = np.linalg.svd, []
         monkeypatch.setattr(np.linalg, "svd", lambda a, **kw: seen.append(a) or svd(a, **kw))
@@ -368,6 +400,55 @@ class TestAssumptionA:
         assert in_Delta(bp, -1.0 * t)
         res = find_transverse_direction(bp, n_starts=1)
         assert res.found and res.beta == pytest.approx(1.0, abs=1e-10)
+
+
+def haar_point(name, n, rng):
+    """A distinguished boundary point of polydisk:2, ball:2 or cartan:2 from Haar unitaries."""
+    if name == "polydisk:2":
+        return MatrixTuple((haar_unitary(n, rng), haar_unitary(n, rng)))
+    if name == "ball:2":
+        u = haar_unitary(2 * n, rng)
+        return MatrixTuple((u[:n, :n], u[n:, :n]))
+    theta, v = rng.uniform(0.2, 1.3), haar_unitary(n, rng)
+    c, s = np.cos(theta), np.sin(theta)
+    return MatrixTuple((c * v, 1j * s * v, c * v))  # [[c, is], [is, c]] kron V is unitary
+
+
+class TestConeOracle:
+    """The inward cones equal the pre-change formulas of tests/conftest.py bit for bit."""
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(
+        st.sampled_from(["polydisk:2", "ball:2", "cartan:2", "witness"]),
+        st.integers(1, 2),
+        st.sampled_from([0.0, 0.5, 0.9, 1.0]),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_cones_match_the_pre_change_formulas(self, name, n, inward, seed):
+        rng = np.random.default_rng(seed)
+        if name == "witness":
+            delta, t = witness_grid(), MatrixTuple.from_scalars([1.0, 1.0])
+        else:
+            delta, t = get_delta(name), haar_point(name, n, rng)
+        bp = boundary_point(delta, t)
+        assert bp.distinguished
+        # -inward T plus (1 - inward) times a contraction: a direction in the unit ball
+        h = -inward * t + (1.0 - inward) * random_tuple(rng, t.d, t.n, max_norm=1.0)
+        m = cone_matrix(bp, h)
+        assert inward_margin(m) == -hermitian_part_max_eig(m)
+        # the asymmetry ||M - M*|| that in_Delta and the witness score read
+        asymmetry = operator_norm(m - m.conj().T)
+        assert (asymmetry <= SELF_ADJOINT_TOL) == is_self_adjoint(m, SELF_ADJOINT_TOL)
+        assert in_Delta(bp, h) == in_delta_oracle(bp, h)
+        starts, search_seed = 1 + seed % 3, seed % 5
+        found = find_transverse_direction(bp, n_starts=starts, seed=search_seed)
+        expected = find_transverse_direction_oracle(bp, n_starts=starts, seed=search_seed)
+        assert (found.found, found.beta) == (expected.found, expected.beta)
+        if expected.witness is None:
+            assert found.witness is None
+        else:
+            assert all(map(np.array_equal, found.witness.components, expected.witness.components))
+        assert sigma_span_dimension(bp) == sigma_span_dimension_oracle(bp)
 
 
 class TestSequences:
@@ -426,7 +507,7 @@ class TestSequences:
                 )
             )
             bp = boundary_point(d, t)
-            assert in_Gamma(bp, h, beta=1e-6)
+            assert inward_margin(cone_matrix(bp, h)) >= 1e-6
             pts = generate_sequence(d, t, h, 8, 0.05)
             apertures = [nontangential_constant(bp, z) for z in stack_points(pts.stack)]
             assert max(apertures) < 1e3

@@ -5,15 +5,18 @@ decoded value must equal the original, and encoding it again must give the
 same text, byte for byte, so signed zeros and subnormals survive too.
 """
 
+import cmath
 import json
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from ncjulia import (
     DeltaMatrix,
     FreePolynomial,
     MatrixTuple,
+    PreconditionError,
     delta_from_json,
     delta_to_json,
     matrix_from_json,
@@ -28,9 +31,10 @@ from ncjulia import (
 )
 
 ROUND_TRIP = settings(derandomize=True, max_examples=60, deadline=None)
-# finite parts of every size, signed zeros and subnormals included; a sum of five
-# polynomial coefficients of at most 1e300 stays finite
-PARTS = st.floats(-1e300, 1e300) | st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1.5, -2.25])
+# finite parts of every size up to the largest float, signed zeros and subnormals included
+PARTS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 1.5, -2.25, 1.7976931348623157e308]
+)
 COMPLEX = st.builds(complex, PARTS, PARTS)
 
 
@@ -54,10 +58,23 @@ def matrices(rows, cols):
     )
 
 
-def polynomials(d):
+def polynomial_terms(d):
     word = st.lists(st.integers(0, d - 1), max_size=4).map(tuple) if d else st.just(())
-    terms = st.lists(st.tuples(word, COMPLEX), max_size=5)
-    return terms.map(lambda ts: FreePolynomial(d, tuple(ts)))
+    return st.lists(st.tuples(word, COMPLEX), max_size=5).map(tuple)
+
+
+def overflows(terms) -> bool:
+    """Some word's coefficients sum, in the constructor's order, to a non-finite value."""
+    sums = {}
+    for word, coeff in terms:
+        sums[word] = sums.get(word, 0j) + coeff
+    return not all(map(cmath.isfinite, sums.values()))
+
+
+def polynomials(d):
+    """Polynomials of every finite coefficient; term lists whose sums overflow are left out."""
+    finite = polynomial_terms(d).filter(lambda ts: not overflows(ts))
+    return finite.map(lambda ts: FreePolynomial(d, ts))
 
 
 @ROUND_TRIP
@@ -67,8 +84,15 @@ def test_matrix_round_trip(m):
 
 
 @ROUND_TRIP
-@given(st.integers(0, 3).flatmap(polynomials))
-def test_polynomial_round_trip(p):
+@given(st.integers(0, 3).flatmap(lambda d: st.tuples(st.just(d), polynomial_terms(d))))
+@example((1, (((0,), 1e308 + 0j), ((0,), 1e308 + 0j))))
+def test_polynomial_round_trip(drawn):
+    d, terms = drawn
+    if overflows(terms):  # no polynomial holds the sum, so none is encoded
+        with pytest.raises(PreconditionError, match="coefficient is not finite"):
+            FreePolynomial(d, terms)
+        return
+    p = FreePolynomial(d, terms)
     assert round_trip(p, poly_to_json, poly_from_json) == p
 
 

@@ -7,19 +7,18 @@ from ncjulia import (
     SingularMatrixError,
     extrapolate_limit,
     haar_unitary,
-    hermitian_part_max_eig,
-    hermitian_part_min_eig,
-    is_self_adjoint,
+    inward_margin,
     matrix_from_json,
     matrix_to_json,
     min_norm_solve,
     nearest_unitary,
-    numerical_rank,
     operator_norm,
 )
 from ncjulia.errors import ParseError
 
-from conftest import extrapolate_pairs, random_matrix
+from conftest import (
+    extrapolate_pairs, hermitian_part_max_eig, is_self_adjoint, numerical_rank, random_matrix,
+)
 
 
 class TestOperatorNorm:
@@ -89,26 +88,33 @@ class TestOperatorNorm:
 
 
 class TestHermitianPartEigs:
+    """``inward_margin``, the margin -lambda_max((M + M*)/2) of a cone matrix M."""
+
     def test_already_hermitian(self):
-        assert hermitian_part_min_eig(np.diag([-1.0, -2.0])) == pytest.approx(-2.0)
+        assert inward_margin(np.diag([-1.0, -2.0])) == pytest.approx(1.0)
 
     def test_skew(self):
-        assert hermitian_part_min_eig([[0, 1], [-1, 0]]) == pytest.approx(0.0)
+        assert inward_margin([[0, 1], [-1, 0]]) == pytest.approx(0.0)
 
     def test_derived_2x2(self):
-        # hand oracle: herm([[-1,1],[1,-1]]) has char poly (l+1)^2 - 1, eigs {0, -2}
-        assert hermitian_part_min_eig([[-1, 1], [1, -1]]) == pytest.approx(-2.0)
+        # hand oracle: herm([[1,-1],[-1,1]]) has char poly (l-1)^2 - 1, eigs {0, 2}
+        assert inward_margin([[1, -1], [-1, 1]]) == pytest.approx(-2.0)
 
     def test_max_is_minus_min_of_negation(self, rng):
-        m = random_matrix(rng, 4)
-        assert hermitian_part_max_eig(m) == pytest.approx(-hermitian_part_min_eig(-m))
+        # bit for bit the pre-change form: minus the largest eigenvalue, read as the
+        # smallest eigenvalue of the negation's Hermitian part
+        for _ in range(20):
+            m = random_matrix(rng, 4)
+            assert inward_margin(m) == -hermitian_part_max_eig(m)
 
     def test_non_square(self):
         with pytest.raises(DimensionError):
-            hermitian_part_min_eig(np.zeros((2, 3)))
+            inward_margin(np.zeros((2, 3)))
 
 
 class TestIsSelfAdjoint:
+    """The oracle's self-adjointness test, which the inward-cone properties compare with."""
+
     def test_real_diagonal(self):
         assert is_self_adjoint(np.diag([1.0, -1.0]), 1e-12)
 
@@ -187,6 +193,8 @@ class TestNearestUnitary:
 
 
 class TestNumericalRank:
+    """The oracle's complex rank, which the inward-cone properties compare with."""
+
     def test_dependent_triple(self):
         e1 = np.array([1.0, 0, 0])
         e2 = np.array([0, 1.0, 0])

@@ -32,16 +32,11 @@ PINNED = {
     ("derivative", "eta_numeric", "steps"),
     ("derivative", "scalar_angular_derivative", "v"),
     ("derivative", "scalar_angular_derivative", "w"),
-    ("domain", "check_assumption_A", "n_starts"),
     ("domain", "find_transverse_direction", "n_starts"),
     ("domain", "find_transverse_direction", "seed"),
-    ("domain", "in_Delta", "beta"),
-    ("domain", "in_Gamma", "beta"),
     ("domain", "random_interior_point", "margin"),
     ("freepoly", "poly_from_json", "d"),
     ("numerics", "as_complex_matrix", "name"),
-    ("numerics", "is_self_adjoint", "tol"),
-    ("numerics", "numerical_rank", "tol"),
     ("realization", "eval_u", "return_cond"),
     ("realization", "perturb_realization", "seed"),
     ("realization", "realization_from_json", "isometry_tol"),
