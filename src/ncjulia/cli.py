@@ -428,6 +428,7 @@ def cmd_derivative(args) -> int:
     handle = _resolve_handle(args)
     t = _load_point(args.point)
     h = _load_point(args.direction)
+    domain.boundary_point(handle.delta, t).require_boundary()  # eta_numeric reads it again
     radial = handle.delta.is_homogeneous_degree_one()
     path = boundary.evaluate_sequence(
         handle, t, None if radial else h, max(args.steps, derivative.W_MIN_STEPS),

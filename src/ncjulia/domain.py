@@ -9,9 +9,12 @@ the boundary value, inward cones) read, since zero padding inserts zero
 rows or columns into the Gram matrix.  Every inward-cone question about a
 direction h at T forms the cone matrix M = delta(T)* grad delta(T)[h] once,
 by :func:`cone_matrix`, and reads its margin from :func:`inward_margin`, and
-its asymmetry ||M - M*|| where self-adjointness is asked.  An approach path
-to a boundary point, radial or along a direction, is made and checked by
-one call of :func:`generate_sequence`.
+its asymmetry ||M - M*|| where self-adjointness is asked.  The
+:func:`boundary_point` last built is kept (``numerics.keep_last``), so the
+functions that take the same grid and T objects in turn share one point and
+what it computes on first read.  An approach path to a boundary point,
+radial or along a direction, is made and checked by one call of
+:func:`generate_sequence`.
 """
 
 from __future__ import annotations
@@ -33,7 +36,14 @@ from .freepoly import (
     poly_from_json,
     poly_to_json,
 )
-from .numerics import RANK_RTOL, as_complex_matrix, json_int, operator_norm
+from .numerics import (
+    RANK_RTOL,
+    as_complex_matrix,
+    json_int,
+    keep_last,
+    operator_norm,
+    read_only,
+)
 
 DISTINGUISHED_TOL = 1e-8
 SELF_ADJOINT_TOL = 1e-8  # ||M - M*|| bound of the self-adjointness cone
@@ -183,23 +193,22 @@ class BoundaryPoint:
             lifts[..., :n, n:] = basis[:, k : k + rows]
             at_lifts = _lift_corner(grid, n, _eval_delta_stack(grid, lifts))
             columns.append(self.given.conj().T @ _on_given_grid(grid, n, at_lifts))
-        return _read_only(np.ascontiguousarray(np.concatenate(columns).reshape(dim, -1).T))
+        return read_only(np.ascontiguousarray(np.concatenate(columns).reshape(dim, -1).T))
 
     @cached_property
     def sigma_basis(self) -> np.ndarray:
         """Orthonormal real basis (columns) of {h : d(T)* grad d(T)[h] self-adjoint}."""
-        return _read_only(_sigma_nullspace(self.gram_map, self.given.shape[1]))
+        return read_only(_sigma_nullspace(self.gram_map, self.given.shape[1]))
 
 
-def _read_only(a: np.ndarray) -> np.ndarray:
-    """``a``, made read-only: every reader of a ``BoundaryPoint`` shares its cached arrays."""
-    a.flags.writeable = False
-    return a
-
-
+@keep_last
 def boundary_point(delta: DeltaMatrix, t: MatrixTuple) -> BoundaryPoint:
-    """The point T with Delta(T), evaluated once."""
-    return BoundaryPoint(delta, t, eval_delta(delta, t))
+    """The point T with Delta(T), evaluated once.
+
+    The last point is kept: called again with the same grid and tuple
+    objects, it returns that point, with what it has computed on first read.
+    """
+    return BoundaryPoint(delta, t, read_only(eval_delta(delta, t)))
 
 
 def cone_matrix(bp: BoundaryPoint, h: MatrixTuple) -> np.ndarray:

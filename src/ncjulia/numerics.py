@@ -2,13 +2,17 @@
 
 All norms are spectral (largest singular value); the Frobenius norm enters
 only through the minimality property of the pseudoinverse solution in
-:func:`min_norm_solve`.
+:func:`min_norm_solve`.  :func:`keep_last` lets a function of frozen
+arguments hand its last result to a repeated call.
 """
 
 from __future__ import annotations
 
 import cmath
 import contextlib
+import functools
+import inspect
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +40,37 @@ def as_complex_matrix(m, name: str = "matrix") -> np.ndarray:
     if a.size and not np.all(np.isfinite(a)):
         raise PreconditionError(f"{name} contains non-finite entries")
     return a
+
+
+def read_only(a: np.ndarray) -> np.ndarray:
+    """``a``, made read-only: for arrays that every holder of a shared result reads."""
+    a.flags.writeable = False
+    return a
+
+
+def keep_last(fn):
+    """``fn`` keeping its last call: the same argument objects (``is``) get its result again.
+
+    Only for functions of frozen arguments whose result is read-only, since
+    the callers of a repeated call share it.  The one slot holds the last
+    call that returned, not one call per argument, so nothing outlives the
+    next call with other arguments.  It is read once per call, so concurrent
+    calls never mix two entries, and a call that raises leaves it as it was.
+    """
+    signature, slot = inspect.signature(fn), None
+
+    @functools.wraps(fn)
+    def last(*args, **kwargs):
+        nonlocal slot
+        kept = slot
+        key = signature.bind(*args, **kwargs).args if kwargs else args
+        if kept is not None and len(kept[0]) == len(key) and all(map(operator.is_, kept[0], key)):
+            return kept[1]
+        result = fn(*key)
+        slot = (key, result)
+        return result
+
+    return last
 
 
 def operator_norm(m):

@@ -37,6 +37,13 @@ evaluation keeps one.  A stacked :class:`Realization`, one colligation per
 point, is sliced with the points; ``ncjulia fuzz`` checks its samples so.
 Every stacked product loops over the same BLAS and LAPACK calls on the same
 matrices, so each result is bit-identical to the one-point computation.
+
+One point is evaluated once however many one-point functions read it:
+:func:`evaluate` keeps its last evaluation (``numerics.keep_last``) and
+returns it to the next call with the same handle and point objects, so
+:func:`eval_u`, :func:`eval_phi` and :func:`model_residual` at one point
+share one Delta(x), one norm and one model solve.  A one-point evaluation's
+arrays are therefore read-only.
 """
 
 from __future__ import annotations
@@ -54,9 +61,11 @@ from .numerics import (
     haar_unitaries,
     haar_unitary,
     json_int,
+    keep_last,
     matrix_from_json,
     matrix_to_json,
     operator_norm,
+    read_only,
 )
 
 ISOMETRY_TOL = 1e-8
@@ -195,11 +204,18 @@ class Evaluation:
         return Evaluation(self.delta[k], float(self.delta_norm[k]), self.u[k], self.phi[k])
 
 
+@keep_last
 def evaluate(h: NcFunctionHandle, x: MatrixTuple) -> Evaluation:
-    """Evaluate Delta, ||Delta||, u and phi at interior x with one model solve."""
+    """Evaluate Delta, ||Delta||, u and phi at interior x with one model solve.
+
+    The last evaluation is kept: called again with the same handle and point
+    objects, as :func:`eval_u`, :func:`eval_phi` and :func:`model_residual`
+    are at one point, it returns that evaluation, whose arrays are read-only.
+    """
     big_delta = eval_delta(h.delta, x)
     norm = _require_interior(operator_norm(big_delta))
-    return Evaluation(big_delta, norm, *_model_solution(h.realization, big_delta, x.n))
+    u, phi = _model_solution(h.realization, big_delta, x.n)
+    return Evaluation(read_only(big_delta), norm, read_only(u), read_only(phi))
 
 
 def evaluate_stack(h: NcFunctionHandle, stack: PointStack) -> Evaluation:
@@ -245,7 +261,7 @@ def _model_solution(r, big_delta: np.ndarray, n: int) -> tuple:
 
 
 def eval_u(h: NcFunctionHandle, x: MatrixTuple, return_cond: bool = False):
-    """Model vector u(x) of shape (mJn) x n by direct solve.
+    """Model vector u(x) of shape (mJn) x n by direct solve, read-only: :func:`evaluate`'s.
 
     Warns when the resolvent condition number exceeds ``COND_WARN_THRESHOLD``;
     with ``return_cond=True`` returns ``(u, cond)``.
@@ -272,7 +288,7 @@ def resolvent_condition(h: NcFunctionHandle, ev: Evaluation) -> float:
 
 
 def eval_phi(h: NcFunctionHandle, x: MatrixTuple) -> np.ndarray:
-    """Function value phi(x) = A I_n + (B kron I_n)(I_m kron Delta(x)) u(x)."""
+    """Function value phi(x) = A I_n + (B kron I_n)(I_m kron Delta(x)) u(x), read-only."""
     return evaluate(h, x).phi
 
 

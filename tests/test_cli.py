@@ -835,6 +835,23 @@ class TestDerivative:
         assert out["converged"] is True and 1.0 <= out["first_step"] < 2.0
         assert out["eta"]["data"][0][0] == pytest.approx(-1.0, abs=1e-12)
 
+    @pytest.mark.parametrize(
+        "scalars, message",
+        [
+            ([0.5, 0.5], "T is interior (||delta(T)|| = 0.5); boundary analysis undefined"),
+            ([1.5, 0.5], "T is outside the closed domain (||delta(T)|| = 1.5)"),
+        ],
+    )
+    def test_point_off_the_boundary_refused_before_the_w_path(self, files, scalars, message,
+                                                              capsys):
+        point = write_json(files["tmp"] / "off.json", {"scalars": [[z, 0] for z in scalars]})
+        code = main([
+            "derivative", "--fixture", "example-h1", "--point", point,
+            "--direction", files["inward"],
+        ])
+        assert code == 3
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_tangent_direction_rejected(self, files):
         assert main([
             "derivative", "--fixture", "example-h1", "--point", files["boundary"],

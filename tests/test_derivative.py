@@ -140,6 +140,24 @@ class TestEtaNumeric:
             assert np.array_equal(res.eta, expected.value)
             assert res.convergence_increments == expected.increments
 
+    # Ratchet: the BoundaryPoints one derivative-ladders body builds at T (eta_numeric, a
+    # homogeneity check per scale and a second ladder), pinned exactly.  A change that
+    # builds fewer lowers the pin; none raises it.
+    BOUNDARY_POINTS = 1
+
+    def test_ladder_body_builds_one_boundary_point(self, h1, rng, monkeypatch):
+        from ncjulia import domain
+
+        built, original = [], domain.BoundaryPoint
+        monkeypatch.setattr(domain, "BoundaryPoint", lambda *a: built.append(a) or original(*a))
+        t, w = identity_pair(2), np.eye(2)
+        direction = random_admissible_direction(rng, 2)
+        res = eta_numeric(h1, t, w, direction)
+        for s in (0.3, 0.5, 1.0):
+            homogeneity_check(h1, t, w, res, s)
+        eta_numeric(h1, t, w, direction, first_step=1e-2 / 3.0)
+        assert len(built) == self.BOUNDARY_POINTS
+
 
 class TestAdmissibleLadder:
     FIELDS = ("delta", "delta_norm", "u", "phi")

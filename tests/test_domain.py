@@ -173,6 +173,23 @@ class TestDistinguishedBoundary:
                 assert lhs == pytest.approx(rhs, abs=1e-10)
 
 
+class TestLastBoundaryPointKept:
+    """``boundary_point`` keeps its last point in one slot, for the same grid and tuple objects."""
+
+    def test_same_objects_share_one_point(self):
+        delta, t = polydisk_delta(2), MatrixTuple.from_scalars([1.0, 1.0])
+        bp = boundary_point(delta, t)
+        assert boundary_point(delta, t) is bp
+        other = boundary_point(delta, MatrixTuple(t.components))
+        assert other is not bp and other.delta.tobytes() == bp.delta.tobytes()
+        assert boundary_point(delta, t) is not bp  # only the last point is kept
+
+    def test_delta_is_read_only(self):
+        bp = boundary_point(polydisk_delta(2), MatrixTuple.from_scalars([1.0, 1.0]))
+        with pytest.raises(ValueError, match="read-only"):
+            bp.delta[0, 0] = 0.0
+
+
 class TestNontangentialConstant:
     def test_radial_bounded_by_one(self):
         bp = boundary_point(polydisk_delta(1), MatrixTuple.from_scalars([1.0]))

@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -41,7 +43,7 @@ from ncjulia import (
     similarity,
     solve_uT,
 )
-from ncjulia import realization
+from ncjulia import domain, realization
 from ncjulia.errors import ParseError
 from ncjulia.domain import _eval_delta_stack
 from ncjulia.realization import (
@@ -165,6 +167,92 @@ class TestExampleEvaluation:
         r = 1.0 - 1e-13
         with pytest.warns(NearSingularResolventWarning):
             eval_u(h1, scalars(r, r))
+
+
+def assert_same_bits(got, fresh):
+    for name in ("delta", "u", "phi"):
+        assert getattr(got, name).tobytes() == getattr(fresh, name).tobytes(), name
+    assert got.delta_norm == fresh.delta_norm
+
+
+class TestLastEvaluationKept:
+    """``evaluate`` keeps its last evaluation in one slot, for the same handle and point objects."""
+
+    def test_same_objects_share_one_evaluation(self, h1):
+        x = scalars(0.5, 0.3)
+        ev = evaluate(h1, x)
+        assert evaluate(h1, x) is ev and evaluate(h=h1, x=x) is ev
+        assert eval_phi(h1, x) is ev.phi and eval_u(h1, x) is ev.u
+
+    def test_another_point_or_handle_is_evaluated_afresh(self):
+        delta = get_delta("ball:3")
+        rng = np.random.default_rng(11)
+        h = NcFunctionHandle(random_realization(2, delta.J, 5), delta)
+        other = NcFunctionHandle(random_realization(2, delta.J, 6), delta)
+        x, y = (random_interior_point(delta, 3, rng) for _ in range(2))
+        equal_x = MatrixTuple(x.components)  # equal entries, another object
+        for handle, point in ((h, y), (other, x), (h, equal_x)):
+            ev = evaluate(h, x)
+            got = evaluate(handle, point)
+            assert got is not ev
+            assert_same_bits(got, evaluate.__wrapped__(handle, point))
+        assert_same_bits(evaluate(h, x), evaluate.__wrapped__(h, x))
+
+    def test_one_slot_holds_only_the_last_evaluation(self, h1):
+        kept = weakref.ref(evaluate(h1, scalars(0.5, 0.3)))
+        assert kept() is not None
+        evaluate(h1, scalars(0.2, 0.1))
+        assert kept() is None
+
+    def test_evaluation_arrays_are_read_only(self, h1):
+        ev = evaluate(h1, scalars(0.5, 0.3))
+        for a in (ev.u, ev.phi, ev.delta):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0, 0] = 0.0
+
+    def test_refused_point_raises_on_every_call(self, h1):
+        y = scalars(0.5, 0.3)
+        ev = evaluate(h1, y)
+        x = scalars(1.0, 0.0)
+        for _ in range(2):
+            with pytest.raises(PreconditionError, match="not inside the domain"):
+                evaluate(h1, x)
+        assert evaluate(h1, y) is ev  # the refused call left the slot as it was
+
+
+class TestEvalBodyCounts:
+    # Ratchet: the model solves, Delta evaluations and np.linalg.svd calls of the body of
+    # ``ncjulia eval`` through the library (membership, eval_u with its condition number,
+    # eval_phi, model_residual at (x, x) and the norms of phi and u) at one point of
+    # ball:3, n = 4, pinned exactly.  A change that takes fewer lowers a pin; none raises it.
+    SOLVES, DELTAS, SVDS = 1, 2, 6
+
+    def test_eval_body_counts_only_go_down(self, monkeypatch):
+        delta = get_delta("ball:3")
+        h = NcFunctionHandle(random_realization(2, delta.J, 3), delta)
+        x = random_interior_point(delta, 4, np.random.default_rng(5))
+        calls = {"solve": 0, "delta": 0, "svd": 0}
+
+        def counted(name, fn):
+            def call(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return call
+
+        monkeypatch.setattr(np.linalg, "solve", counted("solve", np.linalg.solve))
+        monkeypatch.setattr(np.linalg, "svd", counted("svd", np.linalg.svd))
+        at_delta = counted("delta", domain.eval_delta)
+        for module in (domain, realization):
+            monkeypatch.setattr(module, "eval_delta", at_delta)
+        in_G_delta(h.delta, x)
+        u, _ = eval_u(h, x, return_cond=True)
+        phi = eval_phi(h, x)
+        model_residual(h, x, x)
+        operator_norm(phi), operator_norm(u)
+        assert (calls["solve"], calls["delta"], calls["svd"]) == (
+            self.SOLVES, self.DELTAS, self.SVDS
+        )
 
 
 def stacked(h, xs):
