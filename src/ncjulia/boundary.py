@@ -250,14 +250,12 @@ class RangeTestResult:
         return self.is_bpoint
 
 
-def is_bpoint_range_test(
-    h: NcFunctionHandle, bp: BoundaryPoint, tol: float = RANGE_TOL, seed: int = 0
-) -> RangeTestResult:
-    """B-point iff the boundary system is consistent: residual <= tol."""
+def is_bpoint_range_test(h: NcFunctionHandle, bp: BoundaryPoint, seed: int = 0) -> RangeTestResult:
+    """B-point iff the boundary system is consistent: residual <= ``RANGE_TOL``."""
     solution = solve_uT(h, bp)
     witness = find_transverse_direction(bp, n_starts=WITNESS_STARTS, seed=seed)
     return RangeTestResult(
-        is_bpoint=solution.range_residual <= tol,
+        is_bpoint=solution.range_residual <= RANGE_TOL,
         conditional=not witness.found or h.realization.isometry_defect > ISOMETRY_TOL,
         solution=solution,
         inward_witness=witness,
@@ -279,13 +277,12 @@ class JuliaCheck:
 
 
 def julia_inequality_check(
-    ev: Evaluation,
-    bp: BoundaryPoint,
-    w: np.ndarray,
-    alpha: float,
-    rel_tol: float = JULIA_RTOL,
+    ev: Evaluation, bp: BoundaryPoint, w: np.ndarray, alpha: float
 ) -> JuliaCheck:
-    """Check ||phi(Z)-W||^2 / ||I-phi*phi|| <= alpha ||I-Delta(T)*Delta(Z)||^2 / (1-||Delta(Z)||^2)."""
+    """Check ||phi(Z)-W||^2 / ||I-phi*phi|| <= alpha ||I-Delta(T)*Delta(Z)||^2 / (1-||Delta(Z)||^2).
+
+    ``holds`` allows the right-hand side the relative slack ``JULIA_RTOL``.
+    """
     if ev.phi.shape[-1] != bp.t.n:
         raise DimensionError("Z must have the same matrix size as T")
     w = np.asarray(w, dtype=np.complex128)
@@ -298,7 +295,7 @@ def julia_inequality_check(
         return JuliaCheck(lhs=None, rhs=rhs, holds=None, skipped=True)
     lhs = operator_norm(ev.phi - w) ** 2 / quotient.numerator
     return JuliaCheck(
-        lhs=lhs, rhs=rhs, holds=bool(lhs <= rhs * (1.0 + rel_tol) + 1e-15), skipped=False
+        lhs=lhs, rhs=rhs, holds=bool(lhs <= rhs * (1.0 + JULIA_RTOL) + 1e-15), skipped=False
     )
 
 
@@ -313,7 +310,7 @@ class JuliaSweep:
     identity_max: float | None = None
 
 
-def julia_sweep(h, samples, bp, w, alpha, rel_tol, u_t=None) -> JuliaSweep:
+def julia_sweep(h, samples, bp, w, alpha, u_t=None) -> JuliaSweep:
     """Check the inequality at every interior point of ``samples``, each evaluated once.
 
     ``samples`` yields ``domain.PointStack`` blocks, as
@@ -336,7 +333,7 @@ def julia_sweep(h, samples, bp, w, alpha, rel_tol, u_t=None) -> JuliaSweep:
         evaluation = evaluate_stack(h, stack)
         kept = []
         for k in range(len(stack.norms)):
-            check = julia_inequality_check(evaluation.row(k), bp, w, alpha, rel_tol)
+            check = julia_inequality_check(evaluation.row(k), bp, w, alpha)
             if check.skipped:
                 skipped += 1
                 continue
@@ -471,20 +468,16 @@ def analyze_bpoint(
     num_steps: int = SEQUENCE_STEPS,
     first_step: float = SEQUENCE_FIRST_STEP,
     julia_samples: int = JULIA_SAMPLES,
-    margin: float = SAMPLE_MARGIN,
     seed: int = SEED,
-    range_tol: float = RANGE_TOL,
-    rel_tol: float = JULIA_RTOL,
 ) -> BPointReport:
     """Run the full boundary diagnostic suite at T, approached radially or along ``direction``.
 
     T must lie on the boundary; for T on the distinguished boundary the model
     machinery (boundary model vector, range test, boundedness report) runs as
     well, otherwise only the quotient, boundary value and inequality checks.
-    The sampling margin of the Julia sweep must lie in (0, 1).
     """
     rng = np.random.default_rng(seed)
-    samples = random_interior_points(h.delta, t.n, rng, julia_samples, margin)
+    samples = random_interior_points(h.delta, t.n, rng, julia_samples, SAMPLE_MARGIN)
     bp = boundary_point(h.delta, t)
     bp.require_boundary()
     path = evaluate_sequence(h, t, direction, num_steps, first_step)
@@ -498,12 +491,12 @@ def analyze_bpoint(
 
     range_test = u_t = None
     if bp.distinguished:
-        range_test = is_bpoint_range_test(h, bp, range_tol, seed)
+        range_test = is_bpoint_range_test(h, bp, seed)
         u_t = range_test.solution.u_T
 
     julia = JuliaSweep()
     if boundary_value is not None and np.isfinite(alpha.alpha):
-        julia = julia_sweep(h, samples, bp, boundary_value.W, alpha.alpha, rel_tol, u_t)
+        julia = julia_sweep(h, samples, bp, boundary_value.W, alpha.alpha, u_t)
 
     tfae = tfae_report(path, bp) if bp.distinguished else None
 

@@ -1,10 +1,13 @@
 """Command-line interface: evaluation, boundary reports, fuzzing, fixtures.
 
 Each subcommand takes only the options its handler reads.  Handle sources,
-seed, sweep sizes, tolerances and output format are declared once, in
-``_OPTIONS``, and validated by their argparse types: tolerances and steps are
-finite and > 0, the margin lies in (0, 1), counts have a lower bound, seeds
-are >= 0.  Defaults the library shares are its named constants.
+seed, sweep sizes, steps, the isometry tolerance and output format are
+declared once, in ``_OPTIONS``, and validated by their argparse types: steps
+and the tolerance are finite and > 0, counts have a lower bound, seeds are
+>= 0.  Defaults the library shares are its named constants.  The verdicts'
+thresholds and the sampling margin are constants, not options:
+``boundary.RANGE_TOL``, ``boundary.JULIA_RTOL``, ``domain.SAMPLE_MARGIN`` and
+fuzz's model-identity ``_MODEL_RESIDUAL_TOL``.
 
 Exit codes: 0 success (and verdict true for ``bpoint``), 1 verdict false or
 violations found, 2 parse error or invalid option value, 3 precondition
@@ -113,14 +116,6 @@ def _positive(text: str) -> float:
     return value
 
 
-def _unit_interval(text: str) -> float:
-    """argparse type: a number in the open interval (0, 1)."""
-    value = _positive(text)
-    if not value < 1.0:
-        raise argparse.ArgumentTypeError(f"expected a number in (0, 1), got {text!r}")
-    return value
-
-
 def _at_least(k: int, at_most: float = math.inf):
     """argparse type: an integer >= k (and <= at_most)."""
 
@@ -137,9 +132,9 @@ def _at_least(k: int, at_most: float = math.inf):
     return parse
 
 
-# Handle sources, seed, sweep sizes, tolerances and output format, each declared
-# once as flag -> argparse keywords.  A subcommand adds, with ``_add_options``,
-# only the flags its handler reads.
+# Handle sources, seed, sweep sizes, steps, the isometry tolerance and output format,
+# each declared once as flag -> argparse keywords.  A subcommand adds, with
+# ``_add_options``, only the flags its handler reads.
 _OPTIONS = {
     "--fixture": dict(help="named fixture for whichever of --delta and --realization is absent"),
     "--delta": dict(help="delta file or name (polydisk:2, ball:3, cartan:2)"),
@@ -156,16 +151,6 @@ _OPTIONS = {
     ),
     "--ladder-first-step": dict(
         type=_positive, default=derivative.LADDER_FIRST_STEP, help="first step of ladders"
-    ),
-    "--margin": dict(
-        type=_unit_interval, default=domain.SAMPLE_MARGIN, help="interior sampling margin"
-    ),
-    "--residual-tol": dict(
-        type=_positive, default=boundary.RANGE_TOL, help="B-point range-test tolerance"
-    ),
-    "--model-residual-tol": dict(type=_positive, default=1e-9, help="model-identity threshold"),
-    "--rel-tol": dict(
-        type=_positive, default=boundary.JULIA_RTOL, help="Julia-inequality relative tolerance"
     ),
     "--isometry-tol": dict(
         type=_positive, default=realization.ISOMETRY_TOL, help="realization isometry tolerance"
@@ -325,10 +310,7 @@ def cmd_bpoint(args) -> int:
         num_steps=args.steps,
         first_step=args.first_step,
         julia_samples=args.samples,
-        margin=args.margin,
         seed=args.seed,
-        range_tol=args.residual_tol,
-        rel_tol=args.rel_tol,
     )
     emit(_jsonable_report(report), args.output)
     return 0 if report.is_bpoint else 1
@@ -336,6 +318,13 @@ def cmd_bpoint(args) -> int:
 
 # norm of the perturbation of D that fuzz --no-isometry adds to each colligation
 _PERTURBATION = 0.05
+# largest model residual model_residual(h, x, x) that fuzz counts as no violation
+_MODEL_RESIDUAL_TOL = 1e-9
+# fuzz's Julia sub-sweep: at every _JULIA_EVERY-th sample on the polydisk, a path of
+# _JULIA_PATH_STEPS steps to a Haar-unitary T, then _JULIA_POINTS interior points
+_JULIA_PATH_STEPS = 18
+_JULIA_EVERY = 10
+_JULIA_POINTS = 5
 
 
 def _model_identity_defects(args, delta, samples) -> np.ndarray:
@@ -345,7 +334,7 @@ def _model_identity_defects(args, delta, samples) -> np.ndarray:
     """
     seeds = [seed for seed, _ in samples]
     drafts = np.concatenate([draft for _, draft in samples], axis=1)
-    stack = domain.scale_into_domain(delta, drafts, args.margin)
+    stack = domain.scale_into_domain(delta, drafts, domain.SAMPLE_MARGIN)
     colligations = realization.random_colligations(args.dim_E, delta.J, seeds)
     if args.no_isometry:
         colligations = realization.perturb_colligations(colligations, _PERTURBATION, seeds)
@@ -378,7 +367,7 @@ def cmd_fuzz(args) -> int:
         if len(pending[n]) == rows[n]:
             defects.append(_model_identity_defects(args, delta, pending[n]))
             pending[n] = []
-        if run_julia and k % 10 == 0:
+        if run_julia and k % _JULIA_EVERY == 0:
             colligation = realization.random_realization(args.dim_E, delta.J, args.seed + k)
             if args.no_isometry:
                 colligation = realization.perturb_realization(
@@ -389,7 +378,9 @@ def cmd_fuzz(args) -> int:
                 tuple(numerics.haar_unitary(n, rng) for _ in range(delta.d))
             )
             try:
-                path = boundary.evaluate_sequence(handle, t, None, 18, domain.SEQUENCE_FIRST_STEP)
+                path = boundary.evaluate_sequence(
+                    handle, t, None, _JULIA_PATH_STEPS, domain.SEQUENCE_FIRST_STEP
+                )
                 alpha = boundary.estimate_alpha(path)
                 w = boundary.extract_W(path).W
             except ValueError:  # every error class of the package is a ValueError
@@ -397,12 +388,14 @@ def cmd_fuzz(args) -> int:
             if not alpha.converged:
                 continue
             bp = domain.boundary_point(delta, t)
-            samples = domain.random_interior_points(delta, n, rng, 5, args.margin)
-            sweeps.append(boundary.julia_sweep(handle, samples, bp, w, alpha.alpha, args.rel_tol))
+            samples = domain.random_interior_points(
+                delta, n, rng, _JULIA_POINTS, domain.SAMPLE_MARGIN
+            )
+            sweeps.append(boundary.julia_sweep(handle, samples, bp, w, alpha.alpha))
 
     defects += [_model_identity_defects(args, delta, s) for s in pending.values() if s]
     defects = np.concatenate(defects)
-    model_violations = int(np.count_nonzero(defects > args.model_residual_tol))
+    model_violations = int(np.count_nonzero(defects > _MODEL_RESIDUAL_TOL))
     max_model_residual = float(np.fmax.reduce(defects, initial=0.0))  # a NaN defect is no maximum
     julia = {k: sum(getattr(s, k) for s in sweeps) for k in ("checked", "violations", "skipped")}
     emit(
@@ -415,7 +408,7 @@ def cmd_fuzz(args) -> int:
                 "checked": args.samples,
                 "violations": model_violations,
                 "max_residual": max_model_residual,
-                "tolerance": args.model_residual_tol,
+                "tolerance": _MODEL_RESIDUAL_TOL,
             },
             "julia_inequality": julia,
         },
@@ -516,7 +509,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bp.add_argument("--ray", help="direction file for a ray approach (default: radial)")
     _add_options(
         p_bp, "--fixture", "--delta", "--realization", "--seed", "--samples", "--steps",
-        "--first-step", "--margin", "--residual-tol", "--rel-tol", "--isometry-tol",
+        "--first-step", "--isometry-tol",
     )
     p_bp.set_defaults(func=cmd_bpoint)
 
@@ -529,7 +522,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-isometry", action="store_true", dest="no_isometry",
         help="perturb colligations (negative control; violations expected)",
     )
-    _add_options(p_fuzz, "--seed", "--samples", "--margin", "--model-residual-tol", "--rel-tol")
+    _add_options(p_fuzz, "--seed", "--samples")
     p_fuzz.set_defaults(func=cmd_fuzz)
 
     p_der = sub.add_parser("derivative", help="one-sided directional derivative at a boundary point")

@@ -157,7 +157,7 @@ def test_criterion_05_julia_inequality(h1):
     violations = skipped = 0
     for _ in range(1000):
         z = random_tuple(rng, 2, 2, max_norm=0.95)
-        result = julia_inequality_check(evaluate(h1, z), bp, w, 1.0, rel_tol=1e-8)
+        result = julia_inequality_check(evaluate(h1, z), bp, w, 1.0)
         if result.skipped:
             skipped += 1
         elif not result.holds:

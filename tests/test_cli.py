@@ -59,7 +59,7 @@ def looped_fuzz(delta_name, dim_e, seed, samples, no_isometry):
             continue
         if alpha.converged:
             points = random_interior_points(delta, n, rng, 5, 0.05)
-            sweep = julia_sweep(h, points, boundary_point(delta, t), w, alpha.alpha, 1e-8)
+            sweep = julia_sweep(h, points, boundary_point(delta, t), w, alpha.alpha)
             julia = {key: value + getattr(sweep, key) for key, value in julia.items()}
     violations = sum(res > 1e-9 for res in residuals)
     out = {
@@ -1013,22 +1013,55 @@ class TestMeta:
         bpoint = ["bpoint", "--fixture", "example-h1", "--point", files["boundary"]]
         evaluate = ["eval", "--fixture", "example-h1", "--point", files["interior"]]
         for argv in (
-            fuzz + ["--margin", "-1"],
-            fuzz + ["--margin", "nan"],
-            fuzz + ["--margin", "2"],
-            fuzz + ["--margin", "1"],
-            fuzz + ["--rel-tol", "inf"],
-            fuzz + ["--model-residual-tol", "nan"],
             fuzz + ["--samples", "0"],
             fuzz + ["--seed", "-1"],
             fuzz + ["--dim-E", "0"],
             bpoint + ["--steps", "1"],
-            bpoint + ["--residual-tol", "nan"],
             bpoint + ["--seed", "-1"],
-            bpoint + ["--margin", "1"],
             evaluate + ["--isometry-tol", "nan"],
         ):
             assert main(argv) == 2, argv
+
+    def test_verdict_thresholds_and_margin_are_not_options(self, files, capsys):
+        # the verdicts' tolerances and the sampling margin are constants: any value, valid
+        # or not, is refused as an unknown flag before any work is done
+        fuzz = ["fuzz", "--samples", "2"]
+        bpoint = ["bpoint", "--fixture", "example-h1", "--point", files["boundary"]]
+        for argv in (
+            fuzz + ["--margin", "0.05"],
+            fuzz + ["--margin", "-1"],
+            fuzz + ["--margin", "nan"],
+            fuzz + ["--margin", "2"],
+            fuzz + ["--margin", "1"],
+            fuzz + ["--model-residual-tol", "1e-9"],
+            fuzz + ["--model-residual-tol", "nan"],
+            fuzz + ["--rel-tol", "1e-8"],
+            fuzz + ["--rel-tol", "inf"],
+            bpoint + ["--margin", "0.05"],
+            bpoint + ["--margin", "1"],
+            bpoint + ["--residual-tol", "1e-8"],
+            bpoint + ["--residual-tol", "nan"],
+            bpoint + ["--rel-tol", "1e-8"],
+        ):
+            assert main(argv) == 2, argv
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert f"unrecognized arguments: {argv[-2]} {argv[-1]}\n" in captured.err, argv
+
+    def test_every_declared_option_is_registered(self):
+        # a flag that no subcommand adds is a dead entry of _OPTIONS, with its argparse type
+        import argparse
+
+        from ncjulia.cli import _OPTIONS, build_parser
+
+        (commands,) = (
+            action.choices for action in build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        )
+        registered = {
+            flag for command in commands.values() for flag in command._option_string_actions
+        }
+        assert sorted(set(_OPTIONS) - registered) == []
 
     def test_underflowing_step_count_exits_three_at_once(self, files, monkeypatch, capsys):
         from ncjulia import domain

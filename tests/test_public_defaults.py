@@ -16,14 +16,9 @@ PINNED = {
     ("boundary", "analyze_bpoint", "direction"),
     ("boundary", "analyze_bpoint", "first_step"),
     ("boundary", "analyze_bpoint", "julia_samples"),
-    ("boundary", "analyze_bpoint", "margin"),
     ("boundary", "analyze_bpoint", "num_steps"),
-    ("boundary", "analyze_bpoint", "range_tol"),
-    ("boundary", "analyze_bpoint", "rel_tol"),
     ("boundary", "analyze_bpoint", "seed"),
     ("boundary", "is_bpoint_range_test", "seed"),
-    ("boundary", "is_bpoint_range_test", "tol"),
-    ("boundary", "julia_inequality_check", "rel_tol"),
     ("boundary", "julia_sweep", "u_t"),
     ("cli", "main", "argv"),
     ("cli", "render_json", "indent"),

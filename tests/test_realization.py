@@ -2,6 +2,7 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ncjulia import (
     DeltaMatrix,
@@ -615,6 +616,30 @@ class TestColligationStacks:
         # each row is one point, and its condition number that of the point's evaluation
         for k, x in enumerate(xs):
             assert resolvent_condition(h1, ev.row(k)) == resolvent_condition(h1, evaluate(h1, x))
+
+
+class TestResolventConditionBound:
+    """For an isometric colligation, cond(I - S) <= (1 + ||Delta(x)||) / (1 - ||Delta(x)||).
+
+    ||D|| <= 1 makes the step S = (D kron I)(I kron Delta(x)) a contraction by
+    ||Delta(x)||, so the resolvent's singular values lie in [1 - ||Delta||, 1 + ||Delta||].
+    """
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(
+        name=st.sampled_from(("polydisk:2", "ball:2", "cartan:2")),
+        dim_e=st.integers(1, 3),
+        n=st.integers(1, 3),
+        margin=st.sampled_from((0.01, 0.05, 0.3)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_condition_within_the_norm_bound(self, name, dim_e, n, margin, seed):
+        delta = get_delta(name)
+        h = NcFunctionHandle(random_realization(dim_e, delta.J, seed), delta)
+        x = random_interior_point(delta, n, np.random.default_rng(seed), margin=margin)
+        ev = evaluate(h, x)
+        bound = (1.0 + ev.delta_norm) / (1.0 - ev.delta_norm)
+        assert 1.0 <= resolvent_condition(h, ev) <= bound
 
 
 class TestNcAxioms:
