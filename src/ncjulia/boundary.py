@@ -52,10 +52,9 @@ COMPARABILITY_RTOL = 1e-8
 DEGENERATE_TOL = 1e-12
 RANGE_TOL = 1e-8  # largest range-test residual of a B-point
 JULIA_RTOL = 1e-8  # relative slack of the Julia inequality
-WITNESS_STARTS = 8  # random starts of the range test's inward-witness search
 SEQUENCE_STEPS = 12  # points of analyze_bpoint's approach sequence
 JULIA_SAMPLES = 100  # interior points of analyze_bpoint's Julia sweep
-SEED = 2024  # seed of analyze_bpoint's witness search and Julia sweep
+SEED = 2024  # seed of analyze_bpoint's Julia sweep; the witness search draws nothing
 
 
 @dataclass(frozen=True)
@@ -237,8 +236,9 @@ class RangeTestResult:
     The range criterion is decisive under two hypotheses: a transverse inward
     direction exists at T, and the colligation is an isometry.
     ``conditional`` marks a verdict issued without confirming both: no
-    transverse inward witness was found (it was only searched for), or the
-    colligation's isometry defect exceeds ``ISOMETRY_TOL``.
+    transverse inward witness exists (``inward_witness`` holds a
+    certificate), the witness search was undecided (its iteration cap ran
+    out), or the colligation's isometry defect exceeds ``ISOMETRY_TOL``.
     """
 
     is_bpoint: bool
@@ -250,10 +250,10 @@ class RangeTestResult:
         return self.is_bpoint
 
 
-def is_bpoint_range_test(h: NcFunctionHandle, bp: BoundaryPoint, seed: int = 0) -> RangeTestResult:
+def is_bpoint_range_test(h: NcFunctionHandle, bp: BoundaryPoint) -> RangeTestResult:
     """B-point iff the boundary system is consistent: residual <= ``RANGE_TOL``."""
     solution = solve_uT(h, bp)
-    witness = find_transverse_direction(bp, n_starts=WITNESS_STARTS, seed=seed)
+    witness = find_transverse_direction(bp)
     return RangeTestResult(
         is_bpoint=solution.range_residual <= RANGE_TOL,
         conditional=not witness.found or h.realization.isometry_defect > ISOMETRY_TOL,
@@ -491,7 +491,7 @@ def analyze_bpoint(
 
     range_test = u_t = None
     if bp.distinguished:
-        range_test = is_bpoint_range_test(h, bp, seed)
+        range_test = is_bpoint_range_test(h, bp)
         u_t = range_test.solution.u_T
 
     julia = JuliaSweep()

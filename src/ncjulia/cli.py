@@ -139,7 +139,7 @@ _OPTIONS = {
     "--fixture": dict(help="named fixture for whichever of --delta and --realization is absent"),
     "--delta": dict(help="delta file or name (polydisk:2, ball:3, cartan:2)"),
     "--realization": dict(help="realization file or fixture name"),
-    "--seed": dict(type=_at_least(0), default=boundary.SEED, help="random seed"),
+    "--seed": dict(type=_at_least(0), default=boundary.SEED, help="seed of the random samples"),
     "--samples": dict(type=_at_least(1), default=boundary.JULIA_SAMPLES, help="sweep sample count"),
     "--steps": dict(
         type=_at_least(2), default=boundary.SEQUENCE_STEPS, help="approach-sequence steps"

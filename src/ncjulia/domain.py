@@ -20,7 +20,7 @@ radial or along a direction, is made and checked by one call of
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import NamedTuple
 
@@ -48,8 +48,7 @@ from .numerics import (
 DISTINGUISHED_TOL = 1e-8
 SELF_ADJOINT_TOL = 1e-8  # ||M - M*|| bound of the self-adjointness cone
 INWARD_BETA = 1e-8  # margin by which an inward direction must be strictly inward
-DESCENT_ITERATIONS = 150  # subgradient steps per start of the witness search
-ASSUMPTION_STARTS = 50  # random starts of check_assumption_A's witness search
+WITNESS_ITERATIONS = 1000  # cap of the nearest-point steps of the inward-witness search
 SAMPLE_MARGIN = 0.05  # interior sampling: ||delta(x)|| <= 1 - margin
 MAX_HALVINGS = 60  # halvings of a random draft before sampling gives up
 SEQUENCE_FIRST_STEP = 0.5  # first step of radial and ray approach sequences
@@ -266,30 +265,30 @@ def inward_margin(m: np.ndarray) -> float:
 
 def in_Delta(bp: BoundaryPoint, h: MatrixTuple) -> bool:
     """Transverse inward cone: ||M - M*|| <= SELF_ADJOINT_TOL, inward_margin(M) >= INWARD_BETA."""
-    m = cone_matrix(bp, h)
-    return operator_norm(m - m.conj().T) <= SELF_ADJOINT_TOL and inward_margin(m) >= INWARD_BETA
+    return _scored(bp, h).found
 
 
 # --- assumption checks ------------------------------------------------------
 
 
-def _vec_to_tuple(vec: np.ndarray, d: int, n: int) -> MatrixTuple:
-    return MatrixTuple(tuple(vec.reshape(d, n, n)[r] for r in range(d)))
-
-
-def _project_to_unit_ball(vec: np.ndarray, d: int, n: int) -> np.ndarray:
-    comps = vec.reshape(d, n, n).copy()
-    for r in range(d):
-        u, s, vh = np.linalg.svd(comps[r])
-        comps[r] = u @ np.diag(np.minimum(s, 1.0)) @ vh
-    return comps.reshape(-1)
-
-
 @dataclass(frozen=True)
 class InwardWitnessResult:
-    found: bool
+    """The best self-adjoint direction scored, ``witness``, and its margin ``beta`` (-inf if none).
+
+    ``certificate`` is a density matrix P with every |tr(P M_k)| < INWARD_BETA / sqrt(d n), M_k
+    the cone matrices of a basis of Sigma: no transverse direction of margin INWARD_BETA exists.
+    It is None when a witness was found, and when the iteration cap ran out: then the search is
+    not ``decided``.
+    """
+
+    found: bool  # beta >= INWARD_BETA
     witness: MatrixTuple | None
-    beta: float  # transversality margin achieved by the witness (>= 0 when found)
+    beta: float
+    certificate: np.ndarray | None
+
+    @property
+    def decided(self) -> bool:
+        return self.found or self.certificate is not None
 
 
 def _sigma_nullspace(lmat: np.ndarray, gram_dim: int) -> np.ndarray:
@@ -313,65 +312,63 @@ def _sigma_nullspace(lmat: np.ndarray, gram_dim: int) -> np.ndarray:
     return vh.T[:, null_mask]
 
 
-def find_transverse_direction(
-    bp: BoundaryPoint, n_starts: int = 50, seed: int = 0
-) -> InwardWitnessResult:
-    """Search the unit ball for K with d(T)* grad d(T)[K] <= -INWARD_BETA, self-adjoint.
+def _scored(bp: BoundaryPoint, k: MatrixTuple) -> InwardWitnessResult:
+    """k as a witness candidate: scored by its margin if its cone matrix is self-adjoint."""
+    m = cone_matrix(bp, k)
+    if operator_norm(m - m.conj().T) > SELF_ADJOINT_TOL:
+        return InwardWitnessResult(False, None, -np.inf, None)
+    beta = inward_margin(m)
+    return InwardWitnessResult(found=beta >= INWARD_BETA, witness=k, beta=beta, certificate=None)
+
+
+def find_transverse_direction(bp: BoundaryPoint) -> InwardWitnessResult:
+    """A self-adjoint K in the unit ball with d(T)* grad d(T)[K] <= -INWARD_BETA, or a certificate.
 
     Tries K = -T first (exact for grids homogeneous of degree one, where the
-    Gram derivative at -T is minus the identity).  Otherwise runs projected
-    subgradient descent on the largest eigenvalue of the Hermitian part from
-    ``n_starts`` random starts, ``DESCENT_ITERATIONS`` steps each.  Each
-    candidate is scored by the :func:`inward_margin` and the asymmetry of its
-    cone matrix; one not self-adjoint within ``SELF_ADJOINT_TOL`` is repaired
-    by projecting onto the self-adjointness subspace and scored again.
-    Failure means "no witness found", not certified infeasibility.
+    Gram derivative at -T is minus the identity).  Otherwise
+    :func:`_nearest_point_search` decides; when it finds no witness, -T stays
+    the best candidate if it scored better.
     """
-    t = bp.t
-    d, n = t.d, t.n
-    dim = d * n * n
+    neg_t = -1.0 * bp.t
+    tried = _scored(bp, neg_t * (1.0 / max(1.0, neg_t.max_component_norm())))
+    if tried.found:
+        return tried
+    search = _nearest_point_search(bp)
+    return search if search.beta >= tried.beta else replace(tried, certificate=search.certificate)
 
-    best_beta, best_k = -np.inf, None
 
-    def consider(k: MatrixTuple):
-        nonlocal best_beta, best_k
-        m = cone_matrix(bp, k)
-        beta, asymmetry = inward_margin(m), operator_norm(m - m.conj().T)
-        if asymmetry <= SELF_ADJOINT_TOL and beta > best_beta:
-            best_beta, best_k = beta, k
-        return beta, asymmetry
+def _nearest_point_search(bp: BoundaryPoint) -> InwardWitnessResult:
+    """Gilbert's nearest-point iteration for 0 on S = {(tr P M_k)_k : P >= 0, tr P = 1}.
 
-    neg_t = -1.0 * t
-    nrm = neg_t.max_component_norm()
-    if nrm > 0:
-        consider(neg_t * min(1.0, 1.0 / nrm))
-    if best_beta >= INWARD_BETA:
-        return InwardWitnessResult(found=True, witness=best_k, beta=best_beta)
-
-    lmat = bp.gram_map
-    gram_dim = bp.given.shape[1]
-    rng = np.random.default_rng(seed)
-    for _ in range(n_starts):
-        vec = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-        vec = _project_to_unit_ball(vec, d, n)
-        for it in range(DESCENT_ITERATIONS):
-            m = (lmat @ vec).reshape(gram_dim, gram_dim)
-            herm = (m + m.conj().T) / 2.0
-            _, evecs = np.linalg.eigh(herm)
-            top = evecs[:, -1]
-            grad = lmat.conj().T @ np.outer(top, top.conj()).reshape(-1)
-            vec = _project_to_unit_ball(vec - (0.5 / np.sqrt(it + 1.0)) * grad, d, n)
-        k = _vec_to_tuple(vec, d, n)
-        beta, asymmetry = consider(k)
-        if asymmetry > SELF_ADJOINT_TOL and beta > 0:
-            # inward but not transverse: project onto the self-adjoint subspace
-            proj = bp.sigma_basis @ (bp.sigma_basis.T @ np.concatenate([vec.real, vec.imag]))
-            repaired = proj[:dim] + 1j * proj[dim:]
-            if np.linalg.norm(repaired) > 0:
-                consider(_vec_to_tuple(_project_to_unit_ball(repaired, d, n), d, n))
-        if best_beta >= INWARD_BETA:
-            break
-    return InwardWitnessResult(found=best_beta >= INWARD_BETA, witness=best_k, beta=best_beta)
+    M_k are the Hermitian cone matrices of a basis of Sigma.  The iteration is Frank-Wolfe with
+    exact line search (Gilbert, SIAM J. Control 4, 1966); P stays a convex combination of
+    eigenvector projectors, and each step is one ``eigh`` of M(s) = sum_k s_k M_k.  Once lambda_min(M(s)) >= |s|^2 / 2, -s/|s| has margin at least
+    |s| / 2: it is the witness, scaled into the component unit ball and scored as any direction
+    is.  Once sqrt(d n) |s| < INWARD_BETA, P is the certificate: by minimax, dist(0, S) is the
+    best margin in the Frobenius unit ball, which holds the component unit ball scaled by
+    1 / sqrt(d n).  Sigma = {0} is a certificate at once; after ``WITNESS_ITERATIONS`` steps
+    the search is undecided.
+    """
+    d, n, basis = bp.t.d, bp.t.n, bp.sigma_basis
+    dim, size = d * n * n, bp.given.shape[1]
+    mk = (bp.gram_map @ (basis[:dim] + 1j * basis[dim:])).T.reshape(-1, size, size)
+    rows = ((mk + mk.conj().swapaxes(1, 2)) / 2.0).reshape(len(mk), size * size)  # M_k, Hermitian
+    p = np.eye(size, dtype=np.complex128) / size
+    s = (rows.conj() @ p.reshape(-1)).real  # tr(P M_k), as conj(M_k) = M_k^T
+    for _ in range(WITNESS_ITERATIONS):
+        dist = float(np.linalg.norm(s))
+        if np.sqrt(d * n) * dist < INWARD_BETA:
+            return InwardWitnessResult(False, None, -np.inf, read_only(p))
+        lams, vecs = np.linalg.eigh((s @ rows).reshape(size, size))
+        if lams[0] >= dist**2 / 2.0:
+            h = basis @ (-s / dist)
+            k = MatrixTuple(tuple((h[:dim] + 1j * h[dim:]).reshape(d, n, n)))
+            return _scored(bp, k * (1.0 / k.max_component_norm()))
+        projector = np.outer(vecs[:, 0], vecs[:, 0].conj())
+        step = s - (rows.conj() @ projector.reshape(-1)).real
+        gamma = min(1.0, (s @ step) / (step @ step))
+        s, p = s - gamma * step, (1.0 - gamma) * p + gamma * projector
+    return InwardWitnessResult(False, None, -np.inf, None)
 
 
 def sigma_span_dimension(bp: BoundaryPoint) -> int:
@@ -392,7 +389,7 @@ def sigma_span_dimension(bp: BoundaryPoint) -> int:
 class AssumptionReport:
     """Outcome of the inward-direction assumptions at a boundary point."""
 
-    witness: InwardWitnessResult  # a failed search is inconclusive, not infeasibility
+    witness: InwardWitnessResult  # decided (witness or certificate) unless the cap ran out
     a2: bool
     sigma_span_dim: int
     full_dim: int
@@ -409,14 +406,14 @@ class AssumptionReport:
 def check_assumption_A(bp: BoundaryPoint) -> AssumptionReport:
     """Check that transverse inward directions exist and span everything.
 
-    The first part searches for a witness direction from ``ASSUMPTION_STARTS``
-    random starts; a failed search is reported as inconclusive, never as
-    certified infeasibility.  The second part computes the complex span
+    The first part is :func:`find_transverse_direction`: a witness, or a
+    certificate that none exists, decided unless the iteration cap ran out
+    (``witness.decided``).  The second part computes the complex span
     dimension of the self-adjointness cone and compares it with d * n^2.
     """
     if not bp.distinguished:
         raise PreconditionError("assumption checks require T on the distinguished boundary")
-    witness = find_transverse_direction(bp, n_starts=ASSUMPTION_STARTS)
+    witness = find_transverse_direction(bp)
     span, full = sigma_span_dimension(bp), bp.t.d * bp.t.n * bp.t.n
     return AssumptionReport(witness=witness, a2=span == full, sigma_span_dim=span, full_dim=full)
 

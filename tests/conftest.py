@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from ncjulia import FreePolynomial, MatrixTuple
+from ncjulia import DeltaMatrix, FreePolynomial, MatrixTuple, parse_poly
 
 
 def random_matrix(rng, n, m=None):
@@ -48,6 +48,14 @@ def random_poly(rng, d, max_degree=4, max_terms=5):
         if coeff != 0:
             terms[word] = coeff
     return FreePolynomial(d, tuple(terms.items()))
+
+
+def witness_grid():
+    """diag(x0, 3 x1 - 2 x1^2): at T = (1, 1) -T fails and the witness search must run."""
+    zero = FreePolynomial.zero(2)
+    return DeltaMatrix(
+        2, [[FreePolynomial.variable(2, 0), zero], [zero, parse_poly("3*x1 - 2*x1^2", 2)]]
+    )
 
 
 def random_admissible_direction(rng, n, d=2, shift=0.3):
@@ -220,11 +228,20 @@ def in_delta_oracle(bp, h, beta: float = 1e-8) -> bool:
     return is_self_adjoint(m, SELF_ADJOINT_TOL) and hermitian_part_max_eig(m) <= -beta
 
 
+ORACLE_DESCENT_ITERATIONS = 150  # subgradient steps per start of the descent oracle
+
+
 def find_transverse_direction_oracle(bp, n_starts: int = 50, seed: int = 0):
-    """Oracle: the witness search scoring candidates by the largest Hermitian-part eigenvalue."""
+    """Oracle: a seeded witness search that finds witnesses but never certifies their absence.
+
+    After -T it runs projected subgradient descent on the largest eigenvalue of
+    the Hermitian part from ``n_starts`` random starts, with a repair projection
+    onto the self-adjointness subspace, and scores candidates by the largest
+    Hermitian-part eigenvalue.  ``certificate`` is always None.
+    """
     from ncjulia import operator_norm
     from ncjulia.domain import (
-        DESCENT_ITERATIONS, INWARD_BETA, SELF_ADJOINT_TOL, InwardWitnessResult, cone_matrix,
+        INWARD_BETA, SELF_ADJOINT_TOL, InwardWitnessResult, cone_matrix,
     )
 
     t = bp.t
@@ -256,7 +273,7 @@ def find_transverse_direction_oracle(bp, n_starts: int = 50, seed: int = 0):
     if nrm > 0:
         consider(neg_t * min(1.0, 1.0 / nrm))
     if best_val <= -INWARD_BETA:
-        return InwardWitnessResult(found=True, witness=best_k, beta=-best_val)
+        return InwardWitnessResult(found=True, witness=best_k, beta=-best_val, certificate=None)
 
     lmat = bp.gram_map
     gram_dim = bp.given.shape[1]
@@ -264,7 +281,7 @@ def find_transverse_direction_oracle(bp, n_starts: int = 50, seed: int = 0):
     for _ in range(n_starts):
         vec = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
         vec = to_unit_ball(vec)
-        for it in range(DESCENT_ITERATIONS):
+        for it in range(ORACLE_DESCENT_ITERATIONS):
             m = (lmat @ vec).reshape(gram_dim, gram_dim)
             herm = (m + m.conj().T) / 2.0
             _, evecs = np.linalg.eigh(herm)
@@ -279,7 +296,9 @@ def find_transverse_direction_oracle(bp, n_starts: int = 50, seed: int = 0):
                 consider(to_tuple(to_unit_ball(repaired)))
         if best_val <= -INWARD_BETA:
             break
-    return InwardWitnessResult(found=best_val <= -INWARD_BETA, witness=best_k, beta=-best_val)
+    return InwardWitnessResult(
+        found=best_val <= -INWARD_BETA, witness=best_k, beta=-best_val, certificate=None
+    )
 
 
 def sigma_span_dimension_oracle(bp) -> int:

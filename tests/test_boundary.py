@@ -42,6 +42,7 @@ from conftest import (
     sequential_interior_sample,
     solve_uT_three_svds,
     stack_points,
+    witness_grid,
 )
 
 
@@ -734,6 +735,19 @@ class TestAnalyzeBpoint:
         t = random_unitary_tuple(np.random.default_rng(7), 2, n)
         analyze_bpoint(h1, t, julia_samples=100, seed=1)
         assert len(calls) == self.SVD_CALLS
+
+    def test_witness_search_does_not_follow_the_seed(self):
+        # -T fails on diag(x0, 3 x1 - 2 x1^2) at (1, 1): the search runs and draws nothing,
+        # while the Julia sweep still samples by the seed
+        h = NcFunctionHandle(random_realization(1, 2, seed=3), witness_grid())
+        t, ray = scalars(1.0, 1.0), scalars(-1.0, 1.0)
+        one, two = (
+            analyze_bpoint(h, t, direction=ray, julia_samples=5, seed=seed) for seed in (1, 2)
+        )
+        a, b = one.range_test.inward_witness, two.range_test.inward_witness
+        assert a.found and (a.found, a.beta) == (b.found, b.beta)
+        assert all(map(np.array_equal, a.witness.components, b.witness.components))
+        assert one.julia.max_ratio != two.julia.max_ratio
 
     def test_example_full_report(self, h1):
         rep = analyze_bpoint(h1, scalars(1.0, 1.0), julia_samples=50, seed=3)

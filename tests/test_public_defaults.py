@@ -18,7 +18,6 @@ PINNED = {
     ("boundary", "analyze_bpoint", "julia_samples"),
     ("boundary", "analyze_bpoint", "num_steps"),
     ("boundary", "analyze_bpoint", "seed"),
-    ("boundary", "is_bpoint_range_test", "seed"),
     ("boundary", "julia_sweep", "u_t"),
     ("cli", "main", "argv"),
     ("cli", "render_json", "indent"),
@@ -27,8 +26,6 @@ PINNED = {
     ("derivative", "eta_numeric", "steps"),
     ("derivative", "scalar_angular_derivative", "v"),
     ("derivative", "scalar_angular_derivative", "w"),
-    ("domain", "find_transverse_direction", "n_starts"),
-    ("domain", "find_transverse_direction", "seed"),
     ("domain", "random_interior_point", "margin"),
     ("freepoly", "poly_from_json", "d"),
     ("numerics", "as_complex_matrix", "name"),
