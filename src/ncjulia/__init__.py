@@ -63,7 +63,6 @@ from .domain import (
     inward_margin,
     nontangential_constant,
     random_interior_point,
-    random_interior_points,
     scale_into_domain,
     sigma_span_dimension,
 )

@@ -11,7 +11,8 @@ holds on the whole domain.  This module estimates all of these numerically
 and verifies the identities they satisfy.  Each diagnostic takes evaluations
 made once by ``realization.evaluate``, :func:`evaluate_sequence` or
 ``domain.boundary_point``.  Every approach path is one :func:`evaluate_sequence`
-call, checked there once by ``domain.generate_sequence``.
+call, checked there once by ``domain.generate_sequence``; every Julia sweep
+draws its own interior points, one solve block at a time.
 """
 
 from __future__ import annotations
@@ -25,9 +26,10 @@ from .domain import (
     BoundaryPoint,
     boundary_point,
     find_transverse_direction,
+    gaussian_drafts,
     generate_sequence,
     InwardWitnessResult,
-    random_interior_points,
+    scale_into_domain,
     SequencePoints,
     SAMPLE_MARGIN,
     SEQUENCE_FIRST_STEP,
@@ -310,29 +312,28 @@ class JuliaSweep:
     identity_max: float | None = None
 
 
-def julia_sweep(h, samples, bp, w, alpha, u_t=None) -> JuliaSweep:
-    """Check the inequality at every interior point of ``samples``, each evaluated once.
+def julia_sweep(h, rng, count, bp, w, alpha, u_t=None) -> JuliaSweep:
+    """Check the inequality at ``count`` random interior points, drawn from ``rng``.
 
-    ``samples`` yields ``domain.PointStack`` blocks, as
-    ``domain.random_interior_points`` makes them.  Each block is evaluated
-    in parts of ``realization.solve_rows`` rows, one :func:`evaluate_stack`
-    call a part, so u and phi are held for one part at a time; each row is
-    checked on its own.  With u_T given, the boundary identity is checked
-    once per part, over its rows, and its residuals at the rows not skipped
-    are folded in row order.
+    The points are drawn and solved in blocks of ``realization.solve_rows``
+    rows, the last one shorter: one ``domain.gaussian_drafts`` call, one
+    ``domain.scale_into_domain`` at ``SAMPLE_MARGIN`` and one
+    :func:`evaluate_stack` call a block, so u and phi are held for one block
+    at a time.  Each row is checked on its own; with u_T given, the boundary
+    identity is checked once per block and its residuals at the rows not
+    skipped are folded in row order.  Each point is the one
+    ``random_interior_point`` would draw next, so the block size changes no
+    tally.
     """
+    _require_count(count)
     checked = violations = skipped = 0
     max_ratio = identity_max = None
     rows = solve_rows(h.delta, h.realization.dim_E, bp.t.n)
-    parts = (
-        block.rows(slice(k, k + rows))
-        for block in samples
-        for k in range(0, len(block.norms), rows)
-    )
-    for stack in parts:
-        evaluation = evaluate_stack(h, stack)
+    for start in range(0, count, rows):
+        drafts = gaussian_drafts(h.delta.d, bp.t.n, rng, min(rows, count - start))
+        evaluation = evaluate_stack(h, scale_into_domain(h.delta, drafts, SAMPLE_MARGIN))
         kept = []
-        for k in range(len(stack.norms)):
+        for k in range(len(evaluation.delta_norm)):
             check = julia_inequality_check(evaluation.row(k), bp, w, alpha)
             if check.skipped:
                 skipped += 1
@@ -350,6 +351,11 @@ def julia_sweep(h, samples, bp, w, alpha, u_t=None) -> JuliaSweep:
                 res = residuals[k]
                 identity_max = res if identity_max is None else max(identity_max, res)
     return JuliaSweep(checked, violations, skipped, max_ratio, identity_max)
+
+
+def _require_count(count: int) -> None:
+    if count < 0:
+        raise PreconditionError(f"sample count must be at least 0, got {count!r}")
 
 
 def boundary_identity_residual(
@@ -475,9 +481,11 @@ def analyze_bpoint(
     T must lie on the boundary; for T on the distinguished boundary the model
     machinery (boundary model vector, range test, boundedness report) runs as
     well, otherwise only the quotient, boundary value and inequality checks.
+    The inequality is swept by :func:`julia_sweep` at ``julia_samples`` points
+    drawn from ``np.random.default_rng(seed)``; a negative count is refused
+    before anything is evaluated.
     """
-    rng = np.random.default_rng(seed)
-    samples = random_interior_points(h.delta, t.n, rng, julia_samples, SAMPLE_MARGIN)
+    _require_count(julia_samples)
     bp = boundary_point(h.delta, t)
     bp.require_boundary()
     path = evaluate_sequence(h, t, direction, num_steps, first_step)
@@ -496,7 +504,8 @@ def analyze_bpoint(
 
     julia = JuliaSweep()
     if boundary_value is not None and np.isfinite(alpha.alpha):
-        julia = julia_sweep(h, samples, bp, boundary_value.W, alpha.alpha, u_t)
+        rng = np.random.default_rng(seed)
+        julia = julia_sweep(h, rng, julia_samples, bp, boundary_value.W, alpha.alpha, u_t)
 
     tfae = tfae_report(path, bp) if bp.distinguished else None
 

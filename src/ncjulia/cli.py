@@ -177,7 +177,8 @@ def _load_json_file(path: str):
         raise ParseError(
             f"malformed JSON in {path}: {exc.msg} at line {exc.lineno} column {exc.colno}"
         ) from None
-    except ValueError as exc:  # an integer literal longer than Python converts
+    # an integer literal longer than Python converts, or nesting deeper than its recursion limit
+    except (ValueError, RecursionError) as exc:
         raise ParseError(f"malformed JSON in {path}: {exc}") from None
 
 
@@ -388,10 +389,7 @@ def cmd_fuzz(args) -> int:
             if not alpha.converged:
                 continue
             bp = domain.boundary_point(delta, t)
-            samples = domain.random_interior_points(
-                delta, n, rng, _JULIA_POINTS, domain.SAMPLE_MARGIN
-            )
-            sweeps.append(boundary.julia_sweep(handle, samples, bp, w, alpha.alpha))
+            sweeps.append(boundary.julia_sweep(handle, rng, _JULIA_POINTS, bp, w, alpha.alpha))
 
     defects += [_model_identity_defects(args, delta, s) for s in pending.values() if s]
     defects = np.concatenate(defects)

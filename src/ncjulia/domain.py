@@ -432,10 +432,6 @@ class PointStack(NamedTuple):
         """Point k, built as a tuple where a caller reads one."""
         return MatrixTuple(tuple(self.components[:, k]))
 
-    def rows(self, part: slice) -> PointStack:
-        """The points ``part`` as one stack of views."""
-        return PointStack(self.components[:, part], self.delta[part], self.norms[part])
-
 
 class SequencePoints(NamedTuple):
     """The interior points of a path to ``base``, radial or along ``direction``."""
@@ -508,8 +504,8 @@ def generate_sequence(
     )
 
 
-# bytes of stacked arrays that one block may take: sampled drafts with their Delta, Gram
-# map lifts with the grid at them, and (realization.solve_rows) points with model systems
+# bytes of stacked arrays that one block may take: Gram map lifts with the grid at them,
+# and (realization.solve_rows) points, sampled or not, with their Delta and model systems
 BLOCK_BYTES = 8 << 20
 
 
@@ -518,38 +514,19 @@ def block_rows(row_bytes: int) -> int:
     return max(1, BLOCK_BYTES // row_bytes)
 
 
-def random_interior_points(
-    delta: DeltaMatrix, n: int, rng: np.random.Generator, count: int, margin: float
-):
-    """``count`` random points with ||delta(x)|| <= 1 - margin, as a :class:`PointStack` per block.
+def random_interior_point(
+    delta: DeltaMatrix, n: int, rng: np.random.Generator, margin: float = SAMPLE_MARGIN
+) -> MatrixTuple:
+    """A random point with ||delta(x)|| <= 1 - margin: one draft, scaled into the domain.
 
-    Sampling has two steps.  :func:`gaussian_drafts` takes every random draw
-    of a block in one call.  :func:`scale_into_domain` then scales the drafts
-    into the domain and draws nothing.  The margin must lie in (0, 1), which
-    is checked on the call, before anything is drawn.  The result yields a
-    stack of :func:`block_rows` points at a time, whose drafts and Delta take
-    at most ``BLOCK_BYTES`` (8 MiB), and draws each block when it is reached:
-    every point is bit-identical to a call of :func:`random_interior_point` on
-    the same generator.
+    The margin must lie in (0, 1) and n be at least 1, both checked before
+    anything is drawn.
     """
     if not 0.0 < margin < 1.0:
         raise PreconditionError(f"sampling margin must lie in (0, 1), got {margin!r}")
     if n < 1:
         raise DimensionError(f"matrix size n must be at least 1, got {n!r}")
-    if count < 0:
-        raise PreconditionError(f"sample count must be at least 0, got {count!r}")
-    rows = block_rows(16 * (delta.J * n) ** 2 + 16 * delta.d * n * n)
-    return (
-        scale_into_domain(delta, gaussian_drafts(delta.d, n, rng, min(rows, count - start)), margin)
-        for start in range(0, count, rows)
-    )
-
-
-def random_interior_point(
-    delta: DeltaMatrix, n: int, rng: np.random.Generator, margin: float = SAMPLE_MARGIN
-) -> MatrixTuple:
-    """The first point of :func:`random_interior_points`: one draft, scaled into the domain."""
-    return next(random_interior_points(delta, n, rng, 1, margin)).point(0)
+    return scale_into_domain(delta, gaussian_drafts(delta.d, n, rng, 1), margin).point(0)
 
 
 def gaussian_drafts(d: int, n: int, rng: np.random.Generator, count: int) -> np.ndarray:

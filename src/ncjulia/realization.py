@@ -391,7 +391,7 @@ def random_colligations(dim_E: int, J: int, seeds) -> Realization:
     return Realization(dim_E, J, *_blocks(q))
 
 
-def perturb_realization(r: Realization, eps: float, seed: int = 0) -> Realization:
+def perturb_realization(r: Realization, eps: float, seed: int) -> Realization:
     """Break the isometry by adding a Gaussian perturbation to D (negative control)."""
     g = _perturbations(r.dim_E * r.J, eps, [seed])[0]
     return Realization(

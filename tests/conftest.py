@@ -169,6 +169,44 @@ def sequential_interior_sample(delta, n, rng, margin=0.05, max_halvings=60):
     raise PreconditionError("could not scale a random point into the domain")
 
 
+def looped_julia_sweep(h, rng, count, bp, w, alpha, u_t=None):
+    """Oracle: ``julia_sweep`` as a loop over :func:`sequential_interior_sample` points.
+
+    Each point is evaluated by ``evaluate`` and checked by
+    ``julia_inequality_check``, with ``boundary_identity_residual`` at the
+    points not skipped when u_T is given.
+    """
+    from ncjulia import boundary_identity_residual, evaluate, julia_inequality_check
+    from ncjulia.boundary import JuliaSweep
+
+    checked = violations = skipped = 0
+    ratios, residuals = [], []
+    for _ in range(count):
+        ev = evaluate(h, sequential_interior_sample(h.delta, bp.t.n, rng)[0])
+        check = julia_inequality_check(ev, bp, w, alpha)
+        if check.skipped:
+            skipped += 1
+            continue
+        checked += 1
+        violations += not check.holds
+        if check.rhs > 0:
+            ratios.append(check.lhs / check.rhs)
+        if u_t is not None:
+            residuals.append(boundary_identity_residual(h, bp, w, u_t, ev))
+    return JuliaSweep(
+        checked, violations, skipped, max(ratios, default=None), max(residuals, default=None)
+    )
+
+
+def solve_budget(h, n, rows):
+    """A ``BLOCK_BYTES`` of ``rows`` rows of ``realization.solve_rows`` at matrix size n.
+
+    A row holds a point of h's grid, its Delta, its model system and its step.
+    """
+    jn = h.delta.J * n
+    return rows * 16 * (h.delta.d * n * n + (1 + 2 * h.realization.dim_E**2) * jn**2)
+
+
 # --- the inward-cone formulas before domain.inward_margin, kept as an oracle ---
 
 

@@ -1,9 +1,10 @@
 """The block budget is read in two modules only.
 
 ``domain.BLOCK_BYTES`` bounds each stacked array, and ``domain.block_rows``
-divides it.  ``domain`` sizes drafts, Delta and lifts by it, and
-``realization.solve_rows`` sizes each stacked model solve; every other module
-takes its stacks from those two, so no caller counts block bytes again.
+divides it.  ``domain`` sizes the Gram map's lifts by it, and
+``realization.solve_rows`` sizes each stacked model solve and so each block
+the Julia sweep draws; every other module takes its stacks or block sizes
+from those two, so no caller counts block bytes again.
 """
 
 import ast

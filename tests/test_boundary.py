@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ncjulia import (
     DimensionError,
@@ -17,6 +18,7 @@ from ncjulia import (
     evaluate_sequence,
     evaluate_stack,
     extract_W,
+    gaussian_drafts,
     get_fixture,
     haar_unitary,
     is_bpoint_range_test,
@@ -27,19 +29,21 @@ from ncjulia import (
     operator_norm,
     polydisk_delta,
     random_interior_point,
-    random_interior_points,
     random_realization,
+    scale_into_domain,
     solve_uT,
     tfae_report,
 )
 from ncjulia.domain import SEQUENCE_FIRST_STEP
 
 from ncjulia.boundary import JuliaSweep
-from ncjulia.realization import model_operators
+from ncjulia.realization import model_operators, solve_rows
 
 from conftest import (
+    looped_julia_sweep,
     random_unitary_tuple,
     sequential_interior_sample,
+    solve_budget,
     solve_uT_three_svds,
     stack_points,
     witness_grid,
@@ -448,30 +452,12 @@ class TestJuliaInequality:
         w, alpha = extract_W(path).W, estimate_alpha(path).alpha
         u_t = solve_uT(handle, bp).u_T if source == "cartan:2" else None
         # blocks of 7 samples, so that the 30 samples span five blocks
-        row_bytes = 16 * (handle.delta.J * n) ** 2 + 16 * handle.delta.d * n * n
-        monkeypatch.setattr(domain, "BLOCK_BYTES", 7 * row_bytes)
-        samples = random_interior_points(handle.delta, n, np.random.default_rng(3), 30, 0.05)
-        sweep = julia_sweep(handle, samples, bp, w, alpha, u_t)
+        monkeypatch.setattr(domain, "BLOCK_BYTES", solve_budget(handle, n, 7))
+        assert solve_rows(handle.delta, handle.realization.dim_E, n) == 7
+        sweep = julia_sweep(handle, np.random.default_rng(3), 30, bp, w, alpha, u_t)
         # the oracle: evaluate and the per-point checks at sequentially drawn points
-        oracle_rng = np.random.default_rng(3)
-        checked = violations = skipped = 0
-        ratios, residuals = [], []
-        for _ in range(30):
-            ev = evaluate(handle, sequential_interior_sample(handle.delta, n, oracle_rng)[0])
-            check = julia_inequality_check(ev, bp, w, alpha)
-            if check.skipped:
-                skipped += 1
-                continue
-            checked += 1
-            violations += not check.holds
-            if check.rhs > 0:
-                ratios.append(check.lhs / check.rhs)
-            if u_t is not None:
-                residuals.append(boundary_identity_residual(handle, bp, w, u_t, ev))
-        expected = JuliaSweep(
-            checked, violations, skipped, max(ratios, default=None), max(residuals, default=None)
-        )
-        assert sweep == expected and checked + skipped == 30
+        expected = looped_julia_sweep(handle, np.random.default_rng(3), 30, bp, w, alpha, u_t)
+        assert sweep == expected and sweep.checked + sweep.skipped == 30
         assert (sweep.identity_max is None) == (u_t is None)
 
     def test_sweep_builds_no_tuple(self, h1, monkeypatch):
@@ -485,9 +471,8 @@ class TestJuliaInequality:
         monkeypatch.setattr(
             MatrixTuple, "__post_init__", lambda self: built.append(self) or post_init(self)
         )
-        monkeypatch.setattr(domain, "BLOCK_BYTES", 7 * (16 * 4 + 16 * 2))  # blocks of 7 at n = 1
-        samples = random_interior_points(h1.delta, 1, np.random.default_rng(5), 30, 0.05)
-        sweep = julia_sweep(h1, samples, bp, np.eye(1), 1.0, u_t)
+        monkeypatch.setattr(domain, "BLOCK_BYTES", solve_budget(h1, 1, 7))  # blocks of 7 at n = 1
+        sweep = julia_sweep(h1, np.random.default_rng(5), 30, bp, np.eye(1), 1.0, u_t)
         # each row of each block is checked, with the boundary identity too, from its arrays
         assert sweep.checked + sweep.skipped == 30 and sweep.identity_max is not None
         assert built == []
@@ -505,10 +490,10 @@ class TestJuliaInequality:
         analyze_bpoint(h1, scalars(1.0, 1.0), julia_samples=50, seed=1)
         assert (len(identity), len(checks)) == (1, 50)
         identity.clear()
-        # sampler blocks of 7 at n = 1, each evaluated in solve parts of 3, 3 and 1 rows
-        monkeypatch.setattr(domain, "BLOCK_BYTES", 7 * (16 * 4 + 16 * 2))
+        # blocks of 3 at n = 1: one identity call each
+        monkeypatch.setattr(domain, "BLOCK_BYTES", solve_budget(h1, 1, 3))
         analyze_bpoint(h1, scalars(1.0, 1.0), julia_samples=30, seed=1)
-        assert [len(call[-1].phi) for call in identity] == [3, 3, 1] * 4 + [2]
+        assert [len(call[-1].phi) for call in identity] == [3] * 10
 
     def test_sweep_counts_violations(self, h1):
         # negative controls at the B-point (1, 1) of example-h1: the sweep that holds with
@@ -519,8 +504,7 @@ class TestJuliaInequality:
         assert rep.is_bpoint and rep.julia.checked == 40 and rep.julia.violations == 0
 
         def sweep(w, alpha):
-            samples = random_interior_points(h1.delta, 1, np.random.default_rng(2), 40, 0.05)
-            return julia_sweep(h1, samples, rep.point, w, alpha)
+            return julia_sweep(h1, np.random.default_rng(2), 40, rep.point, w, alpha)
 
         assert sweep(w, alpha).violations == 0
         assert sweep(w, 1e-3 * alpha).violations == 40
@@ -530,8 +514,8 @@ class TestJuliaInequality:
     def test_reports_equal_with_split_solves(self, h1, monkeypatch):
         from ncjulia import boundary, cli, domain, realization
 
-        # solves of at most four rows: the 12-point path takes three, and each of the
-        # three blocks of nine sweep samples is evaluated in parts of 4, 4 and 1 rows
+        # solves of at most four rows: the 12-point path takes three, and the 27 sweep
+        # samples are drawn and solved in seven blocks of 4, 4, 4, 4, 4, 4 and 3 rows
         solves, per_stack = [], []
         solution, evaluate_stack = realization._model_solution, boundary.evaluate_stack
         monkeypatch.setattr(
@@ -548,12 +532,12 @@ class TestJuliaInequality:
         for t in (scalars(1.0, 1.0), random_unitary_tuple(np.random.default_rng(7), 2, 2)):
             n, default = t.n, domain.BLOCK_BYTES
             reports = []
-            for budget in (default, 4 * 16 * (2 * n * n + (2 * n) ** 2 + 2 * (2 * n) ** 2)):
+            for budget in (default, solve_budget(h1, n, 4)):
                 per_stack.clear()
                 monkeypatch.setattr(domain, "BLOCK_BYTES", budget)
                 rep = analyze_bpoint(h1, t, julia_samples=27, seed=1)
                 reports.append((cli.render_json(cli._jsonable_report(rep)), rep.julia))
-            assert per_stack == [3] + [1] * 9
+            assert per_stack == [3] + [1] * 7
             assert reports[0][1].identity_max is not None  # the sweep checked u_T too
             assert reports[1] == reports[0]
 
@@ -562,24 +546,85 @@ class TestJuliaInequality:
 
         from ncjulia import domain
 
-        # 400 samples of 64 x 64 model systems take 51 MiB held at once; solved in
-        # blocks, the sweep stays within two budgets.  2000 samples make one sampler
-        # block, whose u, phi and identity intermediates together pass two budgets: they
-        # are held for one solve part of the block at a time
+        # 400 samples of 64 x 64 model systems take 51 MiB held at once; drawn and
+        # solved in blocks, the sweep stays within two budgets.  The u, phi and identity
+        # intermediates of 2000 samples together pass two budgets: they are held for one
+        # block at a time
         handle = NcFunctionHandle(random_realization(8, 2, 5), polydisk_delta(2))
         t = random_unitary_tuple(np.random.default_rng(0), 2, 4)
         bp = boundary_point(handle.delta, t)
         u_t = solve_uT(handle, bp).u_T
         for count in (400, 2000):
-            samples = random_interior_points(handle.delta, 4, np.random.default_rng(1), count, 0.05)
+            rng = np.random.default_rng(1)
             tracemalloc.start()
             try:
-                sweep = julia_sweep(handle, samples, bp, np.eye(4), 1.0, u_t)
+                sweep = julia_sweep(handle, rng, count, bp, np.eye(4), 1.0, u_t)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
             assert sweep.checked + sweep.skipped == count
             assert peak <= 2 * domain.BLOCK_BYTES, (count, peak)
+
+    def test_sweep_draws_and_scales_solve_sized_blocks(self, h1, monkeypatch):
+        from ncjulia import boundary, domain
+
+        class CountingGenerator:
+            def __init__(self, seed):
+                self.rng, self.calls = np.random.default_rng(seed), 0
+
+            def standard_normal(self, *args):
+                self.calls += 1
+                return self.rng.standard_normal(*args)
+
+        sizes, scale = [], boundary.scale_into_domain
+
+        def recorded(delta, drafts, margin):
+            sizes.append(drafts.shape[1])
+            return scale(delta, drafts, margin)
+
+        monkeypatch.setattr(boundary, "scale_into_domain", recorded)
+        bp = boundary_point(h1.delta, random_unitary_tuple(np.random.default_rng(8), 2, 2))
+        # one block at the default budget; then blocks of solve_rows rows, the last shorter
+        for rows, count, blocks in ((None, 20, [20]), (7, 20, [7, 7, 6]), (4, 8, [4, 4]),
+                                    (1, 3, [1, 1, 1])):
+            if rows:
+                monkeypatch.setattr(domain, "BLOCK_BYTES", solve_budget(h1, 2, rows))
+                assert solve_rows(h1.delta, h1.realization.dim_E, 2) == rows
+            sizes.clear()
+            rng, at_once = CountingGenerator(5), np.random.default_rng(5)
+            sweep = julia_sweep(h1, rng, count, bp, np.eye(2), 1.0)
+            assert sizes == blocks and rng.calls == len(blocks)
+            assert sweep.checked + sweep.skipped == count
+            # the generator is where drawing all the drafts at once leaves it
+            gaussian_drafts(h1.delta.d, 2, at_once, count)
+            assert rng.rng.bit_generator.state == at_once.bit_generator.state
+
+    @settings(derandomize=True, max_examples=15, deadline=None)
+    @given(
+        dim_e=st.integers(1, 2),
+        n=st.integers(1, 3),
+        count=st.integers(0, 24),
+        seed=st.integers(0, 2**32 - 1),
+        alpha=st.floats(0.05, 20.0),
+    )
+    def test_sweep_does_not_depend_on_the_block_budget(self, dim_e, n, count, seed, alpha):
+        from ncjulia import domain
+
+        # a random colligation on the bidisk and a unitary W; alpha varies, so that some
+        # samples violate the inequality and others hold it
+        rng = np.random.default_rng(seed)
+        handle = NcFunctionHandle(random_realization(dim_e, 2, seed), polydisk_delta(2))
+        bp = boundary_point(handle.delta, random_unitary_tuple(rng, 2, n))
+        w, u_t = haar_unitary(n, rng), solve_uT(handle, bp).u_T
+        oracle = looped_julia_sweep(handle, np.random.default_rng(seed), count, bp, w, alpha, u_t)
+        sweeps = []
+        for rows in (None, 1, 3, 7):  # the default budget: every count is one block
+            with pytest.MonkeyPatch.context() as patch:
+                if rows:
+                    patch.setattr(domain, "BLOCK_BYTES", solve_budget(handle, n, rows))
+                sample_rng = np.random.default_rng(seed)
+                sweeps.append(julia_sweep(handle, sample_rng, count, bp, w, alpha, u_t))
+        assert sweeps == [oracle] * 4
 
     def test_sweep_with_every_row_skipped(self):
         # phi = e^{0.3i} is constant and unitary, so every sample's I - phi* phi is zero
@@ -626,8 +671,8 @@ class TestBoundaryIdentity:
     def test_stacked_residuals_equal_the_row_residuals(self, h1):
         bp = boundary_point(h1.delta, MatrixTuple((np.eye(2),) * 2))
         u_t = solve_uT(h1, bp).u_T
-        stack = next(random_interior_points(h1.delta, 2, np.random.default_rng(4), 5, 0.05))
-        ev = evaluate_stack(h1, stack)
+        drafts = gaussian_drafts(2, 2, np.random.default_rng(4), 5)
+        ev = evaluate_stack(h1, scale_into_domain(h1.delta, drafts, 0.05))
         residuals = boundary_identity_residual(h1, bp, np.eye(2), u_t, ev)
         rows = [boundary_identity_residual(h1, bp, np.eye(2), u_t, ev.row(k)) for k in range(5)]
         assert residuals.shape == (5,) and np.array_equal(residuals, rows)
@@ -901,7 +946,7 @@ class TestAnalyzeBpoint:
                 stacked_rows.append(components[0].shape[0])
             return stack(delta, components)
 
-        monkeypatch.setattr(domain, "scale_into_domain", scaling)
+        monkeypatch.setattr(boundary, "scale_into_domain", scaling)
         monkeypatch.setattr(domain, "_eval_delta_stack", stacked)
         monkeypatch.setattr(boundary, "julia_sweep", in_sweep)
         samples, stacks = [], []  # the checked rows; the stacks evaluated, with their evaluations
@@ -956,9 +1001,30 @@ class TestAnalyzeBpoint:
         assert len(rep.path.points.steps) == 12 and rep.path.points.dropped == 0
         assert rows == {"eval_delta": 1, "entries": 4 * 13, "lift": 4}
 
-    def test_negative_sample_count_raises(self, h1):
-        with pytest.raises(PreconditionError, match="sample count must be at least 0"):
+    def test_negative_sample_count_raises(self, h1, monkeypatch):
+        from ncjulia import domain, realization
+
+        bp = boundary_point(h1.delta, scalars(1.0, 1.0))
+        u_t = solve_uT(h1, bp).u_T
+        evaluated = []
+        stacked, single = domain._eval_delta_stack, domain.eval_delta
+        monkeypatch.setattr(
+            domain, "_eval_delta_stack", lambda *a: evaluated.append(a) or stacked(*a)
+        )
+        for module in (domain, realization):
+            monkeypatch.setattr(module, "eval_delta", lambda *a: evaluated.append(a) or single(*a))
+        message = "sample count must be at least 0, got -1"
+        with pytest.raises(PreconditionError, match=message):
             analyze_bpoint(h1, scalars(1.0, 1.0), julia_samples=-1)
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(PreconditionError, match=message):
+            julia_sweep(h1, rng, -1, bp, np.eye(1), 1.0, u_t)
+        # nothing drawn and no Delta evaluated; a count of 0 is legal and draws nothing
+        assert evaluated == [] and rng.bit_generator.state == state
+        assert julia_sweep(h1, rng, 0, bp, np.eye(1), 1.0, u_t) == JuliaSweep()
+        assert evaluated == [] and rng.bit_generator.state == state
+        assert analyze_bpoint(h1, scalars(1.0, 1.0), julia_samples=0, seed=1).julia == JuliaSweep()
 
     def test_margin_outside_unit_interval_evaluates_nothing(self, h1, monkeypatch):
         from ncjulia import domain

@@ -33,7 +33,6 @@ def looped_fuzz(delta_name, dim_e, seed, samples, no_isometry):
     from ncjulia import (
         MatrixTuple, NcFunctionHandle, boundary_point, estimate_alpha, evaluate_sequence,
         extract_W, get_delta, haar_unitary, julia_sweep, model_residual, perturb_realization,
-        random_interior_points,
     )
     from ncjulia.domain import SEQUENCE_FIRST_STEP
     from conftest import sequential_interior_sample
@@ -58,8 +57,7 @@ def looped_fuzz(delta_name, dim_e, seed, samples, no_isometry):
         except ValueError:
             continue
         if alpha.converged:
-            points = random_interior_points(delta, n, rng, 5, 0.05)
-            sweep = julia_sweep(h, points, boundary_point(delta, t), w, alpha.alpha)
+            sweep = julia_sweep(h, rng, 5, boundary_point(delta, t), w, alpha.alpha)
             julia = {key: value + getattr(sweep, key) for key, value in julia.items()}
     violations = sum(res > 1e-9 for res in residuals)
     out = {
@@ -962,6 +960,23 @@ class TestExitCodes:
         # main prints the handler's message; argparse prints its usage and its own message
         message = "usage:" if name == "SystemExit" else f"error: {caught.value}\n"
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--fixture", "example-h1", "--point", "{deep}"],
+        ["bpoint", "--fixture", "example-h1", "--point", "{boundary}", "--ray", "{deep}"],
+        ["derivative", "--fixture", "example-h1", "--point", "{boundary}", "--direction", "{deep}"],
+        ["eval", "--delta", "{deep}", "--realization", "example-h1", "--point", "{interior}"],
+        ["eval", "--realization", "{deep}", "--delta", "polydisk:2", "--point", "{interior}"],
+        ["fuzz", "--delta", "{deep}"],
+    ])
+    def test_nesting_past_the_recursion_limit_is_malformed_json(self, files, capsys, argv):
+        # 100 000 nested arrays run json's decoder out of recursion: a parse error, not a crash
+        deep = files["tmp"] / "deep.json"
+        deep.write_text("[" * 100_000 + "]" * 100_000)
+        assert main([arg.format(deep=deep, **files) for arg in argv]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"error: malformed JSON in {deep}: ")
+        assert "Traceback" not in err
 
 
 class TestMeta:

@@ -7,6 +7,7 @@ from ncjulia import (
     DimensionError,
     FreePolynomial,
     MatrixTuple,
+    NcFunctionHandle,
     ParseError,
     PreconditionError,
     ball_delta,
@@ -27,16 +28,17 @@ from ncjulia import (
     in_Delta,
     in_G_delta,
     inward_margin,
+    julia_sweep,
     nontangential_constant,
     operator_norm,
     parse_poly,
     polydisk_delta,
     random_interior_point,
-    random_interior_points,
+    random_realization,
     scale_into_domain,
     sigma_span_dimension,
 )
-from ncjulia import domain
+from ncjulia import boundary, domain
 from ncjulia.domain import (
     INWARD_BETA, SELF_ADJOINT_TOL, GDeltaExitWarning, SEQUENCE_FIRST_STEP, cone_matrix,
 )
@@ -785,7 +787,7 @@ class TestInteriorSampling:
             assert np.array_equal(big_delta, delta0)
             assert norm == norm0
 
-    def test_random_interior_point_matches_sequential(self, monkeypatch):
+    def test_random_interior_point_matches_sequential(self):
         for name, delta in SAMPLING_DELTAS.items():
             rng, oracle_rng = np.random.default_rng(5), np.random.default_rng(5)
             for n in (1, 3, 2):
@@ -793,22 +795,19 @@ class TestInteriorSampling:
                 x0 = sequential_interior_sample(delta, n, oracle_rng, margin=0.3)[0]
                 assert all(np.array_equal(a, b) for a, b in zip(x.components, x0.components))
             assert rng.bit_generator.state == oracle_rng.bit_generator.state
-        # the blocks of random_interior_points: one at the default budget, then blocks of 3 rows
-        for n, rows, sizes in ((1, None, [8]), (2, 3, [3, 3, 2])):
+        # drafts drawn in blocks, as the Julia sweep draws them: one block of 8, or 3, 3 and 2
+        for n, sizes in ((1, [8]), (2, [3, 3, 2])):
             for delta in SAMPLING_DELTAS.values():
-                if rows:
-                    row_bytes = 16 * (delta.J * n) ** 2 + 16 * delta.d * n * n
-                    monkeypatch.setattr(domain, "BLOCK_BYTES", rows * row_bytes)
                 rng, oracle_rng = np.random.default_rng(6), np.random.default_rng(6)
-                blocks = random_interior_points(delta, n, rng, 8, 0.3)
-                # nothing is drawn before a block is read
-                assert rng.bit_generator.state == oracle_rng.bit_generator.state
+                blocks = [
+                    scale_into_domain(delta, gaussian_drafts(delta.d, n, rng, rows), 0.3)
+                    for rows in sizes
+                ]
                 expected = [sequential_interior_sample(delta, n, oracle_rng, 0.3) for _ in range(8)]
                 got = []
-                rows_cap = domain.block_rows(16 * (delta.J * n) ** 2 + 16 * delta.d * n * n)
                 for stack in blocks:
                     points, big_delta, norms = stack_points(stack), stack.delta, stack.norms
-                    assert len(points) == len(big_delta) == len(norms) <= rows_cap
+                    assert len(points) == len(big_delta) == len(norms)
                     got.append(len(points))
                     for k, (x0, delta0, norm0, _) in enumerate(expected[: len(points)]):
                         assert all(map(np.array_equal, points[k].components, x0.components))
@@ -822,21 +821,16 @@ class TestInteriorSampling:
         state = rng.bit_generator.state
         for margin in (0.0, 1.0, -0.5, 1.5, np.nan):
             with pytest.raises(PreconditionError, match=r"margin must lie in \(0, 1\)"):
-                random_interior_points(polydisk_delta(2), 1, rng, 5, margin)
+                random_interior_point(polydisk_delta(2), 1, rng, margin)
         assert rng.bit_generator.state == state
 
-    def test_bad_size_or_count_raises_on_the_call(self):
+    def test_bad_size_raises_on_the_call(self):
         rng = np.random.default_rng(0)
         state = rng.bit_generator.state
         for n in (0, -1):
             with pytest.raises(DimensionError, match="matrix size n must be at least 1"):
-                random_interior_points(polydisk_delta(2), n, rng, 5, 0.05)
-            with pytest.raises(DimensionError, match="matrix size n must be at least 1"):
                 random_interior_point(polydisk_delta(2), n, rng)
-        with pytest.raises(PreconditionError, match="sample count must be at least 0"):
-            random_interior_points(polydisk_delta(2), 1, rng, -1, 0.05)
         assert rng.bit_generator.state == state
-        assert list(random_interior_points(polydisk_delta(2), 1, rng, 0, 0.05)) == []
 
     def test_first_failing_draft_raises_its_error(self, monkeypatch):
         # p(x) = 1e308 (x + x^2) is 0.01 at x = 1e-310, 1e8 at x = 1e-300 (one
@@ -866,26 +860,12 @@ class TestInteriorSampling:
             with np.errstate(over="ignore"), pytest.raises(PreconditionError, match=message):
                 scale_into_domain(delta, drafts(*values), margin)
 
-    def test_blocks_hold_at_most_the_byte_budget(self, monkeypatch):
+    def test_blocks_hold_at_most_the_byte_budget(self):
         delta = cartan_delta(2)
         # 8 MiB of stacked Delta: 32 drafts at n = 64 (a 128 x 128 Delta), 8192 at n = 4
         assert domain.block_rows(16 * (delta.J * 64) ** 2) == 32
         assert domain.block_rows(16 * (delta.J * 4) ** 2) == 8192
         assert domain.block_rows(domain.BLOCK_BYTES + 1) == 1  # a row above the budget is a block
-        sizes = []
-        scale = domain.scale_into_domain
-
-        def recorded(delta, drafts, *args):
-            sizes.append(drafts.shape[1])
-            return scale(delta, drafts, *args)
-
-        monkeypatch.setattr(domain, "scale_into_domain", recorded)
-        # 7 drafts at n = 2: three 2 x 2 components and a 4 x 4 Delta each
-        monkeypatch.setattr(domain, "BLOCK_BYTES", 7 * (16 * 4**2 + 16 * 3 * 2**2))
-        rng = np.random.default_rng(3)
-        blocks = random_interior_points(delta, 2, rng, 20, domain.SAMPLE_MARGIN)
-        assert [len(stack.norms) for stack in blocks] == [7, 7, 6]
-        assert sizes == [7, 7, 6]
 
     def test_block_drafts_and_delta_fit_the_budget(self, monkeypatch):
         # a one-entry grid over many variables: a point's draft outweighs its 1 x 1 Delta
@@ -898,12 +878,15 @@ class TestInteriorSampling:
             sampled.append((len(stack.norms), drafts.nbytes + stack.delta.nbytes))
             return stack
 
-        monkeypatch.setattr(domain, "scale_into_domain", recorded)
+        monkeypatch.setattr(boundary, "scale_into_domain", recorded)
         delta = DeltaMatrix(300, [[parse_poly("0.5*x0", 300)]])
-        # 16 (1 + 300) n^2 bytes a point: three of size 2 fit, thirteen of size 1
+        handle = NcFunctionHandle(random_realization(1, 1, 0), delta)
+        # the Julia sweep's blocks: 16 (300 + 3) n^2 bytes a point with its Delta, its 1 x 1
+        # model system and its step; three of size 2 fit, thirteen of size 1
         for n, sizes in ((2, [3, 3, 3, 1]), (1, [10])):
             sampled.clear()
-            list(random_interior_points(delta, n, np.random.default_rng(n), 10, 0.3))
+            bp = boundary_point(delta, MatrixTuple((2.0 * np.eye(n),) + (np.zeros((n, n)),) * 299))
+            julia_sweep(handle, np.random.default_rng(n), 10, bp, np.eye(n), 1.0)
             assert [rows for rows, _ in sampled] == sizes
             assert all(nbytes <= budget for _, nbytes in sampled)
         # the Gram map at T = (2 I_2, 0, ...): 20 n^2 = 80 lifts of 20 (4 x 4) components,
@@ -951,9 +934,12 @@ class TestInteriorSampling:
                 self.calls += 1
                 return self.rng.standard_normal(*args)
 
+        # the Julia sweep's 100 points at n = 2 make one block
+        handle = NcFunctionHandle(random_realization(1, 2, 0), polydisk_delta(2))
+        bp = boundary_point(handle.delta, MatrixTuple((np.eye(2),) * 2))
         rng = CountingGenerator(np.random.default_rng(4))
-        (stack,) = random_interior_points(polydisk_delta(2), 2, rng, 100, domain.SAMPLE_MARGIN)
-        assert len(stack.norms) == 100 and rng.calls == 1
+        sweep = julia_sweep(handle, rng, 100, bp, np.eye(2), 1.0)
+        assert sweep.checked + sweep.skipped == 100 and rng.calls == 1
 
 
 class TestDeltaJson:

@@ -30,7 +30,6 @@ PINNED = {
     ("freepoly", "poly_from_json", "d"),
     ("numerics", "as_complex_matrix", "name"),
     ("realization", "eval_u", "return_cond"),
-    ("realization", "perturb_realization", "seed"),
     ("realization", "realization_from_json", "isometry_tol"),
 }
 

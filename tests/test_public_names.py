@@ -31,7 +31,7 @@ PINNED = {
     "min_norm_solve", "model_residual", "nearest_unitary", "nontangential_constant",
     "operator_norm", "parse_poly", "perturb_colligations", "perturb_realization", "poly_from_json",
     "poly_to_json", "polydisk_delta", "random_colligations", "random_interior_point",
-    "random_interior_points", "random_realization", "realization_from_json", "realization_to_json",
+    "random_realization", "realization_from_json", "realization_to_json",
     "resolvent_condition", "scalar_angular_derivative", "scale_into_domain",
     "sigma_span_dimension", "similarity", "solve_uT", "tfae_report", "tuple_from_json",
     "tuple_to_json",

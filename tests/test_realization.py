@@ -36,7 +36,6 @@ from ncjulia import (
     polydisk_delta,
     random_colligations,
     random_interior_point,
-    random_interior_points,
     random_realization,
     realization_from_json,
     realization_to_json,
@@ -412,7 +411,8 @@ class TestModelResidual:
         # stacked x, and as x against a stacked y, each row equals its one-point call
         bp = boundary_point(h1.delta, MatrixTuple((np.eye(2),) * 2))
         at_t = (np.eye(2, dtype=np.complex128), solve_uT(h1, bp).u_T, bp.delta)
-        stack = next(random_interior_points(h1.delta, 2, np.random.default_rng(4), 5, 0.05))
+        drafts = gaussian_drafts(2, 2, np.random.default_rng(4), 5)
+        stack = scale_into_domain(h1.delta, drafts, 0.05)
         ev = evaluate_stack(h1, stack)
         at_z = (ev.phi, ev.u, ev.delta)
         rows = [(row.phi, row.u, row.delta) for row in map(ev.row, range(5))]
