@@ -61,7 +61,6 @@ from .domain import (
     in_Delta,
     in_G_delta,
     inward_margin,
-    nontangential_constant,
     random_interior_point,
     scale_into_domain,
     sigma_span_dimension,

@@ -285,11 +285,9 @@ def julia_inequality_check(
 
     ``holds`` allows the right-hand side the relative slack ``JULIA_RTOL``.
     """
+    w, _ = _boundary_data(bp, w, None, None)
     if ev.phi.shape[-1] != bp.t.n:
         raise DimensionError("Z must have the same matrix size as T")
-    w = np.asarray(w, dtype=np.complex128)
-    if w.shape != (bp.t.n, bp.t.n):
-        raise DimensionError(f"W has shape {w.shape}, expected ({bp.t.n}, {bp.t.n})")
     quotient = julia_quotient(ev)
     gram = operator_norm(np.eye(bp.delta.shape[0]) - bp.delta.conj().T @ ev.delta)
     rhs = alpha * gram**2 / quotient.denominator
@@ -325,6 +323,7 @@ def julia_sweep(h, rng, count, bp, w, alpha, u_t=None) -> JuliaSweep:
     ``random_interior_point`` would draw next, so the block size changes no
     tally.
     """
+    _boundary_data(bp, w, u_t, h)
     _require_count(count)
     checked = violations = skipped = 0
     max_ratio = identity_max = None
@@ -358,6 +357,17 @@ def _require_count(count: int) -> None:
         raise PreconditionError(f"sample count must be at least 0, got {count!r}")
 
 
+def _boundary_data(bp: BoundaryPoint, w, u_t, h: NcFunctionHandle | None) -> tuple:
+    """W, and u_T unless None, as complex arrays; refused unless shaped for T and h's model."""
+    n, w = bp.t.n, np.asarray(w, dtype=np.complex128)
+    u_t = None if u_t is None else np.asarray(u_t, dtype=np.complex128)
+    rows = None if u_t is None else h.realization.dim_E * h.realization.J * n
+    for name, a, shape in (("W", w, (n, n)), ("u_T", u_t, (rows, n))):
+        if a is not None and a.shape != shape:
+            raise DimensionError(f"{name} has shape {a.shape}, expected {shape}")
+    return w, u_t
+
+
 def boundary_identity_residual(
     h: NcFunctionHandle,
     bp: BoundaryPoint,
@@ -371,16 +381,9 @@ def boundary_identity_residual(
     one stacked :func:`identity_defect`, each row bit-identical to its
     one-point residual.
     """
+    w, u_t = _boundary_data(bp, w, u_t, h)
     if ev.phi.shape[-1] != bp.t.n:
         raise DimensionError("Z must have the same matrix size as T")
-    w = np.asarray(w, dtype=np.complex128)
-    if w.shape != (bp.t.n, bp.t.n):
-        raise DimensionError(f"W has shape {w.shape}, expected ({bp.t.n}, {bp.t.n})")
-    m = h.realization.dim_E
-    jn = h.realization.J * bp.t.n
-    u_t = np.asarray(u_t, dtype=np.complex128)
-    if u_t.shape != (m * jn, bp.t.n):
-        raise DimensionError(f"u_T has shape {u_t.shape}, expected ({m * jn}, {bp.t.n})")
     return identity_defect(h.realization, (w, u_t, bp.delta), (ev.phi, ev.u, ev.delta))
 
 
@@ -472,15 +475,15 @@ def analyze_bpoint(
     t: MatrixTuple,
     direction: MatrixTuple | None = None,
     num_steps: int = SEQUENCE_STEPS,
-    first_step: float = SEQUENCE_FIRST_STEP,
     julia_samples: int = JULIA_SAMPLES,
     seed: int = SEED,
 ) -> BPointReport:
     """Run the full boundary diagnostic suite at T, approached radially or along ``direction``.
 
-    T must lie on the boundary; for T on the distinguished boundary the model
-    machinery (boundary model vector, range test, boundedness report) runs as
-    well, otherwise only the quotient, boundary value and inequality checks.
+    The path has ``num_steps`` steps, the first ``SEQUENCE_FIRST_STEP``.  T must
+    lie on the boundary; for T on the distinguished boundary the model machinery
+    (boundary model vector, range test, boundedness report) runs as well,
+    otherwise only the quotient, boundary value and inequality checks.
     The inequality is swept by :func:`julia_sweep` at ``julia_samples`` points
     drawn from ``np.random.default_rng(seed)``; a negative count is refused
     before anything is evaluated.
@@ -488,7 +491,7 @@ def analyze_bpoint(
     _require_count(julia_samples)
     bp = boundary_point(h.delta, t)
     bp.require_boundary()
-    path = evaluate_sequence(h, t, direction, num_steps, first_step)
+    path = evaluate_sequence(h, t, direction, num_steps, SEQUENCE_FIRST_STEP)
     alpha = estimate_alpha(path)
 
     boundary_value = w_error = None

@@ -1,13 +1,14 @@
 """Command-line interface: evaluation, boundary reports, fuzzing, fixtures.
 
 Each subcommand takes only the options its handler reads.  Handle sources,
-seed, sweep sizes, steps, the isometry tolerance and output format are
-declared once, in ``_OPTIONS``, and validated by their argparse types: steps
-and the tolerance are finite and > 0, counts have a lower bound, seeds are
->= 0.  Defaults the library shares are its named constants.  The verdicts'
-thresholds and the sampling margin are constants, not options:
-``boundary.RANGE_TOL``, ``boundary.JULIA_RTOL``, ``domain.SAMPLE_MARGIN`` and
-fuzz's model-identity ``_MODEL_RESIDUAL_TOL``.
+seed, sweep sizes, step counts, the isometry tolerance and output format are
+declared once, in ``_OPTIONS``, and validated by their argparse types: the
+tolerance is finite and > 0, counts have a lower bound, seeds are >= 0.
+Defaults the library shares are its named constants.  The verdicts'
+thresholds, the sampling margin and the first steps are constants, not
+options: ``boundary.RANGE_TOL``, ``boundary.JULIA_RTOL``,
+``domain.SAMPLE_MARGIN``, fuzz's model-identity ``_MODEL_RESIDUAL_TOL``,
+``domain.SEQUENCE_FIRST_STEP`` and ``derivative.LADDER_FIRST_STEP``.
 
 Exit codes: 0 success (and verdict true for ``bpoint``), 1 verdict false or
 violations found, 2 parse error or invalid option value, 3 precondition
@@ -132,7 +133,7 @@ def _at_least(k: int, at_most: float = math.inf):
     return parse
 
 
-# Handle sources, seed, sweep sizes, steps, the isometry tolerance and output format,
+# Handle sources, seed, sweep sizes, step counts, the isometry tolerance and output format,
 # each declared once as flag -> argparse keywords.  A subcommand adds, with
 # ``_add_options``, only the flags its handler reads.
 _OPTIONS = {
@@ -143,14 +144,6 @@ _OPTIONS = {
     "--samples": dict(type=_at_least(1), default=boundary.JULIA_SAMPLES, help="sweep sample count"),
     "--steps": dict(
         type=_at_least(2), default=boundary.SEQUENCE_STEPS, help="approach-sequence steps"
-    ),
-    "--first-step": dict(
-        type=_positive,
-        default=domain.SEQUENCE_FIRST_STEP,
-        help="first step of the approach sequence",
-    ),
-    "--ladder-first-step": dict(
-        type=_positive, default=derivative.LADDER_FIRST_STEP, help="first step of ladders"
     ),
     "--isometry-tol": dict(
         type=_positive, default=realization.ISOMETRY_TOL, help="realization isometry tolerance"
@@ -309,7 +302,6 @@ def cmd_bpoint(args) -> int:
         t,
         direction=direction,
         num_steps=args.steps,
-        first_step=args.first_step,
         julia_samples=args.samples,
         seed=args.seed,
     )
@@ -426,9 +418,7 @@ def cmd_derivative(args) -> int:
         domain.SEQUENCE_FIRST_STEP,
     )
     w = boundary.extract_W(path).W
-    result = derivative.eta_numeric(
-        handle, t, w, h, steps=args.steps, first_step=args.ladder_first_step
-    )
+    result = derivative.eta_numeric(handle, t, w, h, steps=args.steps)
     out = {
         "eta": numerics.matrix_to_json(result.eta),
         "increments": list(result.convergence_increments),
@@ -507,7 +497,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bp.add_argument("--ray", help="direction file for a ray approach (default: radial)")
     _add_options(
         p_bp, "--fixture", "--delta", "--realization", "--seed", "--samples", "--steps",
-        "--first-step", "--isometry-tol",
+        "--isometry-tol",
     )
     p_bp.set_defaults(func=cmd_bpoint)
 
@@ -531,8 +521,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="compare against a named closed form (e.g. example-h3-eta)",
     )
     _add_options(
-        p_der, "--fixture", "--delta", "--realization", "--steps", "--ladder-first-step",
-        "--isometry-tol",
+        p_der, "--fixture", "--delta", "--realization", "--steps", "--isometry-tol"
     )
     p_der.set_defaults(func=cmd_derivative)
 

@@ -23,6 +23,7 @@ from .realization import NcFunctionHandle
 
 STEP_FLOOR = 1e-8  # below this, difference quotients drown in cancellation
 LADDER_FIRST_STEP = 1e-2
+LADDER_STEPS = 10  # ladder steps of eta_numeric and homogeneity_check
 ANGULAR_STEPS = 12  # ladder steps of scalar_angular_derivative
 MIN_INWARD_MARGIN = 1e-10  # smallest transversality margin eta_numeric accepts
 W_MIN_STEPS = 14  # fewest points of the path ncjulia derivative reads W from
@@ -82,17 +83,21 @@ def eta_numeric(
     t: MatrixTuple,
     w: np.ndarray,
     direction: MatrixTuple,
-    steps: int = 10,
+    steps: int = LADDER_STEPS,
     first_step: float = LADDER_FIRST_STEP,
 ) -> DirectionalDerivativeResult:
     """One-sided derivative of phi at the boundary point t along an inward direction.
 
     Requires t on the boundary and the direction strictly inward (its
-    ``inward_margin`` at least ``MIN_INWARD_MARGIN``); the first step is
-    auto-shrunk until the whole ladder lies inside the domain.
+    ``inward_margin`` at least ``MIN_INWARD_MARGIN``).  The first step, finite and at least
+    2 ``STEP_FLOOR`` before t is evaluated, is halved until the ladder lies inside the domain.
     """
     if steps < 2:
         raise PreconditionError("need at least 2 ladder steps")
+    if not 2.0 * STEP_FLOOR <= first_step < np.inf:
+        floor = f"at least {2.0 * STEP_FLOOR:g}, two ladder steps"
+        need = "finite and > 0" if not 0.0 < first_step < np.inf else floor
+        raise PreconditionError(f"ladder first step must be {need}, got {first_step!r}")
     w = np.asarray(w, dtype=np.complex128)
     if w.shape != (t.n, t.n):
         raise DimensionError(f"W has shape {w.shape}, expected ({t.n}, {t.n})")

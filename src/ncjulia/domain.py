@@ -9,12 +9,13 @@ the boundary value, inward cones) read, since zero padding inserts zero
 rows or columns into the Gram matrix.  Every inward-cone question about a
 direction h at T forms the cone matrix M = delta(T)* grad delta(T)[h] once,
 by :func:`cone_matrix`, and reads its margin from :func:`inward_margin`, and
-its asymmetry ||M - M*|| where self-adjointness is asked.  The
-:func:`boundary_point` last built is kept (``numerics.keep_last``), so the
+its asymmetry ||M - M*|| where self-adjointness is asked; whether a transverse
+inward direction exists is decided by a nearest-point iteration with away steps.
+The :func:`boundary_point` last built is kept (``numerics.keep_last``), so the
 functions that take the same grid and T objects in turn share one point and
 what it computes on first read.  An approach path to a boundary point,
 radial or along a direction, is made and checked by one call of
-:func:`generate_sequence`.
+:func:`generate_sequence`; ``boundary.tfae_report`` reads its aperture.
 """
 
 from __future__ import annotations
@@ -238,20 +239,6 @@ def in_G_delta(delta: DeltaMatrix, x: MatrixTuple) -> Membership:
     return Membership(inside=nrm < 1.0, margin=1.0 - nrm, norm=nrm)
 
 
-def nontangential_constant(bp: BoundaryPoint, z: MatrixTuple) -> float:
-    """Aperture ||delta(Z) - delta(T)|| / (1 - ||delta(Z)||^2); inf when Z is not interior.
-
-    A sequence approaches T non-tangentially iff this stays bounded along it.
-    """
-    if z.n != bp.t.n:
-        raise DimensionError("Z must have the same matrix size as T")
-    dz = eval_delta(bp.grid, z)
-    denominator = 1.0 - operator_norm(dz) ** 2
-    if denominator <= 0.0:
-        return float("inf")
-    return operator_norm(dz - bp.delta) / denominator
-
-
 def inward_margin(m: np.ndarray) -> float:
     """The margin beta = -lambda_max((M + M*)/2) of a square cone matrix M.
 
@@ -341,33 +328,49 @@ def _nearest_point_search(bp: BoundaryPoint) -> InwardWitnessResult:
     """Gilbert's nearest-point iteration for 0 on S = {(tr P M_k)_k : P >= 0, tr P = 1}.
 
     M_k are the Hermitian cone matrices of a basis of Sigma.  The iteration is Frank-Wolfe with
-    exact line search (Gilbert, SIAM J. Control 4, 1966); P stays a convex combination of
-    eigenvector projectors, and each step is one ``eigh`` of M(s) = sum_k s_k M_k.  Once lambda_min(M(s)) >= |s|^2 / 2, -s/|s| has margin at least
-    |s| / 2: it is the witness, scaled into the component unit ball and scored as any direction
-    is.  Once sqrt(d n) |s| < INWARD_BETA, P is the certificate: by minimax, dist(0, S) is the
-    best margin in the Frobenius unit ball, which holds the component unit ball scaled by
-    1 / sqrt(d n).  Sigma = {0} is a certificate at once; after ``WITNESS_ITERATIONS`` steps
-    the search is undecided.
+    exact line search (Gilbert, SIAM J. Control 4, 1966) and away steps (Wolfe 1970): P is kept
+    as atoms v v* of weights w, from the e_i at weight 1 / size, and s = sum_j w_j s(v_j).  Each
+    step is one ``eigh`` of M(s) = sum_k s_k M_k; its lowest eigenvector is the Frank-Wolfe atom.
+    After the first step, where the gap of the active atom of largest <s, s(v_j)> is larger, the
+    step moves weight away from that atom instead, dropping it at weight 0: no zig-zag.  Once
+    lambda_min(M(s)) >= |s|^2 / 2, -s/|s| has margin at least |s| / 2: it is the witness, scaled
+    into the component unit ball and scored as any direction is.  Once sqrt(d n) |s| <
+    INWARD_BETA, P is the certificate: by minimax, dist(0, S) is the best margin in the Frobenius
+    unit ball, which holds the component unit ball scaled by 1 / sqrt(d n).  Sigma = {0} is a
+    certificate at once; after ``WITNESS_ITERATIONS`` steps the search is undecided.
     """
     d, n, basis = bp.t.d, bp.t.n, bp.sigma_basis
     dim, size = d * n * n, bp.given.shape[1]
     mk = (bp.gram_map @ (basis[:dim] + 1j * basis[dim:])).T.reshape(-1, size, size)
     rows = ((mk + mk.conj().swapaxes(1, 2)) / 2.0).reshape(len(mk), size * size)  # M_k, Hermitian
-    p = np.eye(size, dtype=np.complex128) / size
-    s = (rows.conj() @ p.reshape(-1)).real  # tr(P M_k), as conj(M_k) = M_k^T
-    for _ in range(WITNESS_ITERATIONS):
+    # s(v) = (tr(v v* M_k))_k, the point of the atom v v*, as conj(M_k) = M_k^T
+    point = lambda v: (rows.conj() @ np.outer(v, v.conj()).reshape(-1)).real  # noqa: E731
+    atoms, weights = np.eye(size, dtype=np.complex128), np.full(size, 1.0 / size)
+    points = np.array([point(v) for v in atoms])
+    for step in range(WITNESS_ITERATIONS):
+        s = weights @ points
         dist = float(np.linalg.norm(s))
         if np.sqrt(d * n) * dist < INWARD_BETA:
+            p = (weights * atoms.T) @ atoms.conj()
             return InwardWitnessResult(False, None, -np.inf, read_only(p))
         lams, vecs = np.linalg.eigh((s @ rows).reshape(size, size))
         if lams[0] >= dist**2 / 2.0:
             h = basis @ (-s / dist)
             k = MatrixTuple(tuple((h[:dim] + 1j * h[dim:]).reshape(d, n, n)))
             return _scored(bp, k * (1.0 / k.max_component_norm()))
-        projector = np.outer(vecs[:, 0], vecs[:, 0].conj())
-        step = s - (rows.conj() @ projector.reshape(-1)).real
-        gamma = min(1.0, (s @ step) / (step @ step))
-        s, p = s - gamma * step, (1.0 - gamma) * p + gamma * projector
+        new, worst = point(vecs[:, 0]), int(np.argmax(points @ s))
+        toward, away = s - new, points[worst] - s  # the Frank-Wolfe and away gaps are <s, .>
+        if step and away @ s > toward @ s:
+            most = weights[worst] / (1.0 - weights[worst])
+            gamma = min(most, (away @ s) / (away @ away))
+            weights = (1.0 + gamma) * weights
+            weights[worst] = 0.0 if gamma == most else weights[worst] - gamma
+        else:
+            gamma = min(1.0, (s @ toward) / (toward @ toward))
+            weights = np.append((1.0 - gamma) * weights, gamma)
+            atoms, points = np.vstack([atoms, vecs[:, 0]]), np.vstack([points, new])
+        kept = weights > 0.0
+        atoms, points, weights = atoms[kept], points[kept], weights[kept]
     return InwardWitnessResult(False, None, -np.inf, None)
 
 

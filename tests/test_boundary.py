@@ -25,7 +25,6 @@ from ncjulia import (
     julia_inequality_check,
     julia_quotient,
     julia_sweep,
-    nontangential_constant,
     operator_norm,
     polydisk_delta,
     random_interior_point,
@@ -405,6 +404,22 @@ class TestJuliaInequality:
         with pytest.raises(DimensionError, match=r"u_T has shape \(3, 1\), expected \(2, 1\)"):
             boundary_identity_residual(h1, bp, np.eye(1), np.ones((3, 1)), ev)
 
+    def test_sweep_refuses_w_and_u_t_of_another_shape_before_drawing(self, h1, monkeypatch):
+        from ncjulia import boundary
+
+        bp = boundary_point(h1.delta, scalars(1.0, 1.0))
+        solved = []
+        monkeypatch.setattr(boundary, "evaluate_stack", lambda *a: solved.append(a))
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        for count in (0, 30):
+            with pytest.raises(DimensionError, match=r"W has shape \(2, 2\), expected \(1, 1\)"):
+                julia_sweep(h1, rng, count, bp, np.eye(2), 1.0)
+            with pytest.raises(DimensionError, match=r"u_T has shape \(3, 1\), expected \(2, 1\)"):
+                julia_sweep(h1, rng, count, bp, np.eye(1), 1.0, np.ones((3, 1)))
+        # no standard_normal call moved the generator, and no block was solved
+        assert rng.bit_generator.state == state and solved == []
+
     def test_sweep_no_violations(self, h1, rng):
         t = MatrixTuple((np.eye(2),) * 2)
         w = np.eye(2)
@@ -748,9 +763,11 @@ class TestNontangentialBound:
         for handle, t, alpha in cases:
             for direction in (None, -1.0 * t):
                 pts = generate_sequence(handle.delta, t, direction, 12, SEQUENCE_FIRST_STEP)
-                for z in stack_points(pts.stack):
+                # the aperture ||Delta(Z) - Delta(T)|| / (1 - ||Delta(Z)||^2) of each point
+                gap = operator_norm(pts.stack.delta - boundary_point(handle.delta, t).delta)
+                apertures = gap / (1.0 - pts.stack.norms**2)
+                for z, c in zip(stack_points(pts.stack), apertures):
                     q = julia_quotient(evaluate(handle, z)).value
-                    c = nontangential_constant(boundary_point(handle.delta, t), z)
                     assert q <= 4.0 * alpha * c**2 * (1 + 1e-6) + 1e-8
 
     def test_model_norm_squared_matches_alpha_for_homogeneous(self, rng):

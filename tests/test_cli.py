@@ -823,16 +823,6 @@ class TestDerivative:
         out = json.loads(capsys.readouterr().out)
         assert out["closed_form_relative_error"] <= 1e-6
 
-    def test_huge_ladder_first_step_is_halved_into_the_domain(self, files, capsys):
-        code = main([
-            "derivative", "--fixture", "example-h1", "--point", files["boundary"],
-            "--direction", files["inward"], "--ladder-first-step", "1e30",
-        ])
-        assert code == 0
-        out = json.loads(capsys.readouterr().out)
-        assert out["converged"] is True and 1.0 <= out["first_step"] < 2.0
-        assert out["eta"]["data"][0][0] == pytest.approx(-1.0, abs=1e-12)
-
     @pytest.mark.parametrize(
         "scalars, message",
         [
@@ -1037,11 +1027,16 @@ class TestMeta:
         ):
             assert main(argv) == 2, argv
 
-    def test_verdict_thresholds_and_margin_are_not_options(self, files, capsys):
-        # the verdicts' tolerances and the sampling margin are constants: any value, valid
-        # or not, is refused as an unknown flag before any work is done
+    def test_verdict_thresholds_margin_and_step_sizes_are_not_options(self, files, capsys):
+        # the verdicts' tolerances, the sampling margin and the first steps of approach paths
+        # and ladders are constants: any value, valid or not, is refused as an unknown flag
+        # before any work is done
         fuzz = ["fuzz", "--samples", "2"]
         bpoint = ["bpoint", "--fixture", "example-h1", "--point", files["boundary"]]
+        derivative = [
+            "derivative", "--fixture", "example-h1", "--point", files["boundary"],
+            "--direction", files["inward"],
+        ]
         for argv in (
             fuzz + ["--margin", "0.05"],
             fuzz + ["--margin", "-1"],
@@ -1057,6 +1052,10 @@ class TestMeta:
             bpoint + ["--residual-tol", "1e-8"],
             bpoint + ["--residual-tol", "nan"],
             bpoint + ["--rel-tol", "1e-8"],
+            bpoint + ["--first-step", "0.5"],
+            bpoint + ["--first-step", "1e308"],
+            derivative + ["--ladder-first-step", "1e-2"],
+            derivative + ["--ladder-first-step", "1e30"],
         ):
             assert main(argv) == 2, argv
             captured = capsys.readouterr()
@@ -1180,16 +1179,6 @@ class TestMeta:
         largest = cartan_delta(domain.MAX_FAMILY_SIZE)
         assert largest.d == cap
         assert delta_from_json(delta_to_json(largest)) == largest
-
-    def test_overflowing_sequence_point_exits_three(self, files, capsys):
-        # T + 1e308 H overflows at the first step: refused before Delta, with no numpy warning
-        ray = write_json(files["tmp"] / "H4.json", {"scalars": [[-4, 0], [-4, 0]]})
-        argv = [
-            "bpoint", "--fixture", "example-h1", "--point", files["boundary"], "--ray", ray,
-            "--first-step", "1e308",
-        ]
-        assert main(argv) == 3
-        assert "non-finite" in capsys.readouterr().err
 
     def test_oversized_families_and_dim_e_build_nothing(self, monkeypatch):
         from ncjulia import fixtures, realization

@@ -221,6 +221,21 @@ class TestAdmissibleLadder:
             with pytest.raises(PreconditionError, match="first step must be finite"):
                 eta_numeric(h1, scalars(1.0, 1.0), np.eye(1), direction, first_step=first_step)
 
+    def test_bad_first_step_is_refused_before_t_is_evaluated(self, h1, monkeypatch):
+        from ncjulia import derivative
+
+        t, w, direction = scalars(1.0, 1.0), np.eye(1), scalars(-1.0, -1.0)
+        # 2 STEP_FLOOR is the least first step: its ladder has two steps
+        res = eta_numeric(h1, t, w, direction, first_step=2.0 * STEP_FLOOR)
+        assert res.steps_used == 2 and res.first_step == 2.0 * STEP_FLOOR
+        monkeypatch.setattr(derivative, "boundary_point", None)  # a call would raise TypeError
+        for first_step in (0.0, -1e-2):
+            with pytest.raises(PreconditionError, match="first step must be finite and > 0"):
+                eta_numeric(h1, t, w, direction, first_step=first_step)
+        for first_step in (1e-300, np.nextafter(2.0 * STEP_FLOOR, 0.0)):
+            with pytest.raises(PreconditionError, match="must be at least 2e-08, two ladder steps"):
+                eta_numeric(h1, t, w, direction, first_step=first_step)
+
     def test_huge_step_count_stops_at_the_floor(self, h1):
         start = time.perf_counter()
         res = eta_numeric(h1, scalars(1.0, 1.0), np.eye(1), scalars(-1.0, -1.0), steps=10**8)

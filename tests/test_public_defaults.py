@@ -14,7 +14,6 @@ import ncjulia
 # (module, function or Class.method, parameter)
 PINNED = {
     ("boundary", "analyze_bpoint", "direction"),
-    ("boundary", "analyze_bpoint", "first_step"),
     ("boundary", "analyze_bpoint", "julia_samples"),
     ("boundary", "analyze_bpoint", "num_steps"),
     ("boundary", "analyze_bpoint", "seed"),

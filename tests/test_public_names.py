@@ -28,8 +28,8 @@ PINNED = {
     "haar_unitaries", "haar_unitary", "homogeneity_check", "identity_defect", "in_Delta",
     "in_G_delta", "inward_margin", "is_bpoint_range_test", "julia_inequality_check",
     "julia_quotient", "julia_sweep", "lift", "list_fixtures", "matrix_from_json", "matrix_to_json",
-    "min_norm_solve", "model_residual", "nearest_unitary", "nontangential_constant",
-    "operator_norm", "parse_poly", "perturb_colligations", "perturb_realization", "poly_from_json",
+    "min_norm_solve", "model_residual", "nearest_unitary", "operator_norm",
+    "parse_poly", "perturb_colligations", "perturb_realization", "poly_from_json",
     "poly_to_json", "polydisk_delta", "random_colligations", "random_interior_point",
     "random_realization", "realization_from_json", "realization_to_json",
     "resolvent_condition", "scalar_angular_derivative", "scale_into_domain",
