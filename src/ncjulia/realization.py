@@ -23,6 +23,19 @@ read back as an (rows(M)*n) x (Jn) matrix; C kron I_n is the broadcast
 product C[:, :, None] * I_n; and u_y* (I_m kron G) has the blocks
 u_y[f]* G, where u_y[f] is rows fJn:(f+1)Jn of u_y.
 
+Active and padding unknowns: a grid of c < J columns (a column grid, such
+as ``ball:d``) pads Delta(x) with J - c zero block columns, so the step
+(D kron I_n)(I_m kron Delta) is zero in every column (e, j, i) with j >= c.
+Ordered with the a = m*c*n active unknowns (j < c) first, the model system
+is [[X, 0], [Y, I]]: ``_model_solution`` forms only the step's active
+columns, from the (Jn) x (cn) view of Delta's non-zero block columns, solves
+X u_a = rhs_a and reads off the padding unknowns as rhs_rest - Y u_a; phi is
+formed at the padded Delta.  :func:`resolvent_condition` takes the SVD of
+[[X, 0], [T, I]] with Y = Q T where that is the smaller matrix.  A square or
+row grid (c = J) has no padding unknowns and runs the whole system.  The
+Evaluation's Delta stays padded, as do ``identity_defect``, the boundary
+solve and ||Delta(x)||.
+
 Batch axis: the kernels that form Delta(x), the model operators and phi
 (the word evaluation ``freepoly.eval_words`` under ``eval_delta``, and
 ``_times_delta``, ``model_operators`` and ``_phi_from`` here) take arrays
@@ -148,29 +161,54 @@ class NcFunctionHandle:
 
 
 def _times_delta(r, mat: np.ndarray, big_delta: np.ndarray, n: int):
-    """(mat kron I_n)(I_m kron Delta) for mat with mJ columns, without forming either factor."""
+    """(mat kron I_n)(I_m kron Delta) for mat with mJ columns, without forming either factor.
+
+    On the (Jn) x (cn) view of Delta's first c block columns it is that product's
+    columns (e, k, l) with k < c, in the layout's order.
+    """
     m, j = r.dim_E, r.J
-    jn = j * n
+    cn = big_delta.shape[-1]
     rows = mat.shape[-2] * n
     block_columns = mat.reshape(mat.shape[:-1] + (m, j)).swapaxes(-3, -2)
-    blocks = block_columns @ big_delta.reshape(big_delta.shape[:-2] + (1, j, n * jn))
+    blocks = block_columns @ big_delta.reshape(big_delta.shape[:-2] + (1, j, n * cn))
     lead = blocks.shape[:-3]
-    return blocks.reshape(lead + (m, rows, jn)).swapaxes(-3, -2).reshape(lead + (rows, m * jn))
+    return blocks.reshape(lead + (m, rows, cn)).swapaxes(-3, -2).reshape(lead + (rows, m * cn))
 
 
 def model_operators(r, big_delta: np.ndarray, n: int):
-    """Resolvent I - step, rhs C kron I_n and step (D kron I_n)(I_m kron Delta)."""
+    """Resolvent I - step, rhs C kron I_n and step (D kron I_n)(I_m kron Delta).
+
+    On the padded Delta these are the whole model system.  On the (Jn) x (cn)
+    view of Delta's first c block columns, the resolvent and the step are
+    their columns (e, k < c, l), the active ones: the step's other columns are
+    zero and the resolvent's are the identity's.
+    """
     if r.D.ndim == 3 and big_delta.shape[:-2] != r.D.shape[:1]:
         raise DimensionError(f"{len(r.D)} stacked colligations need a stack of as many points")
     step = _times_delta(r, r.D, big_delta, n)
     # I - step formed in place, so that a stacked step holds no broadcast copy of I beside
-    # it; the diagonal of each matrix is every (size + 1)-th entry of it flattened
-    size = step.shape[-1]
+    # it; active column (e, p), p < cn, holds the identity's one in row (e, p), which is
+    # entry e*cn + p*(a + 1) of row block e flattened
+    m, cn, a = r.dim_E, big_delta.shape[-1], step.shape[-1]
     resolvent = np.zeros(step.shape, dtype=np.complex128)
-    resolvent.reshape(step.shape[:-2] + (-1,))[..., :: size + 1] = 1.0
+    row_blocks = resolvent.reshape(step.shape[:-2] + (m, -1))
+    for e in range(m):
+        row_blocks[..., e, e * cn : e * cn + cn * (a + 1) : a + 1] = 1.0
     resolvent -= step
     rhs = (r.C[..., None] * np.eye(n, dtype=np.complex128)).reshape(*r.C.shape[:-2], -1, n)
     return resolvent, rhs, step
+
+
+def _split_rows(r, mat: np.ndarray, cn: int) -> tuple:
+    """Rows (e, k < c, l) of an (mJn)-row matrix as one matrix; the rest as m blocks of (J - c)n."""
+    blocks = mat.reshape(mat.shape[:-2] + (r.dim_E, -1, mat.shape[-1]))
+    active = blocks[..., :cn, :]
+    return active.reshape(mat.shape[:-2] + (-1, mat.shape[-1])), blocks[..., cn:, :]
+
+
+def _nonzero_columns(delta: DeltaMatrix, big_delta: np.ndarray, n: int) -> np.ndarray:
+    """The (Jn) x (cn) view of a padded Delta(x) on the c block columns of the grid as given."""
+    return big_delta[..., : len(delta.entries[0]) * n]
 
 
 def _require_interior(norm: float) -> float:
@@ -181,7 +219,15 @@ def _require_interior(norm: float) -> float:
 
 
 def _phi_from(r, big_delta: np.ndarray, u: np.ndarray, n: int) -> np.ndarray:
-    """A I_n + (B kron I_n)(I_m kron Delta) u for a model vector u."""
+    """A I_n + (B kron I_n)(I_m kron Delta) u for a model vector u.
+
+    A column view of Delta gets its zero columns back first, so that phi
+    rounds as it does at the padded Delta.
+    """
+    if big_delta.shape[-1] < r.J * n:
+        padded = np.zeros(big_delta.shape[:-1] + (r.J * n,), dtype=np.complex128)
+        padded[..., : big_delta.shape[-1]] = big_delta
+        big_delta = padded
     b_delta = _times_delta(r, r.B, big_delta, n)
     return r.A * np.eye(n, dtype=np.complex128) + b_delta @ u
 
@@ -214,7 +260,7 @@ def evaluate(h: NcFunctionHandle, x: MatrixTuple) -> Evaluation:
     """
     big_delta = eval_delta(h.delta, x)
     norm = _require_interior(operator_norm(big_delta))
-    u, phi = _model_solution(h.realization, big_delta, x.n)
+    u, phi = _model_solution(h.realization, _nonzero_columns(h.delta, big_delta, x.n), x.n)
     return Evaluation(read_only(big_delta), norm, read_only(u), read_only(phi))
 
 
@@ -224,7 +270,8 @@ def evaluate_stack(h: NcFunctionHandle, stack: PointStack) -> Evaluation:
     r, n = h.realization, stack.components.shape[-1]
     rows = solve_rows(h.delta, r.dim_E, n)
     blocks = [slice(k, k + rows) for k in range(0, max(1, len(stack.norms)), rows)]
-    parts = [_model_solution(_colligations(r, b), stack.delta[b], n) for b in blocks]
+    columns = _nonzero_columns(h.delta, stack.delta, n)
+    parts = [_model_solution(_colligations(r, b), columns[b], n) for b in blocks]
     u, phi = parts[0] if len(parts) == 1 else map(np.concatenate, zip(*parts))
     return Evaluation(stack.delta, stack.norms, u, phi)
 
@@ -245,18 +292,29 @@ def _colligations(r: Realization, rows: slice) -> Realization:
 
 
 def _model_solution(r, big_delta: np.ndarray, n: int) -> tuple:
-    """u and phi at Delta(x) from one solve; r and Delta(x) may be stacked alike.
+    """u and phi from one solve, at the (Jn) x (cn) view of Delta(x)'s non-zero block columns.
 
-    A singular model system, possible only for a colligation that is not
-    contractive, raises SingularMatrixError.
+    r and Delta(x) may be stacked alike.  Ordered active unknowns first, the
+    model system is [[X, 0], [Y, I]]: X u_a = rhs_a is solved, and the other
+    unknowns are read off as rhs_rest - Y u_a.  A singular model system,
+    possible only for a colligation that is not contractive, raises
+    SingularMatrixError.
     """
-    resolvent, rhs, _ = model_operators(r, big_delta, n)
-    # a right-hand side stacked like the resolvent reads as matrices under numpy 1.x and 2.x
-    rhs = np.broadcast_to(rhs, resolvent.shape[:-1] + rhs.shape[-1:])
+    cn = big_delta.shape[-1]
+    resolvent, rhs = model_operators(r, big_delta, n)[:2]  # the step is freed before the solve
+    system, coupling = _split_rows(r, resolvent, cn)
+    rhs_a, rhs_rest = _split_rows(r, rhs, cn)
+    # a right-hand side stacked like the system reads as matrices under numpy 1.x and 2.x
+    rhs_a = np.broadcast_to(rhs_a, system.shape[:-1] + rhs.shape[-1:])
     try:
-        u = np.linalg.solve(resolvent, rhs)
+        u = np.linalg.solve(system, rhs_a)
     except np.linalg.LinAlgError:
         raise SingularMatrixError("model system is singular at the evaluation point") from None
+    if cn < r.J * n:  # padding unknowns to read off
+        lead = u.shape[:-2]
+        rest = rhs_rest - coupling @ u[..., None, :, :]
+        u = np.concatenate([u.reshape(lead + (r.dim_E, cn, n)), rest], axis=-2)
+        u = u.reshape(lead + (-1, n))
     return u, _phi_from(r, big_delta, u, n)
 
 
@@ -272,11 +330,41 @@ def eval_u(h: NcFunctionHandle, x: MatrixTuple, return_cond: bool = False):
 
 
 def resolvent_condition(h: NcFunctionHandle, ev: Evaluation) -> float:
-    """Condition number of the model system at one point, formed again; warns if ill conditioned."""
+    """Condition number of the model system at one point, formed again; warns if ill conditioned.
+
+    Ordered active unknowns first, the system is R = [[X, 0], [Y, I]].  Where
+    Y has more rows than columns (J > 2c), its thin QR Y = Q T shrinks the
+    SVD: with W = [Q, Q_perp] unitary, diag(I, W*) R diag(I, W) is
+    diag(M, I) for M = [[X, 0], [T, I]], and M's unit columns already give
+    sigma_min <= 1 <= sigma_max, so cond(R) = cond(M).  Otherwise the SVD is
+    of R itself, which for square and row grids (c = J) is X, the whole
+    system.  An evaluation not on h's grid (a Delta of another size, or one
+    not zero in the grid's padding columns) raises DimensionError.
+    """
     if ev.phi.ndim != 2:
         raise DimensionError("the condition number is of one point's model system, not a stack's")
-    resolvent = model_operators(h.realization, ev.delta, ev.phi.shape[-1])[0]
-    sv = np.linalg.svd(resolvent, compute_uv=False)
+    n = ev.phi.shape[-1]
+    jn = h.delta.J * n
+    if ev.delta.shape != (jn, jn):
+        raise DimensionError(
+            f"evaluation has a {ev.delta.shape[0]} x {ev.delta.shape[1]} delta, "
+            f"the handle's grid a {jn} x {jn} one at n = {n}"
+        )
+    columns = _nonzero_columns(h.delta, ev.delta, n)
+    if np.count_nonzero(ev.delta[:, columns.shape[-1] :]):
+        raise DimensionError(
+            "evaluation's delta is not zero in the padding columns of the handle's grid"
+        )
+    resolvent = model_operators(h.realization, columns, n)[0]
+    system, coupling = _split_rows(h.realization, resolvent, columns.shape[-1])
+    a = system.shape[-1]
+    coupling = coupling.reshape(-1, a)
+    if len(coupling) > a:
+        coupling = np.linalg.qr(coupling, mode="r")
+    matrix = np.eye(a + len(coupling), dtype=np.complex128)  # [[X, 0], [T, I]]
+    matrix[:a, :a] = system
+    matrix[a:, :a] = coupling
+    sv = np.linalg.svd(matrix, compute_uv=False)
     cond = float("inf") if sv[-1] == 0.0 else float(sv[0] / sv[-1])
     if cond > COND_WARN_THRESHOLD:
         warnings.warn(

@@ -136,6 +136,28 @@ def solve_uT_three_svds(h, bp):
     return outcome.solution, outcome.residual_norm, orthogonality, defect
 
 
+def padded_model_solution(h, big_delta, n):
+    """Oracle: u and phi from the whole model system at the padded Delta, one solve.
+
+    The (mJn) x (mJn) system I - (D kron I_n)(I_m kron Delta) is solved as it
+    stands, padding columns and all; Delta may be stacked.
+    """
+    from ncjulia.realization import _phi_from, model_operators
+
+    resolvent, rhs, _ = model_operators(h.realization, big_delta, n)
+    u = np.linalg.solve(resolvent, np.broadcast_to(rhs, resolvent.shape[:-1] + rhs.shape[-1:]))
+    return u, _phi_from(h.realization, big_delta, u, n)
+
+
+def padded_condition(h, ev):
+    """Oracle: the condition number of one point's whole padded model system, by its full SVD."""
+    from ncjulia.realization import model_operators
+
+    resolvent = model_operators(h.realization, ev.delta, ev.phi.shape[-1])[0]
+    sv = np.linalg.svd(resolvent, compute_uv=False)
+    return float(sv[0] / sv[-1])
+
+
 def stack_points(stack):
     """The points of a ``PointStack``, each as a tuple."""
     return [stack.point(k) for k in range(len(stack.norms))]

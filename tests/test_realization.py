@@ -2,7 +2,7 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ncjulia import (
     DeltaMatrix,
@@ -53,7 +53,15 @@ from ncjulia.realization import (
     _phi_from,
 )
 
-from conftest import near_identity, random_matrix, random_tuple, sequential_interior_sample
+from conftest import (
+    near_identity,
+    padded_condition,
+    padded_model_solution,
+    random_matrix,
+    random_tuple,
+    sequential_interior_sample,
+    solve_budget,
+)
 
 
 @pytest.fixture
@@ -221,27 +229,32 @@ class TestLastEvaluationKept:
 
 
 class TestEvalBodyCounts:
-    # Ratchet: the model solves, Delta evaluations and np.linalg.svd calls of the body of
-    # ``ncjulia eval`` through the library (membership, eval_u with its condition number,
-    # eval_phi, model_residual at (x, x) and the norms of phi and u) at one point of
-    # ball:3, n = 4, pinned exactly.  A change that takes fewer lowers a pin; none raises it.
-    SOLVES, DELTAS, SVDS = 1, 2, 6
+    # Ratchet: the model solves, Delta evaluations, np.linalg.svd and np.linalg.qr calls of
+    # the body of ``ncjulia eval`` through the library (membership, eval_u with its condition
+    # number, eval_phi, model_residual at (x, x) and the norms of phi and u) at one point of
+    # ball:3, n = 4, dim_E 2, and the side of the largest system solved and of the widest
+    # matrix an SVD factors (the condition number's), pinned exactly.  The padded model
+    # system is 24 x 24: its 8 active unknowns are solved for, and the condition number's
+    # SVD is of a 16 x 16 matrix.  A change that takes fewer or smaller lowers a pin; none
+    # raises it.
+    SOLVES, DELTAS, SVDS, QRS = 1, 2, 6, 1
+    SOLVE_SIZE, SVD_SIZE = 8, 16
 
     def test_eval_body_counts_only_go_down(self, monkeypatch):
         delta = get_delta("ball:3")
         h = NcFunctionHandle(random_realization(2, delta.J, 3), delta)
         x = random_interior_point(delta, 4, np.random.default_rng(5))
-        calls = {"solve": 0, "delta": 0, "svd": 0}
+        calls = {"solve": [], "delta": [], "svd": [], "qr": []}
 
         def counted(name, fn):
             def call(*args, **kwargs):
-                calls[name] += 1
+                calls[name].append(args[0])
                 return fn(*args, **kwargs)
 
             return call
 
-        monkeypatch.setattr(np.linalg, "solve", counted("solve", np.linalg.solve))
-        monkeypatch.setattr(np.linalg, "svd", counted("svd", np.linalg.svd))
+        for name in ("solve", "svd", "qr"):
+            monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
         at_delta = counted("delta", domain.eval_delta)
         for module in (domain, realization):
             monkeypatch.setattr(module, "eval_delta", at_delta)
@@ -250,9 +263,10 @@ class TestEvalBodyCounts:
         phi = eval_phi(h, x)
         model_residual(h, x, x)
         operator_norm(phi), operator_norm(u)
-        assert (calls["solve"], calls["delta"], calls["svd"]) == (
-            self.SOLVES, self.DELTAS, self.SVDS
-        )
+        counts = tuple(len(calls[name]) for name in ("solve", "delta", "svd", "qr"))
+        assert counts == (self.SOLVES, self.DELTAS, self.SVDS, self.QRS)
+        sizes = [max(np.shape(a)[-1] for a in calls[name]) for name in ("solve", "svd")]
+        assert sizes == [self.SOLVE_SIZE, self.SVD_SIZE]
 
 
 def stacked(h, xs):
@@ -640,6 +654,92 @@ class TestResolventConditionBound:
         ev = evaluate(h, x)
         bound = (1.0 + ev.delta_norm) / (1.0 - ev.delta_norm)
         assert 1.0 <= resolvent_condition(h, ev) <= bound
+
+
+def _grid(rows):
+    return DeltaMatrix(2, [[parse_poly(entry, 2) for entry in row] for row in rows])
+
+
+def assert_equal_bits(got, want):
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+# a 3 x 1 column with a degree-two entry, and a 1 x 3 row: padded to J = 3 either way
+COLUMN_GRID = _grid([["0.6*x0"], ["0.5*x1^2 - 0.2*x0"], ["0.4*x0*x1"]])
+ROW_GRID = _grid([["0.6*x0", "0.5*x1^2 - 0.2*x0", "0.4*x0*x1"]])
+
+
+class TestNonZeroColumns:
+    """The model system is solved and conditioned on Delta's non-zero block columns.
+
+    The oracle is the whole padded system, solved and factored as it stands
+    (``padded_model_solution`` and ``padded_condition``).  Column grids
+    (c < J) match it within 1e-13 relative; square and row grids (c = J) run
+    the same computation and equal it bit for bit.
+    """
+
+    COLUMN_GRIDS = {
+        "ball:2": get_delta("ball:2"), "ball:3": get_delta("ball:3"), "3x1": COLUMN_GRID,
+    }
+    FULL_GRIDS = {
+        "polydisk:2": get_delta("polydisk:2"), "cartan:2": get_delta("cartan:2"),
+        "example-h1": None, "1x3": ROW_GRID,
+    }
+
+    @staticmethod
+    def assert_close(got, want):
+        got, want = np.atleast_2d(got), np.atleast_2d(want)
+        assert operator_norm(got - want) <= 1e-13 * operator_norm(want)
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(
+        name=st.sampled_from(sorted({**COLUMN_GRIDS, **FULL_GRIDS})),
+        dim_e=st.integers(1, 3),
+        n=st.integers(1, 4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(name="ball:3", dim_e=2, n=16, seed=1)
+    def test_matches_the_padded_system(self, name, dim_e, n, seed):
+        column = name in self.COLUMN_GRIDS
+        delta = {**self.COLUMN_GRIDS, **self.FULL_GRIDS}[name]
+        if delta is None:
+            h = get_fixture(name).handle
+        else:
+            h = NcFunctionHandle(random_realization(dim_e, delta.J, seed), delta)
+        rng = np.random.default_rng(seed)
+        xs = [random_interior_point(h.delta, n, rng) for _ in range(3)]
+        assert (len(h.delta.entries[0]) < h.delta.J) == column
+        same = self.assert_close if column else assert_equal_bits
+        for x in xs:
+            ev = evaluate(h, x)
+            u, phi = padded_model_solution(h, ev.delta, n)
+            same(ev.u, u), same(ev.phi, phi)
+            cond, want = resolvent_condition(h, ev), padded_condition(h, ev)
+            same(np.array(cond), np.array(want))
+        stack = stacked(h, xs)
+        with pytest.MonkeyPatch.context() as patch:  # two solves: rows 0-1 and row 2
+            patch.setattr(domain, "BLOCK_BYTES", solve_budget(h, n, 2))
+            many = evaluate_stack(h, stack)
+        u, phi = padded_model_solution(h, stack.delta, n)
+        for k in range(len(xs)):
+            same(many.u[k], u[k]), same(many.phi[k], phi[k])
+
+    def test_resolvent_condition_refuses_an_evaluation_of_another_grid(self):
+        ball2, ball3, polydisk2 = get_delta("ball:2"), get_delta("ball:3"), get_delta("polydisk:2")
+        rng = np.random.default_rng(8)
+        on_ball3 = evaluate(
+            NcFunctionHandle(random_realization(1, 3, 1), ball3),
+            random_interior_point(ball3, 2, rng),
+        )
+        with pytest.raises(DimensionError, match="6 x 6 delta, the handle's grid a 4 x 4"):
+            resolvent_condition(NcFunctionHandle(random_realization(1, 2, 2), polydisk2), on_ball3)
+        # polydisk:2's Delta is not zero in ball:2's padding column
+        on_polydisk = evaluate(
+            NcFunctionHandle(random_realization(1, 2, 3), polydisk2),
+            random_interior_point(polydisk2, 2, rng),
+        )
+        with pytest.raises(DimensionError, match="not zero in the padding columns"):
+            resolvent_condition(NcFunctionHandle(random_realization(1, 2, 4), ball2), on_polydisk)
 
 
 class TestNcAxioms:
