@@ -52,12 +52,11 @@ class DirectionalDerivativeResult:
 def _admissible_ladder(
     h: NcFunctionHandle, t: MatrixTuple, direction: MatrixTuple, first_step: float, steps: int
 ) -> SequenceEvaluation:
-    """The ray sequence of the ladder, its finite first step halved until every point is interior.
+    """The ray sequence of the ladder, its first step halved until every point is interior.
 
-    However large it starts, the step is halved until it falls below 4 ``STEP_FLOOR``.
+    The first step must be finite, as :func:`eta_numeric` checks at its entry; however large
+    it starts, it is halved until it falls below 4 ``STEP_FLOOR``.
     """
-    if not np.isfinite(first_step):
-        raise PreconditionError(f"ladder first step must be finite, got {first_step!r}")
     t0 = first_step
     while True:
         kept = next((k for k in range(steps) if t0 * 2.0**-k < STEP_FLOOR), steps)

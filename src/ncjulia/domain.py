@@ -11,18 +11,18 @@ direction h at T forms the cone matrix M = delta(T)* grad delta(T)[h] once,
 by :func:`cone_matrix`, and reads its margin from :func:`inward_margin`, and
 its asymmetry ||M - M*|| where self-adjointness is asked; whether a transverse
 inward direction exists is decided by a nearest-point iteration with away steps.
-The :func:`boundary_point` last built is kept (``numerics.keep_last``), so the
-functions that take the same grid and T objects in turn share one point and
-what it computes on first read.  An approach path to a boundary point,
-radial or along a direction, is made and checked by one call of
-:func:`generate_sequence`; ``boundary.tfae_report`` reads its aperture.
+The :func:`boundary_point` last built is kept (``functools.lru_cache`` of one
+entry), so the functions that pass an equal grid and the same T object in turn
+share one point and what it computes on first read.  An approach path to a
+boundary point, radial or along a direction, is made and checked by one call
+of :func:`generate_sequence`; ``boundary.tfae_report`` reads its aperture.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -37,14 +37,7 @@ from .freepoly import (
     poly_from_json,
     poly_to_json,
 )
-from .numerics import (
-    RANK_RTOL,
-    as_complex_matrix,
-    json_int,
-    keep_last,
-    operator_norm,
-    read_only,
-)
+from .numerics import RANK_RTOL, as_complex_matrix, json_int, operator_norm, read_only
 
 DISTINGUISHED_TOL = 1e-8
 SELF_ADJOINT_TOL = 1e-8  # ||M - M*|| bound of the self-adjointness cone
@@ -201,12 +194,13 @@ class BoundaryPoint:
         return read_only(_sigma_nullspace(self.gram_map, self.given.shape[1]))
 
 
-@keep_last
+@lru_cache(maxsize=1)
 def boundary_point(delta: DeltaMatrix, t: MatrixTuple) -> BoundaryPoint:
     """The point T with Delta(T), evaluated once.
 
-    The last point is kept: called again with the same grid and tuple
-    objects, it returns that point, with what it has computed on first read.
+    The last point is kept: called again by position with an equal grid (a
+    frozen value) and the same tuple object, it returns that point, with what
+    it has computed on first read.  A keyword call is evaluated afresh.
     """
     return BoundaryPoint(delta, t, read_only(eval_delta(delta, t)))
 
@@ -285,7 +279,9 @@ def _sigma_nullspace(lmat: np.ndarray, gram_dim: int) -> np.ndarray:
     self-adjointness defect M(h) - M(h)* is real-linear in these coordinates.
     With L_k column k of ``lmat`` read as a gram_dim x gram_dim matrix, the
     unit vector of Re h_k maps to L_k - L_k* and that of Im h_k to
-    i (L_k + L_k*).
+    i (L_k + L_k*).  A zero constraint (a grid constant to first order at T)
+    has only zero singular values, so the basis is every row of vh: Sigma is
+    all of R^{2 d n^2}.
     """
     dim = lmat.shape[1]
     cols = lmat.T.reshape(dim, gram_dim, gram_dim)
@@ -293,8 +289,6 @@ def _sigma_nullspace(lmat: np.ndarray, gram_dim: int) -> np.ndarray:
     defects = np.concatenate([cols - adj, 1j * (cols + adj)]).reshape(2 * dim, -1)
     constraint = np.concatenate([defects.real, defects.imag], axis=1).T
     _, s, vh = np.linalg.svd(constraint)
-    if s.size == 0 or s[0] == 0.0:
-        return np.eye(2 * dim)
     null_mask = np.concatenate([s <= RANK_RTOL * s[0], np.ones(2 * dim - s.size, bool)])
     return vh.T[:, null_mask]
 

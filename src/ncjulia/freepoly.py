@@ -25,6 +25,7 @@ polynomial object may hold at most ``MAX_TERMS`` terms and words of at most
 from __future__ import annotations
 
 import cmath
+import itertools
 import re
 from dataclasses import dataclass
 
@@ -450,16 +451,8 @@ def _fmt_real(v: float) -> str:
 
 
 def _fmt_word(word) -> str:
-    parts = []
-    i = 0
-    while i < len(word):
-        j = i
-        while j < len(word) and word[j] == word[i]:
-            j += 1
-        run = j - i
-        parts.append(f"x{word[i]}" + (f"^{run}" if run > 1 else ""))
-        i = j
-    return "*".join(parts)
+    runs = ((letter, len(list(run))) for letter, run in itertools.groupby(word))
+    return "*".join(f"x{letter}" + (f"^{k}" if k > 1 else "") for letter, k in runs)
 
 
 def _fmt_term(word, coeff):

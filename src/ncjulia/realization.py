@@ -52,15 +52,16 @@ Every stacked product loops over the same BLAS and LAPACK calls on the same
 matrices, so each result is bit-identical to the one-point computation.
 
 One point is evaluated once however many one-point functions read it:
-:func:`evaluate` keeps its last evaluation (``numerics.keep_last``) and
-returns it to the next call with the same handle and point objects, so
-:func:`eval_u`, :func:`eval_phi` and :func:`model_residual` at one point
-share one Delta(x), one norm and one model solve.  A one-point evaluation's
-arrays are therefore read-only.
+:func:`evaluate` keeps its last evaluation (``functools.lru_cache`` of one
+entry) and returns it to the next positional call with the same handle and
+point objects, which hash by identity, so :func:`eval_u`, :func:`eval_phi`
+and :func:`model_residual` at one point share one Delta(x), one norm and one
+model solve.  A one-point evaluation's arrays are therefore read-only.
 """
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import InitVar, dataclass, field
 
@@ -74,7 +75,6 @@ from .numerics import (
     haar_unitaries,
     haar_unitary,
     json_int,
-    keep_last,
     matrix_from_json,
     matrix_to_json,
     operator_norm,
@@ -250,13 +250,14 @@ class Evaluation:
         return Evaluation(self.delta[k], float(self.delta_norm[k]), self.u[k], self.phi[k])
 
 
-@keep_last
+@functools.lru_cache(maxsize=1)
 def evaluate(h: NcFunctionHandle, x: MatrixTuple) -> Evaluation:
     """Evaluate Delta, ||Delta||, u and phi at interior x with one model solve.
 
-    The last evaluation is kept: called again with the same handle and point
-    objects, as :func:`eval_u`, :func:`eval_phi` and :func:`model_residual`
-    are at one point, it returns that evaluation, whose arrays are read-only.
+    The last evaluation is kept: called again by position with the same
+    handle and point objects, as :func:`eval_u`, :func:`eval_phi` and
+    :func:`model_residual` are at one point, it returns that evaluation,
+    whose arrays are read-only.  A keyword call is evaluated afresh.
     """
     big_delta = eval_delta(h.delta, x)
     norm = _require_interior(operator_norm(big_delta))
@@ -268,10 +269,15 @@ def evaluate_stack(h: NcFunctionHandle, stack: PointStack) -> Evaluation:
     """:func:`evaluate` at each point of the stack, at colligation k for point k when stacked."""
     _require_interior(float(stack.norms.max(initial=0.0)))
     r, n = h.realization, stack.components.shape[-1]
+    if r.D.ndim == 3 and len(r.D) != len(stack.norms):  # checked before the stack is split
+        raise DimensionError(f"{len(r.D)} stacked colligations need a stack of as many points")
     rows = solve_rows(h.delta, r.dim_E, n)
-    blocks = [slice(k, k + rows) for k in range(0, max(1, len(stack.norms)), rows)]
+    blocks = [slice(k, k + rows) for k in range(0, len(stack.norms), rows)]
     columns = _nonzero_columns(h.delta, stack.delta, n)
     parts = [_model_solution(_colligations(r, b), columns[b], n) for b in blocks]
+    if not parts:  # an empty stack
+        mjn = r.dim_E * r.J * n
+        parts = [(np.empty((0, mjn, n), np.complex128), np.empty((0, n, n), np.complex128))]
     u, phi = parts[0] if len(parts) == 1 else map(np.concatenate, zip(*parts))
     return Evaluation(stack.delta, stack.norms, u, phi)
 

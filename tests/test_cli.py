@@ -445,6 +445,27 @@ class TestFuzz:
         assert capsys.readouterr().out == unset
         assert json.loads(unset)["seed"] == 999
 
+    def test_sub_sweep_of_an_unconverged_alpha_is_skipped(self, capsys, monkeypatch):
+        from dataclasses import replace
+
+        from ncjulia import boundary
+
+        argv = ["fuzz", "--samples", "30", "--seed", "7"]
+        assert main(argv) == 0
+        converged = json.loads(capsys.readouterr().out)
+        assert converged["julia_inequality"]["checked"] > 0
+        estimate, sweep, sweeps = boundary.estimate_alpha, boundary.julia_sweep, []
+        monkeypatch.setattr(
+            boundary, "estimate_alpha", lambda path: replace(estimate(path), converged=False)
+        )
+        monkeypatch.setattr(boundary, "julia_sweep", lambda *a: sweeps.append(a) or sweep(*a))
+        assert main(argv) == 0
+        skipped = json.loads(capsys.readouterr().out)
+        assert sweeps == []
+        assert skipped["julia_inequality"] == {"checked": 0, "violations": 0, "skipped": 0}
+        # a skipped sweep draws no points, so later samples differ; all are still checked
+        assert skipped["model_identity"]["checked"] == 30
+
     def test_J_comes_from_delta(self, capsys):
         assert main(["fuzz", "--samples", "2", "--delta", "polydisk:3"]) == 0
         assert json.loads(capsys.readouterr().out)["J"] == 3
@@ -950,6 +971,31 @@ class TestExitCodes:
         # main prints the handler's message; argparse prints its usage and its own message
         message = "usage:" if name == "SystemExit" else f"error: {caught.value}\n"
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("grid, message", [
+        ([["x0", "0"], ["0", "x1"]], "expected a delta object, got list"),
+        ({"d": 2}, "delta object missing field: 'entries'"),
+        ({"d": 2, "entries": "x0"}, "delta entries must be a grid of rows"),
+        ({"d": 2, "entries": ["x0", "x1"]}, "delta entries must be a grid of rows"),
+        ({"d": 2, "entries": [["x0", "0"], ["x1"]]}, "entry grid rows must have equal length"),
+        (
+            {"d": 2, "J": 3, "entries": [["x0", "0"], ["0", "x1"]]},
+            "delta lists J=3 but padded size is 2",
+        ),
+    ])
+    def test_malformed_delta_file_exits_2(self, files, capsys, grid, message):
+        path = write_json(files["tmp"] / "grid.json", grid)
+        for argv in (
+            ["eval", "--delta", path, "--realization", "example-h1", "--point", files["interior"]],
+            ["fuzz", "--delta", path],
+        ):
+            assert main(argv) == 2
+            assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    def test_delta_without_a_realization_exits_2(self, files, capsys):
+        assert main(["eval", "--delta", "polydisk:2", "--point", files["interior"]]) == 2
+        message = "error: need either --fixture or both --delta and --realization\n"
+        assert capsys.readouterr() == ("", message)
 
     @pytest.mark.parametrize("argv", [
         ["eval", "--fixture", "example-h1", "--point", "{deep}"],

@@ -5,9 +5,12 @@ import numpy as np
 import pytest
 
 from ncjulia import (
+    ConvergenceError,
     DimensionError,
     MatrixTuple,
+    NcFunctionHandle,
     PreconditionError,
+    Realization,
     eta_numeric,
     eval_phi,
     evaluate,
@@ -19,6 +22,7 @@ from ncjulia import (
     homogeneity_check,
     in_G_delta,
     operator_norm,
+    polydisk_delta,
     scalar_angular_derivative,
 )
 
@@ -321,6 +325,14 @@ class TestScalarAngularDerivative:
         ]
         expected = extrapolate_limit(ladder, quotients).value
         assert scalar_angular_derivative(h1, t, k) == complex(expected.reshape(()))
+
+    def test_quotients_that_are_not_cauchy_are_refused(self):
+        # phi = 1/2 on the disk (a colligation that is no isometry): with W = 1 the quotients
+        # (1/2 - 1) / s double at each halving of s, so their increments are not Cauchy
+        half = Realization(1, 1, [[0.5]], [[0.0]], [[0.0]], [[0.0]], isometry_tol=np.inf)
+        h = NcFunctionHandle(half, polydisk_delta(1))
+        with pytest.raises(ConvergenceError, match="difference quotients are not Cauchy"):
+            scalar_angular_derivative(h, scalars(1.0), scalars(-1.0), w=np.eye(1))
 
     def test_w_of_another_size_rejected(self, h1):
         t = identity_pair(2)

@@ -167,12 +167,13 @@ class TestDistinguishedBoundary:
 
 
 class TestLastBoundaryPointKept:
-    """``boundary_point`` keeps its last point in one slot, for the same grid and tuple objects."""
+    """``boundary_point`` keeps its last point in one slot, for an equal grid and the same tuple."""
 
     def test_same_objects_share_one_point(self):
         delta, t = polydisk_delta(2), MatrixTuple.from_scalars([1.0, 1.0])
         bp = boundary_point(delta, t)
         assert boundary_point(delta, t) is bp
+        assert boundary_point(polydisk_delta(2), t) is bp  # a grid is keyed by value
         other = boundary_point(delta, MatrixTuple(t.components))
         assert other is not bp and other.delta.tobytes() == bp.delta.tobytes()
         assert boundary_point(delta, t) is not bp  # only the last point is kept
@@ -308,6 +309,7 @@ class TestAssumptionA:
         # a byte budget of 5 lifts (2 x 6 x 6) and their padded grid (12 x 12): stacks of
         # 5, 5, 5 and 3 lifts
         monkeypatch.setattr(domain, "BLOCK_BYTES", 5 * (16 * 12**2 + 16 * 2 * 6**2))
+        boundary_point.cache_clear()  # the kept point at an equal grid holds its gram map
         bp = boundary_point(polydisk_delta(2), t)
         calls.clear()
         assert np.array_equal(bp.gram_map, lmat)
@@ -440,6 +442,14 @@ def sigma_cone_matrices(bp) -> list:
     ]
 
 
+def zig_zag_grid():
+    """diag(x0, x1, p), p = 1.3 x0 + 2 x1 - 1.15 x0^2 - 1.15 x1^2: no witness at (I, I)."""
+    x0, x1, zero = (FreePolynomial.variable(2, 0), FreePolynomial.variable(2, 1),
+                    FreePolynomial.zero(2))
+    p = parse_poly("1.3*x0 + 2*x1 - 1.15*x0^2 - 1.15*x1^2", 2)
+    return DeltaMatrix(2, [[x0, zero, zero], [zero, x1, zero], [zero, zero, p]])
+
+
 def x1_x0_grid():
     """diag(x0, x1 x0): -T is a witness at every unitary T."""
     zero = FreePolynomial.zero(2)
@@ -497,14 +507,9 @@ class TestWitnessSearch:
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_search_decides_where_frank_wolfe_zig_zags(self, n, monkeypatch):
-        # diag(x0, x1, p) at (I, I), p = 1.3 x0 + 2 x1 - 1.15 x0^2 - 1.15 x1^2: plain
-        # Frank-Wolfe steps zig-zag between atoms here, 366 steps at n = 1, 731 at n = 2,
-        # and ran out of WITNESS_ITERATIONS at n = 3, although a certificate exists
-        x0, x1, zero = (FreePolynomial.variable(2, 0), FreePolynomial.variable(2, 1),
-                        FreePolynomial.zero(2))
-        p = parse_poly("1.3*x0 + 2*x1 - 1.15*x0^2 - 1.15*x1^2", 2)
-        delta = DeltaMatrix(2, [[x0, zero, zero], [zero, x1, zero], [zero, zero, p]])
-        bp = boundary_point(delta, MatrixTuple((np.eye(n), np.eye(n))))
+        # plain Frank-Wolfe steps zig-zag between atoms here, 366 steps at n = 1, 731 at
+        # n = 2, and ran out of WITNESS_ITERATIONS at n = 3, although a certificate exists
+        bp = boundary_point(zig_zag_grid(), MatrixTuple((np.eye(n), np.eye(n))))
         eigh, calls = np.linalg.eigh, []
         monkeypatch.setattr(np.linalg, "eigh", lambda *a, **kw: calls.append(a) or eigh(*a, **kw))
         res = find_transverse_direction(bp)
@@ -516,6 +521,40 @@ class TestWitnessSearch:
         bound = INWARD_BETA / np.sqrt(bp.t.d * n)
         assert max(abs(np.trace(p @ m)) for m in sigma_cone_matrices(bp)) <= bound
 
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_search_stops_undecided_at_the_iteration_cap(self, n, monkeypatch):
+        # the zig-zag grid's search decides in 13 steps at n = 1 and 188 at n = 3; capped at 5
+        # steps it stops after 5 eigh calls with neither a witness nor a certificate
+        monkeypatch.setattr(domain, "WITNESS_ITERATIONS", 5)
+        eigh, calls = np.linalg.eigh, []
+        monkeypatch.setattr(np.linalg, "eigh", lambda *a, **kw: calls.append(a) or eigh(*a, **kw))
+        bp = boundary_point(zig_zag_grid(), MatrixTuple((np.eye(n), np.eye(n))))
+        res = find_transverse_direction(bp)
+        assert not res.decided and not res.found and res.certificate is None
+        assert len(calls) == 5
+        # an undecided search leaves the range test's verdict conditional
+        verdict = boundary.is_bpoint_range_test(
+            NcFunctionHandle(random_realization(1, 3, 4), bp.grid), bp
+        )
+        assert verdict.conditional and not verdict.inward_witness.decided
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_constant_grid_has_every_direction_in_sigma(self, n, monkeypatch):
+        # [[1]] at T = I: the Gram derivative is zero, so Sigma is everything, every cone
+        # matrix M_k is zero and the search starts at s = 0, a certificate with no eigh call
+        bp = boundary_point(DeltaMatrix(1, [[FreePolynomial.constant(1, 1.0)]]),
+                            MatrixTuple((np.eye(n),)))
+        basis, dim = bp.sigma_basis, n * n
+        assert basis.shape == (2 * dim, 2 * dim)
+        np.testing.assert_allclose(basis.T @ basis, np.eye(2 * dim), atol=1e-14)
+        eigh, calls = np.linalg.eigh, []
+        monkeypatch.setattr(np.linalg, "eigh", lambda *a, **kw: calls.append(a) or eigh(*a, **kw))
+        res = find_transverse_direction(bp)
+        assert res.decided and not res.found and calls == []
+        assert np.array_equal(res.certificate, np.eye(n) / n)
+        rep = check_assumption_A(bp)
+        assert rep.sigma_span_dim == rep.full_dim == dim and rep.a2 and not rep.a1
+
     def test_no_self_adjoint_direction_is_a_certificate(self):
         # diag(x0, (2 - i) x0 + (i - 1) x0^2) at T = 1: the cone matrix is diag(h, i h), which is
         # self-adjoint only at h = 0, so Sigma = {0}
@@ -526,6 +565,9 @@ class TestWitnessSearch:
         res = domain._nearest_point_search(bp)
         assert not res.found and res.decided
         assert np.array_equal(res.certificate, np.eye(2) / 2)
+        assert sigma_span_dimension(bp) == 0  # Sigma = {0} spans nothing
+        rep = check_assumption_A(bp)
+        assert rep.sigma_span_dim == 0 and rep.full_dim == 1 and not rep.a2
 
     @pytest.mark.parametrize("seed", range(5))
     def test_stop_rule_returns_a_witness_of_margin(self, seed):

@@ -189,8 +189,11 @@ class TestLastEvaluationKept:
     def test_same_objects_share_one_evaluation(self, h1):
         x = scalars(0.5, 0.3)
         ev = evaluate(h1, x)
-        assert evaluate(h1, x) is ev and evaluate(h=h1, x=x) is ev
+        assert evaluate(h1, x) is ev
         assert eval_phi(h1, x) is ev.phi and eval_u(h1, x) is ev.u
+        by_keyword = evaluate(h=h1, x=x)  # evaluated afresh, to the same bits
+        assert by_keyword is not ev
+        assert_same_bits(by_keyword, ev)
 
     def test_another_point_or_handle_is_evaluated_afresh(self):
         delta = get_delta("ball:3")
@@ -316,6 +319,21 @@ class TestEvaluateStack:
                         for name in self.FIELDS:
                             assert np.array_equal(getattr(ev, name), getattr(one, name)), name
                             assert np.array_equal(getattr(many, name)[k], getattr(one, name))
+
+    @pytest.mark.parametrize("name", ["ball:3", "polydisk:2"])
+    def test_empty_stack_gives_an_empty_evaluation(self, name):
+        delta = get_delta(name)
+        h = NcFunctionHandle(random_realization(2, delta.J, 3), delta)
+        stack = scale_into_domain(
+            delta, gaussian_drafts(delta.d, 2, np.random.default_rng(0), 0), domain.SAMPLE_MARGIN
+        )
+        ev = evaluate_stack(h, stack)
+        assert ev.delta is stack.delta and ev.delta_norm is stack.norms
+        assert ev.u.shape == (0, 2 * delta.J * 2, 2) and ev.phi.shape == (0, 2, 2)
+        assert ev.u.dtype == ev.phi.dtype == np.complex128
+        at_x = (ev.phi, ev.u, ev.delta)
+        defects = identity_defect(h.realization, at_x, at_x)
+        assert isinstance(defects, np.ndarray) and defects.shape == (0,)
 
     def test_stack_with_a_boundary_point_rejected(self, h1):
         xs = [MatrixTuple.from_scalars([0.5, 0.3]), MatrixTuple.from_scalars([1.0, 0.2])]
@@ -543,6 +561,18 @@ class TestColligationStacks:
             for m in (q, one):
                 with pytest.raises(PreconditionError, match="non-finite"):
                     Realization(2, 2, *realization._blocks(m), isometry_tol=tol)
+
+    @pytest.mark.parametrize("points", [0, 1, 3])
+    def test_stack_of_another_length_is_refused_before_it_is_split(self, points, monkeypatch):
+        # split into one-row solves, a longer stack of colligations was read only in part
+        fx = get_fixture("example-h1")
+        h = NcFunctionHandle(random_colligations(1, fx.delta.J, self.SEEDS), fx.delta)
+        drafts = gaussian_drafts(fx.delta.d, 1, np.random.default_rng(1), points)
+        stack = scale_into_domain(fx.delta, drafts, 0.05)
+        monkeypatch.setattr(domain, "BLOCK_BYTES", 1)
+        assert realization.solve_rows(fx.delta, 1, 1) == 1
+        with pytest.raises(DimensionError, match="5 stacked colligations need a stack of as many"):
+            evaluate_stack(h, stack)
 
     def test_one_point_functions_refuse_a_stack(self):
         fx = get_fixture("example-h1")
