@@ -12,8 +12,8 @@ by :func:`cone_matrix`, and reads its margin from :func:`inward_margin`, and
 its asymmetry ||M - M*|| where self-adjointness is asked; whether a transverse
 inward direction exists is decided by a nearest-point iteration with away steps.
 The :func:`boundary_point` last built is kept (``functools.lru_cache`` of one
-entry), so the functions that pass an equal grid and the same T object in turn
-share one point and what it computes on first read.  An approach path to a
+entry), so its readers (the functions about T, :func:`in_G_delta` and
+``realization.evaluate``) share one Delta per point.  An approach path to a
 boundary point, radial or along a direction, is made and checked by one call
 of :func:`generate_sequence`; ``boundary.tfae_report`` reads its aperture.
 """
@@ -59,7 +59,8 @@ class DeltaMatrix:
     """Grid of free polynomials defining the domain, kept as given (rows x cols).
 
     ``J`` = max(rows, cols) is the size of the square grid the
-    transfer-function model sees; every evaluation pads to it.
+    transfer-function model sees; every evaluation pads to it.  Grids compare
+    and hash by value; the hash is computed once, on construction, and kept.
     """
 
     d: int
@@ -80,6 +81,10 @@ class DeltaMatrix:
                         f"entry has d={p.d}, delta matrix has d={self.d}"
                     )
         object.__setattr__(self, "entries", rows)
+        object.__setattr__(self, "_hash", hash((self.d, rows)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def J(self) -> int:
@@ -131,7 +136,7 @@ def _lift_corner(delta: DeltaMatrix, n: int, at_lift: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class BoundaryPoint:
-    """A point T of the closed domain with the padded Delta(T) of one evaluation.
+    """A point T with the padded Delta(T) of one evaluation: on the boundary or off it.
 
     ``given`` is Delta(T) on the grid as given, a view of ``delta``;
     ``delta_norm``, ``distinguished``, ``gram_map`` and ``sigma_basis`` are
@@ -196,7 +201,7 @@ class BoundaryPoint:
 
 @lru_cache(maxsize=1)
 def boundary_point(delta: DeltaMatrix, t: MatrixTuple) -> BoundaryPoint:
-    """The point T with Delta(T), evaluated once.
+    """The point T with Delta(T), evaluated once: a boundary point, or an interior x.
 
     The last point is kept: called again by position with an equal grid (a
     frozen value) and the same tuple object, it returns that point, with what
@@ -228,8 +233,8 @@ class Membership:
 
 
 def in_G_delta(delta: DeltaMatrix, x: MatrixTuple) -> Membership:
-    """Strict membership ||delta(x)|| < 1, with margin 1 - ||delta(x)||."""
-    nrm = operator_norm(eval_delta(delta, x))
+    """Strict membership ||delta(x)|| < 1, with margin 1 - ||delta(x)||: the kept point's norm."""
+    nrm = boundary_point(delta, x).delta_norm
     return Membership(inside=nrm < 1.0, margin=1.0 - nrm, norm=nrm)
 
 

@@ -55,8 +55,9 @@ One point is evaluated once however many one-point functions read it:
 :func:`evaluate` keeps its last evaluation (``functools.lru_cache`` of one
 entry) and returns it to the next positional call with the same handle and
 point objects, which hash by identity, so :func:`eval_u`, :func:`eval_phi`
-and :func:`model_residual` at one point share one Delta(x), one norm and one
-model solve.  A one-point evaluation's arrays are therefore read-only.
+and :func:`model_residual` at one point share one model solve and, through the
+kept ``domain.boundary_point``, one Delta(x) and one norm.  A one-point
+evaluation's arrays are therefore read-only.
 """
 
 from __future__ import annotations
@@ -67,7 +68,7 @@ from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
-from .domain import DeltaMatrix, PointStack, block_rows, eval_delta
+from .domain import DeltaMatrix, PointStack, block_rows, boundary_point, eval_delta
 from .errors import DimensionError, ParseError, PreconditionError, SingularMatrixError
 from .freepoly import MatrixTuple
 from .numerics import (
@@ -211,11 +212,10 @@ def _nonzero_columns(delta: DeltaMatrix, big_delta: np.ndarray, n: int) -> np.nd
     return big_delta[..., : len(delta.entries[0]) * n]
 
 
-def _require_interior(norm: float) -> float:
-    """The norm ||Delta(x)|| when it is below one; PreconditionError otherwise."""
+def _require_interior(norm: float) -> None:
+    """PreconditionError unless the norm ||Delta(x)|| is below one."""
     if not norm < 1.0:
         raise PreconditionError(f"point is not inside the domain: ||delta(x)|| = {norm:.6g}")
-    return norm
 
 
 def _phi_from(r, big_delta: np.ndarray, u: np.ndarray, n: int) -> np.ndarray:
@@ -254,15 +254,16 @@ class Evaluation:
 def evaluate(h: NcFunctionHandle, x: MatrixTuple) -> Evaluation:
     """Evaluate Delta, ||Delta||, u and phi at interior x with one model solve.
 
+    Delta(x) and its norm are the kept ``domain.boundary_point(h.delta, x)``'s.
     The last evaluation is kept: called again by position with the same
     handle and point objects, as :func:`eval_u`, :func:`eval_phi` and
     :func:`model_residual` are at one point, it returns that evaluation,
     whose arrays are read-only.  A keyword call is evaluated afresh.
     """
-    big_delta = eval_delta(h.delta, x)
-    norm = _require_interior(operator_norm(big_delta))
-    u, phi = _model_solution(h.realization, _nonzero_columns(h.delta, big_delta, x.n), x.n)
-    return Evaluation(read_only(big_delta), norm, read_only(u), read_only(phi))
+    bp = boundary_point(h.delta, x)
+    _require_interior(bp.delta_norm)
+    u, phi = _model_solution(h.realization, _nonzero_columns(h.delta, bp.delta, x.n), x.n)
+    return Evaluation(bp.delta, bp.delta_norm, read_only(u), read_only(phi))
 
 
 def evaluate_stack(h: NcFunctionHandle, stack: PointStack) -> Evaluation:
@@ -283,8 +284,9 @@ def evaluate_stack(h: NcFunctionHandle, stack: PointStack) -> Evaluation:
 
 
 def solve_rows(delta: DeltaMatrix, dim_E: int, n: int) -> int:
-    """Rows of one model solve: a row's point and Delta, its system and step, in ``BLOCK_BYTES``."""
-    return block_rows(16 * (delta.d * n * n + (1 + 2 * dim_E**2) * (delta.J * n) ** 2))
+    """Rows of one solve in ``BLOCK_BYTES``: point, Delta, active system and step, phi's padding."""
+    jn, cn = delta.J * n, len(delta.entries[0]) * n
+    return block_rows(16 * (delta.d * n * n + jn * jn * (1 + (cn < jn)) + 2 * dim_E**2 * jn * cn))
 
 
 def _colligations(r: Realization, rows: slice) -> Realization:
@@ -321,6 +323,7 @@ def _model_solution(r, big_delta: np.ndarray, n: int) -> tuple:
         rest = rhs_rest - coupling @ u[..., None, :, :]
         u = np.concatenate([u.reshape(lead + (r.dim_E, cn, n)), rest], axis=-2)
         u = u.reshape(lead + (-1, n))
+    del resolvent, system, coupling, rhs, rhs_a, rhs_rest  # freed before phi pads Delta
     return u, _phi_from(r, big_delta, u, n)
 
 

@@ -223,10 +223,12 @@ def looped_julia_sweep(h, rng, count, bp, w, alpha, u_t=None):
 def solve_budget(h, n, rows):
     """A ``BLOCK_BYTES`` of ``rows`` rows of ``realization.solve_rows`` at matrix size n.
 
-    A row holds a point of h's grid, its Delta, its model system and its step.
+    A row holds a point of h's grid and its padded Delta, and the active columns (e, k < c, l)
+    of its model system and step; on a column grid (c < J), the padded copy of Delta phi takes.
     """
-    jn = h.delta.J * n
-    return rows * 16 * (h.delta.d * n * n + (1 + 2 * h.realization.dim_E**2) * jn**2)
+    jn, cn = h.delta.J * n, len(h.delta.entries[0]) * n
+    padded = jn * jn * (2 if cn < jn else 1)
+    return rows * 16 * (h.delta.d * n * n + padded + 2 * h.realization.dim_E**2 * jn * cn)
 
 
 # --- the inward-cone formulas before domain.inward_margin, kept as an oracle ---

@@ -603,9 +603,12 @@ class TestFuzz:
             argv = ["fuzz", "--samples", "25", "--seed", str(40 + dim_e), "--delta", delta]
             argv += ["--dim-E", str(dim_e)] + ["--no-isometry"] * no_isometry
             # one block per size at the default budget, then blocks of five samples of size 2:
-            # drafts of d 2 x 2 matrices, padded Delta and model systems with their steps
-            d, jn = fixtures.get_delta(delta).d, 2 * expected["J"]
-            for budget in (default, 5 * 16 * (4 * d + jn**2 + 2 * (dim_e * jn) ** 2)):
+            # drafts of d 2 x 2 matrices, padded Delta, the active columns of model systems
+            # with their steps, and on a column grid the padded copy of Delta phi takes
+            grid = fixtures.get_delta(delta)
+            jn, cn = 2 * expected["J"], 2 * len(grid.entries[0])
+            row = 4 * grid.d + jn**2 * (2 if cn < jn else 1) + 2 * dim_e**2 * jn * cn
+            for budget in (default, 5 * 16 * row):
                 stacked.clear(), evaluated.clear()
                 monkeypatch.setattr(domain, "BLOCK_BYTES", budget)
                 code = main(argv)

@@ -184,6 +184,28 @@ class TestLastBoundaryPointKept:
             bp.delta[0, 0] = 0.0
 
 
+class TestGridHash:
+    """A grid hashes its value once, on construction, and keeps it; equality stays by value.
+
+    An equal grid object still hits ``boundary_point``'s slot:
+    ``TestLastBoundaryPointKept.test_same_objects_share_one_point``.
+    """
+
+    def test_hashing_a_grid_hashes_no_polynomial(self, monkeypatch):
+        hashed, value_hash = [], FreePolynomial.__hash__
+        monkeypatch.setattr(FreePolynomial, "__hash__", lambda p: hashed.append(p) or value_hash(p))
+        grid = cartan_delta(3)
+        assert len(hashed) == sum(map(len, grid.entries))  # each entry once, when built
+        hashed.clear()
+        assert hash(grid) == hash(grid) and not hashed
+
+    @pytest.mark.parametrize("name", ["polydisk:2", "ball:3", "cartan:2"])
+    def test_equal_grids_hash_equal(self, name):
+        grid, equal = get_delta(name), delta_from_json(delta_to_json(get_delta(name)))
+        assert equal is not grid and equal == grid and hash(equal) == hash(grid)
+        assert hash(grid) == hash((grid.d, grid.entries))  # the value hash, as before it was kept
+
+
 def in_gamma(bp, h) -> bool:
     """h lies in the inward cone: the margin of its cone matrix is at least INWARD_BETA."""
     return inward_margin(cone_matrix(bp, h)) >= INWARD_BETA

@@ -231,6 +231,46 @@ class TestLastEvaluationKept:
         assert evaluate(h1, y) is ev  # the refused call left the slot as it was
 
 
+class TestOneDeltaPerPoint:
+    """``in_G_delta`` and ``evaluate`` read the kept ``boundary_point``: one Delta(x), one norm."""
+
+    @pytest.fixture
+    def delta_calls(self, monkeypatch):
+        calls, at_delta = [], domain.eval_delta
+        for module in (domain, realization):
+            monkeypatch.setattr(module, "eval_delta", lambda *a: calls.append(a) or at_delta(*a))
+        return calls
+
+    @pytest.mark.parametrize("membership_first", [True, False])
+    def test_membership_and_evaluation_share_one_delta(self, membership_first, delta_calls):
+        delta = get_delta("ball:3")
+        h = NcFunctionHandle(random_realization(2, delta.J, 3), delta)
+        x = random_interior_point(delta, 4, np.random.default_rng(5))
+        if membership_first:
+            member, ev = in_G_delta(h.delta, x), evaluate(h, x)
+        else:
+            ev = evaluate(h, x)
+            member = in_G_delta(h.delta, x)
+        assert ev.delta is boundary_point(h.delta, x).delta
+        assert len(delta_calls) == 1
+        assert member.inside and member.norm == ev.delta_norm
+        assert member.margin == 1.0 - ev.delta_norm
+        fresh = _eval_delta_stack(h.delta, x.components)  # a fresh Delta, and its norm
+        assert ev.delta.tobytes() == fresh.tobytes() and ev.delta_norm == operator_norm(fresh)
+
+    def test_exterior_point_is_refused_and_not_kept(self, h1, delta_calls):
+        y, x = scalars(0.5, 0.3), scalars(1.5, 0.5)
+        ev = evaluate(h1, y)
+        for _ in range(2):
+            with pytest.raises(PreconditionError) as refused:
+                evaluate(h1, x)
+            assert str(refused.value) == "point is not inside the domain: ||delta(x)|| = 1.5"
+        member = in_G_delta(h1.delta, x)
+        assert not member.inside and member.norm == 1.5
+        assert len(delta_calls) == 2  # y, then x: the refused x's kept point serves the rest
+        assert evaluate(h1, y) is ev  # the refused calls left the slot as it was
+
+
 class TestEvalBodyCounts:
     # Ratchet: the model solves, Delta evaluations, np.linalg.svd and np.linalg.qr calls of
     # the body of ``ncjulia eval`` through the library (membership, eval_u with its condition
@@ -240,7 +280,7 @@ class TestEvalBodyCounts:
     # system is 24 x 24: its 8 active unknowns are solved for, and the condition number's
     # SVD is of a 16 x 16 matrix.  A change that takes fewer or smaller lowers a pin; none
     # raises it.
-    SOLVES, DELTAS, SVDS, QRS = 1, 2, 6, 1
+    SOLVES, DELTAS, SVDS, QRS = 1, 1, 5, 1
     SOLVE_SIZE, SVD_SIZE = 8, 16
 
     def test_eval_body_counts_only_go_down(self, monkeypatch):
@@ -753,6 +793,18 @@ class TestNonZeroColumns:
         u, phi = padded_model_solution(h, stack.delta, n)
         for k in range(len(xs)):
             same(many.u[k], u[k]), same(many.phi[k], phi[k])
+
+    def test_solve_rows_count_the_active_columns(self):
+        # at n = 4, dim_E 2 a row holds its point (d n^2), its padded Delta and, on a column
+        # grid, the padded copy phi is formed at ((Jn)^2 each), and the active columns of its
+        # model system and step (2 m^2 (Jn)(cn)); square and row grids count (1 + 2 m^2)(Jn)^2
+        for delta, entries in (
+            (get_delta("ball:3"), 3 * 16 + 2 * 12**2 + 2 * 4 * 12 * 4),  # 11520 bytes
+            (COLUMN_GRID, 2 * 16 + 2 * 12**2 + 2 * 4 * 12 * 4),
+            (ROW_GRID, 2 * 16 + 9 * 12**2),
+            (get_delta("polydisk:2"), 2 * 16 + 9 * 8**2),
+        ):
+            assert realization.solve_rows(delta, 2, 4) == domain.BLOCK_BYTES // (16 * entries)
 
     def test_resolvent_condition_refuses_an_evaluation_of_another_grid(self):
         ball2, ball3, polydisk2 = get_delta("ball:2"), get_delta("ball:3"), get_delta("polydisk:2")
