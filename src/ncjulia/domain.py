@@ -111,12 +111,16 @@ def eval_delta(delta: DeltaMatrix, x: MatrixTuple) -> np.ndarray:
 
 
 def _eval_delta_stack(delta: DeltaMatrix, components) -> np.ndarray:
-    """Padded Delta over any leading axes: components[r] is (..., n, n), the result (..., Jn, Jn)."""
+    """Padded Delta over any leading axes: components[r] is (..., n, n), the result (..., Jn, Jn).
+
+    A zero entry is skipped: its block keeps the zero fill, as padding does.
+    """
     lead, n = components[0].shape[:-2], components[0].shape[-1]
     out = np.zeros(lead + (delta.J * n, delta.J * n), dtype=np.complex128)
     for a, row in enumerate(delta.entries):
         for b, p in enumerate(row):
-            out[..., a * n : (a + 1) * n, b * n : (b + 1) * n] = eval_words(p, components)
+            if not p.is_zero():
+                out[..., a * n : (a + 1) * n, b * n : (b + 1) * n] = eval_words(p, components)
     return out
 
 

@@ -211,8 +211,8 @@ class MatrixTuple:
         return self * (-1.0)
 
     def max_component_norm(self) -> float:
-        """max_r ||x^r||, the tuple norm used for the unit-ball constraints."""
-        return max(operator_norm(c) for c in self.components)
+        """max_r ||x^r||, the tuple norm of the unit-ball constraints, from one batched SVD."""
+        return float(operator_norm(np.stack(self.components)).max())
 
 
 def direct_sum(x: MatrixTuple, y: MatrixTuple) -> MatrixTuple:
@@ -266,12 +266,15 @@ def eval_poly(p: FreePolynomial, x: MatrixTuple) -> np.ndarray:
 
 
 def eval_words(p: FreePolynomial, components) -> np.ndarray:
-    """Evaluate p at components of shape (..., n, n); leading axes index stacked points."""
+    """Evaluate p at components of shape (..., n, n); leading axes index stacked points.
+
+    A word's product starts at its first letter; only the empty word adds coeff * I.  Bit for bit
+    that is a product started at I: (1 + 0i) z is z up to a zero's sign, and the sum ends at +0.
+    """
     acc = np.zeros(components[0].shape, dtype=np.complex128)
-    eye = np.eye(acc.shape[-1], dtype=np.complex128)
     for word, coeff in p.terms:
-        m = eye
-        for letter in word:
+        m = components[word[0]] if word else np.eye(acc.shape[-1], dtype=np.complex128)
+        for letter in word[1:]:
             m = m @ components[letter]
         acc += coeff * m
     return acc

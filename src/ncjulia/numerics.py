@@ -33,7 +33,7 @@ def as_complex_matrix(m, name: str = "matrix") -> np.ndarray:
         a = a.reshape(-1, 1)
     elif a.ndim != 2:
         raise DimensionError(f"{name} must be at most 2-dimensional, got shape {a.shape}")
-    if a.size and not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise PreconditionError(f"{name} contains non-finite entries")
     return a
 
@@ -48,10 +48,11 @@ def operator_norm(m):
     """Largest singular value; 0 for an empty or zero matrix.
 
     A matrix gives a float.  A stack (..., r, c) of matrices gives an array over
-    its leading axes, from one batched SVD in complex128, as for a matrix.
+    its leading axes, from one batched SVD in complex128, as for a matrix.  The
+    input is coerced once; a non-finite entry is refused as "matrix contains non-finite entries".
     """
     a = np.asarray(m, dtype=np.complex128)
-    if a.ndim <= 2:
+    if a.ndim < 2:
         a = as_complex_matrix(a)
     elif not np.isfinite(a).all():
         raise PreconditionError("matrix contains non-finite entries")

@@ -284,9 +284,10 @@ def evaluate_stack(h: NcFunctionHandle, stack: PointStack) -> Evaluation:
 
 
 def solve_rows(delta: DeltaMatrix, dim_E: int, n: int) -> int:
-    """Rows of one solve in ``BLOCK_BYTES``: point, Delta, active system and step, phi's padding."""
-    jn, cn = delta.J * n, len(delta.entries[0]) * n
-    return block_rows(16 * (delta.d * n * n + jn * jn * (1 + (cn < jn)) + 2 * dim_E**2 * jn * cn))
+    """Rows of one solve in ``BLOCK_BYTES``: point, Delta, system, step, rhs, u, phi's padding."""
+    jn, cn, m = delta.J * n, len(delta.entries[0]) * n, dim_E
+    row = delta.d * n * n + jn * jn * (1 + (cn < jn)) + 2 * m * jn * (m * cn + n)
+    return block_rows(16 * row)
 
 
 def _colligations(r: Realization, rows: slice) -> Realization:

@@ -223,12 +223,52 @@ def looped_julia_sweep(h, rng, count, bp, w, alpha, u_t=None):
 def solve_budget(h, n, rows):
     """A ``BLOCK_BYTES`` of ``rows`` rows of ``realization.solve_rows`` at matrix size n.
 
-    A row holds a point of h's grid and its padded Delta, and the active columns (e, k < c, l)
-    of its model system and step; on a column grid (c < J), the padded copy of Delta phi takes.
+    A row holds a point of h's grid and its padded Delta, the active columns (e, k < c, l)
+    of its model system and step, its right-hand side and u (mJn x n each); on a column grid
+    (c < J), the padded copy of Delta phi takes.
     """
-    jn, cn = h.delta.J * n, len(h.delta.entries[0]) * n
+    jn, cn, m = h.delta.J * n, len(h.delta.entries[0]) * n, h.realization.dim_E
     padded = jn * jn * (2 if cn < jn else 1)
-    return rows * 16 * (h.delta.d * n * n + padded + 2 * h.realization.dim_E**2 * jn * cn)
+    return rows * 16 * (h.delta.d * n * n + padded + 2 * m**2 * jn * cn + 2 * m * jn * n)
+
+
+# --- the tiny-matrix kernels before they skipped work that changes no bit, kept as oracles ---
+
+
+def eval_words_oracle(p, components):
+    """Oracle: p at components (..., n, n), each word's product started at I."""
+    acc = np.zeros(components[0].shape, dtype=np.complex128)
+    eye = np.eye(acc.shape[-1], dtype=np.complex128)
+    for word, coeff in p.terms:
+        m = eye
+        for letter in word:
+            m = m @ components[letter]
+        acc += coeff * m
+    return acc
+
+
+def eval_delta_oracle(delta, components):
+    """Oracle: the padded grid at components (..., n, n), every entry evaluated, zero ones too."""
+    lead, n = components[0].shape[:-2], components[0].shape[-1]
+    out = np.zeros(lead + (delta.J * n, delta.J * n), dtype=np.complex128)
+    for a, row in enumerate(delta.entries):
+        for b, p in enumerate(row):
+            out[..., a * n : (a + 1) * n, b * n : (b + 1) * n] = eval_words_oracle(p, components)
+    return out
+
+
+def max_component_norm_oracle(x):
+    """Oracle: max_r ||x^r||, one SVD per component."""
+    from ncjulia import operator_norm
+
+    return max(operator_norm(c) for c in x.components)
+
+
+def assert_same_bits(got, want):
+    """Equal arrays whose real and imaginary parts carry equal signs, zeros included."""
+    assert got.shape == want.shape and np.array_equal(got, want)
+    for a, b in ((got.real, want.real), (got.imag, want.imag)):
+        assert np.array_equal(np.signbit(a), np.signbit(b))
 
 
 # --- the inward-cone formulas before domain.inward_margin, kept as an oracle ---

@@ -487,9 +487,9 @@ class TestFuzz:
 
         monkeypatch.setattr(cli, "_model_identity_defects", recorded)
         # dim_E 2 on polydisk:2: a sample of size n has a draft of two n x n complex
-        # matrices, 32 n^2 bytes, a padded Delta of 64 n^2 bytes, and a 4n x 4n complex model
-        # system and its step, 512 n^2 bytes; a size's samples are checked when they fill
-        # the budget, or at the end
+        # matrices, 32 n^2 bytes, a padded Delta of 64 n^2 bytes, a 4n x 4n complex model
+        # system and its step, 512 n^2 bytes, and a 4n x n right-hand side and u, 128 n^2
+        # bytes; a size's samples are checked when they fill the budget, or at the end
         for budget in (3 * 1024, 100):
             flushes.clear()
             monkeypatch.setattr(domain, "BLOCK_BYTES", budget)
@@ -497,7 +497,7 @@ class TestFuzz:
             assert capsys.readouterr().out == unpatched
             assert sum(map(len, flushes)) == 25
             for n in (1, 2):
-                rows = max(1, budget // (608 * n**2))  # at least one sample
+                rows = max(1, budget // (736 * n**2))  # at least one sample
                 sizes = [len(block) for block in flushes if block[0] == n]
                 assert sizes[:-1] == [rows] * (len(sizes) - 1) and 0 < sizes[-1] <= rows
             assert all(len(set(block)) == 1 for block in flushes)
@@ -551,9 +551,9 @@ class TestFuzz:
 
         monkeypatch.setattr(cli, "_model_identity_defects", recorded)
         # polydisk:2 with dim_E 1 has drafts of two n x n matrices, 2n x 2n padded Delta,
-        # and 2n x 2n model systems with their steps: a budget of three samples of size 2,
-        # which holds twelve of size 1
-        monkeypatch.setattr(domain, "BLOCK_BYTES", 3 * 16 * (2 * 2**2 + 4**2 + 2 * 4**2))
+        # 2n x 2n model systems with their steps, and 2n x n right-hand sides and u: a budget
+        # of three samples of size 2, which holds twelve of size 1
+        monkeypatch.setattr(domain, "BLOCK_BYTES", 3 * 16 * (2 * 2**2 + 4**2 + 2 * 4**2 + 2 * 8))
         assert main(argv) == code
         assert capsys.readouterr().out == unpatched
         assert all(len({n for _, n in block}) == 1 for block in flushes)
@@ -604,10 +604,12 @@ class TestFuzz:
             argv += ["--dim-E", str(dim_e)] + ["--no-isometry"] * no_isometry
             # one block per size at the default budget, then blocks of five samples of size 2:
             # drafts of d 2 x 2 matrices, padded Delta, the active columns of model systems
-            # with their steps, and on a column grid the padded copy of Delta phi takes
+            # with their steps, right-hand sides and u, and on a column grid the padded copy
+            # of Delta phi takes
             grid = fixtures.get_delta(delta)
             jn, cn = 2 * expected["J"], 2 * len(grid.entries[0])
             row = 4 * grid.d + jn**2 * (2 if cn < jn else 1) + 2 * dim_e**2 * jn * cn
+            row += 2 * dim_e * jn * 2
             for budget in (default, 5 * 16 * row):
                 stacked.clear(), evaluated.clear()
                 monkeypatch.setattr(domain, "BLOCK_BYTES", budget)
@@ -646,8 +648,8 @@ class TestFuzz:
             ([], domain.BLOCK_BYTES, 2),  # the Julia sub-sweeps of samples 0 and 10
             (["--no-isometry"], domain.BLOCK_BYTES, 4),  # and their perturbed colligations
             # blocks of at most three samples of size 2: drafts, padded Delta, model systems
-            # and their steps
-            ([], 3 * 16 * (2 * 2**2 + 4**2 + 2 * 4**2), 2),
+            # and their steps, right-hand sides and u
+            ([], 3 * 16 * (2 * 2**2 + 4**2 + 2 * 4**2 + 2 * 8), 2),
         ):
             built.clear(), stacked.clear(), solves.clear(), blocks.clear()
             monkeypatch.setattr(domain, "BLOCK_BYTES", budget)

@@ -32,12 +32,21 @@ class TestOperatorNorm:
         assert operator_norm([[0, 2], [0, 0]]) == pytest.approx(2.0)
 
     def test_empty_and_zero(self):
-        assert operator_norm(np.zeros((0, 3))) == 0.0
-        assert operator_norm(np.zeros((2, 2))) == 0.0
+        for shape in ((0, 3), (3, 0), (0, 0), (2, 2)):
+            norm = operator_norm(np.zeros(shape))
+            assert norm == 0.0 and type(norm) is float
 
     def test_rejects_nan(self):
-        with pytest.raises(PreconditionError):
-            operator_norm([[np.nan, 0], [0, 1]])
+        # one refusal for every rank: a scalar and a vector are coerced to a matrix first
+        for m in (
+            np.nan,
+            complex(1.0, np.inf),
+            [1.0, -np.inf],
+            [[np.nan, 0], [0, 1]],
+            np.full((2, 3, 2, 2), 1.0 + np.nan * 1j),
+        ):
+            with pytest.raises(PreconditionError, match="^matrix contains non-finite entries$"):
+                operator_norm(m)
 
     def test_equals_numpy_spectral_norm(self, rng):
         for shape in ((1, 1), (3, 3), (6, 6), (2, 5), (7, 3)):

@@ -796,13 +796,14 @@ class TestNonZeroColumns:
 
     def test_solve_rows_count_the_active_columns(self):
         # at n = 4, dim_E 2 a row holds its point (d n^2), its padded Delta and, on a column
-        # grid, the padded copy phi is formed at ((Jn)^2 each), and the active columns of its
-        # model system and step (2 m^2 (Jn)(cn)); square and row grids count (1 + 2 m^2)(Jn)^2
+        # grid, the padded copy phi is formed at ((Jn)^2 each), the active columns of its
+        # model system and step (2 m^2 (Jn)(cn)), and its right-hand side and u (2 m (Jn) n);
+        # square and row grids count (1 + 2 m^2)(Jn)^2 + 4 (Jn) n
         for delta, entries in (
-            (get_delta("ball:3"), 3 * 16 + 2 * 12**2 + 2 * 4 * 12 * 4),  # 11520 bytes
-            (COLUMN_GRID, 2 * 16 + 2 * 12**2 + 2 * 4 * 12 * 4),
-            (ROW_GRID, 2 * 16 + 9 * 12**2),
-            (get_delta("polydisk:2"), 2 * 16 + 9 * 8**2),
+            (get_delta("ball:3"), 3 * 16 + 2 * 12**2 + 2 * 4 * 12 * 4 + 4 * 12 * 4),  # 14592 bytes
+            (COLUMN_GRID, 2 * 16 + 2 * 12**2 + 2 * 4 * 12 * 4 + 4 * 12 * 4),
+            (ROW_GRID, 2 * 16 + 9 * 12**2 + 4 * 12 * 4),
+            (get_delta("polydisk:2"), 2 * 16 + 9 * 8**2 + 4 * 8 * 4),
         ):
             assert realization.solve_rows(delta, 2, 4) == domain.BLOCK_BYTES // (16 * entries)
 
