@@ -19,7 +19,6 @@ from .numerics import (
     ExtrapolationResult,
     SolveOutcome,
     extrapolate_limit,
-    haar_unitaries,
     haar_unitary,
     matrix_from_json,
     matrix_to_json,
@@ -77,9 +76,7 @@ from .realization import (
     evaluate_stack,
     identity_defect,
     model_residual,
-    perturb_colligations,
     perturb_realization,
-    random_colligations,
     random_realization,
     realization_from_json,
     realization_to_json,

@@ -286,6 +286,8 @@ def julia_inequality_check(
     ``holds`` allows the right-hand side the relative slack ``JULIA_RTOL``.
     """
     w, _ = _boundary_data(bp, w, None, None)
+    if ev.phi.ndim != 2:
+        raise DimensionError("the Julia inequality is checked at one point, not at a stack")
     if ev.phi.shape[-1] != bp.t.n:
         raise DimensionError("Z must have the same matrix size as T")
     quotient = julia_quotient(ev)

@@ -320,17 +320,20 @@ _JULIA_EVERY = 10
 _JULIA_POINTS = 5
 
 
+def _colligations(args, J: int, seed) -> realization.Realization:
+    """Fuzz's colligation of a seed, or a block's stack of them: perturbed under --no-isometry."""
+    r = realization.random_realization(args.dim_E, J, seed)
+    return realization.perturb_realization(r, _PERTURBATION, seed) if args.no_isometry else r
+
+
 def _model_identity_defects(args, delta, samples) -> np.ndarray:
     """``model_residual(h, x, x)`` at each (seed, draft) sample of one matrix size.
 
     x is the draft scaled into the domain; one stacked solve serves the samples.
     """
-    seeds = [seed for seed, _ in samples]
     drafts = np.concatenate([draft for _, draft in samples], axis=1)
     stack = domain.scale_into_domain(delta, drafts, domain.SAMPLE_MARGIN)
-    colligations = realization.random_colligations(args.dim_E, delta.J, seeds)
-    if args.no_isometry:
-        colligations = realization.perturb_colligations(colligations, _PERTURBATION, seeds)
+    colligations = _colligations(args, delta.J, [seed for seed, _ in samples])
     ev = realization.evaluate_stack(realization.NcFunctionHandle(colligations, delta), stack)
     at_x = (ev.phi, ev.u, ev.delta)
     return realization.identity_defect(colligations, at_x, at_x)
@@ -361,11 +364,7 @@ def cmd_fuzz(args) -> int:
             defects.append(_model_identity_defects(args, delta, pending[n]))
             pending[n] = []
         if run_julia and k % _JULIA_EVERY == 0:
-            colligation = realization.random_realization(args.dim_E, delta.J, args.seed + k)
-            if args.no_isometry:
-                colligation = realization.perturb_realization(
-                    colligation, _PERTURBATION, args.seed + k
-                )
+            colligation = _colligations(args, delta.J, args.seed + k)
             handle = realization.NcFunctionHandle(realization=colligation, delta=delta)
             t = freepoly.MatrixTuple(
                 tuple(numerics.haar_unitary(n, rng) for _ in range(delta.d))

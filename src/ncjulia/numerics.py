@@ -2,7 +2,8 @@
 
 All norms are spectral (largest singular value); the Frobenius norm enters
 only through the minimality property of the pseudoinverse solution in
-:func:`min_norm_solve`.
+:func:`min_norm_solve`.  :func:`operator_norm` takes a matrix or a stack,
+and :func:`haar_unitary` a generator or a sequence of them: one LAPACK call.
 """
 
 from __future__ import annotations
@@ -149,21 +150,22 @@ def extrapolate_limit(steps, values) -> ExtrapolationResult:
     return ExtrapolationResult(value=value, increments=increments)
 
 
-def haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-distributed n x n unitary: QR of a complex Gaussian, phases fixed."""
-    return haar_unitaries(n, [rng])[0]
+def haar_unitary(n: int, rng) -> np.ndarray:
+    """Haar-distributed n x n unitary: QR of a complex Gaussian, phases fixed.
 
-
-def haar_unitaries(n: int, rngs) -> np.ndarray:
-    """One :func:`haar_unitary` from each generator, stacked, by one batched QR.
-
-    Each generator draws the real parts of its Gaussian, then the imaginary
-    parts, in one call.
+    A sequence of k generators gives a stack (k, n, n), each bit for bit the
+    one-generator call, by one batched QR.  Each generator draws the real
+    parts of its Gaussian, then the imaginary parts, in one call.
     """
-    g = np.stack([rng.standard_normal((2, n, n)) for rng in rngs])
+    one = isinstance(rng, np.random.Generator)
+    rngs = [rng] if one else list(rng)
+    if not rngs:
+        raise DimensionError("an empty sequence of generators or seeds makes no stack")
+    g = np.stack([gen.standard_normal((2, n, n)) for gen in rngs])
     q, r = np.linalg.qr((g[:, 0] + 1j * g[:, 1]) / np.sqrt(2.0))
     d = np.diagonal(r, axis1=-2, axis2=-1)
-    return q * (d / np.abs(d))[:, None, :]
+    u = q * (d / np.abs(d))[:, None, :]
+    return u[0] if one else u
 
 
 # --- JSON wire format ------------------------------------------------------

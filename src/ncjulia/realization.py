@@ -48,6 +48,8 @@ size, their Delta(x) stacked along a leading axis that the returned
 no solve holds more model systems than ``domain.BLOCK_BYTES`` and no
 evaluation keeps one.  A stacked :class:`Realization`, one colligation per
 point, is sliced with the points; ``ncjulia fuzz`` checks its samples so.
+:func:`random_realization` and :func:`perturb_realization` take one seed, or
+a sequence of seeds for a stack, whose row k is seed k's colligation.
 Every stacked product loops over the same BLAS and LAPACK calls on the same
 matrices, so each result is bit-identical to the one-point computation.
 
@@ -73,7 +75,6 @@ from .errors import DimensionError, ParseError, PreconditionError, SingularMatri
 from .freepoly import MatrixTuple
 from .numerics import (
     COND_WARN_THRESHOLD,
-    haar_unitaries,
     haar_unitary,
     json_int,
     matrix_from_json,
@@ -468,47 +469,42 @@ def identity_defect(r, y: tuple, x: tuple):
     return operator_norm(residual)
 
 
-def random_realization(dim_E: int, J: int, seed: int) -> Realization:
-    """Haar-style random unitary colligation: QR of a complex Gaussian."""
-    if dim_E < 1 or J < 1:
-        raise DimensionError("dim_E and J must be at least 1")
-    q = haar_unitary(1 + dim_E * J, np.random.default_rng(seed))
-    return Realization(dim_E, J, *_blocks(q))
+def _generators(seed) -> list:
+    """``default_rng`` of each seed of a sequence of seeds, or of one seed, in a list."""
+    if np.ndim(seed) > 1:
+        raise DimensionError(f"expected a seed or a sequence of seeds, got shape {np.shape(seed)}")
+    return [np.random.default_rng(s) for s in ([seed] if np.ndim(seed) == 0 else seed)]
 
 
-def random_colligations(dim_E: int, J: int, seeds) -> Realization:
-    """``random_realization(dim_E, J, seed)`` for each seed, as one stacked :class:`Realization`.
+def random_realization(dim_E: int, J: int, seed) -> Realization:
+    """Haar-style random unitary colligation: QR of a complex Gaussian.
 
-    Each seed takes the draws of :func:`random_realization`; one batched QR
-    makes the colligations and the stacked :class:`Realization` checks them
-    with one batched isometry check.
+    A non-empty sequence of seeds gives a stacked :class:`Realization`, row k
+    bit for bit the colligation of seed k, from one batched QR and one
+    batched isometry check.
     """
     if dim_E < 1 or J < 1:
         raise DimensionError("dim_E and J must be at least 1")
-    q = haar_unitaries(1 + dim_E * J, [np.random.default_rng(seed) for seed in seeds])
-    return Realization(dim_E, J, *_blocks(q))
+    q = haar_unitary(1 + dim_E * J, _generators(seed))
+    return Realization(dim_E, J, *_blocks(q.reshape(np.shape(seed) + q.shape[1:])))
 
 
-def perturb_realization(r: Realization, eps: float, seed: int) -> Realization:
-    """Break the isometry by adding a Gaussian perturbation to D (negative control)."""
-    g = _perturbations(r.dim_E * r.J, eps, [seed])[0]
-    return Realization(
-        dim_E=r.dim_E, J=r.J, A=r.A, B=r.B, C=r.C, D=r.D + g, isometry_tol=np.inf
-    )
+def perturb_realization(r: Realization, eps: float, seed) -> Realization:
+    """Break the isometry by adding a Gaussian perturbation to D (negative control).
 
-
-def perturb_colligations(r: Realization, eps: float, seeds) -> Realization:
-    """:func:`perturb_realization` of each colligation of a stacked realization, with its seed."""
-    g = _perturbations(r.dim_E * r.J, eps, seeds)
-    return Realization(r.dim_E, r.J, r.A, r.B, r.C, r.D + g, isometry_tol=np.inf)
-
-
-def _perturbations(mj: int, eps: float, seeds) -> np.ndarray:
-    """The mj x mj complex Gaussian from each seed's generator, scaled to norm at most eps."""
-    g = np.stack([np.random.default_rng(seed).standard_normal((2, mj, mj)) for seed in seeds])
+    The perturbation is the complex Gaussian of the seed's generator, scaled to
+    norm at most eps.  A stack of k colligations takes a sequence of k seeds,
+    one a row, and one colligation one seed; other seeds raise DimensionError.
+    """
+    if np.shape(seed) != r.A.shape[:-2]:
+        held = f"a stack of {len(r.A)} colligations" if r.A.ndim == 3 else "one colligation"
+        raise DimensionError(f"{held} takes seeds of shape {r.A.shape[:-2]}, got {np.shape(seed)}")
+    mj = r.dim_E * r.J
+    g = np.stack([rng.standard_normal((2, mj, mj)) for rng in _generators(seed)])
     g = (g[:, 0] + 1j * g[:, 1]) / np.sqrt(2.0)
     g *= (eps / np.maximum(1.0, operator_norm(g)))[:, None, None]
-    return g
+    d = r.D + g.reshape(r.D.shape)
+    return Realization(r.dim_E, r.J, r.A, r.B, r.C, d, isometry_tol=np.inf)
 
 
 # --- JSON wire format -------------------------------------------------------

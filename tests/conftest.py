@@ -220,16 +220,18 @@ def looped_julia_sweep(h, rng, count, bp, w, alpha, u_t=None):
     )
 
 
-def solve_budget(h, n, rows):
+def solve_budget(h, n, rows, dim_E=None):
     """A ``BLOCK_BYTES`` of ``rows`` rows of ``realization.solve_rows`` at matrix size n.
 
-    A row holds a point of h's grid and its padded Delta, the active columns (e, k < c, l)
-    of its model system and step, its right-hand side and u (mJn x n each); on a column grid
-    (c < J), the padded copy of Delta phi takes.
+    h is a handle, or a grid with the colligations' ``dim_E``.  A row holds a point of
+    the grid and its padded Delta, the active columns (e, k < c, l) of its model system
+    and step, its right-hand side and u (mJn x n each); on a column grid (c < J), the
+    padded copy of Delta phi takes.
     """
-    jn, cn, m = h.delta.J * n, len(h.delta.entries[0]) * n, h.realization.dim_E
+    grid, m = (h, dim_E) if dim_E is not None else (h.delta, h.realization.dim_E)
+    jn, cn = grid.J * n, len(grid.entries[0]) * n
     padded = jn * jn * (2 if cn < jn else 1)
-    return rows * 16 * (h.delta.d * n * n + padded + 2 * m**2 * jn * cn + 2 * m * jn * n)
+    return rows * 16 * (grid.d * n * n + padded + 2 * m**2 * jn * cn + 2 * m * jn * n)
 
 
 # --- the tiny-matrix kernels before they skipped work that changes no bit, kept as oracles ---

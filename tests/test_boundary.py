@@ -394,6 +394,17 @@ class TestJuliaInequality:
         with pytest.raises(DimensionError, match="same matrix size"):
             tfae_report(path, bp)
 
+    def test_stacked_evaluation_is_refused(self, h1):
+        # one point's evaluation is checked; the sweep checks a stack row by row
+        t = scalars(1.0, 1.0)
+        path = evaluate_sequence(h1, t, None, 6, SEQUENCE_FIRST_STEP)
+        bp = boundary_point(h1.delta, t)
+        with pytest.raises(DimensionError, match="at one point, not at a stack"):
+            julia_inequality_check(path.evaluation, bp, np.eye(1), 1.0)
+        row = julia_inequality_check(path.evaluation.row(2), bp, np.eye(1), 1.0)
+        z = path.points.stack.point(2)
+        assert row == julia_inequality_check(evaluate(h1, z), bp, np.eye(1), 1.0)
+
     def test_w_and_u_t_of_another_shape_rejected(self, h1):
         bp = boundary_point(h1.delta, scalars(1.0, 1.0))
         ev, u_t = evaluate(h1, scalars(0.5, 0.3)), solve_uT(h1, bp).u_T

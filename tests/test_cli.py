@@ -7,8 +7,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ncjulia import get_fixture, random_realization, realization_to_json
+from ncjulia import get_delta, get_fixture, random_realization, realization_to_json
 from ncjulia.cli import main, render_json
+
+from conftest import solve_budget
 
 
 _SCALAR = {"rows": 1, "cols": 1, "data": [[0.5, 0]]}
@@ -489,7 +491,8 @@ class TestFuzz:
         # dim_E 2 on polydisk:2: a sample of size n has a draft of two n x n complex
         # matrices, 32 n^2 bytes, a padded Delta of 64 n^2 bytes, a 4n x 4n complex model
         # system and its step, 512 n^2 bytes, and a 4n x n right-hand side and u, 128 n^2
-        # bytes; a size's samples are checked when they fill the budget, or at the end
+        # bytes (solve_budget's row); a size's samples are checked when they fill the
+        # budget, or at the end
         for budget in (3 * 1024, 100):
             flushes.clear()
             monkeypatch.setattr(domain, "BLOCK_BYTES", budget)
@@ -497,7 +500,8 @@ class TestFuzz:
             assert capsys.readouterr().out == unpatched
             assert sum(map(len, flushes)) == 25
             for n in (1, 2):
-                rows = max(1, budget // (736 * n**2))  # at least one sample
+                # at least one sample
+                rows = max(1, budget // solve_budget(get_delta("polydisk:2"), n, 1, dim_E=2))
                 sizes = [len(block) for block in flushes if block[0] == n]
                 assert sizes[:-1] == [rows] * (len(sizes) - 1) and 0 < sizes[-1] <= rows
             assert all(len(set(block)) == 1 for block in flushes)
@@ -553,7 +557,8 @@ class TestFuzz:
         # polydisk:2 with dim_E 1 has drafts of two n x n matrices, 2n x 2n padded Delta,
         # 2n x 2n model systems with their steps, and 2n x n right-hand sides and u: a budget
         # of three samples of size 2, which holds twelve of size 1
-        monkeypatch.setattr(domain, "BLOCK_BYTES", 3 * 16 * (2 * 2**2 + 4**2 + 2 * 4**2 + 2 * 8))
+        budget = solve_budget(get_delta("polydisk:2"), 2, 3, dim_E=1)
+        monkeypatch.setattr(domain, "BLOCK_BYTES", budget)
         assert main(argv) == code
         assert capsys.readouterr().out == unpatched
         assert all(len({n for _, n in block}) == 1 for block in flushes)
@@ -606,11 +611,7 @@ class TestFuzz:
             # drafts of d 2 x 2 matrices, padded Delta, the active columns of model systems
             # with their steps, right-hand sides and u, and on a column grid the padded copy
             # of Delta phi takes
-            grid = fixtures.get_delta(delta)
-            jn, cn = 2 * expected["J"], 2 * len(grid.entries[0])
-            row = 4 * grid.d + jn**2 * (2 if cn < jn else 1) + 2 * dim_e**2 * jn * cn
-            row += 2 * dim_e * jn * 2
-            for budget in (default, 5 * 16 * row):
+            for budget in (default, solve_budget(fixtures.get_delta(delta), 2, 5, dim_E=dim_e)):
                 stacked.clear(), evaluated.clear()
                 monkeypatch.setattr(domain, "BLOCK_BYTES", budget)
                 code = main(argv)
@@ -649,7 +650,7 @@ class TestFuzz:
             (["--no-isometry"], domain.BLOCK_BYTES, 4),  # and their perturbed colligations
             # blocks of at most three samples of size 2: drafts, padded Delta, model systems
             # and their steps, right-hand sides and u
-            ([], 3 * 16 * (2 * 2**2 + 4**2 + 2 * 4**2 + 2 * 8), 2),
+            ([], solve_budget(get_delta("polydisk:2"), 2, 3, dim_E=1), 2),
         ):
             built.clear(), stacked.clear(), solves.clear(), blocks.clear()
             monkeypatch.setattr(domain, "BLOCK_BYTES", budget)
@@ -676,10 +677,11 @@ class TestFuzz:
         defects, default = cli._model_identity_defects, domain.BLOCK_BYTES
 
         def split(args, delta, samples):
-            # the block was flushed at the default budget; it is solved a third at a time,
-            # at 608 n^2 bytes a sample (draft, padded Delta, model system and its step)
+            # the block was flushed at the default budget; it is solved a third at a time
+            # (and a remainder), a third of its samples' solve rows to a solve
             n, before = samples[0][1].shape[-1], len(solves)
-            monkeypatch.setattr(domain, "BLOCK_BYTES", 608 * n * n * (len(samples) // 3))
+            budget = solve_budget(delta, n, len(samples) // 3, dim_E=args.dim_E)
+            monkeypatch.setattr(domain, "BLOCK_BYTES", budget)
             result = defects(args, delta, samples)
             monkeypatch.setattr(domain, "BLOCK_BYTES", default)
             assert len(solves) - before >= 3 and sum(solves[before:]) == len(samples)
@@ -758,7 +760,6 @@ class TestFuzz:
             raise AssertionError("drew a sample or built a colligation for an oversized one")
 
         for module, name in (
-            (realization, "random_colligations"),
             (realization, "random_realization"),
             (domain, "gaussian_drafts"),
         ):
@@ -987,6 +988,26 @@ class TestExitCodes:
             {"d": 2, "J": 3, "entries": [["x0", "0"], ["0", "x1"]]},
             "delta lists J=3 but padded size is 2",
         ),
+        (
+            {"d": 2, "entries": [[5, "0"], ["0", "x1"]]},
+            "expected a polynomial object or string, got int",
+        ),
+        (
+            {"d": 2, "entries": [[{"terms": []}, "0"], ["0", "x1"]]},
+            "polynomial object missing or malformed field: 'd'",
+        ),
+        (
+            {"d": 2, "entries": [[{"d": 3, "terms": []}, "0"], ["0", "x1"]]},
+            "polynomial has d=3, expected d=2",
+        ),
+        (
+            {"d": 2, "entries": [[{"d": 2, "terms": [{"coeff": [1, 0]}]}, "0"], ["0", "x1"]]},
+            "malformed polynomial term: 'word'",
+        ),
+        (
+            {"d": 2, "entries": [[_poly([[1, 0]], [2]), "0"], ["0", "x1"]]},
+            "variable index 2 out of range for d=2",
+        ),
     ])
     def test_malformed_delta_file_exits_2(self, files, capsys, grid, message):
         path = write_json(files["tmp"] / "grid.json", grid)
@@ -996,6 +1017,48 @@ class TestExitCodes:
         ):
             assert main(argv) == 2
             assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    @pytest.mark.parametrize("colligation, message", [
+        ([_H1_REALIZATION], "expected a realization object, got list"),
+        ({**_H1_REALIZATION, "B": _SCALAR}, "block B has shape (1, 1), expected (1, 2)"),
+    ])
+    def test_malformed_realization_file_exits_2(self, files, capsys, colligation, message):
+        path = write_json(files["tmp"] / "colligation.json", colligation)
+        argv = ["--delta", "polydisk:2", "--realization", path, "--point"]
+        for argv in (
+            ["eval", *argv, files["interior"]],
+            ["bpoint", *argv, files["boundary"]],
+        ):
+            assert main(argv) == 2
+            assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    @pytest.mark.parametrize("point, message", [
+        ({"scalars": []}, "scalars list must be a non-empty list"),
+        ({"components": []}, "point needs a non-empty component list"),
+    ])
+    def test_malformed_point_file_exits_2(self, files, capsys, point, message):
+        path = write_json(files["tmp"] / "point.json", point)
+        assert main(["eval", "--fixture", "example-h1", "--point", path]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    def test_truncated_file_exits_2_with_its_position(self, files, capsys):
+        path = files["tmp"] / "truncated.json"
+        path.write_text('{"scalars": [[0.5, 0], ')
+        assert main(["eval", "--fixture", "example-h1", "--point", str(path)]) == 2
+        message = f"error: malformed JSON in {path}: Expecting value at line 1 column 24\n"
+        assert capsys.readouterr() == ("", message)
+
+    @pytest.mark.parametrize("argv, message", [
+        (
+            ["eval", "--fixture", "example-h1", "--point", "{interior}", "--isometry-tol", "abc"],
+            "argument --isometry-tol: expected a finite number > 0, got 'abc'",
+        ),
+        (["fuzz", "--samples", "1.5"], "argument --samples: expected an integer >= 1, got '1.5'"),
+    ])
+    def test_option_of_the_wrong_type_exits_2(self, files, capsys, argv, message):
+        assert main([arg.format(**files) for arg in argv]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("usage:") and err.endswith(f"error: {message}\n")
 
     def test_delta_without_a_realization_exits_2(self, files, capsys):
         assert main(["eval", "--delta", "polydisk:2", "--point", files["interior"]]) == 2

@@ -96,6 +96,20 @@ class TestOperatorNorm:
             assert operator_norm(m @ b) <= operator_norm(m) * operator_norm(b) + 1e-12
 
 
+class TestHaarUnitary:
+    def test_sequence_of_generators_equals_one_generator_calls(self):
+        for n in (1, 2, 5):
+            stack = haar_unitary(n, [np.random.default_rng(seed) for seed in (3, 1, 4)])
+            assert stack.shape == (3, n, n)
+            for k, seed in enumerate((3, 1, 4)):
+                assert np.array_equal(stack[k], haar_unitary(n, np.random.default_rng(seed)))
+            assert operator_norm(stack @ stack.conj().swapaxes(-1, -2) - np.eye(n)).max() < 1e-12
+
+    def test_empty_sequence_is_refused(self):
+        with pytest.raises(DimensionError, match="an empty sequence of generators or seeds"):
+            haar_unitary(2, [])
+
+
 class TestHermitianPartEigs:
     """``inward_margin``, the margin -lambda_max((M + M*)/2) of a cone matrix M."""
 

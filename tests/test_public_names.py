@@ -25,12 +25,12 @@ PINNED = {
     "example_eta", "example_f", "example_h1_realization", "example_phi_closed", "example_psi",
     "extract_W", "extrapolate_limit", "find_transverse_direction", "format_poly",
     "gaussian_drafts", "generate_sequence", "get_closed_form", "get_delta", "get_fixture",
-    "haar_unitaries", "haar_unitary", "homogeneity_check", "identity_defect", "in_Delta",
+    "haar_unitary", "homogeneity_check", "identity_defect", "in_Delta",
     "in_G_delta", "inward_margin", "is_bpoint_range_test", "julia_inequality_check",
     "julia_quotient", "julia_sweep", "lift", "list_fixtures", "matrix_from_json", "matrix_to_json",
     "min_norm_solve", "model_residual", "nearest_unitary", "operator_norm",
-    "parse_poly", "perturb_colligations", "perturb_realization", "poly_from_json",
-    "poly_to_json", "polydisk_delta", "random_colligations", "random_interior_point",
+    "parse_poly", "perturb_realization", "poly_from_json",
+    "poly_to_json", "polydisk_delta", "random_interior_point",
     "random_realization", "realization_from_json", "realization_to_json",
     "resolvent_condition", "scalar_angular_derivative", "scale_into_domain",
     "sigma_span_dimension", "similarity", "solve_uT", "tfae_report", "tuple_from_json",

@@ -31,10 +31,8 @@ from ncjulia import (
     model_residual,
     operator_norm,
     parse_poly,
-    perturb_colligations,
     perturb_realization,
     polydisk_delta,
-    random_colligations,
     random_interior_point,
     random_realization,
     realization_from_json,
@@ -540,8 +538,8 @@ class TestColligationStacks:
 
     def test_stack_equals_looped_realizations(self):
         for dim_e, j in ((1, 1), (1, 2), (2, 2), (3, 3), (2, 6)):
-            stack = random_colligations(dim_e, j, self.SEEDS)
-            perturbed = perturb_colligations(stack, 0.05, self.SEEDS)
+            stack = random_realization(dim_e, j, self.SEEDS)
+            perturbed = perturb_realization(stack, 0.05, self.SEEDS)
             for c in (stack, perturbed):
                 assert isinstance(c, Realization) and (c.dim_E, c.J) == (dim_e, j)
                 assert c.isometry_defect.shape == (len(self.SEEDS),)
@@ -560,6 +558,24 @@ class TestColligationStacks:
                 assert stack.isometry_defect[k] == r.isometry_defect
                 assert perturbed.isometry_defect[k] == p.isometry_defect
                 assert np.array_equal(stack.D[k], r.D) and not np.array_equal(perturbed.D[k], r.D)
+
+    @pytest.mark.parametrize("rows, seeds, message", [
+        (2, 3, r"a stack of 2 colligations takes seeds of shape \(2,\), got \(\)"),
+        (2, [1, 2, 3], r"a stack of 2 colligations takes seeds of shape \(2,\), got \(3,\)"),
+        (None, [1, 2], r"one colligation takes seeds of shape \(\), got \(2,\)"),
+    ])
+    def test_perturbation_seeds_must_match_the_colligations(self, rows, seeds, message):
+        r = random_realization(2, 2, 1 if rows is None else list(range(rows)))
+        with pytest.raises(DimensionError, match=message):
+            perturb_realization(r, 0.05, seeds)
+
+    @pytest.mark.parametrize("seeds, message", [
+        ([], "an empty sequence of generators or seeds makes no stack"),
+        ([[1, 2]], r"expected a seed or a sequence of seeds, got shape \(1, 2\)"),
+    ])
+    def test_colligations_need_one_seed_or_a_sequence(self, seeds, message):
+        with pytest.raises(DimensionError, match=message):
+            random_realization(1, 2, seeds)
 
     def test_stack_blocks_are_frozen_copies(self):
         q = np.stack([random_realization(2, 2, seed).colligation for seed in self.SEEDS])
@@ -606,7 +622,7 @@ class TestColligationStacks:
     def test_stack_of_another_length_is_refused_before_it_is_split(self, points, monkeypatch):
         # split into one-row solves, a longer stack of colligations was read only in part
         fx = get_fixture("example-h1")
-        h = NcFunctionHandle(random_colligations(1, fx.delta.J, self.SEEDS), fx.delta)
+        h = NcFunctionHandle(random_realization(1, fx.delta.J, self.SEEDS), fx.delta)
         drafts = gaussian_drafts(fx.delta.d, 1, np.random.default_rng(1), points)
         stack = scale_into_domain(fx.delta, drafts, 0.05)
         monkeypatch.setattr(domain, "BLOCK_BYTES", 1)
@@ -616,7 +632,7 @@ class TestColligationStacks:
 
     def test_one_point_functions_refuse_a_stack(self):
         fx = get_fixture("example-h1")
-        stack = random_colligations(1, fx.delta.J, self.SEEDS)
+        stack = random_realization(1, fx.delta.J, self.SEEDS)
         h = NcFunctionHandle(stack, fx.delta)
         x = scalars(0.5, 0.3)
         for call in (
@@ -646,9 +662,9 @@ class TestColligationStacks:
                     np.array([norm for _, _, norm, _ in samples]),
                 )
                 for eps in (None, 0.05):
-                    stack = random_colligations(dim_e, delta.J, self.SEEDS)
+                    stack = random_realization(dim_e, delta.J, self.SEEDS)
                     if eps:
-                        stack = perturb_colligations(stack, eps, self.SEEDS)
+                        stack = perturb_realization(stack, eps, self.SEEDS)
                     expected = []
                     for seed, (x, *_) in zip(self.SEEDS, samples):
                         r = random_realization(dim_e, delta.J, seed)
@@ -671,10 +687,10 @@ class TestColligationStacks:
         with pytest.raises(PreconditionError) as many:
             Realization(2, 2, *realization._blocks(stack))
         assert str(many.value) == str(one.value) and "not an isometry" in str(one.value)
-        monkeypatch.setattr(realization, "haar_unitaries", lambda n, rngs: stack[: len(rngs)])
-        random_colligations(2, 2, [0])
+        monkeypatch.setattr(realization, "haar_unitary", lambda n, rngs: stack[: len(rngs)])
+        random_realization(2, 2, [0])
         with pytest.raises(PreconditionError) as drawn:
-            random_colligations(2, 2, [0, 1, 2, 3])
+            random_realization(2, 2, [0, 1, 2, 3])
         assert str(drawn.value) == str(one.value)
         unchecked = Realization(2, 2, *realization._blocks(stack), isometry_tol=np.inf)
         defects = unchecked.isometry_defect
