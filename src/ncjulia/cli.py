@@ -211,7 +211,7 @@ def cmd_eval(args) -> int:
     handle = _resolve_handle(args)
     point = _load_point(args.point)
     ev = realization.evaluate(handle, point)
-    cond = realization.resolvent_condition(handle, ev)
+    cond = realization.resolvent_condition(handle, point)
     at_x = (ev.phi, ev.u, ev.delta)
     residual = realization.identity_defect(handle.realization, at_x, at_x)
     emit(

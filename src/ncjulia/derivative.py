@@ -4,7 +4,8 @@ At a B-point T with unitary boundary value W, the derivative in an inward
 direction H is the one-sided limit of (phi(T + tH) - W) / t as t decreases to
 zero.  The limit is computed on a geometric step ladder with first-order
 Richardson extrapolation; holomorphy in H is not asserted, only the testable
-consequences (homogeneity in H and ladder independence) are exposed.
+consequences (homogeneity in H and ladder independence) are exposed.  The
+scalar angular derivative <eta(K) v, W v> reads that one ladder's eta.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boundary import SequenceEvaluation, evaluate_sequence, extract_W
+from .boundary import SequenceEvaluation, evaluate_sequence
 from .domain import GDeltaExitWarning, boundary_point, cone_matrix, in_Delta, inward_margin
 from .errors import ConvergenceError, DimensionError, PreconditionError
 from .freepoly import MatrixTuple
@@ -24,7 +25,6 @@ from .realization import NcFunctionHandle
 STEP_FLOOR = 1e-8  # below this, difference quotients drown in cancellation
 LADDER_FIRST_STEP = 1e-2
 LADDER_STEPS = 10  # ladder steps of eta_numeric and homogeneity_check
-ANGULAR_STEPS = 12  # ladder steps of scalar_angular_derivative
 MIN_INWARD_MARGIN = 1e-10  # smallest transversality margin eta_numeric accepts
 W_MIN_STEPS = 14  # fewest points of the path ncjulia derivative reads W from
 
@@ -150,18 +150,17 @@ def scalar_angular_derivative(
     h: NcFunctionHandle,
     t: MatrixTuple,
     k: MatrixTuple,
+    w: np.ndarray,
     v: np.ndarray | None = None,
-    w: np.ndarray | None = None,
 ) -> complex:
-    """One-variable angular derivative of the scalar slice along a transverse ray.
+    """One-variable angular derivative <eta(K) v, W v> of the scalar slice along a transverse ray.
 
-    Forms f(s) = <phi(T + sK) v, W v> for a unit vector v (default e_1) and
-    returns the one-sided derivative of f at 0, where f(0) = 1 because W is
-    unitary.  T must lie on the boundary and the direction in the transverse
-    inward cone.
+    f(s) = <phi(T + sK) v, W v> for a unit vector v (default e_1) has f(0) = 1,
+    as W is unitary, so its one-sided derivative at 0 is <eta(K) v, W v>, with
+    eta(K) the :func:`eta_numeric` ladder's.  T must lie on the boundary and K
+    in the transverse inward cone; a ladder that does not converge raises
+    ConvergenceError.
     """
-    if w is not None and np.shape(w) != (t.n, t.n):
-        raise DimensionError(f"W has shape {np.shape(w)}, expected ({t.n}, {t.n})")
     bp = boundary_point(h.delta, t)
     bp.require_boundary()
     if not in_Delta(bp, k):
@@ -176,17 +175,9 @@ def scalar_angular_derivative(
     if nrm == 0:
         raise PreconditionError("v must be a non-zero vector")
     v = v / nrm
-    path = _admissible_ladder(h, t, k, LADDER_FIRST_STEP, ANGULAR_STEPS)
-    if w is None:
-        w = extract_W(path).W
+    res = eta_numeric(h, t, w, k)
+    if not res.converged:
+        inc = " -> ".join(f"{x:.3e}" for x in res.convergence_increments[-2:])
+        raise ConvergenceError(f"difference quotients are not Cauchy: increments {inc}")
     wv = np.asarray(w, dtype=np.complex128) @ v
-    ladder = path.points.steps
-    phis = path.evaluation.phi
-    quotients = [(complex(wv.conj() @ (phi @ v)) - 1.0) / s for s, phi in zip(ladder, phis)]
-    res = extrapolate_limit(ladder, quotients)
-    inc = res.increments
-    if len(inc) >= 2 and inc[-1] > max(inc[-2] * 1.5, 1e-6):
-        raise ConvergenceError(
-            f"difference quotients are not Cauchy: increments {inc[-2]:.3e} -> {inc[-1]:.3e}"
-        )
-    return complex(res.value.reshape(()))
+    return complex(wv.conj() @ (res.eta @ v))

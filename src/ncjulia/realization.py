@@ -30,11 +30,11 @@ Ordered with the a = m*c*n active unknowns (j < c) first, the model system
 is [[X, 0], [Y, I]]: ``_model_solution`` forms only the step's active
 columns, from the (Jn) x (cn) view of Delta's non-zero block columns, solves
 X u_a = rhs_a and reads off the padding unknowns as rhs_rest - Y u_a; phi is
-formed at the padded Delta.  :func:`resolvent_condition` takes the SVD of
-[[X, 0], [T, I]] with Y = Q T where that is the smaller matrix.  A square or
-row grid (c = J) has no padding unknowns and runs the whole system.  The
-Evaluation's Delta stays padded, as do ``identity_defect``, the boundary
-solve and ||Delta(x)||.
+formed at the padded Delta.  :func:`resolvent_condition` at a point takes
+the SVD of [[X, 0], [T, I]] with Y = Q T where that is the smaller matrix.
+A square or row grid (c = J) has no padding unknowns and runs the whole
+system.  The Evaluation's Delta stays padded, as do ``identity_defect``,
+the boundary solve and ||Delta(x)||.
 
 Batch axis: the kernels that form Delta(x), the model operators and phi
 (the word evaluation ``freepoly.eval_words`` under ``eval_delta``, and
@@ -58,7 +58,8 @@ One point is evaluated once however many one-point functions read it:
 entry) and returns it to the next positional call with the same handle and
 point objects, which hash by identity, so :func:`eval_u`, :func:`eval_phi`
 and :func:`model_residual` at one point share one model solve and, through the
-kept ``domain.boundary_point``, one Delta(x) and one norm.  A one-point
+kept ``domain.boundary_point``, one Delta(x) and one norm, which
+:func:`resolvent_condition` at that point reads too.  A one-point
 evaluation's arrays are therefore read-only.
 """
 
@@ -335,38 +336,29 @@ def eval_u(h: NcFunctionHandle, x: MatrixTuple, return_cond: bool = False):
     Warns when the resolvent condition number exceeds ``COND_WARN_THRESHOLD``;
     with ``return_cond=True`` returns ``(u, cond)``.
     """
-    ev = evaluate(h, x)
-    cond = resolvent_condition(h, ev)
-    return (ev.u, cond) if return_cond else ev.u
+    u = evaluate(h, x).u
+    cond = resolvent_condition(h, x)
+    return (u, cond) if return_cond else u
 
 
-def resolvent_condition(h: NcFunctionHandle, ev: Evaluation) -> float:
-    """Condition number of the model system at one point, formed again; warns if ill conditioned.
+def resolvent_condition(h: NcFunctionHandle, x: MatrixTuple) -> float:
+    """Condition number of the model system at interior x, formed again; warns if ill conditioned.
 
-    Ordered active unknowns first, the system is R = [[X, 0], [Y, I]].  Where
-    Y has more rows than columns (J > 2c), its thin QR Y = Q T shrinks the
-    SVD: with W = [Q, Q_perp] unitary, diag(I, W*) R diag(I, W) is
-    diag(M, I) for M = [[X, 0], [T, I]], and M's unit columns already give
+    Delta(x) is the kept ``domain.boundary_point(h.delta, x)``'s, so after
+    :func:`evaluate` at x it is not evaluated again; a point outside the
+    domain is refused as :func:`evaluate` refuses it.  Ordered active unknowns
+    first, the system is R = [[X, 0], [Y, I]].  Where Y has more rows than
+    columns (J > 2c), its thin QR Y = Q T shrinks the SVD: with
+    W = [Q, Q_perp] unitary, diag(I, W*) R diag(I, W) is diag(M, I) for
+    M = [[X, 0], [T, I]], and M's unit columns already give
     sigma_min <= 1 <= sigma_max, so cond(R) = cond(M).  Otherwise the SVD is
     of R itself, which for square and row grids (c = J) is X, the whole
-    system.  An evaluation not on h's grid (a Delta of another size, or one
-    not zero in the grid's padding columns) raises DimensionError.
+    system.
     """
-    if ev.phi.ndim != 2:
-        raise DimensionError("the condition number is of one point's model system, not a stack's")
-    n = ev.phi.shape[-1]
-    jn = h.delta.J * n
-    if ev.delta.shape != (jn, jn):
-        raise DimensionError(
-            f"evaluation has a {ev.delta.shape[0]} x {ev.delta.shape[1]} delta, "
-            f"the handle's grid a {jn} x {jn} one at n = {n}"
-        )
-    columns = _nonzero_columns(h.delta, ev.delta, n)
-    if np.count_nonzero(ev.delta[:, columns.shape[-1] :]):
-        raise DimensionError(
-            "evaluation's delta is not zero in the padding columns of the handle's grid"
-        )
-    resolvent = model_operators(h.realization, columns, n)[0]
+    bp = boundary_point(h.delta, x)
+    _require_interior(bp.delta_norm)
+    columns = _nonzero_columns(h.delta, bp.delta, x.n)
+    resolvent = model_operators(h.realization, columns, x.n)[0]
     system, coupling = _split_rows(h.realization, resolvent, columns.shape[-1])
     a = system.shape[-1]
     coupling = coupling.reshape(-1, a)
@@ -492,15 +484,17 @@ def random_realization(dim_E: int, J: int, seed) -> Realization:
 def perturb_realization(r: Realization, eps: float, seed) -> Realization:
     """Break the isometry by adding a Gaussian perturbation to D (negative control).
 
-    The perturbation is the complex Gaussian of the seed's generator, scaled to
-    norm at most eps.  A stack of k colligations takes a sequence of k seeds,
-    one a row, and one colligation one seed; other seeds raise DimensionError.
+    The perturbation is the complex Gaussian of a child spawned from the seed's
+    generator, so it does not repeat the normals :func:`random_realization`
+    draws from the same seed, scaled to norm at most eps.  A stack of k
+    colligations takes a sequence of k seeds, one a row, and one colligation
+    one seed; other seeds raise DimensionError.
     """
     if np.shape(seed) != r.A.shape[:-2]:
         held = f"a stack of {len(r.A)} colligations" if r.A.ndim == 3 else "one colligation"
         raise DimensionError(f"{held} takes seeds of shape {r.A.shape[:-2]}, got {np.shape(seed)}")
     mj = r.dim_E * r.J
-    g = np.stack([rng.standard_normal((2, mj, mj)) for rng in _generators(seed)])
+    g = np.stack([rng.spawn(1)[0].standard_normal((2, mj, mj)) for rng in _generators(seed)])
     g = (g[:, 0] + 1j * g[:, 1]) / np.sqrt(2.0)
     g *= (eps / np.maximum(1.0, operator_norm(g)))[:, None, None]
     d = r.D + g.reshape(r.D.shape)

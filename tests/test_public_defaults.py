@@ -24,7 +24,6 @@ PINNED = {
     ("derivative", "eta_numeric", "first_step"),
     ("derivative", "eta_numeric", "steps"),
     ("derivative", "scalar_angular_derivative", "v"),
-    ("derivative", "scalar_angular_derivative", "w"),
     ("domain", "random_interior_point", "margin"),
     ("freepoly", "poly_from_json", "d"),
     ("numerics", "as_complex_matrix", "name"),

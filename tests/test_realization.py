@@ -559,6 +559,17 @@ class TestColligationStacks:
                 assert perturbed.isometry_defect[k] == p.isometry_defect
                 assert np.array_equal(stack.D[k], r.D) and not np.array_equal(perturbed.D[k], r.D)
 
+    def test_perturbation_does_not_repeat_the_colligation_normals(self):
+        # fuzz --no-isometry perturbs seed s's colligation with seed s: the perturbation must
+        # not be the first 2 (mJ)^2 normals of default_rng(s), which built its Haar Gaussian
+        for dim_e, j, seed in ((1, 2, 7), (2, 2, 7), (2, 3, 0)):
+            r = random_realization(dim_e, j, seed)
+            mj = dim_e * j
+            g = np.random.default_rng(seed).standard_normal((2, mj, mj))
+            g = (g[0] + 1j * g[1]) / np.sqrt(2.0)
+            shared = r.D + g * (0.05 / max(1.0, operator_norm(g)))
+            assert not np.allclose(perturb_realization(r, 0.05, seed).D, shared, rtol=0, atol=1e-3)
+
     @pytest.mark.parametrize("rows, seeds, message", [
         (2, 3, r"a stack of 2 colligations takes seeds of shape \(2,\), got \(\)"),
         (2, [1, 2, 3], r"a stack of 2 colligations takes seeds of shape \(2,\), got \(3,\)"),
@@ -701,21 +712,21 @@ class TestColligationStacks:
         ).isometry_defect
 
     def test_resolvent_condition_is_public(self, h1):
-        ev = evaluate(h1, scalars(0.5, 0.3))
+        x = scalars(0.5, 0.3)
+        ev = evaluate(h1, x)
         # the evaluation keeps no model system; the condition number forms it from Delta(x)
         resolvent = model_operators(h1.realization, ev.delta, 1)[0]
         sv = np.linalg.svd(resolvent, compute_uv=False)
-        assert resolvent_condition(h1, ev) == sv[0] / sv[-1]
-        assert eval_u(h1, scalars(0.5, 0.3), return_cond=True)[1] == resolvent_condition(h1, ev)
+        assert resolvent_condition(h1, x) == sv[0] / sv[-1]
+        assert eval_u(h1, x, return_cond=True)[1] == resolvent_condition(h1, x)
 
-    def test_resolvent_condition_refuses_a_stack(self, h1):
-        xs = [scalars(0.5, 0.3), scalars(0.1, -0.2), scalars(0.0, 0.7)]
-        ev = evaluate_stacked(h1, xs)
-        with pytest.raises(DimensionError, match="one point's model system, not a stack's"):
-            resolvent_condition(h1, ev)
-        # each row is one point, and its condition number that of the point's evaluation
-        for k, x in enumerate(xs):
-            assert resolvent_condition(h1, ev.row(k)) == resolvent_condition(h1, evaluate(h1, x))
+    def test_resolvent_condition_refuses_a_point_outside_the_domain(self, h1):
+        for x in (scalars(1.0, 0.3), scalars(1.5, 0.0)):
+            with pytest.raises(PreconditionError) as refused:
+                resolvent_condition(h1, x)
+            with pytest.raises(PreconditionError) as evaluated:
+                evaluate(h1, x)
+            assert str(refused.value) == str(evaluated.value)
 
 
 class TestResolventConditionBound:
@@ -739,7 +750,7 @@ class TestResolventConditionBound:
         x = random_interior_point(delta, n, np.random.default_rng(seed), margin=margin)
         ev = evaluate(h, x)
         bound = (1.0 + ev.delta_norm) / (1.0 - ev.delta_norm)
-        assert 1.0 <= resolvent_condition(h, ev) <= bound
+        assert 1.0 <= resolvent_condition(h, x) <= bound
 
 
 def _grid(rows):
@@ -800,7 +811,7 @@ class TestNonZeroColumns:
             ev = evaluate(h, x)
             u, phi = padded_model_solution(h, ev.delta, n)
             same(ev.u, u), same(ev.phi, phi)
-            cond, want = resolvent_condition(h, ev), padded_condition(h, ev)
+            cond, want = resolvent_condition(h, x), padded_condition(h, ev)
             same(np.array(cond), np.array(want))
         stack = stacked(h, xs)
         with pytest.MonkeyPatch.context() as patch:  # two solves: rows 0-1 and row 2
@@ -822,23 +833,6 @@ class TestNonZeroColumns:
             (get_delta("polydisk:2"), 2 * 16 + 9 * 8**2 + 4 * 8 * 4),
         ):
             assert realization.solve_rows(delta, 2, 4) == domain.BLOCK_BYTES // (16 * entries)
-
-    def test_resolvent_condition_refuses_an_evaluation_of_another_grid(self):
-        ball2, ball3, polydisk2 = get_delta("ball:2"), get_delta("ball:3"), get_delta("polydisk:2")
-        rng = np.random.default_rng(8)
-        on_ball3 = evaluate(
-            NcFunctionHandle(random_realization(1, 3, 1), ball3),
-            random_interior_point(ball3, 2, rng),
-        )
-        with pytest.raises(DimensionError, match="6 x 6 delta, the handle's grid a 4 x 4"):
-            resolvent_condition(NcFunctionHandle(random_realization(1, 2, 2), polydisk2), on_ball3)
-        # polydisk:2's Delta is not zero in ball:2's padding column
-        on_polydisk = evaluate(
-            NcFunctionHandle(random_realization(1, 2, 3), polydisk2),
-            random_interior_point(polydisk2, 2, rng),
-        )
-        with pytest.raises(DimensionError, match="not zero in the padding columns"):
-            resolvent_condition(NcFunctionHandle(random_realization(1, 2, 4), ball2), on_polydisk)
 
 
 class TestNcAxioms:
