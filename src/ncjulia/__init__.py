@@ -85,16 +85,17 @@ from .realization import (
 from .boundary import (
     AlphaEstimate,
     BPointReport,
+    BoundaryModel,
     BoundaryValue,
     JuliaCheck,
     JuliaQuotient,
     JuliaSweep,
-    ModelVectorAtBoundary,
     RangeTestResult,
     SequenceEvaluation,
     TfaeReport,
     analyze_bpoint,
     boundary_identity_residual,
+    boundary_model,
     estimate_alpha,
     evaluate_sequence,
     extract_W,
@@ -102,7 +103,6 @@ from .boundary import (
     julia_inequality_check,
     julia_quotient,
     julia_sweep,
-    solve_uT,
     tfae_report,
 )
 from .derivative import (

@@ -6,13 +6,15 @@ A boundary point T is a B-point for the function phi when the quotient
 
 stays bounded along some sequence of interior points approaching T.  At such
 points phi has a unitary boundary value W, the model vector has a limit u_T
-solving a consistent singular system, and a boundary Schwarz-Pick inequality
-holds on the whole domain.  This module estimates all of these numerically
-and verifies the identities they satisfy.  Each diagnostic takes evaluations
-made once by ``realization.evaluate``, :func:`evaluate_sequence` or
-``domain.boundary_point``.  Every approach path is one :func:`evaluate_sequence`
-call, checked there once by ``domain.generate_sequence``; every Julia sweep
-draws its own interior points, one solve block at a time.
+solving a consistent singular system (one :func:`boundary_model`, which the
+range test, the boundary identity and the report read), and a boundary
+Schwarz-Pick inequality holds on the whole domain.  This module estimates
+all of these numerically and verifies the identities they satisfy.  Each
+diagnostic takes evaluations made once by ``realization.evaluate``,
+:func:`evaluate_sequence` or ``domain.boundary_point``.  Every approach path
+is one :func:`evaluate_sequence` call, checked there once by
+``domain.generate_sequence``; every Julia sweep draws its own interior
+points, one solve block at a time.
 """
 
 from __future__ import annotations
@@ -186,24 +188,32 @@ def extract_W(path: SequenceEvaluation) -> BoundaryValue:
 
 
 @dataclass(frozen=True)
-class ModelVectorAtBoundary:
-    """Minimum-norm solution of the boundary model system, read from one SVD of it.
+class BoundaryModel:
+    """The boundary model system R0 u = C kron I at T, solved from one SVD of R0.
 
-    ``range_residual`` is the norm of the unsolved part (zero exactly when the
-    right-hand side lies in the range, which is the B-point criterion);
-    ``kernel_orthogonality`` measures the component of the solution inside the
-    system kernel; ``kernel_defect`` measures how far kernel and co-kernel are
-    from coinciding, which flags colligations that are not isometric.
+    ``u_T`` is its minimum-norm solution; ``range_residual`` is the norm of the
+    unsolved part (zero exactly when the right-hand side lies in the range,
+    which is the B-point criterion); ``kernel_orthogonality`` measures the
+    component of the solution inside the system kernel; ``kernel_defect``
+    measures how far kernel and co-kernel are from coinciding, which flags
+    colligations that are not isometric.
     """
 
+    h: NcFunctionHandle
+    point: BoundaryPoint
     u_T: np.ndarray
     range_residual: float
     kernel_orthogonality: float
     kernel_defect: float
 
+    @property
+    def alpha_model(self) -> float:
+        """||u_T||^2, the squared norm of the model vector at T."""
+        return operator_norm(self.u_T) ** 2
 
-def solve_uT(h: NcFunctionHandle, bp: BoundaryPoint) -> ModelVectorAtBoundary:
-    """The model vector at T: one SVD of the boundary system gives it, its residual and kernels."""
+
+def boundary_model(h: NcFunctionHandle, bp: BoundaryPoint) -> BoundaryModel:
+    """The model at T: one SVD of the boundary system gives u_T, its residual and kernels."""
     if not bp.distinguished:
         raise PreconditionError(
             "model vector at the boundary requires T on the distinguished boundary"
@@ -223,17 +233,12 @@ def solve_uT(h: NcFunctionHandle, bp: BoundaryPoint) -> ModelVectorAtBoundary:
     if kernel.shape[1]:
         orthogonality = operator_norm(kernel.conj().T @ u_t)
         defect = operator_norm(kernel @ kernel.conj().T - cokernel @ cokernel.conj().T)
-    return ModelVectorAtBoundary(
-        u_T=u_t,
-        range_residual=operator_norm(resolvent @ u_t - rhs),
-        kernel_orthogonality=orthogonality,
-        kernel_defect=defect,
-    )
+    return BoundaryModel(h, bp, u_t, operator_norm(resolvent @ u_t - rhs), orthogonality, defect)
 
 
 @dataclass(frozen=True)
 class RangeTestResult:
-    """Verdict of the range-membership B-point test.
+    """Verdict of the range-membership B-point test, read from the boundary model at T.
 
     The range criterion is decisive under two hypotheses: a transverse inward
     direction exists at T, and the colligation is an isometry.
@@ -243,25 +248,24 @@ class RangeTestResult:
     out), or the colligation's isometry defect exceeds ``ISOMETRY_TOL``.
     """
 
-    is_bpoint: bool
-    conditional: bool
-    solution: ModelVectorAtBoundary
+    model: BoundaryModel
     inward_witness: InwardWitnessResult
 
-    def __bool__(self):
-        return self.is_bpoint
+    @property
+    def is_bpoint(self) -> bool:
+        """The boundary system is consistent: its residual is at most ``RANGE_TOL``."""
+        return self.model.range_residual <= RANGE_TOL
+
+    @property
+    def conditional(self) -> bool:
+        """No transverse inward witness was found, or the colligation is not an isometry."""
+        defect = self.model.h.realization.isometry_defect
+        return not self.inward_witness.found or defect > ISOMETRY_TOL
 
 
 def is_bpoint_range_test(h: NcFunctionHandle, bp: BoundaryPoint) -> RangeTestResult:
     """B-point iff the boundary system is consistent: residual <= ``RANGE_TOL``."""
-    solution = solve_uT(h, bp)
-    witness = find_transverse_direction(bp)
-    return RangeTestResult(
-        is_bpoint=solution.range_residual <= RANGE_TOL,
-        conditional=not witness.found or h.realization.isometry_defect > ISOMETRY_TOL,
-        solution=solution,
-        inward_witness=witness,
-    )
+    return RangeTestResult(boundary_model(h, bp), find_transverse_direction(bp))
 
 
 @dataclass(frozen=True)
@@ -283,9 +287,9 @@ def julia_inequality_check(
 ) -> JuliaCheck:
     """Check ||phi(Z)-W||^2 / ||I-phi*phi|| <= alpha ||I-Delta(T)*Delta(Z)||^2 / (1-||Delta(Z)||^2).
 
-    ``holds`` allows the right-hand side the relative slack ``JULIA_RTOL``.
+    ``holds`` allows the right-hand side the relative slack ``JULIA_RTOL``; alpha must be finite.
     """
-    w, _ = _boundary_data(bp, w, None, None)
+    w = _boundary_data(bp, w, alpha)
     if ev.phi.ndim != 2:
         raise DimensionError("the Julia inequality is checked at one point, not at a stack")
     if ev.phi.shape[-1] != bp.t.n:
@@ -303,7 +307,7 @@ def julia_inequality_check(
 
 @dataclass(frozen=True)
 class JuliaSweep:
-    """Julia-inequality tallies; ``identity_max`` is tracked only when u_T is given."""
+    """Julia-inequality tallies; ``identity_max`` is tracked only when a model is given."""
 
     checked: int = 0
     violations: int = 0
@@ -312,20 +316,20 @@ class JuliaSweep:
     identity_max: float | None = None
 
 
-def julia_sweep(h, rng, count, bp, w, alpha, u_t=None) -> JuliaSweep:
+def julia_sweep(h, rng, count, bp, w, alpha, model=None) -> JuliaSweep:
     """Check the inequality at ``count`` random interior points, drawn from ``rng``.
 
     The points are drawn and solved in blocks of ``realization.solve_rows``
     rows, the last one shorter: one ``domain.gaussian_drafts`` call, one
     ``domain.scale_into_domain`` at ``SAMPLE_MARGIN`` and one
     :func:`evaluate_stack` call a block, so u and phi are held for one block
-    at a time.  Each row is checked on its own; with u_T given, the boundary
-    identity is checked once per block and its residuals at the rows not
-    skipped are folded in row order.  Each point is the one
-    ``random_interior_point`` would draw next, so the block size changes no
-    tally.
+    at a time.  Each row is checked on its own; with the :func:`boundary_model`
+    of h at T given, the boundary identity is checked once per block and its
+    residuals at the rows not skipped are folded in row order.  Each point is
+    the one ``random_interior_point`` would draw next, so the block size
+    changes no tally.
     """
-    _boundary_data(bp, w, u_t, h)
+    _boundary_data(bp, w, alpha)
     _require_count(count)
     checked = violations = skipped = 0
     max_ratio = identity_max = None
@@ -346,8 +350,8 @@ def julia_sweep(h, rng, count, bp, w, alpha, u_t=None) -> JuliaSweep:
             if check.rhs > 0:
                 ratio = check.lhs / check.rhs
                 max_ratio = ratio if max_ratio is None else max(max_ratio, ratio)
-        if u_t is not None and kept:
-            residuals = boundary_identity_residual(h, bp, w, u_t, evaluation).tolist()
+        if model is not None and kept:
+            residuals = boundary_identity_residual(model, w, evaluation).tolist()
             for k in kept:
                 res = residuals[k]
                 identity_max = res if identity_max is None else max(identity_max, res)
@@ -359,34 +363,30 @@ def _require_count(count: int) -> None:
         raise PreconditionError(f"sample count must be at least 0, got {count!r}")
 
 
-def _boundary_data(bp: BoundaryPoint, w, u_t, h: NcFunctionHandle | None) -> tuple:
-    """W, and u_T unless None, as complex arrays; refused unless shaped for T and h's model."""
+def _boundary_data(bp: BoundaryPoint, w, alpha: float = 0.0) -> np.ndarray:
+    """W as a complex array, refused unless n x n for T; an alpha given must be finite."""
     n, w = bp.t.n, np.asarray(w, dtype=np.complex128)
-    u_t = None if u_t is None else np.asarray(u_t, dtype=np.complex128)
-    rows = None if u_t is None else h.realization.dim_E * h.realization.J * n
-    for name, a, shape in (("W", w, (n, n)), ("u_T", u_t, (rows, n))):
-        if a is not None and a.shape != shape:
-            raise DimensionError(f"{name} has shape {a.shape}, expected {shape}")
-    return w, u_t
+    if w.shape != (n, n):
+        raise DimensionError(f"W has shape {w.shape}, expected {(n, n)}")
+    if not abs(alpha) < np.inf:
+        raise PreconditionError(f"alpha must be finite, got {alpha!r}")
+    return w
 
 
 def boundary_identity_residual(
-    h: NcFunctionHandle,
-    bp: BoundaryPoint,
-    w: np.ndarray,
-    u_t: np.ndarray,
-    ev: Evaluation,
+    model: BoundaryModel, w: np.ndarray, ev: Evaluation
 ) -> float | np.ndarray:
     """Residual of I - W* phi(Z) = u_T* (I_m kron (I - Delta(T)* Delta(Z))) u(Z).
 
-    A float for one evaluated point; for a stack, an array over its rows from
-    one stacked :func:`identity_defect`, each row bit-identical to its
-    one-point residual.
+    T and u_T are the model's.  A float for one evaluated point; for a stack,
+    an array over its rows from one stacked :func:`identity_defect`, each row
+    bit-identical to its one-point residual.
     """
-    w, u_t = _boundary_data(bp, w, u_t, h)
+    bp = model.point
+    w = _boundary_data(bp, w)
     if ev.phi.shape[-1] != bp.t.n:
         raise DimensionError("Z must have the same matrix size as T")
-    return identity_defect(h.realization, (w, u_t, bp.delta), (ev.phi, ev.u, ev.delta))
+    return identity_defect(model.h.realization, (w, model.u_T, bp.delta), (ev.phi, ev.u, ev.delta))
 
 
 @dataclass(frozen=True)
@@ -484,7 +484,7 @@ def analyze_bpoint(
 
     The path has ``num_steps`` steps, the first ``SEQUENCE_FIRST_STEP``.  T must
     lie on the boundary; for T on the distinguished boundary the model machinery
-    (boundary model vector, range test, boundedness report) runs as well,
+    (boundary model, range test, boundedness report) runs as well,
     otherwise only the quotient, boundary value and inequality checks.
     The inequality is swept by :func:`julia_sweep` at ``julia_samples`` points
     drawn from ``np.random.default_rng(seed)``; a negative count is refused
@@ -502,17 +502,15 @@ def analyze_bpoint(
     except PreconditionError as exc:  # ConvergenceError subclasses it
         w_error = str(exc)
 
-    range_test = u_t = None
+    range_test = model = tfae = None
     if bp.distinguished:
-        range_test = is_bpoint_range_test(h, bp)
-        u_t = range_test.solution.u_T
+        range_test, tfae = is_bpoint_range_test(h, bp), tfae_report(path, bp)
+        model = range_test.model
 
     julia = JuliaSweep()
     if boundary_value is not None and np.isfinite(alpha.alpha):
         rng = np.random.default_rng(seed)
-        julia = julia_sweep(h, rng, julia_samples, bp, boundary_value.W, alpha.alpha, u_t)
-
-    tfae = tfae_report(path, bp) if bp.distinguished else None
+        julia = julia_sweep(h, rng, julia_samples, bp, boundary_value.W, alpha.alpha, model)
 
     return BPointReport(
         point=bp,

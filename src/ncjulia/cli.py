@@ -244,7 +244,7 @@ def _jsonable_alpha(a: boundary.AlphaEstimate, path: boundary.SequenceEvaluation
 
 def _jsonable_report(r: boundary.BPointReport) -> dict:
     bv, rt = r.boundary_value, r.range_test
-    sol = None if rt is None else rt.solution
+    model = None if rt is None else rt.model
     out = {
         "T": freepoly.tuple_to_json(r.point.t),
         "delta_norm_at_T": r.point.delta_norm,
@@ -266,13 +266,12 @@ def _jsonable_report(r: boundary.BPointReport) -> dict:
         "W": None if bv is None else numerics.matrix_to_json(bv.W),
         "W_unitary_distance": None if bv is None else bv.unitary_distance,
         "W_error": r.W_error,
-        "u_T": None if sol is None else numerics.matrix_to_json(sol.u_T),
+        "u_T": None if model is None else numerics.matrix_to_json(model.u_T),
     }
-    if sol is not None:
-        out["u_T_norm_sq"] = numerics.operator_norm(sol.u_T) ** 2
-    out["range_residual"] = None if sol is None else sol.range_residual
-    out["kernel_orthogonality"] = None if sol is None else sol.kernel_orthogonality
-    out["kernel_defect"] = None if sol is None else sol.kernel_defect
+    if model is not None:
+        out["u_T_norm_sq"] = model.alpha_model
+    for key in ("range_residual", "kernel_orthogonality", "kernel_defect"):
+        out[key] = None if model is None else getattr(model, key)
     out["boundary_identity_max_residual"] = r.julia.identity_max
     if rt is not None:
         out["inward_witness"] = {

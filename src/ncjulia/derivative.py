@@ -100,6 +100,8 @@ def eta_numeric(
     w = np.asarray(w, dtype=np.complex128)
     if w.shape != (t.n, t.n):
         raise DimensionError(f"W has shape {w.shape}, expected ({t.n}, {t.n})")
+    if not np.isfinite(w).all():
+        raise PreconditionError("W contains non-finite entries")
     bp = boundary_point(h.delta, t)
     bp.require_boundary()
     beta = inward_margin(cone_matrix(bp, direction))
@@ -172,8 +174,8 @@ def scalar_angular_derivative(
     if v.shape != (t.n,):
         raise DimensionError(f"v has length {v.shape[0]}, expected {t.n}")
     nrm = np.linalg.norm(v)
-    if nrm == 0:
-        raise PreconditionError("v must be a non-zero vector")
+    if nrm == 0 or not np.isfinite(v).all():
+        raise PreconditionError("v must be a finite non-zero vector")
     v = v / nrm
     res = eta_numeric(h, t, w, k)
     if not res.converged:

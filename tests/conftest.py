@@ -113,7 +113,7 @@ def kernel_bases(matrix):
 
 
 def solve_uT_three_svds(h, bp):
-    """Oracle: ``solve_uT`` in its former form, (u_T, residual, orthogonality, defect).
+    """Oracle: ``boundary_model``'s (u_T, residual, orthogonality, defect), from three SVDs.
 
     A norm test, ``min_norm_solve`` and :func:`kernel_bases` each factor the system.
     """
@@ -191,12 +191,12 @@ def sequential_interior_sample(delta, n, rng, margin=0.05, max_halvings=60):
     raise PreconditionError("could not scale a random point into the domain")
 
 
-def looped_julia_sweep(h, rng, count, bp, w, alpha, u_t=None):
+def looped_julia_sweep(h, rng, count, bp, w, alpha, model=None):
     """Oracle: ``julia_sweep`` as a loop over :func:`sequential_interior_sample` points.
 
     Each point is evaluated by ``evaluate`` and checked by
     ``julia_inequality_check``, with ``boundary_identity_residual`` at the
-    points not skipped when u_T is given.
+    points not skipped when the boundary model is given.
     """
     from ncjulia import boundary_identity_residual, evaluate, julia_inequality_check
     from ncjulia.boundary import JuliaSweep
@@ -213,8 +213,8 @@ def looped_julia_sweep(h, rng, count, bp, w, alpha, u_t=None):
         violations += not check.holds
         if check.rhs > 0:
             ratios.append(check.lhs / check.rhs)
-        if u_t is not None:
-            residuals.append(boundary_identity_residual(h, bp, w, u_t, ev))
+        if model is not None:
+            residuals.append(boundary_identity_residual(model, w, ev))
     return JuliaSweep(
         checked, violations, skipped, max(ratios, default=None), max(residuals, default=None)
     )

@@ -42,7 +42,7 @@ from ncjulia import (
     random_interior_point,
     random_realization,
     similarity,
-    solve_uT,
+    boundary_model,
     boundary_identity_residual,
     tfae_report,
 )
@@ -186,25 +186,25 @@ def test_criterion_05_julia_inequality(h1):
 def test_criterion_06_boundary_model_vector(h1):
     t = MatrixTuple.from_scalars([1.0, 1.0])
     bp = boundary_point(h1.delta, t)
-    sol = solve_uT(h1, bp)
+    model = boundary_model(h1, bp)
     target = np.array([[1.0], [1.0]]) / np.sqrt(2.0)
-    u_err = operator_norm(sol.u_T - target)
+    u_err = operator_norm(model.u_T - target)
     alpha = estimate_alpha(evaluate_sequence(h1, t, None, 12, SEQUENCE_FIRST_STEP)).alpha
-    norm_gap = abs(operator_norm(sol.u_T) ** 2 - alpha)
+    norm_gap = abs(model.alpha_model - alpha)
     rng = np.random.default_rng(601)
     worst_identity = 0.0
     for _ in range(100):
         z = random_interior_point(h1.delta, 1, rng, margin=0.05)
         worst_identity = max(
-            worst_identity, boundary_identity_residual(h1, bp, np.eye(1), sol.u_T, evaluate(h1, z))
+            worst_identity, boundary_identity_residual(model, np.eye(1), evaluate(h1, z))
         )
     check(
         "06 boundary-model-vector",
         u_err <= 1e-10
-        and sol.range_residual <= 1e-10
+        and model.range_residual <= 1e-10
         and norm_gap <= 1e-6
         and worst_identity <= 1e-8,
-        f"|u_T-target|={u_err:.2e} residual={sol.range_residual:.2e} "
+        f"|u_T-target|={u_err:.2e} residual={model.range_residual:.2e} "
         f"|norm^2-alpha|={norm_gap:.2e} identity={worst_identity:.2e}",
     )
 

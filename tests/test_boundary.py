@@ -10,6 +10,7 @@ from ncjulia import (
     Realization,
     analyze_bpoint,
     boundary_identity_residual,
+    boundary_model,
     boundary_point,
     cartan_delta,
     estimate_alpha,
@@ -30,7 +31,6 @@ from ncjulia import (
     random_interior_point,
     random_realization,
     scale_into_domain,
-    solve_uT,
     tfae_report,
 )
 from ncjulia.domain import SEQUENCE_FIRST_STEP
@@ -211,7 +211,7 @@ class TestEstimateAlpha:
         # cross-check: the range test agrees that T=1 is not a B-point
         verdict = is_bpoint_range_test(h, boundary_point(h.delta, scalars(1.0)))
         assert not verdict.is_bpoint
-        assert verdict.solution.range_residual == pytest.approx(1.0)
+        assert verdict.model.range_residual == pytest.approx(1.0)
 
     def test_ray_estimate_not_labeled_liminf(self, h1):
         t = scalars(1.0, 1.0)
@@ -257,20 +257,21 @@ class TestExtractW:
 
 class TestSolveUT:
     def test_example_values(self, h1):
-        sol = solve_uT(h1, boundary_point(h1.delta, scalars(1.0, 1.0)))
+        model = boundary_model(h1, boundary_point(h1.delta, scalars(1.0, 1.0)))
         np.testing.assert_allclose(
-            sol.u_T, np.array([[1.0], [1.0]]) / np.sqrt(2.0), atol=1e-12
+            model.u_T, np.array([[1.0], [1.0]]) / np.sqrt(2.0), atol=1e-12
         )
-        assert operator_norm(sol.u_T) ** 2 == pytest.approx(1.0, abs=1e-12)
-        assert sol.range_residual <= 1e-12
-        assert sol.kernel_orthogonality <= 1e-12
-        assert sol.kernel_defect <= 1e-10
+        assert model.alpha_model == operator_norm(model.u_T) ** 2
+        assert model.alpha_model == pytest.approx(1.0, abs=1e-12)
+        assert model.range_residual <= 1e-12
+        assert model.kernel_orthogonality <= 1e-12
+        assert model.kernel_defect <= 1e-10
 
     def test_invertible_resolvent_residual_zero(self, h1):
         # det [I - D delta(1, -1)] = 1, the system is regular
-        sol = solve_uT(h1, boundary_point(h1.delta, scalars(1.0, -1.0)))
-        assert sol.range_residual <= 1e-12
-        assert sol.kernel_orthogonality == 0.0
+        model = boundary_model(h1, boundary_point(h1.delta, scalars(1.0, -1.0)))
+        assert model.range_residual <= 1e-12
+        assert model.kernel_orthogonality == 0.0
 
     def test_perturbed_colligation_kernel_defect(self):
         # with D = [[1, 1], [0, 0]] at T = (1, 1): I - D delta(T) = [[0, -1], [0, 1]]
@@ -283,12 +284,12 @@ class TestSolveUT:
             isometry_tol=np.inf,
         )
         h = NcFunctionHandle(realization=r, delta=polydisk_delta(2))
-        sol = solve_uT(h, boundary_point(h.delta, scalars(1.0, 1.0)))
-        assert sol.kernel_defect > 0.5
+        model = boundary_model(h, boundary_point(h.delta, scalars(1.0, 1.0)))
+        assert model.kernel_defect > 0.5
 
     def test_requires_distinguished_boundary(self, h1):
         with pytest.raises(PreconditionError):
-            solve_uT(h1, boundary_point(h1.delta, scalars(1.0, 0.5)))
+            boundary_model(h1, boundary_point(h1.delta, scalars(1.0, 0.5)))
 
     def test_one_full_svd_for_kernel_and_cokernel(self, h1, rng, monkeypatch):
         # one full SVD of R0 = I - (D kron I)(I kron Delta(T)) gives the solution and both
@@ -305,7 +306,7 @@ class TestSolveUT:
 
         monkeypatch.setattr(np.linalg, "svd", counting_svd)
         monkeypatch.setitem(np.linalg.pinv.__wrapped__.__globals__, "svd", counting_svd)
-        solve_uT(h1, bp)
+        boundary_model(h1, bp)
         assert factored == [((4, 4), (), {})]
 
     @staticmethod
@@ -340,12 +341,13 @@ class TestSolveUT:
         for handle, t in self.oracle_cases():
             bp = boundary_point(handle.delta, t)
             assert bp.distinguished
-            sol = solve_uT(handle, bp)
-            got = (sol.u_T, sol.range_residual, sol.kernel_orthogonality, sol.kernel_defect)
+            model = boundary_model(handle, bp)
+            assert model.h is handle and model.point is bp
+            got = (model.u_T, model.range_residual, model.kernel_orthogonality, model.kernel_defect)
             assert [bits(v) for v in got] == [bits(v) for v in solve_uT_three_svds(handle, bp)]
-            assert type(sol.range_residual) is float
+            assert type(model.range_residual) is float
         # the last system is zero: every vector lies in its kernel and u_T is 0
-        assert not sol.u_T.any() and sol.kernel_defect == 0.0
+        assert not model.u_T.any() and model.kernel_defect == 0.0
 
 
 class TestRangeTest:
@@ -387,9 +389,8 @@ class TestJuliaInequality:
         bp = boundary_point(h1.delta, scalars(1.0, 1.0))
         with pytest.raises(DimensionError, match="same matrix size"):
             julia_inequality_check(evaluate(h1, z), bp, np.eye(1), 1.0)
-        u_t = solve_uT(h1, bp).u_T
         with pytest.raises(DimensionError, match="same matrix size"):
-            boundary_identity_residual(h1, bp, np.eye(1), u_t, evaluate(h1, z))
+            boundary_identity_residual(boundary_model(h1, bp), np.eye(1), evaluate(h1, z))
         path = evaluate_sequence(h1, MatrixTuple((np.eye(2),) * 2), None, 6, SEQUENCE_FIRST_STEP)
         with pytest.raises(DimensionError, match="same matrix size"):
             tfae_report(path, bp)
@@ -407,13 +408,11 @@ class TestJuliaInequality:
 
     def test_w_and_u_t_of_another_shape_rejected(self, h1):
         bp = boundary_point(h1.delta, scalars(1.0, 1.0))
-        ev, u_t = evaluate(h1, scalars(0.5, 0.3)), solve_uT(h1, bp).u_T
+        ev, model = evaluate(h1, scalars(0.5, 0.3)), boundary_model(h1, bp)
         with pytest.raises(DimensionError, match=r"W has shape \(2, 2\), expected \(1, 1\)"):
             julia_inequality_check(ev, bp, np.eye(2), 1.0)
         with pytest.raises(DimensionError, match=r"W has shape \(2, 2\), expected \(1, 1\)"):
-            boundary_identity_residual(h1, bp, np.eye(2), u_t, ev)
-        with pytest.raises(DimensionError, match=r"u_T has shape \(3, 1\), expected \(2, 1\)"):
-            boundary_identity_residual(h1, bp, np.eye(1), np.ones((3, 1)), ev)
+            boundary_identity_residual(model, np.eye(2), ev)
 
     def test_sweep_refuses_w_and_u_t_of_another_shape_before_drawing(self, h1, monkeypatch):
         from ncjulia import boundary
@@ -425,11 +424,24 @@ class TestJuliaInequality:
         state = rng.bit_generator.state
         for count in (0, 30):
             with pytest.raises(DimensionError, match=r"W has shape \(2, 2\), expected \(1, 1\)"):
-                julia_sweep(h1, rng, count, bp, np.eye(2), 1.0)
-            with pytest.raises(DimensionError, match=r"u_T has shape \(3, 1\), expected \(2, 1\)"):
-                julia_sweep(h1, rng, count, bp, np.eye(1), 1.0, np.ones((3, 1)))
+                julia_sweep(h1, rng, count, bp, np.eye(2), 1.0, boundary_model(h1, bp))
         # no standard_normal call moved the generator, and no block was solved
         assert rng.bit_generator.state == state and solved == []
+
+    def test_non_finite_alpha_refused_before_drawing(self, h1):
+        # a NaN alpha would count every sample as a violation and +inf would pass every one
+        bp = boundary_point(h1.delta, scalars(1.0, 1.0))
+        ev, rng = evaluate(h1, scalars(0.5, 0.3)), np.random.default_rng(0)
+        state = rng.bit_generator.state
+        for alpha in (np.nan, np.inf, -np.inf):
+            with pytest.raises(PreconditionError, match="alpha must be finite, got"):
+                julia_inequality_check(ev, bp, np.eye(1), alpha)
+            with pytest.raises(PreconditionError, match="alpha must be finite, got"):
+                julia_sweep(h1, rng, 10, bp, np.eye(1), alpha, boundary_model(h1, bp))
+        assert rng.bit_generator.state == state
+        # an estimate below 0 is no refusal: it shows up as violations
+        sweep = julia_sweep(h1, rng, 10, bp, np.eye(1), -1.0)
+        assert sweep.violations == sweep.checked == 10
 
     def test_sweep_no_violations(self, h1, rng):
         t = MatrixTuple((np.eye(2),) * 2)
@@ -460,45 +472,52 @@ class TestJuliaInequality:
                 assert check.skipped or check.holds
 
     @pytest.mark.parametrize("source, n", [
-        ("example-h1", 1), ("example-h1", 2), ("example-h1", 4), ("cartan:2", 2),
+        ("example-h1", 1), ("example-h1", 2), ("example-h1", 4), ("cartan:2", 2), ("ball:2", 2),
     ])
     def test_stacked_sweep_equals_looped_checks(self, source, n, monkeypatch):
         from ncjulia import domain, get_delta, haar_unitary
 
         rng = np.random.default_rng(30 + n)
-        if source == "cartan:2":  # Delta(T) = [[cV, isV], [isV, cV]] is unitary
+        if source == "example-h1":
+            handle, t = get_fixture(source).handle, random_unitary_tuple(rng, 2, n)
+        else:
             delta = get_delta(source)
             handle = NcFunctionHandle(realization=random_realization(2, delta.J, 31), delta=delta)
+        if source == "cartan:2":  # Delta(T) = [[cV, isV], [isV, cV]] is unitary
             v, c, s = haar_unitary(n, rng), np.cos(0.7), np.sin(0.7)
             t = MatrixTuple((c * v, 1j * s * v, c * v))
-        else:
-            handle, t = get_fixture(source).handle, random_unitary_tuple(rng, 2, n)
+        elif source == "ball:2":  # a column isometry (V1; V2): Delta(T) is padded to 2n x 2n
+            v = haar_unitary(2 * n, rng)
+            t = MatrixTuple((v[:n, :n], v[n:, :n]))
         bp = boundary_point(handle.delta, t)
         path = evaluate_sequence(handle, t, None, 12, SEQUENCE_FIRST_STEP)
-        w, alpha = extract_W(path).W, estimate_alpha(path).alpha
-        u_t = solve_uT(handle, bp).u_T if source == "cartan:2" else None
+        if source == "ball:2":  # phi has no unitary limit at this non-B-point: any unitary W
+            w, alpha = haar_unitary(n, rng), 1.0
+        else:
+            w, alpha = extract_W(path).W, estimate_alpha(path).alpha
+        model = boundary_model(handle, bp)
         # blocks of 7 samples, so that the 30 samples span five blocks
         monkeypatch.setattr(domain, "BLOCK_BYTES", solve_budget(handle, n, 7))
         assert solve_rows(handle.delta, handle.realization.dim_E, n) == 7
-        sweep = julia_sweep(handle, np.random.default_rng(3), 30, bp, w, alpha, u_t)
+        sweep = julia_sweep(handle, np.random.default_rng(3), 30, bp, w, alpha, model)
         # the oracle: evaluate and the per-point checks at sequentially drawn points
-        expected = looped_julia_sweep(handle, np.random.default_rng(3), 30, bp, w, alpha, u_t)
+        expected = looped_julia_sweep(handle, np.random.default_rng(3), 30, bp, w, alpha, model)
         assert sweep == expected and sweep.checked + sweep.skipped == 30
-        assert (sweep.identity_max is None) == (u_t is None)
+        assert sweep.identity_max is not None
 
     def test_sweep_builds_no_tuple(self, h1, monkeypatch):
         from ncjulia import domain
 
         t = scalars(1.0, 1.0)
         bp = boundary_point(h1.delta, t)
-        u_t = solve_uT(h1, bp).u_T
+        model = boundary_model(h1, bp)
         built = []
         post_init = MatrixTuple.__post_init__
         monkeypatch.setattr(
             MatrixTuple, "__post_init__", lambda self: built.append(self) or post_init(self)
         )
         monkeypatch.setattr(domain, "BLOCK_BYTES", solve_budget(h1, 1, 7))  # blocks of 7 at n = 1
-        sweep = julia_sweep(h1, np.random.default_rng(5), 30, bp, np.eye(1), 1.0, u_t)
+        sweep = julia_sweep(h1, np.random.default_rng(5), 30, bp, np.eye(1), 1.0, model)
         # each row of each block is checked, with the boundary identity too, from its arrays
         assert sweep.checked + sweep.skipped == 30 and sweep.identity_max is not None
         assert built == []
@@ -579,12 +598,12 @@ class TestJuliaInequality:
         handle = NcFunctionHandle(random_realization(8, 2, 5), polydisk_delta(2))
         t = random_unitary_tuple(np.random.default_rng(0), 2, 4)
         bp = boundary_point(handle.delta, t)
-        u_t = solve_uT(handle, bp).u_T
+        model = boundary_model(handle, bp)
         for count in (400, 2000):
             rng = np.random.default_rng(1)
             tracemalloc.start()
             try:
-                sweep = julia_sweep(handle, rng, count, bp, np.eye(4), 1.0, u_t)
+                sweep = julia_sweep(handle, rng, count, bp, np.eye(4), 1.0, model)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -641,15 +660,15 @@ class TestJuliaInequality:
         rng = np.random.default_rng(seed)
         handle = NcFunctionHandle(random_realization(dim_e, 2, seed), polydisk_delta(2))
         bp = boundary_point(handle.delta, random_unitary_tuple(rng, 2, n))
-        w, u_t = haar_unitary(n, rng), solve_uT(handle, bp).u_T
-        oracle = looped_julia_sweep(handle, np.random.default_rng(seed), count, bp, w, alpha, u_t)
+        w, model = haar_unitary(n, rng), boundary_model(handle, bp)
+        oracle = looped_julia_sweep(handle, np.random.default_rng(seed), count, bp, w, alpha, model)
         sweeps = []
         for rows in (None, 1, 3, 7):  # the default budget: every count is one block
             with pytest.MonkeyPatch.context() as patch:
                 if rows:
                     patch.setattr(domain, "BLOCK_BYTES", solve_budget(handle, n, rows))
                 sample_rng = np.random.default_rng(seed)
-                sweeps.append(julia_sweep(handle, sample_rng, count, bp, w, alpha, u_t))
+                sweeps.append(julia_sweep(handle, sample_rng, count, bp, w, alpha, model))
         assert sweeps == [oracle] * 4
 
     def test_sweep_with_every_row_skipped(self):
@@ -667,40 +686,39 @@ class TestJuliaInequality:
 class TestBoundaryIdentity:
     def test_derived_point(self, h1):
         bp = boundary_point(h1.delta, scalars(1.0, 1.0))
-        sol = solve_uT(h1, bp)
         z = evaluate(h1, scalars(0.5, 0.3))
-        res = boundary_identity_residual(h1, bp, np.eye(1), sol.u_T, z)
+        res = boundary_identity_residual(boundary_model(h1, bp), np.eye(1), z)
         assert res <= 1e-10
 
     def test_origin_identity(self, h1):
         # at Z = 0 the identity says 1 - W* A = u_T* u(0)
         t = scalars(1.0, 1.0)
         bp = boundary_point(h1.delta, t)
-        sol = solve_uT(h1, bp)
+        model = boundary_model(h1, bp)
         u0 = eval_u(h1, scalars(0.0, 0.0))
         lhs = 1.0 - np.conj(1.0) * h1.realization.A[0, 0]
-        rhs = (sol.u_T.conj().T @ u0)[0, 0]
+        rhs = (model.u_T.conj().T @ u0)[0, 0]
         assert lhs == pytest.approx(rhs, abs=1e-12)
         origin = evaluate(h1, scalars(0.0, 0.0))
-        assert boundary_identity_residual(h1, bp, np.eye(1), sol.u_T, origin) <= 1e-12
+        assert boundary_identity_residual(model, np.eye(1), origin) <= 1e-12
 
     def test_random_sweep(self, h1, rng):
         bp = boundary_point(h1.delta, scalars(1.0, 1.0))
-        sol = solve_uT(h1, bp)
+        model = boundary_model(h1, bp)
         worst = 0.0
         for _ in range(100):
             z = random_interior_point(h1.delta, 1, rng)
             ev = evaluate(h1, z)
-            worst = max(worst, boundary_identity_residual(h1, bp, np.eye(1), sol.u_T, ev))
+            worst = max(worst, boundary_identity_residual(model, np.eye(1), ev))
         assert worst <= 1e-8
 
     def test_stacked_residuals_equal_the_row_residuals(self, h1):
         bp = boundary_point(h1.delta, MatrixTuple((np.eye(2),) * 2))
-        u_t = solve_uT(h1, bp).u_T
+        model = boundary_model(h1, bp)
         drafts = gaussian_drafts(2, 2, np.random.default_rng(4), 5)
         ev = evaluate_stack(h1, scale_into_domain(h1.delta, drafts, 0.05))
-        residuals = boundary_identity_residual(h1, bp, np.eye(2), u_t, ev)
-        rows = [boundary_identity_residual(h1, bp, np.eye(2), u_t, ev.row(k)) for k in range(5)]
+        residuals = boundary_identity_residual(model, np.eye(2), ev)
+        rows = [boundary_identity_residual(model, np.eye(2), ev.row(k)) for k in range(5)]
         assert residuals.shape == (5,) and np.array_equal(residuals, rows)
         assert all(type(v) is float for v in rows) and max(rows) <= 1e-10
 
@@ -791,9 +809,9 @@ class TestNontangentialBound:
             )
             t = random_unitary_tuple(rng, 2, int(rng.integers(1, 3)))
             est = estimate_alpha(evaluate_sequence(handle, t, None, 18, SEQUENCE_FIRST_STEP))
-            sol = solve_uT(handle, boundary_point(handle.delta, t))
-            assert sol.range_residual <= 1e-8
-            assert abs(operator_norm(sol.u_T) ** 2 - est.alpha) <= 1e-6
+            model = boundary_model(handle, boundary_point(handle.delta, t))
+            assert model.range_residual <= 1e-8
+            assert abs(model.alpha_model - est.alpha) <= 1e-6
 
 
 class TestAnalyzeBpoint:
@@ -828,8 +846,8 @@ class TestAnalyzeBpoint:
         assert rep.point.distinguished
         assert rep.alpha.alpha == pytest.approx(1.0, abs=1e-8)
         assert rep.boundary_value.W[0, 0] == pytest.approx(1.0, abs=1e-8)
-        assert operator_norm(rep.range_test.solution.u_T) ** 2 == pytest.approx(1.0, abs=1e-10)
-        assert rep.range_test.solution.range_residual <= 1e-10
+        assert rep.range_test.model.alpha_model == pytest.approx(1.0, abs=1e-10)
+        assert rep.range_test.model.range_residual <= 1e-10
         assert rep.julia.violations == 0
         assert rep.julia.checked == 50 - rep.julia.skipped
         assert rep.julia.identity_max <= 1e-8
@@ -865,7 +883,7 @@ class TestAnalyzeBpoint:
     def test_inconsistent_specimen_not_bpoint(self):
         rep = analyze_bpoint(inconsistent_handle(), scalars(1.0), julia_samples=5, seed=2)
         assert not rep.is_bpoint
-        assert rep.range_test.solution.range_residual == pytest.approx(1.0)
+        assert rep.range_test.model.range_residual == pytest.approx(1.0)
         assert rep.alpha.diverging
 
     def test_padded_column_grid_divergence_overrides_range_test(self):
@@ -881,7 +899,7 @@ class TestAnalyzeBpoint:
         t = scalars(0.6, 0.8)
         rep = analyze_bpoint(handle, t, julia_samples=5, seed=3)
         assert rep.point.distinguished
-        assert rep.range_test.solution.range_residual <= 1e-10
+        assert rep.range_test.model.range_residual <= 1e-10
         assert rep.alpha.diverging
         assert not rep.is_bpoint
 
@@ -1034,7 +1052,7 @@ class TestAnalyzeBpoint:
         from ncjulia import domain, realization
 
         bp = boundary_point(h1.delta, scalars(1.0, 1.0))
-        u_t = solve_uT(h1, bp).u_T
+        model = boundary_model(h1, bp)
         evaluated = []
         stacked, single = domain._eval_delta_stack, domain.eval_delta
         monkeypatch.setattr(
@@ -1048,10 +1066,10 @@ class TestAnalyzeBpoint:
         rng = np.random.default_rng(0)
         state = rng.bit_generator.state
         with pytest.raises(PreconditionError, match=message):
-            julia_sweep(h1, rng, -1, bp, np.eye(1), 1.0, u_t)
+            julia_sweep(h1, rng, -1, bp, np.eye(1), 1.0, model)
         # nothing drawn and no Delta evaluated; a count of 0 is legal and draws nothing
         assert evaluated == [] and rng.bit_generator.state == state
-        assert julia_sweep(h1, rng, 0, bp, np.eye(1), 1.0, u_t) == JuliaSweep()
+        assert julia_sweep(h1, rng, 0, bp, np.eye(1), 1.0, model) == JuliaSweep()
         assert evaluated == [] and rng.bit_generator.state == state
         assert analyze_bpoint(h1, scalars(1.0, 1.0), julia_samples=0, seed=1).julia == JuliaSweep()
 
@@ -1090,9 +1108,9 @@ class TestAnalyzeBpoint:
                 continue
             if check.rhs > 0:
                 ratios.append(check.lhs / check.rhs)
-            residuals.append(boundary_identity_residual(
-                h1, bp, rep.boundary_value.W, rep.range_test.solution.u_T, ev
-            ))
+            residuals.append(
+                boundary_identity_residual(rep.range_test.model, rep.boundary_value.W, ev)
+            )
         assert max(ratios) == rep.julia.max_ratio
         assert max(residuals) == rep.julia.identity_max
 

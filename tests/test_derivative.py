@@ -78,6 +78,14 @@ class TestEtaNumeric:
         with pytest.raises(DimensionError, match=r"W has shape \(2, 2\), expected \(1, 1\)"):
             eta_numeric(h1, t, np.eye(2), direction)
 
+    def test_non_finite_w_rejected_before_the_ladder(self, h1, monkeypatch):
+        from ncjulia import derivative
+
+        monkeypatch.setattr(derivative, "_admissible_ladder", lambda *a: pytest.fail("ladder"))
+        for bad in (np.nan, np.inf):
+            with pytest.raises(PreconditionError, match="W contains non-finite entries"):
+                eta_numeric(h1, scalars(1.0, 1.0), np.full((1, 1), bad), scalars(-1.0, -1.0))
+
     def test_oversized_direction_rejected(self, h1):
         with pytest.raises(PreconditionError, match="unit ball"):
             eta_numeric(h1, scalars(1.0, 1.0), np.eye(1), scalars(-2.0, -2.0))
@@ -339,6 +347,13 @@ class TestScalarAngularDerivative:
             scalar_angular_derivative(h1, t, -1.0 * t, np.eye(2), v=np.ones(3))
         with pytest.raises(PreconditionError, match="non-zero vector"):
             scalar_angular_derivative(h1, t, -1.0 * t, np.eye(2), v=np.zeros(2))
+
+    def test_non_finite_v_rejected(self, h1):
+        # refused where it comes in: a NaN v would give nan+nanj, with a warning from v / |v|
+        for v, n in (([np.nan], 1), ([np.inf, 0.0], 2)):
+            t = identity_pair(n)
+            with pytest.raises(PreconditionError, match="v must be a finite non-zero vector"):
+                scalar_angular_derivative(h1, t, -1.0 * t, np.eye(n), v=v)
 
     def test_t_off_the_boundary_rejected(self, h1):
         with pytest.raises(PreconditionError, match=r"T is interior \(\|\|delta\(T\)\|\| = 0.5\)"):

@@ -8,6 +8,7 @@ from ncjulia import (
     NcFunctionHandle,
     analyze_bpoint,
     boundary_identity_residual,
+    boundary_model,
     boundary_point,
     estimate_alpha,
     eta_numeric,
@@ -19,7 +20,6 @@ from ncjulia import (
     polydisk_delta,
     random_interior_point,
     random_realization,
-    solve_uT,
 )
 from ncjulia.domain import SEQUENCE_FIRST_STEP
 
@@ -45,9 +45,9 @@ def test_full_chain_random_instance(d, dim_e, n, seed):
     assert est.converged and est.is_liminf
 
     bp = boundary_point(handle.delta, t)
-    sol = solve_uT(handle, bp)
-    assert sol.range_residual <= 1e-8
-    assert abs(operator_norm(sol.u_T) ** 2 - est.alpha) <= 1e-6
+    model = boundary_model(handle, bp)
+    assert model.range_residual <= 1e-8
+    assert abs(model.alpha_model - est.alpha) <= 1e-6
 
     w = extract_W(evaluate_sequence(handle, t, None, 20, SEQUENCE_FIRST_STEP)).W
     assert operator_norm(w.conj().T @ w - np.eye(n)) <= 1e-10
@@ -57,7 +57,7 @@ def test_full_chain_random_instance(d, dim_e, n, seed):
         ev = evaluate(handle, z)
         check = julia_inequality_check(ev, bp, w, est.alpha)
         assert check.skipped or check.holds
-        assert boundary_identity_residual(handle, bp, w, sol.u_T, ev) <= 1e-6
+        assert boundary_identity_residual(model, w, ev) <= 1e-6
 
     direction = -1.0 * t
     res = eta_numeric(handle, t, w, direction)
@@ -77,17 +77,17 @@ def test_report_is_self_consistent_on_random_instance():
     rep = analyze_bpoint(handle, t, num_steps=18, julia_samples=50, seed=5)
     assert rep.is_bpoint
     assert rep.julia.violations == 0
-    assert abs(operator_norm(rep.range_test.solution.u_T) ** 2 - rep.alpha.alpha) <= 1e-4
+    assert abs(rep.range_test.model.alpha_model - rep.alpha.alpha) <= 1e-4
     assert rep.tfae.sup_model_norm_sq <= rep.tfae.sup_scalar_quotient * (1 + 1e-8)
     assert rep.julia.identity_max <= 1e-6
 
 
 def test_result_types_are_exported():
-    from ncjulia import JuliaSweep, ModelVectorAtBoundary, boundary, get_fixture
+    from ncjulia import BoundaryModel, JuliaSweep, boundary, get_fixture
 
     assert JuliaSweep is boundary.JuliaSweep
-    assert ModelVectorAtBoundary is boundary.ModelVectorAtBoundary
+    assert BoundaryModel is boundary.BoundaryModel
     h1 = get_fixture("example-h1").handle
     t = MatrixTuple.from_scalars([1.0, 1.0])
-    assert isinstance(solve_uT(h1, boundary_point(h1.delta, t)), ModelVectorAtBoundary)
+    assert isinstance(boundary_model(h1, boundary_point(h1.delta, t)), BoundaryModel)
     assert isinstance(analyze_bpoint(h1, t, julia_samples=3).julia, JuliaSweep)

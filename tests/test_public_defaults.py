@@ -17,7 +17,7 @@ PINNED = {
     ("boundary", "analyze_bpoint", "julia_samples"),
     ("boundary", "analyze_bpoint", "num_steps"),
     ("boundary", "analyze_bpoint", "seed"),
-    ("boundary", "julia_sweep", "u_t"),
+    ("boundary", "julia_sweep", "model"),
     ("cli", "main", "argv"),
     ("cli", "render_json", "indent"),
     ("cli", "render_text", "prefix"),

@@ -9,6 +9,7 @@ from ncjulia import (
     DimensionError,
     MatrixTuple,
     analyze_bpoint,
+    boundary_model,
     boundary_point,
     gaussian_drafts,
     scale_into_domain,
@@ -39,7 +40,6 @@ from ncjulia import (
     realization_to_json,
     resolvent_condition,
     similarity,
-    solve_uT,
 )
 from ncjulia import domain, realization
 from ncjulia.errors import ParseError
@@ -480,7 +480,7 @@ class TestModelResidual:
         # the boundary triple (W, u_T, Delta(T)) at T = (I, I) has no row axis; against a
         # stacked x, and as x against a stacked y, each row equals its one-point call
         bp = boundary_point(h1.delta, MatrixTuple((np.eye(2),) * 2))
-        at_t = (np.eye(2, dtype=np.complex128), solve_uT(h1, bp).u_T, bp.delta)
+        at_t = (np.eye(2, dtype=np.complex128), boundary_model(h1, bp).u_T, bp.delta)
         drafts = gaussian_drafts(2, 2, np.random.default_rng(4), 5)
         stack = scale_into_domain(h1.delta, drafts, 0.05)
         ev = evaluate_stack(h1, stack)
