@@ -29,15 +29,12 @@ from .numerics import (
 from .freepoly import (
     FreePolynomial,
     MatrixTuple,
-    direct_sum,
-    directional_derivative_poly,
     eval_poly,
     format_poly,
     lift,
     parse_poly,
     poly_from_json,
     poly_to_json,
-    similarity,
     tuple_from_json,
     tuple_to_json,
 )
@@ -67,10 +64,8 @@ from .domain import (
 from .realization import (
     Evaluation,
     NcFunctionHandle,
-    NeumannEvaluation,
     Realization,
     eval_phi,
-    eval_phi_neumann,
     eval_u,
     evaluate,
     evaluate_stack,

@@ -327,10 +327,13 @@ def julia_sweep(h, rng, count, bp, w, alpha, model=None) -> JuliaSweep:
     of h at T given, the boundary identity is checked once per block and its
     residuals at the rows not skipped are folded in row order.  Each point is
     the one ``random_interior_point`` would draw next, so the block size
-    changes no tally.
+    changes no tally.  A model of another handle or point is refused before
+    anything is drawn.
     """
     _boundary_data(bp, w, alpha)
     _require_count(count)
+    if model is not None and not (model.h is h and model.point is bp):
+        raise PreconditionError("the boundary model is not the one of this handle at this T")
     checked = violations = skipped = 0
     max_ratio = identity_max = None
     rows = solve_rows(h.delta, h.realization.dim_E, bp.t.n)

@@ -124,8 +124,11 @@ def _eval_delta_stack(delta: DeltaMatrix, components) -> np.ndarray:
     return out
 
 
-def delta_derivative(delta: DeltaMatrix, t: MatrixTuple, h: MatrixTuple) -> np.ndarray:
-    """Derivative of the padded grid at t along h: the top-right n x n of each block at lift(t, h)."""
+def delta_derivative(delta: DeltaMatrix, t: MatrixTuple, h) -> np.ndarray:
+    """Derivative of the padded grid at t along h: the top-right n x n of each block at lift(t, h).
+
+    Directions stacked along middle axes of h's components, (d, ..., n, n), give (..., Jn, Jn).
+    """
     if delta.d != t.d:
         raise DimensionError("delta and tuples must share d")
     return _lift_corner(delta, t.n, _eval_delta_stack(delta, lift(t, h)))
@@ -181,20 +184,18 @@ class BoundaryPoint:
     def gram_map(self) -> np.ndarray:
         """Matrix of the complex-linear map h -> d(T)* grad d(T)[h] on vectorized tuples.
 
-        Column k is read from the grid at the lift [[T, e_k], [0, T]]; the
-        lifts are evaluated in stacks of at most ``BLOCK_BYTES`` of lifts and
-        padded grid.
+        Column k is :func:`cone_matrix` at the basis direction e_k, read from
+        :func:`delta_derivative` at stacks of basis directions whose lifts and
+        padded grid take at most ``BLOCK_BYTES``.
         """
         d, n, grid = self.t.d, self.t.n, self.grid
         dim, rows = d * n * n, block_rows(16 * (2 * grid.J * n) ** 2 + 16 * d * (2 * n) ** 2)
         basis = np.eye(dim).reshape(dim, d, n, n).swapaxes(0, 1)
-        columns = []
-        for k in range(0, dim, rows):
-            lifts = np.zeros((d, min(rows, dim - k), 2 * n, 2 * n), dtype=np.complex128)
-            lifts[..., :n, :n] = lifts[..., n:, n:] = np.stack(self.t.components)[:, None]
-            lifts[..., :n, n:] = basis[:, k : k + rows]
-            at_lifts = _lift_corner(grid, n, _eval_delta_stack(grid, lifts))
-            columns.append(self.given.conj().T @ _on_given_grid(grid, n, at_lifts))
+        columns = [
+            self.given.conj().T
+            @ _on_given_grid(grid, n, delta_derivative(grid, self.t, basis[:, k : k + rows]))
+            for k in range(0, dim, rows)
+        ]
         return read_only(np.ascontiguousarray(np.concatenate(columns).reshape(dim, -1).T))
 
     @cached_property

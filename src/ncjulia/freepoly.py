@@ -2,7 +2,9 @@
 
 A free polynomial in d variables is a complex linear combination of words in
 the non-commuting letters x0..x{d-1}; a point of evaluation is a d-tuple of
-n x n complex matrices.  Multiplication of words is order preserving.
+n x n complex matrices.  Multiplication of words is order preserving.  A
+derivative is an evaluation: p'(t)[h] is the top-right block of p at the
+:func:`lift` [[t, h], [0, t]], whose directions may be stacked.
 
 Text grammar accepted by :func:`parse_poly`::
 
@@ -31,13 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DimensionError,
-    ParseError,
-    PolyParseError,
-    PreconditionError,
-    SingularMatrixError,
-)
+from .errors import DimensionError, ParseError, PolyParseError, PreconditionError
 from .numerics import as_complex_matrix, json_complex, json_int, operator_norm
 from .numerics import matrix_from_json, matrix_to_json
 
@@ -215,46 +211,22 @@ class MatrixTuple:
         return float(operator_norm(np.stack(self.components)).max())
 
 
-def direct_sum(x: MatrixTuple, y: MatrixTuple) -> MatrixTuple:
-    """Componentwise block-diagonal tuple of size x.n + y.n."""
-    if x.d != y.d:
-        raise DimensionError(f"variable counts differ: {x.d} vs {y.d}")
-    out = []
-    for a, b in zip(x.components, y.components):
-        block = np.zeros((x.n + y.n, x.n + y.n), dtype=np.complex128)
-        block[: x.n, : x.n] = a
-        block[x.n :, x.n :] = b
-        out.append(block)
-    return MatrixTuple(tuple(out))
+def lift(t: MatrixTuple, h) -> np.ndarray:
+    """Components of the tuple [[t, h], [0, t]], as one (d, ..., 2n, 2n) array.
 
-
-def similarity(x: MatrixTuple, s) -> MatrixTuple:
-    """The conjugated tuple (s^-1 x^1 s, ..., s^-1 x^d s)."""
-    m = as_complex_matrix(s, "s")
-    if m.shape != (x.n, x.n):
-        raise DimensionError(f"s has shape {m.shape}, expected ({x.n}, {x.n})")
-    sv = np.linalg.svd(m, compute_uv=False)
-    if sv[-1] == 0.0 or sv[0] / sv[-1] > 1e12:
-        raise SingularMatrixError(
-            "similarity matrix is numerically singular",
-            smallest_singular_value=float(sv[-1]),
-        )
-    return MatrixTuple(tuple(np.linalg.solve(m, c @ m) for c in x.components))
-
-
-def lift(t: MatrixTuple, h: MatrixTuple) -> np.ndarray:
-    """Components of the tuple [[t, h], [0, t]], as one (d, 2n, 2n) array.
-
-    A free polynomial p there is [[p(t), p'(t)[h]], [0, p(t)]]: its value and derivative.
+    The direction h is a tuple, or its components as one (d, ..., n, n) array
+    whose middle axes index stacked directions, each lifted at t.  A free
+    polynomial p there is [[p(t), p'(t)[h]], [0, p(t)]]: its value and derivative.
     """
-    if t.d != h.d:
-        raise DimensionError(f"base point has d={t.d} but direction has d={h.d}")
-    if t.n != h.n:
-        raise DimensionError(f"base point has n={t.n} but direction has n={h.n}")
-    n = t.n
-    out = np.zeros((t.d, 2 * n, 2 * n), dtype=np.complex128)
-    out[:, :n, :n] = out[:, n:, n:] = t.components
-    out[:, :n, n:] = h.components
+    comps, n = np.asarray(h.components if isinstance(h, MatrixTuple) else h), t.n
+    if comps.ndim < 3 or len(comps) != t.d:
+        raise DimensionError(f"base point has d={t.d} but direction components are {comps.shape}")
+    if comps.shape[-2:] != (n, n):
+        raise DimensionError(f"base point has n={n} but direction components are {comps.shape}")
+    out = np.zeros(comps.shape[:-2] + (2 * n, 2 * n), dtype=np.complex128)
+    base = np.asarray(t.components).reshape((t.d,) + (1,) * (comps.ndim - 3) + (n, n))
+    out[..., :n, :n] = out[..., n:, n:] = base
+    out[..., :n, n:] = comps
     return out
 
 
@@ -278,13 +250,6 @@ def eval_words(p: FreePolynomial, components) -> np.ndarray:
             m = m @ components[letter]
         acc += coeff * m
     return acc
-
-
-def directional_derivative_poly(p: FreePolynomial, t: MatrixTuple, h: MatrixTuple) -> np.ndarray:
-    """Exact derivative of p at t in direction h: the top-right block of p at lift(t, h)."""
-    if p.d != t.d:
-        raise DimensionError("polynomial and tuples must share d")
-    return eval_words(p, lift(t, h))[: t.n, t.n :]
 
 
 # --- text grammar ----------------------------------------------------------

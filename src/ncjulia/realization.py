@@ -60,7 +60,9 @@ point objects, which hash by identity, so :func:`eval_u`, :func:`eval_phi`
 and :func:`model_residual` at one point share one model solve and, through the
 kept ``domain.boundary_point``, one Delta(x) and one norm, which
 :func:`resolvent_condition` at that point reads too.  A one-point
-evaluation's arrays are therefore read-only.
+evaluation's arrays are therefore read-only.  This solve is the one
+evaluation path; the nc axioms (direct sums, similarities) and the formula's
+geometric series are checked against it by the test suite's oracles.
 """
 
 from __future__ import annotations
@@ -71,7 +73,7 @@ from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
-from .domain import DeltaMatrix, PointStack, block_rows, boundary_point, eval_delta
+from .domain import DeltaMatrix, PointStack, block_rows, boundary_point
 from .errors import DimensionError, ParseError, PreconditionError, SingularMatrixError
 from .freepoly import MatrixTuple
 from .numerics import (
@@ -381,45 +383,6 @@ def resolvent_condition(h: NcFunctionHandle, x: MatrixTuple) -> float:
 def eval_phi(h: NcFunctionHandle, x: MatrixTuple) -> np.ndarray:
     """Function value phi(x) = A I_n + (B kron I_n)(I_m kron Delta(x)) u(x), read-only."""
     return evaluate(h, x).phi
-
-
-@dataclass(frozen=True)
-class NeumannEvaluation:
-    """Truncated geometric-series evaluation, with its a-priori error bound."""
-
-    value: np.ndarray
-    truncation_bound: float
-    contraction_factor: float
-    terms: int
-
-
-def eval_phi_neumann(h: NcFunctionHandle, x: MatrixTuple, terms: int) -> NeumannEvaluation:
-    """Evaluate phi by summing the geometric series of (D kron I)(I kron Delta).
-
-    Independent of the direct solve in :func:`eval_phi`; usable only when the
-    contraction factor q is < 1, with truncation bound q^(terms+1) / (1 - q).
-    """
-    if terms < 0:
-        raise PreconditionError("terms must be non-negative")
-    big_delta = eval_delta(h.delta, x)
-    _require_interior(operator_norm(big_delta))
-    n = x.n
-    _, rhs, step = model_operators(h.realization, big_delta, n)
-    q = operator_norm(step)
-    if q >= 1.0:
-        raise PreconditionError(
-            f"series does not converge: contraction factor {q:.6g} >= 1"
-        )
-    acc = rhs.copy()
-    power = rhs
-    for _ in range(terms):
-        power = step @ power
-        acc += power
-    value = _phi_from(h.realization, big_delta, acc, n)
-    bound = q ** (terms + 1) / (1.0 - q)
-    return NeumannEvaluation(
-        value=value, truncation_bound=float(bound), contraction_factor=float(q), terms=terms
-    )
 
 
 def model_residual(h: NcFunctionHandle, x: MatrixTuple, y: MatrixTuple) -> float:

@@ -16,12 +16,10 @@ from ncjulia import (
     NcFunctionHandle,
     boundary_point,
     delta_derivative,
-    direct_sum,
     estimate_alpha,
     eta_numeric,
     eval_delta,
     eval_phi,
-    eval_phi_neumann,
     eval_poly,
     evaluate,
     evaluate_sequence,
@@ -41,7 +39,6 @@ from ncjulia import (
     polydisk_delta,
     random_interior_point,
     random_realization,
-    similarity,
     boundary_model,
     boundary_identity_residual,
     tfae_report,
@@ -56,6 +53,7 @@ from conftest import (
     random_tuple,
     random_unitary_tuple,
 )
+from oracles import direct_sum, eval_phi_neumann, similarity
 
 
 def check(criterion, ok, detail=""):

@@ -428,6 +428,24 @@ class TestJuliaInequality:
         # no standard_normal call moved the generator, and no block was solved
         assert rng.bit_generator.state == state and solved == []
 
+    def test_sweep_refuses_the_model_of_another_point_before_drawing(self, h1, monkeypatch):
+        from ncjulia import boundary
+
+        # the model at T = (1, -1), or of an equal handle that is another object, is not the
+        # model at T = (1, 1): its identity residuals would check the wrong identity
+        bp = boundary_point(h1.delta, scalars(1.0, 1.0))
+        other = boundary_point(h1.delta, scalars(1.0, -1.0))
+        twin = NcFunctionHandle(h1.realization, h1.delta)
+        solved = []
+        monkeypatch.setattr(boundary, "evaluate_stack", lambda *a: solved.append(a))
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        for model in (boundary_model(h1, other), boundary_model(twin, bp)):
+            for count in (0, 50):
+                with pytest.raises(PreconditionError, match="boundary model is not the one"):
+                    julia_sweep(h1, rng, count, bp, np.eye(1), 1.0, model)
+        assert rng.bit_generator.state == state and solved == []
+
     def test_non_finite_alpha_refused_before_drawing(self, h1):
         # a NaN alpha would count every sample as a violation and +inf would pass every one
         bp = boundary_point(h1.delta, scalars(1.0, 1.0))
@@ -958,7 +976,7 @@ class TestAnalyzeBpoint:
         assert calls == {"eval_delta": 1, "eval_words": 2}
 
     def test_one_delta_evaluation_per_julia_sample(self, h1, monkeypatch):
-        from ncjulia import boundary, domain, realization
+        from ncjulia import boundary, domain
 
         sweeping, swept = [], []  # swept: an eval_delta call made inside julia_sweep
         original, sweep = domain.eval_delta, boundary.julia_sweep
@@ -974,8 +992,7 @@ class TestAnalyzeBpoint:
             finally:
                 sweeping.pop()
 
-        for module in (domain, realization):
-            monkeypatch.setattr(module, "eval_delta", counted)
+        monkeypatch.setattr(domain, "eval_delta", counted)
         # rows of the stacked Delta evaluations made while scaling the samples
         sampling, stacked_rows = [], []
         into_domain, stack = domain.scale_into_domain, domain._eval_delta_stack
@@ -1023,7 +1040,7 @@ class TestAnalyzeBpoint:
             assert all(np.array_equal(a, b) for a, b in zip(x.components, x0.components))
 
     def test_one_delta_evaluation_per_approach_point(self, h1, monkeypatch):
-        from ncjulia import boundary, domain, realization
+        from ncjulia import domain
 
         rows = {"eval_delta": 0, "entries": 0, "lift": 0}
         original, words = domain.eval_delta, domain.eval_words
@@ -1038,8 +1055,7 @@ class TestAnalyzeBpoint:
             rows[key] += int(np.prod(components[0].shape[:-2]))
             return words(p, components)
 
-        for module in (domain, realization):
-            monkeypatch.setattr(module, "eval_delta", counted)
+        monkeypatch.setattr(domain, "eval_delta", counted)
         monkeypatch.setattr(domain, "eval_words", entry_points)
         rep = analyze_bpoint(h1, scalars(1.0, 1.0), julia_samples=0, seed=1)
         # Delta(T) once, and each of the 12 approach points once, for membership and evaluation:
@@ -1049,7 +1065,7 @@ class TestAnalyzeBpoint:
         assert rows == {"eval_delta": 1, "entries": 2 * 13, "lift": 2}
 
     def test_negative_sample_count_raises(self, h1, monkeypatch):
-        from ncjulia import domain, realization
+        from ncjulia import domain
 
         bp = boundary_point(h1.delta, scalars(1.0, 1.0))
         model = boundary_model(h1, bp)
@@ -1058,8 +1074,7 @@ class TestAnalyzeBpoint:
         monkeypatch.setattr(
             domain, "_eval_delta_stack", lambda *a: evaluated.append(a) or stacked(*a)
         )
-        for module in (domain, realization):
-            monkeypatch.setattr(module, "eval_delta", lambda *a: evaluated.append(a) or single(*a))
+        monkeypatch.setattr(domain, "eval_delta", lambda *a: evaluated.append(a) or single(*a))
         message = "sample count must be at least 0, got -1"
         with pytest.raises(PreconditionError, match=message):
             analyze_bpoint(h1, scalars(1.0, 1.0), julia_samples=-1)
@@ -1161,10 +1176,10 @@ class TestVerdictStability:
             haar_unitary,
             realization_from_json,
             realization_to_json,
-            similarity,
             tuple_from_json,
             tuple_to_json,
         )
+        from oracles import similarity
 
         handle, t, expected = _verdict_case(source, arg, seed)
 

@@ -127,6 +127,8 @@ GOLDEN_RUNS = {
         ],
     ),
     "eval-h1.json": (0, ["eval", "--fixture", "example-h1", "--point", "{interior}"]),
+    # 20 model identities and 10 Julia samples of fresh colligations on the bidisk
+    "fuzz-polydisk2.json": (0, ["fuzz", "--samples", "20", "--seed", "7"]),
 }
 
 

@@ -17,7 +17,6 @@ from ncjulia import (
     delta_derivative,
     delta_from_json,
     delta_to_json,
-    direct_sum,
     eval_delta,
     eval_poly,
     find_transverse_direction,
@@ -47,6 +46,7 @@ from conftest import (
     random_poly, random_tuple, random_unitary_tuple, sequential_interior_sample,
     sigma_span_dimension_oracle, stack_points, witness_grid,
 )
+from oracles import direct_sum
 
 
 def blocked_delta():
@@ -336,6 +336,22 @@ class TestAssumptionA:
         calls.clear()
         assert np.array_equal(bp.gram_map, lmat)
         assert [np.shape(c[1])[1] for c in calls] == [5, 5, 5, 3]
+
+    @pytest.mark.parametrize("name", ["polydisk:2", "ball:3", "cartan:2"])
+    def test_gram_map_columns_are_cone_matrices(self, name):
+        # column k is cone_matrix at basis tuple k bit for bit, at Haar points of n = 1, 2, 3
+        grid, rng = get_delta(name), np.random.default_rng(4)
+        for n in (1, 2, 3):
+            if name == "ball:3":
+                u = haar_unitary(3 * n, rng)
+                t = MatrixTuple((u[:n, :n], u[n : 2 * n, :n], u[2 * n :, :n]))
+            else:
+                t = haar_point(name, n, rng)
+            bp = boundary_point(grid, t)
+            assert bp.distinguished
+            for k, e in enumerate(np.eye(grid.d * n * n)):
+                column = cone_matrix(bp, MatrixTuple(tuple(e.reshape(grid.d, n, n))))
+                assert np.array_equal(bp.gram_map[:, k], column.reshape(-1))
 
     def test_witness_search_succeeds_where_heuristic_fails(self):
         # diag(x0, 3 x1 - 2 x1^2) at T=(1,1): the cone matrix is diag(h1, -h2),

@@ -10,7 +10,6 @@ from ncjulia import (
     boundary_point,
     cartan_delta,
     eval_phi,
-    eval_phi_neumann,
     example_eta,
     example_f,
     example_phi_closed,
@@ -27,6 +26,7 @@ from ncjulia import (
 from ncjulia.errors import ParseError, UnknownNameError
 
 from conftest import random_contraction, random_tuple
+from oracles import eval_phi_neumann
 
 
 def unitary_test_pair():

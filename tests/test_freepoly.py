@@ -12,21 +12,20 @@ from ncjulia import (
     PolyParseError,
     PreconditionError,
     SingularMatrixError,
-    direct_sum,
-    directional_derivative_poly,
     eval_poly,
     format_poly,
+    lift,
     matrix_to_json,
     parse_poly,
     poly_from_json,
     poly_to_json,
-    similarity,
     tuple_from_json,
     tuple_to_json,
 )
 from ncjulia.freepoly import MAX_DEGREE, MAX_DEPTH, MAX_TERMS
 
 from conftest import near_identity, random_poly, random_tuple
+from oracles import direct_sum, similarity
 
 
 class TestParse:
@@ -228,6 +227,24 @@ class TestEval:
             assert eval_poly(p, x)[0, 0] == pytest.approx(expected, abs=1e-12)
 
 
+class TestLift:
+    def test_stacked_directions_lift_one_by_one(self, rng):
+        t = random_tuple(rng, 2, 3)
+        hs = [[random_tuple(rng, 2, 3) for _ in range(3)] for _ in range(2)]
+        comps = np.array([[[h.components[r] for h in row] for row in hs] for r in range(2)])
+        stacked = lift(t, comps)  # directions on two middle axes: (d, 2, 3, n, n)
+        assert stacked.shape == (2, 2, 3, 6, 6)
+        for a, row in enumerate(hs):
+            for b, h in enumerate(row):
+                assert np.array_equal(stacked[:, a, b], lift(t, h))
+
+    def test_directions_of_another_shape_refused(self, rng):
+        t = random_tuple(rng, 2, 3)
+        for comps in (np.zeros((3, 3, 3)), np.zeros((2, 4, 2, 2)), np.zeros((2, 3))):
+            with pytest.raises(DimensionError, match="direction components are"):
+                lift(t, comps)
+
+
 class TestDerivative:
     def test_product_rule_exact(self, rng):
         p = FreePolynomial(2, (((0, 1), 1.0),))
@@ -235,13 +252,16 @@ class TestDerivative:
         h = random_tuple(rng, 2, 3)
         expected = (h.components[0] @ t.components[1]
                     + t.components[0] @ h.components[1])
-        np.testing.assert_allclose(directional_derivative_poly(p, t, h), expected, atol=1e-14)
+        # p'(t)[h] is the top-right block of p at lift(t, h)
+        corner = eval_poly(p, MatrixTuple(tuple(lift(t, h))))[:3, 3:]
+        np.testing.assert_allclose(corner, expected, atol=1e-14)
 
     def test_constant_derivative_zero(self, rng):
         p = FreePolynomial.constant(2, 5.0)
         t = random_tuple(rng, 2, 2)
         h = random_tuple(rng, 2, 2)
-        np.testing.assert_allclose(directional_derivative_poly(p, t, h), np.zeros((2, 2)))
+        corner = eval_poly(p, MatrixTuple(tuple(lift(t, h))))[:2, 2:]
+        np.testing.assert_allclose(corner, np.zeros((2, 2)))
 
     def test_against_central_difference(self, rng):
         step = 1e-5
@@ -250,7 +270,7 @@ class TestDerivative:
             p = random_poly(rng, d)
             t = random_tuple(rng, d, n)
             h = random_tuple(rng, d, n)
-            analytic = directional_derivative_poly(p, t, h)
+            analytic = eval_poly(p, MatrixTuple(tuple(lift(t, h))))[:n, n:]
             plus = eval_poly(p, t + step * h)
             minus = eval_poly(p, t + (-step) * h)
             fd = (plus - minus) / (2 * step)

@@ -16,14 +16,14 @@ PINNED = {
     "ConvergenceError", "DeltaMatrix", "DimensionError", "DirectionalDerivativeResult",
     "Evaluation", "ExtrapolationResult", "Fixture", "FreePolynomial", "JuliaCheck",
     "JuliaQuotient", "JuliaSweep", "MatrixTuple", "Membership",
-    "NcFunctionHandle", "NeumannEvaluation", "ParseError", "PointStack", "PolyParseError",
+    "NcFunctionHandle", "ParseError", "PointStack", "PolyParseError",
     "PreconditionError", "RangeTestResult", "Realization", "SequenceEvaluation",
     "SingularMatrixError", "SolveOutcome", "TfaeReport", "UnknownNameError", "analyze_bpoint",
     "ball_delta", "boundary_identity_residual", "boundary_model",
     "boundary_point", "cartan_delta",
-    "check_assumption_A", "cone_matrix", "delta_derivative", "delta_from_json", "delta_to_json", "direct_sum",
-    "directional_derivative_poly", "estimate_alpha", "eta_numeric", "eval_delta", "eval_phi",
-    "eval_phi_neumann", "eval_poly", "eval_u", "evaluate", "evaluate_sequence", "evaluate_stack",
+    "check_assumption_A", "cone_matrix", "delta_derivative", "delta_from_json", "delta_to_json",
+    "estimate_alpha", "eta_numeric", "eval_delta", "eval_phi",
+    "eval_poly", "eval_u", "evaluate", "evaluate_sequence", "evaluate_stack",
     "example_eta", "example_f", "example_h1_realization", "example_phi_closed", "example_psi",
     "extract_W", "extrapolate_limit", "find_transverse_direction", "format_poly",
     "gaussian_drafts", "generate_sequence", "get_closed_form", "get_delta", "get_fixture",
@@ -35,7 +35,7 @@ PINNED = {
     "poly_to_json", "polydisk_delta", "random_interior_point",
     "random_realization", "realization_from_json", "realization_to_json",
     "resolvent_condition", "scalar_angular_derivative", "scale_into_domain",
-    "sigma_span_dimension", "similarity", "tfae_report", "tuple_from_json",
+    "sigma_span_dimension", "tfae_report", "tuple_from_json",
     "tuple_to_json",
 }
 
