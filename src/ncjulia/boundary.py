@@ -7,12 +7,14 @@ A boundary point T is a B-point for the function phi when the quotient
 stays bounded along some sequence of interior points approaching T.  At such
 points phi has a unitary boundary value W, the model vector has a limit u_T
 solving a consistent singular system (one :func:`boundary_model`, which the
-range test, the boundary identity and the report read), and a boundary
-Schwarz-Pick inequality holds on the whole domain.  This module estimates
-all of these numerically and verifies the identities they satisfy.  Each
-diagnostic takes evaluations made once by ``realization.evaluate``,
-:func:`evaluate_sequence` or ``domain.boundary_point``.  Every approach path
-is one :func:`evaluate_sequence` call, checked there once by
+range test, the boundary identity, the report and, where the system is
+regular, W read), and a boundary Schwarz-Pick inequality holds on the whole
+domain.  This module estimates all of these numerically and verifies the
+identities they satisfy, squaring each norm as a product at a point and a
+stack alike.  Each diagnostic takes evaluations made once by
+``realization.evaluate``, :func:`evaluate_sequence` or
+``domain.boundary_point``.  Every approach path is one
+:func:`evaluate_sequence` call, checked there once by
 ``domain.generate_sequence``; every Julia sweep draws its own interior
 points, one solve block at a time.
 """
@@ -45,7 +47,7 @@ from .numerics import (
     operator_norm,
 )
 from .realization import ISOMETRY_TOL, Evaluation, NcFunctionHandle, model_operators
-from .realization import evaluate_stack, identity_defect, solve_rows
+from .realization import evaluate_stack, identity_defect, phi_from, solve_rows
 # unused here; perfbench's test_tracer_restores_every_binding reads boundary.eval_phi
 from .realization import eval_phi  # noqa: F401
 
@@ -77,9 +79,7 @@ def julia_quotient(ev: Evaluation) -> JuliaQuotient:
     """
     defect = np.eye(ev.phi.shape[-1]) - ev.phi.conj().swapaxes(-1, -2) @ ev.phi
     numerator, norm = operator_norm(defect), ev.delta_norm
-    # Python's power of each norm, as at one point: numpy's square may round otherwise
-    squares = norm**2 if isinstance(norm, float) else np.array([v**2 for v in norm.tolist()])
-    denominator = 1.0 - squares
+    denominator = 1.0 - norm * norm
     return JuliaQuotient(
         value=numerator / denominator, numerator=numerator, denominator=denominator
     )
@@ -196,7 +196,9 @@ class BoundaryModel:
     which is the B-point criterion); ``kernel_orthogonality`` measures the
     component of the solution inside the system kernel; ``kernel_defect``
     measures how far kernel and co-kernel are from coinciding, which flags
-    colligations that are not isometric.
+    colligations that are not isometric.  ``regular`` is set when the SVD
+    found no kernel: R0 is invertible, and u(Z) tends to u_T along every
+    approach to T.
     """
 
     h: NcFunctionHandle
@@ -205,11 +207,20 @@ class BoundaryModel:
     range_residual: float
     kernel_orthogonality: float
     kernel_defect: float
+    regular: bool
 
     @property
     def alpha_model(self) -> float:
         """||u_T||^2, the squared norm of the model vector at T."""
-        return operator_norm(self.u_T) ** 2
+        norm = operator_norm(self.u_T)
+        return norm * norm
+
+    @cached_property
+    def W(self) -> np.ndarray:
+        """phi's boundary value A I + (B kron I)(I kron Delta(T)) u_T at a regular model."""
+        if not self.regular:
+            raise PreconditionError("the boundary model is singular at T: W is not u_T's")
+        return phi_from(self.h.realization, self.point.delta, self.u_T, self.point.t.n)
 
 
 def boundary_model(h: NcFunctionHandle, bp: BoundaryPoint) -> BoundaryModel:
@@ -233,7 +244,8 @@ def boundary_model(h: NcFunctionHandle, bp: BoundaryPoint) -> BoundaryModel:
     if kernel.shape[1]:
         orthogonality = operator_norm(kernel.conj().T @ u_t)
         defect = operator_norm(kernel @ kernel.conj().T - cokernel @ cokernel.conj().T)
-    return BoundaryModel(h, bp, u_t, operator_norm(resolvent @ u_t - rhs), orthogonality, defect)
+    residual = operator_norm(resolvent @ u_t - rhs)
+    return BoundaryModel(h, bp, u_t, residual, orthogonality, defect, not kernel.shape[1])
 
 
 @dataclass(frozen=True)
@@ -296,10 +308,11 @@ def julia_inequality_check(
         raise DimensionError("Z must have the same matrix size as T")
     quotient = julia_quotient(ev)
     gram = operator_norm(np.eye(bp.delta.shape[0]) - bp.delta.conj().T @ ev.delta)
-    rhs = alpha * gram**2 / quotient.denominator
+    rhs = alpha * (gram * gram) / quotient.denominator
     if quotient.numerator <= DEGENERATE_TOL:
         return JuliaCheck(lhs=None, rhs=rhs, holds=None, skipped=True)
-    lhs = operator_norm(ev.phi - w) ** 2 / quotient.numerator
+    distance = operator_norm(ev.phi - w)
+    lhs = distance * distance / quotient.numerator
     return JuliaCheck(
         lhs=lhs, rhs=rhs, holds=bool(lhs <= rhs * (1.0 + JULIA_RTOL) + 1e-15), skipped=False
     )
@@ -427,8 +440,8 @@ def tfae_report(path: SequenceEvaluation, bp: BoundaryPoint) -> TfaeReport:
     aperture = sup(operator_norm(ev.delta - bp.delta) / quotient.denominator)
     sup_gram = sup(quotient.numerator / operator_norm(gram))
     sup_scalar = sup(quotient.value)
-    # Python's power of the largest norm: the largest of each norm's Python power
-    sup_model = sup(operator_norm(ev.u)) ** 2
+    largest = sup(operator_norm(ev.u))
+    sup_model = largest * largest
     if not np.isfinite(aperture) or aperture > APERTURE_CAP:
         raise PreconditionError(
             f"sequence is tangential: aperture {aperture:.3e} exceeds cap {APERTURE_CAP:.0e}"

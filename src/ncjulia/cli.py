@@ -409,13 +409,19 @@ def cmd_derivative(args) -> int:
     handle = _resolve_handle(args)
     t = _load_point(args.point)
     h = _load_point(args.direction)
-    domain.boundary_point(handle.delta, t).require_boundary()  # eta_numeric reads it again
-    radial = handle.delta.is_homogeneous_degree_one()
-    path = boundary.evaluate_sequence(
-        handle, t, None if radial else h, max(args.steps, derivative.W_MIN_STEPS),
-        domain.SEQUENCE_FIRST_STEP,
-    )
-    w = boundary.extract_W(path).W
+    bp = domain.boundary_point(handle.delta, t)
+    bp.require_boundary()  # eta_numeric reads it again
+    isometric = handle.realization.isometry_defect <= realization.ISOMETRY_TOL
+    model = boundary.boundary_model(handle, bp) if bp.distinguished and isometric else None
+    if model is not None and model.regular:  # the unitary W = phi(T), read from u_T
+        w = model.W
+    else:
+        radial = handle.delta.is_homogeneous_degree_one()
+        path = boundary.evaluate_sequence(
+            handle, t, None if radial else h, max(args.steps, derivative.W_MIN_STEPS),
+            domain.SEQUENCE_FIRST_STEP,
+        )
+        w = boundary.extract_W(path).W
     result = derivative.eta_numeric(handle, t, w, h, steps=args.steps)
     out = {
         "eta": numerics.matrix_to_json(result.eta),

@@ -358,7 +358,7 @@ def _nearest_point_search(bp: BoundaryPoint) -> InwardWitnessResult:
             p = (weights * atoms.T) @ atoms.conj()
             return InwardWitnessResult(False, None, -np.inf, read_only(p))
         lams, vecs = np.linalg.eigh((s @ rows).reshape(size, size))
-        if lams[0] >= dist**2 / 2.0:
+        if lams[0] >= dist * dist / 2.0:
             h = basis @ (-s / dist)
             k = MatrixTuple(tuple((h[:dim] + 1j * h[dim:]).reshape(d, n, n)))
             return _scored(bp, k * (1.0 / k.max_component_norm()))

@@ -29,16 +29,17 @@ as ``ball:d``) pads Delta(x) with J - c zero block columns, so the step
 Ordered with the a = m*c*n active unknowns (j < c) first, the model system
 is [[X, 0], [Y, I]]: ``_model_solution`` forms only the step's active
 columns, from the (Jn) x (cn) view of Delta's non-zero block columns, solves
-X u_a = rhs_a and reads off the padding unknowns as rhs_rest - Y u_a; phi is
-formed at the padded Delta.  :func:`resolvent_condition` at a point takes
-the SVD of [[X, 0], [T, I]] with Y = Q T where that is the smaller matrix.
+X u_a = rhs_a, forms phi from the same view and u_a (:func:`phi_from`), and
+reads off the padding unknowns as rhs_rest - Y u_a.  :func:`resolvent_condition`
+at a point takes the SVD of [[X, 0], [T, I]] with Y = Q T where that is the
+smaller matrix.
 A square or row grid (c = J) has no padding unknowns and runs the whole
 system.  The Evaluation's Delta stays padded, as do ``identity_defect``,
 the boundary solve and ||Delta(x)||.
 
 Batch axis: the kernels that form Delta(x), the model operators and phi
 (the word evaluation ``freepoly.eval_words`` under ``eval_delta``, and
-``_times_delta``, ``model_operators`` and ``_phi_from`` here) take arrays
+``_times_delta``, ``model_operators`` and ``phi_from`` here) take arrays
 with leading axes before the trailing matrix axes, and so does
 ``_model_solution``, the one body that solves for u and forms phi.
 :func:`evaluate` calls it on one point with no leading axis, and
@@ -222,16 +223,12 @@ def _require_interior(norm: float) -> None:
         raise PreconditionError(f"point is not inside the domain: ||delta(x)|| = {norm:.6g}")
 
 
-def _phi_from(r, big_delta: np.ndarray, u: np.ndarray, n: int) -> np.ndarray:
+def phi_from(r, big_delta: np.ndarray, u: np.ndarray, n: int) -> np.ndarray:
     """A I_n + (B kron I_n)(I_m kron Delta) u for a model vector u.
 
-    A column view of Delta gets its zero columns back first, so that phi
-    rounds as it does at the padded Delta.
+    At the padded Delta u has all mJn rows; at the (Jn) x (cn) view of Delta's
+    first c block columns, u is its active rows (e, k < c, l) alone.
     """
-    if big_delta.shape[-1] < r.J * n:
-        padded = np.zeros(big_delta.shape[:-1] + (r.J * n,), dtype=np.complex128)
-        padded[..., : big_delta.shape[-1]] = big_delta
-        big_delta = padded
     b_delta = _times_delta(r, r.B, big_delta, n)
     return r.A * np.eye(n, dtype=np.complex128) + b_delta @ u
 
@@ -288,9 +285,9 @@ def evaluate_stack(h: NcFunctionHandle, stack: PointStack) -> Evaluation:
 
 
 def solve_rows(delta: DeltaMatrix, dim_E: int, n: int) -> int:
-    """Rows of one solve in ``BLOCK_BYTES``: point, Delta, system, step, rhs, u, phi's padding."""
+    """Rows of one solve in ``BLOCK_BYTES``: point, Delta, system, step, rhs and u."""
     jn, cn, m = delta.J * n, len(delta.entries[0]) * n, dim_E
-    row = delta.d * n * n + jn * jn * (1 + (cn < jn)) + 2 * m * jn * (m * cn + n)
+    row = delta.d * n * n + jn * jn + 2 * m * jn * (m * cn + n)
     return block_rows(16 * row)
 
 
@@ -308,10 +305,10 @@ def _model_solution(r, big_delta: np.ndarray, n: int) -> tuple:
     """u and phi from one solve, at the (Jn) x (cn) view of Delta(x)'s non-zero block columns.
 
     r and Delta(x) may be stacked alike.  Ordered active unknowns first, the
-    model system is [[X, 0], [Y, I]]: X u_a = rhs_a is solved, and the other
-    unknowns are read off as rhs_rest - Y u_a.  A singular model system,
-    possible only for a colligation that is not contractive, raises
-    SingularMatrixError.
+    model system is [[X, 0], [Y, I]]: X u_a = rhs_a is solved, phi is formed
+    from u_a, and the other unknowns are read off as rhs_rest - Y u_a.  A
+    singular model system, possible only for a colligation that is not
+    contractive, raises SingularMatrixError.
     """
     cn = big_delta.shape[-1]
     resolvent, rhs = model_operators(r, big_delta, n)[:2]  # the step is freed before the solve
@@ -323,13 +320,13 @@ def _model_solution(r, big_delta: np.ndarray, n: int) -> tuple:
         u = np.linalg.solve(system, rhs_a)
     except np.linalg.LinAlgError:
         raise SingularMatrixError("model system is singular at the evaluation point") from None
+    phi = phi_from(r, big_delta, u, n)
     if cn < r.J * n:  # padding unknowns to read off
         lead = u.shape[:-2]
         rest = rhs_rest - coupling @ u[..., None, :, :]
         u = np.concatenate([u.reshape(lead + (r.dim_E, cn, n)), rest], axis=-2)
         u = u.reshape(lead + (-1, n))
-    del resolvent, system, coupling, rhs, rhs_a, rhs_rest  # freed before phi pads Delta
-    return u, _phi_from(r, big_delta, u, n)
+    return u, phi
 
 
 def eval_u(h: NcFunctionHandle, x: MatrixTuple, return_cond: bool = False):

@@ -142,11 +142,11 @@ def padded_model_solution(h, big_delta, n):
     The (mJn) x (mJn) system I - (D kron I_n)(I_m kron Delta) is solved as it
     stands, padding columns and all; Delta may be stacked.
     """
-    from ncjulia.realization import _phi_from, model_operators
+    from ncjulia.realization import model_operators, phi_from
 
     resolvent, rhs, _ = model_operators(h.realization, big_delta, n)
     u = np.linalg.solve(resolvent, np.broadcast_to(rhs, resolvent.shape[:-1] + rhs.shape[-1:]))
-    return u, _phi_from(h.realization, big_delta, u, n)
+    return u, phi_from(h.realization, big_delta, u, n)
 
 
 def padded_condition(h, ev):
@@ -225,13 +225,11 @@ def solve_budget(h, n, rows, dim_E=None):
 
     h is a handle, or a grid with the colligations' ``dim_E``.  A row holds a point of
     the grid and its padded Delta, the active columns (e, k < c, l) of its model system
-    and step, its right-hand side and u (mJn x n each); on a column grid (c < J), the
-    padded copy of Delta phi takes.
+    and step, and its right-hand side and u (mJn x n each).
     """
     grid, m = (h, dim_E) if dim_E is not None else (h.delta, h.realization.dim_E)
     jn, cn = grid.J * n, len(grid.entries[0]) * n
-    padded = jn * jn * (2 if cn < jn else 1)
-    return rows * 16 * (grid.d * n * n + padded + 2 * m**2 * jn * cn + 2 * m * jn * n)
+    return rows * 16 * (grid.d * n * n + jn * jn + 2 * m**2 * jn * cn + 2 * m * jn * n)
 
 
 # --- the tiny-matrix kernels before they skipped work that changes no bit, kept as oracles ---

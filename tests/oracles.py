@@ -20,7 +20,7 @@ from ncjulia import (
     operator_norm,
 )
 from ncjulia.numerics import as_complex_matrix
-from ncjulia.realization import _phi_from, _require_interior, model_operators
+from ncjulia.realization import _require_interior, model_operators, phi_from
 
 
 def direct_sum(x: MatrixTuple, y: MatrixTuple) -> MatrixTuple:
@@ -82,7 +82,7 @@ def eval_phi_neumann(h, x: MatrixTuple, terms: int) -> NeumannEvaluation:
     for _ in range(terms):
         power = step @ power
         acc += power
-    value = _phi_from(h.realization, big_delta, acc, n)
+    value = phi_from(h.realization, big_delta, acc, n)
     bound = q ** (terms + 1) / (1.0 - q)
     return NeumannEvaluation(
         value=value, truncation_bound=float(bound), contraction_factor=float(q), terms=terms

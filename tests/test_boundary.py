@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from ncjulia import (
     DimensionError,
+    Evaluation,
     MatrixTuple,
     NcFunctionHandle,
     PreconditionError,
@@ -18,6 +19,7 @@ from ncjulia import (
     evaluate,
     evaluate_sequence,
     evaluate_stack,
+    example_phi_closed,
     extract_W,
     gaussian_drafts,
     get_fixture,
@@ -139,7 +141,7 @@ class TestEvaluateSequence:
 
 
     def test_sequence_diagnostics_build_no_tuple_or_point_evaluation(self, h1, monkeypatch):
-        from ncjulia import Evaluation, eta_numeric
+        from ncjulia import eta_numeric
 
         t, direction = scalars(1.0, 1.0), scalars(-1.0, -1.0)
         bp = boundary_point(h1.delta, t)
@@ -189,6 +191,19 @@ class TestJuliaQuotient:
     def test_boundary_rejected(self, h1):
         with pytest.raises(PreconditionError):
             julia_quotient(evaluate(h1, scalars(1.0, 0.0)))
+
+    def test_norms_square_as_products_at_a_point_and_a_stack(self):
+        # norms whose Python power v**2 (libm pow) rounds otherwise than v * v: a stack and
+        # each of its rows take 1 - v * v, bit for bit
+        draws = np.random.default_rng(0).random(20000).tolist()
+        norms = [v for v in draws if v**2 != v * v]
+        assert norms
+        k = len(norms)
+        zero = np.zeros((k, 1, 1), dtype=np.complex128)
+        stack = Evaluation(zero, np.array(norms), zero, zero)
+        want = [1.0 - v * v for v in norms]
+        assert julia_quotient(stack).denominator.tolist() == want
+        assert [julia_quotient(stack.row(i)).denominator for i in range(k)] == want
 
 
 class TestEstimateAlpha:
@@ -261,7 +276,8 @@ class TestSolveUT:
         np.testing.assert_allclose(
             model.u_T, np.array([[1.0], [1.0]]) / np.sqrt(2.0), atol=1e-12
         )
-        assert model.alpha_model == operator_norm(model.u_T) ** 2
+        norm = operator_norm(model.u_T)
+        assert model.alpha_model == norm * norm
         assert model.alpha_model == pytest.approx(1.0, abs=1e-12)
         assert model.range_residual <= 1e-12
         assert model.kernel_orthogonality <= 1e-12
@@ -290,6 +306,24 @@ class TestSolveUT:
     def test_requires_distinguished_boundary(self, h1):
         with pytest.raises(PreconditionError):
             boundary_model(h1, boundary_point(h1.delta, scalars(1.0, 0.5)))
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_regular_model_reads_w_from_u_t(self, h1, n):
+        # R0 is invertible at Haar T: W = A + (B kron I)(I kron Delta(T)) u_T is f(T)
+        rng = np.random.default_rng(7)
+        for _ in range(5):
+            t = random_unitary_tuple(rng, 2, n)
+            model = boundary_model(h1, boundary_point(h1.delta, t))
+            assert model.regular
+            assert operator_norm(model.W - example_phi_closed(t)) <= 1e-13
+            assert model.W is model.W  # computed once
+
+    def test_singular_model_has_no_w(self, h1):
+        # at (I, I) R0 has a kernel of dimension n: W is not read from u_T there
+        model = boundary_model(h1, boundary_point(h1.delta, scalars(1.0, 1.0)))
+        assert not model.regular
+        with pytest.raises(PreconditionError, match="singular at T"):
+            model.W
 
     def test_one_full_svd_for_kernel_and_cokernel(self, h1, rng, monkeypatch):
         # one full SVD of R0 = I - (D kron I)(I kron Delta(T)) gives the solution and both

@@ -7,7 +7,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ncjulia import get_delta, get_fixture, random_realization, realization_to_json
+from ncjulia import (
+    MatrixTuple, example_phi_closed, get_delta, get_fixture, lift, matrix_from_json,
+    operator_norm, random_realization, realization_to_json,
+)
 from ncjulia.cli import main, render_json
 
 from conftest import solve_budget
@@ -78,6 +81,9 @@ def looped_fuzz(delta_name, dim_e, seed, samples, no_isometry):
     return residuals, out
 
 
+REGULAR = [[-0.9700698154484504, 0.24282617889306976], [0.8205253122491041, 0.5716101923151043]]
+
+
 def write_json(path, obj):
     path.write_text(json.dumps(obj))
     return str(path)
@@ -93,6 +99,11 @@ def files(tmp_path):
         "inward": write_json(tmp_path / "H.json", {"scalars": [[-1, 0], [-1, 0]]}),
         "tangent": write_json(tmp_path / "Ht.json", {"scalars": [[0, 1], [0, 1]]}),
         "ball": write_json(tmp_path / "Tball.json", {"scalars": [[0.6, 0], [0.8, 0]]}),
+        # haar_unitary(1, rng) twice from default_rng(100): a regular B-point of example-h1
+        "regular": write_json(tmp_path / "Treg.json", {"scalars": REGULAR}),
+        "regular_inward": write_json(
+            tmp_path / "Hreg.json", {"scalars": [[-re, -im] for re, im in REGULAR]}
+        ),
         "malformed": str((tmp_path / "broken.json").write_text("{oops") or tmp_path / "broken.json"),
         "tmp": tmp_path,
     }
@@ -124,6 +135,14 @@ GOLDEN_RUNS = {
         [
             "derivative", "--fixture", "example-h1", "--point", "{boundary}",
             "--direction", "{inward}", "--closed-form", "example-h3-eta",
+        ],
+    ),
+    # W from the boundary model: R0 is invertible at this T
+    "derivative-h1-regular.json": (
+        0,
+        [
+            "derivative", "--fixture", "example-h1", "--point", "{regular}",
+            "--direction", "{regular_inward}",
         ],
     ),
     "eval-h1.json": (0, ["eval", "--fixture", "example-h1", "--point", "{interior}"]),
@@ -206,6 +225,8 @@ class TestEval:
     @pytest.mark.parametrize("delta, message", [
         ("polydisk:99", "delta size in 'polydisk:99' exceeds the maximum"),
         ("polydisk:x", "malformed delta size in 'polydisk:x'"),
+        ("ball:0", "d must be at least 1"),
+        ("cartan:0", "J must be at least 1"),
     ])
     def test_known_family_with_a_bad_size_says_only_that(self, files, capsys, delta, message):
         # a known family name is no missing file: its own error is said alone
@@ -610,9 +631,8 @@ class TestFuzz:
             argv = ["fuzz", "--samples", "25", "--seed", str(40 + dim_e), "--delta", delta]
             argv += ["--dim-E", str(dim_e)] + ["--no-isometry"] * no_isometry
             # one block per size at the default budget, then blocks of five samples of size 2:
-            # drafts of d 2 x 2 matrices, padded Delta, the active columns of model systems
-            # with their steps, right-hand sides and u, and on a column grid the padded copy
-            # of Delta phi takes
+            # drafts of d 2 x 2 matrices, padded Delta, and the active columns of model
+            # systems with their steps, right-hand sides and u
             for budget in (default, solve_budget(fixtures.get_delta(delta), 2, 5, dim_E=dim_e)):
                 stacked.clear(), evaluated.clear()
                 monkeypatch.setattr(domain, "BLOCK_BYTES", budget)
@@ -852,6 +872,23 @@ class TestDerivative:
         out = json.loads(capsys.readouterr().out)
         assert out["closed_form_relative_error"] <= 1e-6
 
+    def test_regular_point_reads_w_from_the_model(self, files, capsys):
+        # a W extrapolated along the 14-point path is 1.4e-9 from phi(T) here, too coarse
+        # for the ladder to converge on; the model's W is phi(T) to rounding
+        code = main([
+            "derivative", "--fixture", "example-h1", "--point", files["regular"],
+            "--direction", files["regular_inward"],
+        ])
+        assert code == 0
+        out = json.loads(capsys.readouterr().out)
+        t = MatrixTuple(tuple(np.array([[complex(*z)]]) for z in REGULAR))
+        assert out["converged"] is True
+        w = matrix_from_json(out["W"])
+        assert operator_norm(w - example_phi_closed(t)) <= 1e-15
+        # eta is the corner of f at the lift of (T, -T)
+        eta = example_phi_closed(MatrixTuple(tuple(lift(t, t * -1.0))))[:1, 1:]
+        assert operator_norm(matrix_from_json(out["eta"]) - eta) <= 1e-8
+
     @pytest.mark.parametrize(
         "scalars, message",
         [
@@ -1009,6 +1046,19 @@ class TestExitCodes:
         (
             {"d": 2, "entries": [[_poly([[1, 0]], [2]), "0"], ["0", "x1"]]},
             "variable index 2 out of range for d=2",
+        ),
+        # the grammar's errors carry the position in the entry's text
+        (
+            {"d": 2, "entries": [["x0 $ x1", "0"], ["0", "x1"]]},
+            "unexpected character '$' (at position 3)",
+        ),
+        (
+            {"d": 2, "entries": [["(x0 + x1", "0"], ["0", "x1"]]},
+            "expected ')', found 'end' (at position 8)",
+        ),
+        (
+            {"d": 2, "entries": [["x0^1.5", "0"], ["0", "x1"]]},
+            "exponent must be a non-negative integer (at position 3)",
         ),
     ])
     def test_malformed_delta_file_exits_2(self, files, capsys, grid, message):
@@ -1338,3 +1388,10 @@ class TestRendering:
 
     def test_infinity_encoded_as_string(self):
         assert json.loads(render_json({"a": float("inf")}))["a"] == "inf"
+        out = json.loads(render_json({"nan": float("nan"), "low": -np.inf}))
+        assert out == {"nan": "nan", "low": "-inf"}
+
+    def test_empty_object_and_unrenderable_value(self):
+        assert json.loads(render_json({"empty": {}})) == {"empty": {}}
+        with pytest.raises(TypeError, match="^cannot render object$"):
+            render_json({"a": object()})

@@ -61,6 +61,7 @@ class TestParse:
     def test_complex_literals(self):
         p = parse_poly("(1+2i)*x0 - 3i", 1)
         assert p.terms == (((), complex(0, -3)), ((0,), complex(1, 2)))
+        assert parse_poly("i*x0", 1).terms == (((0,), 1j),)  # a bare i is the unit
 
     def test_group_power(self):
         p = parse_poly("(x0+x1)^2", 2)

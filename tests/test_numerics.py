@@ -318,3 +318,5 @@ class TestMatrixJson:
             matrix_from_json({"rows": 2, "cols": 2, "data": [[1, 0]]})
         with pytest.raises(ParseError):
             matrix_from_json([1, 2, 3])
+        with pytest.raises(ParseError, match="^matrix object missing field: 'data'$"):
+            matrix_from_json({"rows": 1, "cols": 1})

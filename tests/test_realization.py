@@ -45,7 +45,7 @@ from ncjulia.realization import (
     ISOMETRY_TOL,
     NearSingularResolventWarning,
     model_operators,
-    _phi_from,
+    phi_from,
 )
 
 from conftest import (
@@ -122,7 +122,7 @@ class TestTensorLayout:
 
             u = random_matrix(rng, m * j * n, n)
             phi_kron = r.A[0, 0] * eye_n + np.kron(r.B, eye_n) @ delta_op @ u
-            phi = _phi_from(r, big, u, n)
+            phi = phi_from(r, big, u, n)
             np.testing.assert_allclose(phi, phi_kron, **tol)
 
             delta_y = eval_delta(delta, random_tuple(rng, delta.d, n))
@@ -818,13 +818,12 @@ class TestNonZeroColumns:
             same(many.u[k], u[k]), same(many.phi[k], phi[k])
 
     def test_solve_rows_count_the_active_columns(self):
-        # at n = 4, dim_E 2 a row holds its point (d n^2), its padded Delta and, on a column
-        # grid, the padded copy phi is formed at ((Jn)^2 each), the active columns of its
-        # model system and step (2 m^2 (Jn)(cn)), and its right-hand side and u (2 m (Jn) n);
-        # square and row grids count (1 + 2 m^2)(Jn)^2 + 4 (Jn) n
+        # at n = 4, dim_E 2 a row holds its point (d n^2), its padded Delta ((Jn)^2), the
+        # active columns of its model system and step (2 m^2 (Jn)(cn)), and its right-hand
+        # side and u (2 m (Jn) n); square and row grids count (1 + 2 m^2)(Jn)^2 + 4 (Jn) n
         for delta, entries in (
-            (get_delta("ball:3"), 3 * 16 + 2 * 12**2 + 2 * 4 * 12 * 4 + 4 * 12 * 4),  # 14592 bytes
-            (COLUMN_GRID, 2 * 16 + 2 * 12**2 + 2 * 4 * 12 * 4 + 4 * 12 * 4),
+            (get_delta("ball:3"), 3 * 16 + 12**2 + 2 * 4 * 12 * 4 + 4 * 12 * 4),  # 12288 bytes
+            (COLUMN_GRID, 2 * 16 + 12**2 + 2 * 4 * 12 * 4 + 4 * 12 * 4),
             (ROW_GRID, 2 * 16 + 9 * 12**2 + 4 * 12 * 4),
             (get_delta("polydisk:2"), 2 * 16 + 9 * 8**2 + 4 * 8 * 4),
         ):
